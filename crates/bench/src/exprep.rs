@@ -270,8 +270,10 @@ pub fn explorers(sc: &Scenario, budget: usize) -> Result<ExplorersArtifact, Stri
         train_full_model(&mm, &dataset, &teacher_solver).map_err(|e| e.to_string())?;
     let full = (full_ckpt, full_accuracy);
 
+    // Seed *and* budget name the scratch store: concurrent calls in one
+    // process (the unit tests) must not share or delete each other's.
     let base = std::env::temp_dir().join(format!(
-        "wootz-explorers-bench-{}-{}",
+        "wootz-explorers-bench-{}-{}-{budget}",
         std::process::id(),
         sc.seed
     ));

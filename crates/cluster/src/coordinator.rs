@@ -3,10 +3,10 @@
 //! the exact exploration loop the single-process pipeline runs.
 //!
 //! The key structural decision is that the coordinator is *just another
-//! round runner* plugged into
-//! [`wootz_core::explore::explore_rounds_supervised`]: the round width
-//! stays `solver.num_workers` (the paper's logical task-assignment `p`),
-//! while `--distributed N` only chooses how many OS processes execute the
+//! [`RoundBackend`]* plugged into the one phase driver
+//! ([`wootz_core::pipeline::run_phases`]): the round width stays
+//! `solver.num_workers` (the paper's logical task-assignment `p`), while
+//! `--distributed N` only chooses how many OS processes execute the
 //! round's tasks. Logical and physical parallelism are decoupled, so the
 //! distributed [`WootzRun`] is bit-identical to the single-process one for
 //! *any* worker count — including under worker crashes, hangs and
@@ -35,21 +35,16 @@ use std::time::{Duration, Instant, SystemTime};
 
 use serde::Serialize;
 
-use wootz_core::blocks::partition_into_groups;
 use wootz_core::compile::{MultiplexingModel, TuningBlock};
-use wootz_core::explore::{
-    explore_rounds_supervised, EvalRecord, ExploreOptions, SupervisedEval,
-};
-use wootz_core::explorer::{
-    explore_adaptive, AdaptiveOptions, AdaptiveRound, ExplorerKind, ProposalRecord,
-};
-use wootz_core::journal::{Journal, JournalEntry, Replay};
+use wootz_core::explore::SupervisedEval;
+use wootz_core::explorer::ExplorerKind;
 use wootz_core::pipeline::{
-    best_network, best_network_in, block_pretrain_config, blocks_for_mode, build_explorer,
-    journal_header, subspace_stats, train_full_model, RunMode, WootzInputs, WootzRun,
+    block_pretrain_config, run_phases, RoundBackend, RunMode, RunOptions, UniverseEnv,
+    WootzInputs, WootzRun,
 };
-use wootz_core::pretrain::PretrainedBlock;
-use wootz_core::prune::PruneConfig;
+use wootz_core::pretrain::{
+    pretrain_groups_with, BlockSink, GroupOutcome, PretrainOutcome, PretrainedBlock,
+};
 use wootz_core::{CoreError, Result};
 use wootz_data::Dataset;
 use wootz_fault::{FaultPlan, RetryPolicy};
@@ -121,12 +116,13 @@ pub struct ClusterOptions<'a> {
     /// use this to scope chaos hooks to a single run).
     pub worker_env: Vec<(String, String)>,
     /// Exploration strategy. [`ExplorerKind::Fixed`] (the default) walks
-    /// the manifest's static subspace exactly as before; an adaptive
-    /// strategy runs the propose/observe loop, dispatching
-    /// universe-carrying tasks and republishing the block bag per round.
+    /// the input subspace in objective order; the others grow the
+    /// evaluation universe from their own proposals. Every strategy runs
+    /// the same driver, dispatches universe-carrying tasks, and
+    /// republishes the block bag whenever a round pre-trained new blocks.
     pub explorer: ExplorerKind,
-    /// Maximum configurations an adaptive explorer may evaluate beyond
-    /// the initial subspace (ignored by the fixed strategy).
+    /// Maximum configurations proposals may add to the evaluation
+    /// universe (the fixed strategy adds none and so ignores it).
     pub explorer_budget: usize,
 }
 
@@ -424,6 +420,7 @@ struct Coordinator<'a> {
     dir: RunDir,
     epoch: u64,
     opts: &'a ClusterOptions<'a>,
+    solver: &'a wootz_ir::SolverConfig,
     pool: WorkerPool,
     /// The TCP front-end, when `opts.listen` selected the network
     /// transport. `None` = filesystem-queue transport.
@@ -435,12 +432,22 @@ struct Coordinator<'a> {
     /// Per-step wall-time samples (ms) of accepted results — the
     /// speculation deadline's calibration data.
     rate_samples: Vec<f64>,
+    /// The published bag of pre-trained blocks: block key → checkpoint
+    /// file name under `blocks/` (grows monotonically).
+    published: BTreeMap<String, String>,
 }
 
 impl Coordinator<'_> {
-    fn alloc_seq(&mut self) -> u64 {
+    /// A first-attempt task of this epoch under a fresh sequence number.
+    fn task(&mut self, kind: TaskKind, expected_steps: usize) -> TaskSpec {
         self.next_seq += 1;
-        self.next_seq
+        TaskSpec {
+            seq: self.next_seq,
+            attempt: 1,
+            epoch: self.epoch,
+            kind,
+            expected_steps,
+        }
     }
 
     /// The speculation deadline (ms of claimed run time) for a task of
@@ -459,7 +466,9 @@ impl Coordinator<'_> {
     /// accepted result or is abandoned: reaps results with fencing,
     /// reclaims expired leases, launches speculative attempts once the
     /// queue drains, respawns dead workers, and watches for stalls.
-    fn drive(&mut self, tasks: Vec<TaskSpec>) -> Result<BTreeMap<u64, TaskOutcome>> {
+    /// Returns one outcome per task, in task order.
+    fn drive(&mut self, tasks: Vec<TaskSpec>) -> Result<Vec<TaskOutcome>> {
+        let seqs: Vec<u64> = tasks.iter().map(|t| t.seq).collect();
         let mut units: BTreeMap<u64, Unit> = BTreeMap::new();
         for task in tasks {
             self.dir.enqueue(&task)?;
@@ -688,7 +697,10 @@ impl Coordinator<'_> {
                 std::thread::sleep(Duration::from_millis(self.opts.poll_ms));
             }
         }
-        Ok(done)
+        Ok(seqs
+            .iter()
+            .map(|seq| done.remove(seq).expect("one outcome per driven task"))
+            .collect())
     }
 
     /// Applies the fencing rule to one published result. A result is
@@ -761,205 +773,42 @@ impl Coordinator<'_> {
         true
     }
 
-    /// Runs the distributed pre-training phase over `blocks`: enqueues one
-    /// task per not-yet-journaled group, merges remote results with
-    /// journal replays in group order (mirroring
-    /// [`wootz_core::pretrain::pretrain_blocks_supervised`] exactly), and
-    /// journals every freshly trained block. With `adaptive` set, `blocks`
-    /// is one round's incremental batch and the tasks carry it inline
-    /// ([`TaskKind::PretrainAdaptive`]); otherwise it is the mode's full
-    /// block list, which workers recompute from the manifest.
-    fn pretrain_phase(
-        &mut self,
-        inputs: &WootzInputs,
-        blocks: &[TuningBlock],
-        completed: &BTreeMap<String, PretrainedBlock>,
-        journal: &mut Option<Journal>,
-        block_ckpts: &mut BTreeMap<String, Checkpoint>,
-        adaptive: bool,
-    ) -> Result<(usize, usize)> {
-        let _span = wootz_obs::span("cluster.pretrain").with("blocks", blocks.len());
-        let groups = partition_into_groups(blocks);
-        let cfg = block_pretrain_config(&inputs.solver);
-        let todo: Vec<bool> = groups
-            .iter()
-            .map(|g| g.iter().any(|&i| !completed.contains_key(&blocks[i].key())))
-            .collect();
-        let mut tasks = Vec::new();
-        let mut seq_of_group: BTreeMap<usize, u64> = BTreeMap::new();
-        for (gi, group) in groups.iter().enumerate() {
-            if todo[gi] {
-                let seq = self.alloc_seq();
-                seq_of_group.insert(gi, seq);
-                let kind = if adaptive {
-                    TaskKind::PretrainAdaptive {
-                        group_index: gi,
-                        blocks: blocks.to_vec(),
-                        group: group.clone(),
-                    }
-                } else {
-                    TaskKind::Pretrain {
-                        group_index: gi,
-                        group: group.clone(),
-                    }
-                };
-                tasks.push(TaskSpec {
-                    seq,
-                    attempt: 1,
-                    epoch: self.epoch,
-                    kind,
-                    expected_steps: cfg.steps,
-                });
+    /// Publishes the grown bag of pre-trained blocks for the evaluation
+    /// workers: each checkpoint is written exactly once under a name
+    /// derived from its block key (stable across rounds, so a concurrent
+    /// fetch never sees a file change underneath it), the index is
+    /// republished atomically, and the TCP hub's cached copy is dropped
+    /// so workers always fetch the round-complete bag.
+    fn publish_blocks(&mut self, checkpoints: &BTreeMap<String, Checkpoint>) -> Result<()> {
+        for (key, ckpt) in checkpoints {
+            if !self.published.contains_key(key) {
+                let file = format!("{:016x}.ckpt", wootz_fault::fnv1a64(key.as_bytes()));
+                ckpt.save(self.dir.blocks().join(&file))?;
+                self.published.insert(key.clone(), file);
             }
         }
-        let mut done = if tasks.is_empty() {
-            BTreeMap::new()
-        } else {
-            self.drive(tasks)?
-        };
-
-        let mut total_steps = 0usize;
-        let mut failed_list: Vec<(String, String)> = Vec::new();
-        let mut first_error: Option<CoreError> = None;
-        for (gi, group) in groups.iter().enumerate() {
-            if !todo[gi] {
-                // Fully journaled group: replay in block order.
-                for &bi in group {
-                    let block = &completed[&blocks[bi].key()];
-                    total_steps += block.steps;
-                    block_ckpts.insert(block.key.clone(), block.checkpoint.clone());
+        // Chaos: die with every block checkpoint saved but the index
+        // half-written to its temp file — the assembly-publish window.
+        // Consumers must only ever see the index appear atomically; the
+        // restarted epoch re-runs pre-training from the journal and
+        // republishes.
+        {
+            use wootz_fault::chaos::{self, kill_site};
+            if chaos::kill_point(kill_site::COORD_ASSEMBLE) {
+                let json = serde_json::to_vec(&self.published).unwrap_or_default();
+                let path = self.dir.blocks_index();
+                let tmp = path.with_file_name(format!(".index.tmp-{}", std::process::id()));
+                if let Ok(mut file) = std::fs::File::create(&tmp) {
+                    chaos::torn_write_and_die(kill_site::COORD_ASSEMBLE, &mut file, &json);
                 }
-                continue;
-            }
-            let outcome = done
-                .remove(&seq_of_group[&gi])
-                .expect("drive returns one outcome per task");
-            match outcome.result {
-                Some(TaskResult {
-                    payload: ResultPayload::Pretrain { blocks, failed, .. },
-                    ..
-                }) => {
-                    for block in &blocks {
-                        // Prefer the journaled copy when a partially
-                        // completed group was retrained, so resumes replay
-                        // byte-identically.
-                        let block = completed.get(&block.key).unwrap_or(block);
-                        total_steps += block.steps;
-                        block_ckpts.insert(block.key.clone(), block.checkpoint.clone());
-                        if !completed.contains_key(&block.key) {
-                            if let Some(j) = journal.as_mut() {
-                                j.append(&JournalEntry::Block(block.clone()))?;
-                            }
-                        }
-                    }
-                    failed_list.extend(failed);
-                }
-                Some(_) => {
-                    return Err(cluster_err(format!(
-                        "pre-training task for group {gi} returned an evaluation payload"
-                    )))
-                }
-                None => {
-                    let msg = format!(
-                        "pre-training group {gi} abandoned after {} worker attempts \
-                         (every lease expired)",
-                        outcome.attempts
-                    );
-                    for &bi in group {
-                        failed_list.push((blocks[bi].key(), msg.clone()));
-                    }
-                    if first_error.is_none() {
-                        first_error = Some(CoreError::Remote(msg));
-                    }
-                }
+                chaos::die(kill_site::COORD_ASSEMBLE);
             }
         }
-        if block_ckpts.is_empty() {
-            if let Some(e) = first_error {
-                return Err(e);
-            }
+        atomic_write_json(&self.dir.blocks_index(), &self.published)?;
+        if let Some(hub) = &self.hub {
+            hub.invalidate_blocks();
         }
-        Ok((total_steps, failed_list.len()))
-    }
-
-    /// Runs one exploration round remotely: one evaluation task per fresh
-    /// configuration, results re-associated positionally (the
-    /// `explore_rounds_supervised` contract). With `universe` set, the
-    /// round belongs to an adaptive explorer and each task carries the
-    /// universe inline ([`TaskKind::EvalAdaptive`]); otherwise the config
-    /// indices address the manifest's static subspace.
-    fn explore_round(
-        &mut self,
-        inputs: &WootzInputs,
-        universe: Option<&[PruneConfig]>,
-        fresh_configs: &[usize],
-        finetune_steps: &mut usize,
-    ) -> Result<Vec<SupervisedEval>> {
-        let mut tasks = Vec::new();
-        let mut seq_of: Vec<(u64, usize)> = Vec::new();
-        for &config_index in fresh_configs {
-            let seq = self.alloc_seq();
-            seq_of.push((seq, config_index));
-            let kind = match universe {
-                Some(u) => TaskKind::EvalAdaptive {
-                    config_index,
-                    universe: u.to_vec(),
-                },
-                None => TaskKind::Eval { config_index },
-            };
-            tasks.push(TaskSpec {
-                seq,
-                attempt: 1,
-                epoch: self.epoch,
-                kind,
-                expected_steps: inputs.solver.max_iter,
-            });
-        }
-        let mut done = if tasks.is_empty() {
-            BTreeMap::new()
-        } else {
-            self.drive(tasks)?
-        };
-        let mut out = Vec::with_capacity(fresh_configs.len());
-        for (seq, config_index) in seq_of {
-            let outcome = done
-                .remove(&seq)
-                .expect("drive returns one outcome per task");
-            let sup = match outcome.result {
-                Some(TaskResult {
-                    payload: ResultPayload::Eval(wire),
-                    ..
-                }) => {
-                    if wire.config_index != config_index {
-                        return Err(cluster_err(format!(
-                            "task {seq} returned config {} but config {config_index} \
-                             was scheduled",
-                            wire.config_index
-                        )));
-                    }
-                    wire.into_supervised()
-                }
-                Some(_) => {
-                    return Err(cluster_err(format!(
-                        "evaluation task {seq} returned a pre-training payload"
-                    )))
-                }
-                None => SupervisedEval {
-                    result: Err(CoreError::Remote(format!(
-                        "configuration {config_index}: task abandoned after {} worker \
-                         attempts (every lease expired)",
-                        outcome.attempts
-                    ))),
-                    attempts: outcome.attempts,
-                    backoff: 0.0,
-                },
-            };
-            if let Ok(o) = &sup.result {
-                *finetune_steps += o.log.as_ref().map_or(0, |l| l.steps_run);
-            }
-            out.push(sup);
-        }
-        Ok(out)
+        Ok(())
     }
 
     /// Shuts the run down: writes the shutdown marker, waits up to the
@@ -1013,21 +862,219 @@ impl Coordinator<'_> {
     }
 }
 
-/// Runs the complete pruning pipeline with the distributed runtime:
-/// identical phases and identical results to
-/// [`wootz_core::pipeline::run_wootz_with`], but pre-training groups and
-/// configuration evaluations execute on `opts.workers` separate worker OS
-/// processes fed through the crash-safe filesystem queue.
+/// The distributed [`RoundBackend`]: one task per todo pre-training group
+/// and one per fresh configuration, executed by the worker processes and
+/// re-associated positionally, so the phase driver folds exactly what the
+/// in-process backend would have produced.
+impl RoundBackend for Coordinator<'_> {
+    /// Pre-trains `batch` remotely — the group shell (replays, journaled
+    /// copies, step accounting, sink order) is
+    /// [`pretrain_groups_with`], shared with the in-process supervisor —
+    /// then publishes the grown block bag for the evaluation workers.
+    fn pretrain(
+        &mut self,
+        _full_ckpt: &Checkpoint,
+        batch: &[TuningBlock],
+        completed: BTreeMap<String, PretrainedBlock>,
+        sink: &mut BlockSink<'_>,
+    ) -> Result<PretrainOutcome> {
+        let _span = wootz_obs::span("cluster.pretrain").with("blocks", batch.len());
+        let steps = block_pretrain_config(self.solver).steps;
+        let run_groups = |todo: &[(usize, &[usize])]| -> Result<Vec<GroupOutcome>> {
+            let tasks = todo
+                .iter()
+                .map(|&(group_index, group)| {
+                    let kind = TaskKind::Pretrain {
+                        group_index,
+                        blocks: batch.to_vec(),
+                        group: group.to_vec(),
+                    };
+                    self.task(kind, steps)
+                })
+                .collect();
+            let outcomes = self.drive(tasks)?;
+            todo.iter()
+                .zip(outcomes)
+                .map(|(&(gi, group), outcome)| match outcome.result {
+                    Some(TaskResult {
+                        payload: ResultPayload::Pretrain { blocks, failed, .. },
+                        ..
+                    }) => Ok(GroupOutcome {
+                        blocks,
+                        failed,
+                        first_error: None,
+                    }),
+                    Some(_) => Err(cluster_err(format!(
+                        "pre-training task for group {gi} returned an evaluation payload"
+                    ))),
+                    None => {
+                        let msg = format!(
+                            "pre-training group {gi} abandoned after {} worker attempts \
+                             (every lease expired)",
+                            outcome.attempts
+                        );
+                        Ok(GroupOutcome {
+                            blocks: Vec::new(),
+                            failed: group
+                                .iter()
+                                .map(|&bi| (batch[bi].key(), msg.clone()))
+                                .collect(),
+                            first_error: Some(CoreError::Remote(msg)),
+                        })
+                    }
+                })
+                .collect()
+        };
+        let outcome = pretrain_groups_with(batch, &completed, run_groups, Some(sink))?;
+        self.publish_blocks(&outcome.checkpoints)?;
+        Ok(outcome)
+    }
+
+    /// Runs one exploration round remotely: one universe-carrying
+    /// evaluation task per fresh configuration.
+    fn evaluate(
+        &mut self,
+        _full_ckpt: &Checkpoint,
+        env: &UniverseEnv,
+        _checkpoints: &BTreeMap<String, Checkpoint>,
+        fresh: &[usize],
+    ) -> Result<Vec<SupervisedEval>> {
+        let tasks: Vec<TaskSpec> = fresh
+            .iter()
+            .map(|&config_index| {
+                let kind = TaskKind::Eval {
+                    config_index,
+                    universe: env.inputs.subspace.clone(),
+                };
+                self.task(kind, self.solver.max_iter)
+            })
+            .collect();
+        let outcomes = self.drive(tasks)?;
+        fresh
+            .iter()
+            .zip(outcomes)
+            .map(|(&config_index, outcome)| match outcome.result {
+                Some(TaskResult {
+                    payload: ResultPayload::Eval(wire),
+                    ..
+                }) if wire.config_index != config_index => Err(cluster_err(format!(
+                    "evaluation of config {config_index} returned config {}",
+                    wire.config_index
+                ))),
+                Some(TaskResult {
+                    payload: ResultPayload::Eval(wire),
+                    ..
+                }) => Ok(wire.into_supervised()),
+                Some(_) => Err(cluster_err(format!(
+                    "evaluation of config {config_index} returned a pre-training payload"
+                ))),
+                None => Ok(SupervisedEval {
+                    result: Err(CoreError::Remote(format!(
+                        "configuration {config_index}: task abandoned after {} worker \
+                         attempts (every lease expired)",
+                        outcome.attempts
+                    ))),
+                    attempts: outcome.attempts,
+                    backoff: 0.0,
+                }),
+            })
+            .collect()
+    }
+}
+
+impl<'a> Coordinator<'a> {
+    /// Brings the distributed runtime up around the trained full model:
+    /// claims the next fencing epoch over the run directory, publishes
+    /// the full-model checkpoint and the manifest, binds the TCP hub when
+    /// `opts.listen` selects the network transport, and spawns the worker
+    /// pool.
+    fn start(
+        inputs: &'a WootzInputs,
+        mode: RunMode,
+        opts: &'a ClusterOptions<'a>,
+        full_ckpt: &Checkpoint,
+    ) -> Result<Coordinator<'a>> {
+        // Fencing epoch: strictly greater than any previous coordinator's
+        // over this run directory (read *before* wiping the queue state).
+        let dir = RunDir::new(&opts.run_dir);
+        let epoch = match read_json::<Manifest>(&dir.manifest()) {
+            Ok(m) => m.epoch + 1,
+            Err(_) => 1,
+        };
+        if epoch > 1 {
+            // A manifest from a previous coordinator exists: this run is a
+            // restart over live state (possibly with orphaned workers
+            // still redialing the listen address).
+            wootz_obs::counter("cluster.coordinator_restarts").incr();
+            wootz_obs::event("cluster.coordinator_restart")
+                .field("epoch", epoch as usize)
+                .field("resume", opts.resume)
+                .emit();
+        }
+        dir.init_epoch()?;
+        full_ckpt.save(dir.full_ckpt())?;
+        let manifest = Manifest {
+            epoch,
+            model: inputs.model.clone(),
+            subspace: inputs.subspace.clone(),
+            solver: inputs.solver.clone(),
+            objective: inputs.objective.clone(),
+            mode,
+            faults: opts.faults.cloned(),
+            retry: opts.retry,
+            lease_ms: opts.lease_ms,
+        };
+        atomic_write_json(&dir.manifest(), &manifest)?;
+        wootz_obs::event("cluster.manifest_written")
+            .field("epoch", epoch as usize)
+            .field("workers", opts.workers)
+            .emit();
+
+        // Network transport: bind the hub before any worker starts, so the
+        // first connection attempt succeeds. Workers are spawned with
+        // `--connect` to the *resolved* address (a `:0` listen port is
+        // real by now).
+        let hub = match &opts.listen {
+            Some(addr) => Some(NetHub::bind(addr, dir.clone(), manifest, full_ckpt.clone())?),
+            None => None,
+        };
+        let connect = hub.as_ref().map(|h| h.local_addr().to_string());
+        let pool = WorkerPool::spawn(dir.clone(), opts, connect)?;
+        Ok(Coordinator {
+            dir,
+            epoch,
+            opts,
+            solver: &inputs.solver,
+            pool,
+            hub,
+            stats: ClusterStats {
+                workers: opts.workers,
+                ..ClusterStats::default()
+            },
+            next_seq: 0,
+            processed_results: BTreeSet::new(),
+            rate_samples: Vec::new(),
+            published: BTreeMap::new(),
+        })
+    }
+}
+
+/// Runs the complete pruning pipeline with the distributed runtime: the
+/// same phase driver as [`wootz_core::pipeline::run_wootz_with`]
+/// ([`run_phases`]), with pre-training groups and configuration
+/// evaluations executing on `opts.workers` separate worker OS processes
+/// fed through the crash-safe filesystem queue or the TCP transport. The
+/// full model is replayed from the journal or trained locally (training
+/// it remotely would serialize on one worker anyway), and the journal's
+/// single-writer lock is what makes a SIGKILLed coordinator safely
+/// resumable (the stale lock is taken over).
 ///
 /// Bit-identity: the exploration round width is `solver.num_workers`
 /// (logical), tasks are pure functions of their inputs, and fencing admits
-/// exactly one result per unit of work — so the returned [`WootzRun`]'s
-/// exploration record and best network equal the single-process run's for
-/// any worker count, any schedule, and any combination of worker crashes,
-/// hangs and stragglers (abandonment aside). One accounting nuance:
-/// `finetune_steps` counts the steps of *accepted* results only, so a
-/// remote retry that trains and then fails does not inflate it the way an
-/// in-process retry would.
+/// exactly one result per unit of work — so the returned [`WootzRun`]
+/// equals the single-process run's for any explorer, any worker count, any
+/// schedule, and any combination of worker crashes, hangs and stragglers
+/// (abandonment aside).
 ///
 /// # Errors
 ///
@@ -1047,402 +1094,28 @@ pub fn run_distributed(
         .with("workers", opts.workers)
         .with("mode", format!("{mode:?}"))
         .with("configs", inputs.subspace.len());
-
-    // Journal setup: create fresh, or verify + replay an existing one. The
-    // journal's single-writer lock is also what makes a SIGKILLed
-    // coordinator safely resumable (the stale lock is taken over).
-    let header = journal_header(inputs, mode)?;
-    let (mut journal, mut replay) = match &opts.journal {
-        None => (None, Replay::default()),
-        Some(path) if opts.resume && path.exists() => {
-            let (j, r) = Journal::resume(path, &header)?;
-            (Some(j), r)
-        }
-        Some(path) => (Some(Journal::create(path, &header)?), Replay::default()),
-    };
-
-    // Fencing epoch: strictly greater than any previous coordinator's over
-    // this run directory (read *before* wiping the queue state).
-    let dir = RunDir::new(&opts.run_dir);
-    let epoch = match read_json::<Manifest>(&dir.manifest()) {
-        Ok(m) => m.epoch + 1,
-        Err(_) => 1,
-    };
-    if epoch > 1 {
-        // A manifest from a previous coordinator exists: this run is a
-        // restart over live state (possibly with orphaned workers still
-        // redialing the listen address).
-        wootz_obs::counter("cluster.coordinator_restarts").incr();
-        wootz_obs::event("cluster.coordinator_restart")
-            .field("epoch", epoch as usize)
-            .field("resume", opts.resume)
-            .emit();
-    }
-    dir.init_epoch()?;
-
-    // The trained full model: replayed from the journal or trained locally
-    // (training it remotely would serialize on one worker anyway).
-    let (full_ckpt, full_accuracy) = match replay.full.take() {
-        Some((c, a)) => (c, a),
-        None => {
-            let mm = MultiplexingModel::compile(inputs.model.clone())?;
-            let (c, a, _) = train_full_model(&mm, dataset, &inputs.solver)?;
-            if let Some(j) = journal.as_mut() {
-                j.append(&JournalEntry::FullModel {
-                    accuracy: a,
-                    checkpoint: c.clone(),
-                })?;
-            }
-            (c, a)
-        }
-    };
-    full_ckpt.save(dir.full_ckpt())?;
-    let manifest = Manifest {
-        epoch,
-        model: inputs.model.clone(),
-        subspace: inputs.subspace.clone(),
-        solver: inputs.solver.clone(),
-        objective: inputs.objective.clone(),
-        mode,
-        faults: opts.faults.cloned(),
-        retry: opts.retry,
-        lease_ms: opts.lease_ms,
-    };
-    atomic_write_json(&dir.manifest(), &manifest)?;
-    wootz_obs::event("cluster.manifest_written")
-        .field("epoch", epoch as usize)
-        .field("workers", opts.workers)
-        .emit();
-
-    // Network transport: bind the hub before any worker starts, so the
-    // first connection attempt succeeds. Workers are spawned with
-    // `--connect` to the *resolved* address (a `:0` listen port is real
-    // by now).
-    let hub = match &opts.listen {
-        Some(addr) => Some(NetHub::bind(
-            addr,
-            dir.clone(),
-            manifest.clone(),
-            full_ckpt.clone(),
-        )?),
-        None => None,
-    };
-    let connect = hub.as_ref().map(|h| h.local_addr().to_string());
-    let pool = WorkerPool::spawn(dir.clone(), opts, connect)?;
-    let mut coord = Coordinator {
-        dir: dir.clone(),
-        epoch,
-        opts,
-        pool,
-        hub,
-        stats: ClusterStats {
-            workers: opts.workers,
-            ..ClusterStats::default()
-        },
-        next_seq: 0,
-        processed_results: BTreeSet::new(),
-        rate_samples: Vec::new(),
-    };
-
-    // Adaptive strategies run the propose/observe loop instead of the
-    // static subspace walk below (which stays byte-identical for the
-    // default fixed explorer).
-    if opts.explorer.is_adaptive() {
-        return run_adaptive_distributed(
-            inputs,
-            mode,
-            opts,
-            coord,
-            journal,
-            replay,
-            full_ckpt,
-            full_accuracy,
-        );
-    }
-    if !replay.proposals.is_empty() {
-        return Err(CoreError::Journal(
-            "journal contains adaptive-explorer proposal records; resume it with the \
-             explorer that wrote it, not the fixed-subspace loop"
-                .to_string(),
-        ));
-    }
-
-    // Phases 1-2: block identification (local, deterministic) and
-    // distributed pre-training.
-    let block_set = blocks_for_mode(inputs, mode)?;
-    let mut pretrain_steps = 0usize;
-    let mut blocks_failed = 0usize;
-    let mut block_ckpts: BTreeMap<String, Checkpoint> = BTreeMap::new();
-    if let Some(set) = &block_set {
-        let (steps, failed) = coord.pretrain_phase(
-            inputs,
-            &set.blocks,
-            &replay.blocks,
-            &mut journal,
-            &mut block_ckpts,
-            false,
-        )?;
-        pretrain_steps = steps;
-        blocks_failed = failed;
-        // Publish the bag of pre-trained blocks for the evaluation workers.
-        let mut index: BTreeMap<String, String> = BTreeMap::new();
-        for (i, (key, ckpt)) in block_ckpts.iter().enumerate() {
-            let file = format!("b{i:04}.ckpt");
-            ckpt.save(dir.blocks().join(&file))?;
-            index.insert(key.clone(), file);
-        }
-        // Chaos: die with every block checkpoint saved but the index
-        // half-written to its temp file — the assembly-publish window.
-        // Consumers must only ever see the index appear atomically; the
-        // restarted epoch re-runs pre-training from the journal and
-        // republishes.
-        {
-            use wootz_fault::chaos::{self, kill_site};
-            if chaos::kill_point(kill_site::COORD_ASSEMBLE) {
-                let json = serde_json::to_vec(&index).unwrap_or_default();
-                let path = dir.blocks_index();
-                let tmp = path.with_file_name(format!(".index.tmp-{}", std::process::id()));
-                if let Ok(mut file) = std::fs::File::create(&tmp) {
-                    chaos::torn_write_and_die(kill_site::COORD_ASSEMBLE, &mut file, &json);
-                }
-                chaos::die(kill_site::COORD_ASSEMBLE);
-            }
-        }
-        atomic_write_json(&dir.blocks_index(), &index)?;
-    }
-
-    // Phase 3: distributed exploration through the shared round engine.
-    let (sizes, _flops) = subspace_stats(inputs)?;
-    let explore_opts = ExploreOptions {
+    let mm = MultiplexingModel::compile(inputs.model.clone())?;
+    let run_opts = RunOptions {
         faults: opts.faults,
         retry: opts.retry,
-        resume: replay.evals,
+        journal: opts.journal.clone(),
+        resume: opts.resume,
+        explorer: opts.explorer,
+        explorer_budget: opts.explorer_budget,
+        ..RunOptions::default()
     };
-    let mut finetune_steps = 0usize;
-    let exploration = {
-        let coord = &mut coord;
-        let finetune = &mut finetune_steps;
-        let mut sink = |record: &EvalRecord| -> Result<()> {
-            if let Some(j) = journal.as_mut() {
-                j.append(&JournalEntry::Eval(record.clone()))?;
-            }
-            Ok(())
-        };
-        explore_rounds_supervised(
-            &inputs.objective,
-            &sizes,
-            inputs.solver.num_workers,
-            |_, fresh_configs| coord.explore_round(inputs, None, fresh_configs, finetune),
-            &explore_opts,
-            Some(&mut sink),
-        )?
-    };
-
-    let best = best_network(inputs, &exploration);
+    let (run, coord) = run_phases(inputs, dataset, mode, &mm, None, &run_opts, |full_ckpt| {
+        Coordinator::start(inputs, mode, opts, full_ckpt)
+    })?;
     let stats = coord.finish()?;
     wootz_obs::event("cluster.run_done")
         .field("tasks", stats.tasks_completed)
         .field("reclaimed", stats.leases_reclaimed)
         .field("speculative_wins", stats.speculative_wins)
         .field("zombies_rejected", stats.zombie_results_rejected)
-        .emit();
-    Ok((
-        WootzRun {
-            mode,
-            full_accuracy,
-            best,
-            exploration,
-            blocks_pretrained: block_set.map(|s| s.blocks.len()).unwrap_or(0),
-            blocks_failed: Some(blocks_failed),
-            pretrain_steps,
-            finetune_steps,
-        },
-        stats,
-    ))
-}
-
-/// The adaptive-explorer counterpart of [`run_distributed`]'s phase body:
-/// the same propose/observe loop as the in-process driver, with each
-/// round's incremental block batch pre-trained remotely
-/// ([`TaskKind::PretrainAdaptive`]) and each fresh configuration evaluated
-/// remotely under its carried universe ([`TaskKind::EvalAdaptive`]).
-///
-/// Bit-identity with the in-process adaptive driver rests on three
-/// invariants this function preserves:
-///
-/// * the per-round block batch is derived from the explorer *trajectory*
-///   (every key an earlier round's universe implied), so the batch — and
-///   its `partition_into_groups` partition, which keys the deterministic
-///   batch streams — is identical no matter where training runs;
-/// * the universe index is the evaluation seed index, carried inside the
-///   task, so a remote evaluation is the same pure function call the
-///   local driver makes;
-/// * journal record order per round is Proposal → Blocks → Evals, exactly
-///   like the in-process driver, so either runtime can resume the other's
-///   journal mid-round.
-///
-/// The published block bag grows round by round: checkpoints are written
-/// once under a key-derived file name, the index is atomically
-/// republished, and the TCP hub's cached copy is invalidated so workers
-/// always fetch the round-complete bag.
-#[allow(clippy::too_many_arguments)]
-fn run_adaptive_distributed(
-    inputs: &WootzInputs,
-    mode: RunMode,
-    opts: &ClusterOptions<'_>,
-    mut coord: Coordinator<'_>,
-    journal: Option<Journal>,
-    replay: Replay,
-    full_ckpt: Checkpoint,
-    full_accuracy: f64,
-) -> Result<(WootzRun, ClusterStats)> {
-    use std::cell::RefCell;
-
-    if !replay.evals.is_empty() && replay.proposals.is_empty() {
-        return Err(CoreError::Journal(
-            "cannot resume an adaptive run from a journal without proposal records \
-             (the journal was written by a fixed-subspace run)"
-                .to_string(),
-        ));
-    }
-    let mut explorer = build_explorer(opts.explorer, inputs, &full_ckpt)?;
-    let dir = coord.dir.clone();
-    let Replay {
-        blocks: journaled_blocks,
-        evals: journaled_evals,
-        proposals: journaled_proposals,
-        ..
-    } = replay;
-
-    // Everything below runs on the driver thread; the journal is shared
-    // by the round runner and both sinks, so a RefCell serializes access.
-    let journal = RefCell::new(journal);
-    let completed = journaled_blocks;
-    let mut known_block_keys: BTreeSet<String> = BTreeSet::new();
-    let mut block_ckpts: BTreeMap<String, Checkpoint> = BTreeMap::new();
-    // Block key → published checkpoint file name (grows monotonically).
-    let mut published: BTreeMap<String, String> = BTreeMap::new();
-    let mut pretrain_steps = 0usize;
-    let mut blocks_failed = 0usize;
-    let mut finetune_steps = 0usize;
-
-    let coord_ref = &mut coord;
-    let mut run_round = |round: &AdaptiveRound<'_>| -> Result<Vec<SupervisedEval>> {
-        let universe_inputs = WootzInputs {
-            model: inputs.model.clone(),
-            subspace: round.universe.to_vec(),
-            solver: inputs.solver.clone(),
-            objective: inputs.objective.clone(),
-        };
-        let block_set = blocks_for_mode(&universe_inputs, mode)?;
-        if let Some(set) = block_set.as_ref() {
-            // This round's batch: blocks no earlier round's universe
-            // implied — trajectory-derived, like the in-process driver.
-            let batch: Vec<TuningBlock> = set
-                .blocks
-                .iter()
-                .filter(|b| !known_block_keys.contains(&b.key()))
-                .cloned()
-                .collect();
-            known_block_keys.extend(set.blocks.iter().map(|b| b.key()));
-            if !batch.is_empty() {
-                // Journaled copies restricted to this batch, so replayed
-                // blocks keep their group positions on resume.
-                let batch_completed: BTreeMap<String, PretrainedBlock> = batch
-                    .iter()
-                    .filter_map(|b| completed.get(&b.key()).map(|p| (b.key(), p.clone())))
-                    .collect();
-                let (steps, failed) = coord_ref.pretrain_phase(
-                    &universe_inputs,
-                    &batch,
-                    &batch_completed,
-                    &mut *journal.borrow_mut(),
-                    &mut block_ckpts,
-                    true,
-                )?;
-                pretrain_steps += steps;
-                blocks_failed += failed;
-                // Re-publish the grown bag. File names derive from the
-                // block key (stable across rounds), so each checkpoint is
-                // written exactly once and a concurrent fetch never sees a
-                // file change underneath it.
-                for (key, ckpt) in block_ckpts.iter() {
-                    if !published.contains_key(key) {
-                        let file =
-                            format!("{:016x}.ckpt", wootz_fault::fnv1a64(key.as_bytes()));
-                        ckpt.save(dir.blocks().join(&file))?;
-                        published.insert(key.clone(), file);
-                    }
-                }
-                atomic_write_json(&dir.blocks_index(), &published)?;
-                if let Some(hub) = coord_ref.hub.as_ref() {
-                    hub.invalidate_blocks();
-                }
-            }
-        }
-        coord_ref.explore_round(
-            &universe_inputs,
-            Some(round.universe),
-            round.fresh,
-            &mut finetune_steps,
-        )
-    };
-
-    let mut proposal_sink = |record: &ProposalRecord| -> Result<()> {
-        if let Some(j) = journal.borrow_mut().as_mut() {
-            j.append(&JournalEntry::Proposal(record.clone()))?;
-        }
-        Ok(())
-    };
-    let mut eval_sink = |record: &EvalRecord| -> Result<()> {
-        if let Some(j) = journal.borrow_mut().as_mut() {
-            j.append(&JournalEntry::Eval(record.clone()))?;
-        }
-        Ok(())
-    };
-    let explore_opts = ExploreOptions {
-        faults: opts.faults,
-        retry: opts.retry,
-        resume: journaled_evals,
-    };
-    let adaptive_opts = AdaptiveOptions {
-        explore: &explore_opts,
-        budget: opts.explorer_budget,
-        replay_proposals: &journaled_proposals,
-    };
-    let outcome = explore_adaptive(
-        explorer.as_mut(),
-        &inputs.objective,
-        inputs.solver.num_workers,
-        &mut run_round,
-        &adaptive_opts,
-        Some(&mut proposal_sink),
-        Some(&mut eval_sink),
-    )?;
-
-    let best = best_network_in(&outcome.universe, &outcome.exploration);
-    let blocks_pretrained = known_block_keys.len();
-    let stats = coord.finish()?;
-    wootz_obs::event("cluster.run_done")
-        .field("tasks", stats.tasks_completed)
-        .field("reclaimed", stats.leases_reclaimed)
         .field("explorer", opts.explorer.as_str())
-        .field("rounds", outcome.rounds)
-        .field("converged", outcome.converged)
         .emit();
-    Ok((
-        WootzRun {
-            mode,
-            full_accuracy,
-            best,
-            exploration: outcome.exploration,
-            blocks_pretrained,
-            blocks_failed: Some(blocks_failed),
-            pretrain_steps,
-            finetune_steps,
-        },
-        stats,
-    ))
+    Ok((run, stats))
 }
 
 /// Resolves the default worker command for callers living in the same

@@ -283,8 +283,8 @@ impl NetHub {
     }
 
     /// Drops the cached pre-trained block index so the next
-    /// [`Message::BlocksRequest`] re-reads the run directory. Adaptive
-    /// explorer rounds grow the published block bag mid-run; the
+    /// [`Message::BlocksRequest`] re-reads the run directory. Rounds that
+    /// pre-train new blocks grow the published bag mid-run; the
     /// coordinator calls this right after republishing `blocks/index.json`
     /// so workers always see the round's complete bag.
     pub fn invalidate_blocks(&self) {

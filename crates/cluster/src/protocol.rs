@@ -82,47 +82,46 @@ pub struct Manifest {
     pub lease_ms: u64,
 }
 
-/// The unit of work a task executes.
+/// The unit of work a task executes. Both kinds are self-describing —
+/// they carry the configurations or blocks they operate on inline —
+/// because only the coordinator knows the explorer's trajectory: the
+/// evaluation universe is the input subspace for the default `fixed`
+/// explorer and grows from proposals for the others.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TaskKind {
-    /// Evaluate one pruning configuration (assemble + fine-tune + test).
+    /// Evaluate one configuration of the evaluation *universe* (assemble,
+    /// fine-tune, test). The universe index doubles as the evaluation
+    /// seed index.
     Eval {
-        /// Index into the promising subspace.
-        config_index: usize,
-    },
-    /// Pre-train one group of non-overlapping tuning blocks.
-    Pretrain {
-        /// Group index (keys the deterministic batch stream).
-        group_index: usize,
-        /// Block indices (into the mode's block list) of the group.
-        group: Vec<usize>,
-    },
-    /// Evaluate one configuration of an adaptive explorer's *universe*:
-    /// the runtime-proposed configuration list, carried in the task
-    /// itself because the manifest's static subspace cannot describe it.
-    /// The universe index doubles as the evaluation seed index, exactly
-    /// like the subspace index does for [`TaskKind::Eval`].
-    EvalAdaptive {
         /// Index into `universe` of the configuration to evaluate.
         config_index: usize,
-        /// The exploration universe as of this round (initial subspace
-        /// followed by every accepted proposal so far).
+        /// The evaluation universe as of this round (the explorer's
+        /// initial universe followed by every accepted proposal so far).
         universe: Vec<PruneConfig>,
     },
-    /// Pre-train one group of an adaptive round's incremental block
-    /// batch. The batch is carried in the task (it is derived from the
-    /// explorer's trajectory, which only the coordinator knows), and
-    /// `group` indexes into it.
-    PretrainAdaptive {
-        /// Group index within the round's partition (keys the
-        /// deterministic batch stream, exactly like
-        /// [`TaskKind::Pretrain`]).
+    /// Pre-train one group of non-overlapping tuning blocks of a round's
+    /// block batch.
+    Pretrain {
+        /// Group index within the batch's partition (keys the
+        /// deterministic batch stream).
         group_index: usize,
         /// The round's full pre-training batch, in trajectory order.
         blocks: Vec<wootz_core::compile::TuningBlock>,
         /// Block indices (into `blocks`) of this group.
         group: Vec<usize>,
     },
+}
+
+impl TaskKind {
+    /// Wire tag of [`TaskKind::Eval`].
+    pub const TAG_EVAL: u8 = 2;
+    /// Wire tag of [`TaskKind::Pretrain`].
+    pub const TAG_PRETRAIN: u8 = 3;
+    /// Retired wire tags: the index-only `Eval` (0) and `Pretrain` (1) of
+    /// protocol revisions whose tasks addressed the manifest's subspace
+    /// and block list. Never reused, so a mixed fleet fails decoding with
+    /// `InvalidValue` instead of misreading a task.
+    pub const RETIRED_TAGS: [u8; 2] = [0, 1];
 }
 
 /// One schedulable task. `(seq, attempt)` is globally unique within an
@@ -155,10 +154,8 @@ impl TaskSpec {
     /// same keying the in-process fault sites use.
     pub fn fault_key(&self) -> u64 {
         match &self.kind {
-            TaskKind::Eval { config_index } => *config_index as u64,
+            TaskKind::Eval { config_index, .. } => *config_index as u64,
             TaskKind::Pretrain { group_index, .. } => *group_index as u64,
-            TaskKind::EvalAdaptive { config_index, .. } => *config_index as u64,
-            TaskKind::PretrainAdaptive { group_index, .. } => *group_index as u64,
         }
     }
 }
@@ -365,10 +362,8 @@ pub(crate) fn read_usize<R: Read>(r: &mut WireReader<R>, context: &'static str) 
 impl WireSerialize for TaskKind {
     fn wire_size(&self) -> usize {
         match self {
-            TaskKind::Eval { .. } => 1 + 8,
-            TaskKind::Pretrain { group, .. } => 1 + 8 + 4 + 8 * group.len(),
-            TaskKind::EvalAdaptive { universe, .. } => 1 + 8 + doc_size(universe),
-            TaskKind::PretrainAdaptive { blocks, group, .. } => {
+            TaskKind::Eval { universe, .. } => 1 + 8 + doc_size(universe),
+            TaskKind::Pretrain { blocks, group, .. } => {
                 1 + 8 + doc_size(blocks) + 4 + 8 * group.len()
             }
         }
@@ -376,36 +371,23 @@ impl WireSerialize for TaskKind {
 
     fn wire_write<W: Write + ?Sized>(&self, w: &mut W) -> WireResult<()> {
         match self {
-            TaskKind::Eval { config_index } => {
-                w.write_all(&[0])?;
-                (*config_index as u64).wire_write(w)
-            }
-            TaskKind::Pretrain { group_index, group } => {
-                w.write_all(&[1])?;
-                (*group_index as u64).wire_write(w)?;
-                write_len(w, "TaskKind::Pretrain group", group.len())?;
-                for &block in group {
-                    (block as u64).wire_write(w)?;
-                }
-                Ok(())
-            }
-            TaskKind::EvalAdaptive {
+            TaskKind::Eval {
                 config_index,
                 universe,
             } => {
-                w.write_all(&[2])?;
+                w.write_all(&[TaskKind::TAG_EVAL])?;
                 (*config_index as u64).wire_write(w)?;
-                write_doc(w, "TaskKind::EvalAdaptive universe", universe)
+                write_doc(w, "TaskKind::Eval universe", universe)
             }
-            TaskKind::PretrainAdaptive {
+            TaskKind::Pretrain {
                 group_index,
                 blocks,
                 group,
             } => {
-                w.write_all(&[3])?;
+                w.write_all(&[TaskKind::TAG_PRETRAIN])?;
                 (*group_index as u64).wire_write(w)?;
-                write_doc(w, "TaskKind::PretrainAdaptive blocks", blocks)?;
-                write_len(w, "TaskKind::PretrainAdaptive group", group.len())?;
+                write_doc(w, "TaskKind::Pretrain blocks", blocks)?;
+                write_len(w, "TaskKind::Pretrain group", group.len())?;
                 for &block in group {
                     (block as u64).wire_write(w)?;
                 }
@@ -418,39 +400,34 @@ impl WireSerialize for TaskKind {
 impl WireDeserialize for TaskKind {
     fn wire_read<R: Read>(r: &mut WireReader<R>) -> WireResult<Self> {
         match r.u8("TaskKind tag")? {
-            0 => Ok(TaskKind::Eval {
+            TaskKind::TAG_EVAL => Ok(TaskKind::Eval {
                 config_index: read_usize(r, "TaskKind::Eval config_index")?,
+                universe: read_doc::<_, Vec<PruneConfig>>(r, "TaskKind::Eval universe")?,
             }),
-            1 => {
+            TaskKind::TAG_PRETRAIN => {
                 let group_index = read_usize(r, "TaskKind::Pretrain group_index")?;
+                let blocks = read_doc::<_, Vec<wootz_core::compile::TuningBlock>>(
+                    r,
+                    "TaskKind::Pretrain blocks",
+                )?;
                 let count = r.seq_len("TaskKind::Pretrain group", 8)?;
                 let mut group = Vec::with_capacity(count);
                 for _ in 0..count {
                     group.push(read_usize(r, "TaskKind::Pretrain group element")?);
                 }
-                Ok(TaskKind::Pretrain { group_index, group })
-            }
-            2 => Ok(TaskKind::EvalAdaptive {
-                config_index: read_usize(r, "TaskKind::EvalAdaptive config_index")?,
-                universe: read_doc::<_, Vec<PruneConfig>>(r, "TaskKind::EvalAdaptive universe")?,
-            }),
-            3 => {
-                let group_index = read_usize(r, "TaskKind::PretrainAdaptive group_index")?;
-                let blocks = read_doc::<_, Vec<wootz_core::compile::TuningBlock>>(
-                    r,
-                    "TaskKind::PretrainAdaptive blocks",
-                )?;
-                let count = r.seq_len("TaskKind::PretrainAdaptive group", 8)?;
-                let mut group = Vec::with_capacity(count);
-                for _ in 0..count {
-                    group.push(read_usize(r, "TaskKind::PretrainAdaptive group element")?);
-                }
-                Ok(TaskKind::PretrainAdaptive {
+                Ok(TaskKind::Pretrain {
                     group_index,
                     blocks,
                     group,
                 })
             }
+            tag if TaskKind::RETIRED_TAGS.contains(&tag) => Err(WireError::InvalidValue {
+                context: "TaskKind tag",
+                detail: format!(
+                    "retired variant tag {tag} (an index-only task of an older protocol \
+                     revision; upgrade the sender)"
+                ),
+            }),
             other => Err(WireError::InvalidValue {
                 context: "TaskKind tag",
                 detail: format!("unknown variant tag {other}"),
@@ -612,7 +589,10 @@ mod tests {
             seq: 42,
             attempt: 3,
             epoch: 1,
-            kind: TaskKind::Eval { config_index: 7 },
+            kind: TaskKind::Eval {
+                config_index: 7,
+                universe: vec![PruneConfig::unpruned(4)],
+            },
             expected_steps: 10,
         };
         assert_eq!(spec.file_name(), "t000042.a003.json");
@@ -659,14 +639,14 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_task_kinds_round_trip_on_the_wire() {
+    fn task_kinds_round_trip_on_the_wire() {
         use wootz_core::compile::TuningBlock;
         let specs = vec![
             TaskSpec {
                 seq: 9,
                 attempt: 2,
                 epoch: 3,
-                kind: TaskKind::EvalAdaptive {
+                kind: TaskKind::Eval {
                     config_index: 5,
                     universe: vec![
                         PruneConfig::unpruned(4),
@@ -679,7 +659,7 @@ mod tests {
                 seq: 10,
                 attempt: 1,
                 epoch: 3,
-                kind: TaskKind::PretrainAdaptive {
+                kind: TaskKind::Pretrain {
                     group_index: 1,
                     blocks: vec![
                         TuningBlock::new(0, vec![(1, 30), (2, 50)]).unwrap(),
@@ -719,6 +699,7 @@ mod tests {
             epoch: 2,
             kind: TaskKind::Pretrain {
                 group_index: 0,
+                blocks: Vec::new(),
                 group: vec![0, 2],
             },
             expected_steps: 6,

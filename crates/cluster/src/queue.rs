@@ -320,6 +320,7 @@ mod tests {
             epoch: 1,
             kind: TaskKind::Eval {
                 config_index: seq as usize,
+                universe: Vec::new(),
             },
             expected_steps: 5,
         }

@@ -365,7 +365,7 @@ fn handle_connection(daemon: &Daemon, mut stream: TcpStream, peer: String) {
         }
         wootz_obs::gauge("serve.active").set(active.len() as f64);
     }
-    let _guard = ActiveGuard {
+    let guard = ActiveGuard {
         daemon,
         id: job.id.clone(),
     };
@@ -383,6 +383,11 @@ fn handle_connection(daemon: &Daemon, mut stream: TcpStream, peer: String) {
         .field("job", job.id.clone())
         .field("code", code as usize)
         .emit();
+    // Free the job id *before* announcing completion: the journal lock is
+    // already released (`run_job` returned), so a client that resubmits
+    // the moment it reads `JobDone` must find the id free, not get a
+    // busy refusal from a guard that merely had not dropped yet.
+    drop(guard);
     let _ = send_message(
         &writer,
         &Message::JobDone {

@@ -17,10 +17,11 @@
 //!   exactly-once per accepted attempt.
 //!
 //! Both entry points share one execution environment (`WorkerEnv`,
-//! private to this module): manifest → model / subspace /
-//! solver / objective, the full-model checkpoint, the deterministic micro
-//! dataset, and the per-task execution (evaluation or block
-//! pre-training). Because every unit of work
+//! private to this module): manifest → model / solver / objective, the
+//! full-model checkpoint, the deterministic micro dataset, the
+//! [`UniverseEnv`] of the universe the latest evaluation task carried,
+//! and the per-task execution (evaluation or block pre-training).
+//! Because every unit of work
 //! ([`wootz_core::pipeline::EvalContext::evaluate`],
 //! [`wootz_core::pretrain::pretrain_group_supervised`]) is a pure
 //! function of its inputs, a task executes bit-identically no matter
@@ -61,11 +62,8 @@ use std::time::{Duration, Instant};
 
 use wootz_core::compile::MultiplexingModel;
 use wootz_core::explore::supervise_eval;
-use wootz_core::pipeline::{
-    block_pretrain_config, blocks_for_mode, subspace_stats, EvalContext, WootzInputs,
-};
+use wootz_core::pipeline::{block_pretrain_config, UniverseEnv, WootzInputs};
 use wootz_core::pretrain::pretrain_group_supervised;
-use wootz_core::prune::PruneConfig;
 use wootz_core::Result;
 use wootz_data::{micro_dataset, Dataset};
 use wootz_fault::{site, FaultKind, FaultPlan};
@@ -87,29 +85,17 @@ struct WorkerEnv {
     dataset: Dataset,
     mm: MultiplexingModel,
     full_ckpt: Checkpoint,
-    block_set: Option<wootz_core::blocks::BlockSet>,
-    sizes: Vec<usize>,
-    flops: Vec<u64>,
+    /// The environment of the universe the latest evaluation task
+    /// carried — the exact value the in-process driver derives per
+    /// universe. Rebuilt whenever a task carries a different universe:
+    /// never again for the `fixed` explorer, once per appending round for
+    /// the proposing ones (universes only grow).
+    universe: Option<UniverseEnv>,
     /// Pre-trained block checkpoints, fetched lazily on the first
-    /// evaluation task (they do not exist before pre-training completes).
-    /// Adaptive rounds grow the published bag, so an adaptive evaluation
-    /// whose universe implies an unseen block key re-fetches.
+    /// evaluation task (they do not exist before pre-training completes)
+    /// and re-fetched when a universe implies a block key not seen yet
+    /// (appending rounds grow the published bag).
     block_ckpts: Option<BTreeMap<String, Checkpoint>>,
-    /// Per-universe environment of adaptive-explorer tasks, keyed by the
-    /// carried universe: rebuilt whenever a task carries a different one
-    /// (universes only grow, so in practice this rebuilds once per round).
-    adaptive: Option<AdaptiveEnv>,
-}
-
-/// The universe-derived counterpart of the manifest-derived fields of
-/// [`WorkerEnv`]: what an adaptive evaluation needs that the static
-/// subspace cannot provide.
-struct AdaptiveEnv {
-    universe: Vec<PruneConfig>,
-    inputs: WootzInputs,
-    block_set: Option<wootz_core::blocks::BlockSet>,
-    sizes: Vec<usize>,
-    flops: Vec<u64>,
 }
 
 impl WorkerEnv {
@@ -122,49 +108,15 @@ impl WorkerEnv {
         };
         let dataset = micro_dataset(&inputs.solver.dataset, inputs.solver.seed);
         let mm = MultiplexingModel::compile(inputs.model.clone())?;
-        let block_set = blocks_for_mode(&inputs, manifest.mode)?;
-        let (sizes, flops) = subspace_stats(&inputs)?;
         Ok(WorkerEnv {
             manifest,
             inputs,
             dataset,
             mm,
             full_ckpt,
-            block_set,
-            sizes,
-            flops,
+            universe: None,
             block_ckpts: None,
-            adaptive: None,
         })
-    }
-
-    /// Rebuilds the adaptive environment when `universe` differs from the
-    /// cached one — the exact reconstruction the in-process driver does
-    /// per round (`WootzInputs` with the universe as its subspace).
-    fn ensure_adaptive(&mut self, universe: &[PruneConfig]) -> Result<()> {
-        if self
-            .adaptive
-            .as_ref()
-            .is_some_and(|a| a.universe == universe)
-        {
-            return Ok(());
-        }
-        let inputs = WootzInputs {
-            model: self.inputs.model.clone(),
-            subspace: universe.to_vec(),
-            solver: self.inputs.solver.clone(),
-            objective: self.inputs.objective.clone(),
-        };
-        let block_set = blocks_for_mode(&inputs, self.manifest.mode)?;
-        let (sizes, flops) = subspace_stats(&inputs)?;
-        self.adaptive = Some(AdaptiveEnv {
-            universe: universe.to_vec(),
-            inputs,
-            block_set,
-            sizes,
-            flops,
-        });
-        Ok(())
     }
 
     /// Fires the process-level fault hook for `task`. `WorkerCrash`
@@ -201,95 +153,37 @@ impl WorkerEnv {
     ) -> Result<ResultPayload> {
         let faults = self.manifest.faults.as_ref();
         match &task.kind {
-            TaskKind::Eval { config_index } => {
-                if self.block_set.is_some() && self.block_ckpts.is_none() {
-                    self.block_ckpts = Some(fetch_blocks()?);
-                }
-                let ctx = EvalContext::new(
-                    &self.inputs,
-                    &self.dataset,
-                    &self.mm,
-                    &self.full_ckpt,
-                    self.block_set.as_ref(),
-                    self.block_ckpts.as_ref(),
-                    &self.sizes,
-                    &self.flops,
-                    faults,
-                );
-                let sup = supervise_eval(
-                    &|i| ctx.evaluate(i),
-                    *config_index,
-                    &self.manifest.retry,
-                    faults,
-                );
-                Ok(ResultPayload::Eval(WireEval::from_supervised(
-                    *config_index,
-                    sup,
-                )))
-            }
-            TaskKind::Pretrain { group_index, group } => {
-                let set = self.block_set.as_ref().ok_or_else(|| {
-                    cluster_err(format!(
-                        "pre-training task {} in a mode without tuning blocks",
-                        task.seq
-                    ))
-                })?;
-                let cfg = block_pretrain_config(&self.inputs.solver);
-                let batch_size = self.inputs.solver.batch_size;
-                let dataset = &self.dataset;
-                let (blocks, failed) = pretrain_group_supervised(
-                    &self.mm,
-                    &set.blocks,
-                    group,
-                    *group_index,
-                    &self.full_ckpt,
-                    &cfg,
-                    &|step| dataset.train_batch(step, batch_size).0,
-                    faults,
-                );
-                Ok(ResultPayload::Pretrain {
-                    group_index: *group_index,
-                    blocks,
-                    failed,
-                })
-            }
-            TaskKind::EvalAdaptive {
+            TaskKind::Eval {
                 config_index,
                 universe,
             } => {
-                self.ensure_adaptive(universe)?;
-                let faults = self.manifest.faults.as_ref();
-                // Adaptive rounds republish a grown block bag; re-fetch
-                // whenever this universe implies a key we have not seen.
-                // A key absent even from the fresh index belongs to a
-                // block whose pre-training failed — evaluation inherits
-                // pruned full-model weights for it, exactly like the
-                // in-process driver.
-                let needs_fetch = {
-                    let ad = self.adaptive.as_ref().expect("built above");
-                    match ad.block_set.as_ref() {
-                        None => false,
-                        Some(set) => match &self.block_ckpts {
-                            None => true,
-                            Some(ckpts) => {
-                                set.blocks.iter().any(|b| !ckpts.contains_key(&b.key()))
-                            }
-                        },
-                    }
-                };
+                if !self
+                    .universe
+                    .as_ref()
+                    .is_some_and(|env| env.inputs.subspace == *universe)
+                {
+                    self.universe =
+                        Some(UniverseEnv::build(&self.inputs, universe, self.manifest.mode)?);
+                }
+                let env = self.universe.as_ref().expect("built above");
+                // Re-fetch whenever this universe implies a key we have
+                // not seen. A key absent even from the fresh index belongs
+                // to a block whose pre-training failed — evaluation
+                // inherits pruned full-model weights for it, exactly like
+                // the in-process driver.
+                let needs_fetch = env.block_set.as_ref().is_some_and(|set| {
+                    self.block_ckpts.as_ref().is_none_or(|ckpts| {
+                        set.blocks.iter().any(|b| !ckpts.contains_key(&b.key()))
+                    })
+                });
                 if needs_fetch {
                     self.block_ckpts = Some(fetch_blocks()?);
                 }
-                let ad = self.adaptive.as_ref().expect("built above");
-                let ctx = EvalContext::new(
-                    &ad.inputs,
+                let ctx = env.context(
                     &self.dataset,
                     &self.mm,
                     &self.full_ckpt,
-                    ad.block_set.as_ref(),
                     self.block_ckpts.as_ref(),
-                    &ad.sizes,
-                    &ad.flops,
                     faults,
                 );
                 let sup = supervise_eval(
@@ -303,7 +197,7 @@ impl WorkerEnv {
                     sup,
                 )))
             }
-            TaskKind::PretrainAdaptive {
+            TaskKind::Pretrain {
                 group_index,
                 blocks,
                 group,
@@ -311,7 +205,7 @@ impl WorkerEnv {
                 let cfg = block_pretrain_config(&self.inputs.solver);
                 let batch_size = self.inputs.solver.batch_size;
                 let dataset = &self.dataset;
-                let (trained, failed) = pretrain_group_supervised(
+                let trained = pretrain_group_supervised(
                     &self.mm,
                     blocks,
                     group,
@@ -323,8 +217,8 @@ impl WorkerEnv {
                 );
                 Ok(ResultPayload::Pretrain {
                     group_index: *group_index,
-                    blocks: trained,
-                    failed,
+                    blocks: trained.blocks,
+                    failed: trained.failed,
                 })
             }
         }

@@ -96,7 +96,13 @@ fn task_messages_round_trip_bit_exactly() {
         seq: 7,
         attempt: 2,
         epoch: 3,
-        kind: TaskKind::Eval { config_index: 11 },
+        kind: TaskKind::Eval {
+            config_index: 11,
+            universe: vec![
+                wootz_core::prune::PruneConfig::unpruned(4),
+                wootz_core::prune::PruneConfig::uniform(4, 50).unwrap(),
+            ],
+        },
         expected_steps: 8,
     };
     let pretrain_task = TaskSpec {
@@ -105,6 +111,7 @@ fn task_messages_round_trip_bit_exactly() {
         epoch: 1,
         kind: TaskKind::Pretrain {
             group_index: 4,
+            blocks: vec![wootz_core::compile::TuningBlock::new(0, vec![(1, 30), (2, 50)]).unwrap()],
             group: vec![0, 3, 9],
         },
         expected_steps: 4,
@@ -256,7 +263,10 @@ fn stale_epoch_reconnect_across_coordinator_restart_redelivers_once() {
         seq: 1,
         attempt,
         epoch,
-        kind: TaskKind::Eval { config_index: 2 },
+        kind: TaskKind::Eval {
+            config_index: 2,
+            universe: inputs.subspace.clone(),
+        },
         expected_steps: 8,
     };
 

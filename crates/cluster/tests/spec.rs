@@ -1,23 +1,29 @@
 //! Pins `PROTOCOL.md` against the implementation: the message-catalog
 //! table in §4 (between the `<!-- catalog:begin -->` / `<!-- catalog:end -->`
 //! markers) must list exactly the codes and names of `Message::CATALOG`,
-//! in order. Editing one without the other fails this test.
+//! in order, and the task-kind table in §4.1 (between the
+//! `taskkinds:begin` / `taskkinds:end` markers) must list exactly the
+//! tags `TaskKind` encodes as live and exactly the tags it refuses as
+//! retired. Editing one without the other fails these tests.
 
+use wootz_cluster::protocol::TaskKind;
 use wootz_cluster::Message;
+use wootz_wire::{Limits, WireDeserialize, WireError, WireReader, WireSerialize};
 
 const SPEC: &str = include_str!("../../../PROTOCOL.md");
 
-/// Extracts `(code, name)` rows from the marked catalog table. Rows look
+/// Extracts `(code, name, next cell)` rows from the table between the
+/// `<!-- {marker}:begin -->` / `<!-- {marker}:end -->` markers. Rows look
 /// like `| 4 | `TaskGrant` | C→W | ... |`; the header and separator rows
 /// have no leading integer and are skipped.
-fn spec_catalog() -> Vec<(u16, String)> {
+fn spec_table(marker: &str) -> Vec<(u16, String, String)> {
     let start = SPEC
-        .find("<!-- catalog:begin -->")
-        .expect("PROTOCOL.md lost its catalog:begin marker");
+        .find(&format!("<!-- {marker}:begin -->"))
+        .unwrap_or_else(|| panic!("PROTOCOL.md lost its {marker}:begin marker"));
     let end = SPEC
-        .find("<!-- catalog:end -->")
-        .expect("PROTOCOL.md lost its catalog:end marker");
-    assert!(start < end, "catalog markers out of order");
+        .find(&format!("<!-- {marker}:end -->"))
+        .unwrap_or_else(|| panic!("PROTOCOL.md lost its {marker}:end marker"));
+    assert!(start < end, "{marker} markers out of order");
 
     let mut rows = Vec::new();
     for line in SPEC[start..end].lines() {
@@ -36,10 +42,17 @@ fn spec_catalog() -> Vec<(u16, String)> {
         let name = name_cell
             .strip_prefix('`')
             .and_then(|s| s.strip_suffix('`'))
-            .unwrap_or_else(|| panic!("catalog row for code {code} lacks a `backticked` name"));
-        rows.push((code, name.to_string()));
+            .unwrap_or_else(|| panic!("{marker} row for code {code} lacks a `backticked` name"));
+        rows.push((code, name.to_string(), cells.next().unwrap_or_default().to_string()));
     }
     rows
+}
+
+fn spec_catalog() -> Vec<(u16, String)> {
+    spec_table("catalog")
+        .into_iter()
+        .map(|(code, name, _)| (code, name))
+        .collect()
 }
 
 #[test]
@@ -58,6 +71,60 @@ fn protocol_md_catalog_matches_message_catalog() {
             (code, name),
             "PROTOCOL.md row ({spec_code}, {spec_name}) != Message::CATALOG ({code}, {name})"
         );
+    }
+}
+
+#[test]
+fn protocol_md_task_kind_table_matches_what_task_kind_encodes() {
+    let rows = spec_table("taskkinds");
+    let of_status = |status: &str| -> Vec<(u8, String)> {
+        rows.iter()
+            .filter(|(_, _, s)| s == status)
+            .map(|(tag, name, _)| (*tag as u8, name.clone()))
+            .collect()
+    };
+    assert_eq!(
+        of_status("live").len() + of_status("retired").len(),
+        rows.len(),
+        "every task-kind row is either `live` or `retired`: {rows:?}"
+    );
+
+    // Live rows: exactly the tag byte each variant actually encodes.
+    let samples = [
+        TaskKind::Eval {
+            config_index: 0,
+            universe: Vec::new(),
+        },
+        TaskKind::Pretrain {
+            group_index: 0,
+            blocks: Vec::new(),
+            group: Vec::new(),
+        },
+    ];
+    let encoded: Vec<(u8, String)> = samples
+        .iter()
+        .map(|kind| {
+            let mut buf = Vec::new();
+            kind.wire_write(&mut buf).unwrap();
+            // The variant name is the head of the derived Debug rendering.
+            let name = format!("{kind:?}");
+            (buf[0], name.split(' ').next().unwrap_or_default().to_string())
+        })
+        .collect();
+    assert_eq!(of_status("live"), encoded, "PROTOCOL.md live task kinds");
+
+    // Retired rows: exactly the tags the decoder refuses as retired.
+    let retired: Vec<u8> = of_status("retired").iter().map(|(tag, _)| *tag).collect();
+    assert_eq!(retired, TaskKind::RETIRED_TAGS, "PROTOCOL.md retired task kinds");
+    for tag in retired {
+        let buf = [tag, 0, 0, 0, 0, 0, 0, 0, 0];
+        let mut reader = WireReader::new(buf.as_slice(), buf.len() as u64, Limits::DEFAULT);
+        match TaskKind::wire_read(&mut reader) {
+            Err(WireError::InvalidValue { detail, .. }) => {
+                assert!(detail.contains("retired"), "{detail}")
+            }
+            other => panic!("retired tag {tag} must decode to InvalidValue, got {other:?}"),
+        }
     }
 }
 

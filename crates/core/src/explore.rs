@@ -427,14 +427,68 @@ pub(crate) fn fold_round(
     Ok(found)
 }
 
-/// Explores the subspace in objective order with `workers` parallel
-/// workers, stopping at the end of the first round that produced a
-/// satisfying configuration (all in-flight evaluations of that round are
-/// finished and counted, matching the paper's rounded "#configs").
+/// Supervises one round's fresh configurations on real OS threads, one
+/// per configuration — the single-machine analogue of the paper's MPI
+/// exploration and the in-process round runner of the engine
+/// ([`crate::explorer::run_explorer`]). Results come back positionally
+/// (one per entry of `fresh`, in order), so scheduling cannot change the
+/// fold: a threaded round is bit-identical to a sequential one.
+///
+/// A panicking evaluator is captured by [`supervise_eval`]; a panic in
+/// the supervision scaffolding itself is converted here — neither ever
+/// aborts the process.
+pub fn supervise_round<E>(
+    evaluate: &E,
+    fresh: &[usize],
+    retry: &RetryPolicy,
+    faults: Option<&FaultPlan>,
+) -> Vec<SupervisedEval>
+where
+    E: Fn(usize) -> Result<EvalOutcome> + Sync,
+{
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = fresh
+            .iter()
+            .map(|&config_index| {
+                scope.spawn(move || {
+                    // Worker threads have their own span stacks, so each
+                    // evaluation shows up as a top-level span tagged with
+                    // its configuration index.
+                    let _cfg_span = wootz_obs::span("explore.config").with("config", config_index);
+                    supervise_eval(evaluate, config_index, retry, faults)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .zip(fresh)
+            .map(|(h, &config_index)| match h.join() {
+                Ok(sup) => sup,
+                Err(payload) => SupervisedEval {
+                    result: Err(CoreError::Panic {
+                        what: format!("evaluator thread for config {config_index}"),
+                        message: panic_message(&*payload),
+                    }),
+                    attempts: 1,
+                    backoff: 0.0,
+                },
+            })
+            .collect()
+    })
+}
+
+/// Explores an index-only subspace in objective order with `workers`
+/// logical workers, stopping at the end of the first round that produced
+/// a satisfying configuration (all in-flight evaluations of that round
+/// are finished and counted, matching the paper's rounded "#configs").
 ///
 /// `sizes[i]` is the analytic model size of configuration `i` (used for
 /// ordering and for the best-network choice); `evaluate(i)` trains/tests
-/// configuration `i`.
+/// configuration `i`. This is the thin entry for callers that have sizes
+/// but no [`crate::prune::PruneConfig`]s (the cluster simulator, property
+/// tests): it runs [`crate::explorer::FixedSubspace`] over anonymous
+/// configurations through the one engine, evaluating each round
+/// sequentially on the calling thread.
 ///
 /// # Errors
 ///
@@ -477,195 +531,50 @@ pub fn explore_supervised<E>(
 where
     E: Fn(usize) -> Result<EvalOutcome>,
 {
-    explore_rounds_supervised(
-        objective,
-        sizes,
-        workers,
-        |_, fresh_configs| {
-            Ok(fresh_configs
-                .iter()
-                .map(|&config_index| {
-                    let _cfg_span = wootz_obs::span("explore.config").with("config", config_index);
-                    supervise_eval(&evaluate, config_index, &opts.retry, opts.faults)
-                })
-                .collect())
-        },
-        opts,
-        sink,
-    )
-}
-
-/// The round-barrier exploration loop with a pluggable round runner — the
-/// common engine behind [`explore_supervised`] (sequential, in-process),
-/// [`explore_parallel_supervised`] (thread-per-config) and the distributed
-/// coordinator in `wootz-cluster` (task queue + worker OS processes).
-///
-/// `run_round(round_index, fresh_configs)` must return exactly one
-/// [`SupervisedEval`] per entry of `fresh_configs`, **in the same order**
-/// (the fold re-associates results positionally). Entries of the round
-/// present in `opts.resume` are replayed and never handed to `run_round`.
-/// Because each configuration's evaluation is deterministic, any runner
-/// that preserves this per-round contract yields a bit-identical
-/// [`ExplorationResult`], no matter how the work was scheduled physically.
-///
-/// # Errors
-///
-/// Propagates `run_round` errors, evaluator errors per the retry policy's
-/// exhaustion action, and journal sink errors.
-pub fn explore_rounds_supervised<R>(
-    objective: &Objective,
-    sizes: &[usize],
-    workers: usize,
-    mut run_round: R,
-    opts: &ExploreOptions<'_>,
-    mut sink: Option<&mut RecordSink<'_>>,
-) -> Result<ExplorationResult>
-where
-    R: FnMut(usize, &[usize]) -> Result<Vec<SupervisedEval>>,
-{
-    let order = exploration_order(objective, sizes);
-    let p = workers.max(1);
-    let _run = wootz_obs::span("explore.run")
-        .with("configs", order.len())
-        .with("workers", p);
-    let mut result = ExplorationResult::empty();
-    let mut worker_cost = vec![0.0f64; p];
-    let mut pos = 0;
-    let mut round_index = 0usize;
-    while pos < order.len() {
-        let round: Vec<(usize, usize)> = (pos..(pos + p).min(order.len()))
-            .map(|g| (g, order[g]))
-            .collect();
-        pos += round.len();
-        let _round_span = wootz_obs::span("explore.round")
-            .with("round", round_index)
-            .with("configs", round.len());
-        let fresh_configs: Vec<usize> = round
+    let run_round = |fresh: &[usize]| {
+        fresh
             .iter()
-            .filter(|(_, c)| !opts.resume.contains_key(c))
-            .map(|&(_, c)| c)
-            .collect();
-        let fresh = run_round(round_index, &fresh_configs)?;
-        assert_eq!(
-            fresh.len(),
-            fresh_configs.len(),
-            "round runner must return one result per fresh config"
-        );
-        let found = fold_round(
-            objective,
-            opts,
-            &round,
-            fresh.into_iter(),
-            p,
-            &mut worker_cost,
-            &mut result,
-            &mut sink,
-        )?;
-        emit_progress(round_index, &result, found);
-        round_index += 1;
-        if found {
-            break;
-        }
-    }
-    finish_exploration(objective, result, &worker_cost)
+            .map(|&config_index| {
+                let _cfg_span = wootz_obs::span("explore.config").with("config", config_index);
+                supervise_eval(&evaluate, config_index, &opts.retry, opts.faults)
+            })
+            .collect()
+    };
+    explore_indices(objective, sizes, workers, run_round, opts, sink)
 }
 
-/// Explores like [`explore`] but evaluates each round's configurations on
-/// real OS threads — the single-machine analogue of the paper's MPI
-/// exploration. Results are bit-identical to the sequential [`explore`]
-/// (each evaluation is independent and deterministic; rounds join before
-/// the stop check).
-///
-/// # Errors
-///
-/// Propagates evaluator errors (the first error of a round, in round
-/// order), wrapped in [`CoreError::Eval`].
-pub fn explore_parallel<E>(
+/// [`crate::explorer::FixedSubspace`] over `sizes.len()` anonymous
+/// configurations through the engine, with `run_round` supervising each
+/// round's fresh indices.
+fn explore_indices(
     objective: &Objective,
     sizes: &[usize],
     workers: usize,
-    evaluate: E,
-) -> Result<ExplorationResult>
-where
-    E: Fn(usize) -> Result<EvalOutcome> + Sync,
-{
-    explore_parallel_supervised(
-        objective,
-        sizes,
-        workers,
-        evaluate,
-        &ExploreOptions::default(),
-        None,
-    )
-}
-
-/// [`explore_parallel`] under explicit supervision options and an optional
-/// journal sink. The sink runs on the coordinating thread, in round order.
-///
-/// # Errors
-///
-/// Propagates evaluator errors per the retry policy's exhaustion action,
-/// and journal sink errors. A panicking worker thread is captured and
-/// converted — it never aborts the process.
-pub fn explore_parallel_supervised<E>(
-    objective: &Objective,
-    sizes: &[usize],
-    workers: usize,
-    evaluate: E,
+    mut run_round: impl FnMut(&[usize]) -> Vec<SupervisedEval>,
     opts: &ExploreOptions<'_>,
     sink: Option<&mut RecordSink<'_>>,
-) -> Result<ExplorationResult>
-where
-    E: Fn(usize) -> Result<EvalOutcome> + Sync,
-{
-    let evaluate = &evaluate;
-    let retry = &opts.retry;
-    let faults = opts.faults;
-    explore_rounds_supervised(
+) -> Result<ExplorationResult> {
+    use crate::explorer::{run_explorer, EngineOptions, FixedSubspace, Round};
+    let anonymous = vec![crate::prune::PruneConfig::unpruned(0); sizes.len()];
+    let mut fixed = FixedSubspace::new(objective, anonymous, sizes);
+    let engine_opts = EngineOptions {
+        explore: opts,
+        budget: 0,
+        replay_proposals: &[],
+    };
+    run_explorer(
+        &mut fixed,
         objective,
-        sizes,
         workers,
-        |_, fresh_configs| {
-            Ok(std::thread::scope(|scope| {
-                let handles: Vec<_> = fresh_configs
-                    .iter()
-                    .map(|&config_index| {
-                        scope.spawn(move || {
-                            // Worker threads have their own span stacks, so each
-                            // evaluation shows up as a top-level span tagged with
-                            // its configuration index.
-                            let _cfg_span =
-                                wootz_obs::span("explore.config").with("config", config_index);
-                            supervise_eval(evaluate, config_index, retry, faults)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .zip(fresh_configs)
-                    .map(|(h, &config_index)| match h.join() {
-                        Ok(sup) => sup,
-                        // `supervise_eval` already catches evaluator panics;
-                        // this captures the (pathological) case of a panic in
-                        // the supervision scaffolding itself.
-                        Err(payload) => SupervisedEval {
-                            result: Err(CoreError::Panic {
-                                what: format!("evaluator thread for config {config_index}"),
-                                message: panic_message(&*payload),
-                            }),
-                            attempts: 1,
-                            backoff: 0.0,
-                        },
-                    })
-                    .collect()
-            }))
-        },
-        opts,
+        &mut |round: &Round<'_>| Ok(run_round(round.fresh)),
+        &engine_opts,
+        None,
         sink,
     )
+    .map(|explored| explored.exploration)
 }
 
-fn emit_progress(round_index: usize, result: &ExplorationResult, found: bool) {
+pub(crate) fn emit_progress(round_index: usize, result: &ExplorationResult, found: bool) {
     wootz_obs::event("explore.progress")
         .field("round", round_index)
         .field("evaluated", result.evaluated.len())
@@ -736,6 +645,23 @@ mod tests {
                 log: None,
             })
         }
+    }
+
+    /// The engine over an index-only subspace with the threaded round
+    /// runner — exactly what the in-process pipeline backend runs.
+    fn explore_threaded<E>(
+        objective: &Objective,
+        sizes: &[usize],
+        workers: usize,
+        evaluate: E,
+        opts: &ExploreOptions<'_>,
+    ) -> Result<ExplorationResult>
+    where
+        E: Fn(usize) -> Result<EvalOutcome> + Sync,
+    {
+        let run_round =
+            |fresh: &[usize]| supervise_round(&evaluate, fresh, &opts.retry, opts.faults);
+        explore_indices(objective, sizes, workers, run_round, opts, None)
     }
 
     fn eval_trigger(key: u64, kind: FaultKind, times: u32) -> Trigger {
@@ -901,7 +827,14 @@ mod tests {
         let sizes: Vec<usize> = (1..=13).map(|i| i * 100).collect();
         for workers in [1usize, 3, 5] {
             let seq = explore(&min_size(0.55), &sizes, workers, toy_eval(&sizes)).unwrap();
-            let par = explore_parallel(&min_size(0.55), &sizes, workers, toy_eval(&sizes)).unwrap();
+            let par = explore_threaded(
+                &min_size(0.55),
+                &sizes,
+                workers,
+                toy_eval(&sizes),
+                &ExploreOptions::default(),
+            )
+            .unwrap();
             assert_eq!(seq, par, "workers={workers}");
         }
     }
@@ -909,7 +842,7 @@ mod tests {
     #[test]
     fn parallel_propagates_errors() {
         let sizes = vec![100, 200];
-        let res = explore_parallel(&min_size(0.9), &sizes, 2, |i| {
+        let eval = |i: usize| {
             if i == 1 {
                 Err(crate::CoreError::Pipeline("boom".into()))
             } else {
@@ -921,7 +854,8 @@ mod tests {
                     log: None,
                 })
             }
-        });
+        };
+        let res = explore_threaded(&min_size(0.9), &sizes, 2, eval, &ExploreOptions::default());
         let err = res.unwrap_err();
         assert!(
             matches!(err, CoreError::Eval { config_index: 1, attempts: 1, .. }),
@@ -949,7 +883,8 @@ mod tests {
                 toy_eval(&[100, 200])(i)
             };
             let err = if parallel {
-                explore_parallel(&min_size(0.9), &sizes, 2, eval).unwrap_err()
+                explore_threaded(&min_size(0.9), &sizes, 2, eval, &ExploreOptions::default())
+                    .unwrap_err()
             } else {
                 explore(&min_size(0.9), &sizes, 2, eval).unwrap_err()
             };
@@ -1082,24 +1017,8 @@ mod tests {
             retry: RetryPolicy::skip_after(2),
             resume: BTreeMap::new(),
         };
-        let a = explore_parallel_supervised(
-            &min_size(0.9),
-            &sizes,
-            4,
-            toy_eval(&sizes),
-            &opts,
-            None,
-        )
-        .unwrap();
-        let b = explore_parallel_supervised(
-            &min_size(0.9),
-            &sizes,
-            4,
-            toy_eval(&sizes),
-            &opts,
-            None,
-        )
-        .unwrap();
+        let a = explore_threaded(&min_size(0.9), &sizes, 4, toy_eval(&sizes), &opts).unwrap();
+        let b = explore_threaded(&min_size(0.9), &sizes, 4, toy_eval(&sizes), &opts).unwrap();
         assert_eq!(a, b);
         assert!(a.failed > 0, "the 40% rate should kill some configs");
         // And the sequential supervisor agrees exactly.

@@ -1,23 +1,23 @@
-//! Pluggable exploration strategies: the propose/observe engine behind
-//! adaptive pruning-space exploration (`DESIGN.md` §14).
+//! Pluggable exploration strategies and the one propose/observe engine
+//! every run explores through (`DESIGN.md` §14).
 //!
-//! The paper fixes the promising subspace up front and evaluates it
-//! exhaustively in objective order. Composability makes *adaptive*
-//! exploration nearly free — most configurations a strategy proposes
-//! share already pre-trained tuning blocks — so this module turns the
-//! exploration layer into a closed loop: an [`Explorer`] proposes
-//! candidate configurations, the engine evaluates one round of them
-//! (round width = `num_workers`, exactly like the fixed loop), and the
-//! outcomes are fed back through [`Explorer::observe`] before the next
-//! round is proposed.
+//! The paper fixes the promising subspace up front and evaluates it in
+//! objective order, in rounds of `num_workers`. Composability makes
+//! *adaptive* exploration nearly free — most configurations a strategy
+//! proposes share already pre-trained tuning blocks — so the exploration
+//! layer is a closed loop: an [`Explorer`] declares an initial universe
+//! of configurations and proposes what to evaluate next, the engine
+//! ([`run_explorer`]) evaluates one round of proposals (round width =
+//! `num_workers`), and the outcomes are fed back through
+//! [`Explorer::observe`] before the next round is proposed.
 //!
 //! Three deterministic strategies ship here:
 //!
-//! - [`FixedSubspace`] — the paper's behavior expressed as an explorer:
-//!   walk the input subspace in objective order. (The pipeline's
-//!   `--explorer fixed` default still runs the original static loop so
-//!   its journals and outputs stay byte-identical; this implementation
-//!   exists for engine-equivalence tests.)
+//! - [`FixedSubspace`] — the paper's behavior and the default: the
+//!   initial universe *is* the input subspace (so universe index ==
+//!   subspace index == evaluation seed index), proposals walk it in
+//!   objective order, nothing is ever appended and so no proposal round
+//!   is ever journaled.
 //! - [`TaylorSaliency`] — ranks modules by a first-order Taylor-style
 //!   saliency proxy computed from the trained full model's weights
 //!   (Molchanov et al.: filters whose removal perturbs the loss least go
@@ -32,42 +32,67 @@
 //!
 //! Every strategy is bit-deterministic for a fixed seed: proposals
 //! depend only on the (deterministic) sequence of observations, never on
-//! thread scheduling, worker count, or transport. Proposals are
-//! journaled as [`ProposalRecord`] entries so `--resume` replays the
-//! exact trajectory — and verifies the live explorer re-proposes it.
+//! thread scheduling, worker count, or transport. Rounds that append
+//! configurations to the universe are journaled as [`ProposalRecord`]
+//! entries so `--resume` replays the exact trajectory — and verifies the
+//! live explorer re-proposes it.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use serde::{Deserialize, Serialize};
 use wootz_ir::Objective;
 
 use crate::explore::{
-    exploration_order, fold_round, EvalOutcome, ExplorationResult, ExploreOptions, RecordSink,
-    SupervisedEval,
+    emit_progress, exploration_order, finish_exploration, fold_round, EvalOutcome,
+    ExplorationResult, ExploreOptions, RecordSink, SupervisedEval,
 };
 use crate::prune::PruneConfig;
 use crate::{CoreError, Result};
 
+/// One thing a strategy wants evaluated next. Every proposal resolves to
+/// a universe index, and an index is evaluated at most once per run.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Proposal {
+    /// A configuration already in the universe, by its index (how
+    /// [`FixedSubspace`] walks the subspace it seeded).
+    Index(usize),
+    /// A configuration by value: resolves to its universe index when the
+    /// universe already holds it, and is appended otherwise (budget
+    /// permitting).
+    Config(PruneConfig),
+}
+
 /// A pluggable exploration strategy.
 ///
-/// The engine ([`explore_adaptive`]) drives the loop: it calls
-/// [`propose`](Explorer::propose) until it has a round's worth of fresh
-/// configurations, evaluates them, then reports each completed outcome
-/// through [`observe`](Explorer::observe) in round order. A strategy
-/// must be deterministic: given the same construction parameters and
-/// the same observation sequence, it must produce the same proposals.
+/// The engine ([`run_explorer`]) drives the loop: it seeds the universe
+/// with [`initial_universe`](Explorer::initial_universe), calls
+/// [`propose`](Explorer::propose) until it has a round's worth of
+/// not-yet-evaluated configurations, evaluates them, then reports each
+/// completed outcome through [`observe`](Explorer::observe) in round
+/// order. A strategy must be deterministic: given the same construction
+/// parameters and the same observation sequence, it must produce the
+/// same proposals.
 pub trait Explorer {
-    /// Stable strategy name, journaled with every proposal.
+    /// Stable strategy name, journaled with every proposal round.
     fn name(&self) -> &'static str;
 
-    /// Proposes the next candidate configuration(s). May return
-    /// duplicates of earlier proposals (the engine deduplicates) or an
-    /// empty vector when momentarily out of ideas; return empty *and*
-    /// report [`done`](Explorer::done) to stop the run.
-    fn propose(&mut self) -> Vec<PruneConfig>;
+    /// The configurations the universe holds before the first proposal
+    /// (empty by default). Universe indices double as evaluation seed
+    /// indices, so a strategy that seeds the input subspace here, in
+    /// input order, evaluates configuration `i` exactly as the subspace's
+    /// `i`-th entry.
+    fn initial_universe(&self) -> Vec<PruneConfig> {
+        Vec::new()
+    }
+
+    /// Proposes the next candidate configuration(s). May repeat earlier
+    /// proposals (the engine deduplicates) or return an empty vector when
+    /// momentarily out of ideas; return empty *and* report
+    /// [`done`](Explorer::done) to stop the run.
+    fn propose(&mut self) -> Vec<Proposal>;
 
     /// Feeds back one completed evaluation. Called once per evaluated
-    /// configuration, in deterministic (universe) order — including
+    /// configuration, in deterministic (round) order — including
     /// configurations replayed from a resume journal, so a resumed
     /// strategy reaches the same internal state as the original run.
     fn observe(&mut self, config: &PruneConfig, outcome: &EvalOutcome, satisfies: bool);
@@ -81,8 +106,7 @@ pub trait Explorer {
 /// for the flag spelling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ExplorerKind {
-    /// The paper's fixed-subspace loop (the default; byte-identical to
-    /// the pre-explorer pipeline).
+    /// [`FixedSubspace`]: the paper's fixed-subspace walk (the default).
     #[default]
     Fixed,
     /// [`TaylorSaliency`]: saliency-ranked depth ladder.
@@ -117,8 +141,10 @@ impl ExplorerKind {
         }
     }
 
-    /// Whether this kind drives the adaptive propose/observe engine
-    /// (everything but [`ExplorerKind::Fixed`]).
+    /// Whether this kind grows its universe from proposals and therefore
+    /// takes an `--explorer-budget` (everything but
+    /// [`ExplorerKind::Fixed`]). Flag validation only — the run drivers
+    /// treat every kind alike.
     pub fn is_adaptive(&self) -> bool {
         !matches!(self, ExplorerKind::Fixed)
     }
@@ -130,11 +156,13 @@ impl std::fmt::Display for ExplorerKind {
     }
 }
 
-/// One journaled proposal round: the configurations an explorer added to
-/// the evaluation universe in round `round`. On `--resume`, the engine
-/// re-derives each round from the replayed explorer state and verifies
-/// it against these records — a divergence aborts the resume instead of
-/// silently exploring a different trajectory.
+/// One journaled proposal round: the configurations an explorer appended
+/// to the evaluation universe while round `round` was being filled.
+/// Rounds that append nothing (every round of [`FixedSubspace`]) journal
+/// no record. On `--resume`, the engine re-derives each appending round
+/// from the replayed explorer state and verifies it against these
+/// records — a divergence aborts the resume instead of silently
+/// exploring a different trajectory.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProposalRecord {
     /// Zero-based round index.
@@ -151,44 +179,41 @@ pub struct ProposalRecord {
 /// A sink invoked once per freshly journaled proposal round.
 pub type ProposalSink<'s> = dyn FnMut(&ProposalRecord) -> Result<()> + 's;
 
-/// One adaptive round handed to the round runner: the universe so far
-/// (this round's configurations are `universe[base_index..]`) and the
+/// One round handed to the round runner: the universe so far and the
 /// universe indices that actually need evaluating (resumed entries are
-/// replayed by the engine and never handed out).
-pub struct AdaptiveRound<'a> {
-    /// Zero-based round index.
-    pub round: usize,
-    /// Universe length before this round.
-    pub base_index: usize,
-    /// Every configuration proposed so far, this round's included.
+/// replayed by the engine and never handed out). The universe only ever
+/// grows by appending, so its length identifies it within a run.
+pub struct Round<'a> {
+    /// Every configuration seeded or proposed so far.
     pub universe: &'a [PruneConfig],
-    /// Universe indices to evaluate this round, ascending.
+    /// Universe indices to evaluate this round, in round order.
     pub fresh: &'a [usize],
 }
 
-/// Options for [`explore_adaptive`] beyond the shared supervision
-/// options.
-pub struct AdaptiveOptions<'a> {
+/// Options for [`run_explorer`] beyond the shared supervision options.
+pub struct EngineOptions<'a> {
     /// Supervision options; `explore.resume` is keyed by universe index.
     pub explore: &'a ExploreOptions<'a>,
-    /// Maximum configurations processed (replayed entries included).
-    /// `0` runs no rounds at all.
+    /// Maximum configurations proposals may append to the universe
+    /// beyond [`Explorer::initial_universe`] (replayed rounds count).
+    /// Seeded configurations are free, so a strategy that appends
+    /// nothing ignores it; a strategy that starts empty evaluates at
+    /// most this many configurations, and `0` runs none.
     pub budget: usize,
     /// Proposal rounds replayed from a resume journal, verified against
-    /// the live explorer's re-proposals round by round.
+    /// the live explorer's re-proposals in order.
     pub replay_proposals: &'a [ProposalRecord],
 }
 
-/// What an adaptive run produced: the exploration result (indices are
-/// universe indices), the proposal universe itself, and round counts.
+/// What an engine run produced: the exploration result (indices are
+/// universe indices), the universe itself, and round counts.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveOutcome {
-    /// The fold of every processed round, exactly like the fixed loop's
-    /// result; `evaluated[i].config_index()` indexes into `universe`.
+pub struct Explored {
+    /// The fold of every processed round;
+    /// `evaluated[i].config_index()` indexes into `universe`.
     pub exploration: ExplorationResult,
-    /// Every configuration proposed across all rounds, in proposal
-    /// order. The evaluation universe: seeds, journals and records all
-    /// key configurations by their index here.
+    /// Every configuration seeded or proposed, in universe order. Seeds,
+    /// journals and records all key configurations by their index here.
     pub universe: Vec<PruneConfig>,
     /// Rounds run (proposal + evaluation barriers).
     pub rounds: usize,
@@ -197,59 +222,124 @@ pub struct AdaptiveOutcome {
     pub converged: bool,
 }
 
-/// Consecutive fruitless [`Explorer::propose`] calls (no new unique
-/// configuration) tolerated before the engine treats the strategy as
+/// Consecutive fruitless [`Explorer::propose`] calls (nothing new to
+/// evaluate) tolerated before the engine treats the strategy as
 /// exhausted — a spin guard against explorers that keep re-proposing
 /// known configurations without reporting `done`.
 const MAX_STALE_PROPOSALS: u32 = 32;
 
-/// The adaptive round loop: propose → evaluate → observe, stopping at
-/// the end of the first round with a satisfying configuration, when the
-/// explorer is exhausted, or when `opts.budget` configurations have been
-/// processed.
+/// Refuses a resume journal the live strategy could not have written: a
+/// journal whose proposal rounds name another explorer, or one holding
+/// evaluations of universe indices that neither the initial universe nor
+/// any journaled proposal round introduced (a proposal-free journal
+/// replayed under a strategy that starts empty).
+fn check_replay(explorer: &str, seeded: usize, opts: &EngineOptions<'_>) -> Result<()> {
+    if let Some(first) = opts.replay_proposals.first() {
+        if first.explorer != explorer {
+            return Err(CoreError::Journal(format!(
+                "journal contains proposal records of the `{}` explorer; resume it with \
+                 that explorer, not `{explorer}`",
+                first.explorer
+            )));
+        }
+    }
+    let introduced: usize = opts.replay_proposals.iter().map(|p| p.configs.len()).sum();
+    match opts.explore.resume.keys().next_back() {
+        Some(&index) if index >= seeded + introduced => Err(CoreError::Journal(format!(
+            "cannot resume under the `{explorer}` explorer: the journal evaluates \
+             configuration {index} without proposal records introducing it (it was \
+             written by a different explorer)"
+        ))),
+        _ => Ok(()),
+    }
+}
+
+/// The one exploration loop: propose → evaluate → observe, in rounds of
+/// `width`, stopping at the end of the first round with a satisfying
+/// configuration, or when the explorer has nothing left to propose
+/// (exhausted, out of budget, or spinning).
+///
+/// Round positions follow the static task-assignment table: the `g`-th
+/// configuration scheduled over the whole run is charged to logical
+/// worker `g % width`, so cost accounting matches
+/// [`crate::explore::task_assignment`] for every strategy.
 ///
 /// `run_round` must return exactly one [`SupervisedEval`] per entry of
-/// [`AdaptiveRound::fresh`], in the same order — the same positional
-/// contract as the fixed loop's round runner, so thread-pool, process
-/// and transport scheduling cannot change the fold. Entries present in
-/// `opts.explore.resume` (keyed by universe index) are replayed, not
-/// re-evaluated, and their outcomes still feed [`Explorer::observe`] so
-/// a resumed strategy replays its exact trajectory.
+/// [`Round::fresh`], in the same order — results re-associate
+/// positionally, so thread-pool, process and transport scheduling cannot
+/// change the fold. Entries present in `opts.explore.resume` (keyed by
+/// universe index) are replayed, not re-evaluated, and their outcomes
+/// still feed [`Explorer::observe`] so a resumed strategy replays its
+/// exact trajectory. A [`ProposalRecord`] is handed to `proposal_sink`
+/// for every round that appended configurations and was not replayed.
 ///
 /// # Errors
 ///
 /// Propagates `run_round`, evaluator (per the retry policy), journal
-/// sink, and trajectory-divergence errors.
-pub fn explore_adaptive(
+/// sink, strategy-swap and trajectory-divergence errors.
+pub fn run_explorer(
     explorer: &mut dyn Explorer,
     objective: &Objective,
     width: usize,
-    run_round: &mut dyn FnMut(&AdaptiveRound<'_>) -> Result<Vec<SupervisedEval>>,
-    opts: &AdaptiveOptions<'_>,
+    run_round: &mut dyn FnMut(&Round<'_>) -> Result<Vec<SupervisedEval>>,
+    opts: &EngineOptions<'_>,
     mut proposal_sink: Option<&mut ProposalSink<'_>>,
     mut sink: Option<&mut RecordSink<'_>>,
-) -> Result<AdaptiveOutcome> {
+) -> Result<Explored> {
     let p = width.max(1);
-    let _run = wootz_obs::span("explore.adaptive")
+    let mut universe = explorer.initial_universe();
+    let seeded = universe.len();
+    check_replay(explorer.name(), seeded, opts)?;
+    let _run = wootz_obs::span("explore.run")
         .with("explorer", explorer.name())
+        .with("configs", seeded)
         .with("budget", opts.budget)
         .with("workers", p);
-    let mut universe: Vec<PruneConfig> = Vec::new();
-    let mut seen: HashSet<PruneConfig> = HashSet::new();
-    let mut pending: VecDeque<PruneConfig> = VecDeque::new();
+    // First universe index of every configuration, for resolving
+    // by-value proposals; `queued[i]` marks indices already scheduled.
+    let mut index_of: HashMap<PruneConfig, usize> = HashMap::new();
+    for (i, config) in universe.iter().enumerate() {
+        index_of.entry(config.clone()).or_insert(i);
+    }
+    let mut queued = vec![false; seeded];
+    let mut pending: VecDeque<usize> = VecDeque::new();
     let mut result = ExplorationResult::empty();
     let mut worker_cost = vec![0.0f64; p];
+    let mut position = 0usize;
     let mut round_index = 0usize;
+    let mut appending_rounds = 0usize;
     let mut converged = false;
-    while result.evaluated.len() < opts.budget {
-        let room = opts.budget - result.evaluated.len();
-        let target = p.min(room);
+    loop {
+        let base_index = universe.len();
+        let room = opts.budget.saturating_sub(base_index - seeded);
+        let unqueued_seeds = queued[..seeded].iter().filter(|&&q| !q).count();
+        let target = p.min(pending.len() + unqueued_seeds + room);
         let mut stale = 0u32;
         while pending.len() < target && !explorer.done() && stale < MAX_STALE_PROPOSALS {
             let before = pending.len();
-            for config in explorer.propose() {
-                if seen.insert(config.clone()) {
-                    pending.push_back(config);
+            for proposal in explorer.propose() {
+                let index = match proposal {
+                    Proposal::Index(index) => index,
+                    Proposal::Config(config) => match index_of.get(&config) {
+                        Some(&index) => index,
+                        None if universe.len() - seeded < opts.budget => {
+                            index_of.insert(config.clone(), universe.len());
+                            universe.push(config);
+                            queued.push(false);
+                            universe.len() - 1
+                        }
+                        None => continue,
+                    },
+                };
+                let slot = queued.get_mut(index).ok_or_else(|| {
+                    CoreError::Config(format!(
+                        "explorer `{}` proposed universe index {index} of {}",
+                        explorer.name(),
+                        universe.len()
+                    ))
+                })?;
+                if !std::mem::replace(slot, true) {
+                    pending.push_back(index);
                 }
             }
             stale = if pending.len() == before { stale + 1 } else { 0 };
@@ -257,48 +347,49 @@ pub fn explore_adaptive(
         if pending.is_empty() {
             break;
         }
-        let base_index = universe.len();
-        let fresh_count = pending.len().min(target);
-        let proposed: Vec<PruneConfig> = pending.drain(..fresh_count).collect();
-        universe.extend(proposed.iter().cloned());
-        wootz_obs::counter("explore.proposals").add(fresh_count as u64);
         wootz_obs::counter("explore.rounds").incr();
-        let record = ProposalRecord {
-            round: round_index,
-            explorer: explorer.name().to_string(),
-            base_index,
-            configs: proposed,
-        };
-        match opts.replay_proposals.get(round_index) {
-            // A journaled round must be re-proposed identically — the
-            // whole point of journaling proposals is that a resumed
-            // trajectory is the original one, bit for bit.
-            Some(expected) if *expected != record => {
-                return Err(CoreError::Journal(format!(
-                    "explorer trajectory diverged from journal at round {round_index}: \
-                     journal has {} configs from `{}` at base {}, live explorer proposed \
-                     {} configs from `{}` at base {}",
-                    expected.configs.len(),
-                    expected.explorer,
-                    expected.base_index,
-                    record.configs.len(),
-                    record.explorer,
-                    record.base_index,
-                )));
-            }
-            Some(_) => {}
-            None => {
-                if let Some(ps) = proposal_sink.as_deref_mut() {
-                    ps(&record)?;
+        if universe.len() > base_index {
+            wootz_obs::counter("explore.proposals").add((universe.len() - base_index) as u64);
+            let record = ProposalRecord {
+                round: round_index,
+                explorer: explorer.name().to_string(),
+                base_index,
+                configs: universe[base_index..].to_vec(),
+            };
+            match opts.replay_proposals.get(appending_rounds) {
+                // A journaled round must be re-proposed identically — the
+                // whole point of journaling proposals is that a resumed
+                // trajectory is the original one, bit for bit.
+                Some(expected) if *expected != record => {
+                    return Err(CoreError::Journal(format!(
+                        "explorer trajectory diverged from journal at round {round_index}: \
+                         journal has {} configs from `{}` at base {} (round {}), live \
+                         explorer proposed {} configs from `{}` at base {}",
+                        expected.configs.len(),
+                        expected.explorer,
+                        expected.base_index,
+                        expected.round,
+                        record.configs.len(),
+                        record.explorer,
+                        record.base_index,
+                    )));
+                }
+                Some(_) => {}
+                None => {
+                    if let Some(ps) = proposal_sink.as_deref_mut() {
+                        ps(&record)?;
+                    }
                 }
             }
+            appending_rounds += 1;
         }
-        // In the adaptive loop the universe index doubles as the global
-        // exploration position, so worker-cost attribution follows the
-        // same `position % p` table as the fixed loop.
-        let round: Vec<(usize, usize)> = (base_index..base_index + fresh_count)
-            .map(|g| (g, g))
+        let take = pending.len().min(p);
+        let round: Vec<(usize, usize)> = pending
+            .drain(..take)
+            .enumerate()
+            .map(|(k, index)| (position + k, index))
             .collect();
+        position += take;
         let fresh_indices: Vec<usize> = round
             .iter()
             .filter(|(_, c)| !opts.explore.resume.contains_key(c))
@@ -306,10 +397,8 @@ pub fn explore_adaptive(
             .collect();
         let _round_span = wootz_obs::span("explore.round")
             .with("round", round_index)
-            .with("configs", fresh_count);
-        let fresh = run_round(&AdaptiveRound {
-            round: round_index,
-            base_index,
+            .with("configs", take);
+        let fresh = run_round(&Round {
             universe: &universe,
             fresh: &fresh_indices,
         })?;
@@ -328,8 +417,8 @@ pub fn explore_adaptive(
             &mut result,
             &mut sink,
         )?;
-        let observed = result.evaluated.len();
-        for rec in &result.evaluated[observed - fresh_count..observed] {
+        emit_progress(round_index, &result, found);
+        for rec in &result.evaluated[result.evaluated.len() - take..] {
             if let Some(outcome) = rec.outcome() {
                 explorer.observe(&universe[rec.config_index()], outcome, rec.satisfies());
             }
@@ -345,8 +434,8 @@ pub fn explore_adaptive(
             break;
         }
     }
-    let exploration = crate::explore::finish_exploration(objective, result, &worker_cost)?;
-    Ok(AdaptiveOutcome {
+    let exploration = finish_exploration(objective, result, &worker_cost)?;
+    Ok(Explored {
         exploration,
         universe,
         rounds: round_index,
@@ -354,13 +443,10 @@ pub fn explore_adaptive(
     })
 }
 
-/// The paper's fixed-subspace strategy expressed as an [`Explorer`]:
-/// walks the input subspace in objective order, one configuration per
-/// [`propose`](Explorer::propose) call, observing nothing.
-///
-/// Used by engine-equivalence tests; the pipeline's `--explorer fixed`
-/// default runs the original static loop so pre-refactor journals and
-/// outputs stay byte-identical.
+/// The paper's fixed-subspace strategy and the default explorer: seeds
+/// the universe with the input subspace, in input order, and walks it in
+/// objective order, one configuration per [`propose`](Explorer::propose)
+/// call, observing nothing and appending nothing.
 pub struct FixedSubspace {
     configs: Vec<PruneConfig>,
     order: Vec<usize>,
@@ -369,12 +455,11 @@ pub struct FixedSubspace {
 
 impl FixedSubspace {
     /// Orders `configs` by the objective over their analytic `sizes`
-    /// (same ordering as [`exploration_order`]).
+    /// ([`exploration_order`]).
     pub fn new(objective: &Objective, configs: Vec<PruneConfig>, sizes: &[usize]) -> Self {
-        let order = exploration_order(objective, sizes);
         FixedSubspace {
             configs,
-            order,
+            order: exploration_order(objective, sizes),
             cursor: 0,
         }
     }
@@ -385,11 +470,15 @@ impl Explorer for FixedSubspace {
         "fixed"
     }
 
-    fn propose(&mut self) -> Vec<PruneConfig> {
+    fn initial_universe(&self) -> Vec<PruneConfig> {
+        self.configs.clone()
+    }
+
+    fn propose(&mut self) -> Vec<Proposal> {
         match self.order.get(self.cursor) {
             Some(&i) => {
                 self.cursor += 1;
-                vec![self.configs[i].clone()]
+                vec![Proposal::Index(i)]
             }
             None => Vec::new(),
         }
@@ -474,13 +563,13 @@ impl Explorer for TaylorSaliency {
         "taylor"
     }
 
-    fn propose(&mut self) -> Vec<PruneConfig> {
+    fn propose(&mut self) -> Vec<Proposal> {
         if self.finished {
             return Vec::new();
         }
         let config = self.config_at(self.level, self.depth);
         self.advance();
-        vec![config]
+        vec![Proposal::Config(config)]
     }
 
     fn observe(&mut self, config: &PruneConfig, _outcome: &EvalOutcome, satisfies: bool) {
@@ -579,14 +668,14 @@ impl Explorer for BanditExplorer {
         "bandit"
     }
 
-    fn propose(&mut self) -> Vec<PruneConfig> {
+    fn propose(&mut self) -> Vec<Proposal> {
         if self.finished {
             return Vec::new();
         }
         for _ in 0..BANDIT_RESAMPLE_LIMIT {
             let config = self.sample();
             if self.seen.insert(config.clone()) {
-                return vec![config];
+                return vec![Proposal::Config(config)];
             }
         }
         self.finished = true;
@@ -671,13 +760,13 @@ mod tests {
         budget: usize,
         resume: BTreeMap<usize, EvalRecord>,
         replay: &[ProposalRecord],
-    ) -> (AdaptiveOutcome, Vec<ProposalRecord>, Vec<usize>) {
+    ) -> (Explored, Vec<ProposalRecord>, Vec<usize>) {
         let explore_opts = ExploreOptions {
             faults: None,
             retry: RetryPolicy::default(),
             resume,
         };
-        let opts = AdaptiveOptions {
+        let opts = EngineOptions {
             explore: &explore_opts,
             budget,
             replay_proposals: replay,
@@ -692,28 +781,38 @@ mod tests {
             sunk.push(r.config_index());
             Ok(())
         };
-        let mut run_round = |round: &AdaptiveRound<'_>| -> Result<Vec<SupervisedEval>> {
-            Ok(round
-                .fresh
-                .iter()
-                .map(|&i| SupervisedEval {
-                    result: Ok(toy_outcome(&round.universe[i])),
-                    attempts: 1,
-                    backoff: 0.0,
-                })
-                .collect())
-        };
-        let out = explore_adaptive(
+        let out = run_explorer(
             explorer,
             objective,
             width,
-            &mut run_round,
+            &mut toy_round,
             &opts,
             Some(&mut proposal_sink),
             Some(&mut sink),
         )
         .unwrap();
         (out, proposals, sunk)
+    }
+
+    /// The single by-value configuration of the strategy's next proposal.
+    fn next_config(explorer: &mut dyn Explorer) -> PruneConfig {
+        match explorer.propose().as_slice() {
+            [Proposal::Config(config)] => config.clone(),
+            other => panic!("expected one by-value proposal, got {other:?}"),
+        }
+    }
+
+    /// Round runner over [`toy_outcome`].
+    fn toy_round(round: &Round<'_>) -> Result<Vec<SupervisedEval>> {
+        Ok(round
+            .fresh
+            .iter()
+            .map(|&i| SupervisedEval {
+                result: Ok(toy_outcome(&round.universe[i])),
+                attempts: 1,
+                backoff: 0.0,
+            })
+            .collect())
     }
 
     #[test]
@@ -735,54 +834,148 @@ mod tests {
     }
 
     #[test]
-    fn fixed_explorer_matches_static_loop() {
-        // FixedSubspace through the adaptive engine must evaluate the
-        // same configs in the same order as the static loop, with the
-        // same stop-at-first-satisfying-round semantics.
-        let configs: Vec<PruneConfig> = [70u8, 50, 30, 0]
+    fn fixed_explorer_walks_its_seeded_universe_by_index() {
+        // The default strategy through the engine: the universe is the
+        // subspace in input order (records carry subspace indices), the
+        // walk follows the objective order with first-satisfying-round
+        // stop semantics, nothing is appended — so no proposal round is
+        // journaled and the budget is irrelevant — and a duplicated
+        // configuration is evaluated once per subspace slot.
+        let configs: Vec<PruneConfig> = [70u8, 50, 30, 50, 0]
             .iter()
             .map(|&r| PruneConfig::new(vec![r, r, r]).unwrap())
             .collect();
         let sizes: Vec<usize> = configs.iter().map(toy_size).collect();
         let objective = min_size(0.45);
-        for width in [1usize, 2, 3] {
-            let evaluate = |i: usize| Ok(toy_outcome(&configs[i]));
-            let fixed = explore(&objective, &sizes, width, evaluate).unwrap();
-            let mut explorer = FixedSubspace::new(&objective, configs.clone(), &sizes);
-            let (out, _, _) = run_toy(
-                &mut explorer,
-                &objective,
-                width,
-                configs.len(),
-                BTreeMap::new(),
-                &[],
-            );
-            assert_eq!(
-                out.exploration.configs_explored, fixed.configs_explored,
-                "width={width}"
-            );
-            // Same outcomes in the same order (universe indices differ
-            // from subspace indices, so compare the measured outcomes).
-            let fixed_sizes: Vec<usize> = fixed
-                .evaluated
-                .iter()
-                .map(|r| r.outcome().unwrap().model_size)
-                .collect();
-            let adaptive_sizes: Vec<usize> = out
-                .exploration
-                .evaluated
-                .iter()
-                .map(|r| r.outcome().unwrap().model_size)
-                .collect();
-            assert_eq!(adaptive_sizes, fixed_sizes, "width={width}");
-            assert_eq!(out.exploration.wall_cost, fixed.wall_cost);
-            let fixed_best = fixed.best.map(|i| fixed.evaluated[i].outcome().unwrap());
-            let best = out
-                .exploration
-                .best
-                .map(|i| out.exploration.evaluated[i].outcome().unwrap());
-            assert_eq!(best, fixed_best);
+        for (width, expected) in [(1usize, vec![0, 1]), (2, vec![0, 1]), (3, vec![0, 1, 3])] {
+            for budget in [0usize, 2] {
+                let mut explorer = FixedSubspace::new(&objective, configs.clone(), &sizes);
+                let (out, proposals, sunk) =
+                    run_toy(&mut explorer, &objective, width, budget, BTreeMap::new(), &[]);
+                let order: Vec<usize> = out
+                    .exploration
+                    .evaluated
+                    .iter()
+                    .map(|r| r.config_index())
+                    .collect();
+                assert_eq!(order, expected, "width={width} budget={budget}");
+                assert_eq!(sunk, expected);
+                assert!(proposals.is_empty(), "fixed journals no proposal rounds");
+                assert_eq!(out.universe, configs);
+                assert!(out.converged);
+                // Config 1 (rate 50) is the smallest satisfying one.
+                let best = &out.exploration.evaluated[out.exploration.best.unwrap()];
+                assert_eq!(best.config_index(), 1);
+                // The index-only entry agrees record for record.
+                let by_index =
+                    explore(&objective, &sizes, width, |i| Ok(toy_outcome(&configs[i]))).unwrap();
+                assert_eq!(by_index, out.exploration, "width={width}");
+            }
         }
+    }
+
+    #[test]
+    fn by_value_proposals_resolve_to_universe_indices() {
+        /// Seeds two configurations, then proposes the second by value,
+        /// a new one, the first by index, and the new one again.
+        struct Mixed(u32);
+        fn cfg(rate: u8) -> PruneConfig {
+            PruneConfig::new(vec![rate]).unwrap()
+        }
+        impl Explorer for Mixed {
+            fn name(&self) -> &'static str {
+                "mixed"
+            }
+            fn initial_universe(&self) -> Vec<PruneConfig> {
+                vec![cfg(30), cfg(50)]
+            }
+            fn propose(&mut self) -> Vec<Proposal> {
+                self.0 += 1;
+                match self.0 {
+                    1 => vec![Proposal::Config(cfg(50)), Proposal::Config(cfg(70))],
+                    2 => vec![Proposal::Index(0), Proposal::Config(cfg(70))],
+                    _ => vec![Proposal::Index(9)],
+                }
+            }
+            fn observe(&mut self, _: &PruneConfig, _: &EvalOutcome, _: bool) {}
+            fn done(&self) -> bool {
+                false
+            }
+        }
+        let objective = min_size(2.0);
+        let (out, proposals, _) =
+            run_toy(&mut Mixed(0), &objective, 2, 1, BTreeMap::new(), &[]);
+        let order: Vec<usize> = out
+            .exploration
+            .evaluated
+            .iter()
+            .map(|r| r.config_index())
+            .collect();
+        assert_eq!(order, vec![1, 2, 0]);
+        assert_eq!(out.universe, vec![cfg(30), cfg(50), cfg(70)]);
+        // Only round 0 appended anything.
+        assert_eq!(proposals.len(), 1);
+        assert_eq!((proposals[0].round, proposals[0].base_index), (0, 2));
+        assert_eq!(proposals[0].configs, vec![cfg(70)]);
+        // An index outside the universe is a strategy bug, not a panic.
+        let explore_opts = ExploreOptions::default();
+        let opts = EngineOptions {
+            explore: &explore_opts,
+            budget: 0,
+            replay_proposals: &[],
+        };
+        let err = run_explorer(&mut Mixed(2), &objective, 2, &mut toy_round, &opts, None, None)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("proposed universe index 9 of 2"), "{err}");
+    }
+
+    #[test]
+    fn journals_of_another_strategy_are_refused() {
+        let objective = min_size(2.0);
+        let explore_opts = ExploreOptions {
+            resume: BTreeMap::from([(
+                1,
+                EvalRecord::Failed {
+                    config_index: 1,
+                    error: "x".into(),
+                    attempts: 1,
+                    cost: 0.0,
+                },
+            )]),
+            ..ExploreOptions::default()
+        };
+        // Evaluations nothing introduced: a proposal-free journal under a
+        // strategy that starts with an empty universe.
+        let opts = EngineOptions {
+            explore: &explore_opts,
+            budget: 4,
+            replay_proposals: &[],
+        };
+        let mut taylor = TaylorSaliency::new(&[0.1, 0.2], vec![30]);
+        let err = run_explorer(&mut taylor, &objective, 2, &mut toy_round, &opts, None, None)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("without proposal records"), "{err}");
+        // Proposal records of another explorer: refused before any work,
+        // even by a strategy whose seeded universe covers the indices.
+        let foreign = vec![ProposalRecord {
+            round: 0,
+            explorer: "taylor".to_string(),
+            base_index: 0,
+            configs: vec![PruneConfig::new(vec![30, 30]).unwrap()],
+        }];
+        let opts = EngineOptions {
+            explore: &explore_opts,
+            budget: 0,
+            replay_proposals: &foreign,
+        };
+        let configs = vec![PruneConfig::new(vec![30, 30]).unwrap(); 2];
+        let mut fixed = FixedSubspace::new(&objective, configs, &[140, 140]);
+        let err = run_explorer(&mut fixed, &objective, 2, &mut toy_round, &opts, None, None)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("proposal records of the `taylor` explorer"), "{err}");
     }
 
     #[test]
@@ -790,18 +983,13 @@ mod tests {
         // Module 1 is least salient, then 0, then 2.
         let saliency = [0.5, 0.1, 0.9];
         let mut t = TaylorSaliency::new(&saliency, vec![30, 50]);
-        let first = t.propose();
-        assert_eq!(first.len(), 1);
         // First rung: every module at the lowest rate.
-        assert_eq!(first[0].rates(), &[30, 30, 30]);
-        let second = t.propose();
+        assert_eq!(next_config(&mut t).rates(), &[30, 30, 30]);
         // Depth 2: the two least salient modules (1, then 0).
-        assert_eq!(second[0].rates(), &[30, 30, 0]);
-        let third = t.propose();
-        assert_eq!(third[0].rates(), &[0, 30, 0]);
+        assert_eq!(next_config(&mut t).rates(), &[30, 30, 0]);
+        assert_eq!(next_config(&mut t).rates(), &[0, 30, 0]);
         // Level exhausted: next level starts at the (untightened) cap.
-        let fourth = t.propose();
-        assert_eq!(fourth[0].rates(), &[50, 50, 50]);
+        assert_eq!(next_config(&mut t).rates(), &[50, 50, 50]);
         assert!(!t.done());
     }
 
@@ -809,12 +997,12 @@ mod tests {
     fn taylor_miss_caps_later_levels() {
         let saliency = [0.1, 0.2, 0.3];
         let mut t = TaylorSaliency::new(&saliency, vec![30, 50]);
-        let c1 = t.propose().remove(0); // depth 3 at rate 30
+        let c1 = next_config(&mut t); // depth 3 at rate 30
         // A miss at depth 3 caps later levels at depth 2.
         t.observe(&c1, &toy_outcome(&c1), false);
         let _d2 = t.propose(); // depth 2 at rate 30
         let _d1 = t.propose(); // depth 1 at rate 30
-        let next_level = t.propose().remove(0);
+        let next_level = next_config(&mut t);
         assert_eq!(
             next_level.rates().iter().filter(|&&r| r > 0).count(),
             2,
@@ -936,31 +1124,12 @@ mod tests {
             configs: vec![PruneConfig::new(vec![30, 30, 30, 30]).unwrap()],
         }];
         let explore_opts = ExploreOptions::default();
-        let opts = AdaptiveOptions {
+        let opts = EngineOptions {
             explore: &explore_opts,
             budget: 8,
             replay_proposals: &bogus,
         };
-        let mut run_round = |round: &AdaptiveRound<'_>| -> Result<Vec<SupervisedEval>> {
-            Ok(round
-                .fresh
-                .iter()
-                .map(|&i| SupervisedEval {
-                    result: Ok(toy_outcome(&round.universe[i])),
-                    attempts: 1,
-                    backoff: 0.0,
-                })
-                .collect())
-        };
-        let err = explore_adaptive(
-            &mut bandit,
-            &objective,
-            3,
-            &mut run_round,
-            &opts,
-            None,
-            None,
-        )
+        let err = run_explorer(&mut bandit, &objective, 3, &mut toy_round, &opts, None, None)
         .unwrap_err()
         .to_string();
         assert!(err.contains("explorer trajectory diverged"), "{err}");
@@ -974,8 +1143,8 @@ mod tests {
             fn name(&self) -> &'static str {
                 "stubborn"
             }
-            fn propose(&mut self) -> Vec<PruneConfig> {
-                vec![PruneConfig::new(vec![50]).unwrap()]
+            fn propose(&mut self) -> Vec<Proposal> {
+                vec![Proposal::Config(PruneConfig::new(vec![50]).unwrap())]
             }
             fn observe(&mut self, _: &PruneConfig, _: &EvalOutcome, _: bool) {}
             fn done(&self) -> bool {

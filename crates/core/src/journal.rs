@@ -93,8 +93,9 @@ pub enum JournalEntry {
     Block(PretrainedBlock),
     /// One configuration evaluation (success or recorded failure).
     Eval(EvalRecord),
-    /// One adaptive-explorer proposal round. Only adaptive runs
-    /// (`--explorer taylor|bandit`) write these; a resumed run replays
+    /// One proposal round that appended configurations to the evaluation
+    /// universe. The default `fixed` explorer appends none and so never
+    /// writes these (`--explorer taylor|bandit` do); a resumed run replays
     /// them to verify the live explorer re-proposes the identical
     /// trajectory.
     Proposal(ProposalRecord),
@@ -122,8 +123,8 @@ pub struct Replay {
     pub blocks: BTreeMap<String, PretrainedBlock>,
     /// Completed evaluations by config index.
     pub evals: BTreeMap<usize, EvalRecord>,
-    /// Adaptive-explorer proposal rounds, in round order (empty for
-    /// fixed-subspace runs).
+    /// Proposal rounds that appended configurations, in round order
+    /// (empty for fixed-explorer runs).
     pub proposals: Vec<ProposalRecord>,
     /// Whether a torn final record was dropped during replay.
     pub truncated_tail: bool,

@@ -4,7 +4,8 @@
 //! composability-based pruning (tuning-block identification → Teacher–
 //! Student pre-training → assembly → objective-ordered exploration).
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
@@ -18,17 +19,19 @@ use wootz_tensor::Tensor;
 use crate::blocks::{identify_tuning_blocks, module_level_blocks, BlockSet};
 use crate::compile::{ModeToUse, MultiplexingModel, TuningBlock};
 use crate::explore::{
-    explore_parallel_supervised, supervise_eval, EvalOutcome, ExplorationResult, ExploreOptions,
-    SupervisedEval,
+    supervise_round, EvalOutcome, EvalRecord, ExplorationResult, ExploreOptions, SupervisedEval,
 };
 use crate::explorer::{
-    explore_adaptive, AdaptiveOptions, AdaptiveRound, BanditExplorer, Explorer, ExplorerKind,
-    FixedSubspace, ProposalRecord, TaylorSaliency,
+    run_explorer, BanditExplorer, EngineOptions, Explorer, ExplorerKind, FixedSubspace,
+    ProposalRecord, Round, TaylorSaliency,
 };
 use crate::finetune::{assemble_supervised, global_finetune, InitStrategy};
-use crate::journal::{subspace_hash, Journal, JournalEntry, JournalHeader, JOURNAL_VERSION};
+use crate::journal::{
+    subspace_hash, Journal, JournalEntry, JournalHeader, Replay, JOURNAL_VERSION,
+};
 use crate::pretrain::{
-    pretrain_blocks_supervised, PretrainConfig, PretrainOptions, PretrainedBlock,
+    pretrain_blocks_supervised, BlockSink, PretrainConfig, PretrainOptions, PretrainOutcome,
+    PretrainedBlock,
 };
 use crate::prune::{config_param_count, filter_importance, PruneConfig, PAPER_RATES};
 use crate::{CoreError, Result};
@@ -151,13 +154,15 @@ pub struct RunOptions<'a> {
     /// Progress callback for pipeline milestones ([`RunEvent`]).
     pub progress: Option<&'a (dyn Fn(&RunEvent) + Sync)>,
     /// Exploration strategy (`--explorer`). The default,
-    /// [`ExplorerKind::Fixed`], runs the original static loop over
-    /// [`WootzInputs::subspace`] bit for bit; adaptive kinds grow the
-    /// evaluation universe round by round from explorer proposals.
+    /// [`ExplorerKind::Fixed`], walks [`WootzInputs::subspace`] in
+    /// objective order; the other kinds grow the evaluation universe
+    /// round by round from their own proposals.
     pub explorer: ExplorerKind,
-    /// Maximum configurations an adaptive run evaluates
-    /// (`--explorer-budget`; replayed entries count). Ignored by the
-    /// fixed explorer; `0` runs no adaptive rounds at all.
+    /// Maximum configurations proposals may add to the evaluation
+    /// universe (`--explorer-budget`; replayed entries count). The fixed
+    /// explorer adds none and so ignores it; for the strategies that
+    /// start from an empty universe it caps the evaluations, and `0`
+    /// runs no rounds at all.
     pub explorer_budget: usize,
 }
 
@@ -190,6 +195,18 @@ pub fn store_solver_hash(teacher: &Checkpoint, cfg: &PretrainConfig) -> u64 {
     bytes.extend_from_slice(&cfg.sgd.momentum.to_bits().to_le_bytes());
     bytes.extend_from_slice(&cfg.seed.to_le_bytes());
     wootz_fault::fnv1a64(&bytes)
+}
+
+/// The block store's cache key for `block` trained on `dataset` under the
+/// solver/teacher identity `solver` ([`store_solver_hash`]) — the one
+/// derivation both the store lookup and the publish go through, so an
+/// entry is always found under the key it was inserted with.
+pub fn store_key(block: &TuningBlock, dataset: &str, solver: u64) -> wootz_store::StoreKey {
+    wootz_store::StoreKey {
+        structure: block.structure_hash(),
+        dataset: dataset.to_string(),
+        solver,
+    }
 }
 
 /// Trains the full model on the dataset (the preparation step: "adapt the
@@ -308,10 +325,10 @@ fn explorer_rate_grid(subspace: &[PruneConfig]) -> Vec<u8> {
 }
 
 /// Constructs the [`Explorer`] a run's `--explorer` choice names, from
-/// the run inputs and the trained full model (the Taylor strategy reads
-/// its saliencies from the full model's weights; the bandit seeds its
-/// sampler from `solver.seed` and steers toward the objective's accuracy
-/// bound).
+/// the run inputs and the trained full model (the fixed strategy seeds
+/// its universe with the input subspace; the Taylor strategy reads its
+/// saliencies from the full model's weights; the bandit seeds its sampler
+/// from `solver.seed` and steers toward the objective's accuracy bound).
 ///
 /// # Errors
 ///
@@ -323,18 +340,11 @@ pub fn build_explorer(
 ) -> Result<Box<dyn Explorer>> {
     let grid = explorer_rate_grid(&inputs.subspace);
     Ok(match kind {
-        ExplorerKind::Fixed => {
-            let sizes: Vec<usize> = inputs
-                .subspace
-                .iter()
-                .map(|c| config_param_count(&inputs.model, c))
-                .collect::<Result<_>>()?;
-            Box::new(FixedSubspace::new(
-                &inputs.objective,
-                inputs.subspace.clone(),
-                &sizes,
-            ))
-        }
+        ExplorerKind::Fixed => Box::new(FixedSubspace::new(
+            &inputs.objective,
+            inputs.subspace.clone(),
+            &subspace_stats(inputs)?.0,
+        )),
         ExplorerKind::Taylor => Box::new(TaylorSaliency::new(
             &module_saliency(&inputs.model, full_ckpt),
             grid,
@@ -415,16 +425,9 @@ pub fn subspace_stats(inputs: &WootzInputs) -> Result<(Vec<usize>, Vec<u64>)> {
     Ok((sizes, flops))
 }
 
-/// Maps an exploration result back onto the subspace's best network
-/// summary (shared between the local pipeline and the distributed
-/// coordinator so both render the identical [`BestNetwork`]).
-pub fn best_network(inputs: &WootzInputs, exploration: &ExplorationResult) -> Option<BestNetwork> {
-    best_network_in(&inputs.subspace, exploration)
-}
-
-/// [`best_network`] over an explicit configuration list — the adaptive
-/// pipeline's universe is proposed at runtime rather than taken from
-/// [`WootzInputs::subspace`], so record indices resolve against it.
+/// Maps an exploration result back onto the best network summary.
+/// `configs` is the evaluation universe the record indices resolve
+/// against (for the fixed explorer, the input subspace itself).
 pub fn best_network_in(
     configs: &[PruneConfig],
     exploration: &ExplorationResult,
@@ -573,15 +576,175 @@ impl<'a> EvalContext<'a> {
     }
 }
 
+/// Everything derived from an evaluation universe: the run inputs with
+/// the universe as their subspace, the tuning-block set the mode implies
+/// for it, and the analytic per-configuration stats. The phase driver
+/// rebuilds it whenever proposals grow the universe, and a remote worker
+/// rebuilds the identical value from the universe its task carries — so
+/// [`UniverseEnv::context`] yields the same evaluation function in every
+/// process.
+pub struct UniverseEnv {
+    /// The run inputs with [`WootzInputs::subspace`] set to the universe
+    /// (universe index == evaluation seed index).
+    pub inputs: WootzInputs,
+    /// The universe's tuning blocks (`None` for the baseline).
+    pub block_set: Option<BlockSet>,
+    /// Analytic parameter count per configuration.
+    pub sizes: Vec<usize>,
+    /// Analytic forward FLOPs per configuration.
+    pub flops: Vec<u64>,
+}
+
+impl UniverseEnv {
+    /// Derives the environment of `universe` under `base`'s model, solver
+    /// and objective.
+    ///
+    /// # Errors
+    ///
+    /// Propagates block-identification and analytic-counter errors.
+    pub fn build(base: &WootzInputs, universe: &[PruneConfig], mode: RunMode) -> Result<Self> {
+        let inputs = WootzInputs {
+            model: base.model.clone(),
+            subspace: universe.to_vec(),
+            solver: base.solver.clone(),
+            objective: base.objective.clone(),
+        };
+        let block_set = blocks_for_mode(&inputs, mode)?;
+        let (sizes, flops) = subspace_stats(&inputs)?;
+        Ok(UniverseEnv {
+            inputs,
+            block_set,
+            sizes,
+            flops,
+        })
+    }
+
+    /// The evaluation context of this universe over the given trained
+    /// artifacts (`checkpoints` is the bag of pre-trained blocks so far).
+    pub fn context<'a>(
+        &'a self,
+        dataset: &'a Dataset,
+        mm: &'a MultiplexingModel,
+        full_ckpt: &'a Checkpoint,
+        checkpoints: Option<&'a BTreeMap<String, Checkpoint>>,
+        faults: Option<&'a FaultPlan>,
+    ) -> EvalContext<'a> {
+        EvalContext::new(
+            &self.inputs,
+            dataset,
+            mm,
+            full_ckpt,
+            self.block_set.as_ref(),
+            checkpoints,
+            &self.sizes,
+            &self.flops,
+            faults,
+        )
+    }
+}
+
+/// What a runtime contributes to [`run_phases`]: how a batch of tuning
+/// blocks gets pre-trained and how one round's configurations get
+/// evaluated. Everything else — journal, store, explorer, round folding —
+/// is the driver's. Two implementors exist: in-process threads (behind
+/// [`run_wootz_with`]) and the `wootz-cluster` coordinator, which feeds
+/// worker processes over its queue or TCP transport.
+pub trait RoundBackend {
+    /// Pre-trains `batch` against the trained full model with the
+    /// semantics of [`pretrain_blocks_supervised`]: groups partitioned
+    /// from `batch`, groups fully covered by `completed` (journaled or
+    /// store-served copies) replayed instead of retrained, `sink` invoked
+    /// once per freshly trained block in group order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates systematic pre-training failures and `sink` errors.
+    fn pretrain(
+        &mut self,
+        full_ckpt: &Checkpoint,
+        batch: &[TuningBlock],
+        completed: BTreeMap<String, PretrainedBlock>,
+        sink: &mut BlockSink<'_>,
+    ) -> Result<PretrainOutcome>;
+
+    /// Supervises the evaluation of the `fresh` indices of `env`'s
+    /// universe, one [`SupervisedEval`] per index, in order.
+    /// `checkpoints` holds every block pre-trained so far.
+    ///
+    /// # Errors
+    ///
+    /// Propagates transport failures; evaluation failures travel inside
+    /// the returned records.
+    fn evaluate(
+        &mut self,
+        full_ckpt: &Checkpoint,
+        env: &UniverseEnv,
+        checkpoints: &BTreeMap<String, Checkpoint>,
+        fresh: &[usize],
+    ) -> Result<Vec<SupervisedEval>>;
+}
+
+/// The in-process [`RoundBackend`]: block groups pre-train on the
+/// `wootz-par` pool, each round's configurations evaluate on one OS
+/// thread apiece.
+struct Threads<'a> {
+    inputs: &'a WootzInputs,
+    dataset: &'a Dataset,
+    mm: &'a MultiplexingModel,
+    faults: Option<&'a FaultPlan>,
+    retry: RetryPolicy,
+}
+
+impl RoundBackend for Threads<'_> {
+    fn pretrain(
+        &mut self,
+        full_ckpt: &Checkpoint,
+        batch: &[TuningBlock],
+        completed: BTreeMap<String, PretrainedBlock>,
+        sink: &mut BlockSink<'_>,
+    ) -> Result<PretrainOutcome> {
+        let batch_size = self.inputs.solver.batch_size;
+        pretrain_blocks_supervised(
+            self.mm,
+            batch,
+            full_ckpt,
+            &block_pretrain_config(&self.inputs.solver),
+            |step| self.dataset.train_batch(step, batch_size).0,
+            &PretrainOptions {
+                faults: self.faults,
+                completed,
+            },
+            Some(sink),
+        )
+    }
+
+    fn evaluate(
+        &mut self,
+        full_ckpt: &Checkpoint,
+        env: &UniverseEnv,
+        checkpoints: &BTreeMap<String, Checkpoint>,
+        fresh: &[usize],
+    ) -> Result<Vec<SupervisedEval>> {
+        let ctx = env.context(self.dataset, self.mm, full_ckpt, Some(checkpoints), self.faults);
+        Ok(supervise_round(
+            &|config_index| ctx.evaluate(config_index),
+            fresh,
+            &self.retry,
+            self.faults,
+        ))
+    }
+}
+
 /// Runs the complete pruning pipeline on a dataset.
 ///
-/// The full model is trained first (or taken from `full`), tuning blocks
-/// are identified and pre-trained when the mode calls for it, and the
-/// subspace is explored in objective order with `solver.num_workers`
-/// workers. Evaluation cost is counted in SGD steps: a network that reaches
-/// the accuracy target early is charged only the steps it needed, which is
-/// how block-trained networks translate better starting points into
-/// shorter exploration (§7.2).
+/// The full model is trained first (or taken from `full`); the explorer
+/// then proposes configurations in rounds of `solver.num_workers`, and
+/// each round pre-trains the tuning blocks its universe newly implies
+/// (when the mode calls for it) before evaluating. Evaluation cost is
+/// counted in SGD steps: a network that reaches the accuracy target early
+/// is charged only the steps it needed, which is how block-trained
+/// networks translate better starting points into shorter exploration
+/// (§7.2).
 ///
 /// # Errors
 ///
@@ -595,8 +758,10 @@ pub fn run_wootz(
     run_wootz_with(inputs, dataset, mode, full, &RunOptions::default())
 }
 
-/// [`run_wootz`] with explicit fault-tolerance options: fault injection,
-/// retry policy, and the crash-resumable run journal.
+/// [`run_wootz`] with explicit options: fault injection, retry policy,
+/// the crash-resumable run journal, the cross-run block store, progress
+/// events and the exploration strategy. Runs [`run_phases`] over the
+/// in-process thread backend.
 ///
 /// # Errors
 ///
@@ -617,23 +782,72 @@ pub fn run_wootz_with(
         let _compile = wootz_obs::span("pipeline.compile");
         MultiplexingModel::compile(inputs.model.clone())?
     };
+    let threads = Threads {
+        inputs,
+        dataset,
+        mm: &mm,
+        faults: opts.faults,
+        retry: opts.retry,
+    };
+    run_phases(inputs, dataset, mode, &mm, full, opts, |_| Ok(threads)).map(|(run, _)| run)
+}
 
+/// The phase driver every run goes through, whatever the strategy and
+/// whichever runtime executes the work: journal open/resume → full model
+/// → `start` the backend → explorer rounds (per round: the blocks the
+/// universe newly implies → block store → pre-train → publish, then
+/// evaluate → fold → observe) → [`WootzRun`].
+///
+/// `start` receives the trained full model and returns the
+/// [`RoundBackend`]; the backend is handed back with the run so the
+/// caller can shut it down and collect its statistics.
+///
+/// Determinism: the universe index doubles as the evaluation seed index,
+/// and each pre-training batch is derived from the *trajectory* (the
+/// blocks of the current universe no earlier universe implied, in
+/// first-appearance order), never from which blocks happen to be trained
+/// — so any backend, and any resume point, partitions every batch into
+/// the same groups and replays the same training bytes. Blocks compose
+/// across rounds (the within-run reuse that makes proposal-driven
+/// exploration nearly free) and the cross-run store serves repeats at
+/// zero steps (`explore.cache_assisted`). Journal order per round is
+/// Proposal → Blocks → Evals for every backend, so either runtime resumes
+/// the other's journal mid-round.
+///
+/// # Errors
+///
+/// Propagates journal, training, backend and exploration errors.
+pub fn run_phases<B: RoundBackend>(
+    inputs: &WootzInputs,
+    dataset: &Dataset,
+    mode: RunMode,
+    mm: &MultiplexingModel,
+    full: Option<(Checkpoint, f64)>,
+    opts: &RunOptions<'_>,
+    start: impl FnOnce(&Checkpoint) -> Result<B>,
+) -> Result<(WootzRun, B)> {
     // Journal setup: create fresh, or verify + replay an existing one.
     let header = journal_header(inputs, mode)?;
-    let (mut journal, mut replay) = match &opts.journal {
-        None => (None, crate::journal::Replay::default()),
+    let (mut journal, replay) = match &opts.journal {
+        None => (None, Replay::default()),
         Some(path) if opts.resume && path.exists() => {
             let (journal, replay) = Journal::resume(path, &header)?;
             (Some(journal), replay)
         }
-        Some(path) => (Some(Journal::create(path, &header)?), Default::default()),
+        Some(path) => (Some(Journal::create(path, &header)?), Replay::default()),
     };
+    let Replay {
+        full: journaled_full,
+        blocks: mut completed,
+        evals: journaled_evals,
+        proposals: journaled_proposals,
+        ..
+    } = replay;
 
-    let (full_ckpt, full_accuracy) = match (full, replay.full.take()) {
-        (Some((c, a)), _) => (c, a),
-        (None, Some((c, a))) => (c, a),
-        (None, None) => {
-            let (c, a, _) = train_full_model(&mm, dataset, &inputs.solver)?;
+    let (full_ckpt, full_accuracy) = match full.or(journaled_full) {
+        Some(full) => full,
+        None => {
+            let (c, a, _) = train_full_model(mm, dataset, &inputs.solver)?;
             if let Some(journal) = journal.as_mut() {
                 journal.append(&JournalEntry::FullModel {
                     accuracy: a,
@@ -643,293 +857,70 @@ pub fn run_wootz_with(
             (c, a)
         }
     };
-    if let Some(progress) = opts.progress {
-        progress(&RunEvent::FullModelReady {
-            accuracy: full_accuracy,
-        });
-    }
-
-    // Adaptive strategies run the propose/observe loop instead of the
-    // static subspace walk below (which stays byte-identical for the
-    // default fixed explorer).
-    if opts.explorer.is_adaptive() {
-        return run_adaptive(
-            inputs,
-            dataset,
-            mode,
-            &mm,
-            &full_ckpt,
-            full_accuracy,
-            opts,
-            journal,
-            replay,
-        );
-    }
-    if !replay.proposals.is_empty() {
-        return Err(CoreError::Journal(
-            "journal contains adaptive-explorer proposal records; resume it with the \
-             explorer that wrote it, not the fixed-subspace loop"
-                .to_string(),
-        ));
-    }
-
-    // Phase 1-2: block identification and pre-training.
-    let block_set: Option<BlockSet> = {
-        let _ident = wootz_obs::span("pipeline.identify_blocks");
-        blocks_for_mode(inputs, mode)?
+    let progress = |event: RunEvent| {
+        if let Some(progress) = opts.progress {
+            progress(&event);
+        }
     };
+    progress(RunEvent::FullModelReady {
+        accuracy: full_accuracy,
+    });
+
+    let mut backend = start(&full_ckpt)?;
+    let mut explorer = build_explorer(opts.explorer, inputs, &full_ckpt)?;
+    let dataset_id = inputs.solver.dataset.as_str();
+    let solver_hash = opts
+        .store
+        .map(|_| store_solver_hash(&full_ckpt, &block_pretrain_config(&inputs.solver)));
+    // Everything below runs on the driver thread; the journal is shared
+    // by the round runner and the sinks, so a RefCell serializes access.
+    let journal = RefCell::new(journal);
+    let append = |entry: &JournalEntry| -> Result<()> {
+        match journal.borrow_mut().as_mut() {
+            Some(journal) => journal.append(entry),
+            None => Ok(()),
+        }
+    };
+    let mut env: Option<UniverseEnv> = None;
+    let mut known_block_keys: BTreeSet<String> = BTreeSet::new();
+    let mut checkpoints: BTreeMap<String, Checkpoint> = BTreeMap::new();
     let mut pretrain_steps = 0usize;
     let mut blocks_failed = 0usize;
-    let pretrained = match &block_set {
-        None => None,
-        Some(set) => {
-            let cfg = block_pretrain_config(&inputs.solver);
-            let batch_size = inputs.solver.batch_size;
-            let solver_hash = opts.store.map(|_| store_solver_hash(&full_ckpt, &cfg));
-            let mut completed = replay.blocks;
-            // Cross-run reuse: consult the block store before training.
-            // A hit becomes a completed block charged 0 steps — journaled
-            // exactly like replayed work, so a warm journal proves the
-            // block was never retrained.
-            if let (Some(store), Some(solver)) = (opts.store, solver_hash) {
-                for block in &set.blocks {
-                    let key = block.key();
-                    if completed.contains_key(&key) {
-                        continue;
-                    }
-                    let store_key = wootz_store::StoreKey {
-                        structure: block.structure_hash(),
-                        dataset: inputs.solver.dataset.clone(),
-                        solver,
-                    };
-                    if let Some(entry) = store.get(&store_key) {
-                        let hit = crate::pretrain::PretrainedBlock {
-                            key: key.clone(),
-                            checkpoint: entry.checkpoint,
-                            first_loss: entry.first_loss,
-                            last_loss: entry.last_loss,
-                            steps: 0,
-                        };
-                        if let Some(journal) = journal.as_mut() {
-                            journal.append(&JournalEntry::Block(hit.clone()))?;
-                        }
-                        if let Some(progress) = opts.progress {
-                            progress(&RunEvent::BlockCacheHit { key: key.clone() });
-                        }
-                        completed.insert(key, hit);
-                    }
-                }
-            }
-            let pretrain_opts = PretrainOptions {
-                faults: opts.faults,
-                completed,
+    let mut finetune_steps = 0usize;
+
+    let mut run_round = |round: &Round<'_>| -> Result<Vec<SupervisedEval>> {
+        if env
+            .as_ref()
+            .is_none_or(|e| e.inputs.subspace.len() != round.universe.len())
+        {
+            let grown = {
+                let _ident = wootz_obs::span("pipeline.identify_blocks");
+                UniverseEnv::build(inputs, round.universe, mode)?
             };
-            let mut block_sink = |block: &crate::pretrain::PretrainedBlock| -> Result<()> {
-                if let Some(journal) = journal.as_mut() {
-                    journal.append(&JournalEntry::Block(block.clone()))?;
-                }
-                // Publish the freshly trained block for future runs; a
-                // concurrent publisher winning the race is fine (`insert`
-                // is one-wins) and a full budget simply evicts it later.
-                if let (Some(store), Some(solver)) = (opts.store, solver_hash) {
-                    let store_key = wootz_store::StoreKey {
-                        structure: wootz_fault::fnv1a64(block.key.as_bytes()),
-                        dataset: inputs.solver.dataset.clone(),
-                        solver,
-                    };
-                    let entry = wootz_store::BlockEntry {
-                        block_key: block.key.clone(),
-                        first_loss: block.first_loss,
-                        last_loss: block.last_loss,
-                        trained_steps: block.steps as u64,
-                        checkpoint: block.checkpoint.clone(),
-                    };
-                    store
-                        .insert(&store_key, &entry)
-                        .map_err(|e| CoreError::Pipeline(e.to_string()))?;
-                }
-                if let Some(progress) = opts.progress {
-                    progress(&RunEvent::BlockPretrained {
-                        key: block.key.clone(),
-                        steps: block.steps,
-                    });
-                }
-                Ok(())
-            };
-            let outcome = pretrain_blocks_supervised(
-                &mm,
-                &set.blocks,
-                &full_ckpt,
-                &cfg,
-                |step| dataset.train_batch(step, batch_size).0,
-                &pretrain_opts,
-                Some(&mut block_sink),
-            )?;
-            pretrain_steps = outcome.total_steps;
-            blocks_failed = outcome.failed.len();
-            Some(outcome)
-        }
-    };
-
-    // Phase 3: exploration.
-    let (sizes, flops) = subspace_stats(inputs)?;
-    let finetune_steps = std::sync::atomic::AtomicUsize::new(0);
-    let ctx = EvalContext::new(
-        inputs,
-        dataset,
-        &mm,
-        &full_ckpt,
-        block_set.as_ref(),
-        pretrained.as_ref().map(|o| &o.checkpoints),
-        &sizes,
-        &flops,
-        opts.faults,
-    );
-    let evaluate = |config_index: usize| -> Result<EvalOutcome> {
-        let outcome = ctx.evaluate(config_index)?;
-        let steps = outcome.log.as_ref().map_or(0, |l| l.steps_run);
-        finetune_steps.fetch_add(steps, std::sync::atomic::Ordering::Relaxed);
-        Ok(outcome)
-    };
-    let explore_opts = ExploreOptions {
-        faults: opts.faults,
-        retry: opts.retry,
-        resume: replay.evals,
-    };
-    let mut eval_sink = |record: &crate::explore::EvalRecord| -> Result<()> {
-        if let Some(journal) = journal.as_mut() {
-            journal.append(&JournalEntry::Eval(record.clone()))?;
-        }
-        if let Some(progress) = opts.progress {
-            progress(&RunEvent::EvalDone {
-                config_index: record.config_index(),
-                accuracy: record.outcome().map(|o| o.accuracy),
-            });
-        }
-        Ok(())
-    };
-    let exploration = explore_parallel_supervised(
-        &inputs.objective,
-        &sizes,
-        inputs.solver.num_workers,
-        evaluate,
-        &explore_opts,
-        Some(&mut eval_sink),
-    )?;
-    wootz_obs::event("pipeline.explored")
-        .field("configs_explored", exploration.configs_explored)
-        .field("wall_cost", exploration.wall_cost)
-        .field("total_cost", exploration.total_cost)
-        .field("fresh", exploration.fresh_evals())
-        .field("resumed", exploration.resumed)
-        .field("failed", exploration.failed)
-        .emit();
-
-    let best = best_network(inputs, &exploration);
-    Ok(WootzRun {
-        mode,
-        full_accuracy,
-        best,
-        exploration,
-        blocks_pretrained: block_set.map(|s| s.blocks.len()).unwrap_or(0),
-        blocks_failed: Some(blocks_failed),
-        pretrain_steps,
-        finetune_steps: finetune_steps.into_inner(),
-    })
-}
-
-/// The adaptive-explorer driver behind [`run_wootz_with`]: the same
-/// phases as the fixed loop, except the evaluation universe grows round
-/// by round from the explorer's proposals, and tuning blocks are
-/// pre-trained *incrementally* — each round trains only the blocks the
-/// newly proposed configurations introduce, so earlier rounds' blocks
-/// compose into later rounds' networks (the within-run reuse that makes
-/// adaptive exploration nearly free) and the cross-run store serves
-/// repeats at zero steps (`explore.cache_assisted`).
-///
-/// Determinism: the universe index doubles as the evaluation seed index,
-/// and the per-round block batch is derived from the *trajectory* (every
-/// block key any earlier round's universe implied), never from which
-/// blocks happen to be trained — so a resumed run re-partitions each
-/// round's batch into the same groups and replays the same training
-/// bytes.
-#[allow(clippy::too_many_arguments)]
-fn run_adaptive(
-    inputs: &WootzInputs,
-    dataset: &Dataset,
-    mode: RunMode,
-    mm: &MultiplexingModel,
-    full_ckpt: &Checkpoint,
-    full_accuracy: f64,
-    opts: &RunOptions<'_>,
-    journal: Option<Journal>,
-    replay: crate::journal::Replay,
-) -> Result<WootzRun> {
-    use std::cell::{Cell, RefCell};
-    use std::collections::BTreeSet;
-
-    if !replay.evals.is_empty() && replay.proposals.is_empty() {
-        return Err(CoreError::Journal(
-            "cannot resume an adaptive run from a journal without proposal records \
-             (the journal was written by a fixed-subspace run)"
-                .to_string(),
-        ));
-    }
-    let mut explorer = build_explorer(opts.explorer, inputs, full_ckpt)?;
-    let cfg = block_pretrain_config(&inputs.solver);
-    let batch_size = inputs.solver.batch_size;
-    let solver_hash = opts.store.map(|_| store_solver_hash(full_ckpt, &cfg));
-    // The driver thread owns the journal; proposal, block and eval sinks
-    // all run on it (never inside evaluator threads), so a RefCell
-    // serializes their access.
-    let journal = RefCell::new(journal);
-    let completed = RefCell::new(replay.blocks);
-    let known_block_keys: RefCell<BTreeSet<String>> = RefCell::new(BTreeSet::new());
-    let checkpoints: RefCell<BTreeMap<String, Checkpoint>> = RefCell::new(BTreeMap::new());
-    let pretrain_steps = Cell::new(0usize);
-    let blocks_failed = Cell::new(0usize);
-    let finetune_steps = std::sync::atomic::AtomicUsize::new(0);
-
-    let mut run_round = |round: &AdaptiveRound<'_>| -> Result<Vec<SupervisedEval>> {
-        let universe_inputs = WootzInputs {
-            model: inputs.model.clone(),
-            subspace: round.universe.to_vec(),
-            solver: inputs.solver.clone(),
-            objective: inputs.objective.clone(),
-        };
-        let (sizes, flops) = subspace_stats(&universe_inputs)?;
-        let block_set = blocks_for_mode(&universe_inputs, mode)?;
-        if let Some(set) = block_set.as_ref() {
-            // This round's pre-training batch: blocks no earlier round's
+            // This universe's pre-training batch: blocks no earlier
             // universe implied. Keyed off the trajectory, not off training
             // success, so a block that failed pre-training degrades to
             // inherited weights instead of being silently retried under a
             // different grouping.
-            let batch: Vec<TuningBlock> = {
-                let known = known_block_keys.borrow();
-                set.blocks
-                    .iter()
-                    .filter(|b| !known.contains(&b.key()))
-                    .cloned()
-                    .collect()
-            };
-            known_block_keys
-                .borrow_mut()
-                .extend(set.blocks.iter().map(|b| b.key()));
+            let batch: Vec<TuningBlock> = grown
+                .block_set
+                .iter()
+                .flat_map(|set| &set.blocks)
+                .filter(|b| known_block_keys.insert(b.key()))
+                .cloned()
+                .collect();
             if !batch.is_empty() {
-                let mut done = completed.borrow_mut();
+                // Cross-run reuse: consult the block store before
+                // training. A hit becomes a completed block charged 0
+                // steps — journaled exactly like replayed work, so a warm
+                // journal proves the block was never retrained.
                 if let (Some(store), Some(solver)) = (opts.store, solver_hash) {
                     for block in &batch {
                         let key = block.key();
-                        if done.contains_key(&key) {
+                        if completed.contains_key(&key) {
                             continue;
                         }
-                        let store_key = wootz_store::StoreKey {
-                            structure: block.structure_hash(),
-                            dataset: inputs.solver.dataset.clone(),
-                            solver,
-                        };
-                        if let Some(entry) = store.get(&store_key) {
+                        if let Some(entry) = store.get(&store_key(block, dataset_id, solver)) {
                             let hit = PretrainedBlock {
                                 key: key.clone(),
                                 checkpoint: entry.checkpoint,
@@ -937,38 +928,29 @@ fn run_adaptive(
                                 last_loss: entry.last_loss,
                                 steps: 0,
                             };
-                            if let Some(journal) = journal.borrow_mut().as_mut() {
-                                journal.append(&JournalEntry::Block(hit.clone()))?;
-                            }
+                            append(&JournalEntry::Block(hit.clone()))?;
                             wootz_obs::counter("explore.cache_assisted").incr();
-                            if let Some(progress) = opts.progress {
-                                progress(&RunEvent::BlockCacheHit { key: key.clone() });
-                            }
-                            done.insert(key, hit);
+                            progress(RunEvent::BlockCacheHit { key: key.clone() });
+                            completed.insert(key, hit);
                         }
                     }
                 }
                 // Journaled/store-served copies restricted to this batch,
-                // so replayed blocks keep their group positions.
+                // so replayed blocks keep their group positions. Moved, not
+                // cloned: a block key belongs to exactly one batch.
                 let batch_completed: BTreeMap<String, PretrainedBlock> = batch
                     .iter()
-                    .filter_map(|b| done.get(&b.key()).map(|p| (b.key(), p.clone())))
+                    .filter_map(|b| completed.remove_entry(&b.key()))
                     .collect();
-                drop(done);
-                let pretrain_opts = PretrainOptions {
-                    faults: opts.faults,
-                    completed: batch_completed,
-                };
+                let by_key: BTreeMap<String, &TuningBlock> =
+                    batch.iter().map(|b| (b.key(), b)).collect();
                 let mut block_sink = |block: &PretrainedBlock| -> Result<()> {
-                    if let Some(journal) = journal.borrow_mut().as_mut() {
-                        journal.append(&JournalEntry::Block(block.clone()))?;
-                    }
+                    append(&JournalEntry::Block(block.clone()))?;
+                    // Publish the freshly trained block for future runs; a
+                    // concurrent publisher winning the race is fine
+                    // (`insert` is one-wins) and a full budget simply
+                    // evicts it later.
                     if let (Some(store), Some(solver)) = (opts.store, solver_hash) {
-                        let store_key = wootz_store::StoreKey {
-                            structure: wootz_fault::fnv1a64(block.key.as_bytes()),
-                            dataset: inputs.solver.dataset.clone(),
-                            solver,
-                        };
                         let entry = wootz_store::BlockEntry {
                             block_key: block.key.clone(),
                             first_loss: block.first_loss,
@@ -977,146 +959,86 @@ fn run_adaptive(
                             checkpoint: block.checkpoint.clone(),
                         };
                         store
-                            .insert(&store_key, &entry)
+                            .insert(&store_key(by_key[&block.key], dataset_id, solver), &entry)
                             .map_err(|e| CoreError::Pipeline(e.to_string()))?;
                     }
-                    if let Some(progress) = opts.progress {
-                        progress(&RunEvent::BlockPretrained {
-                            key: block.key.clone(),
-                            steps: block.steps,
-                        });
-                    }
+                    progress(RunEvent::BlockPretrained {
+                        key: block.key.clone(),
+                        steps: block.steps,
+                    });
                     Ok(())
                 };
-                let outcome = pretrain_blocks_supervised(
-                    mm,
-                    &batch,
-                    full_ckpt,
-                    &cfg,
-                    |step| dataset.train_batch(step, batch_size).0,
-                    &pretrain_opts,
-                    Some(&mut block_sink),
-                )?;
-                pretrain_steps.set(pretrain_steps.get() + outcome.total_steps);
-                blocks_failed.set(blocks_failed.get() + outcome.failed.len());
-                checkpoints.borrow_mut().extend(outcome.checkpoints);
+                let outcome =
+                    backend.pretrain(&full_ckpt, &batch, batch_completed, &mut block_sink)?;
+                pretrain_steps += outcome.total_steps;
+                blocks_failed += outcome.failed.len();
+                checkpoints.extend(outcome.checkpoints);
             }
+            env = Some(grown);
         }
-        let ckpts = checkpoints.borrow();
-        let ctx = EvalContext::new(
-            &universe_inputs,
-            dataset,
-            mm,
-            full_ckpt,
-            block_set.as_ref(),
-            block_set.as_ref().map(|_| &*ckpts),
-            &sizes,
-            &flops,
-            opts.faults,
-        );
-        let evaluate = |config_index: usize| -> Result<EvalOutcome> {
-            let outcome = ctx.evaluate(config_index)?;
-            let steps = outcome.log.as_ref().map_or(0, |l| l.steps_run);
-            finetune_steps.fetch_add(steps, std::sync::atomic::Ordering::Relaxed);
-            Ok(outcome)
-        };
-        let evaluate = &evaluate;
-        let retry = &opts.retry;
-        let faults = opts.faults;
-        // Thread-per-config rounds, exactly like the fixed loop's
-        // `explore_parallel_supervised`: results re-associate positionally,
-        // so scheduling cannot change the fold.
-        Ok(std::thread::scope(|scope| {
-            let handles: Vec<_> = round
-                .fresh
-                .iter()
-                .map(|&config_index| {
-                    scope.spawn(move || {
-                        let _cfg_span =
-                            wootz_obs::span("explore.config").with("config", config_index);
-                        supervise_eval(evaluate, config_index, retry, faults)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .zip(round.fresh)
-                .map(|(h, &config_index)| match h.join() {
-                    Ok(sup) => sup,
-                    Err(payload) => SupervisedEval {
-                        result: Err(CoreError::Panic {
-                            what: format!("evaluator thread for config {config_index}"),
-                            message: wootz_fault::panic_message(&*payload),
-                        }),
-                        attempts: 1,
-                        backoff: 0.0,
-                    },
-                })
-                .collect()
-        }))
+        let env = env.as_ref().expect("built above");
+        let results = backend.evaluate(&full_ckpt, env, &checkpoints, round.fresh)?;
+        finetune_steps += results
+            .iter()
+            .filter_map(|sup| sup.result.as_ref().ok()?.log.as_ref())
+            .map(|log| log.steps_run)
+            .sum::<usize>();
+        Ok(results)
     };
 
-    let mut proposal_sink = |record: &ProposalRecord| -> Result<()> {
-        if let Some(journal) = journal.borrow_mut().as_mut() {
-            journal.append(&JournalEntry::Proposal(record.clone()))?;
-        }
-        Ok(())
-    };
-    let mut eval_sink = |record: &crate::explore::EvalRecord| -> Result<()> {
-        if let Some(journal) = journal.borrow_mut().as_mut() {
-            journal.append(&JournalEntry::Eval(record.clone()))?;
-        }
-        if let Some(progress) = opts.progress {
-            progress(&RunEvent::EvalDone {
-                config_index: record.config_index(),
-                accuracy: record.outcome().map(|o| o.accuracy),
-            });
-        }
+    let mut proposal_sink =
+        |record: &ProposalRecord| append(&JournalEntry::Proposal(record.clone()));
+    let mut eval_sink = |record: &EvalRecord| -> Result<()> {
+        append(&JournalEntry::Eval(record.clone()))?;
+        progress(RunEvent::EvalDone {
+            config_index: record.config_index(),
+            accuracy: record.outcome().map(|o| o.accuracy),
+        });
         Ok(())
     };
     let explore_opts = ExploreOptions {
         faults: opts.faults,
         retry: opts.retry,
-        resume: replay.evals,
+        resume: journaled_evals,
     };
-    let adaptive_opts = AdaptiveOptions {
+    let engine_opts = EngineOptions {
         explore: &explore_opts,
         budget: opts.explorer_budget,
-        replay_proposals: &replay.proposals,
+        replay_proposals: &journaled_proposals,
     };
-    let outcome = explore_adaptive(
+    let explored = run_explorer(
         explorer.as_mut(),
         &inputs.objective,
         inputs.solver.num_workers,
         &mut run_round,
-        &adaptive_opts,
+        &engine_opts,
         Some(&mut proposal_sink),
         Some(&mut eval_sink),
     )?;
     wootz_obs::event("pipeline.explored")
-        .field("configs_explored", outcome.exploration.configs_explored)
-        .field("wall_cost", outcome.exploration.wall_cost)
-        .field("total_cost", outcome.exploration.total_cost)
-        .field("fresh", outcome.exploration.fresh_evals())
-        .field("resumed", outcome.exploration.resumed)
-        .field("failed", outcome.exploration.failed)
+        .field("configs_explored", explored.exploration.configs_explored)
+        .field("wall_cost", explored.exploration.wall_cost)
+        .field("total_cost", explored.exploration.total_cost)
+        .field("fresh", explored.exploration.fresh_evals())
+        .field("resumed", explored.exploration.resumed)
+        .field("failed", explored.exploration.failed)
         .field("explorer", opts.explorer.as_str())
-        .field("rounds", outcome.rounds)
-        .field("converged", outcome.converged)
+        .field("rounds", explored.rounds)
+        .field("converged", explored.converged)
         .emit();
 
-    let best = best_network_in(&outcome.universe, &outcome.exploration);
-    let blocks_pretrained = known_block_keys.borrow().len();
-    Ok(WootzRun {
+    let best = best_network_in(&explored.universe, &explored.exploration);
+    let run = WootzRun {
         mode,
         full_accuracy,
         best,
-        exploration: outcome.exploration,
-        blocks_pretrained,
-        blocks_failed: Some(blocks_failed.get()),
-        pretrain_steps: pretrain_steps.get(),
-        finetune_steps: finetune_steps.into_inner(),
-    })
+        exploration: explored.exploration,
+        blocks_pretrained: known_block_keys.len(),
+        blocks_failed: Some(blocks_failed),
+        pretrain_steps,
+        finetune_steps,
+    };
+    Ok((run, backend))
 }
 
 #[cfg(test)]

@@ -108,10 +108,14 @@ pub type BlockSink<'s> = dyn FnMut(&PretrainedBlock) -> Result<()> + 's;
 /// What one supervised group produced: trained blocks, blocks that failed
 /// both the group run and the per-block fallback, and the group-level error
 /// (if any) for abort decisions.
-struct GroupOutcome {
-    blocks: Vec<PretrainedBlock>,
-    failed: Vec<(String, String)>,
-    first_error: Option<CoreError>,
+pub struct GroupOutcome {
+    /// Freshly trained blocks (journal-ready, the group's first block
+    /// carrying the step cost).
+    pub blocks: Vec<PretrainedBlock>,
+    /// Blocks that could not be trained, as `(key, rendered error)`.
+    pub failed: Vec<(String, String)>,
+    /// The group-level error, when the joint group run failed.
+    pub first_error: Option<CoreError>,
 }
 
 /// Pre-trains every tuning block against the given full model.
@@ -208,39 +212,19 @@ pub fn pretrain_blocks_supervised(
     cfg: &PretrainConfig,
     next_batch: impl Fn(usize) -> Tensor + Sync,
     opts: &PretrainOptions<'_>,
-    mut sink: Option<&mut BlockSink<'_>>,
+    sink: Option<&mut BlockSink<'_>>,
 ) -> Result<PretrainOutcome> {
-    let groups = partition_into_groups(blocks);
-    let _run = wootz_obs::span("pretrain.run")
-        .with("blocks", blocks.len())
-        .with("groups", groups.len());
-    let mut outcome = PretrainOutcome {
-        groups: groups.clone(),
-        ..PretrainOutcome::default()
-    };
     let next_batch = &next_batch;
-    // A group is retrained only when at least one of its blocks is missing
-    // from the journal.
-    let todo: Vec<bool> = groups
-        .iter()
-        .map(|g| {
-            g.iter()
-                .any(|&i| !opts.completed.contains_key(&blocks[i].key()))
-        })
-        .collect();
     // One `wootz-par` task per group (the single-machine analogue of the
     // paper's MPI multi-group pre-training). Group results come back in
-    // group order and are merged below in that order, so the outcome is
-    // bit-identical to the sequential loop for any thread count; each
-    // group's kernels then run inline on their task (no oversubscription).
-    let results: Vec<Option<GroupOutcome>> = wootz_par::parallel_map(groups.len(), |gi| {
-        if !todo[gi] {
-            return None;
-        }
-        let group = &groups[gi];
-        Some(
+    // group order, so the outcome is bit-identical to the sequential loop
+    // for any thread count; each group's kernels then run inline on their
+    // task (no oversubscription).
+    let run_groups = |todo: &[(usize, &[usize])]| {
+        Ok(wootz_par::parallel_map(todo.len(), |t| {
+            let (gi, group) = todo[t];
             catch_unwind(AssertUnwindSafe(|| {
-                supervise_group(mm, blocks, group, gi, full, cfg, next_batch, opts.faults)
+                pretrain_group_supervised(mm, blocks, group, gi, full, cfg, next_batch, opts.faults)
             }))
             .unwrap_or_else(|payload| GroupOutcome {
                 blocks: Vec::new(),
@@ -252,82 +236,96 @@ pub fn pretrain_blocks_supervised(
                     what: format!("pre-training thread for group {gi}"),
                     message: panic_message(payload.as_ref()),
                 }),
-            }),
-        )
-    });
+            })
+        }))
+    };
+    pretrain_groups_with(blocks, &opts.completed, run_groups, sink)
+}
+
+/// The journal-aware shell of supervised pre-training, over a pluggable
+/// group runner: partitions `blocks` into non-overlapping groups, hands
+/// `run_groups` the `(group index, block indices)` of every group *not*
+/// fully covered by `completed`, and merges what it returns — one
+/// [`GroupOutcome`] per handed group, in order — with the journaled
+/// copies, in group order. [`pretrain_blocks_supervised`] runs the groups
+/// on the `wootz-par` pool; the distributed coordinator runs them as
+/// remote tasks; both therefore replay, prefer journaled copies, charge
+/// steps and report fresh blocks to `sink` identically.
+///
+/// # Errors
+///
+/// Propagates `run_groups` and `sink` errors, and returns the first
+/// group's error only if *no* block was produced at all.
+pub fn pretrain_groups_with(
+    blocks: &[TuningBlock],
+    completed: &BTreeMap<String, PretrainedBlock>,
+    run_groups: impl FnOnce(&[(usize, &[usize])]) -> Result<Vec<GroupOutcome>>,
+    mut sink: Option<&mut BlockSink<'_>>,
+) -> Result<PretrainOutcome> {
+    let groups = partition_into_groups(blocks);
+    let _run = wootz_obs::span("pretrain.run")
+        .with("blocks", blocks.len())
+        .with("groups", groups.len());
+    // A group is retrained only when at least one of its blocks is missing
+    // from the journal.
+    let todo: Vec<(usize, &[usize])> = groups
+        .iter()
+        .enumerate()
+        .filter(|(_, g)| g.iter().any(|&i| !completed.contains_key(&blocks[i].key())))
+        .map(|(gi, g)| (gi, g.as_slice()))
+        .collect();
+    let outcomes = run_groups(&todo)?;
+    if outcomes.len() != todo.len() {
+        return Err(CoreError::Pipeline(format!(
+            "group runner returned {} outcomes for {} groups",
+            outcomes.len(),
+            todo.len()
+        )));
+    }
+    let mut trained: BTreeMap<usize, GroupOutcome> =
+        todo.iter().map(|&(gi, _)| gi).zip(outcomes).collect();
+    let mut outcome = PretrainOutcome::default();
     let mut first_error: Option<CoreError> = None;
+    let merge = |outcome: &mut PretrainOutcome, block: &PretrainedBlock| {
+        outcome.total_steps += block.steps;
+        outcome
+            .checkpoints
+            .insert(block.key.clone(), block.checkpoint.clone());
+        outcome
+            .losses
+            .push((block.key.clone(), block.first_loss, block.last_loss));
+    };
     for (gi, group) in groups.iter().enumerate() {
-        match &results[gi] {
-            None => {
-                // Fully journaled group: replay in block order.
-                for &bi in group {
-                    let done = &opts.completed[&blocks[bi].key()];
-                    outcome.total_steps += done.steps;
-                    outcome
-                        .checkpoints
-                        .insert(done.key.clone(), done.checkpoint.clone());
-                    outcome
-                        .losses
-                        .push((done.key.clone(), done.first_loss, done.last_loss));
-                }
+        let Some(res) = trained.remove(&gi) else {
+            // Fully journaled group: replay in block order.
+            for &bi in group {
+                merge(&mut outcome, &completed[&blocks[bi].key()]);
             }
-            Some(res) => {
-                for block in &res.blocks {
-                    // Prefer the journaled copy when a partially completed
-                    // group was retrained, so resumes replay byte-identically.
-                    let block = opts.completed.get(&block.key).unwrap_or(block);
-                    outcome.total_steps += block.steps;
-                    outcome
-                        .checkpoints
-                        .insert(block.key.clone(), block.checkpoint.clone());
-                    outcome
-                        .losses
-                        .push((block.key.clone(), block.first_loss, block.last_loss));
-                    if !opts.completed.contains_key(&block.key) {
-                        if let Some(sink) = sink.as_deref_mut() {
-                            sink(block)?;
-                        }
+            continue;
+        };
+        for block in &res.blocks {
+            // Prefer the journaled copy when a partially completed group
+            // was retrained, so resumes replay byte-identically.
+            match completed.get(&block.key) {
+                Some(journaled) => merge(&mut outcome, journaled),
+                None => {
+                    merge(&mut outcome, block);
+                    if let Some(sink) = sink.as_deref_mut() {
+                        sink(block)?;
                     }
                 }
-                outcome.failed.extend(res.failed.iter().cloned());
             }
         }
+        outcome.failed.extend(res.failed);
+        first_error = first_error.or(res.first_error);
     }
-    for res in results.into_iter().flatten() {
-        if first_error.is_none() {
-            first_error = res.first_error;
-        }
-    }
+    outcome.groups = groups;
     if outcome.checkpoints.is_empty() {
         if let Some(e) = first_error {
             return Err(e);
         }
     }
     Ok(outcome)
-}
-
-/// Supervises a single group — the unit of work a distributed worker
-/// process executes. Identical semantics to one group of
-/// [`pretrain_blocks_supervised`] (group attempt, per-block degradation,
-/// fault sites, batch stream keyed by `group_index`), so a group trained
-/// remotely is bit-identical to the same group trained in-process.
-///
-/// Returns the freshly trained blocks (journal-ready, the group's first
-/// block carrying the step cost) and the blocks that failed even the
-/// per-block fallback as `(key, rendered error)` pairs.
-#[allow(clippy::too_many_arguments)]
-pub fn pretrain_group_supervised(
-    mm: &MultiplexingModel,
-    blocks: &[TuningBlock],
-    group: &[usize],
-    group_index: usize,
-    full: &Checkpoint,
-    cfg: &PretrainConfig,
-    next_batch: &(impl Fn(usize) -> Tensor + Sync),
-    faults: Option<&FaultPlan>,
-) -> (Vec<PretrainedBlock>, Vec<(String, String)>) {
-    let out = supervise_group(mm, blocks, group, group_index, full, cfg, next_batch, faults);
-    (out.blocks, out.failed)
 }
 
 /// Runs `f` with panics converted into [`CoreError::Panic`] naming `what`.
@@ -349,11 +347,15 @@ fn injected(site: &str, key: u64, kind: &wootz_fault::FaultKind) -> CoreError {
     })
 }
 
-/// Supervises one group: tries the joint group run first; on any failure
-/// (real error, panic, or injected fault) degrades to training each block
-/// alone. Blocks that fail even alone are reported, not fatal.
+/// Supervises one group — the unit of work one `wootz-par` task of
+/// [`pretrain_blocks_supervised`] or one distributed worker task executes:
+/// tries the joint group run first; on any failure (real error, panic, or
+/// injected fault) degrades to training each block alone. Blocks that fail
+/// even alone are reported, not fatal. The batch stream is keyed by
+/// `group_index`, so a group trained remotely is bit-identical to the same
+/// group trained in-process.
 #[allow(clippy::too_many_arguments)]
-fn supervise_group(
+pub fn pretrain_group_supervised(
     mm: &MultiplexingModel,
     blocks: &[TuningBlock],
     group: &[usize],
@@ -775,6 +777,11 @@ mod tests {
                 block.structure_hash(),
                 "store key hash must be the FNV of the checkpoint key string"
             );
+            // ...and the one key derivation both the store lookup and the
+            // publish go through is built on exactly that hash.
+            let key = crate::pipeline::store_key(block, "flowers102", 7);
+            assert_eq!(key.structure, block.structure_hash());
+            assert_eq!((key.dataset.as_str(), key.solver), ("flowers102", 7));
             let ckpt = &outcome.checkpoints[&block.key()];
             let prefix = format!("{}/", block.scope());
             for (name, _) in ckpt.iter() {

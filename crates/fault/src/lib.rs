@@ -45,8 +45,8 @@ pub use retry::{OnExhausted, RetryPolicy};
 /// A *site* is a point in the pipeline where a [`FaultPlan`] may fire. The
 /// *key* passed alongside identifies the unit of work at that site.
 pub mod site {
-    /// One configuration evaluation inside `explore` /
-    /// `explore_parallel`; key = configuration index.
+    /// One configuration evaluation inside the exploration engine's
+    /// supervisor (`supervise_eval`); key = configuration index.
     pub const EXPLORE_EVAL: &str = "explore.eval";
     /// One pre-training group; key = group index.
     pub const PRETRAIN_GROUP: &str = "pretrain.group";

@@ -23,6 +23,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
     -p wootz-sim -p wootz-fault -p wootz-wire -p wootz-store -p wootz-cluster \
     -p wootz-ir -p wootz-sequitur -p wootz-data -p wootz-models -p wootz-bench
 
+echo "== benchmark package: unit tests + the --smoke integration test =="
+# The repository benchmark (BENCHMARK.json) is a standalone package that
+# compiles against the public API of every crate; running its tests here
+# makes an API break against it fail this gate instead of the benchmark
+# pipeline. (~1 min: the --smoke test runs all four workloads tiny.)
+cargo test -q --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
+
 echo "== smoke: fault injection + journal resume =="
 # A cold run under a deterministic fault plan journals every completed unit
 # of work; a second --resume run must replay the journal (strictly fewer

@@ -1,9 +1,12 @@
-//! Explorer determinism contract (DESIGN.md §14): a seeded adaptive
-//! strategy (`taylor`, `bandit`) must walk the exact same trajectory —
-//! bit for bit — across repeat runs, thread counts, worker processes,
-//! transports (run-dir queue and TCP), and a crash/resume that splits a
-//! proposal round. These tests are registered under `wootz-cluster` so
-//! they can drive both the library pipeline and the real `wootz` binary.
+//! Explorer determinism contract (DESIGN.md §14): every strategy
+//! (`fixed`, `taylor`, `bandit`) runs through the one propose/observe
+//! driver and must walk the exact same trajectory — bit for bit — across
+//! repeat runs, thread counts, worker processes, transports (run-dir
+//! queue and TCP), and a crash/resume that splits a proposal round. The
+//! default `fixed` strategy is additionally pinned to a structural golden
+//! and a journal captured before the static loop was deleted. These tests
+//! are registered under `wootz-cluster` so they can drive both the
+//! library pipeline and the real `wootz` binary.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -57,7 +60,7 @@ fn dataset_for(inputs: &WootzInputs) -> Dataset {
     micro_dataset(&inputs.solver.dataset, inputs.solver.seed)
 }
 
-/// Single-process adaptive run, optionally journaled/resumed.
+/// Single-process run under `kind`, optionally journaled/resumed.
 fn single(
     inputs: &WootzInputs,
     dataset: &Dataset,
@@ -103,10 +106,10 @@ fn adaptive_strategies_are_deterministic_and_diverge_from_fixed() {
 }
 
 #[test]
-fn run_dir_distributed_adaptive_is_bit_identical_to_single_process() {
+fn run_dir_distributed_is_bit_identical_to_single_process() {
     let inputs = inputs();
     let dataset = dataset_for(&inputs);
-    for kind in [ExplorerKind::Taylor, ExplorerKind::Bandit] {
+    for kind in [ExplorerKind::Fixed, ExplorerKind::Taylor, ExplorerKind::Bandit] {
         let reference = single(&inputs, &dataset, kind, None, false).unwrap();
         let dir = tempdir(&format!("rundir_{}", kind.as_str()));
         let mut opts = ClusterOptions::new(dir.join("run"), 2, worker_cmd());
@@ -126,25 +129,27 @@ fn run_dir_distributed_adaptive_is_bit_identical_to_single_process() {
 }
 
 #[test]
-fn tcp_distributed_adaptive_is_bit_identical_to_single_process() {
+fn tcp_distributed_is_bit_identical_to_single_process() {
     let inputs = inputs();
     let dataset = dataset_for(&inputs);
-    let reference = single(&inputs, &dataset, ExplorerKind::Bandit, None, false).unwrap();
-
-    let dir = tempdir("tcp_bandit");
-    let mut opts = ClusterOptions::new(dir.join("run"), 2, worker_cmd());
-    opts.retry = RetryPolicy::abort_fast();
-    opts.explorer = ExplorerKind::Bandit;
-    opts.explorer_budget = BUDGET;
-    opts.listen = Some("127.0.0.1:0".to_string());
-    let (dist, stats) = run_distributed(&inputs, &dataset, RunMode::Composability, &opts).unwrap();
-    assert_eq!(
-        run_json(&reference),
-        run_json(&dist),
-        "bandit diverged over TCP"
-    );
-    assert!(stats.tasks_completed > 0, "{}", stats.summary());
-    std::fs::remove_dir_all(&dir).ok();
+    for kind in [ExplorerKind::Fixed, ExplorerKind::Bandit] {
+        let reference = single(&inputs, &dataset, kind, None, false).unwrap();
+        let dir = tempdir(&format!("tcp_{}", kind.as_str()));
+        let mut opts = ClusterOptions::new(dir.join("run"), 2, worker_cmd());
+        opts.retry = RetryPolicy::abort_fast();
+        opts.explorer = kind;
+        opts.explorer_budget = BUDGET;
+        opts.listen = Some("127.0.0.1:0".to_string());
+        let (dist, stats) =
+            run_distributed(&inputs, &dataset, RunMode::Composability, &opts).unwrap();
+        assert_eq!(
+            run_json(&reference),
+            run_json(&dist),
+            "{kind:?} diverged over TCP"
+        );
+        assert!(stats.tasks_completed > 0, "{}", stats.summary());
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
@@ -246,6 +251,121 @@ fn resuming_under_a_different_strategy_is_rejected() {
         msg.contains("diverged") || msg.contains("explorer"),
         "unexpected error: {msg}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Journal record kinds of a run, in file order (`H`eader, `F`ull model,
+/// `B`lock, `E`val, `P`roposal).
+fn journal_kinds(path: &std::path::Path) -> String {
+    let bytes = std::fs::read(path).unwrap();
+    let scan = scan_records(&bytes, &Limits::ARTIFACT);
+    assert!(scan.tail.is_clean(), "journal torn: {:?}", scan.tail);
+    scan.records
+        .iter()
+        .map(|r| match r.frame.msg_type {
+            record_type::JOURNAL_HEADER => 'H',
+            record_type::JOURNAL_FULL_MODEL => 'F',
+            record_type::JOURNAL_BLOCK => 'B',
+            record_type::JOURNAL_EVAL => 'E',
+            record_type::JOURNAL_PROPOSAL => 'P',
+            other => panic!("unexpected journal record type {other:#06x}"),
+        })
+        .collect()
+}
+
+/// The host-independent shape of a default-explorer run: evaluation
+/// order by config index, best `config_index`, block and step counts,
+/// and the journal's record-kind sequence.
+fn structure(
+    inputs: &WootzInputs,
+    mode: RunMode,
+    name: &str,
+) -> (Vec<usize>, Option<usize>, usize, usize, String) {
+    let dataset = dataset_for(inputs);
+    let dir = tempdir(name);
+    let journal = dir.join("run.journal");
+    let opts = RunOptions {
+        journal: Some(journal.clone()),
+        ..RunOptions::default()
+    };
+    let run = run_wootz_with(inputs, &dataset, mode, None, &opts).unwrap();
+    let order = run
+        .exploration
+        .evaluated
+        .iter()
+        .map(|r| r.config_index())
+        .collect();
+    let shape = (
+        order,
+        run.best.as_ref().map(|b| b.config_index),
+        run.blocks_pretrained,
+        run.pretrain_steps,
+        journal_kinds(&journal),
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    shape
+}
+
+/// Structural golden of the default explorer, captured at the parent
+/// commit (the last one with a separate static loop) and pinned here: the
+/// unified driver must evaluate the same configurations in the same
+/// order, choose the same best index, pre-train the same block set at the
+/// same step cost, and journal the same record kinds — in particular *no*
+/// proposal records, which is what keeps default-explorer journals
+/// byte-compatible across the unification.
+#[test]
+fn fixed_explorer_matches_the_pre_unification_structural_golden() {
+    // `inputs()`: nothing satisfies, so the whole subspace is swept.
+    let sweep = inputs();
+    // Everything satisfies: exploration stops after round one and the
+    // best network is the smallest configuration of that round.
+    let mut first_round = inputs();
+    first_round.objective = Objective::parse("min ModelSize\nconstraint Accuracy >= 0.0\n").unwrap();
+
+    assert_eq!(
+        structure(&sweep, RunMode::Baseline, "golden_sweep_base"),
+        (vec![1, 2, 0], None, 0, 0, "HFEEE".to_string())
+    );
+    assert_eq!(
+        structure(&sweep, RunMode::Composability, "golden_sweep_comp"),
+        (vec![1, 2, 0], None, 9, 12, "HFBBBBBBBBBEEE".to_string())
+    );
+    assert_eq!(
+        structure(&first_round, RunMode::Baseline, "golden_first_base"),
+        (vec![1, 2], Some(1), 0, 0, "HFEE".to_string())
+    );
+    assert_eq!(
+        structure(&first_round, RunMode::Composability, "golden_first_comp"),
+        (vec![1, 2], Some(1), 9, 12, "HFBBBBBBBBBEE".to_string())
+    );
+}
+
+/// A default-explorer journal written by the parent commit's static loop
+/// (`tests/fixtures/parent_fixed.journal`, `inputs()` in Composability
+/// mode) resumes under the unified driver with zero re-evaluations and
+/// zero re-training, appending nothing — the legacy half of the
+/// strategy-swap contract.
+#[test]
+fn parent_commit_fixed_journal_resumes_without_reevaluating() {
+    let inputs = inputs();
+    let dataset = dataset_for(&inputs);
+    let dir = tempdir("legacy");
+    let legacy = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/parent_fixed.journal");
+    let journal = dir.join("run.journal");
+    std::fs::copy(&legacy, &journal).unwrap();
+
+    let warm = single(&inputs, &dataset, ExplorerKind::Fixed, Some(journal.clone()), true).unwrap();
+    assert_eq!(warm.exploration.fresh_evals(), 0, "legacy journal was re-evaluated");
+    assert_eq!(warm.exploration.resumed, inputs.subspace.len());
+    assert_eq!(
+        std::fs::read(&journal).unwrap(),
+        std::fs::read(&legacy).unwrap(),
+        "a full replay must append nothing"
+    );
+
+    // And the legacy journal still refuses a proposing strategy.
+    let err = single(&inputs, &dataset, ExplorerKind::Taylor, Some(journal), true).unwrap_err();
+    assert!(err.to_string().contains("without proposal records"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
