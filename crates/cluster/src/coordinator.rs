@@ -69,7 +69,10 @@ pub struct ClusterOptions<'a> {
     /// this; a claimed task without a heartbeat for a full lease is
     /// reclaimed.
     pub lease_ms: u64,
-    /// Coordinator poll period in milliseconds.
+    /// Coordinator poll period in milliseconds: how often the drive loop
+    /// services its lease, speculation, respawn and stall clocks. The
+    /// filesystem transport also discovers results at this cadence; the
+    /// TCP transport is woken by the hub the moment one is journaled.
     pub poll_ms: u64,
     /// Fixed speculation deadline override (ms of claimed run time). When
     /// `None`, the deadline is `3 × median per-step wall time × expected
@@ -187,6 +190,9 @@ pub struct ClusterStats {
     /// this run: reconnects whose `Hello` carried a stale epoch
     /// (network mode, after a coordinator restart).
     pub workers_readopted: usize,
+    /// `NoTask` replies sent (network mode): `TaskRequest`s that stayed
+    /// parked for a whole long-poll bound with neither work nor drain.
+    pub no_task_replies: usize,
 }
 
 impl ClusterStats {
@@ -196,7 +202,7 @@ impl ClusterStats {
             "cluster: {} workers, {} tasks completed, {} leases reclaimed, \
              {} speculative launched ({} won), {} zombie results rejected, \
              {} workers respawned, {} tasks abandoned, {} net reconnects, \
-             {} lease scans avoided, {} workers re-adopted",
+             {} lease scans avoided, {} workers re-adopted, {} NoTask replies",
             self.workers,
             self.tasks_completed,
             self.leases_reclaimed,
@@ -207,10 +213,19 @@ impl ClusterStats {
             self.tasks_abandoned,
             self.net_reconnects,
             self.lease_scans_avoided,
-            self.workers_readopted
+            self.workers_readopted,
+            self.no_task_replies
         )
     }
 }
+
+/// [`Coordinator::finish`]'s wait between worker-exit checks while a
+/// worker may still be running.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
+
+/// The same wait once every TCP session has closed: the workers have
+/// read their `Shutdown` and only their processes' exits are left.
+const EXIT_POLL: Duration = Duration::from_millis(1);
 
 /// One worker process slot (respawned in place when its process dies).
 struct Slot {
@@ -237,23 +252,21 @@ struct WorkerPool {
 }
 
 impl WorkerPool {
-    fn spawn(
-        dir: RunDir,
-        opts: &ClusterOptions<'_>,
-        connect: Option<String>,
-    ) -> Result<WorkerPool> {
+    fn spawn(dir: RunDir, opts: &ClusterOptions<'_>, hub: Option<&NetHub>) -> Result<WorkerPool> {
         let mut pool = WorkerPool {
             dir,
             exe: opts.worker_cmd.0.clone(),
             prefix: opts.worker_cmd.1.clone(),
-            connect,
+            // Workers connect to the *resolved* address (a `:0` listen
+            // port is real by now).
+            connect: hub.map(|h| h.local_addr().to_string()),
             orphan_grace_ms: opts.orphan_grace_ms,
             env: opts.worker_env.clone(),
             slots: Vec::new(),
         };
         for index in 0..opts.workers {
             let id = worker_id(index, 0);
-            let child = pool.spawn_process(&id, false)?;
+            let child = pool.spawn_process(&id, false, hub)?;
             pool.slots.push(Slot {
                 index,
                 gen: 0,
@@ -265,7 +278,7 @@ impl WorkerPool {
         Ok(pool)
     }
 
-    fn spawn_process(&self, id: &str, respawn: bool) -> Result<Child> {
+    fn spawn_process(&self, id: &str, respawn: bool, hub: Option<&NetHub>) -> Result<Child> {
         let log_path = self.dir.logs().join(format!("{id}.log"));
         let log = std::fs::OpenOptions::new()
             .create(true)
@@ -313,6 +326,9 @@ impl WorkerPool {
                     self.exe.display()
                 ))
             })?;
+        if let Some(hub) = hub {
+            hub.note_spawned(id);
+        }
         wootz_obs::event("cluster.worker_spawned")
             .field("worker", id)
             .field("pid", child.id() as usize)
@@ -321,7 +337,7 @@ impl WorkerPool {
     }
 
     /// Replaces dead worker processes (one new generation per death).
-    fn respawn_dead(&mut self, stats: &mut ClusterStats) -> Result<()> {
+    fn respawn_dead(&mut self, stats: &mut ClusterStats, hub: Option<&NetHub>) -> Result<()> {
         for i in 0..self.slots.len() {
             let exited = match self.slots[i].child.as_mut() {
                 Some(child) => child.try_wait().ok().flatten().is_some(),
@@ -335,7 +351,7 @@ impl WorkerPool {
                     .field("dead", self.slots[i].id.clone())
                     .field("worker", id.clone())
                     .emit();
-                let child = self.spawn_process(&id, true)?;
+                let child = self.spawn_process(&id, true, hub)?;
                 self.slots[i] = Slot {
                     index: self.slots[i].index,
                     gen,
@@ -450,6 +466,34 @@ impl Coordinator<'_> {
         }
     }
 
+    /// Publishes `task` into the queue and wakes the `TaskRequest`s the
+    /// hub has parked — the one enqueue path of first attempts, lease
+    /// re-enqueues and speculative duplicates.
+    fn enqueue(&self, task: &TaskSpec) -> Result<()> {
+        self.dir.enqueue(task)?;
+        if let Some(hub) = &self.hub {
+            hub.notify_work();
+        }
+        Ok(())
+    }
+
+    /// The hub's event generation (0 without a hub); read it before
+    /// looking at the run directory, then pass it to [`Coordinator::idle`].
+    fn events_seen(&self) -> u64 {
+        self.hub.as_ref().map_or(0, NetHub::events_seen)
+    }
+
+    /// Waits out one tick: until the hub reports a journaled result or a
+    /// closed session newer than `seen`, or for `timeout` — which is all
+    /// the filesystem transport has, directory polling being what that
+    /// transport is.
+    fn idle(&self, seen: u64, timeout: Duration) {
+        match &self.hub {
+            Some(hub) => hub.wait_event(seen, timeout),
+            None => std::thread::sleep(timeout),
+        }
+    }
+
     /// The speculation deadline (ms of claimed run time) for a task of
     /// `expected_steps`.
     fn deadline_ms(&self, expected_steps: usize) -> u64 {
@@ -471,7 +515,7 @@ impl Coordinator<'_> {
         let seqs: Vec<u64> = tasks.iter().map(|t| t.seq).collect();
         let mut units: BTreeMap<u64, Unit> = BTreeMap::new();
         for task in tasks {
-            self.dir.enqueue(&task)?;
+            self.enqueue(&task)?;
             units.insert(
                 task.seq,
                 Unit {
@@ -490,8 +534,13 @@ impl Coordinator<'_> {
         let mut last_progress = Instant::now();
         while done.len() < total {
             let mut progressed = false;
+            // Read before the directory listing: a result journaled after
+            // the listing then ends this tick's wait at once.
+            let seen = self.events_seen();
 
-            // 1. Reap freshly published results, applying fencing.
+            // 1. Reap freshly published results, applying fencing. The
+            // run-directory files are the one reap path of both
+            // transports; the hub's event only says when to look.
             for name in self.dir.result_files()? {
                 if self.processed_results.contains(&name) {
                     continue;
@@ -504,8 +553,12 @@ impl Coordinator<'_> {
                 if wootz_fault::chaos::kill_point(wootz_fault::chaos::kill_site::COORD_REAP) {
                     wootz_fault::chaos::die(wootz_fault::chaos::kill_site::COORD_REAP);
                 }
-                self.processed_results.insert(name);
                 progressed |= self.accept_or_fence(result, &mut units, &mut done);
+                if let Some(at) = self.hub.as_ref().and_then(|h| h.take_arrival(&name)) {
+                    wootz_obs::histogram("cluster.reap_latency_us")
+                        .record(at.elapsed().as_micros() as u64);
+                }
+                self.processed_results.insert(name);
             }
 
             // 2. Note newly appeared claims (the claim time starts the
@@ -608,7 +661,7 @@ impl Coordinator<'_> {
                         attempt: unit.attempts_launched,
                         ..old.task.clone()
                     };
-                    self.dir.enqueue(&task)?;
+                    self.enqueue(&task)?;
                     unit.live.push(Attempt {
                         task,
                         claim_seen: None,
@@ -658,7 +711,7 @@ impl Coordinator<'_> {
                         attempt: unit.attempts_launched,
                         ..unit.live[0].task.clone()
                     };
-                    self.dir.enqueue(&task)?;
+                    self.enqueue(&task)?;
                     self.stats.speculative_launched += 1;
                     wootz_obs::counter("cluster.speculative_launched").incr();
                     wootz_obs::event("cluster.speculative_launch")
@@ -675,7 +728,7 @@ impl Coordinator<'_> {
             }
 
             // 5. Keep the physical pool at strength.
-            self.pool.respawn_dead(&mut self.stats)?;
+            self.pool.respawn_dead(&mut self.stats, self.hub.as_ref())?;
 
             // 6. Stall watchdog.
             if progressed {
@@ -694,7 +747,7 @@ impl Coordinator<'_> {
                 )));
             }
             if done.len() < total {
-                std::thread::sleep(Duration::from_millis(self.opts.poll_ms));
+                self.idle(seen, Duration::from_millis(self.opts.poll_ms));
             }
         }
         Ok(seqs
@@ -824,17 +877,32 @@ impl Coordinator<'_> {
         }
         let deadline = Instant::now() + Duration::from_millis(self.opts.shutdown_grace_ms);
         loop {
+            let seen = self.events_seen();
             self.reap_late_results()?;
             let alive = self.pool.poll_alive();
             wootz_obs::gauge("cluster.workers_alive").set(alive as f64);
-            if alive == 0 || Instant::now() >= deadline {
+            let now = Instant::now();
+            if alive == 0 || now >= deadline {
                 break;
             }
-            std::thread::sleep(Duration::from_millis(50));
+            // A worker leaves by closing its session, which the hub
+            // reports as an event; what follows is only its process
+            // winding down, so once no session is open the exit check
+            // repeats on a short leash. The 50 ms cadence remains for
+            // workers that never held a session — and for the filesystem
+            // transport, whose workers poll for the shutdown marker.
+            let open = self.hub.as_ref().map(NetHub::sessions);
+            let tick = if open == Some(0) {
+                EXIT_POLL
+            } else {
+                SHUTDOWN_POLL
+            };
+            self.idle(seen, tick.min(deadline - now));
         }
         if let Some(mut hub) = self.hub.take() {
             self.stats.net_reconnects = hub.reconnects();
             self.stats.workers_readopted = hub.readopted();
+            self.stats.no_task_replies = hub.no_task_replies();
             hub.close();
         }
         self.pool.kill_all();
@@ -1031,15 +1099,12 @@ impl<'a> Coordinator<'a> {
             .emit();
 
         // Network transport: bind the hub before any worker starts, so the
-        // first connection attempt succeeds. Workers are spawned with
-        // `--connect` to the *resolved* address (a `:0` listen port is
-        // real by now).
+        // first connection attempt succeeds.
         let hub = match &opts.listen {
             Some(addr) => Some(NetHub::bind(addr, dir.clone(), manifest, full_ckpt.clone())?),
             None => None,
         };
-        let connect = hub.as_ref().map(|h| h.local_addr().to_string());
-        let pool = WorkerPool::spawn(dir.clone(), opts, connect)?;
+        let pool = WorkerPool::spawn(dir.clone(), opts, hub.as_ref())?;
         Ok(Coordinator {
             dir,
             epoch,

@@ -17,7 +17,7 @@
 //!   | <-- Welcome{epoch,manifest,...} |   (or Shutdown when draining)
 //!   | -- BlocksRequest ------------>  |   (optional, before eval work)
 //!   | <-- Blocks{index} ------------  |
-//!   | -- TaskRequest{worker} ------>  |
+//!   | -- TaskRequest{worker} ------>  |   (long-poll: parked until work)
 //!   | <-- TaskGrant{task} | NoTask -  |
 //!   | -- Heartbeat{...} ----------->  |   (quarter-lease cadence)
 //!   | <-- HeartbeatAck{nonce} ------  |
@@ -58,7 +58,9 @@ pub enum Message {
         /// The trained full-model checkpoint (JSON document).
         full_ckpt: Checkpoint,
     },
-    /// Worker → coordinator: asks for work.
+    /// Worker → coordinator: asks for work. A long-poll: the coordinator
+    /// answers when it has a task, when the run drains, or when its park
+    /// bound expires — whichever comes first.
     TaskRequest {
         /// The requesting worker's id.
         worker: String,
@@ -68,10 +70,12 @@ pub enum Message {
         /// The granted task.
         task: TaskSpec,
     },
-    /// Coordinator → worker: no work right now; poll again after the
-    /// suggested backoff.
+    /// Coordinator → worker: no work arrived while the request was
+    /// parked; ask again after the suggested backoff.
     NoTask {
-        /// Suggested delay before the next [`Message::TaskRequest`].
+        /// Delay before the next [`Message::TaskRequest`]. Zero from a
+        /// coordinator that long-polls (the waiting already happened on
+        /// its side).
         backoff_ms: u64,
     },
     /// Worker → coordinator: renews the lease on a claimed task. Sent at

@@ -56,8 +56,8 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use wootz_core::compile::MultiplexingModel;
@@ -70,7 +70,7 @@ use wootz_fault::{site, FaultKind, FaultPlan};
 use wootz_nn::Checkpoint;
 
 use crate::messages::Message;
-use crate::net::{lock_recover, NetClient};
+use crate::net::{lock_recover, send_message, NetClient};
 use crate::protocol::{
     cluster_err, read_json, Manifest, ResultPayload, TaskKind, TaskResult, TaskSpec, WireEval,
 };
@@ -225,6 +225,36 @@ impl WorkerEnv {
     }
 }
 
+/// The per-task heartbeat of both transports: calls `tick` every `period`
+/// on its own thread until it returns `false` or the ticker is stopped.
+/// The thread waits in `recv_timeout` on a channel whose sender `stop`
+/// drops, so stopping costs a wake-up, not the rest of the period — the
+/// finished task's result leaves at once.
+struct Ticker {
+    stop: Sender<()>,
+    thread: JoinHandle<()>,
+}
+
+impl Ticker {
+    fn start(period: Duration, mut tick: impl FnMut() -> bool + Send + 'static) -> Ticker {
+        let (stop, stopped) = channel::<()>();
+        let thread = std::thread::spawn(move || {
+            while stopped.recv_timeout(period) == Err(RecvTimeoutError::Timeout) {
+                if !tick() {
+                    break;
+                }
+            }
+        });
+        Ticker { stop, thread }
+    }
+
+    /// Stops the ticker and joins its thread; no tick runs afterwards.
+    fn stop(self) {
+        drop(self.stop);
+        let _ = self.thread.join();
+    }
+}
+
 /// The entry point of a filesystem-transport worker process. Polls the
 /// queue until the coordinator writes the shutdown marker, executing one
 /// claimed task at a time. Returns when shut down cleanly.
@@ -274,21 +304,14 @@ pub fn worker_main(run_dir: &Path, worker_id: &str) -> Result<()> {
 
         // Lease + heartbeat: refresh at a quarter of the lease period.
         dir.write_lease(&task, worker_id)?;
-        let stop = Arc::new(AtomicBool::new(false));
         let heartbeat = {
-            let stop = Arc::clone(&stop);
             let dir = dir.clone();
             let task = task.clone();
             let worker = worker_id.to_string();
             let period = Duration::from_millis((lease_ms / 4).max(1));
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(period);
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let _ = dir.write_lease(&task, &worker);
-                }
+            Ticker::start(period, move || {
+                let _ = dir.write_lease(&task, &worker);
+                true
             })
         };
 
@@ -311,10 +334,9 @@ pub fn worker_main(run_dir: &Path, worker_id: &str) -> Result<()> {
             wall_ms: started.elapsed().as_millis() as u64,
             payload,
         };
-        stop.store(true, Ordering::Relaxed);
+        heartbeat.stop();
         dir.publish_result(&result)?;
         dir.release(&task);
-        let _ = heartbeat.join();
         wootz_obs::counter("cluster.worker_tasks").incr();
     }
 }
@@ -459,7 +481,7 @@ pub fn worker_net_main(
     let mut epoch = 0u64;
     let mut env: Option<WorkerEnv> = None;
     let mut chaos = ChaosNetDrop::from_env(worker_id);
-    let nonce = AtomicU64::new(1);
+    let mut next_nonce = 1u64;
     // A result whose delivery failed mid-frame: re-sent first thing after
     // the next successful handshake (held across the whole orphan grace).
     let mut undelivered: Option<TaskResult> = None;
@@ -563,11 +585,14 @@ pub fn worker_net_main(
             let task = match client.recv() {
                 Ok(Message::TaskGrant { task }) => task,
                 Ok(Message::NoTask { backoff_ms }) => {
-                    // The polling cadence is the coordinator's call — it
-                    // derives the value from its lease interval and caps
-                    // it on its side (PROTOCOL.md §3). The worker only
-                    // guards against a zero sleep spinning the socket.
-                    std::thread::sleep(Duration::from_millis(backoff_ms.max(1)));
+                    // The request was a long-poll: the coordinator already
+                    // did the waiting and says so with a zero backoff, so
+                    // ask again at once. A non-zero value comes from a
+                    // coordinator that answers immediately and wants the
+                    // worker to pace itself (PROTOCOL.md §4).
+                    if backoff_ms > 0 {
+                        std::thread::sleep(Duration::from_millis(backoff_ms));
+                    }
                     continue;
                 }
                 Ok(Message::Shutdown) => {
@@ -590,37 +615,26 @@ pub fn worker_net_main(
 
             // Heartbeat frames at a quarter of the lease period, from a
             // sibling thread sharing the frame writer. Nonces key the RTT
-            // histogram; send failures are tolerated (the task loop
+            // histogram; a send failure ends the ticker (the task loop
             // notices the dead connection at delivery time).
-            let stop = Arc::new(AtomicBool::new(false));
             let heartbeat = {
-                let stop = Arc::clone(&stop);
                 let writer = client.writer();
                 let rtt = client.rtt_map();
                 let worker = worker_id.to_string();
                 let (seq, attempt) = (task.seq, task.attempt);
                 let period = Duration::from_millis((env.manifest.lease_ms / 4).max(1));
-                let nonce_base = nonce.fetch_add(1 << 20, Ordering::Relaxed);
-                std::thread::spawn(move || {
-                    let mut n = nonce_base;
-                    while !stop.load(Ordering::Relaxed) {
-                        std::thread::sleep(period);
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        n += 1;
-                        lock_recover(&rtt).insert(n, Instant::now());
-                        let msg = Message::Heartbeat {
-                            worker: worker.clone(),
-                            seq,
-                            attempt,
-                            nonce: n,
-                        };
-                        let mut stream = lock_recover(&writer);
-                        if msg.write_to(&mut *stream).is_err() {
-                            break;
-                        }
-                    }
+                let mut n = next_nonce;
+                next_nonce += 1 << 20;
+                Ticker::start(period, move || {
+                    n += 1;
+                    lock_recover(&rtt).insert(n, Instant::now());
+                    let msg = Message::Heartbeat {
+                        worker: worker.clone(),
+                        seq,
+                        attempt,
+                        nonce: n,
+                    };
+                    send_message(&writer, &msg).is_ok()
                 })
             };
 
@@ -641,8 +655,8 @@ pub fn worker_net_main(
                 wall_ms: started.elapsed().as_millis() as u64,
                 payload,
             };
-            stop.store(true, Ordering::Relaxed);
-            let _ = heartbeat.join();
+            let finished = Instant::now();
+            heartbeat.stop();
             wootz_obs::counter("cluster.worker_tasks").incr();
 
             let done = Message::TaskDone {
@@ -660,6 +674,8 @@ pub fn worker_net_main(
                 undelivered = Some(result);
                 continue 'session;
             }
+            wootz_obs::histogram("net.result_delivery_us")
+                .record(finished.elapsed().as_micros() as u64);
         }
     }
 }
@@ -688,6 +704,35 @@ fn fetch_blocks_over_wire(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stopping_a_ticker_does_not_wait_out_its_period() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        let ticks = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&ticks);
+        let ticker = Ticker::start(Duration::from_secs(10), move || {
+            counted.fetch_add(1, Ordering::Relaxed);
+            true
+        });
+        let started = Instant::now();
+        ticker.stop();
+        assert!(
+            started.elapsed() < Duration::from_millis(50),
+            "stop took {:?} of a 10 s period",
+            started.elapsed()
+        );
+        assert_eq!(ticks.load(Ordering::Relaxed), 0, "a stopped ticker ticked");
+
+        // It does tick while it runs, and a tick returning false ends it.
+        let (tx, rx) = channel();
+        let ticker = Ticker::start(Duration::from_millis(1), move || tx.send(()).is_ok());
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("first tick");
+        drop(rx);
+        ticker.stop();
+    }
 
     #[test]
     fn connect_backoff_is_deterministic_bounded_and_grows() {

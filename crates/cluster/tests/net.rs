@@ -1,12 +1,19 @@
 //! Integration tests of the TCP transport: framed-message round-trips for
 //! the task-bearing protocol types, a full loopback run asserted
-//! bit-identical to the single-process pipeline, and socket chaos — a
-//! worker killing its own connection halfway through a result frame.
+//! bit-identical to the single-process pipeline, socket chaos — a
+//! worker killing its own connection halfway through a result frame —
+//! and the event-driven dispatch: long-poll grants, park expiry, and the
+//! drain reaching a parked request.
 
+use std::net::TcpStream;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
-use wootz_cluster::protocol::{ResultPayload, TaskKind, TaskResult, TaskSpec, WireEval};
-use wootz_cluster::{run_distributed, ClusterOptions, Message};
+use wootz_cluster::net::{long_poll_park, NetHub};
+use wootz_cluster::protocol::{Manifest, ResultPayload, TaskKind, TaskResult, TaskSpec, WireEval};
+use wootz_cluster::{
+    run_distributed, worker_net_main, ClusterOptions, Message, RunDir, WorkerExit,
+};
 use wootz_core::explore::EvalOutcome;
 use wootz_core::pipeline::{run_wootz_with, RunMode, RunOptions, WootzInputs, WootzRun};
 use wootz_data::{micro_dataset, Dataset};
@@ -188,10 +195,23 @@ fn tcp_run_is_bit_identical_to_single_process() {
     let mut opts = ClusterOptions::new(dir.join("run"), 2, worker_cmd());
     opts.retry = RetryPolicy::abort_fast();
     opts.listen = Some("127.0.0.1:0".to_string());
+    let started = Instant::now();
     let (dist, stats) = run_distributed(&inputs, &dataset, RunMode::Composability, &opts).unwrap();
+    let wall = started.elapsed();
 
     assert_eq!(run_json(&single), run_json(&dist));
     assert!(stats.tasks_completed > 0);
+    // Grants are long-polls: the only `NoTask` a healthy run can see is a
+    // park that expired, and each worker fits at most `wall / park` of
+    // those into the run (none at all in a run shorter than one park).
+    let park = long_poll_park(opts.lease_ms);
+    let park_expiries = 2 * (wall.as_millis() / park.as_millis()) as usize;
+    assert!(
+        stats.no_task_replies <= park_expiries,
+        "{} NoTask replies in a {wall:?} run with a {park:?} park: {}",
+        stats.no_task_replies,
+        stats.summary()
+    );
     // A healthy TCP run: every worker connected exactly once, no lease
     // ever expired, no result was fenced.
     assert_eq!(stats.net_reconnects, 0, "{}", stats.summary());
@@ -389,4 +409,254 @@ fn mid_frame_disconnect_reconnects_and_result_unchanged() {
     // nothing is double-counted, nothing abandoned.
     assert_eq!(stats.tasks_abandoned, 0, "{}", stats.summary());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The manifest of a first-epoch Baseline run over [`inputs`].
+fn epoch_one_manifest(lease_ms: u64) -> Manifest {
+    let inputs = inputs();
+    Manifest {
+        epoch: 1,
+        model: inputs.model,
+        subspace: inputs.subspace,
+        solver: inputs.solver,
+        objective: inputs.objective,
+        mode: RunMode::Baseline,
+        faults: None,
+        retry: RetryPolicy::abort_fast(),
+        lease_ms,
+    }
+}
+
+/// A real [`NetHub`] over a fresh run directory, with no coordinator
+/// behind it: the test plays the coordinator (enqueue + notify) and the
+/// worker (a raw socket, or the real worker loop on a thread).
+fn bare_hub(name: &str, lease_ms: u64) -> (NetHub, RunDir, PathBuf) {
+    let root = tempdir(name);
+    let dir = RunDir::new(root.join("run"));
+    dir.init_epoch().unwrap();
+    // No task is ever executed against this hub, so an empty full-model
+    // checkpoint is enough for the Welcome.
+    let hub = NetHub::bind(
+        "127.0.0.1:0",
+        dir.clone(),
+        epoch_one_manifest(lease_ms),
+        wootz_nn::Checkpoint::new(),
+    )
+    .unwrap();
+    (hub, dir, root)
+}
+
+/// A scripted worker session: connected and welcomed.
+fn scripted_worker(hub: &NetHub) -> TcpStream {
+    let mut conn = TcpStream::connect(hub.local_addr()).unwrap();
+    conn.set_nodelay(true).unwrap();
+    let hello = Message::Hello {
+        worker: "w0".to_string(),
+        epoch: 0,
+    };
+    hello.write_to(&mut conn).unwrap();
+    assert!(matches!(
+        read_within(&mut conn, 10_000),
+        Some(Message::Welcome { .. })
+    ));
+    conn
+}
+
+/// The next frame, or `None` when none arrives within `millis` (nothing
+/// of a frame must have arrived either — the callers only ever time out
+/// on a silent socket).
+fn read_within(conn: &mut TcpStream, millis: u64) -> Option<Message> {
+    conn.set_read_timeout(Some(Duration::from_millis(millis)))
+        .unwrap();
+    match Message::read_from(conn, &Limits::DEFAULT) {
+        Ok((msg, _)) => Some(msg),
+        Err(wootz_wire::WireError::Io(e))
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) =>
+        {
+            None
+        }
+        Err(e) => panic!("read failed: {e}"),
+    }
+}
+
+fn request_task(conn: &mut TcpStream) {
+    let request = Message::TaskRequest {
+        worker: "w0".to_string(),
+    };
+    request.write_to(conn).unwrap();
+}
+
+#[test]
+fn parked_task_request_is_granted_the_moment_work_is_enqueued() {
+    // A minute-long lease: the park (10 s) outlives the test, so every
+    // reply below is caused by the enqueue, never by an expiry.
+    let (hub, dir, root) = bare_hub("longpoll", 60_000);
+    let mut conn = scripted_worker(&hub);
+    let mut best = Duration::MAX;
+    for seq in 1..=5u64 {
+        request_task(&mut conn);
+        // Empty queue: the request parks. No reply — in particular no
+        // NoTask telling the worker to come back later.
+        assert!(
+            read_within(&mut conn, 100).is_none(),
+            "an ungrantable request was answered"
+        );
+        let task = TaskSpec {
+            seq,
+            attempt: 1,
+            epoch: 1,
+            kind: TaskKind::Eval {
+                config_index: 0,
+                universe: Vec::new(),
+            },
+            expected_steps: 1,
+        };
+        dir.enqueue(&task).unwrap();
+        let enqueued = Instant::now();
+        hub.notify_work();
+        match read_within(&mut conn, 10_000) {
+            Some(Message::TaskGrant { task }) => assert_eq!(task.seq, seq),
+            other => panic!("expected a grant, got {:?}", other.map(|m| m.name())),
+        }
+        best = best.min(enqueued.elapsed());
+    }
+    // The wake-up is a condvar, not a poll period. The best of five keeps
+    // the bound meaningful on a loaded two-core test machine.
+    assert!(
+        best < Duration::from_millis(50),
+        "fastest grant took {best:?}"
+    );
+    assert_eq!(hub.no_task_replies(), 0);
+    drop(hub);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn park_expiry_answers_no_task_with_zero_backoff() {
+    let (hub, _dir, root) = bare_hub("expiry", 25);
+    let park = long_poll_park(25);
+    let mut conn = scripted_worker(&hub);
+    let asked = Instant::now();
+    request_task(&mut conn);
+    match read_within(&mut conn, 10_000) {
+        Some(Message::NoTask { backoff_ms }) => assert_eq!(backoff_ms, 0),
+        other => panic!("expected NoTask, got {:?}", other.map(|m| m.name())),
+    }
+    assert!(
+        asked.elapsed() >= park,
+        "NoTask after {:?}, park is {park:?}",
+        asked.elapsed()
+    );
+    assert_eq!(hub.no_task_replies(), 1);
+    drop(hub);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// The worker half of the long-poll, against a scripted coordinator: a
+/// zero-backoff `NoTask` is followed by the next `TaskRequest` at once,
+/// and a `Shutdown` in reply to a request ends the worker cleanly.
+#[test]
+fn worker_re_requests_at_once_after_a_zero_backoff_no_task() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let worker = std::thread::spawn(move || worker_net_main(&addr, "w0", Some(10_000)));
+    let welcome = Message::Welcome {
+        epoch: 1,
+        manifest: epoch_one_manifest(60_000),
+        full_ckpt: wootz_nn::Checkpoint::new(),
+    };
+    let mut conn = accept_session(&listener, 0, &welcome);
+    let next_request = |conn: &mut TcpStream| match read_within(conn, 10_000) {
+        Some(Message::TaskRequest { .. }) => {}
+        other => panic!("expected TaskRequest, got {:?}", other.map(|m| m.name())),
+    };
+    next_request(&mut conn);
+    let mut best = Duration::MAX;
+    for _ in 0..5 {
+        Message::NoTask { backoff_ms: 0 }
+            .write_to(&mut conn)
+            .unwrap();
+        let answered = Instant::now();
+        next_request(&mut conn);
+        best = best.min(answered.elapsed());
+    }
+    assert!(
+        best < Duration::from_millis(50),
+        "fastest re-request took {best:?}"
+    );
+    Message::Shutdown.write_to(&mut conn).unwrap();
+    assert_eq!(worker.join().unwrap().unwrap(), WorkerExit::Shutdown);
+}
+
+#[test]
+fn drain_answers_a_parked_request_with_exactly_one_shutdown() {
+    // Scripted worker: every frame the drain puts on the socket is seen.
+    let (hub, _dir, root) = bare_hub("drain", 60_000);
+    let mut conn = scripted_worker(&hub);
+    request_task(&mut conn);
+    assert!(
+        read_within(&mut conn, 100).is_none(),
+        "an ungrantable request was answered"
+    );
+    let drained = Instant::now();
+    hub.broadcast_shutdown();
+    assert!(matches!(
+        read_within(&mut conn, 10_000),
+        Some(Message::Shutdown)
+    ));
+    assert!(
+        drained.elapsed() < Duration::from_secs(5),
+        "the park outlived the drain"
+    );
+    // The broadcast and the woken handler both want to say Shutdown; the
+    // worker must read one whole frame and then silence.
+    assert!(
+        read_within(&mut conn, 150).is_none(),
+        "a second reply followed the Shutdown"
+    );
+    request_task(&mut conn);
+    assert!(
+        read_within(&mut conn, 150).is_none(),
+        "Shutdown was sent twice"
+    );
+    drop(conn);
+    drop(hub);
+    std::fs::remove_dir_all(&root).ok();
+
+    // The real worker loop, parked the same way, exits `Shutdown` and its
+    // closing session is reported as an event.
+    let (hub, _dir, root) = bare_hub("drain_worker", 60_000);
+    let addr = hub.local_addr().to_string();
+    let worker = std::thread::spawn(move || worker_net_main(&addr, "w0", Some(10_000)));
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let seen = hub.events_seen();
+        if hub.sessions() == 1 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the worker never connected");
+        hub.wait_event(seen, Duration::from_millis(5));
+    }
+    // Connected; give its first TaskRequest the moment it needs to park.
+    // (Should it not have parked yet, the request is answered Shutdown on
+    // arrival — the assertions below hold either way.)
+    std::thread::sleep(Duration::from_millis(100));
+    hub.broadcast_shutdown();
+    assert_eq!(worker.join().unwrap().unwrap(), WorkerExit::Shutdown);
+    loop {
+        let seen = hub.events_seen();
+        if hub.sessions() == 0 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the closed session was never reaped"
+        );
+        hub.wait_event(seen, Duration::from_secs(1));
+    }
+    drop(hub);
+    std::fs::remove_dir_all(&root).ok();
 }

@@ -202,6 +202,47 @@ grep '^cluster:' "$SMOKE/net.out" | grep -q '[1-9][0-9]* net reconnects' || {
     echo "socket chaos smoke FAILED: no reconnect recorded"; cat "$SMOKE/net.out"; exit 1; }
 echo "socket chaos smoke ok: $(grep '^cluster:' "$SMOKE/net.out"), best network stable"
 
+echo "== tcp dispatch smoke: results leave the worker without waiting out a timer =="
+# The TCP transport is event-driven (DESIGN.md §11): a finished task's
+# TaskDone must not wait for the heartbeat period (lease/4 = 375 ms) and
+# an idle worker must not sleep between requests. Workers export their own
+# metrics, so one extra worker is started by hand with --metrics-out beside
+# the two the coordinator spawns; the median of its `net.result_delivery_us`
+# (task finished -> TaskDone written) must be far below any timer, and the
+# run must still land on the single-process best network.
+LAT_DIR="$SMOKE/tcplat"
+LAT_PORT=$((19000 + $$ % 2000))
+chaos_prune --distributed 2 --run-dir "$LAT_DIR" --listen "127.0.0.1:$LAT_PORT" \
+    --metrics-out "$SMOKE/tcplat_coord.ndjson" > "$SMOKE/tcplat.out" 2> "$SMOKE/tcplat.err" &
+COORD=$!
+# The coordinator's own workers appear once the hub is bound; join then.
+tries=0
+while [ "$tries" -lt 600 ]; do
+    pgrep -f "worker --connect 127.0.0.1:$LAT_PORT" >/dev/null 2>&1 && break
+    kill -0 "$COORD" 2>/dev/null || break
+    tries=$((tries + 1))
+    sleep 0.02
+done
+"$W" worker --connect "127.0.0.1:$LAT_PORT" --worker-id hand --orphan-grace-ms 5000 \
+    --metrics-out "$SMOKE/tcplat_hand.ndjson" > "$SMOKE/tcplat_hand.out" 2>&1 || true
+wait "$COORD" || {
+    echo "tcp dispatch smoke FAILED: TCP run exited non-zero"
+    cat "$SMOKE/tcplat.out" "$SMOKE/tcplat.err"; exit 1; }
+lat_best=$(grep '^best network:' "$SMOKE/tcplat.out" || true)
+[ "$base_best" = "$lat_best" ] || {
+    echo "tcp dispatch smoke FAILED: best network changed over TCP"
+    echo "  single: $base_best"; echo "  tcp:    $lat_best"; exit 1; }
+delivery_p50=$(sed -n 's/.*"name":"net.result_delivery_us".*"p50":\([0-9]*\).*/\1/p' \
+    "$SMOKE/tcplat_hand.ndjson" 2>/dev/null | head -n 1)
+[ -n "$delivery_p50" ] || {
+    echo "tcp dispatch smoke FAILED: the hand-started worker delivered no result"
+    cat "$SMOKE/tcplat_hand.out"; exit 1; }
+[ "$delivery_p50" -lt 50000 ] || {
+    echo "tcp dispatch smoke FAILED: net.result_delivery_us p50 = ${delivery_p50} us (>= 50 ms)"; exit 1; }
+grep -q '"name":"cluster.reap_latency_us"' "$SMOKE/tcplat_coord.ndjson" || {
+    echo "tcp dispatch smoke FAILED: cluster.reap_latency_us missing from coordinator metrics"; exit 1; }
+echo "tcp dispatch smoke ok: net.result_delivery_us p50 ${delivery_p50} us, $(grep '^cluster:' "$SMOKE/tcplat.out" | sed 's/.*, //')"
+
 echo "== coordinator-kill smoke: SIGKILL the coordinator mid-TCP-run, restart --resume =="
 # The in-run failover contract (DESIGN.md §9, PROTOCOL.md §7): kill the
 # *coordinator* outright while its TCP workers are alive, restart it with
