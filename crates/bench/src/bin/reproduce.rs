@@ -130,19 +130,16 @@ fn usage() -> String {
         .to_string()
 }
 
-/// Hidden worker entry point: `reproduce cluster-worker --run-dir D
-/// --worker-id I` (filesystem transport) or `reproduce cluster-worker
-/// --connect ADDR --worker-id I` (TCP transport) re-enters this binary
-/// as a distributed worker process (the `cluster` and `crashes` reports
-/// spawn these against their own executable).
-fn cluster_worker_main() -> ExitCode {
-    let mut run_dir = None;
+/// Hidden worker entry point: `reproduce cluster-worker --connect ADDR
+/// --worker-id I` re-enters this binary as a distributed worker process
+/// (the `cluster` and `crashes` reports spawn these against their own
+/// executable).
+fn cluster_worker() -> ExitCode {
     let mut connect = None;
     let mut worker_id = None;
     let mut args = std::env::args().skip(2);
     while let Some(flag) = args.next() {
         match flag.as_str() {
-            "--run-dir" => run_dir = args.next().map(std::path::PathBuf::from),
             "--connect" => connect = args.next(),
             "--worker-id" => worker_id = args.next(),
             other => {
@@ -151,31 +148,18 @@ fn cluster_worker_main() -> ExitCode {
             }
         }
     }
-    let Some(id) = worker_id else {
-        eprintln!("cluster-worker needs --worker-id <id> and --run-dir <dir> or --connect <addr>");
+    let (Some(addr), Some(id)) = (connect, worker_id) else {
+        eprintln!("cluster-worker needs --connect <addr> --worker-id <id>");
         return ExitCode::FAILURE;
     };
-    if let Some(addr) = connect {
-        // Orphan grace arrives via WOOTZ_ORPHAN_GRACE_MS, exported by
-        // the coordinator that spawned us.
-        return match wootz_cluster::worker_net_main(&addr, &id, None) {
-            Ok(wootz_cluster::WorkerExit::Shutdown) => ExitCode::SUCCESS,
-            Ok(wootz_cluster::WorkerExit::CoordinatorGone) => {
-                eprintln!("cluster-worker {id}: coordinator at `{addr}` gone past the orphan grace budget");
-                ExitCode::from(86)
-            }
-            Err(e) => {
-                eprintln!("cluster-worker: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let Some(dir) = run_dir else {
-        eprintln!("cluster-worker needs --run-dir <dir> or --connect <addr>");
-        return ExitCode::FAILURE;
-    };
-    match wootz_cluster::worker_main(&dir, &id) {
-        Ok(()) => ExitCode::SUCCESS,
+    // Orphan grace arrives via WOOTZ_ORPHAN_GRACE_MS, exported by the
+    // coordinator that spawned us.
+    match wootz_cluster::worker_net_main(&addr, &id, None) {
+        Ok(wootz_cluster::WorkerExit::Shutdown) => ExitCode::SUCCESS,
+        Ok(wootz_cluster::WorkerExit::CoordinatorGone) => {
+            eprintln!("cluster-worker {id}: coordinator at `{addr}` gone past the orphan grace budget");
+            ExitCode::from(86)
+        }
         Err(e) => {
             eprintln!("cluster-worker: {e}");
             ExitCode::FAILURE
@@ -184,7 +168,7 @@ fn cluster_worker_main() -> ExitCode {
 }
 
 /// Hidden crash-matrix entry point: `reproduce crash-child
-/// <pipeline|distributed|tcp:PORT> --dir D --out F [--seed N]` runs one
+/// <pipeline|distributed:PORT> --dir D --out F [--seed N]` runs one
 /// scenario fresh — this is the process `reproduce crashes` arms
 /// `WOOTZ_CHAOS_KILL_AT` against and expects to die mid-write.
 fn crash_child_main() -> ExitCode {
@@ -222,7 +206,7 @@ fn crash_child_main() -> ExitCode {
 
 fn main() -> ExitCode {
     if std::env::args().nth(1).as_deref() == Some(wootz_bench::clusterrep::WORKER_SUBCOMMAND) {
-        return cluster_worker_main();
+        return cluster_worker();
     }
     if std::env::args().nth(1).as_deref() == Some(wootz_bench::crashrep::CRASH_CHILD_SUBCOMMAND) {
         return crash_child_main();

@@ -3,28 +3,25 @@
 //! For every kill site registered in [`wootz_fault::chaos::KILL_SITES`],
 //! this report kills a run *mid-write* at that exact artifact boundary
 //! (by re-spawning the `reproduce` binary with `WOOTZ_CHAOS_KILL_AT`
-//! armed in the child's environment only), recovers — `--resume` for
-//! coordinator-side sites, in-run lease reclaim + respawn for the
-//! worker-side publish site — and asserts the recovered run's results are
-//! **bit-identical** to an uninterrupted run of the same scenario. A
-//! final scenario flips a byte in the middle of a finished journal and
-//! asserts resume degrades through quarantine (see
-//! `wootz_core::recovery`) instead of aborting.
+//! armed in the child's environment only), recovers with `--resume`, and
+//! asserts the recovered run's results are **bit-identical** to an
+//! uninterrupted run of the same scenario. A final scenario flips a byte
+//! in the middle of a finished journal and asserts resume degrades
+//! through quarantine (see `wootz_core::recovery`) instead of aborting.
 //!
-//! Three scenario shapes cover the eight sites:
+//! Two scenario shapes cover the eight sites:
 //!
 //! * **pipeline** — the single-process micro pipeline with a journal
 //!   (`journal.header`, `journal.append`, and the corrupt-journal
 //!   scenario);
-//! * **distributed** — the filesystem-transport multi-process runtime
-//!   (`ckpt.write`, `ckpt.rename` fire in the coordinator before any
-//!   worker exists; `rundir.publish` fires in a worker and is recovered
-//!   *within* the run, no resume involved);
-//! * **tcp** — the network-transport runtime (`coord.grant`,
-//!   `coord.reap`, `coord.assemble` fire in the *coordinator* mid-run
-//!   while its workers are alive; the coordinator is restarted with
-//!   `--resume` on the same port and must re-adopt the orphaned workers
-//!   over TCP).
+//! * **distributed** — the multi-process runtime. All six of its sites
+//!   fire in the *coordinator* mid-run while its workers are alive:
+//!   `coord.grant` and `rundir.publish` in a hub handler (granting a
+//!   task, journaling a `TaskDone`), `coord.reap` in the drive loop,
+//!   `ckpt.write`, `ckpt.rename` and `coord.assemble` while the
+//!   pre-trained block bag is published. The coordinator is restarted
+//!   with `--resume` on the same port and must re-adopt the orphaned
+//!   workers.
 //!
 //! The matrix is exhaustive by construction: it enumerates
 //! `KILL_SITES`, so registering a new kill point fails this report until
@@ -60,33 +57,28 @@ pub enum Scenario {
     /// Single-process micro pipeline with a journal (Composability mode:
     /// the journal sees header, full model, blocks and evals).
     Pipeline,
-    /// Filesystem-transport distributed run (Baseline mode: evaluation
-    /// tasks only, two worker processes).
-    Distributed,
-    /// Network-transport distributed run (Composability mode) listening
-    /// on the given fixed port. The port is pinned so a restarted
-    /// coordinator binds the *same* address the orphaned workers are
-    /// still redialing.
-    DistributedTcp(u16),
+    /// Distributed run (Composability mode, two worker processes)
+    /// listening on the given fixed port. The port is pinned so a
+    /// restarted coordinator binds the *same* address the orphaned
+    /// workers are still redialing.
+    Distributed(u16),
 }
 
 impl Scenario {
     fn parse(s: &str) -> Option<Scenario> {
         match s {
             "pipeline" => Some(Scenario::Pipeline),
-            "distributed" => Some(Scenario::Distributed),
             _ => s
-                .strip_prefix("tcp:")
+                .strip_prefix("distributed:")
                 .and_then(|p| p.parse().ok())
-                .map(Scenario::DistributedTcp),
+                .map(Scenario::Distributed),
         }
     }
 
     fn arg(self) -> String {
         match self {
             Scenario::Pipeline => "pipeline".to_string(),
-            Scenario::Distributed => "distributed".to_string(),
-            Scenario::DistributedTcp(port) => format!("tcp:{port}"),
+            Scenario::Distributed(port) => format!("distributed:{port}"),
         }
     }
 
@@ -94,24 +86,20 @@ impl Scenario {
     fn label(self) -> &'static str {
         match self {
             Scenario::Pipeline => "pipeline",
-            Scenario::Distributed => "distributed",
-            Scenario::DistributedTcp(_) => "distributed-tcp",
+            Scenario::Distributed(_) => "distributed",
         }
     }
 }
 
 /// What a completed scenario run reports back: the result fingerprint
-/// and how many worker processes had to be respawned along the way.
+/// and how many orphaned workers the run re-adopted.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct ChildOutcome {
     /// Canonical JSON fingerprint of the finished run (full-model
     /// accuracy, best network, evals sorted by config index).
     pub fingerprint: String,
-    /// Worker respawns the distributed runtime performed (0 for the
-    /// pipeline scenario).
-    pub respawned: usize,
-    /// Live workers from a previous coordinator's epoch re-adopted over
-    /// TCP (0 outside the network scenario's restart pass).
+    /// Live workers from a previous coordinator's epoch re-adopted (0
+    /// outside the distributed scenario's restart pass).
     pub readopted: usize,
 }
 
@@ -200,11 +188,10 @@ pub fn run_scenario(
                 .map_err(|e| format!("pipeline run failed: {e}"))?;
             Ok(ChildOutcome {
                 fingerprint: fingerprint(&run),
-                respawned: 0,
                 readopted: 0,
             })
         }
-        Scenario::Distributed | Scenario::DistributedTcp(_) => {
+        Scenario::Distributed(port) => {
             let exe =
                 std::env::current_exe().map_err(|e| format!("cannot locate reproduce: {e}"))?;
             let mut opts = ClusterOptions::new(
@@ -216,24 +203,17 @@ pub fn run_scenario(
             opts.lease_ms = 400;
             opts.journal = Some(journal);
             opts.resume = resume;
-            let mode = match scenario {
-                Scenario::DistributedTcp(port) => {
-                    opts.listen = Some(format!("127.0.0.1:{port}"));
-                    // Orphans from a killed coordinator must outlive the
-                    // gap until the restart re-binds the port.
-                    opts.orphan_grace_ms = Some(30_000);
-                    // Composability mode so block pre-training, assembly
-                    // and the block-index write all exist — that is where
-                    // `coord.assemble` fires.
-                    RunMode::Composability
-                }
-                _ => RunMode::Baseline,
-            };
-            let (run, stats) = run_distributed(&inputs, &dataset, mode, &opts)
+            opts.listen = Some(format!("127.0.0.1:{port}"));
+            // Orphans from a killed coordinator must outlive the gap
+            // until the restart re-binds the port.
+            opts.orphan_grace_ms = Some(30_000);
+            // Composability mode so block pre-training, assembly, the
+            // block checkpoints and the block-index write all exist —
+            // that is where `ckpt.*` and `coord.assemble` fire.
+            let (run, stats) = run_distributed(&inputs, &dataset, RunMode::Composability, &opts)
                 .map_err(|e| format!("distributed run failed: {e}"))?;
             Ok(ChildOutcome {
                 fingerprint: fingerprint(&run),
-                respawned: stats.workers_respawned,
                 readopted: stats.workers_readopted,
             })
         }
@@ -309,15 +289,15 @@ fn scenario_dir(base: &Path, name: &str) -> Result<PathBuf, String> {
     Ok(dir)
 }
 
-/// Kill at `site` (count `n`), then recover with `--resume` in this
+/// Kill the pipeline at `site`, then recover with `--resume` in this
 /// process and compare against `baseline`.
 fn kill_and_resume(
     site: &'static str,
-    scenario: Scenario,
     base: &Path,
     baseline: &str,
     seed: u64,
 ) -> Result<SiteResult, String> {
+    let scenario = Scenario::Pipeline;
     let dir = scenario_dir(base, site)?;
     let (success, _, stderr) = spawn_crash_child(scenario, &dir, &format!("{site}:1"), seed)?;
     if success {
@@ -340,40 +320,7 @@ fn kill_and_resume(
     })
 }
 
-/// Kill a *worker* at `site`: the run itself must survive via lease
-/// reclaim + respawn (the respawned generation does not re-arm), so the
-/// crash child completes and no resume is involved.
-fn kill_and_self_heal(
-    site: &'static str,
-    base: &Path,
-    baseline: &str,
-    seed: u64,
-) -> Result<SiteResult, String> {
-    let dir = scenario_dir(base, site)?;
-    let (success, outcome, stderr) =
-        spawn_crash_child(Scenario::Distributed, &dir, &format!("{site}:1"), seed)?;
-    if !success {
-        return Err(format!(
-            "run with `{site}` armed did not self-heal: {}",
-            stderr.lines().last().unwrap_or("(no stderr)")
-        ));
-    }
-    let outcome = outcome.ok_or_else(|| format!("`{site}` child wrote no outcome"))?;
-    if outcome.respawned == 0 {
-        return Err(format!(
-            "kill point `{site}` never fired: no worker was respawned"
-        ));
-    }
-    Ok(SiteResult {
-        site,
-        scenario: Scenario::Distributed,
-        crash: format!("worker aborted, {} respawned", outcome.respawned),
-        recovery: "in-run reclaim".to_string(),
-        identical: outcome.fingerprint == baseline,
-    })
-}
-
-/// Kill the *coordinator* at `site` mid-TCP-run while its workers are
+/// Kill the *coordinator* at `site` mid-run while its workers are
 /// alive, then restart the coordinator with `--resume` on the **same**
 /// port. The crash child dies via `abort()`, which skips `Drop` — its
 /// worker pool is never torn down, so the workers survive as orphans
@@ -395,7 +342,7 @@ fn kill_and_restart_coordinator(
         .and_then(|l| l.local_addr())
         .map_err(|e| format!("cannot reserve a port: {e}"))?
         .port();
-    let scenario = Scenario::DistributedTcp(port);
+    let scenario = Scenario::Distributed(port);
     let (success, _, stderr) = spawn_crash_child(scenario, &dir, &format!("{site}:1"), seed)?;
     if success {
         return Err(format!(
@@ -478,48 +425,34 @@ pub fn crashes_report(seed: u64, _quick: bool) -> Result<String, String> {
     std::fs::remove_dir_all(&base).ok();
     std::fs::create_dir_all(&base).map_err(|e| format!("cannot create scratch dir: {e}"))?;
 
-    // Uninterrupted references, one per scenario shape (journaled, like
-    // every crashed run — the journal must not change results).
-    let pipeline_base =
-        run_scenario(Scenario::Pipeline, &scenario_dir(&base, "baseline.pipeline")?, seed, false)?;
-    let dist_base = run_scenario(
-        Scenario::Distributed,
-        &scenario_dir(&base, "baseline.distributed")?,
-        seed,
-        false,
-    )?;
+    // The uninterrupted reference (journaled, like every crashed run —
+    // the journal must not change results). Both scenario shapes run
+    // Composability mode on the same micro instance, so the
+    // single-process run is the bit-identity reference of the
+    // distributed rows too.
+    let baseline =
+        run_scenario(Scenario::Pipeline, &scenario_dir(&base, "baseline.pipeline")?, seed, false)?
+            .fingerprint;
 
     let mut rows = Vec::new();
     for site in KILL_SITES {
         let result = match site.name {
-            kill_site::JOURNAL_HEADER | kill_site::JOURNAL_APPEND => kill_and_resume(
-                site.name,
-                Scenario::Pipeline,
-                &base,
-                &pipeline_base.fingerprint,
-                seed,
-            )?,
-            kill_site::CKPT_WRITE | kill_site::CKPT_RENAME => kill_and_resume(
-                site.name,
-                Scenario::Distributed,
-                &base,
-                &dist_base.fingerprint,
-                seed,
-            )?,
-            kill_site::RUNDIR_PUBLISH => {
-                kill_and_self_heal(site.name, &base, &dist_base.fingerprint, seed)?
+            kill_site::JOURNAL_HEADER | kill_site::JOURNAL_APPEND => {
+                kill_and_resume(site.name, &base, &baseline, seed)?
             }
-            // Coordinator-side TCP sites run in Composability mode, so
-            // the single-process pipeline baseline is the bit-identity
-            // reference (same mode, same seed, same micro instance).
-            kill_site::COORD_GRANT | kill_site::COORD_REAP | kill_site::COORD_ASSEMBLE => {
-                kill_and_restart_coordinator(site.name, &base, &pipeline_base.fingerprint, seed)?
+            kill_site::CKPT_WRITE
+            | kill_site::CKPT_RENAME
+            | kill_site::RUNDIR_PUBLISH
+            | kill_site::COORD_GRANT
+            | kill_site::COORD_REAP
+            | kill_site::COORD_ASSEMBLE => {
+                kill_and_restart_coordinator(site.name, &base, &baseline, seed)?
             }
             other => return Err(format!("kill site `{other}` has no crash-matrix scenario")),
         };
         rows.push(result);
     }
-    rows.push(corrupt_and_resume(&base, &pipeline_base.fingerprint, seed)?);
+    rows.push(corrupt_and_resume(&base, &baseline, seed)?);
 
     let table: Vec<Vec<String>> = rows
         .iter()

@@ -35,16 +35,17 @@
 //!     fault plan (see `wootz-fault`); the retry flags control the
 //!     evaluation supervisor (defaults: 1 attempt + abort without faults,
 //!     3 attempts + skip when a fault plan is given). `--distributed N`
-//!     executes pre-training and evaluation on N worker OS processes fed
-//!     through a crash-safe task queue under `--run-dir` (results stay
-//!     bit-identical to the single-process run; see DESIGN.md §9).
-//!     `--listen ADDR` additionally binds a TCP coordinator socket speaking
-//!     the `wootz-wire` framed protocol (see PROTOCOL.md); spawned workers
-//!     connect over loopback and remote machines can join with
-//!     `wootz worker --connect`. A killed TCP coordinator restarts with
-//!     `--resume --listen <same addr>`: the epoch bumps, live workers are
-//!     re-adopted on their next redial, and the result is bit-identical to
-//!     an uninterrupted run. `--orphan-grace-ms` sets the workers' orphan
+//!     executes pre-training and evaluation on N worker OS processes that
+//!     the coordinator spawns and feeds over a loopback TCP socket
+//!     speaking the `wootz-wire` framed protocol (see PROTOCOL.md), from
+//!     a crash-safe task queue it journals under `--run-dir` (results
+//!     stay bit-identical to the single-process run; see DESIGN.md §9).
+//!     `--listen ADDR` names the socket's address instead of an ephemeral
+//!     loopback port, to accept workers from other machines
+//!     (`wootz worker --connect`) or to survive a restart. A killed
+//!     coordinator restarts with `--resume --listen <same addr>`: the
+//!     epoch bumps, live workers are re-adopted on their next redial, and
+//!     the result is bit-identical to an uninterrupted run. `--orphan-grace-ms` sets the workers' orphan
 //!     grace budget (how long they redial a gone coordinator).
 //!     `--explorer` selects the exploration strategy (DESIGN.md §14):
 //!     `fixed` (the paper's objective-ordered sweep; the default) or an
@@ -52,17 +53,16 @@
 //!     `bandit` seeded policy) that grows the configuration universe
 //!     round by round. `--explorer-budget N` caps an adaptive strategy
 //!     at N proposal evaluations (default 64); it is an error with
-//!     `--explorer fixed`. Adaptive runs compose with every transport:
-//!     distributed workers receive proposed configurations inside their
-//!     tasks, so the flags are coordinator-side only.
+//!     `--explorer fixed`. Adaptive runs compose with `--distributed`:
+//!     workers receive proposed configurations inside their tasks, so
+//!     the flags are coordinator-side only.
 //!
-//! wootz worker (--run-dir <dir> | --connect <addr>) --worker-id <id>
-//!              [--orphan-grace-ms MS]
-//!     Join a distributed run as a worker process — either against a shared
-//!     run directory (filesystem transport) or against a coordinator's
-//!     `--listen` socket (TCP transport). `wootz prune --distributed`
-//!     spawns these itself; extra workers started by hand simply join.
-//!     A TCP worker whose orphan grace budget expires without reaching a
+//! wootz worker --connect <addr> --worker-id <id> [--orphan-grace-ms MS]
+//!     Join a distributed run as a worker process by dialing its
+//!     coordinator's socket. `wootz prune --distributed` spawns these
+//!     itself; extra workers started by hand against a `--listen`
+//!     address simply join.
+//!     A worker whose orphan grace budget expires without reaching a
 //!     coordinator exits with code 86 ("coordinator gone") so supervisors
 //!     can distinguish it from a clean shutdown or a crash.
 //! ```
@@ -92,8 +92,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use wootz_cluster::{
-    run_distributed, self_worker_cmd, serve, submit, worker_main, worker_net_main, ClusterOptions,
-    Message, ServeOptions, WorkerExit,
+    run_distributed, self_worker_cmd, serve, submit, worker_net_main, ClusterOptions, Message,
+    ServeOptions, WorkerExit,
 };
 use wootz_core::blocks::{identify_tuning_blocks, partition_into_groups};
 use wootz_core::explorer::ExplorerKind;
@@ -198,6 +198,8 @@ fn usage() -> &'static str {
      serve:  --store <dir> [--listen <addr>] [--store-budget <bytes>] [--state <dir>]\n\
      submit: --connect <addr> --model <file> --configs <file> --solver <file> --objective <file> [--mode <m>] [--explorer fixed|taylor|bandit] [--explorer-budget <n>]\n\
      prune:  … [--explorer fixed|taylor|bandit] [--explorer-budget <n>] selects the exploration strategy (DESIGN.md §14)\n\
+     prune:  … [--distributed <n> --run-dir <dir> [--listen <addr>] [--lease-ms <ms>] [--orphan-grace-ms <ms>]] runs on n worker processes over TCP (DESIGN.md §9)\n\
+     worker: --connect <addr> --worker-id <id> [--orphan-grace-ms <ms>]\n\
      run `wootz help` for per-command options; SERVING.md documents the daemon"
 }
 
@@ -668,33 +670,22 @@ fn cmd_submit(mut args: Vec<String>) -> CliResult {
 }
 
 fn cmd_worker(mut args: Vec<String>) -> Result<ExitCode, Box<dyn std::error::Error>> {
-    let run_dir: Option<PathBuf> = take_flag(&mut args, "--run-dir").map(Into::into);
-    let connect = take_flag(&mut args, "--connect");
+    let addr = take_flag(&mut args, "--connect").ok_or("worker needs --connect <addr>")?;
     let worker_id = take_flag(&mut args, "--worker-id").ok_or("worker needs --worker-id <id>")?;
     let orphan_grace_ms: Option<u64> = match take_flag(&mut args, "--orphan-grace-ms") {
         Some(s) => Some(s.parse().map_err(|e| format!("bad --orphan-grace-ms: {e}"))?),
         None => None,
     };
     reject_leftovers(&args)?;
-    match (run_dir, connect) {
-        (Some(dir), None) => {
-            worker_main(&dir, &worker_id)?;
-            Ok(ExitCode::SUCCESS)
+    match worker_net_main(&addr, &worker_id, orphan_grace_ms)? {
+        WorkerExit::Shutdown => Ok(ExitCode::SUCCESS),
+        WorkerExit::CoordinatorGone => {
+            eprintln!(
+                "wootz worker {worker_id}: coordinator at `{addr}` gone past the orphan \
+                 grace budget; exiting with code {ORPHAN_EXIT_CODE}"
+            );
+            Ok(ExitCode::from(ORPHAN_EXIT_CODE))
         }
-        (None, Some(addr)) => match worker_net_main(&addr, &worker_id, orphan_grace_ms)? {
-            WorkerExit::Shutdown => Ok(ExitCode::SUCCESS),
-            WorkerExit::CoordinatorGone => {
-                eprintln!(
-                    "wootz worker {worker_id}: coordinator at `{addr}` gone past the orphan \
-                     grace budget; exiting with code {ORPHAN_EXIT_CODE}"
-                );
-                Ok(ExitCode::from(ORPHAN_EXIT_CODE))
-            }
-        },
-        (Some(_), Some(_)) => {
-            Err("worker takes --run-dir <dir> OR --connect <addr>, not both".into())
-        }
-        (None, None) => Err("worker needs --run-dir <dir> or --connect <addr>".into()),
     }
 }
 

@@ -13,13 +13,21 @@
 //! stragglers, because a re-executed task is a pure function of its inputs
 //! and fencing guarantees exactly one result per unit of work is counted.
 //!
-//! Failure handling, in one paragraph: every claimed task carries a lease
-//! whose mtime is the worker's heartbeat; a lease older than `lease_ms` is
-//! *reclaimed* — the attempt is fenced (its late result will be rejected)
-//! and a fresh attempt is enqueued, up to `max_task_attempts`, after which
-//! the unit of work is *abandoned* and surfaces as a structured
-//! [`CoreError::Remote`] failure that flows through the normal retry /
-//! skip / abort policy. When the queue has drained but results are still
+//! Workers are reached one way: the coordinator binds a [`NetHub`] (on
+//! loopback unless `listen` names a deployment address), spawns its pool
+//! as `worker --connect <addr>`, and the hub claims tasks from and
+//! journals results to the run directory on the workers' behalf. The
+//! drive loop never sleeps on a timer of its own: it waits on the hub's
+//! event signal, bounded by `poll_ms` so the lease, speculation, respawn
+//! and stall clocks still get serviced.
+//!
+//! Failure handling, in one paragraph: every granted task carries a lease
+//! that the worker's heartbeat frames keep fresh; a grant without a
+//! signal for `lease_ms` is *reclaimed* — the attempt is fenced (its late
+//! result will be rejected) and a fresh attempt is enqueued, up to
+//! `max_task_attempts`, after which the unit of work is *abandoned* and
+//! surfaces as a structured [`CoreError::Remote`] failure that flows
+//! through the normal retry / skip / abort policy. When the queue has drained but results are still
 //! outstanding, the slowest claimed task (deterministically the lowest
 //! sequence number among the over-deadline ones) is *speculated*: a
 //! duplicate attempt races the straggler and the first publication wins.
@@ -31,7 +39,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 
 use serde::Serialize;
 
@@ -70,9 +78,9 @@ pub struct ClusterOptions<'a> {
     /// reclaimed.
     pub lease_ms: u64,
     /// Coordinator poll period in milliseconds: how often the drive loop
-    /// services its lease, speculation, respawn and stall clocks. The
-    /// filesystem transport also discovers results at this cadence; the
-    /// TCP transport is woken by the hub the moment one is journaled.
+    /// services its lease, speculation, respawn and stall clocks. Results
+    /// do not wait for it — the hub wakes the loop the moment one is
+    /// journaled.
     pub poll_ms: u64,
     /// Fixed speculation deadline override (ms of claimed run time). When
     /// `None`, the deadline is `3 × median per-step wall time × expected
@@ -84,14 +92,15 @@ pub struct ClusterOptions<'a> {
     /// Abort the run with diagnostics when nothing completes, reclaims or
     /// abandons for this long.
     pub stall_timeout_ms: u64,
-    /// How long to wait for workers to exit after the shutdown marker
-    /// before killing them (this grace window is also when late zombie
-    /// results get counted as rejected).
+    /// How long to wait for workers to exit after the `Shutdown`
+    /// broadcast before killing them (this grace window is also when late
+    /// zombie results get counted as rejected).
     pub shutdown_grace_ms: u64,
-    /// The run directory holding the manifest, checkpoints and queue.
+    /// The run directory: the coordinator's durability journal (manifest,
+    /// task queue, journaled results, published blocks, worker logs).
     pub run_dir: PathBuf,
     /// How to start a worker: executable plus leading arguments; the
-    /// coordinator appends `--run-dir <dir> --worker-id <id>`.
+    /// coordinator appends `--connect <addr> --worker-id <id>`.
     pub worker_cmd: (PathBuf, Vec<String>),
     /// Deterministic fault-injection plan (embedded into the manifest so
     /// workers share the schedule).
@@ -104,12 +113,12 @@ pub struct ClusterOptions<'a> {
     pub journal: Option<PathBuf>,
     /// Replay an existing journal instead of redoing the work.
     pub resume: bool,
-    /// TCP listen address (e.g. `127.0.0.1:0`). When set, workers speak
-    /// the `wootz-wire` framed protocol over sockets and the run
-    /// directory becomes a coordinator-private durability journal; when
-    /// `None`, the filesystem queue is the transport (as before).
+    /// TCP listen address of the coordinator's hub. `None` binds an
+    /// ephemeral loopback port (`127.0.0.1:0`), which is all the spawned
+    /// pool needs; name an address to accept workers from other machines
+    /// or to restart a killed coordinator where its orphans still dial.
     pub listen: Option<String>,
-    /// Orphan grace budget (ms) exported to spawned network workers via
+    /// Orphan grace budget (ms) exported to spawned workers via
     /// [`crate::worker::ENV_ORPHAN_GRACE_MS`]: how long a worker redials
     /// a gone coordinator before exiting with the "coordinator gone"
     /// code. `None` leaves the workers' own resolution (inherited
@@ -181,17 +190,14 @@ pub struct ClusterStats {
     pub tasks_abandoned: usize,
     /// Accepted results per worker id (utilization).
     pub per_worker_tasks: BTreeMap<String, usize>,
-    /// Worker TCP sessions re-opened after a disconnect (network mode).
+    /// Worker TCP sessions re-opened after a disconnect.
     pub net_reconnects: usize,
-    /// Lease-file probes skipped because the in-memory heartbeat
-    /// bookkeeping was still fresh (see the drive loop's step 3).
-    pub lease_scans_avoided: usize,
     /// Live workers from a previous coordinator's epoch re-adopted by
-    /// this run: reconnects whose `Hello` carried a stale epoch
-    /// (network mode, after a coordinator restart).
+    /// this run: reconnects whose `Hello` carried a stale epoch (after a
+    /// coordinator restart).
     pub workers_readopted: usize,
-    /// `NoTask` replies sent (network mode): `TaskRequest`s that stayed
-    /// parked for a whole long-poll bound with neither work nor drain.
+    /// `NoTask` replies sent: `TaskRequest`s that stayed parked for a
+    /// whole long-poll bound with neither work nor drain.
     pub no_task_replies: usize,
 }
 
@@ -202,7 +208,7 @@ impl ClusterStats {
             "cluster: {} workers, {} tasks completed, {} leases reclaimed, \
              {} speculative launched ({} won), {} zombie results rejected, \
              {} workers respawned, {} tasks abandoned, {} net reconnects, \
-             {} lease scans avoided, {} workers re-adopted, {} NoTask replies",
+             {} workers re-adopted, {} NoTask replies",
             self.workers,
             self.tasks_completed,
             self.leases_reclaimed,
@@ -212,7 +218,6 @@ impl ClusterStats {
             self.workers_respawned,
             self.tasks_abandoned,
             self.net_reconnects,
-            self.lease_scans_avoided,
             self.workers_readopted,
             self.no_task_replies
         )
@@ -223,7 +228,7 @@ impl ClusterStats {
 /// worker may still be running.
 const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
 
-/// The same wait once every TCP session has closed: the workers have
+/// The same wait once every session has closed: the workers have
 /// read their `Shutdown` and only their processes' exits are left.
 const EXIT_POLL: Duration = Duration::from_millis(1);
 
@@ -236,15 +241,12 @@ struct Slot {
 }
 
 /// The set of spawned worker processes. Dropping the pool kills whatever
-/// is still running (after asking nicely via the shutdown marker), so an
-/// error path never leaks child processes.
+/// is still running, so an error path never leaks child processes.
 struct WorkerPool {
     dir: RunDir,
     exe: PathBuf,
     prefix: Vec<String>,
-    /// TCP address workers connect to; `None` = filesystem transport.
-    connect: Option<String>,
-    /// Orphan grace budget forwarded to network workers (see
+    /// Orphan grace budget forwarded to the workers (see
     /// [`ClusterOptions::orphan_grace_ms`]).
     orphan_grace_ms: Option<u64>,
     env: Vec<(String, String)>,
@@ -252,14 +254,11 @@ struct WorkerPool {
 }
 
 impl WorkerPool {
-    fn spawn(dir: RunDir, opts: &ClusterOptions<'_>, hub: Option<&NetHub>) -> Result<WorkerPool> {
+    fn spawn(dir: RunDir, opts: &ClusterOptions<'_>, hub: &NetHub) -> Result<WorkerPool> {
         let mut pool = WorkerPool {
             dir,
             exe: opts.worker_cmd.0.clone(),
             prefix: opts.worker_cmd.1.clone(),
-            // Workers connect to the *resolved* address (a `:0` listen
-            // port is real by now).
-            connect: hub.map(|h| h.local_addr().to_string()),
             orphan_grace_ms: opts.orphan_grace_ms,
             env: opts.worker_env.clone(),
             slots: Vec::new(),
@@ -278,7 +277,7 @@ impl WorkerPool {
         Ok(pool)
     }
 
-    fn spawn_process(&self, id: &str, respawn: bool, hub: Option<&NetHub>) -> Result<Child> {
+    fn spawn_process(&self, id: &str, respawn: bool, hub: &NetHub) -> Result<Child> {
         let log_path = self.dir.logs().join(format!("{id}.log"));
         let log = std::fs::OpenOptions::new()
             .create(true)
@@ -290,11 +289,8 @@ impl WorkerPool {
             .map_err(|e| cluster_err(format!("cannot clone log handle: {e}")))?;
         let mut cmd = Command::new(&self.exe);
         cmd.args(&self.prefix);
-        match &self.connect {
-            // Network transport: the worker needs nothing but the address.
-            Some(addr) => cmd.arg("--connect").arg(addr),
-            None => cmd.arg("--run-dir").arg(self.dir.root()),
-        };
+        // The hub's *resolved* address: a `:0` listen port is real by now.
+        cmd.arg("--connect").arg(hub.local_addr());
         cmd.arg("--worker-id").arg(id);
         // Workers inherit the coordinator's kernel-thread budget so a
         // distributed run at `--threads N` is reproducible end to end
@@ -326,9 +322,7 @@ impl WorkerPool {
                     self.exe.display()
                 ))
             })?;
-        if let Some(hub) = hub {
-            hub.note_spawned(id);
-        }
+        hub.note_spawned(id);
         wootz_obs::event("cluster.worker_spawned")
             .field("worker", id)
             .field("pid", child.id() as usize)
@@ -337,7 +331,7 @@ impl WorkerPool {
     }
 
     /// Replaces dead worker processes (one new generation per death).
-    fn respawn_dead(&mut self, stats: &mut ClusterStats, hub: Option<&NetHub>) -> Result<()> {
+    fn respawn_dead(&mut self, stats: &mut ClusterStats, hub: &NetHub) -> Result<()> {
         for i in 0..self.slots.len() {
             let exited = match self.slots[i].child.as_mut() {
                 Some(child) => child.try_wait().ok().flatten().is_some(),
@@ -391,9 +385,6 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        // Best effort: let hand-started workers exit too, then make sure
-        // none of our children outlive the coordinator.
-        let _ = self.dir.request_shutdown();
         self.kill_all();
     }
 }
@@ -410,11 +401,8 @@ fn worker_id(index: usize, gen: u32) -> String {
 struct Attempt {
     task: TaskSpec,
     claim_seen: Option<Instant>,
-    /// Last liveness signal: the claim time, refreshed by transport
-    /// heartbeat bookkeeping (network mode pushes heartbeat frames here;
-    /// filesystem mode refreshes it from a lazy lease-file probe). The
-    /// lease clock runs against this, which is what lets the hot poll
-    /// loop skip filesystem scans while the signal is fresh.
+    /// Last liveness signal the hub recorded: the grant, then every
+    /// heartbeat frame. The lease clock runs against this.
     last_signal: Option<Instant>,
     speculative: bool,
 }
@@ -438,9 +426,8 @@ struct Coordinator<'a> {
     opts: &'a ClusterOptions<'a>,
     solver: &'a wootz_ir::SolverConfig,
     pool: WorkerPool,
-    /// The TCP front-end, when `opts.listen` selected the network
-    /// transport. `None` = filesystem-queue transport.
-    hub: Option<NetHub>,
+    /// The TCP front-end every worker talks to.
+    hub: NetHub,
     stats: ClusterStats,
     next_seq: u64,
     /// Result files already examined (accepted or rejected).
@@ -471,27 +458,8 @@ impl Coordinator<'_> {
     /// re-enqueues and speculative duplicates.
     fn enqueue(&self, task: &TaskSpec) -> Result<()> {
         self.dir.enqueue(task)?;
-        if let Some(hub) = &self.hub {
-            hub.notify_work();
-        }
+        self.hub.notify_work();
         Ok(())
-    }
-
-    /// The hub's event generation (0 without a hub); read it before
-    /// looking at the run directory, then pass it to [`Coordinator::idle`].
-    fn events_seen(&self) -> u64 {
-        self.hub.as_ref().map_or(0, NetHub::events_seen)
-    }
-
-    /// Waits out one tick: until the hub reports a journaled result or a
-    /// closed session newer than `seen`, or for `timeout` — which is all
-    /// the filesystem transport has, directory polling being what that
-    /// transport is.
-    fn idle(&self, seen: u64, timeout: Duration) {
-        match &self.hub {
-            Some(hub) => hub.wait_event(seen, timeout),
-            None => std::thread::sleep(timeout),
-        }
     }
 
     /// The speculation deadline (ms of claimed run time) for a task of
@@ -536,11 +504,11 @@ impl Coordinator<'_> {
             let mut progressed = false;
             // Read before the directory listing: a result journaled after
             // the listing then ends this tick's wait at once.
-            let seen = self.events_seen();
+            let seen = self.hub.events_seen();
 
-            // 1. Reap freshly published results, applying fencing. The
-            // run-directory files are the one reap path of both
-            // transports; the hub's event only says when to look.
+            // 1. Reap freshly journaled results, applying fencing. The
+            // run-directory files are the source of truth; the hub's
+            // event only says when to look.
             for name in self.dir.result_files()? {
                 if self.processed_results.contains(&name) {
                     continue;
@@ -554,88 +522,43 @@ impl Coordinator<'_> {
                     wootz_fault::chaos::die(wootz_fault::chaos::kill_site::COORD_REAP);
                 }
                 progressed |= self.accept_or_fence(result, &mut units, &mut done);
-                if let Some(at) = self.hub.as_ref().and_then(|h| h.take_arrival(&name)) {
+                if let Some(at) = self.hub.take_arrival(&name) {
                     wootz_obs::histogram("cluster.reap_latency_us")
                         .record(at.elapsed().as_micros() as u64);
                 }
                 self.processed_results.insert(name);
             }
 
-            // 2. Note newly appeared claims (the claim time starts the
-            // lease clock even before the first heartbeat lands — which is
-            // exactly how a hung worker that never heartbeats is caught).
-            // Network mode skips the directory scan: the hub's grant
-            // signal (consumed in step 3) is the claim notification.
+            // 2. Fold in the hub's liveness signals. The grant starts an
+            // attempt's lease clock even before the first heartbeat lands
+            // — which is exactly how a hung worker that never heartbeats
+            // is caught — and every heartbeat frame refreshes it.
             let now = Instant::now();
-            if self.hub.is_none() {
-                let claimed: BTreeSet<(u64, u32)> = self
-                    .dir
-                    .claimed()?
-                    .iter()
-                    .filter_map(|n| crate::protocol::parse_task_file_name(n))
-                    .collect();
+            let signals = self.hub.take_signals();
+            if !signals.is_empty() {
                 for unit in units.values_mut() {
                     for att in &mut unit.live {
-                        if att.claim_seen.is_none()
-                            && claimed.contains(&(att.task.seq, att.task.attempt))
-                        {
-                            att.claim_seen = Some(now);
-                            att.last_signal = Some(now);
+                        if let Some(&t) = signals.get(&(att.task.seq, att.task.attempt)) {
+                            att.claim_seen.get_or_insert(t);
+                            att.last_signal = Some(att.last_signal.map_or(t, |s| s.max(t)));
                         }
                     }
                 }
             }
 
-            // 3. Reclaim expired leases — lazily. The lease clock runs
-            // against each attempt's in-memory `last_signal`: network
-            // heartbeat frames refresh it for free, and the filesystem
-            // lease file is probed only once the signal has aged past the
-            // lease period (the worker may have been heartbeating the
-            // file all along). The hot poll loop therefore stops
-            // re-scanning the run directory every tick; each skipped
-            // probe is counted as `cluster.lease_scans_avoided`.
-            if let Some(hub) = &self.hub {
-                let signals = hub.take_signals();
-                if !signals.is_empty() {
-                    for unit in units.values_mut() {
-                        for att in &mut unit.live {
-                            if let Some(&t) = signals.get(&(att.task.seq, att.task.attempt)) {
-                                att.claim_seen.get_or_insert(t);
-                                att.last_signal = Some(att.last_signal.map_or(t, |s| s.max(t)));
-                            }
-                        }
-                    }
-                }
-            }
+            // 3. Reclaim expired leases: granted attempts whose last
+            // signal is older than the lease period.
             let mut reclaims: Vec<(u64, u32)> = Vec::new();
-            for (&seq, unit) in units.iter_mut() {
+            for (&seq, unit) in &units {
                 if done.contains_key(&seq) {
                     continue;
                 }
-                for att in &mut unit.live {
-                    let Some(seen) = att.claim_seen else { continue };
-                    let signal = att.last_signal.unwrap_or(seen);
+                for att in &unit.live {
+                    let Some(signal) = att.last_signal else { continue };
                     let age = now.saturating_duration_since(signal);
-                    if age.as_millis() as u64 <= self.opts.lease_ms {
-                        self.stats.lease_scans_avoided += 1;
-                        wootz_obs::counter("cluster.lease_scans_avoided").incr();
-                        continue;
+                    if age.as_millis() as u64 > self.opts.lease_ms {
+                        reclaims.push((seq, att.task.attempt));
                     }
-                    if self.hub.is_none() {
-                        // Filesystem mode: pay for one lease-file probe
-                        // now that the in-memory signal looks stale.
-                        let lease_age = self
-                            .dir
-                            .lease_heartbeat(&att.task.file_name())
-                            .and_then(|t| SystemTime::now().duration_since(t).ok());
-                        if let Some(lease_age) = lease_age {
-                            if lease_age.as_millis() as u64 <= self.opts.lease_ms {
-                                att.last_signal = now.checked_sub(lease_age).or(Some(now));
-                                continue;
-                            }
-                        }
-                    }
-                    reclaims.push((seq, att.task.attempt));
                 }
             }
             for (seq, attempt) in reclaims {
@@ -728,7 +651,7 @@ impl Coordinator<'_> {
             }
 
             // 5. Keep the physical pool at strength.
-            self.pool.respawn_dead(&mut self.stats, self.hub.as_ref())?;
+            self.pool.respawn_dead(&mut self.stats, &self.hub)?;
 
             // 6. Stall watchdog.
             if progressed {
@@ -747,7 +670,8 @@ impl Coordinator<'_> {
                 )));
             }
             if done.len() < total {
-                self.idle(seen, Duration::from_millis(self.opts.poll_ms));
+                self.hub
+                    .wait_event(seen, Duration::from_millis(self.opts.poll_ms));
             }
         }
         Ok(seqs
@@ -830,8 +754,8 @@ impl Coordinator<'_> {
     /// workers: each checkpoint is written exactly once under a name
     /// derived from its block key (stable across rounds, so a concurrent
     /// fetch never sees a file change underneath it), the index is
-    /// republished atomically, and the TCP hub's cached copy is dropped
-    /// so workers always fetch the round-complete bag.
+    /// republished atomically, and the hub's cached copy is dropped so
+    /// workers always fetch the round-complete bag.
     fn publish_blocks(&mut self, checkpoints: &BTreeMap<String, Checkpoint>) -> Result<()> {
         for (key, ckpt) in checkpoints {
             if !self.published.contains_key(key) {
@@ -858,26 +782,21 @@ impl Coordinator<'_> {
             }
         }
         atomic_write_json(&self.dir.blocks_index(), &self.published)?;
-        if let Some(hub) = &self.hub {
-            hub.invalidate_blocks();
-        }
+        self.hub.invalidate_blocks();
         Ok(())
     }
 
-    /// Shuts the run down: writes the shutdown marker, waits up to the
-    /// grace period for workers to finish their in-flight tasks and exit
-    /// (counting any late result published meanwhile as a fenced zombie),
+    /// Shuts the run down: broadcasts `Shutdown`, waits up to the grace
+    /// period for workers to finish their in-flight tasks and exit
+    /// (counting any late result journaled meanwhile as a fenced zombie),
     /// then kills whatever is left.
     fn finish(mut self) -> Result<ClusterStats> {
-        self.dir.request_shutdown()?;
-        if let Some(hub) = &self.hub {
-            // Sockets stay open through the grace period so in-flight
-            // TaskDone frames still land in the durability journal.
-            hub.broadcast_shutdown();
-        }
+        // Sockets stay open through the grace period so in-flight
+        // TaskDone frames still land in the durability journal.
+        self.hub.broadcast_shutdown();
         let deadline = Instant::now() + Duration::from_millis(self.opts.shutdown_grace_ms);
         loop {
-            let seen = self.events_seen();
+            let seen = self.hub.events_seen();
             self.reap_late_results()?;
             let alive = self.pool.poll_alive();
             wootz_obs::gauge("cluster.workers_alive").set(alive as f64);
@@ -889,22 +808,18 @@ impl Coordinator<'_> {
             // reports as an event; what follows is only its process
             // winding down, so once no session is open the exit check
             // repeats on a short leash. The 50 ms cadence remains for
-            // workers that never held a session — and for the filesystem
-            // transport, whose workers poll for the shutdown marker.
-            let open = self.hub.as_ref().map(NetHub::sessions);
-            let tick = if open == Some(0) {
+            // workers that never held a session.
+            let tick = if self.hub.sessions() == 0 {
                 EXIT_POLL
             } else {
                 SHUTDOWN_POLL
             };
-            self.idle(seen, tick.min(deadline - now));
+            self.hub.wait_event(seen, tick.min(deadline - now));
         }
-        if let Some(mut hub) = self.hub.take() {
-            self.stats.net_reconnects = hub.reconnects();
-            self.stats.workers_readopted = hub.readopted();
-            self.stats.no_task_replies = hub.no_task_replies();
-            hub.close();
-        }
+        self.stats.net_reconnects = self.hub.reconnects();
+        self.stats.workers_readopted = self.hub.readopted();
+        self.stats.no_task_replies = self.hub.no_task_replies();
+        self.hub.close();
         self.pool.kill_all();
         self.reap_late_results()?;
         wootz_obs::gauge("cluster.workers_alive").set(0.0);
@@ -1052,10 +967,10 @@ impl RoundBackend for Coordinator<'_> {
 
 impl<'a> Coordinator<'a> {
     /// Brings the distributed runtime up around the trained full model:
-    /// claims the next fencing epoch over the run directory, publishes
-    /// the full-model checkpoint and the manifest, binds the TCP hub when
-    /// `opts.listen` selects the network transport, and spawns the worker
-    /// pool.
+    /// claims the next fencing epoch over the run directory, writes the
+    /// manifest, binds the hub (which hands the manifest and the
+    /// full-model checkpoint to every worker in its `Welcome`), and
+    /// spawns the worker pool.
     fn start(
         inputs: &'a WootzInputs,
         mode: RunMode,
@@ -1080,7 +995,6 @@ impl<'a> Coordinator<'a> {
                 .emit();
         }
         dir.init_epoch()?;
-        full_ckpt.save(dir.full_ckpt())?;
         let manifest = Manifest {
             epoch,
             model: inputs.model.clone(),
@@ -1098,13 +1012,11 @@ impl<'a> Coordinator<'a> {
             .field("workers", opts.workers)
             .emit();
 
-        // Network transport: bind the hub before any worker starts, so the
-        // first connection attempt succeeds.
-        let hub = match &opts.listen {
-            Some(addr) => Some(NetHub::bind(addr, dir.clone(), manifest, full_ckpt.clone())?),
-            None => None,
-        };
-        let pool = WorkerPool::spawn(dir.clone(), opts, hub.as_ref())?;
+        // Bind the hub before any worker starts, so the first connection
+        // attempt succeeds.
+        let addr = opts.listen.as_deref().unwrap_or("127.0.0.1:0");
+        let hub = NetHub::bind(addr, dir.clone(), manifest, full_ckpt.clone())?;
+        let pool = WorkerPool::spawn(dir.clone(), opts, &hub)?;
         Ok(Coordinator {
             dir,
             epoch,
@@ -1128,7 +1040,7 @@ impl<'a> Coordinator<'a> {
 /// same phase driver as [`wootz_core::pipeline::run_wootz_with`]
 /// ([`run_phases`]), with pre-training groups and configuration
 /// evaluations executing on `opts.workers` separate worker OS processes
-/// fed through the crash-safe filesystem queue or the TCP transport. The
+/// fed over TCP from the crash-safe queue under `opts.run_dir`. The
 /// full model is replayed from the journal or trained locally (training
 /// it remotely would serialize on one worker anyway), and the journal's
 /// single-writer lock is what makes a SIGKILLed coordinator safely

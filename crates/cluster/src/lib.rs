@@ -12,39 +12,39 @@
 //!
 //! # Architecture
 //!
-//! Two transports share one durability substrate. In the default
-//! **filesystem mode** workers poll a crash-safe task queue under the run
-//! directory. In **network mode** (`--listen` / `--connect`) the
-//! coordinator binds a TCP socket and speaks the [`wootz_wire`] framed
-//! protocol (see `PROTOCOL.md`); the run directory is demoted to a
-//! durability journal — every grant is claimed and every result is
-//! journaled to disk *before* the coordinator acts on it, so crash
-//! recovery, fencing, and bit-identity are transport-independent:
+//! The coordinator binds a TCP socket ([`net::NetHub`]) and speaks the
+//! [`wootz_wire`] framed protocol (see `PROTOCOL.md`) with its workers —
+//! the pool it spawns over loopback and any `wootz worker --connect`
+//! started on another machine alike. Workers share no storage with it:
+//! the manifest, the checkpoints and every task arrive in frames. The run
+//! directory is the coordinator's private durability journal — every
+//! grant is claimed and every result is journaled to disk *before* the
+//! coordinator acts on it, which is what crash recovery, fencing and
+//! bit-identity rest on:
 //!
 //! ```text
 //! run-dir/
 //!   manifest.json      frozen inputs + epoch (fencing token) + lease period
-//!   full.ckpt          checksummed full-model checkpoint
 //!   blocks/            pre-trained block checkpoints + index.json
 //!   tasks/             pending   t{seq:06}.a{attempt:03}.json
 //!   claims/            claimed   (atomic rename from tasks/ = exactly-once claim)
-//!   leases/            per-task lease files; mtime refreshed = heartbeat
 //!   results/           one JSON result per (seq, attempt), atomic tmp+rename
 //!   logs/              per-worker stdout/stderr
-//!   shutdown           marker file: workers drain and exit
 //! ```
 //!
-//! * **Claim** — a worker renames `tasks/X` → `claims/X`. `rename(2)` on one
-//!   filesystem is atomic, so exactly one claimant wins; losers see
-//!   `NotFound` and move on.
-//! * **Lease + heartbeat** — the claimant writes `leases/X` and refreshes it
-//!   at a quarter of the lease period from a background thread. The
-//!   coordinator reclaims any claimed task whose lease (or claim) is older
-//!   than the lease period, re-enqueueing a fresh *attempt*.
+//! * **Claim** — answering a [`Message::TaskRequest`], a hub handler
+//!   renames `tasks/X` → `claims/X`. `rename(2)` on one filesystem is
+//!   atomic, so exactly one claimant wins; losers see `NotFound` and move
+//!   on. The grant travels back as a [`Message::TaskGrant`].
+//! * **Lease + heartbeat** — the grant starts the attempt's lease clock;
+//!   the worker's [`Message::Heartbeat`] frames, sent at a quarter of the
+//!   lease period from a background thread, refresh it. The coordinator
+//!   reclaims any granted task without a signal for a whole lease period,
+//!   re-enqueueing a fresh *attempt*.
 //! * **Fencing** — every task carries the coordinator's `epoch` and an
 //!   `attempt` number. A result is accepted only if its epoch matches and
 //!   its attempt is still live; a zombie worker completing a reclaimed task
-//!   publishes a result that is *rejected*, never double-counted.
+//!   delivers a result that is *rejected*, never double-counted.
 //! * **Speculation** — once the queue drains, the coordinator watches the
 //!   slowest outstanding task against a deadline derived from the observed
 //!   per-step rate (3× the median) and launches a duplicate attempt. First
@@ -53,14 +53,10 @@
 //!   evaluation or a block pre-training group) is a pure function of the
 //!   manifest + checkpoints, so any attempt on any process produces the
 //!   same bytes, and the fold order is fixed by the round runner.
-//!
-//! In network mode the same invariants hold over sockets: workers register
-//! with [`Message::Hello`], lease grants and heartbeats travel as framed
-//! messages (the lease file machinery is bypassed, its timing contract is
-//! not), and a worker that loses its connection mid-frame reconnects and
-//! resends its undelivered result — deduplicated on disk by the
-//! `(seq, attempt)` result filename. See [`net`] for the socket runtime
-//! and `DESIGN.md` §11 for the failure matrix.
+//! * **Reconnects** — a worker that loses its connection mid-frame
+//!   reconnects and resends its undelivered result, deduplicated on disk
+//!   by the `(seq, attempt)` result filename. See [`net`] for the socket
+//!   runtime and `DESIGN.md` §11 for the failure matrix.
 //!
 //! Process-level faults (worker crash / hang / straggler) are injected
 //! deterministically through [`wootz_fault`] at `site::CLUSTER_TASK`, which
@@ -83,6 +79,4 @@ pub use coordinator::{run_distributed, self_worker_cmd, ClusterOptions, ClusterS
 pub use messages::Message;
 pub use serve::{job_code, serve, submit, ServeOptions};
 pub use queue::RunDir;
-pub use worker::{
-    worker_main, worker_net_main, WorkerExit, DEFAULT_ORPHAN_GRACE_MS, ENV_ORPHAN_GRACE_MS,
-};
+pub use worker::{worker_net_main, WorkerExit, DEFAULT_ORPHAN_GRACE_MS, ENV_ORPHAN_GRACE_MS};

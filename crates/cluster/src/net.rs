@@ -2,18 +2,16 @@
 //! [`NetClient`], speaking the `wootz-wire` framed protocol of
 //! [`crate::messages`] (specified byte-by-byte in `PROTOCOL.md`).
 //!
-//! # Where the filesystem went
+//! # What the run directory is for
 //!
-//! With the network transport the run directory stops being the
-//! *communication* medium and becomes a **durability journal** owned
-//! solely by the coordinator: the hub claims tasks from `tasks/` when a
-//! worker asks for work, and journals every received `TaskDone` into
-//! `results/` *before* the coordinator acts on it. Workers never touch
-//! shared storage — everything they need (manifest, full checkpoint,
-//! block checkpoints, tasks) arrives in frames, and everything they
-//! produce leaves in frames. Crash-recovery semantics are therefore
-//! unchanged from the filesystem mode: a result is durable exactly when
-//! it is in `results/`, and `--resume` replays the same NDJSON journal.
+//! The run directory is not a communication medium: it is a **durability
+//! journal** owned solely by the coordinator. The hub claims tasks from
+//! `tasks/` when a worker asks for work, and journals every received
+//! `TaskDone` into `results/` *before* the coordinator acts on it.
+//! Workers never touch shared storage — everything they need (manifest,
+//! full checkpoint, block checkpoints, tasks) arrives in frames, and
+//! everything they produce leaves in frames. A result is durable exactly
+//! when it is in `results/`, and `--resume` replays the run journal.
 //!
 //! # Threading
 //!
@@ -47,9 +45,8 @@
 //! deduplicates by `(seq, attempt)`); a worker that dies silently stops
 //! heartbeating and its lease is reclaimed; a zombie reconnecting from a
 //! previous epoch is welcomed, but its stale-epoch results are fenced by
-//! the coordinator exactly like filesystem-mode zombies. The
-//! deterministic chaos hook `WOOTZ_CHAOS_NET_DROP` (see
-//! [`crate::worker`]) exercises the mid-frame path in tests.
+//! the coordinator. The deterministic chaos hook `WOOTZ_CHAOS_NET_DROP`
+//! (see [`crate::worker`]) exercises the mid-frame path in tests.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -351,8 +348,8 @@ impl HubState {
 }
 
 /// The coordinator's network front-end: accepts worker connections and
-/// speaks the protocol on the coordinator's behalf, feeding the same run
-/// directory the filesystem mode uses (as a durability journal).
+/// speaks the protocol on the coordinator's behalf, claiming from and
+/// journaling to the run directory.
 pub struct NetHub {
     state: Arc<HubState>,
     listener: Option<JoinHandle<()>>,
@@ -679,15 +676,14 @@ fn handle_connection(state: Arc<HubState>, id: u64, stream: TcpStream) {
                 // result; then clean up the claim and wake the
                 // coordinator's reap. The coordinator's fencing (epoch +
                 // live-attempt) decides acceptance — the hub journals
-                // zombies too, exactly like the filesystem mode where any
-                // worker can write into `results/`.
+                // zombies too.
                 let name = task_file_name(result.seq, result.attempt);
                 // Noted before the file can be seen, so the coordinator
                 // never folds a result whose arrival time is still missing.
                 lock_recover(&state.arrived).insert(name.clone(), received);
                 match state.dir.publish_result(&result) {
                     Ok(()) => {
-                        state.dir.release_by_name(&name);
+                        state.dir.release(&name);
                         state.events.raise();
                     }
                     Err(e) => {

@@ -1,19 +1,22 @@
-//! On-disk wire formats of the distributed runtime.
+//! The value types of the distributed runtime, and their on-disk form.
 //!
-//! Everything the coordinator and the worker processes exchange lives in
-//! plain files under the *run directory*: a [`Manifest`] that pins the
-//! run's identity and inputs, task specifications ([`TaskSpec`]), and task
-//! results ([`TaskResult`]). All of it is JSON written atomically
-//! (temp-file + rename), so a reader never observes a partial file and a
-//! `SIGKILL`ed writer leaves at most an orphaned temp file behind.
+//! What the coordinator and the worker processes exchange — a
+//! [`Manifest`] that pins the run's identity and inputs, task
+//! specifications ([`TaskSpec`]), and task results ([`TaskResult`]) —
+//! travels in frames ([`crate::messages`]) and is journaled by the
+//! coordinator as plain files under the *run directory*. The files are
+//! JSON written atomically (temp-file + rename), so a reader never
+//! observes a partial file and a `SIGKILL`ed writer leaves at most an
+//! orphaned temp file behind.
 //!
 //! The formats are deliberately *value-complete*: a worker process needs
-//! nothing but the run directory to reconstruct the exact evaluation
-//! function the single-process pipeline would run (the model IR, subspace,
-//! solver and objective are all in the manifest; the trained full model
-//! and the pre-trained block checkpoints are checksummed binary files next
-//! to it). The vendored `serde_json` round-trips `f32` values bit-exactly,
-//! which is what makes remote results byte-identical to local ones.
+//! nothing but its `Welcome` and its tasks to reconstruct the exact
+//! evaluation function the single-process pipeline would run (the model
+//! IR, subspace, solver and objective are all in the manifest; the
+//! trained full model and the pre-trained block checkpoints arrive as
+//! checksummed binary records). The vendored `serde_json` round-trips
+//! `f32` values bit-exactly, which is what makes remote results
+//! byte-identical to local ones.
 
 use std::io::{Read, Write};
 use std::path::Path;
@@ -33,8 +36,6 @@ use wootz_wire::{
 
 /// Manifest file name inside the run directory.
 pub const MANIFEST: &str = "manifest.json";
-/// Trained full-model checkpoint file name.
-pub const FULL_CKPT: &str = "full.ckpt";
 /// Directory of pre-trained block checkpoints (plus `index.json`).
 pub const BLOCKS_DIR: &str = "blocks";
 /// Index file inside [`BLOCKS_DIR`]: block key → checkpoint file name.
@@ -43,14 +44,10 @@ pub const BLOCKS_INDEX: &str = "index.json";
 pub const TASKS_DIR: &str = "tasks";
 /// Directory of claimed tasks (a claim is an atomic rename into here).
 pub const CLAIMS_DIR: &str = "claims";
-/// Directory of per-task lease files (mtime = last heartbeat).
-pub const LEASES_DIR: &str = "leases";
 /// Directory of completed task results.
 pub const RESULTS_DIR: &str = "results";
 /// Directory of per-worker log files.
 pub const LOGS_DIR: &str = "logs";
-/// Marker file telling workers to exit their poll loop.
-pub const SHUTDOWN: &str = "shutdown";
 
 /// Everything a worker process needs to reconstruct the run: the four
 /// pipeline inputs, the supervision policy, and the coordinator's fencing

@@ -1,38 +1,36 @@
-//! The crash-safe filesystem task queue.
+//! The crash-safe task queue: the coordinator's durability journal.
 //!
-//! The queue needs no networking and no daemon: it is a handful of
-//! directories under the run directory, manipulated with the only two
-//! primitives a POSIX filesystem makes atomic — `rename(2)` within a
-//! directory and temp-file-plus-rename publication.
+//! Only the coordinator process touches it — the drive loop enqueues and
+//! reaps, the TCP hub ([`crate::net`]) claims and journals on the
+//! workers' behalf. It is a handful of directories under the run
+//! directory, manipulated with the only two primitives a POSIX filesystem
+//! makes atomic — `rename(2)` within a directory and
+//! temp-file-plus-rename publication — so a coordinator killed at any
+//! instruction leaves a state the next epoch can wipe and rebuild.
 //!
 //! * **Enqueue**: the coordinator writes `tasks/t{seq}.a{attempt}.json`
-//!   atomically. Pending tasks sort by name, so workers drain the queue in
+//!   atomically. Pending tasks sort by name, so the queue drains in
 //!   sequence order.
-//! * **Claim**: a worker `rename`s the task file into `claims/`. Rename is
-//!   atomic and fails for every racer but one, which is the whole
-//!   mutual-exclusion story — no locks, no fsync ordering subtleties.
-//! * **Lease**: the claiming worker rewrites `leases/<task>.json` every
-//!   quarter lease period; the file's mtime is the heartbeat. A claim
-//!   without a fresh lease is a dead or wedged worker, and the coordinator
-//!   reclaims the task by enqueuing a fresh attempt (the stale files are
-//!   left for the zombie to clean up or the next epoch to wipe).
-//! * **Result**: the worker publishes `results/<task>.json` atomically;
-//!   the coordinator polls the directory and applies fencing before
-//!   accepting anything.
+//! * **Claim**: a hub handler answering a `TaskRequest` `rename`s the
+//!   task file into `claims/`. Rename is atomic and fails for every racer
+//!   but one, which is the whole mutual-exclusion story between handler
+//!   threads — no locks, no fsync ordering subtleties.
+//! * **Result**: the hub publishes `results/<task>.json` atomically when
+//!   a `TaskDone` frame arrives; the coordinator reads the directory when
+//!   the hub says so and applies fencing before accepting anything.
 
 use std::path::{Path, PathBuf};
-use std::time::SystemTime;
 
 use wootz_core::Result;
 
 use crate::protocol::{
-    self, atomic_write_json, read_json, TaskSpec, BLOCKS_DIR, CLAIMS_DIR, LEASES_DIR, LOGS_DIR,
-    RESULTS_DIR, SHUTDOWN, TASKS_DIR,
+    self, atomic_write_json, read_json, TaskSpec, BLOCKS_DIR, CLAIMS_DIR, LOGS_DIR, RESULTS_DIR,
+    TASKS_DIR,
 };
 
-/// A handle on the run directory's layout. Cheap to clone; both the
-/// coordinator and the workers drive the queue through this type so the
-/// path scheme exists in exactly one place.
+/// A handle on the run directory's layout. Cheap to clone; the drive loop
+/// and the hub share the queue through this type so the path scheme
+/// exists in exactly one place.
 #[derive(Debug, Clone)]
 pub struct RunDir {
     root: PathBuf,
@@ -52,11 +50,6 @@ impl RunDir {
     /// Path of the run manifest.
     pub fn manifest(&self) -> PathBuf {
         self.root.join(protocol::MANIFEST)
-    }
-
-    /// Path of the trained full-model checkpoint.
-    pub fn full_ckpt(&self) -> PathBuf {
-        self.root.join(protocol::FULL_CKPT)
     }
 
     /// The block-checkpoint directory.
@@ -79,11 +72,6 @@ impl RunDir {
         self.root.join(CLAIMS_DIR)
     }
 
-    /// The lease directory.
-    pub fn leases(&self) -> PathBuf {
-        self.root.join(LEASES_DIR)
-    }
-
     /// The result directory.
     pub fn results(&self) -> PathBuf {
         self.root.join(RESULTS_DIR)
@@ -94,15 +82,10 @@ impl RunDir {
         self.root.join(LOGS_DIR)
     }
 
-    /// The shutdown marker path.
-    pub fn shutdown_marker(&self) -> PathBuf {
-        self.root.join(SHUTDOWN)
-    }
-
     /// (Re-)initializes the queue for a fresh coordinator epoch: wipes the
-    /// transient queue directories (tasks, claims, leases, results) and the
-    /// shutdown marker, and creates every directory the run needs. The
-    /// manifest, checkpoints, blocks and logs survive across epochs.
+    /// transient queue directories (tasks, claims, results) and creates
+    /// every directory the run needs. The manifest, blocks and logs
+    /// survive across epochs.
     ///
     /// # Errors
     ///
@@ -110,7 +93,7 @@ impl RunDir {
     pub fn init_epoch(&self) -> Result<()> {
         std::fs::create_dir_all(&self.root)
             .map_err(|e| protocol::cluster_err(format!("cannot create run dir: {e}")))?;
-        for dir in [self.tasks(), self.claims(), self.leases(), self.results()] {
+        for dir in [self.tasks(), self.claims(), self.results()] {
             if dir.exists() {
                 std::fs::remove_dir_all(&dir).map_err(|e| {
                     protocol::cluster_err(format!("cannot wipe `{}`: {e}", dir.display()))
@@ -120,7 +103,6 @@ impl RunDir {
         for dir in [
             self.tasks(),
             self.claims(),
-            self.leases(),
             self.results(),
             self.blocks(),
             self.logs(),
@@ -129,7 +111,6 @@ impl RunDir {
                 protocol::cluster_err(format!("cannot create `{}`: {e}", dir.display()))
             })?;
         }
-        let _ = std::fs::remove_file(self.shutdown_marker());
         Ok(())
     }
 
@@ -162,7 +143,7 @@ impl RunDir {
 
     /// Tries to claim the oldest pending task for `worker`. The claim is a
     /// single `rename` from `tasks/` into `claims/`: exactly one of any
-    /// number of racing workers wins; the losers observe `NotFound` and
+    /// number of racing claimants wins; the losers observe `NotFound` and
     /// move on to the next file.
     ///
     /// Returns `None` when the queue is currently empty.
@@ -191,38 +172,10 @@ impl RunDir {
         Ok(None)
     }
 
-    /// Writes (or refreshes) the lease file of a claimed task; the file's
-    /// mtime is the heartbeat the coordinator watches.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on I/O failure.
-    pub fn write_lease(&self, task: &TaskSpec, worker: &str) -> Result<()> {
-        let path = self.leases().join(task.file_name());
-        std::fs::write(&path, worker).map_err(|e| {
-            protocol::cluster_err(format!("cannot write lease `{}`: {e}", path.display()))
-        })
-    }
-
-    /// The last-heartbeat time of a task's lease, if the lease exists.
-    pub fn lease_heartbeat(&self, name: &str) -> Option<SystemTime> {
-        std::fs::metadata(self.leases().join(name))
-            .and_then(|m| m.modified())
-            .ok()
-    }
-
-    /// Removes the claim and lease files of a finished task (worker-side
-    /// cleanup; best-effort, the next epoch wipes leftovers anyway).
-    pub fn release(&self, task: &TaskSpec) {
-        self.release_by_name(&task.file_name());
-    }
-
-    /// [`RunDir::release`] by queue file name — the coordinator-side
-    /// cleanup path for network workers, which never touch the run
-    /// directory themselves.
-    pub fn release_by_name(&self, name: &str) {
+    /// Removes the claim file of a finished task, by queue file name
+    /// (best-effort; the next epoch wipes leftovers anyway).
+    pub fn release(&self, name: &str) {
         let _ = std::fs::remove_file(self.claims().join(name));
-        let _ = std::fs::remove_file(self.leases().join(name));
     }
 
     /// Publishes a task result (atomic write into `results/`).
@@ -237,8 +190,8 @@ impl RunDir {
         if chaos::kill_point(kill_site::RUNDIR_PUBLISH) {
             // Die the way a mid-publish kill does: half the JSON in the
             // temp file, never renamed — consumers must only ever see the
-            // result appear atomically or not at all, and the coordinator
-            // recovers by lease expiry + respawn.
+            // result appear atomically or not at all; the restarted
+            // epoch wipes `results/` and re-runs the unit.
             let json = serde_json::to_vec(result).unwrap_or_default();
             let tmp = path.with_file_name(format!(".{name}.tmp-{}", std::process::id()));
             if let Ok(mut file) = std::fs::File::create(&tmp) {
@@ -265,21 +218,6 @@ impl RunDir {
     /// Returns an error on I/O or parse failure.
     pub fn read_result(&self, name: &str) -> Result<crate::protocol::TaskResult> {
         read_json(&self.results().join(name))
-    }
-
-    /// Asks every worker to exit after its current task.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on I/O failure.
-    pub fn request_shutdown(&self) -> Result<()> {
-        std::fs::write(self.shutdown_marker(), b"shutdown")
-            .map_err(|e| protocol::cluster_err(format!("cannot write shutdown marker: {e}")))
-    }
-
-    /// Whether a shutdown has been requested.
-    pub fn shutdown_requested(&self) -> bool {
-        self.shutdown_marker().exists()
     }
 }
 
@@ -339,10 +277,8 @@ mod tests {
         assert_eq!(second.seq, 2);
         assert!(rd.try_claim("w0").unwrap().is_none());
         assert_eq!(rd.claimed().unwrap().len(), 2);
-        rd.write_lease(&first, "w0").unwrap();
-        assert!(rd.lease_heartbeat(&first.file_name()).is_some());
-        rd.release(&first);
-        assert!(rd.lease_heartbeat(&first.file_name()).is_none());
+        rd.release(&first.file_name());
+        assert_eq!(rd.claimed().unwrap(), vec![second.file_name()]);
         std::fs::remove_dir_all(rd.root()).ok();
     }
 
@@ -379,12 +315,9 @@ mod tests {
     fn init_epoch_wipes_queue_state_but_keeps_logs() {
         let rd = tmp_run_dir("epochs");
         rd.enqueue(&spec(1, 1)).unwrap();
-        rd.request_shutdown().unwrap();
         std::fs::write(rd.logs().join("w0.log"), "hello").unwrap();
-        assert!(rd.shutdown_requested());
         rd.init_epoch().unwrap();
         assert!(rd.pending().unwrap().is_empty());
-        assert!(!rd.shutdown_requested());
         assert!(rd.logs().join("w0.log").exists(), "logs survive epochs");
         std::fs::remove_dir_all(rd.root()).ok();
     }

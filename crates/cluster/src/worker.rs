@@ -1,31 +1,26 @@
-//! The worker process: claim → lease/heartbeat → execute → publish.
+//! The worker process: connect → request → heartbeat → execute → deliver.
 //!
-//! A worker joins the run one of two ways, and the two are fungible at
-//! the task level because both reconstruct the identical evaluation
-//! environment and execute the identical pure functions:
+//! A worker joins a run with `wootz worker --connect <addr> --worker-id
+//! <id>` ([`worker_net_main`]) and speaks the `wootz-wire` framed protocol
+//! over TCP (PROTOCOL.md). The manifest, checkpoints and tasks all arrive
+//! in frames; no shared storage is needed, so the same command joins from
+//! the coordinator's machine (how `--distributed N` spawns its pool, over
+//! loopback) or from another one. On any connection failure the worker
+//! reconnects, re-handshakes with its known epoch, and re-sends an
+//! undelivered result — the coordinator deduplicates by `(seq, attempt)`
+//! and fences by epoch, so delivery is effectively exactly-once per
+//! accepted attempt.
 //!
-//! * **Filesystem** — `wootz worker --run-dir <dir> --worker-id <id>`
-//!   ([`worker_main`]): polls the shared queue directories, heartbeats by
-//!   touching lease files.
-//! * **Network** — `wootz worker --connect <addr> --worker-id <id>`
-//!   ([`worker_net_main`]): speaks the `wootz-wire` framed protocol over
-//!   TCP (PROTOCOL.md). The manifest, checkpoints and tasks all arrive
-//!   in frames; no shared storage is needed. On any connection failure
-//!   the worker reconnects, re-handshakes with its known epoch, and
-//!   re-sends an undelivered result — the coordinator deduplicates by
-//!   `(seq, attempt)` and fences by epoch, so delivery is effectively
-//!   exactly-once per accepted attempt.
-//!
-//! Both entry points share one execution environment (`WorkerEnv`,
-//! private to this module): manifest → model / solver / objective, the
-//! full-model checkpoint, the deterministic micro dataset, the
-//! [`UniverseEnv`] of the universe the latest evaluation task carried,
-//! and the per-task execution (evaluation or block pre-training).
-//! Because every unit of work
-//! ([`wootz_core::pipeline::EvalContext::evaluate`],
+//! The execution environment (`WorkerEnv`, private to this module) is
+//! rebuilt from the `Welcome` exactly as the single-process pipeline
+//! builds it: manifest → model / solver / objective, the full-model
+//! checkpoint, the deterministic micro dataset, the [`UniverseEnv`] of
+//! the universe the latest evaluation task carried, and the per-task
+//! execution (evaluation or block pre-training). Because every unit of
+//! work ([`wootz_core::pipeline::EvalContext::evaluate`],
 //! [`wootz_core::pretrain::pretrain_group_supervised`]) is a pure
 //! function of its inputs, a task executes bit-identically no matter
-//! which process, transport — or attempt — runs it.
+//! which process — or attempt — runs it.
 //!
 //! Workers inherit `WOOTZ_EXEC_PLAN` (and `WOOTZ_THREADS`) from the
 //! coordinator's environment: with planned execution on (the default) each
@@ -37,25 +32,25 @@
 //!
 //! Process-level faults fire here, at `site::CLUSTER_TASK`:
 //!
-//! * `WorkerCrash` aborts the process mid-task (no result, no lease, no
-//!   cleanup) — the coordinator must reclaim via lease expiry and respawn.
-//! * `WorkerHang { millis }` wedges the worker *before* its first lease
-//!   write (or heartbeat frame), so no heartbeat ever lands; the task is
-//!   reclaimed meanwhile and the late ("zombie") result must be rejected
-//!   by fencing.
+//! * `WorkerCrash` aborts the process mid-task (no result, no heartbeat,
+//!   no cleanup) — the coordinator must reclaim via lease expiry and
+//!   respawn.
+//! * `WorkerHang { millis }` wedges the worker *before* its first
+//!   heartbeat frame, so no heartbeat ever lands; the task is reclaimed
+//!   meanwhile and the late ("zombie") result must be rejected by
+//!   fencing.
 //! * `SlowWorker { factor }` stretches the task's wall time (heartbeats
 //!   stay alive) without touching the result — the straggler that trips
 //!   speculative re-execution while preserving result bit-identity.
 //!
-//! One additional, network-only chaos hook lives outside the fault plan
-//! (it is about *socket* failure, not worker failure):
+//! One additional chaos hook lives outside the fault plan (it is about
+//! *socket* failure, not worker failure):
 //! `WOOTZ_CHAOS_NET_DROP="<worker-id>:<n>"` makes that worker write only
 //! the first half of its `n`-th `TaskDone` frame and hard-close the
 //! socket — a deterministic mid-frame disconnect. The worker then
 //! reconnects and re-sends; the run's results must be unaffected.
 
 use std::collections::BTreeMap;
-use std::path::Path;
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -71,14 +66,11 @@ use wootz_nn::Checkpoint;
 
 use crate::messages::Message;
 use crate::net::{lock_recover, send_message, NetClient};
-use crate::protocol::{
-    cluster_err, read_json, Manifest, ResultPayload, TaskKind, TaskResult, TaskSpec, WireEval,
-};
-use crate::queue::RunDir;
+use crate::protocol::{Manifest, ResultPayload, TaskKind, TaskResult, TaskSpec, WireEval};
 
 /// Everything a worker needs to execute tasks, reconstructed from the
 /// manifest and the full-model checkpoint exactly as the single-process
-/// pipeline builds it — shared by the filesystem and network transports.
+/// pipeline builds it.
 struct WorkerEnv {
     manifest: Manifest,
     inputs: WootzInputs,
@@ -121,8 +113,8 @@ impl WorkerEnv {
 
     /// Fires the process-level fault hook for `task`. `WorkerCrash`
     /// aborts the process; `WorkerHang` sleeps *before* the caller's
-    /// first lease write or heartbeat, so the lease is reclaimed
-    /// meanwhile; `SlowWorker` returns the straggle factor.
+    /// first heartbeat, so the lease is reclaimed meanwhile; `SlowWorker`
+    /// returns the straggle factor.
     fn fault_hook(&self, task: &TaskSpec) -> Option<f64> {
         let faults = self.manifest.faults.as_ref();
         match FaultPlan::fire_opt(faults, site::CLUSTER_TASK, task.fault_key(), task.attempt) {
@@ -143,42 +135,41 @@ impl WorkerEnv {
         }
     }
 
-    /// Executes one task to its result payload. `fetch_blocks` supplies
-    /// the pre-trained block checkpoints on first need (from the run
-    /// directory or over the wire, depending on the transport).
-    fn execute(
-        &mut self,
-        task: &TaskSpec,
-        fetch_blocks: &mut dyn FnMut() -> Result<BTreeMap<String, Checkpoint>>,
-    ) -> Result<ResultPayload> {
+    /// Points the environment at `task`'s universe, rebuilding it when
+    /// the task carries a different one, and reports whether evaluating
+    /// it needs block checkpoints this worker does not hold yet — the
+    /// caller then fetches the published bag into `block_ckpts` before
+    /// [`WorkerEnv::execute`].
+    fn prepare(&mut self, task: &TaskSpec) -> Result<bool> {
+        let TaskKind::Eval { universe, .. } = &task.kind else {
+            return Ok(false);
+        };
+        if !self
+            .universe
+            .as_ref()
+            .is_some_and(|env| env.inputs.subspace == *universe)
+        {
+            self.universe = Some(UniverseEnv::build(&self.inputs, universe, self.manifest.mode)?);
+        }
+        let env = self.universe.as_ref().expect("built above");
+        // Re-fetch whenever this universe implies a key we have not seen.
+        // A key absent even from the fresh index belongs to a block whose
+        // pre-training failed — evaluation inherits pruned full-model
+        // weights for it, exactly like the in-process driver.
+        Ok(env.block_set.as_ref().is_some_and(|set| {
+            self.block_ckpts
+                .as_ref()
+                .is_none_or(|ckpts| set.blocks.iter().any(|b| !ckpts.contains_key(&b.key())))
+        }))
+    }
+
+    /// Executes one [prepared](WorkerEnv::prepare) task to its result
+    /// payload.
+    fn execute(&self, task: &TaskSpec) -> ResultPayload {
         let faults = self.manifest.faults.as_ref();
         match &task.kind {
-            TaskKind::Eval {
-                config_index,
-                universe,
-            } => {
-                if !self
-                    .universe
-                    .as_ref()
-                    .is_some_and(|env| env.inputs.subspace == *universe)
-                {
-                    self.universe =
-                        Some(UniverseEnv::build(&self.inputs, universe, self.manifest.mode)?);
-                }
-                let env = self.universe.as_ref().expect("built above");
-                // Re-fetch whenever this universe implies a key we have
-                // not seen. A key absent even from the fresh index belongs
-                // to a block whose pre-training failed — evaluation
-                // inherits pruned full-model weights for it, exactly like
-                // the in-process driver.
-                let needs_fetch = env.block_set.as_ref().is_some_and(|set| {
-                    self.block_ckpts.as_ref().is_none_or(|ckpts| {
-                        set.blocks.iter().any(|b| !ckpts.contains_key(&b.key()))
-                    })
-                });
-                if needs_fetch {
-                    self.block_ckpts = Some(fetch_blocks()?);
-                }
+            TaskKind::Eval { config_index, .. } => {
+                let env = self.universe.as_ref().expect("prepared for this task");
                 let ctx = env.context(
                     &self.dataset,
                     &self.mm,
@@ -192,10 +183,7 @@ impl WorkerEnv {
                     &self.manifest.retry,
                     faults,
                 );
-                Ok(ResultPayload::Eval(WireEval::from_supervised(
-                    *config_index,
-                    sup,
-                )))
+                ResultPayload::Eval(WireEval::from_supervised(*config_index, sup))
             }
             TaskKind::Pretrain {
                 group_index,
@@ -215,18 +203,18 @@ impl WorkerEnv {
                     &|step| dataset.train_batch(step, batch_size).0,
                     faults,
                 );
-                Ok(ResultPayload::Pretrain {
+                ResultPayload::Pretrain {
                     group_index: *group_index,
                     blocks: trained.blocks,
                     failed: trained.failed,
-                })
+                }
             }
         }
     }
 }
 
-/// The per-task heartbeat of both transports: calls `tick` every `period`
-/// on its own thread until it returns `false` or the ticker is stopped.
+/// The per-task heartbeat: calls `tick` every `period` on its own thread
+/// until it returns `false` or the ticker is stopped.
 /// The thread waits in `recv_timeout` on a channel whose sender `stop`
 /// drops, so stopping costs a wake-up, not the rest of the period — the
 /// finished task's result leaves at once.
@@ -253,104 +241,6 @@ impl Ticker {
         drop(self.stop);
         let _ = self.thread.join();
     }
-}
-
-/// The entry point of a filesystem-transport worker process. Polls the
-/// queue until the coordinator writes the shutdown marker, executing one
-/// claimed task at a time. Returns when shut down cleanly.
-///
-/// # Errors
-///
-/// Returns an error when the run directory is unusable (missing manifest,
-/// corrupt checkpoint, ...). Task-level failures are *not* errors here —
-/// they are reported through the task's result and handled by the
-/// supervision policy.
-pub fn worker_main(run_dir: &Path, worker_id: &str) -> Result<()> {
-    let dir = RunDir::new(run_dir);
-    let manifest: Manifest = read_json(&dir.manifest())?;
-    let _span = wootz_obs::span("cluster.worker")
-        .with("worker", worker_id)
-        .with("epoch", manifest.epoch as usize);
-    wootz_obs::event("cluster.worker_started")
-        .field("worker", worker_id)
-        .field("epoch", manifest.epoch as usize)
-        .emit();
-
-    let full_ckpt = Checkpoint::load(dir.full_ckpt())?;
-    let lease_ms = manifest.lease_ms;
-    let mut env = WorkerEnv::new(manifest, full_ckpt)?;
-
-    let poll = Duration::from_millis((lease_ms / 8).clamp(5, 200));
-    loop {
-        if dir.shutdown_requested() {
-            wootz_obs::event("cluster.worker_shutdown")
-                .field("worker", worker_id)
-                .emit();
-            return Ok(());
-        }
-        let Some(task) = dir.try_claim(worker_id)? else {
-            std::thread::sleep(poll);
-            continue;
-        };
-        let _task_span = wootz_obs::span("cluster.task")
-            .with("seq", task.seq as usize)
-            .with("attempt", task.attempt as usize)
-            .with("worker", worker_id);
-
-        // Process-level fault injection, keyed exactly like the in-process
-        // sites (config index / group index), per attempt. A hang fires
-        // here, before the first lease write, so no heartbeat ever lands.
-        let slow_factor = env.fault_hook(&task);
-
-        // Lease + heartbeat: refresh at a quarter of the lease period.
-        dir.write_lease(&task, worker_id)?;
-        let heartbeat = {
-            let dir = dir.clone();
-            let task = task.clone();
-            let worker = worker_id.to_string();
-            let period = Duration::from_millis((lease_ms / 4).max(1));
-            Ticker::start(period, move || {
-                let _ = dir.write_lease(&task, &worker);
-                true
-            })
-        };
-
-        let started = Instant::now();
-        let mut fetch = || load_block_checkpoints(&dir);
-        let payload = env.execute(&task, &mut fetch)?;
-
-        if let Some(factor) = slow_factor {
-            // Straggle with a live heartbeat: the lease stays fresh, so
-            // only speculative re-execution (not reclamation) can beat us.
-            let extra = started.elapsed().mul_f64(factor - 1.0);
-            std::thread::sleep(extra);
-        }
-
-        let result = TaskResult {
-            seq: task.seq,
-            attempt: task.attempt,
-            epoch: task.epoch,
-            worker: worker_id.to_string(),
-            wall_ms: started.elapsed().as_millis() as u64,
-            payload,
-        };
-        heartbeat.stop();
-        dir.publish_result(&result)?;
-        dir.release(&task);
-        wootz_obs::counter("cluster.worker_tasks").incr();
-    }
-}
-
-/// Loads the pre-trained block checkpoints a coordinator published under
-/// `blocks/` (key → checksummed checkpoint file).
-fn load_block_checkpoints(dir: &RunDir) -> Result<BTreeMap<String, Checkpoint>> {
-    let index: BTreeMap<String, String> = read_json(&dir.blocks_index())?;
-    let mut out = BTreeMap::new();
-    for (key, file) in index {
-        let ckpt = Checkpoint::load(dir.blocks().join(&file))?;
-        out.insert(key, ckpt);
-    }
-    Ok(out)
 }
 
 /// Deterministic socket-chaos hook: drop the connection mid-frame while
@@ -440,9 +330,9 @@ fn connect_backoff_ms(worker_id: &str, failure: usize) -> u64 {
     step + seed % (step / 2 + 1)
 }
 
-/// The entry point of a network-transport worker process: connects to
-/// the coordinator, handshakes (`Hello`/`Welcome`), then loops
-/// requesting, executing and delivering tasks over the framed protocol.
+/// The entry point of a worker process: connects to the coordinator,
+/// handshakes (`Hello`/`Welcome`), then loops requesting, executing and
+/// delivering tasks over the framed protocol.
 /// Returns [`WorkerExit::Shutdown`] when the coordinator sends
 /// [`Message::Shutdown`] or closes during drain.
 ///
@@ -639,8 +529,29 @@ pub fn worker_net_main(
             };
 
             let started = Instant::now();
-            let mut fetch = || fetch_blocks_over_wire(&client, worker_id);
-            let payload = env.execute(&task, &mut fetch)?;
+            if env.prepare(&task)? {
+                // The published block bag, fetched in the session loop so
+                // a socket that dies mid-exchange is handled like any
+                // other: drop the task (its lease reclaims the attempt)
+                // and redial.
+                let reply = client
+                    .send(&Message::BlocksRequest)
+                    .and_then(|_| client.recv());
+                match reply {
+                    Ok(Message::Blocks { index }) => {
+                        env.block_ckpts = Some(index.into_iter().collect());
+                    }
+                    Ok(Message::Shutdown) => {
+                        heartbeat.stop();
+                        return Ok(WorkerExit::Shutdown);
+                    }
+                    _ => {
+                        heartbeat.stop();
+                        continue 'session;
+                    }
+                }
+            }
+            let payload = env.execute(&task);
 
             if let Some(factor) = slow_factor {
                 let extra = started.elapsed().mul_f64(factor - 1.0);
@@ -677,27 +588,6 @@ pub fn worker_net_main(
             wootz_obs::histogram("net.result_delivery_us")
                 .record(finished.elapsed().as_micros() as u64);
         }
-    }
-}
-
-/// Fetches the pre-trained block index over the wire (the network
-/// worker's counterpart of [`load_block_checkpoints`]).
-fn fetch_blocks_over_wire(
-    client: &NetClient,
-    worker_id: &str,
-) -> Result<BTreeMap<String, Checkpoint>> {
-    client
-        .send(&Message::BlocksRequest)
-        .map_err(|e| cluster_err(format!("worker {worker_id}: blocks request failed: {e}")))?;
-    match client.recv() {
-        Ok(Message::Blocks { index }) => Ok(index.into_iter().collect()),
-        Ok(other) => Err(cluster_err(format!(
-            "worker {worker_id}: expected Blocks, got {}",
-            other.name()
-        ))),
-        Err(e) => Err(cluster_err(format!(
-            "worker {worker_id}: blocks fetch failed: {e}"
-        ))),
     }
 }
 

@@ -398,4 +398,12 @@ fn bad_inputs_fail_with_messages() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("covers 2 modules"));
     std::fs::remove_dir_all(&dir).ok();
+
+    // A worker joins over TCP only; there is no shared-directory mode.
+    let out = wootz()
+        .args(["worker", "--run-dir", "d", "--worker-id", "w"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--connect"));
 }

@@ -101,7 +101,8 @@ fn crashed_worker_is_reclaimed_respawned_and_result_unchanged() {
     let single = baseline(&inputs, &dataset, RunMode::Composability);
 
     // Attempt 1 of unit-of-work key 1 (pre-training group 1 *and* config 1)
-    // aborts the worker process mid-task: no result, no lease, no cleanup.
+    // aborts the worker process mid-task: no result, no heartbeat, no
+    // cleanup.
     let plan = FaultPlan {
         seed: 1,
         triggers: vec![Trigger {
@@ -147,7 +148,7 @@ fn hung_worker_is_fenced_and_its_zombie_result_rejected() {
     let single = baseline(&inputs, &dataset, RunMode::Baseline);
 
     // Attempt 1 of config 2 wedges for ~5 lease periods *before* its first
-    // lease write: the coordinator reclaims it, a replacement attempt
+    // heartbeat: the coordinator reclaims it, a replacement attempt
     // completes, and the zombie's late result must be fenced.
     let plan = FaultPlan {
         seed: 1,

@@ -49,10 +49,11 @@ pub mod kill_site {
     /// Between the temp file's fsync and the rename over the final
     /// checkpoint path (`Checkpoint::save`).
     pub const CKPT_RENAME: &str = "ckpt.rename";
-    /// Publishing a task result into the run dir's `results/`
-    /// (`RunDir::publish_result`, mid-temp-file).
+    /// Coordinator journaling a received `TaskDone` into the run dir's
+    /// `results/` (`RunDir::publish_result` in `NetHub`'s connection
+    /// handler, mid-temp-file).
     pub const RUNDIR_PUBLISH: &str = "rundir.publish";
-    /// Coordinator granting a task over TCP: the claim file is already
+    /// Coordinator granting a task: the claim file is already
     /// renamed, the `TaskGrant` frame half-written to the socket
     /// (`NetHub`'s connection handler).
     pub const COORD_GRANT: &str = "coord.grant";
@@ -87,7 +88,7 @@ pub const KILL_SITES: &[KillSite] = &[
     },
     KillSite {
         name: kill_site::RUNDIR_PUBLISH,
-        boundary: "run-dir result publish: temp file half-written, abort before rename",
+        boundary: "coordinator journal: TaskDone received, results/ temp file half-written, abort before rename",
     },
     KillSite {
         name: kill_site::COORD_GRANT,

@@ -143,15 +143,18 @@ chaos_prune() {
 }
 base_best=$(chaos_prune | grep '^best network:')
 DIST_DIR="$SMOKE/dist"
+# A fixed loopback port, so the spawned workers can be found by the
+# address on their command line.
+DIST_PORT=$((15000 + $$ % 2000))
 chaos_prune --distributed 3 --run-dir "$DIST_DIR" --lease-ms 400 \
-    > "$SMOKE/dist.out" 2>&1 &
+    --listen "127.0.0.1:$DIST_PORT" > "$SMOKE/dist.out" 2>&1 &
 COORD=$!
 # Wait for at least two worker processes, then murder one and suspend the
 # other mid-run.
 victims=""
 tries=0
 while [ "$tries" -lt 150 ]; do
-    victims=$(pgrep -f "worker --run-dir $DIST_DIR" 2>/dev/null || true)
+    victims=$(pgrep -f "worker --connect 127.0.0.1:$DIST_PORT" 2>/dev/null || true)
     if [ "$(printf '%s\n' "$victims" | grep -c .)" -ge 2 ]; then
         break
     fi
@@ -181,9 +184,9 @@ dist_best=$(grep '^best network:' "$SMOKE/dist.out" || true)
     echo "  single:      $base_best"; echo "  distributed: $dist_best"; exit 1; }
 echo "chaos smoke ok: $(grep '^cluster:' "$SMOKE/dist.out" || echo 'stats line missing'), best network stable"
 
-echo "== socket chaos smoke: TCP transport with a mid-frame disconnect =="
-# The same inputs over the wootz-wire TCP transport (PROTOCOL.md): the
-# coordinator listens on loopback, workers connect, and worker w0's first
+echo "== socket chaos smoke: a mid-frame disconnect =="
+# The same inputs again (wire format: PROTOCOL.md): the coordinator
+# listens on loopback, workers connect, and worker w0's first
 # TaskDone frame is cut in half with the socket hard-closed — the
 # connection dies, not the process. The worker must reconnect and resend;
 # the run must stay byte-equal to the single-process best network and the
@@ -203,7 +206,7 @@ grep '^cluster:' "$SMOKE/net.out" | grep -q '[1-9][0-9]* net reconnects' || {
 echo "socket chaos smoke ok: $(grep '^cluster:' "$SMOKE/net.out"), best network stable"
 
 echo "== tcp dispatch smoke: results leave the worker without waiting out a timer =="
-# The TCP transport is event-driven (DESIGN.md §11): a finished task's
+# Dispatch is event-driven (DESIGN.md §11): a finished task's
 # TaskDone must not wait for the heartbeat period (lease/4 = 375 ms) and
 # an idle worker must not sleep between requests. Workers export their own
 # metrics, so one extra worker is started by hand with --metrics-out beside
@@ -243,11 +246,11 @@ grep -q '"name":"cluster.reap_latency_us"' "$SMOKE/tcplat_coord.ndjson" || {
     echo "tcp dispatch smoke FAILED: cluster.reap_latency_us missing from coordinator metrics"; exit 1; }
 echo "tcp dispatch smoke ok: net.result_delivery_us p50 ${delivery_p50} us, $(grep '^cluster:' "$SMOKE/tcplat.out" | sed 's/.*, //')"
 
-echo "== coordinator-kill smoke: SIGKILL the coordinator mid-TCP-run, restart --resume =="
+echo "== coordinator-kill smoke: SIGKILL the coordinator mid-run, restart --resume =="
 # The in-run failover contract (DESIGN.md §9, PROTOCOL.md §7): kill the
-# *coordinator* outright while its TCP workers are alive, restart it with
+# *coordinator* outright while its workers are alive, restart it with
 # --resume on the same port, and require (a) at least one orphaned worker
-# re-adopted over TCP and (b) the final best network byte-equal to the
+# re-adopted and (b) the final best network byte-equal to the
 # single-process baseline. The chaos registry must also expose the
 # coordinator-side kill sites this contract is proven against.
 for site in coord.grant coord.reap coord.assemble; do
@@ -263,7 +266,7 @@ coordkill_prune() {
 }
 coordkill_prune > "$SMOKE/coordkill1.out" 2>&1 &
 COORD=$!
-# Wait until both TCP workers are connected, then murder the coordinator.
+# Wait until both workers are connected, then murder the coordinator.
 tries=0
 while [ "$tries" -lt 150 ]; do
     live=$(pgrep -f "worker --connect 127.0.0.1:$PORT" 2>/dev/null | grep -c . || true)
@@ -273,7 +276,7 @@ while [ "$tries" -lt 150 ]; do
     sleep 0.1
 done
 [ "${live:-0}" -ge 2 ] || {
-    echo "coordinator-kill smoke FAILED: never saw two TCP workers"
+    echo "coordinator-kill smoke FAILED: never saw two workers"
     kill "$COORD" 2>/dev/null || true; cat "$SMOKE/coordkill1.out"; exit 1; }
 sleep 0.3
 # $COORD is the backgrounded subshell; the wootz binary is its child and is
