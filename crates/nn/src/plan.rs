@@ -502,6 +502,28 @@ fn axpy_flat(acc: &mut Tensor, g: &Tensor) {
     }
 }
 
+/// The buffer a `Conv2d`/`Dense` backward writes its input gradient into,
+/// or `None` when that gradient would be discarded unread — the input is
+/// the graph's `Input` or a `StopGradient` — so the kernel skips its `dx`
+/// matmul altogether.
+fn input_grad_buffer(graph: &Graph, state: &mut PlanState, ti: NodeId) -> Option<Tensor> {
+    let dead = matches!(graph.node(ti).op, Op::Input | Op::StopGradient);
+    (!dead).then(|| state.arena.take(&runtime_shape(graph, ti, state.batch)))
+}
+
+/// Hands a freshly computed input gradient `dx` to node `ti`: it becomes
+/// the node's gradient buffer, or is added into the one already there (the
+/// per-element `+= 1.0 * g` of `Tensor::axpy`) and recycled.
+fn deposit_grad(state: &mut PlanState, ti: NodeId, dx: Tensor) {
+    match &mut state.grads[ti] {
+        Some(acc) => {
+            axpy_flat(acc, &dx);
+            state.arena.recycle(dx);
+        }
+        slot @ None => *slot = Some(dx),
+    }
+}
+
 /// Axis-1 concatenation into a caller-provided buffer, laid out exactly like
 /// `Tensor::concat_axis1` (row-major, per-sample part blocks in order).
 fn concat_into(parts: &[&Tensor], out: &mut Tensor) {
@@ -762,7 +784,9 @@ pub fn planned_forward_eval(
 /// Reverse-mode backpropagation over buffers left live by a planned train
 /// forward. Seeds are borrowed (`&Tensor`), so callers can keep one
 /// persistent seed buffer across steps. Parameter gradients accumulate into
-/// `vars` exactly as [`crate::backward`] does.
+/// `vars` exactly as [`crate::backward`] does; the input gradient of a
+/// `Conv2d`/`Dense` fed by an `Input` or `StopGradient` node — discarded by
+/// both executors — is not computed here at all.
 ///
 /// # Errors
 ///
@@ -815,8 +839,7 @@ pub fn planned_backward(
                     let ti = node.inputs[0];
                     let mut dw = state.arena.take(vars.value(weight)?.shape());
                     let mut db = state.arena.take(vars.value(bias)?.shape());
-                    let fresh = state.grads[ti].is_none();
-                    let mut dx = state.arena.take(&runtime_shape(graph, ti, state.batch));
+                    let mut dx = input_grad_buffer(graph, state, ti);
                     {
                         let x = act(&state.acts, plan, ti)?;
                         ops::conv2d_backward_into(
@@ -824,16 +847,13 @@ pub fn planned_backward(
                             vars.value(weight)?,
                             &dy,
                             *cfg,
-                            &mut dx,
+                            dx.as_mut(),
                             &mut dw,
                             &mut db,
                         );
                     }
-                    if fresh {
-                        state.grads[ti] = Some(dx);
-                    } else {
-                        axpy_flat(state.grads[ti].as_mut().expect("checked"), &dx);
-                        state.arena.recycle(dx);
+                    if let Some(dx) = dx {
+                        deposit_grad(state, ti, dx);
                     }
                     vars.accumulate_grad(weight, &dw)?;
                     vars.accumulate_grad(bias, &db)?;
@@ -847,7 +867,6 @@ pub fn planned_backward(
                     let c = graph.shape(id).channels()?;
                     let mut dgamma = state.arena.take(&[c]);
                     let mut dbeta = state.arena.take(&[c]);
-                    let fresh = state.grads[ti].is_none();
                     let mut dx = state.arena.take(&runtime_shape(graph, ti, state.batch));
                     {
                         let xh = state.bn_xhat[id].as_ref().ok_or_else(|| {
@@ -867,12 +886,7 @@ pub fn planned_backward(
                             &mut dbeta,
                         );
                     }
-                    if fresh {
-                        state.grads[ti] = Some(dx);
-                    } else {
-                        axpy_flat(state.grads[ti].as_mut().expect("checked"), &dx);
-                        state.arena.recycle(dx);
-                    }
+                    deposit_grad(state, ti, dx);
                     vars.accumulate_grad(gamma, &dgamma)?;
                     vars.accumulate_grad(beta, &dbeta)?;
                     state.arena.recycle(dgamma);
@@ -880,51 +894,27 @@ pub fn planned_backward(
                 }
                 Op::Relu => {
                     let ti = node.inputs[0];
-                    let fresh = state.grads[ti].is_none();
                     let mut dx = state.arena.take(&runtime_shape(graph, ti, state.batch));
                     ops::relu_backward_into(act(&state.acts, plan, ti)?, &dy, &mut dx);
-                    if fresh {
-                        state.grads[ti] = Some(dx);
-                    } else {
-                        axpy_flat(state.grads[ti].as_mut().expect("checked"), &dx);
-                        state.arena.recycle(dx);
-                    }
+                    deposit_grad(state, ti, dx);
                 }
                 Op::MaxPool(_) => {
                     let ti = node.inputs[0];
-                    let fresh = state.grads[ti].is_none();
                     let mut dx = state.arena.take(&runtime_shape(graph, ti, state.batch));
                     ops::max_pool2d_backward_into(&state.argmax[id], &dy, &mut dx);
-                    if fresh {
-                        state.grads[ti] = Some(dx);
-                    } else {
-                        axpy_flat(state.grads[ti].as_mut().expect("checked"), &dx);
-                        state.arena.recycle(dx);
-                    }
+                    deposit_grad(state, ti, dx);
                 }
                 Op::AvgPool(cfg) => {
                     let ti = node.inputs[0];
-                    let fresh = state.grads[ti].is_none();
                     let mut dx = state.arena.take(&runtime_shape(graph, ti, state.batch));
                     ops::avg_pool2d_backward_into(&dy, *cfg, &mut dx);
-                    if fresh {
-                        state.grads[ti] = Some(dx);
-                    } else {
-                        axpy_flat(state.grads[ti].as_mut().expect("checked"), &dx);
-                        state.arena.recycle(dx);
-                    }
+                    deposit_grad(state, ti, dx);
                 }
                 Op::GlobalAvgPool => {
                     let ti = node.inputs[0];
-                    let fresh = state.grads[ti].is_none();
                     let mut dx = state.arena.take(&runtime_shape(graph, ti, state.batch));
                     ops::global_avg_pool_backward_into(&dy, &mut dx);
-                    if fresh {
-                        state.grads[ti] = Some(dx);
-                    } else {
-                        axpy_flat(state.grads[ti].as_mut().expect("checked"), &dx);
-                        state.arena.recycle(dx);
-                    }
+                    deposit_grad(state, ti, dx);
                 }
                 Op::Flatten => {
                     let ti = node.inputs[0];
@@ -942,24 +932,20 @@ pub fn planned_backward(
                     let ti = node.inputs[0];
                     let mut dw = state.arena.take(vars.value(weight)?.shape());
                     let mut db = state.arena.take(vars.value(bias)?.shape());
-                    let fresh = state.grads[ti].is_none();
-                    let mut dx = state.arena.take(&runtime_shape(graph, ti, state.batch));
+                    let mut dx = input_grad_buffer(graph, state, ti);
                     {
                         let x = act(&state.acts, plan, ti)?;
                         ops::dense_backward_into(
                             x,
                             vars.value(weight)?,
                             &dy,
-                            &mut dx,
+                            dx.as_mut(),
                             &mut dw,
                             &mut db,
                         );
                     }
-                    if fresh {
-                        state.grads[ti] = Some(dx);
-                    } else {
-                        axpy_flat(state.grads[ti].as_mut().expect("checked"), &dx);
-                        state.arena.recycle(dx);
+                    if let Some(dx) = dx {
+                        deposit_grad(state, ti, dx);
                     }
                     vars.accumulate_grad(weight, &dw)?;
                     vars.accumulate_grad(bias, &db)?;

@@ -19,10 +19,13 @@
 //! * chunk boundaries are an explicit caller argument (`chunk_len`), never a
 //!   function of the worker count — callers that reduce across chunks pick
 //!   boundaries from the problem shape alone (the kernels use one sample or
-//!   one row block per chunk), so the partial sums are the same no matter
-//!   how many threads run them;
+//!   one GEMM column block per chunk), so the partial sums are the same no
+//!   matter how many threads run them;
 //! * tasks write **disjoint** outputs (enforced by the API shapes), so the
-//!   non-reduction kernels are trivially order-independent.
+//!   non-reduction kernels are trivially order-independent;
+//! * whether a kernel batch fans out at all is decided by its work alone:
+//!   [`parallel_chunks_mut_grained`] runs a batch below [`GRAIN_FLOPS`]
+//!   inline, on any pool size.
 //!
 //! See `PERFORMANCE.md` at the repository root for the full determinism
 //! contract and how the kernels use this API.
@@ -74,7 +77,7 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 mod metering;
@@ -337,7 +340,15 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Set the flag under the queue lock: a worker checks it under that
+        // lock just before it waits, so it either sees the flag or is already
+        // waiting when the notification comes — never neither, which would
+        // leave `join` below waiting forever.
+        {
+            let queue = &self.shared.queue;
+            let _guard = queue.lock().unwrap_or_else(PoisonError::into_inner);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.cv.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
@@ -408,6 +419,15 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    map_batch(total, false, f)
+}
+
+/// [`parallel_map`] with the inline decision widened by `below_grain`.
+fn map_batch<R, F>(total: usize, below_grain: bool, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
     if total == 0 {
         return Vec::new();
     }
@@ -417,7 +437,7 @@ where
         Some(p) => unsafe { p.as_ref() }.threads(),
         None => GLOBAL.get().map(Pool::threads).unwrap_or_else(configured_threads),
     };
-    if total == 1 || threads <= 1 || IN_TASK.with(|c| c.get()) {
+    if below_grain || total == 1 || threads <= 1 || IN_TASK.with(|c| c.get()) {
         metering::inline_batches().incr();
         return (0..total).map(f).collect();
     }
@@ -466,7 +486,7 @@ where
 /// shorter) and maps `f(chunk_index, chunk)` over them in parallel,
 /// returning results **in chunk order**.
 ///
-/// Pick `chunk_len` from the problem shape (one sample, one row block) —
+/// Pick `chunk_len` from the problem shape (one sample, one column block) —
 /// never from the thread count — whenever the per-chunk results are later
 /// reduced: fixed boundaries + the ordered merge make the reduction
 /// bit-identical for any pool size.
@@ -496,9 +516,9 @@ where
 }
 
 /// Like [`parallel_chunks`] but hands each task a **mutable** disjoint
-/// chunk of `data` — the disjoint-write primitive behind the row-parallel
-/// matmul and the per-sample conv kernels. Returns the per-chunk results in
-/// chunk order (use `R = ()` for pure in-place work).
+/// chunk of `data` — the disjoint-write primitive behind the kernels (which
+/// call it as [`parallel_chunks_mut_grained`]). Returns the per-chunk
+/// results in chunk order (use `R = ()` for pure in-place work).
 ///
 /// ```
 /// let mut v = vec![0u32; 6];
@@ -515,6 +535,53 @@ where
     R: Send,
     F: Fn(usize, &mut [T]) -> R + Sync,
 {
+    chunks_mut_batch(data, chunk_len, false, f)
+}
+
+/// Work, in floating-point operations, below which a kernel batch runs
+/// inline instead of fanning out.
+///
+/// A sleeping pool thread starts its first task a median ≈ 20 µs after the
+/// batch is queued on a 2-vCPU x86 VM, and until then the caller works
+/// alone; so a two-thread fan-out only finishes sooner than the inline run
+/// when the batch holds more than that much work — about 2¹⁹ FLOPs at the
+/// GEMM core's ≈ 20 GFLOP/s (PERFORMANCE.md §3 has the measurement). The
+/// grain is a constant on the batch's own work — never on the thread count
+/// — so whether a batch fans out is, like its chunk boundaries, a function
+/// of the problem shape.
+pub const GRAIN_FLOPS: u64 = 1 << 19;
+
+/// [`parallel_chunks_mut`] for a kernel batch whose total work is `flops`:
+/// a batch below [`GRAIN_FLOPS`] runs inline (counted in
+/// `par.inline_batches`), exactly as on a pool of one. Chunk boundaries
+/// and results are the same either way.
+///
+/// ```
+/// let mut v = vec![0u32; 6];
+/// // Six element-sized tasks are far below the grain: they run inline.
+/// wootz_par::parallel_chunks_mut_grained(&mut v, 2, 6, |ci, chunk| chunk.fill(ci as u32));
+/// assert_eq!(v, vec![0, 0, 1, 1, 2, 2]);
+/// ```
+pub fn parallel_chunks_mut_grained<T, R, F>(
+    data: &mut [T],
+    chunk_len: usize,
+    flops: u64,
+    f: F,
+) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut [T]) -> R + Sync,
+{
+    chunks_mut_batch(data, chunk_len, flops < GRAIN_FLOPS, f)
+}
+
+fn chunks_mut_batch<T, R, F>(data: &mut [T], chunk_len: usize, below_grain: bool, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut [T]) -> R + Sync,
+{
     let chunk_len = chunk_len.max(1);
     let len = data.len();
     if len == 0 {
@@ -523,7 +590,7 @@ where
     let n_chunks = len.div_ceil(chunk_len);
     let base = SendPtr(data.as_mut_ptr());
     let f = &f;
-    parallel_map(n_chunks, move |ci| {
+    map_batch(n_chunks, below_grain, move |ci| {
         // Capture the whole `SendPtr` (edition-2021 disjoint capture would
         // otherwise grab the raw `*mut T` field, which is not `Sync`).
         let base = base;
@@ -645,6 +712,26 @@ mod tests {
         }));
         assert!(res.is_err());
         assert!(OVERRIDE.with(|c| c.get()).is_none());
+    }
+
+    #[test]
+    fn below_grain_batches_run_inline_on_any_pool() {
+        let pool = Pool::new(4);
+        let fan_out = |flops: u64| {
+            with_pool(&pool, || {
+                let mut v = vec![0usize; 64];
+                let owners = parallel_chunks_mut_grained(&mut v, 8, flops, |ci, chunk| {
+                    chunk.fill(ci);
+                    IN_TASK.with(|c| c.get())
+                });
+                assert_eq!(v, (0..64).map(|i| i / 8).collect::<Vec<_>>());
+                owners.iter().any(|&in_task| in_task)
+            })
+        };
+        // Inline chunks run on the caller outside any pool task; a fanned-out
+        // batch runs every chunk inside one.
+        assert!(!fan_out(GRAIN_FLOPS - 1));
+        assert!(fan_out(GRAIN_FLOPS));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!
 //! - `par.batches` — parallel batches actually fanned out to the pool;
 //! - `par.inline_batches` — batches short-circuited to the sequential path
-//!   (single task, pool of one, or nested inside another task);
+//!   (below the `GRAIN_FLOPS` grain, single task, pool of one, or nested
+//!   inside another task);
 //! - `par.tasks` — tasks executed by the pool (workers + caller);
 //! - `par.caller_tasks` — the subset of `par.tasks` run by the submitting
 //!   thread itself (caller participation / load-balance signal);

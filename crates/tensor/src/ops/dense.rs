@@ -1,6 +1,6 @@
 //! Fully-connected (inner-product) layer.
 
-use crate::ops::matmul::{matmul_into, matmul_nt, matmul_nt_into, matmul_tn, matmul_tn_into};
+use crate::ops::matmul::{gemm, MatRef};
 use crate::ops::metering;
 use crate::Tensor;
 
@@ -25,42 +25,14 @@ pub struct DenseGrads {
 ///
 /// Panics when shapes disagree; graphs are validated before execution.
 pub fn dense(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(
-        x.shape().len(),
-        2,
-        "dense input must be [N, In], got {:?}",
-        x.shape()
-    );
-    assert_eq!(
-        w.shape().len(),
-        2,
-        "dense weight must be [Out, In], got {:?}",
-        w.shape()
-    );
-    let (n, d_in) = (x.shape()[0], x.shape()[1]);
-    let (d_out, d_in2) = (w.shape()[0], w.shape()[1]);
-    assert_eq!(
-        d_in, d_in2,
-        "dense: input width {d_in} != weight width {d_in2}"
-    );
-    assert_eq!(b.shape(), &[d_out], "dense bias shape");
-    // One [N, In] x [In, Out] matmul plus the bias adds.
-    metering::dense_calls().incr();
-    metering::dense_flops()
-        .add(metering::matmul_flops(n, d_in, d_out) + (n * d_out) as u64);
-    let mut y = matmul_nt(x, w);
-    for i in 0..n {
-        let row = &mut y.data_mut()[i * d_out..(i + 1) * d_out];
-        for (v, &bv) in row.iter_mut().zip(b.data().iter()) {
-            *v += bv;
-        }
-    }
+    let mut y = Tensor::zeros(&[x.shape()[0], w.shape()[0]]);
+    dense_into(x, w, b, &mut y);
     y
 }
 
 /// Arena-friendly [`dense`]: writes `x · Wᵀ + b` into `out`, a `[N, Out]`
-/// tensor (full overwrite). Bit-identical to [`dense`] — both run the same
-/// `matmul_nt` core followed by the same bias adds.
+/// tensor (full overwrite). [`dense`] runs this body, so both are
+/// bit-identical.
 ///
 /// # Panics
 ///
@@ -85,12 +57,20 @@ pub fn dense_into(x: &Tensor, w: &Tensor, b: &Tensor, out: &mut Tensor) {
         "dense: input width {d_in} != weight width {d_in2}"
     );
     assert_eq!(b.shape(), &[d_out], "dense bias shape");
+    assert_eq!(out.shape(), &[n, d_out], "dense_into: output shape");
+    // One [N, In] x [In, Out] matmul plus the bias adds.
     metering::dense_calls().incr();
     metering::dense_flops().add(metering::matmul_flops(n, d_in, d_out) + (n * d_out) as u64);
-    matmul_nt_into(x, w, out);
-    for i in 0..n {
-        let row = &mut out.data_mut()[i * d_out..(i + 1) * d_out];
-        for (v, &bv) in row.iter_mut().zip(b.data().iter()) {
+    gemm(
+        MatRef::rows(x.data(), d_in),
+        MatRef::rows(w.data(), d_in).t(),
+        n,
+        d_in,
+        d_out,
+        out.data_mut(),
+    );
+    for row in out.data_mut().chunks_exact_mut(d_out) {
+        for (v, &bv) in row.iter_mut().zip(b.data()) {
             *v += bv;
         }
     }
@@ -98,33 +78,18 @@ pub fn dense_into(x: &Tensor, w: &Tensor, b: &Tensor, out: &mut Tensor) {
 
 /// Backward of [`dense`].
 pub fn dense_backward(x: &Tensor, w: &Tensor, dy: &Tensor) -> DenseGrads {
-    let n = x.shape()[0];
-    let d_out = w.shape()[0];
-    assert_eq!(dy.shape(), &[n, d_out], "dense_backward dy shape");
-    // Two matmuls (dx, dW) of the forward shape plus the db column sums.
-    let d_in = x.shape()[1];
-    metering::dense_backward_flops()
-        .add(2 * metering::matmul_flops(n, d_in, d_out) + (n * d_out) as u64);
-    // dx = dY · W        [N, In]
-    let dx = super::matmul(dy, w);
-    // dW = dYᵀ · X       [Out, In]
-    let dw = matmul_tn(dy, x);
-    // db = column sums of dY.
-    let mut db = Tensor::zeros(&[d_out]);
-    for i in 0..n {
-        let row = &dy.data()[i * d_out..(i + 1) * d_out];
-        for (acc, &g) in db.data_mut().iter_mut().zip(row.iter()) {
-            *acc += g;
-        }
-    }
+    let mut dx = Tensor::zeros(x.shape());
+    let mut dw = Tensor::zeros(w.shape());
+    let mut db = Tensor::zeros(&[w.shape()[0]]);
+    dense_backward_into(x, w, dy, Some(&mut dx), &mut dw, &mut db);
     DenseGrads { dx, dw, db }
 }
 
-/// Arena-friendly [`dense_backward`]: writes the three gradients into
-/// caller-provided tensors. `dx` (`[N, In]`) and `dw` (`[Out, In]`) **must be
-/// all-zero** on entry (the matmul cores accumulate); `db` (`[Out]`) must be
-/// all-zero too (column sums accumulate). Bit-identical to
-/// [`dense_backward`].
+/// Arena-friendly [`dense_backward`]: writes the gradients into
+/// caller-provided tensors (full overwrite) — `dx` (`[N, In]`) only when
+/// asked for, `dw` (`[Out, In]`) and `db` (`[Out]`) always. Skipping `dx`
+/// skips its matmul, and the FLOP meter counts only the matmuls that ran.
+/// [`dense_backward`] runs this body, so both are bit-identical.
 ///
 /// # Panics
 ///
@@ -133,25 +98,46 @@ pub fn dense_backward_into(
     x: &Tensor,
     w: &Tensor,
     dy: &Tensor,
-    dx: &mut Tensor,
+    dx: Option<&mut Tensor>,
     dw: &mut Tensor,
     db: &mut Tensor,
 ) {
-    let n = x.shape()[0];
+    let (n, d_in) = (x.shape()[0], x.shape()[1]);
     let d_out = w.shape()[0];
     assert_eq!(dy.shape(), &[n, d_out], "dense_backward dy shape");
-    let d_in = x.shape()[1];
-    metering::dense_backward_flops()
-        .add(2 * metering::matmul_flops(n, d_in, d_out) + (n * d_out) as u64);
-    // dx = dY · W        [N, In]
-    matmul_into(dy, w, dx);
-    // dW = dYᵀ · X       [Out, In]
-    matmul_tn_into(dy, x, dw);
-    // db = column sums of dY.
+    assert_eq!(dw.shape(), w.shape(), "dense_backward_into dw shape");
     assert_eq!(db.shape(), &[d_out], "dense_backward_into db shape");
-    for i in 0..n {
-        let row = &dy.data()[i * d_out..(i + 1) * d_out];
-        for (acc, &g) in db.data_mut().iter_mut().zip(row.iter()) {
+    // One matmul each for dW and (when asked for) dx, of the forward shape,
+    // plus the db column sums.
+    let matmuls = 1 + dx.is_some() as u64;
+    metering::dense_backward_flops()
+        .add(matmuls * metering::matmul_flops(n, d_in, d_out) + (n * d_out) as u64);
+    let dy_rows = MatRef::rows(dy.data(), d_out);
+    if let Some(dx) = dx {
+        assert_eq!(dx.shape(), x.shape(), "dense_backward_into dx shape");
+        // dx = dY · W        [N, In]
+        gemm(
+            dy_rows,
+            MatRef::rows(w.data(), d_in),
+            n,
+            d_out,
+            d_in,
+            dx.data_mut(),
+        );
+    }
+    // dW = dYᵀ · X       [Out, In]
+    gemm(
+        dy_rows.t(),
+        MatRef::rows(x.data(), d_in),
+        d_out,
+        n,
+        d_in,
+        dw.data_mut(),
+    );
+    // db = column sums of dY.
+    db.fill_zero();
+    for row in dy.data().chunks_exact(d_out) {
+        for (acc, &g) in db.data_mut().iter_mut().zip(row) {
             *acc += g;
         }
     }
@@ -184,5 +170,19 @@ mod tests {
         assert!(g.dx.data().iter().all(|&v| v == 2.0));
         // Every dW element sums over the batch of ones.
         assert!(g.dw.data().iter().all(|&v| v == 4.0));
+    }
+
+    #[test]
+    fn outputs_are_overwritten_and_dx_is_optional() {
+        let x = Tensor::from_fn(&[5, 3], |i| i as f32 * 0.5 - 2.0);
+        let w = Tensor::from_fn(&[4, 3], |i| 1.0 - i as f32 * 0.25);
+        let dy = Tensor::from_fn(&[5, 4], |i| (i % 3) as f32 - 1.0);
+        let want = dense_backward(&x, &w, &dy);
+        let (mut dw, mut db) = (Tensor::filled(&[4, 3], 9.0), Tensor::filled(&[4], 9.0));
+        dense_backward_into(&x, &w, &dy, None, &mut dw, &mut db);
+        assert_eq!((dw, db), (want.dw, want.db));
+        let mut y = Tensor::filled(&[5, 4], 9.0);
+        dense_into(&x, &w, &Tensor::zeros(&[4]), &mut y);
+        assert_eq!(y, dense(&x, &w, &Tensor::zeros(&[4])));
     }
 }

@@ -76,12 +76,15 @@ pub fn softmax_cross_entropy_into(
         &[n, k],
         "softmax_cross_entropy dlogits shape"
     );
-    // One pool task per sample: each writes only its own [K] rows, and the
-    // per-sample loss terms come back in sample order so the summation below
-    // matches the sequential loop's accumulation order bit-for-bit.
+    // One pool task per sample (inline below the grain): each writes only
+    // its own [K] rows, and the per-sample loss terms come back in sample
+    // order so the summation below matches the sequential loop's
+    // accumulation order bit-for-bit. Work: about five operations per logit
+    // (max, subtract, exp, sum, divide), then two per gradient.
+    let elems = (n * k) as u64;
     let logit_data = logits.data();
     let prob_rows = probs.data_mut();
-    let loss_terms: Vec<f32> = wootz_par::parallel_chunks_mut(prob_rows, k, |i, prow| {
+    let loss_terms = wootz_par::parallel_chunks_mut_grained(prob_rows, k, 5 * elems, |i, prow| {
         let label = labels[i];
         assert!(label < k, "label {label} out of range for {k} classes");
         let row = &logit_data[i * k..(i + 1) * k];
@@ -96,7 +99,7 @@ pub fn softmax_cross_entropy_into(
         -(prow[label].max(1e-12)).ln()
     });
     let prob_data = probs.data();
-    wootz_par::parallel_chunks_mut(dlogits.data_mut(), k, |i, drow| {
+    wootz_par::parallel_chunks_mut_grained(dlogits.data_mut(), k, 2 * elems, |i, drow| {
         let label = labels[i];
         let prow = &prob_data[i * k..(i + 1) * k];
         for (j, (d, &p)) in drow.iter_mut().zip(prow.iter()).enumerate() {

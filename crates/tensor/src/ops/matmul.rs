@@ -1,62 +1,297 @@
-//! Blocked matrix multiplies used by the im2col convolution path and the
-//! dense layer, row-parallel over the `wootz-par` pool.
+//! The one GEMM core under every matrix multiply and convolution: packing
+//! routines map any strided operand layout onto a single register-tiled
+//! `MR × NR` micro-kernel.
+//!
+//! ## Structure
+//!
+//! An operand is a [`MatRef`] — a slice plus a row and a column stride — so
+//! `A`, `Aᵀ`, `B` and `Bᵀ` of a row-major matrix are all just views. [`pack`]
+//! copies a view into panels of `W` contiguous lanes per inner index `p`
+//! (`A` into `MR`-row panels, `B` into `NR`-column panels, zero past the
+//! edge), and [`gemm_packed`] runs the micro-kernel over every
+//! `(A panel, B panel)` pair, overwriting `C`. [`gemm`] is the parallel
+//! entry point: it packs `A` once into the calling thread's scratch and
+//! hands column blocks of `C` — each packing its own part of `B` — to the
+//! `wootz-par` pool.
+//! Convolutions (`conv.rs`) call [`pack`] and [`gemm_packed`] directly from
+//! their per-sample tasks.
+//!
+//! ## Accumulation order — why no output bit moves
+//!
+//! Every output element is accumulated as
+//! `c = ((+0 + a₀b₀) + a₁b₁) + …` with `p` ascending and a separate
+//! multiply and add (Rust never contracts them into an FMA). This is the
+//! exact float-op sequence of the scalar loops the core replaced, so the
+//! results are bit-identical to them:
+//!
+//! * the accumulator starts at `+0.0` and can never become `−0.0` (in
+//!   round-to-nearest `x + y = −0` needs both operands `−0`), so the zero
+//!   skip the old `A·B` loops had (`if a == 0.0 { continue }`) changed
+//!   nothing on finite operands;
+//! * the tile only adds independent lanes — each lane is one output
+//!   element's own sequential chain — and lane width never changes
+//!   rounding.
+//!
+//! Padding lanes hold zeros and their results are discarded.
+//!
+//! ## `0·∞` and NaN
+//!
+//! Every product is formed, so IEEE semantics hold throughout: a `0` in `A`
+//! times an `∞` or NaN in `B` contributes NaN, and any NaN operand makes its
+//! output elements NaN. (The old zero skip made a `0` in `A` contribute
+//! nothing even against `∞`; `tests/kernel_oracle.rs` pins the new
+//! behaviour.)
 //!
 //! ## Parallel decomposition & determinism
 //!
-//! All three variants split the **output rows** into fixed-size blocks of
-//! `ROW_BLOCK` (= 4) rows and hand each block to one pool task via
-//! [`wootz_par::parallel_chunks_mut`]. Tasks write disjoint row ranges and
-//! never reduce across blocks, and within a row the accumulation order over
-//! the inner dimension is exactly the sequential kernel's order — so the
-//! result is **bit-identical** for any thread count, including the inline
-//! single-threaded path. Block boundaries depend only on the problem shape
-//! (`ROW_BLOCK` is a constant), never on the worker count.
+//! [`gemm`] splits `C` into blocks of `TASK_COLS` columns — a constant,
+//! never derived from the thread count — and a batch below the `wootz-par`
+//! grain runs inline. Tasks write disjoint blocks and never reduce across
+//! them, so the result is bit-identical for any thread count.
 //!
 //! ## Errors
 //!
 //! Shape checking is structured: [`try_matmul`] returns a
 //! [`ShapeError`](crate::ShapeError) naming the operation and both shapes;
-//! the panicking wrappers used by the internal kernels (`matmul` and the
-//! crate-private transposed variants) surface the same message via
-//! `expect`-style panics, e.g. `matmul inner dims: a [2, 3] vs b [4, 2]`.
+//! [`matmul`] surfaces the same message as a panic, e.g. `matmul inner
+//! dims: a [2, 3] vs b [4, 2]`.
+
+use std::cell::RefCell;
 
 use crate::{ShapeError, Tensor};
 
-/// Output rows per pool task. A constant (never derived from the thread
-/// count) so chunk boundaries — and therefore scheduling-independent results
-/// — are a function of the problem shape alone; 4 rows amortize the
-/// per-task queue/metering overhead even for the small matrices the
-/// micro-scale models produce.
-const ROW_BLOCK: usize = 4;
+/// Rows of `C` per micro-kernel tile.
+pub(crate) const MR: usize = 4;
+/// Columns of `C` per micro-kernel tile: two 4-lane vectors.
+pub(crate) const NR: usize = 8;
 
-/// Checks that `a` and `b` are rank-2 with matching inner dimensions for
-/// `op`, returning `(m, k, n)`.
-fn check_dims(op: &str, a: &Tensor, b: &Tensor, inner: impl Fn(&[usize], &[usize]) -> (usize, usize, usize, usize)) -> Result<(usize, usize, usize), ShapeError> {
-    if a.shape().len() != 2 || b.shape().len() != 2 {
+/// A read-only strided matrix view: element `(i, j)` is
+/// `data[i * rs + j * cs]`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MatRef<'a> {
+    data: &'a [f32],
+    rs: usize,
+    cs: usize,
+}
+
+impl<'a> MatRef<'a> {
+    /// A row-major matrix with `cols` columns.
+    pub(crate) fn rows(data: &'a [f32], cols: usize) -> Self {
+        MatRef {
+            data,
+            rs: cols,
+            cs: 1,
+        }
+    }
+
+    /// The view of columns `j0..` (no data moves).
+    fn skip_cols(self, j0: usize) -> Self {
+        MatRef {
+            data: &self.data[j0 * self.cs..],
+            ..self
+        }
+    }
+
+    /// The transpose of this view (no data moves).
+    pub(crate) fn t(self) -> Self {
+        MatRef {
+            data: self.data,
+            rs: self.cs,
+            cs: self.rs,
+        }
+    }
+}
+
+/// Scratch buffers reused across kernel calls on one thread.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// Packed `A` panels.
+    pub(crate) a: Vec<f32>,
+    /// Packed `B` panels.
+    pub(crate) b: Vec<f32>,
+    /// Unpacked intermediate matrices (im2col patches, `dcol`, partials).
+    pub(crate) c: Vec<f32>,
+}
+
+thread_local! {
+    /// Operands a kernel call shares with all of its tasks (packed weights,
+    /// reduction partials). Borrowed by the thread that issues the call.
+    static CALL: RefCell<Scratch> = RefCell::default();
+    /// One task's private buffers. Kernel tasks never issue kernel calls,
+    /// so a thread holds at most one borrow of each cell at a time.
+    static LANE: RefCell<Scratch> = RefCell::default();
+}
+
+/// Runs `f` on this thread's call-level scratch.
+pub(crate) fn with_call_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    CALL.with(|s| f(&mut s.borrow_mut()))
+}
+
+/// Runs `f` on this thread's task-level scratch.
+pub(crate) fn with_lane_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    LANE.with(|s| f(&mut s.borrow_mut()))
+}
+
+/// The first `len` elements of `buf`, growing it if needed. Contents are
+/// whatever the last user left: callers overwrite what they read.
+pub(crate) fn scratch(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
+/// Packs the `k × n` view `v` into `⌈n/W⌉` panels of `k·W` floats: panel
+/// `jp` holds `v(p, jp·W + s)` at `p·W + s`, and zero for columns past `n`.
+/// Packing `A` (`m × k`) for the micro-kernel is `pack::<MR>(a.t(), k, m)`.
+pub(crate) fn pack<const W: usize>(v: MatRef, k: usize, n: usize, dst: &mut Vec<f32>) {
+    let dst = scratch(dst, n.div_ceil(W) * k * W);
+    if k == 0 {
+        return;
+    }
+    for (jp, panel) in dst.chunks_exact_mut(k * W).enumerate() {
+        let j0 = jp * W;
+        let width = W.min(n - j0);
+        if width == W && v.cs == 1 {
+            // Each lane row is a contiguous run of the source row.
+            for (p, lanes) in panel.chunks_exact_mut(W).enumerate() {
+                let at = p * v.rs + j0;
+                lanes.copy_from_slice(&v.data[at..at + W]);
+            }
+        } else if width == W && v.rs == 1 {
+            // Each source column is contiguous: interleave W of them.
+            let cols: [&[f32]; W] = std::array::from_fn(|s| {
+                let at = (j0 + s) * v.cs;
+                &v.data[at..at + k]
+            });
+            for (p, lanes) in panel.chunks_exact_mut(W).enumerate() {
+                for (lane, col) in lanes.iter_mut().zip(&cols) {
+                    *lane = col[p];
+                }
+            }
+        } else {
+            for (p, lanes) in panel.chunks_exact_mut(W).enumerate() {
+                for (s, lane) in lanes.iter_mut().enumerate() {
+                    *lane = if s < width {
+                        v.data[p * v.rs + (j0 + s) * v.cs]
+                    } else {
+                        0.0
+                    };
+                }
+            }
+        }
+    }
+}
+
+/// The micro-kernel: one `MR × NR` tile of `C` from a packed `A` panel and
+/// a packed `B` panel, accumulated over `p` ascending from `+0.0`.
+#[inline(always)]
+fn tile(a: &[f32], b: &[f32]) -> [[f32; NR]; MR] {
+    let mut acc = [[0.0f32; NR]; MR];
+    for (ap, bp) in a.chunks_exact(MR).zip(b.chunks_exact(NR)) {
+        for (row, &av) in acc.iter_mut().zip(ap) {
+            for (c, &bv) in row.iter_mut().zip(bp) {
+                *c += av * bv;
+            }
+        }
+    }
+    acc
+}
+
+/// Writes `C = A · B` (`m × n`, row-major, every element overwritten) from
+/// operands packed by [`pack`] with inner dimension `k`. Sequential: the
+/// caller decides what runs in parallel.
+pub(crate) fn gemm_packed(m: usize, k: usize, n: usize, pa: &[f32], pb: &[f32], c: &mut [f32]) {
+    debug_assert_eq!(c.len(), m * n);
+    if k == 0 {
+        c.fill(0.0);
+        return;
+    }
+    let a_panels = &pa[..m.div_ceil(MR) * k * MR];
+    let b_panels = &pb[..n.div_ceil(NR) * k * NR];
+    for (jp, bp) in b_panels.chunks_exact(k * NR).enumerate() {
+        let j0 = jp * NR;
+        let width = NR.min(n - j0);
+        for (ip, ap) in a_panels.chunks_exact(k * MR).enumerate() {
+            let i0 = ip * MR;
+            let acc = tile(ap, bp);
+            for (r, lanes) in acc.iter().enumerate().take(m - i0) {
+                let at = (i0 + r) * n + j0;
+                if width == NR {
+                    c[at..at + NR].copy_from_slice(lanes);
+                } else {
+                    c[at..at + width].copy_from_slice(&lanes[..width]);
+                }
+            }
+        }
+    }
+}
+
+/// Columns of `C` per parallel task in [`gemm`]: four micro-kernel panels.
+const TASK_COLS: usize = 4 * NR;
+
+/// Writes `C = A · B` for the `m × k` view `a` and the `k × n` view `b`
+/// into the row-major `m × n` slice `c` (every element overwritten).
+///
+/// `A` — in the kernels' shapes the small operand (filters, batch rows) —
+/// is packed once into the calling thread's scratch. `C` is computed in
+/// blocks of `TASK_COLS` columns on the `wootz-par` pool (inline when the
+/// product is below the grain); each task packs its own columns of `B`, so
+/// packing the large operand is parallel too, and writes a row-major
+/// `m × TASK_COLS` block that is then copied into place.
+pub(crate) fn gemm(a: MatRef, b: MatRef, m: usize, k: usize, n: usize, c: &mut [f32]) {
+    assert_eq!(c.len(), m * n, "gemm: output length");
+    if c.is_empty() || k == 0 {
+        c.fill(0.0);
+        return;
+    }
+    with_call_scratch(|s| {
+        let Scratch {
+            a: pa, c: blocks, ..
+        } = s;
+        pack::<MR>(a.t(), k, m, pa);
+        let pa: &[f32] = pa;
+        let blocks = scratch(blocks, m * n);
+        let flops = 2 * (m as u64) * (k as u64) * (n as u64);
+        wootz_par::parallel_chunks_mut_grained(blocks, m * TASK_COLS, flops, |g, block| {
+            let cols = block.len() / m;
+            with_lane_scratch(|lane| {
+                pack::<NR>(b.skip_cols(g * TASK_COLS), k, cols, &mut lane.b);
+                gemm_packed(m, k, cols, pa, &lane.b, block);
+            });
+        });
+        for (g, block) in blocks.chunks(m * TASK_COLS).enumerate() {
+            let (j0, cols) = (g * TASK_COLS, block.len() / m);
+            for (crow, brow) in c.chunks_exact_mut(n).zip(block.chunks_exact(cols)) {
+                crow[j0..j0 + cols].copy_from_slice(brow);
+            }
+        }
+    });
+}
+
+/// Checks that `a` and `b` are rank-2 with matching inner dimensions,
+/// returning `(m, k, n)`.
+fn check_dims(a: &Tensor, b: &Tensor) -> Result<(usize, usize, usize), ShapeError> {
+    let (sa, sb) = (a.shape(), b.shape());
+    if sa.len() != 2 || sb.len() != 2 {
         return Err(ShapeError::new(format!(
-            "{op}: expected rank-2 operands, got a {:?} vs b {:?}",
-            a.shape(),
-            b.shape()
+            "matmul: expected rank-2 operands, got a {sa:?} vs b {sb:?}"
         )));
     }
-    let (m, k, k2, n) = inner(a.shape(), b.shape());
-    if k != k2 {
+    if sa[1] != sb[0] {
         return Err(ShapeError::new(format!(
-            "{op} inner dims: a {:?} vs b {:?}",
-            a.shape(),
-            b.shape()
+            "matmul inner dims: a {sa:?} vs b {sb:?}"
         )));
     }
-    Ok((m, k, n))
+    Ok((sa[0], sa[1], sb[1]))
 }
 
 /// Computes `C = A * B` for `A: [m, k]`, `B: [k, n]`, returning a
 /// [`ShapeError`] when the operands are not rank-2 or the inner dimensions
 /// disagree.
 ///
-/// Plain triple loop with the `k` loop hoisted per row for cache
-/// friendliness, parallelized over `ROW_BLOCK`-row (4-row) output blocks; adequate
-/// for the micro-scale training this workspace runs.
+/// Runs the register-tiled core (see the module docs), in parallel over
+/// column blocks of `C` when the product is above the `wootz-par` grain.
 ///
 /// ```
 /// use wootz_tensor::{ops, Tensor};
@@ -66,48 +301,17 @@ fn check_dims(op: &str, a: &Tensor, b: &Tensor, inner: impl Fn(&[usize], &[usize
 /// assert!(ops::try_matmul(&a, &Tensor::zeros(&[3, 2])).is_err());
 /// ```
 pub fn try_matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, ShapeError> {
-    let (m, k, n) = check_dims("matmul", a, b, |sa, sb| (sa[0], sa[1], sb[0], sb[1]))?;
+    let (m, k, n) = check_dims(a, b)?;
     let mut out = vec![0.0f32; m * n];
-    matmul_slice(a.data(), b.data(), m, k, n, &mut out);
+    gemm(
+        MatRef::rows(a.data(), k),
+        MatRef::rows(b.data(), n),
+        m,
+        k,
+        n,
+        &mut out,
+    );
     Ok(Tensor::from_vec(out, &[m, n]).expect("matmul output shape"))
-}
-
-/// Core of [`matmul`]: accumulates `A * B` into `out`, which **must** be
-/// all-zero on entry (the kernel uses `+=`). Shared by the allocating
-/// wrapper and the arena-backed [`matmul_into`] so both paths execute the
-/// exact same float-op sequence.
-pub(crate) fn matmul_slice(av: &[f32], bv: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    debug_assert_eq!(out.len(), m * n);
-    wootz_par::parallel_chunks_mut(out, ROW_BLOCK * n, |ci, rows| {
-        let i0 = ci * ROW_BLOCK;
-        for (di, orow) in rows.chunks_mut(n).enumerate() {
-            let i = i0 + di;
-            let arow = &av[i * k..(i + 1) * k];
-            for (p, &aval) in arow.iter().enumerate() {
-                if aval == 0.0 {
-                    continue;
-                }
-                let brow = &bv[p * n..(p + 1) * n];
-                for (o, &bval) in orow.iter_mut().zip(brow.iter()) {
-                    *o += aval * bval;
-                }
-            }
-        }
-    });
-}
-
-/// Arena-friendly [`matmul`]: accumulates `A * B` into `out`, a `[m, n]`
-/// tensor that must be all-zero on entry (arena takes are). Bit-identical to
-/// [`matmul`] by construction — both run [`matmul_slice`].
-///
-/// # Panics
-///
-/// Panics on rank, inner-dimension, or output-shape mismatch.
-pub(crate) fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
-    let (m, k, n) = check_dims("matmul", a, b, |sa, sb| (sa[0], sa[1], sb[0], sb[1]))
-        .unwrap_or_else(|e| panic!("{e}"));
-    assert_eq!(out.shape(), &[m, n], "matmul_into: output shape");
-    matmul_slice(a.data(), b.data(), m, k, n, out.data_mut());
 }
 
 /// Computes `C = A * B` for `A: [m, k]`, `B: [k, n]`.
@@ -124,132 +328,19 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     }
 }
 
-/// Computes `C = A^T * B` for `A: [k, m]`, `B: [k, n]` without materializing
-/// the transpose.
-///
-/// Row-parallel like [`matmul`]; each output row `i` accumulates over `p` in
-/// increasing order — the same per-element order as the sequential `p`-outer
-/// loop — so results are bit-identical to the single-threaded kernel.
-///
-/// # Panics
-///
-/// Panics on rank or inner-dimension mismatch with the shapes in the
-/// message.
-pub(crate) fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k, n) = check_dims("matmul_tn", a, b, |sa, sb| (sa[1], sa[0], sb[0], sb[1]))
-        .unwrap_or_else(|e| panic!("{e}"));
-    let mut out = vec![0.0f32; m * n];
-    matmul_tn_slice(a.data(), b.data(), m, k, n, &mut out);
-    Tensor::from_vec(out, &[m, n]).expect("matmul_tn output shape")
-}
-
-/// Core of [`matmul_tn`]: accumulates `A^T * B` into an all-zero `out`.
-pub(crate) fn matmul_tn_slice(
-    av: &[f32],
-    bv: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-) {
-    debug_assert_eq!(out.len(), m * n);
-    wootz_par::parallel_chunks_mut(out, ROW_BLOCK * n, |ci, rows| {
-        let i0 = ci * ROW_BLOCK;
-        for (di, orow) in rows.chunks_mut(n).enumerate() {
-            let i = i0 + di;
-            for p in 0..k {
-                let aval = av[p * m + i];
-                if aval == 0.0 {
-                    continue;
-                }
-                let brow = &bv[p * n..(p + 1) * n];
-                for (o, &bval) in orow.iter_mut().zip(brow.iter()) {
-                    *o += aval * bval;
-                }
-            }
-        }
-    });
-}
-
-/// Arena-friendly [`matmul_tn`]: accumulates `A^T * B` into `out`, a
-/// `[m, n]` tensor that must be all-zero on entry.
-///
-/// # Panics
-///
-/// Panics on rank, inner-dimension, or output-shape mismatch.
-pub(crate) fn matmul_tn_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
-    let (m, k, n) = check_dims("matmul_tn", a, b, |sa, sb| (sa[1], sa[0], sb[0], sb[1]))
-        .unwrap_or_else(|e| panic!("{e}"));
-    assert_eq!(out.shape(), &[m, n], "matmul_tn_into: output shape");
-    matmul_tn_slice(a.data(), b.data(), m, k, n, out.data_mut());
-}
-
-/// Computes `C = A * B^T` for `A: [m, k]`, `B: [n, k]` without materializing
-/// the transpose.
-///
-/// Row-parallel like [`matmul`]; each `C[i, j]` is one dot product computed
-/// entirely by the task owning row `i`, so the reduction order never
-/// changes.
-///
-/// # Panics
-///
-/// Panics on rank or inner-dimension mismatch with the shapes in the
-/// message.
-pub(crate) fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k, n) = check_dims("matmul_nt", a, b, |sa, sb| (sa[0], sa[1], sb[1], sb[0]))
-        .unwrap_or_else(|e| panic!("{e}"));
-    let mut out = vec![0.0f32; m * n];
-    matmul_nt_slice(a.data(), b.data(), m, k, n, &mut out);
-    Tensor::from_vec(out, &[m, n]).expect("matmul_nt output shape")
-}
-
-/// Core of [`matmul_nt`]: writes `A * B^T` into `out` (full overwrite — the
-/// prior contents of `out` are irrelevant).
-pub(crate) fn matmul_nt_slice(
-    av: &[f32],
-    bv: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-) {
-    debug_assert_eq!(out.len(), m * n);
-    wootz_par::parallel_chunks_mut(out, ROW_BLOCK * n, |ci, rows| {
-        let i0 = ci * ROW_BLOCK;
-        for (di, orow) in rows.chunks_mut(n).enumerate() {
-            let i = i0 + di;
-            let arow = &av[i * k..(i + 1) * k];
-            for (j, o) in orow.iter_mut().enumerate() {
-                let brow = &bv[j * k..(j + 1) * k];
-                let mut acc = 0.0;
-                for (&x, &y) in arow.iter().zip(brow.iter()) {
-                    acc += x * y;
-                }
-                *o = acc;
-            }
-        }
-    });
-}
-
-/// Arena-friendly [`matmul_nt`]: writes `A * B^T` into `out`, a `[m, n]`
-/// tensor (full overwrite).
-///
-/// # Panics
-///
-/// Panics on rank, inner-dimension, or output-shape mismatch.
-pub(crate) fn matmul_nt_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
-    let (m, k, n) = check_dims("matmul_nt", a, b, |sa, sb| (sa[0], sa[1], sb[1], sb[0]))
-        .unwrap_or_else(|e| panic!("{e}"));
-    assert_eq!(out.shape(), &[m, n], "matmul_nt_into: output shape");
-    matmul_nt_slice(a.data(), b.data(), m, k, n, out.data_mut());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn t(data: &[f32], shape: &[usize]) -> Tensor {
         Tensor::from_vec(data.to_vec(), shape).unwrap()
+    }
+
+    /// `gemm` over arbitrary views, into a fresh `[m, n]` tensor.
+    fn gemm_t(a: MatRef, b: MatRef, m: usize, k: usize, n: usize) -> Tensor {
+        let mut out = vec![f32::NAN; m * n];
+        gemm(a, b, m, k, n, &mut out);
+        t(&out, &[m, n])
     }
 
     #[test]
@@ -267,10 +358,41 @@ mod tests {
         let b = t(&[1., 0., 2., -1., 3., 1.], &[2, 3]);
         // A^T (3x2) * B (2x3) == matmul of explicit transpose.
         let at = t(&[1., 4., 2., 5., 3., 6.], &[3, 2]);
-        assert_eq!(matmul_tn(&a, &b), matmul(&at, &b));
+        let tn = gemm_t(
+            MatRef::rows(a.data(), 3).t(),
+            MatRef::rows(b.data(), 3),
+            3,
+            2,
+            3,
+        );
+        assert_eq!(tn, matmul(&at, &b));
         // A (2x3) * B^T (3x2)
         let bt = t(&[1., -1., 0., 3., 2., 1.], &[3, 2]);
-        assert_eq!(matmul_nt(&a, &b), matmul(&a, &bt));
+        let nt = gemm_t(
+            MatRef::rows(a.data(), 3),
+            MatRef::rows(b.data(), 3).t(),
+            2,
+            3,
+            2,
+        );
+        assert_eq!(nt, matmul(&a, &bt));
+    }
+
+    #[test]
+    fn empty_dimensions() {
+        let c = gemm_t(MatRef::rows(&[], 0), MatRef::rows(&[], 3), 2, 0, 3);
+        assert_eq!(c.data(), &[0.0; 6]);
+        // Wider than one task block.
+        let c = gemm_t(MatRef::rows(&[], 0), MatRef::rows(&[], 40), 2, 0, 40);
+        assert_eq!(c.data(), &[0.0; 80]);
+        assert_eq!(
+            matmul(&Tensor::zeros(&[0, 3]), &Tensor::ones(&[3, 2])).shape(),
+            &[0, 2]
+        );
+        assert_eq!(
+            matmul(&Tensor::ones(&[2, 3]), &Tensor::zeros(&[3, 0])).shape(),
+            &[2, 0]
+        );
     }
 
     #[test]
@@ -290,10 +412,11 @@ mod tests {
 
     #[test]
     fn wide_matmul_spans_many_row_blocks() {
-        // More rows than one ROW_BLOCK so the parallel path actually chunks.
+        // Ragged in every dimension and wider than one task block, so the
+        // edge tiles and the split into column blocks are both exercised.
         let m = 23;
         let k = 7;
-        let n = 5;
+        let n = 45;
         let a: Vec<f32> = (0..m * k).map(|v| (v % 13) as f32 - 6.0).collect();
         let b: Vec<f32> = (0..k * n).map(|v| (v % 7) as f32 * 0.5).collect();
         let a = t(&a, &[m, k]);
