@@ -14,7 +14,7 @@ use wootz_core::pretrain::{pretrain_blocks, PretrainConfig};
 use wootz_core::prune::{sample_subspace, PruneConfig, PAPER_RATES};
 use wootz_data::{micro_dataset, Dataset};
 use wootz_ir::{ModelIr, SolverConfig};
-use wootz_nn::{Checkpoint, TrainConfig, TrainLog};
+use wootz_nn::{Checkpoint, EvalSet, TrainConfig, TrainLog};
 use wootz_tensor::sgd::SgdConfig;
 
 use crate::report::{self, median};
@@ -288,7 +288,7 @@ pub fn finetune_config(
         &mut built,
         &cfg,
         |step| ds.train_batch(step, batch),
-        Some((&eval_x, &eval_y)),
+        Some(EvalSet::new(&eval_x, &eval_y)),
     )
     .expect("fine-tuning runs")
 }

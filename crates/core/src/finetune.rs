@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use wootz_fault::site;
 use wootz_ir::{LayerKind, ModelIr};
-use wootz_nn::{Checkpoint, TrainConfig, TrainLog, VarStore};
+use wootz_nn::{Checkpoint, EvalSet, TrainConfig, TrainLog, VarStore};
 use wootz_tensor::Tensor;
 
 use crate::analysis::{channel_origins, conv_widths, kept_input_indices};
@@ -257,7 +257,8 @@ fn checkpoint_restore_problem(
 }
 
 /// Runs global fine-tuning (standard classifier training over all
-/// parameters) on an assembled network, recording the accuracy curve.
+/// parameters) on an assembled network, measuring accuracy on `eval_data`
+/// as [`wootz_nn::train_classifier`] does.
 ///
 /// # Errors
 ///
@@ -266,7 +267,7 @@ pub fn global_finetune(
     built: &mut BuiltModel,
     cfg: &TrainConfig,
     next_batch: impl FnMut(usize) -> (Tensor, Vec<usize>),
-    eval_data: Option<(&Tensor, &[usize])>,
+    eval_data: Option<EvalSet<'_>>,
 ) -> Result<TrainLog> {
     let logits = built
         .logits
@@ -543,7 +544,7 @@ mod tests {
             schedule: wootz_nn::LrSchedule::Fixed,
             eval_every: 0,
         };
-        let log = global_finetune(&mut built, &cfg, batch, Some((&ex, &ey))).unwrap();
+        let log = global_finetune(&mut built, &cfg, batch, Some(EvalSet::new(&ex, &ey))).unwrap();
         assert_eq!(log.steps_run, 30);
         assert!(log.final_accuracy.is_some());
         // The network is usable for evaluation afterwards.

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use wootz_data::Dataset;
 use wootz_fault::{FaultPlan, RetryPolicy};
 use wootz_ir::{Metric, ModelIr, Objective, SolverConfig};
-use wootz_nn::{Checkpoint, LrSchedule, TrainConfig, TrainLog};
+use wootz_nn::{Checkpoint, EvalSet, LrSchedule, TrainConfig, TrainLog};
 use wootz_tensor::sgd::SgdConfig;
 use wootz_tensor::Tensor;
 
@@ -212,6 +212,8 @@ pub fn store_key(block: &TuningBlock, dataset: &str, solver: u64) -> wootz_store
 /// Trains the full model on the dataset (the preparation step: "adapt the
 /// four CNN models trained on ImageNet to each of four specific tasks").
 /// Returns the checkpoint (scope `net/`), its test accuracy, and the log.
+/// Nothing reads a full-model curve, so the test set is measured once, after
+/// the last step, and the log records no curve.
 ///
 /// # Errors
 ///
@@ -231,7 +233,7 @@ pub fn train_full_model(
             momentum: solver.momentum,
         },
         schedule: schedule_of(solver),
-        eval_every: solver.eval_every,
+        eval_every: 0,
     };
     let (eval_x, eval_y) = dataset.test_set(256);
     let batch_size = solver.batch_size;
@@ -246,7 +248,7 @@ pub fn train_full_model(
         logits,
         &cfg,
         |step| dataset.train_batch(step, batch_size),
-        Some((&eval_x, &eval_y)),
+        Some(EvalSet::new(&eval_x, &eval_y)),
     )?;
     let accuracy = log.final_accuracy.unwrap_or(0.0) as f64;
     Ok((Checkpoint::capture(&built.vars, "net/"), accuracy, log))
@@ -507,6 +509,12 @@ impl<'a> EvalContext<'a> {
     /// Deterministic: the assembly seed and the batch stream are pure
     /// functions of the solver seed and `config_index`.
     ///
+    /// The outcome reads the final accuracy and, under an `Accuracy` bound,
+    /// the first step at which the accuracy curve reaches it (the cost).
+    /// So the fine-tune records a curve only under such a bound, every
+    /// `eval_every` steps, and ends it at that point; without one it
+    /// measures the final accuracy alone.
+    ///
     /// # Errors
     ///
     /// Propagates assembly and training errors.
@@ -547,10 +555,18 @@ impl<'a> EvalContext<'a> {
                 momentum: solver.momentum,
             },
             schedule: schedule_of(solver),
-            eval_every: solver.eval_every.max(1),
+            eval_every: match self.threshold {
+                Some(_) => solver.eval_every.max(1),
+                None => 0,
+            },
         };
         let batch_size = solver.batch_size;
         let (eval_x, eval_y) = &self.eval_set;
+        let eval = EvalSet {
+            images: eval_x,
+            labels: eval_y,
+            target: self.threshold.map(|t| t as f32),
+        };
         let log = global_finetune(
             &mut built,
             &cfg,
@@ -558,7 +574,7 @@ impl<'a> EvalContext<'a> {
                 self.dataset
                     .train_batch(step.wrapping_add(config_index * 1009), batch_size)
             },
-            Some((eval_x, eval_y)),
+            Some(eval),
         )?;
         let accuracy = log.final_accuracy.unwrap_or(0.0) as f64;
         // Steps-to-target as cost when the target was hit mid-run.

@@ -39,7 +39,13 @@ pub struct SolverConfig {
     pub lr_step: usize,
     /// Decay factor for the `"step"` policy.
     pub lr_gamma: f32,
-    /// Evaluate accuracy every this many steps (0 = only at start/end).
+    /// Spacing, in steps, of the accuracy curve a fine-tune records under
+    /// an `Accuracy >= thr` objective bound (0 = every step). The curve
+    /// starts at step 0 and ends at its first point at or above `thr`,
+    /// which is the evaluation's cost; it is all the `log` of an `Eval`
+    /// journal record and of `--out` holds besides the final accuracy.
+    /// Without an `Accuracy` bound no curve is recorded and this value has
+    /// no effect; the full model never records one.
     pub eval_every: usize,
     /// Number of worker machines for concurrent exploration.
     pub num_workers: usize,

@@ -53,7 +53,7 @@ pub use plan::{
     ExecPlan, PlanState, SlotSpec,
 };
 pub use trainer::{
-    evaluate_accuracy, train_classifier, LrSchedule, TrainConfig, TrainLog, TrainRecord,
+    evaluate_accuracy, train_classifier, EvalSet, LrSchedule, TrainConfig, TrainLog, TrainRecord,
 };
 pub use var::{Param, VarStore};
 

@@ -61,8 +61,9 @@ pub struct TrainConfig {
     pub sgd: SgdConfig,
     /// Learning-rate schedule applied over `max_steps`.
     pub schedule: LrSchedule,
-    /// Evaluate (and record) accuracy every this many steps; `0` disables
-    /// intermediate evaluation.
+    /// Record an accuracy curve: a point at step 0 and every this many
+    /// steps (see [`train_classifier`]). `0` records no curve; the final
+    /// accuracy is still measured.
     pub eval_every: usize,
 }
 
@@ -92,13 +93,16 @@ pub struct TrainRecord {
     pub accuracy: Option<f32>,
 }
 
-/// The full log of a training run — the data behind the paper's Figure 6
-/// accuracy curves.
+/// The log of a training run — the data behind the paper's Figure 6
+/// accuracy curves. It holds the points [`train_classifier`] measured and
+/// nothing else.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TrainLog {
-    /// Chronological accuracy/loss records.
+    /// Chronological accuracy/loss records: the curve, empty when none was
+    /// recorded.
     pub records: Vec<TrainRecord>,
-    /// Accuracy before any training step (the paper's `init` / `init+`).
+    /// Accuracy before any training step (the paper's `init` / `init+`),
+    /// when a curve was recorded.
     pub initial_accuracy: Option<f32>,
     /// Accuracy after the final step (the paper's `final` / `final+`).
     pub final_accuracy: Option<f32>,
@@ -114,6 +118,34 @@ impl TrainLog {
             .iter()
             .find(|r| r.accuracy.is_some_and(|a| a >= threshold))
             .map(|r| r.step)
+    }
+}
+
+/// The held-out set [`train_classifier`] measures accuracy on.
+#[derive(Debug, Clone, Copy)]
+pub struct EvalSet<'a> {
+    /// Evaluation images, `[N, C, H, W]`.
+    pub images: &'a Tensor,
+    /// One label per image.
+    pub labels: &'a [usize],
+    /// The accuracy a caller waits for: the curve ends at its first point at
+    /// or above it, since no later point changes when it was reached.
+    /// `None` records the whole curve.
+    pub target: Option<f32>,
+}
+
+impl<'a> EvalSet<'a> {
+    /// An evaluation set with no target accuracy.
+    pub fn new(images: &'a Tensor, labels: &'a [usize]) -> Self {
+        EvalSet {
+            images,
+            labels,
+            target: None,
+        }
+    }
+
+    fn reached(&self, accuracy: f32) -> bool {
+        self.target.is_some_and(|t| accuracy >= t)
     }
 }
 
@@ -144,6 +176,7 @@ pub fn evaluate_accuracy(
     images: &Tensor,
     labels: &[usize],
 ) -> Result<f32> {
+    wootz_obs::counter("trainer.evals").incr();
     let vars = &*vars;
     let n = images.shape().first().copied().unwrap_or(0);
     // Like the whole-batch zip, score only samples that have both an image
@@ -234,19 +267,29 @@ fn emit_diverged(step: usize, loss: f32, var: Option<&str>) {
 /// Trains a classifier graph with softmax cross-entropy.
 ///
 /// `next_batch(step)` supplies `(images, labels)` per step; `eval_data`
-/// optionally provides a held-out set for the accuracy log. Returns the
-/// training log (initial accuracy is always recorded when `eval_data` is
-/// given, which is how the composability experiments measure `init` vs
-/// `init+`).
+/// optionally provides a held-out set, on which accuracy is measured only
+/// where the returned log reads it:
+///
+/// * the final accuracy, always;
+/// * with `cfg.eval_every > 0`, a curve: step 0 (the composability
+///   experiments' `init` vs `init+`) and every `eval_every` steps, ending
+///   at its first point at or above [`EvalSet::target`]. A curve that never
+///   reaches the target also gets the final step as its last point.
+///
+/// The final accuracy reuses the curve's step-`max_steps` point when there
+/// is one. Training never reads a measurement, so the weights, the final
+/// accuracy and every recorded point are the same bits whichever points
+/// are measured.
 ///
 /// # Observability
 ///
 /// Each call opens a `trainer.run` span, counts SGD steps on
-/// `trainer.steps`, records per-step wall time in the
+/// `trainer.steps` and test-set passes on `trainer.evals` (one per
+/// [`evaluate_accuracy`] call), records per-step wall time in the
 /// `trainer.step_time_us` histogram, and emits a `trainer.eval` event
-/// (fields `step`, `loss`, `accuracy`) at every evaluation point. Events
-/// and spans only materialize after [`wootz_obs::enable`]; the metrics are
-/// always on. See `OBSERVABILITY.md`.
+/// (fields `step`, `loss`, `accuracy`) at every curve point after step 0.
+/// Events and spans only materialize after [`wootz_obs::enable`]; the
+/// metrics are always on. See `OBSERVABILITY.md`.
 ///
 /// # Errors
 ///
@@ -261,7 +304,7 @@ pub fn train_classifier(
     logits_node: NodeId,
     cfg: &TrainConfig,
     mut next_batch: impl FnMut(usize) -> (Tensor, Vec<usize>),
-    eval_data: Option<(&Tensor, &[usize])>,
+    eval_data: Option<EvalSet<'_>>,
 ) -> Result<TrainLog> {
     let _run = wootz_obs::span("trainer.run").with("max_steps", cfg.max_steps);
     let steps_counter = wootz_obs::counter("trainer.steps");
@@ -279,21 +322,29 @@ pub fn train_classifier(
     // batch shape changes.
     let mut probs = Tensor::zeros(&[0, 0]);
     let mut dlogits = Tensor::zeros(&[0, 0]);
-    let mut log = TrainLog::default();
-    if let Some((images, labels)) = eval_data {
-        log.initial_accuracy = Some(evaluate_accuracy(
+    let measure = |vars: &mut VarStore, eval: &EvalSet<'_>| {
+        evaluate_accuracy(
             graph,
             vars,
             input_name,
             logits_node,
-            images,
-            labels,
-        )?);
+            eval.images,
+            eval.labels,
+        )
+    };
+    let mut log = TrainLog::default();
+    // Whether the curve still takes points: it has one (`eval_every > 0`)
+    // and none of its points has reached the target yet.
+    let mut curve_open = cfg.eval_every > 0;
+    if let Some(eval) = eval_data.filter(|_| curve_open) {
+        let accuracy = measure(vars, &eval)?;
+        log.initial_accuracy = Some(accuracy);
         log.records.push(TrainRecord {
             step: 0,
             loss: f32::NAN,
-            accuracy: log.initial_accuracy,
+            accuracy: Some(accuracy),
         });
+        curve_open = !eval.reached(accuracy);
     }
     for step in 0..cfg.max_steps {
         let step_start = std::time::Instant::now();
@@ -368,19 +419,13 @@ pub fn train_classifier(
         steps_counter.incr();
         step_time.record(step_start.elapsed().as_micros() as u64);
         log.steps_run = step + 1;
-        let should_eval = cfg.eval_every > 0 && (step + 1) % cfg.eval_every == 0;
-        if should_eval {
-            let accuracy = match eval_data {
-                Some((images, labels)) => Some(evaluate_accuracy(
-                    graph,
-                    vars,
-                    input_name,
-                    logits_node,
-                    images,
-                    labels,
-                )?),
-                None => None,
-            };
+        if curve_open && (step + 1) % cfg.eval_every == 0 {
+            let mut accuracy = None;
+            if let Some(eval) = eval_data {
+                let a = measure(vars, &eval)?;
+                curve_open = !eval.reached(a);
+                accuracy = Some(a);
+            }
             let mut ev = wootz_obs::event("trainer.eval")
                 .field("step", step + 1)
                 .field("loss", loss as f64);
@@ -395,10 +440,16 @@ pub fn train_classifier(
             });
         }
     }
-    if let Some((images, labels)) = eval_data {
-        let final_acc = evaluate_accuracy(graph, vars, input_name, logits_node, images, labels)?;
+    if let Some(eval) = eval_data {
+        // The curve's step-`max_steps` point, when it has one, is the final
+        // accuracy.
+        let at_end = log.records.last().filter(|r| r.step == cfg.max_steps);
+        let final_acc = match at_end.and_then(|r| r.accuracy) {
+            Some(accuracy) => accuracy,
+            None => measure(vars, &eval)?,
+        };
         log.final_accuracy = Some(final_acc);
-        if log.records.last().map(|r| r.step) != Some(cfg.max_steps) {
+        if curve_open && at_end.is_none() {
             log.records.push(TrainRecord {
                 step: cfg.max_steps,
                 loss: f32::NAN,
@@ -462,7 +513,7 @@ mod tests {
             logits,
             &cfg,
             toy_batch,
-            Some((&eval_x, &eval_y)),
+            Some(EvalSet::new(&eval_x, &eval_y)),
         )
         .unwrap();
         assert_eq!(log.steps_run, 80);
@@ -541,7 +592,7 @@ mod tests {
             logits,
             &cfg,
             toy_batch,
-            Some((&eval_x, &eval_y)),
+            Some(EvalSet::new(&eval_x, &eval_y)),
         )
         .unwrap();
         assert!(log.final_accuracy.unwrap() > 0.9, "{log:?}");

@@ -2,8 +2,12 @@
 //! shape agreement with builder inference, and training-step invariants.
 
 use proptest::prelude::*;
-use wootz_nn::{backward, forward, Checkpoint, GraphBuilder, Mode, NodeShape, VarStore};
+use wootz_nn::{
+    backward, forward, train_classifier, Checkpoint, EvalSet, GraphBuilder, LrSchedule, Mode,
+    NodeShape, TrainConfig, VarStore,
+};
 use wootz_tensor::ops::softmax_cross_entropy;
+use wootz_tensor::sgd::SgdConfig;
 use wootz_tensor::Tensor;
 
 proptest! {
@@ -84,6 +88,54 @@ proptest! {
         });
         let after = loss_of(&mut vars);
         prop_assert!(after <= before + 1e-6, "loss rose: {before} -> {after}");
+    }
+
+    /// Measuring accuracy never moves training: one seed trained with a
+    /// curve every 0, 7 or 20 steps, with and without a target accuracy,
+    /// leaves bit-identical variables (batch-norm running statistics
+    /// included) and the same final accuracy.
+    #[test]
+    fn evaluation_never_moves_training(seed in 0u64..1000, target in 0.0f32..1.0) {
+        let batch = |step: usize| {
+            let x = Tensor::from_fn(&[8, 1, 4, 4], |i| {
+                (((i + 31 * step) * 7919 + seed as usize) % 17) as f32 / 17.0 - 0.5
+            });
+            let y: Vec<usize> = (0..8).map(|s| (s + step + seed as usize) % 3).collect();
+            (x, y)
+        };
+        let (eval_x, eval_y) = batch(1000);
+        let train = |eval_every: usize, target: Option<f32>| {
+            let mut b = GraphBuilder::new(seed);
+            let x = b.input("data", (1, 4, 4));
+            let c = b.conv2d("c", x, 4, 3, 1, 1).unwrap();
+            let n = b.batch_norm("bn", c).unwrap();
+            let r = b.relu("r", n).unwrap();
+            let g = b.global_avg_pool("g", r).unwrap();
+            let d = b.dense("d", g, 3).unwrap();
+            let (graph, mut vars) = b.finish();
+            let cfg = TrainConfig {
+                max_steps: 20,
+                sgd: SgdConfig { learning_rate: 0.1, weight_decay: 1e-4, momentum: 0.9 },
+                schedule: LrSchedule::Fixed,
+                eval_every,
+            };
+            let eval = EvalSet { images: &eval_x, labels: &eval_y, target };
+            let log = train_classifier(&graph, &mut vars, "data", d, &cfg, batch, Some(eval)).unwrap();
+            let values: Vec<(String, Vec<u32>)> = vars
+                .iter()
+                .map(|(name, p)| (name.to_string(), p.value.data().iter().map(|v| v.to_bits()).collect()))
+                .collect();
+            (values, log.final_accuracy.map(f32::to_bits))
+        };
+        let reference = train(0, None);
+        for eval_every in [0, 7, 20] {
+            for target in [None, Some(target)] {
+                prop_assert!(
+                    train(eval_every, target) == reference,
+                    "eval_every {eval_every}, target {target:?} moved training"
+                );
+            }
+        }
     }
 
     /// Gradient accumulation is additive: two identical backward passes

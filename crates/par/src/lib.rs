@@ -644,10 +644,21 @@ mod tests {
 
     #[test]
     fn results_identical_across_pool_sizes() {
-        let seq: Vec<f32> = (0..37).map(|i| (i as f32).sin() * 2.5).collect();
+        // One closure, run by the reference loop, inline on a pool of one
+        // and by pool tasks. Its input must be opaque to the optimizer: from
+        // a literal, LLVM folds `sin` at compile time through the host's
+        // double-precision `sin`, whose rounding to f32 differs from the
+        // libm `sinf` every run-time call makes (index 34 folds to
+        // 1.3227068; `sinf` gives 1.3227067). Kernel inputs are always run
+        // time data, so only the run-time result is the contract.
+        let f = |i: usize| {
+            let x = std::hint::black_box(i as f32);
+            x.sin() * 2.5 + (-x).exp()
+        };
+        let seq: Vec<u32> = (0..37).map(|i| f(i).to_bits()).collect();
         for t in [1usize, 2, 4, 7] {
             let pool = Pool::new(t);
-            let par = with_pool(&pool, || parallel_map(37, |i| (i as f32).sin() * 2.5));
+            let par = with_pool(&pool, || parallel_map(37, |i| f(i).to_bits()));
             assert_eq!(par, seq, "pool size {t}");
         }
     }

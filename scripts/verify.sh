@@ -17,6 +17,11 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
+echo "== release: cargo test --release -q -p wootz-par =="
+# The pool's determinism tests under optimization: one closure must give the
+# same bits inline and as a dispatched pool task.
+cargo test --release -q -p wootz-par
+
 echo "== docs: cargo doc --no-deps (warnings are errors, whole workspace) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
     -p wootz-obs -p wootz-par -p wootz-tensor -p wootz-nn -p wootz-core \
@@ -77,6 +82,26 @@ threads_prune --threads 4 --out "$SMOKE/run_t4.json"
 cmp -s "$SMOKE/run_t1.json" "$SMOKE/run_t4.json" || {
     echo "threads smoke FAILED: --threads 1 and --threads 4 outputs differ"; exit 1; }
 echo "threads smoke ok: results byte-identical across thread counts"
+
+echo "== evals smoke: without an Accuracy bound each network is measured once =="
+# Nothing reads an accuracy curve unless the objective bounds Accuracy
+# (DESIGN.md §14): the full model and every fresh evaluation each take one
+# test-set pass (OBSERVABILITY.md, trainer.evals), and the results are the
+# same at any thread count.
+printf 'max Accuracy\nconstraint ModelSize <= 3100\n' > "$SMOKE/objective_max.txt"
+evals_prune() {
+    "$W" prune --model "$SMOKE/model.prototxt" --configs "$SMOKE/configs.json" \
+        --solver "$SMOKE/solver.prototxt" --objective "$SMOKE/objective_max.txt" "$@"
+}
+EVALS=$(evals_prune --metrics-out "$SMOKE/evals.ndjson" --out "$SMOKE/evals.json" 2>/dev/null)
+evals_prune --threads 1 --out "$SMOKE/evals_t1.json" >/dev/null
+evals_fresh=$(printf '%s\n' "$EVALS" | sed -n 's/^exploration: \([0-9]*\) evaluated fresh.*/\1/p')
+evals_passes=$(sed -n 's/.*"name":"trainer.evals","value":\([0-9]*\).*/\1/p' "$SMOKE/evals.ndjson")
+[ -n "$evals_fresh" ] && [ "$evals_passes" = "$((1 + evals_fresh))" ] || {
+    echo "evals smoke FAILED: trainer.evals = '$evals_passes' for 1 full model + '$evals_fresh' fresh evaluations"; exit 1; }
+cmp -s "$SMOKE/evals.json" "$SMOKE/evals_t1.json" || {
+    echo "evals smoke FAILED: the --threads 1 output differs"; exit 1; }
+echo "evals smoke ok: trainer.evals $evals_passes = 1 full model + $evals_fresh evaluations, outputs identical at --threads 1"
 
 echo "== exec-plan smoke: wootz prune bitwise-identical --exec-plan on vs off =="
 # The planned executor (DESIGN.md §10) runs the same float-op sequence as
