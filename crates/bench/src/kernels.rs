@@ -56,6 +56,10 @@ pub struct KernelsArtifact {
     /// `std::thread::available_parallelism()` on the measuring host. When
     /// this is 1, speedups near 1.0× are expected and honest.
     pub host_parallelism: usize,
+    /// The GEMM micro-kernel level every row ran at (`baseline` or `avx2`,
+    /// chosen from the measuring host's CPU): compare times only between
+    /// artifacts of the same level.
+    pub kernel_level: String,
     /// Per-kernel measurements.
     pub rows: Vec<KernelRow>,
 }
@@ -174,6 +178,7 @@ pub fn kernels(threads: usize, reps: usize, quick: bool) -> KernelsArtifact {
         host_parallelism: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
+        kernel_level: ops::kernel_level().name().to_string(),
         rows,
     }
 }
@@ -196,9 +201,10 @@ pub fn kernels_table(art: &KernelsArtifact) -> String {
         .collect();
     let intro = format!(
         "Kernel micro-benchmarks: 1 thread vs {} threads ({} reps, median; host \
-         parallelism {}).\nOutputs at both thread counts must be bitwise identical \
-         (the wootz-par determinism contract; see PERFORMANCE.md).",
-        art.threads, art.reps, art.host_parallelism
+         parallelism {}; GEMM micro-kernel level {}).\nOutputs at both thread counts \
+         must be bitwise identical (the wootz-par determinism contract; see \
+         PERFORMANCE.md).",
+        art.threads, art.reps, art.host_parallelism, art.kernel_level
     );
     report::titled_table(
         &intro,
@@ -234,6 +240,7 @@ mod tests {
     fn quick_suite_is_bitwise_identical_across_thread_counts() {
         let art = kernels(4, 1, true);
         assert_eq!(art.threads, 4);
+        assert_eq!(art.kernel_level, ops::kernel_level().name());
         assert_eq!(art.rows.len(), 4);
         for row in &art.rows {
             assert!(row.bitwise_equal, "{} diverged across thread counts", row.kernel);

@@ -8,18 +8,20 @@
 //! contract documented in `PERFORMANCE.md`). The train step runs once with
 //! every kernel below the `wootz-par` grain and once with its convolutions
 //! above it, where the `par.batches` counter must show that the 4-thread
-//! step fanned out.
+//! step fanned out. Both tests run at every micro-kernel level this CPU
+//! supports, and the levels must agree with each other too.
 
 use std::sync::Mutex;
 
 use wootz_nn::{backward, evaluate_accuracy, forward, GraphBuilder, Mode, VarStore};
 use wootz_par::Pool;
-use wootz_tensor::ops::softmax_cross_entropy;
+use wootz_tensor::ops::{force_kernel_level, softmax_cross_entropy, KernelLevel};
 use wootz_tensor::sgd::SgdConfig;
 use wootz_tensor::Tensor;
 
-/// The tests share the global `par.batches` counter: one at a time, so each
-/// counter delta is the test's own.
+/// The tests share the global `par.batches` counter and the process-wide
+/// kernel level: one at a time, so each counter delta is the test's own and
+/// each run executes at the level it names.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn on_pool<R>(threads: usize, f: impl FnOnce() -> R) -> R {
@@ -102,22 +104,35 @@ fn train_step_is_bitwise_identical_across_thread_counts() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let batches = wootz_obs::counter("par.batches");
     for (size, above_grain) in [(SMALL, false), (LARGE, true)] {
-        let (loss1, params1) = train_step_bits(1, 11, size);
-        let before = batches.get();
-        let (loss4, params4) = train_step_bits(4, 11, size);
-        let fanned_out = batches.get() - before;
-        assert_eq!(loss1, loss4, "loss bits diverged across thread counts");
-        assert_eq!(params1.len(), params4.len());
-        for ((n1, p1), (n4, p4)) in params1.iter().zip(&params4) {
-            assert_eq!(n1, n4);
-            assert_eq!(p1, p4, "parameter `{n1}` diverged across thread counts");
+        let mut first = None;
+        for level in KernelLevel::supported() {
+            force_kernel_level(level).expect("a supported level");
+            let name = level.name();
+            let (loss1, params1) = train_step_bits(1, 11, size);
+            let before = batches.get();
+            let (loss4, params4) = train_step_bits(4, 11, size);
+            let fanned_out = batches.get() - before;
+            assert_eq!(loss1, loss4, "loss bits diverged across thread counts");
+            assert_eq!(params1.len(), params4.len());
+            for ((n1, p1), (n4, p4)) in params1.iter().zip(&params4) {
+                assert_eq!(n1, n4);
+                assert_eq!(p1, p4, "parameter `{n1}` diverged across thread counts");
+            }
+            assert_eq!(
+                fanned_out > 0,
+                above_grain,
+                "{} filters: {fanned_out} batches fanned out",
+                size.filters
+            );
+            match &first {
+                None => first = Some((loss1, params1)),
+                Some(want) => assert!(
+                    want == &(loss1, params1),
+                    "{} filters: the {name} level's step differs",
+                    size.filters
+                ),
+            }
         }
-        assert_eq!(
-            fanned_out > 0,
-            above_grain,
-            "{} filters: {fanned_out} batches fanned out",
-            size.filters
-        );
     }
 }
 
@@ -129,13 +144,25 @@ fn evaluation_is_bitwise_identical_across_thread_counts() {
     let (graph, _, logits_id) = build(23, SMALL);
     let images = Tensor::from_fn(&[19, 2, 8, 8], |i| ((i * 104729) % 31) as f32 / 15.5 - 1.0);
     let labels: Vec<usize> = (0..19).map(|i| (i * 2) % 5).collect();
-    let acc1 = on_pool(1, || {
-        let (_, mut vars, _) = build(23, SMALL);
-        evaluate_accuracy(&graph, &mut vars, "data", logits_id, &images, &labels).unwrap()
-    });
-    let acc4 = on_pool(4, || {
-        let (_, mut vars, _) = build(23, SMALL);
-        evaluate_accuracy(&graph, &mut vars, "data", logits_id, &images, &labels).unwrap()
-    });
-    assert_eq!(acc1.to_bits(), acc4.to_bits());
+    let accuracy = |threads| {
+        on_pool(threads, || {
+            let (_, mut vars, _) = build(23, SMALL);
+            evaluate_accuracy(&graph, &mut vars, "data", logits_id, &images, &labels)
+                .unwrap()
+                .to_bits()
+        })
+    };
+    let per_level: Vec<u32> = KernelLevel::supported()
+        .into_iter()
+        .map(|level| {
+            force_kernel_level(level).expect("a supported level");
+            let acc1 = accuracy(1);
+            assert_eq!(acc1, accuracy(4), "at the {} level", level.name());
+            acc1
+        })
+        .collect();
+    assert!(
+        per_level.windows(2).all(|w| w[0] == w[1]),
+        "kernel levels disagree: {per_level:?}"
+    );
 }

@@ -128,7 +128,10 @@ pub fn current_threads() -> usize {
         // scope, which encloses this call.
         return unsafe { p.as_ref() }.threads();
     }
-    GLOBAL.get().map(Pool::threads).unwrap_or_else(configured_threads)
+    GLOBAL
+        .get()
+        .map(Pool::threads)
+        .unwrap_or_else(configured_threads)
 }
 
 static GLOBAL: OnceLock<Pool> = OnceLock::new();
@@ -435,7 +438,10 @@ where
     let threads = match ov {
         // Safety: override valid for the enclosing `with_pool` scope.
         Some(p) => unsafe { p.as_ref() }.threads(),
-        None => GLOBAL.get().map(Pool::threads).unwrap_or_else(configured_threads),
+        None => GLOBAL
+            .get()
+            .map(Pool::threads)
+            .unwrap_or_else(configured_threads),
     };
     if below_grain || total == 1 || threads <= 1 || IN_TASK.with(|c| c.get()) {
         metering::inline_batches().incr();
@@ -544,11 +550,13 @@ where
 /// A sleeping pool thread starts its first task a median ≈ 20 µs after the
 /// batch is queued on a 2-vCPU x86 VM, and until then the caller works
 /// alone; so a two-thread fan-out only finishes sooner than the inline run
-/// when the batch holds more than that much work — about 2¹⁹ FLOPs at the
-/// GEMM core's ≈ 20 GFLOP/s (PERFORMANCE.md §3 has the measurement). The
-/// grain is a constant on the batch's own work — never on the thread count
-/// — so whether a batch fans out is, like its chunk boundaries, a function
-/// of the problem shape.
+/// when the batch holds more than that much work. At the AVX2 GEMM core's
+/// one-thread rate per counted FLOP — ≈ 17 GFLOP/s for a convolution batch
+/// with its lowering, ≈ 35 GFLOP/s for a bare product — that is
+/// 2¹⁸·⁵–2¹⁹·⁵ FLOPs (PERFORMANCE.md §3 has the measurement). The grain is
+/// a constant on the batch's own work — never on the thread count or the
+/// CPU — so whether a batch fans out is, like its chunk boundaries, a
+/// function of the problem shape.
 pub const GRAIN_FLOPS: u64 = 1 << 19;
 
 /// [`parallel_chunks_mut`] for a kernel batch whose total work is `flops`:

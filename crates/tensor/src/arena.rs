@@ -235,7 +235,10 @@ mod tests {
         for shape in [&[12][..], &[3, 4][..], &[1, 3, 2, 2][..], &[2, 6][..]] {
             let mut t = arena.take(shape);
             assert_eq!(t.shape(), shape);
-            assert!(t.data().iter().all(|&v| v == 0.0), "stale data for {shape:?}");
+            assert!(
+                t.data().iter().all(|&v| v == 0.0),
+                "stale data for {shape:?}"
+            );
             t.data_mut().fill(-1.0);
             arena.recycle(t);
         }

@@ -39,7 +39,11 @@ pub fn relu_backward(x: &Tensor, dy: &Tensor) -> Tensor {
 /// Panics when the three tensors do not share a shape.
 pub fn relu_backward_into(x: &Tensor, dy: &Tensor, out: &mut Tensor) {
     assert_eq!(x.shape(), dy.shape(), "relu_backward_into: x and dy shapes");
-    assert_eq!(x.shape(), out.shape(), "relu_backward_into: x and out shapes");
+    assert_eq!(
+        x.shape(),
+        out.shape(),
+        "relu_backward_into: x and out shapes"
+    );
     for ((o, &xv), &g) in out
         .data_mut()
         .iter_mut()

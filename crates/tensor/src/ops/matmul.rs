@@ -9,7 +9,8 @@
 //! copies a view into panels of `W` contiguous lanes per inner index `p`
 //! (`A` into `MR`-row panels, `B` into `NR`-column panels, zero past the
 //! edge), and [`gemm_packed`] runs the micro-kernel over every
-//! `(A panel, B panel)` pair, overwriting `C`. [`gemm`] is the parallel
+//! `(A panel, B panel)` pair, overwriting `C`, in the compiled form the CPU
+//! supports best (see [`KernelLevel`]). [`gemm`] is the parallel
 //! entry point: it packs `A` once into the calling thread's scratch and
 //! hands column blocks of `C` — each packing its own part of `B` — to the
 //! `wootz-par` pool.
@@ -34,6 +35,18 @@
 //!
 //! Padding lanes hold zeros and their results are discarded.
 //!
+//! ## Kernel levels — why no CPU moves a bit either
+//!
+//! [`gemm_packed`] picks its compiled form once per process from
+//! `is_x86_feature_detected!`: the portable build (4-lane SSE2 vectors on
+//! the x86-64 baseline) or a `#[target_feature(enable = "avx2")]` instance
+//! (8-lane vectors). Both are monomorphised from the same
+//! `#[inline(always)]` body, with FMA never enabled, so they differ only in
+//! lane width and tile width — and by the argument above, neither changes
+//! an output bit. A worker on an AVX2 host and one without it produce the
+//! same network. The level in use is [`kernel_level`], reported as the
+//! `tensor.kernel_level` gauge.
+//!
 //! ## `0·∞` and NaN
 //!
 //! Every product is formed, so IEEE semantics hold throughout: a `0` in `A`
@@ -57,13 +70,16 @@
 //! dims: a [2, 3] vs b [4, 2]`.
 
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::{ShapeError, Tensor};
 
 /// Rows of `C` per micro-kernel tile.
 pub(crate) const MR: usize = 4;
-/// Columns of `C` per micro-kernel tile: two 4-lane vectors.
-pub(crate) const NR: usize = 8;
+/// Columns of `C` per packed `B` panel: two 8-lane AVX2 vectors. The
+/// baseline covers a panel with two half-width tiles, since sixteen 4-lane
+/// SSE2 registers cannot hold a `MR × NR` tile's accumulators.
+pub(crate) const NR: usize = 16;
 
 /// A read-only strided matrix view: element `(i, j)` is
 /// `data[i * rs + j * cs]`.
@@ -183,14 +199,106 @@ pub(crate) fn pack<const W: usize>(v: MatRef, k: usize, n: usize, dst: &mut Vec<
     }
 }
 
-/// The micro-kernel: one `MR × NR` tile of `C` from a packed `A` panel and
-/// a packed `B` panel, accumulated over `p` ascending from `+0.0`.
+/// A compiled form of the micro-kernel. Every level runs the same
+/// `#[inline(always)]` body with FMA off, so all of them give the same
+/// bits (module docs); they differ in vector width and speed only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KernelLevel {
+    /// The portable build: 4-lane SSE2 vectors on the x86-64 baseline, two
+    /// `MR × 8` tiles per `B` panel.
+    Baseline,
+    /// 8-lane AVX2 vectors, one `MR × 16` tile per `B` panel (x86-64 only).
+    Avx2,
+}
+
+impl KernelLevel {
+    /// Every level, narrowest first.
+    pub const ALL: [KernelLevel; 2] = [KernelLevel::Baseline, KernelLevel::Avx2];
+
+    /// The level's name, as `reproduce kernels` reports it.
+    pub fn name(self) -> &'static str {
+        match self {
+            KernelLevel::Baseline => "baseline",
+            KernelLevel::Avx2 => "avx2",
+        }
+    }
+
+    /// The width of the level's vector registers in bits: the value of the
+    /// `tensor.kernel_level` gauge.
+    pub fn vector_bits(self) -> u32 {
+        match self {
+            KernelLevel::Baseline => 128,
+            KernelLevel::Avx2 => 256,
+        }
+    }
+
+    /// Whether this CPU can run the level.
+    pub fn is_supported(self) -> bool {
+        match self {
+            KernelLevel::Baseline => true,
+            #[cfg(target_arch = "x86_64")]
+            KernelLevel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(not(target_arch = "x86_64"))]
+            KernelLevel::Avx2 => false,
+        }
+    }
+
+    /// The levels this CPU supports, narrowest first.
+    pub fn supported() -> Vec<KernelLevel> {
+        Self::ALL.into_iter().filter(|l| l.is_supported()).collect()
+    }
+}
+
+/// The level [`gemm_packed`] dispatches to: `UNSET` until the first call,
+/// then `level as u8`, its index in [`KernelLevel::ALL`] (which lists the
+/// levels in declaration order).
+static LEVEL: AtomicU8 = AtomicU8::new(UNSET);
+const UNSET: u8 = u8::MAX;
+
+/// The micro-kernel level in use: on first call, the widest level this CPU
+/// supports, reported as the `tensor.kernel_level` gauge (its
+/// [`KernelLevel::vector_bits`]).
+pub fn kernel_level() -> KernelLevel {
+    let mut v = LEVEL.load(Ordering::Relaxed);
+    if v == UNSET {
+        let detected = *KernelLevel::supported().last().expect("baseline");
+        match LEVEL.compare_exchange(UNSET, detected as u8, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => {
+                announce(detected);
+                v = detected as u8;
+            }
+            Err(set) => v = set,
+        }
+    }
+    KernelLevel::ALL[usize::from(v)]
+}
+
+/// Makes every later GEMM in the process run at `level`, refusing a level
+/// this CPU lacks. For tests that pin the levels' bit-identity only: no
+/// flag, environment variable or configuration field reaches it.
+#[doc(hidden)]
+pub fn force_kernel_level(level: KernelLevel) -> Result<(), String> {
+    if !level.is_supported() {
+        return Err(format!("this CPU cannot run the {} kernel", level.name()));
+    }
+    LEVEL.store(level as u8, Ordering::Relaxed);
+    announce(level);
+    Ok(())
+}
+
+fn announce(level: KernelLevel) {
+    wootz_obs::gauge("tensor.kernel_level").set(f64::from(level.vector_bits()));
+}
+
+/// The micro-kernel: one `MR × W` tile of `C` from a packed `A` panel and
+/// columns `S..S + W` of a packed `B` panel, accumulated over `p` ascending
+/// from `+0.0`.
 #[inline(always)]
-fn tile(a: &[f32], b: &[f32]) -> [[f32; NR]; MR] {
-    let mut acc = [[0.0f32; NR]; MR];
+fn tile<const W: usize, const S: usize>(a: &[f32], b: &[f32]) -> [[f32; W]; MR] {
+    let mut acc = [[0.0f32; W]; MR];
     for (ap, bp) in a.chunks_exact(MR).zip(b.chunks_exact(NR)) {
         for (row, &av) in acc.iter_mut().zip(ap) {
-            for (c, &bv) in row.iter_mut().zip(bp) {
+            for (c, &bv) in row.iter_mut().zip(&bp[S..S + W]) {
                 *c += av * bv;
             }
         }
@@ -198,15 +306,31 @@ fn tile(a: &[f32], b: &[f32]) -> [[f32; NR]; MR] {
     acc
 }
 
-/// Writes `C = A · B` (`m × n`, row-major, every element overwritten) from
-/// operands packed by [`pack`] with inner dimension `k`. Sequential: the
-/// caller decides what runs in parallel.
-pub(crate) fn gemm_packed(m: usize, k: usize, n: usize, pa: &[f32], pb: &[f32], c: &mut [f32]) {
-    debug_assert_eq!(c.len(), m * n);
-    if k == 0 {
-        c.fill(0.0);
-        return;
+/// Writes the first `rows × cols` of a tile into row-major `C` (`n`
+/// columns) at `(i0, j0)`.
+#[inline(always)]
+fn store<const W: usize>(
+    acc: &[[f32; W]; MR],
+    c: &mut [f32],
+    n: usize,
+    (i0, j0): (usize, usize),
+    (rows, cols): (usize, usize),
+) {
+    for (r, lanes) in acc.iter().enumerate().take(rows) {
+        let at = (i0 + r) * n + j0;
+        if cols >= W {
+            c[at..at + W].copy_from_slice(lanes);
+        } else {
+            c[at..at + cols].copy_from_slice(&lanes[..cols]);
+        }
     }
+}
+
+/// The body of [`gemm_packed`], compiled once per level, for tiles `W`
+/// columns wide: one tile per `B` panel (`W = NR`) or two (`W = NR / 2`).
+#[inline(always)]
+fn gemm_tiles<const W: usize>(m: usize, k: usize, n: usize, pa: &[f32], pb: &[f32], c: &mut [f32]) {
+    const { assert!(W == NR || 2 * W == NR) };
     let a_panels = &pa[..m.div_ceil(MR) * k * MR];
     let b_panels = &pb[..n.div_ceil(NR) * k * NR];
     for (jp, bp) in b_panels.chunks_exact(k * NR).enumerate() {
@@ -214,21 +338,50 @@ pub(crate) fn gemm_packed(m: usize, k: usize, n: usize, pa: &[f32], pb: &[f32], 
         let width = NR.min(n - j0);
         for (ip, ap) in a_panels.chunks_exact(k * MR).enumerate() {
             let i0 = ip * MR;
-            let acc = tile(ap, bp);
-            for (r, lanes) in acc.iter().enumerate().take(m - i0) {
-                let at = (i0 + r) * n + j0;
-                if width == NR {
-                    c[at..at + NR].copy_from_slice(lanes);
-                } else {
-                    c[at..at + width].copy_from_slice(&lanes[..width]);
-                }
+            store(&tile::<W, 0>(ap, bp), c, n, (i0, j0), (m - i0, width));
+            if W < width {
+                store(
+                    &tile::<W, W>(ap, bp),
+                    c,
+                    n,
+                    (i0, j0 + W),
+                    (m - i0, width - W),
+                );
             }
         }
     }
 }
 
-/// Columns of `C` per parallel task in [`gemm`]: four micro-kernel panels.
-const TASK_COLS: usize = 4 * NR;
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_tiles_avx2(m: usize, k: usize, n: usize, pa: &[f32], pb: &[f32], c: &mut [f32]) {
+    gemm_tiles::<NR>(m, k, n, pa, pb, c);
+}
+
+/// Writes `C = A · B` (`m × n`, row-major, every element overwritten) from
+/// operands packed by [`pack`] with inner dimension `k`, at
+/// [`kernel_level`]. Sequential: the caller decides what runs in parallel.
+pub(crate) fn gemm_packed(m: usize, k: usize, n: usize, pa: &[f32], pb: &[f32], c: &mut [f32]) {
+    debug_assert_eq!(c.len(), m * n);
+    if k == 0 {
+        c.fill(0.0);
+        return;
+    }
+    match kernel_level() {
+        KernelLevel::Baseline => gemm_tiles::<{ NR / 2 }>(m, k, n, pa, pb, c),
+        // SAFETY: `kernel_level` is `Avx2` only after
+        // `is_x86_feature_detected!("avx2")` found the feature on this CPU
+        // (`KernelLevel::is_supported`, checked on detection and by
+        // `force_kernel_level`).
+        #[cfg(target_arch = "x86_64")]
+        KernelLevel::Avx2 => unsafe { gemm_tiles_avx2(m, k, n, pa, pb, c) },
+        #[cfg(not(target_arch = "x86_64"))]
+        KernelLevel::Avx2 => unreachable!("avx2 is never supported off x86-64"),
+    }
+}
+
+/// Columns of `C` per parallel task in [`gemm`]: two `B` panels.
+const TASK_COLS: usize = 2 * NR;
 
 /// Writes `C = A · B` for the `m × k` view `a` and the `k × n` view `b`
 /// into the row-major `m × n` slice `c` (every element overwritten).
@@ -408,6 +561,28 @@ mod tests {
         assert!(msg.contains("[2, 3]") && msg.contains("[4, 2]"), "{msg}");
         let err = try_matmul(&Tensor::zeros(&[2, 3, 1]), &Tensor::zeros(&[3, 2])).unwrap_err();
         assert!(err.to_string().contains("rank-2"), "{err}");
+    }
+
+    #[test]
+    fn kernel_levels_are_detected_reported_and_checked() {
+        let supported = KernelLevel::supported();
+        assert_eq!(supported[0], KernelLevel::Baseline);
+        assert!(supported.contains(&kernel_level()));
+        let gauge = wootz_obs::gauge("tensor.kernel_level");
+        for level in KernelLevel::ALL {
+            match force_kernel_level(level) {
+                Ok(()) => {
+                    assert!(level.is_supported());
+                    assert_eq!(kernel_level(), level);
+                    assert_eq!(gauge.get(), f64::from(level.vector_bits()));
+                }
+                Err(e) => {
+                    assert!(!level.is_supported());
+                    assert!(e.contains(level.name()), "{e}");
+                }
+            }
+        }
+        force_kernel_level(*supported.last().expect("baseline")).expect("supported");
     }
 
     #[test]

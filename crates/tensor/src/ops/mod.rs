@@ -41,7 +41,9 @@ pub use loss::{
     mse_loss, mse_loss_backward, mse_loss_backward_into, softmax_cross_entropy,
     softmax_cross_entropy_into, SoftmaxCeOutput,
 };
-pub use matmul::{matmul, try_matmul};
+#[doc(hidden)]
+pub use matmul::force_kernel_level;
+pub use matmul::{kernel_level, matmul, try_matmul, KernelLevel};
 pub use pool::{
     avg_pool2d, avg_pool2d_backward, avg_pool2d_backward_into, avg_pool2d_into, global_avg_pool,
     global_avg_pool_backward, global_avg_pool_backward_into, global_avg_pool_into, max_pool2d,

@@ -1,6 +1,6 @@
 //! The GEMM core and the convolutions built on it against the scalar loops
 //! they replaced, compared with `f32::to_bits` equality on pools of 1 and 4
-//! threads.
+//! threads, at every micro-kernel level this CPU supports.
 //!
 //! The `oracle` module below is the earlier kernel code, copied verbatim
 //! (metering and shape assertions dropped): the row-blocked `A·B`, `Aᵀ·B`
@@ -10,11 +10,17 @@
 //! ReLU-sparse operands full of `+0` and `−0`; `0·∞` is the one documented
 //! difference and is pinned at the bottom.
 
+use std::sync::Mutex;
+
 use wootz_core::compile::{ModeToUse, MultiplexingModel};
 use wootz_nn::{NodeShape, Op};
 use wootz_par::Pool;
-use wootz_tensor::ops::{self, Conv2dCfg};
+use wootz_tensor::ops::{self, Conv2dCfg, KernelLevel};
 use wootz_tensor::Tensor;
+
+/// Held while a test forces kernel levels, which are process-wide: each
+/// run then executes at the level it names.
+static LEVELS: Mutex<()> = Mutex::new(());
 
 /// The kernel code the GEMM core replaced, verbatim.
 mod oracle {
@@ -307,30 +313,37 @@ fn pools() -> [Pool; 2] {
     [Pool::new(1), Pool::new(4)]
 }
 
-/// Runs `f` on each of `pools` and asserts every run gives `want`.
+/// Runs `f` at every kernel level this CPU supports, on each of `pools`,
+/// and asserts every run gives `want`.
 fn assert_pools_match(
     pools: &[Pool],
     what: &str,
     want: &[Vec<u32>],
     f: impl Fn() -> Vec<Vec<u32>>,
 ) {
-    for pool in pools {
-        let got = wootz_par::with_pool(pool, &f);
-        let threads = pool.threads();
-        assert!(
-            got == want,
-            "{what}: differs from the oracle on {threads} thread(s)"
-        );
+    let _levels = LEVELS.lock().unwrap_or_else(|e| e.into_inner());
+    for level in KernelLevel::supported() {
+        ops::force_kernel_level(level).expect("a supported level");
+        for pool in pools {
+            let got = wootz_par::with_pool(pool, &f);
+            let threads = pool.threads();
+            assert!(
+                got == want,
+                "{what}: differs from the oracle at the {} level on {threads} thread(s)",
+                level.name()
+            );
+        }
     }
 }
 
-/// `(m, k, n)` ragged against the 4 × 8 tile, with `k = 1`, plus a seeded
-/// spread of larger shapes — some above the parallel grain.
+/// `(m, k, n)` ragged against the 4 × 16 tile and the baseline's 4 × 8
+/// half-panel tile, with `k = 1`, plus a seeded spread of larger shapes —
+/// some above the parallel grain.
 fn matmul_shapes() -> Vec<(usize, usize, usize)> {
     let mut shapes = Vec::new();
     for m in [1, 3, 4, 5, 9, 23] {
         for k in [1, 2, 7, 33] {
-            for n in [1, 7, 8, 9, 17, 40] {
+            for n in [1, 7, 8, 9, 16, 17, 40] {
                 shapes.push((m, k, n));
             }
         }

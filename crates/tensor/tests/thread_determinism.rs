@@ -9,14 +9,18 @@
 //! 4-thread pool (via [`wootz_par::with_pool`]) and asserting exact `f32`
 //! bit equality — once at a shape below the grain and once above it, where
 //! the `par.batches` counter must show that the 4-thread run fanned out.
+//! Each case runs at every micro-kernel level this CPU supports, and the
+//! levels must agree with each other too.
 
 use std::sync::Mutex;
 
 use wootz_par::Pool;
+use wootz_tensor::ops::KernelLevel;
 use wootz_tensor::{ops, Tensor};
 
-/// The tests share the global `par.batches` counter: one at a time, so each
-/// counter delta is the test's own.
+/// The tests share the global `par.batches` counter and the process-wide
+/// kernel level: one at a time, so each counter delta is the test's own and
+/// each run executes at the level it names.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Deterministic pseudo-random fill (no RNG dependency needed).
@@ -33,8 +37,9 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Runs `f` on a 1-thread and on a 4-thread pool and asserts equal results;
-/// `above_grain` says whether the 4-thread run must fan out (it must not
+/// At every kernel level this CPU supports, runs `f` on a 1-thread and on
+/// a 4-thread pool and asserts that every run gives the same result;
+/// `above_grain` says whether the 4-thread runs must fan out (they must not
 /// otherwise).
 fn assert_same_on_one_and_four<R: PartialEq + std::fmt::Debug>(
     case: &str,
@@ -43,22 +48,34 @@ fn assert_same_on_one_and_four<R: PartialEq + std::fmt::Debug>(
 ) {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let batches = wootz_obs::counter("par.batches");
-    let one = wootz_par::with_pool(&Pool::new(1), &f);
     let four_pool = Pool::new(4);
-    let before = batches.get();
-    let four = wootz_par::with_pool(&four_pool, &f);
-    let fanned_out = batches.get() - before;
-    assert_eq!(one, four, "{case}: 1 and 4 threads differ");
-    if above_grain {
-        assert!(fanned_out > 0, "{case}: above the grain but ran inline");
-    } else {
-        assert_eq!(fanned_out, 0, "{case}: below the grain but fanned out");
+    let mut first: Option<R> = None;
+    for level in KernelLevel::supported() {
+        ops::force_kernel_level(level).expect("a supported level");
+        let name = level.name();
+        let one = wootz_par::with_pool(&Pool::new(1), &f);
+        let before = batches.get();
+        let four = wootz_par::with_pool(&four_pool, &f);
+        let fanned_out = batches.get() - before;
+        assert_eq!(
+            one, four,
+            "{case}: 1 and 4 threads differ at the {name} level"
+        );
+        if above_grain {
+            assert!(fanned_out > 0, "{case}: above the grain but ran inline");
+        } else {
+            assert_eq!(fanned_out, 0, "{case}: below the grain but fanned out");
+        }
+        match &first {
+            None => first = Some(one),
+            Some(want) => assert_eq!(&one, want, "{case}: the {name} level differs"),
+        }
     }
 }
 
 #[test]
 fn matmul_is_bitwise_identical_across_thread_counts() {
-    // Odd sizes, ragged against the 4 x 8 tile; the second is far above
+    // Odd sizes, ragged against the 4 x 16 tile; the second is far above
     // the grain (2·64·96·80 ≈ 0.98 MFLOP).
     for (m, k, n, above) in [(23, 17, 9, false), (64, 96, 80, true)] {
         let a = fill(&[m, k], 1);

@@ -22,6 +22,14 @@ echo "== release: cargo test --release -q -p wootz-par =="
 # same bits inline and as a dispatched pool task.
 cargo test --release -q -p wootz-par
 
+echo "== release: kernel oracle at every kernel level =="
+# The GEMM core against the scalar loops it replaced, bit for bit, at every
+# micro-kernel level this CPU supports, as the optimizer compiles it.
+cargo test --release -q -p wootz-tensor --test kernel_oracle
+
+echo "== fmt: cargo fmt --check -p wootz-tensor -p wootz-par =="
+cargo fmt --check -p wootz-tensor -p wootz-par
+
 echo "== docs: cargo doc --no-deps (warnings are errors, whole workspace) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
     -p wootz-obs -p wootz-par -p wootz-tensor -p wootz-nn -p wootz-core \
@@ -140,7 +148,12 @@ R="$PWD/target/release/reproduce"
     echo "kernels smoke FAILED: BENCH_kernels.json not written"; exit 1; }
 grep -q '"name":"par.tasks"' "$SMOKE/kernels.ndjson" || {
     echo "kernels smoke FAILED: par.tasks counter missing from metrics"; exit 1; }
-echo "kernels smoke ok: $(grep -c '"kernel"' "$SMOKE/BENCH_kernels.json") kernels benched, par.* counters exported"
+grep -q '"name":"tensor.kernel_level"' "$SMOKE/kernels.ndjson" || {
+    echo "kernels smoke FAILED: tensor.kernel_level gauge missing from metrics"; exit 1; }
+LEVEL=$(sed -n 's/.*"kernel_level": "\([a-z0-9]*\)".*/\1/p' "$SMOKE/BENCH_kernels.json")
+[ -n "$LEVEL" ] || {
+    echo "kernels smoke FAILED: BENCH_kernels.json has no kernel_level"; exit 1; }
+echo "kernels smoke ok: $(grep -c '"kernel"' "$SMOKE/BENCH_kernels.json") kernels benched at the $LEVEL level, par.* counters exported"
 
 echo "== crash-matrix smoke: reproduce crashes --quick =="
 # For every registered kill point (wootz chaos list) plus a mid-file

@@ -6,6 +6,7 @@ use wootz_core::prune::{sample_subspace, PAPER_RATES};
 use wootz_data::micro_dataset;
 use wootz_ir::{Objective, SolverConfig};
 use wootz_sim::{simulate_pruning, SimExperiment};
+use wootz_tensor::ops::{force_kernel_level, KernelLevel};
 
 fn inputs(seed: u64) -> WootzInputs {
     let model = wootz_models::resnet_mini(8);
@@ -43,6 +44,27 @@ fn pipeline_is_deterministic_in_its_seed() {
         a.best.as_ref().map(|x| (x.config_index, x.model_size)),
         b.best.as_ref().map(|x| (x.config_index, x.model_size))
     );
+}
+
+/// Hosts with and without wide vectors must produce the same run: a whole
+/// pipeline at every GEMM micro-kernel level this CPU supports gives
+/// byte-equal `WootzRun` JSON.
+#[test]
+fn pipeline_output_is_byte_identical_at_every_kernel_level() {
+    let dataset = micro_dataset("flowers102", 5);
+    let runs: Vec<(&str, String)> = KernelLevel::supported()
+        .into_iter()
+        .map(|level| {
+            force_kernel_level(level).expect("a supported level");
+            let run = run_wootz(&inputs(5), &dataset, RunMode::Composability, None).unwrap();
+            let json = serde_json::to_string(&run).expect("WootzRun serialises");
+            (level.name(), json)
+        })
+        .collect();
+    let (first, want) = &runs[0];
+    for (name, json) in &runs[1..] {
+        assert!(json == want, "the {name} level's run differs from the {first} level's");
+    }
 }
 
 #[test]
