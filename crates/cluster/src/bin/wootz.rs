@@ -82,11 +82,6 @@
 //! variable, else the machine's available parallelism). Distributed workers
 //! inherit the setting. Results are bit-identical for any thread count —
 //! see `PERFORMANCE.md` for the determinism contract.
-//!
-//! Every command also accepts `--exec-plan on|off` (default `on`): `on`
-//! compiles each graph to an `ExecPlan` and trains against a reusable
-//! tensor arena (zero steady-state allocations); `off` selects the
-//! reference interpreter. The two are bit-identical — see `DESIGN.md` §10.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -145,20 +140,6 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
         // Worker processes spawned by `--distributed` inherit the budget.
         std::env::set_var("WOOTZ_THREADS", n.to_string());
     }
-    // `--exec-plan on|off` is global: it selects the planned executor
-    // (compile-once ExecPlan + arena reuse; the default) or the reference
-    // interpreter. Both are bit-identical — `off` exists for debugging and
-    // for the memory benchmark's baseline. Workers inherit via
-    // `WOOTZ_EXEC_PLAN`.
-    if let Some(v) = take_flag(&mut args, "--exec-plan") {
-        let on = match v.as_str() {
-            "on" => true,
-            "off" => false,
-            other => return Err(format!("--exec-plan expects on|off, got `{other}`").into()),
-        };
-        wootz_nn::set_exec_plan_enabled(on);
-        std::env::set_var("WOOTZ_EXEC_PLAN", if on { "on" } else { "off" });
-    }
     if args.is_empty() {
         return Err(usage().into());
     }
@@ -194,7 +175,7 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
 }
 
 fn usage() -> &'static str {
-    "usage: wootz <compile|sample|identify|genmodel|prune|serve|submit|worker|chaos|help> [options] [--metrics-out <path>] [--threads <n>] [--exec-plan on|off]\n\
+    "usage: wootz <compile|sample|identify|genmodel|prune|serve|submit|worker|chaos|help> [options] [--metrics-out <path>] [--threads <n>]\n\
      serve:  --store <dir> [--listen <addr>] [--store-budget <bytes>] [--state <dir>]\n\
      submit: --connect <addr> --model <file> --configs <file> --solver <file> --objective <file> [--mode <m>] [--explorer fixed|taylor|bandit] [--explorer-budget <n>]\n\
      prune:  … [--explorer fixed|taylor|bandit] [--explorer-budget <n>] selects the exploration strategy (DESIGN.md §14)\n\
@@ -283,10 +264,11 @@ fn load_configs(path: &str) -> Result<Vec<PruneConfig>, Box<dyn std::error::Erro
 fn cmd_compile(mut args: Vec<String>) -> CliResult {
     let emit_python = take_flag(&mut args, "--emit-python");
     let summary = take_switch(&mut args, "--summary");
-    if args.len() != 1 {
+    let Some((path, rest)) = args.split_first() else {
         return Err("compile needs exactly one <model.prototxt>".into());
-    }
-    let model = load_model(&args[0])?;
+    };
+    reject_leftovers(rest)?;
+    let model = load_model(path)?;
     println!(
         "compiled `{}`: {} layers, {} convolution modules, {} prunable convolutions",
         model.name(),

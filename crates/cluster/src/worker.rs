@@ -22,14 +22,6 @@
 //! function of its inputs, a task executes bit-identically no matter
 //! which process — or attempt — runs it.
 //!
-//! Workers inherit `WOOTZ_EXEC_PLAN` (and `WOOTZ_THREADS`) from the
-//! coordinator's environment: with planned execution on (the default) each
-//! claimed task compiles its graph to an `ExecPlan` exactly once — one
-//! `CompiledNet` per pre-training group, one per evaluation fine-tune —
-//! and reuses the plan plus tensor arena across every step of that task.
-//! The planned and interpreted executors are bit-identical, so fencing and
-//! replay guarantees are unaffected by the setting.
-//!
 //! Process-level faults fire here, at `site::CLUSTER_TASK`:
 //!
 //! * `WorkerCrash` aborts the process mid-task (no result, no heartbeat,

@@ -399,6 +399,16 @@ fn bad_inputs_fail_with_messages() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("covers 2 modules"));
+
+    // A removed flag fails loudly rather than being ignored.
+    let out = wootz()
+        .arg("compile")
+        .arg(&model)
+        .args(["--exec-plan", "off"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unrecognized arguments"));
     std::fs::remove_dir_all(&dir).ok();
 
     // A worker joins over TCP only; there is no shared-directory mode.

@@ -13,13 +13,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use serde::{Deserialize, Serialize};
 use wootz_fault::{panic_message, site, FaultError, FaultPlan};
-use wootz_nn::{backward, exec_plan_enabled, forward, Checkpoint, CompiledNet, Mode, NodeId};
-use wootz_tensor::ops::{mse_loss, mse_loss_backward, mse_loss_backward_into};
+use wootz_nn::{Checkpoint, CompiledNet, Mode, NodeId};
+use wootz_tensor::ops::{mse_loss, mse_loss_backward_into};
 use wootz_tensor::sgd::SgdConfig;
 use wootz_tensor::Tensor;
 
 use crate::blocks::partition_into_groups;
-use crate::compile::{ModeToUse, MultiplexingModel, TuningBlock};
+use crate::compile::{BuiltModel, ModeToUse, MultiplexingModel, TuningBlock};
 use crate::error::CoreError;
 use crate::finetune::init_from_full;
 use crate::prune::kept_count;
@@ -494,7 +494,6 @@ fn pretrain_one_group(
         .with("blocks", group.len())
         .with("steps", cfg.steps);
     let mut outcome = PretrainOutcome::default();
-    let module_ids = mm.ir().conv_module_ids();
     {
         let group_blocks: Vec<TuningBlock> = group.iter().map(|&i| blocks[i].clone()).collect();
         // Hoisted block identities: key, scope, and structure hash are pure
@@ -510,114 +509,51 @@ fn pretrain_one_group(
             .iter()
             .map(TuningBlock::structure_hash)
             .collect();
-        let mut built = mm.build(&ModeToUse::PreTrain(&group_blocks), cfg.seed)?;
-
-        // Teacher gets the full model's weights.
-        full.restore(&mut built.vars, |name| {
-            name.strip_prefix("net/")
-                .map(|suffix| format!("teacher/{suffix}"))
-                .unwrap_or_else(|| name.to_string())
-        })?;
-        // Students start from the inherited (sliced) teacher weights.
-        for (bi, block) in group_blocks.iter().enumerate() {
-            let mut widths = BTreeMap::new();
-            let mut layer_names: Vec<String> = Vec::new();
-            for &(pos, rate) in &block.parts {
-                let module = module_ids[pos];
-                for layer in mm.ir().layers() {
-                    if layer.module == Some(module) {
-                        layer_names.push(layer.name.clone());
-                    }
-                }
-                if rate > 0 {
-                    for name in mm.ir().prunable_convs_of_module(module) {
-                        if let Some(layer) = mm.ir().layer(name) {
-                            if let wootz_ir::LayerKind::Convolution { num_output, .. } = layer.kind
-                            {
-                                widths.insert(name.to_string(), kept_count(num_output, rate));
-                            }
-                        }
-                    }
-                }
-            }
-            init_from_full(
-                mm.ir(),
-                full,
-                "net",
-                &mut built.vars,
-                &block_scopes[bi],
-                &widths,
-                Some(&layer_names),
-            )?;
-        }
+        let mut built = build_group(mm, &group_blocks, &block_scopes, full, cfg.seed)?;
 
         // Joint training: one forward pass serves every block in the group.
-        // With planned execution (the default) the graph is compiled once
-        // per group — the Teacher–Student loss ports are the plan's kept
-        // set — and the arena plus per-block seed buffers are reused across
-        // every step, so steady-state steps allocate no tensors.
-        let mut compiled: Option<(CompiledNet, Vec<Tensor>)> = if exec_plan_enabled() {
-            let outs: Vec<NodeId> = built
-                .block_ports
-                .iter()
-                .flat_map(|p| [p.student_output, p.teacher_output])
-                .collect();
-            Some((CompiledNet::new(&built.graph, &outs)?, Vec::new()))
-        } else {
-            None
-        };
+        // The graph is compiled once per group — the Teacher–Student loss
+        // ports are the plan's kept set — and the arena plus per-block seed
+        // buffers are reused across every step, so steady-state steps
+        // allocate no tensors.
+        let outs: Vec<NodeId> = built
+            .block_ports
+            .iter()
+            .flat_map(|p| [p.student_output, p.teacher_output])
+            .collect();
+        let mut net = CompiledNet::new(&built.graph, &outs)?;
+        let mut seed_bufs: Vec<Tensor> = Vec::new();
         let mut first_losses: Vec<Option<f32>> = vec![None; group_blocks.len()];
         let mut last_losses: Vec<f32> = vec![0.0; group_blocks.len()];
         for step in 0..cfg.steps {
             let images = next_batch(group_index * cfg.steps + step);
-            if let Some((net, seed_bufs)) = compiled.as_mut() {
-                net.forward(
-                    &mut built.vars,
-                    &[(built.input_name.as_str(), &images)],
-                    Mode::Train,
-                )?;
-                if seed_bufs.len() != built.block_ports.len() {
-                    seed_bufs.clear();
-                    for ports in &built.block_ports {
-                        seed_bufs
-                            .push(Tensor::zeros(net.activation(ports.student_output)?.shape()));
-                    }
+            net.forward(
+                &mut built.vars,
+                &[(built.input_name.as_str(), &images)],
+                Mode::Train,
+            )?;
+            if seed_bufs.len() != built.block_ports.len() {
+                seed_bufs.clear();
+                for ports in &built.block_ports {
+                    seed_bufs.push(Tensor::zeros(net.activation(ports.student_output)?.shape()));
                 }
-                for (bi, ports) in built.block_ports.iter().enumerate() {
-                    let student = net.activation(ports.student_output)?;
-                    let teacher = net.activation(ports.teacher_output)?;
-                    let loss = mse_loss(student, teacher);
-                    first_losses[bi].get_or_insert(loss);
-                    last_losses[bi] = loss;
-                    mse_loss_backward_into(student, teacher, &mut seed_bufs[bi]);
-                }
-                built.vars.zero_grads();
-                let seeds: Vec<(NodeId, &Tensor)> = built
-                    .block_ports
-                    .iter()
-                    .zip(seed_bufs.iter())
-                    .map(|(p, t)| (p.student_output, t))
-                    .collect();
-                net.backward(&mut built.vars, &seeds)?;
-            } else {
-                let pass = forward(
-                    &built.graph,
-                    &mut built.vars,
-                    &[(built.input_name.as_str(), &images)],
-                    Mode::Train,
-                )?;
-                let mut seeds = Vec::with_capacity(built.block_ports.len());
-                for (bi, ports) in built.block_ports.iter().enumerate() {
-                    let student = pass.activation(ports.student_output);
-                    let teacher = pass.activation(ports.teacher_output);
-                    let loss = mse_loss(student, teacher);
-                    first_losses[bi].get_or_insert(loss);
-                    last_losses[bi] = loss;
-                    seeds.push((ports.student_output, mse_loss_backward(student, teacher)));
-                }
-                built.vars.zero_grads();
-                backward(&built.graph, &mut built.vars, &pass, &seeds)?;
             }
+            for (bi, ports) in built.block_ports.iter().enumerate() {
+                let student = net.activation(ports.student_output)?;
+                let teacher = net.activation(ports.teacher_output)?;
+                let loss = mse_loss(student, teacher);
+                first_losses[bi].get_or_insert(loss);
+                last_losses[bi] = loss;
+                mse_loss_backward_into(student, teacher, &mut seed_bufs[bi]);
+            }
+            built.vars.zero_grads();
+            let seeds: Vec<(NodeId, &Tensor)> = built
+                .block_ports
+                .iter()
+                .zip(seed_bufs.iter())
+                .map(|(p, t)| (p.student_output, t))
+                .collect();
+            net.backward(&mut built.vars, &seeds)?;
             built.vars.sgd_step(&cfg.sgd);
         }
         outcome.total_steps += cfg.steps;
@@ -646,11 +582,66 @@ fn pretrain_one_group(
     Ok(outcome)
 }
 
+/// Builds the pre-training structure of `blocks` (one group): the teacher
+/// restored from the full model, and each block's student (scope `scopes[i]`)
+/// initialized from the teacher's weights, sliced to the block's widths.
+fn build_group(
+    mm: &MultiplexingModel,
+    blocks: &[TuningBlock],
+    scopes: &[String],
+    full: &Checkpoint,
+    seed: u64,
+) -> Result<BuiltModel> {
+    let module_ids = mm.ir().conv_module_ids();
+    let mut built = mm.build(&ModeToUse::PreTrain(blocks), seed)?;
+
+    // Teacher gets the full model's weights.
+    full.restore(&mut built.vars, |name| {
+        name.strip_prefix("net/")
+            .map(|suffix| format!("teacher/{suffix}"))
+            .unwrap_or_else(|| name.to_string())
+    })?;
+    // Students start from the inherited (sliced) teacher weights.
+    for (block, scope) in blocks.iter().zip(scopes) {
+        let mut widths = BTreeMap::new();
+        let mut layer_names: Vec<String> = Vec::new();
+        for &(pos, rate) in &block.parts {
+            let module = module_ids[pos];
+            for layer in mm.ir().layers() {
+                if layer.module == Some(module) {
+                    layer_names.push(layer.name.clone());
+                }
+            }
+            if rate > 0 {
+                for name in mm.ir().prunable_convs_of_module(module) {
+                    if let Some(layer) = mm.ir().layer(name) {
+                        if let wootz_ir::LayerKind::Convolution { num_output, .. } = layer.kind {
+                            widths.insert(name.to_string(), kept_count(num_output, rate));
+                        }
+                    }
+                }
+            }
+        }
+        init_from_full(
+            mm.ir(),
+            full,
+            "net",
+            &mut built.vars,
+            scope,
+            &widths,
+            Some(&layer_names),
+        )?;
+    }
+    Ok(built)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compile::MultiplexingModel;
     use wootz_models::resnet_mini;
+    use wootz_nn::{backward, forward};
+    use wootz_tensor::ops::mse_loss_backward;
 
     fn trained_full() -> (MultiplexingModel, Checkpoint) {
         let mm = MultiplexingModel::compile(resnet_mini(4)).unwrap();
@@ -940,22 +931,19 @@ mod tests {
 
     #[test]
     fn teacher_parameters_do_not_move() {
+        // The interpreter loop the planned pre-training loop replaced runs
+        // the same group: the teacher must not move, and the student must
+        // end on the bits the supervised driver produces.
         let (mm, full) = trained_full();
         let blocks = vec![TuningBlock::new(0, vec![(1, 50)]).unwrap()];
         let cfg = PretrainConfig {
             steps: 5,
             ..PretrainConfig::default()
         };
-        // Rebuild manually to inspect the teacher afterwards.
-        let mut built = mm.build(&ModeToUse::PreTrain(&blocks), cfg.seed).unwrap();
-        full.restore(&mut built.vars, |n| {
-            n.strip_prefix("net/")
-                .map(|s| format!("teacher/{s}"))
-                .unwrap_or_else(|| n.into())
-        })
-        .unwrap();
+        let scopes = vec![blocks[0].scope()];
+        let mut built = build_group(&mm, &blocks, &scopes, &full, cfg.seed).unwrap();
         let before = built.vars.value("teacher/conv1/weight").unwrap().clone();
-        for step in 0..3 {
+        for step in 0..cfg.steps {
             let images = batches(step);
             let pass = forward(
                 &built.graph,
@@ -980,5 +968,27 @@ mod tests {
             built.vars.sgd_step(&cfg.sgd);
         }
         assert_eq!(built.vars.value("teacher/conv1/weight").unwrap(), &before);
+
+        let planned = pretrain_blocks_supervised(
+            &mm,
+            &blocks,
+            &full,
+            &cfg,
+            batches,
+            &PretrainOptions::default(),
+            None,
+        )
+        .unwrap();
+        let bits = |c: &Checkpoint| -> Vec<(String, Vec<u32>)> {
+            c.iter()
+                .map(|(name, t)| {
+                    let data = t.data().iter().map(|v| v.to_bits()).collect();
+                    (name.to_string(), data)
+                })
+                .collect()
+        };
+        let reference = Checkpoint::capture(&built.vars, &format!("{}/", scopes[0]));
+        assert!(!reference.is_empty());
+        assert_eq!(bits(&planned.checkpoints[&blocks[0].key()]), bits(&reference));
     }
 }

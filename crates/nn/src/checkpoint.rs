@@ -20,8 +20,8 @@ use serde::{Deserialize, Serialize};
 use wootz_fault::chaos::{self, kill_site};
 use wootz_tensor::Tensor;
 use wootz_wire::{
-    record_type, scan_records, write_bytes, write_frame, write_len, Limits, RecordTail,
-    WireReader, WireResult, WireSerialize, MAGIC,
+    record_type, scan_records, write_bytes, write_frame, write_len, Limits, RecordTail, WireReader,
+    WireResult, WireSerialize, MAGIC,
 };
 
 use crate::var::VarStore;
@@ -234,7 +234,9 @@ impl Checkpoint {
         let path = path.as_ref();
         let tmp = path.with_extension("tmp");
         let mut payload = Vec::new();
-        self.content_hash().wire_write(&mut payload).expect("vec write");
+        self.content_hash()
+            .wire_write(&mut payload)
+            .expect("vec write");
         self.wire_encode(&mut payload);
         let mut record = Vec::with_capacity(wootz_wire::HEADER_LEN + payload.len());
         write_frame(&mut record, record_type::CHECKPOINT, &payload)
@@ -364,8 +366,8 @@ impl Checkpoint {
             r.expect_consumed()?;
             Ok((stored, ckpt))
         })();
-        let (stored, ckpt) = decode
-            .map_err(|e| NnError::Serde(format!("`{}`: {e}", path.display())))?;
+        let (stored, ckpt) =
+            decode.map_err(|e| NnError::Serde(format!("`{}`: {e}", path.display())))?;
         let computed = ckpt.content_hash();
         if computed != stored {
             return Err(NnError::Serde(format!(
@@ -551,7 +553,10 @@ mod tests {
             "a/w",
             Tensor::from_vec(vec![1.5, -0.0, f32::MIN_POSITIVE], &[3]).unwrap(),
         );
-        ckpt.insert("b/scalarish", Tensor::from_vec(vec![42.0], &[1, 1]).unwrap());
+        ckpt.insert(
+            "b/scalarish",
+            Tensor::from_vec(vec![42.0], &[1, 1]).unwrap(),
+        );
         ckpt.insert("empty", Tensor::from_vec(vec![], &[0]).unwrap());
         let mut buf = Vec::new();
         ckpt.wire_encode(&mut buf);
@@ -582,11 +587,7 @@ mod tests {
         let dir = std::env::temp_dir().join("wootz_ckpt_legacy");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("legacy.json");
-        std::fs::write(
-            &path,
-            r#"{"entries":{"w":{"shape":[2],"data":[1.0,2.0]}}}"#,
-        )
-        .unwrap();
+        std::fs::write(&path, r#"{"entries":{"w":{"shape":[2],"data":[1.0,2.0]}}}"#).unwrap();
         let ckpt = Checkpoint::load(&path).unwrap();
         assert_eq!(ckpt.len(), 1);
         assert_eq!(ckpt.get("w").unwrap().data(), &[1.0, 2.0]);

@@ -1,5 +1,7 @@
-//! Graph execution: forward pass with cached intermediates and reverse-mode
-//! backward pass accumulating parameter gradients into the [`VarStore`].
+//! The reference interpreter: forward pass with cached intermediates and
+//! reverse-mode backward pass accumulating parameter gradients into the
+//! [`VarStore`]. Drivers run the planned executor ([`crate::plan`]); this one
+//! defines what it must compute, bit for bit.
 
 use wootz_tensor::ops;
 use wootz_tensor::Tensor;
@@ -64,11 +66,10 @@ impl ForwardPass {
             .caches
             .iter()
             .map(|c| {
-                let bn = c
-                    .bn
-                    .as_ref()
-                    .map(|b| 4 * (b.mean.len() + b.var.len() + b.x_hat.len()))
-                    .unwrap_or(0);
+                let bn =
+                    c.bn.as_ref()
+                        .map(|b| 4 * (b.mean.len() + b.var.len() + b.x_hat.len()))
+                        .unwrap_or(0);
                 let arg = c
                     .argmax
                     .as_ref()
@@ -89,7 +90,9 @@ fn note_interp_alloc(elems: usize) {
     use wootz_obs::Counter;
     static ALLOCS: OnceLock<Counter> = OnceLock::new();
     static BYTES: OnceLock<Counter> = OnceLock::new();
-    ALLOCS.get_or_init(|| wootz_obs::counter("exec.interp.allocs")).incr();
+    ALLOCS
+        .get_or_init(|| wootz_obs::counter("exec.interp.allocs"))
+        .incr();
     BYTES
         .get_or_init(|| wootz_obs::counter("exec.interp.bytes"))
         .add(4 * elems as u64);

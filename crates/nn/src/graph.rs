@@ -725,9 +725,13 @@ mod tests {
         }
         // The loaded graph executes against the original variables.
         let xt = wootz_tensor::Tensor::zeros(&[1, 3, 8, 8]);
-        let pass =
-            crate::exec::forward(&loaded, &mut vars, &[("data", &xt)], crate::exec::Mode::Eval)
-                .unwrap();
+        let pass = crate::exec::forward(
+            &loaded,
+            &mut vars,
+            &[("data", &xt)],
+            crate::exec::Mode::Eval,
+        )
+        .unwrap();
         assert_eq!(pass.activation(loaded.find("fc").unwrap()).shape(), &[1, 5]);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -8,7 +8,11 @@
 //! The engine plays the role TensorFlow + Slim play in the Wootz paper:
 //! the Wootz compiler (`wootz-core`) lowers a Prototxt model description to
 //! a [`Graph`] via [`GraphBuilder`], and the pre-training/fine-tuning
-//! machinery drives [`forward`]/[`backward`]/[`sgd_step`] over it. Parameter
+//! drivers compile it once into a [`CompiledNet`] and run every step
+//! through that planned executor (see [`plan`]). The interpreter —
+//! [`forward`]/[`backward`]/[`forward_eval`] — is the reference semantics
+//! the planned executor is pinned against bit for bit, in tests and the
+//! `reproduce memory` benchmark. Parameter
 //! names are hierarchical (`scope/layer/weight`), exactly like TF variable
 //! scopes, so checkpoints can be re-targeted when tuning blocks are assembled
 //! into pruned networks.
@@ -49,8 +53,7 @@ pub use error::NnError;
 pub use exec::{backward, forward, forward_eval, sgd_step, zero_grads, ForwardPass, Mode};
 pub use graph::{Graph, GraphBuilder, Node, NodeId, NodeShape, Op};
 pub use plan::{
-    exec_plan_enabled, planned_backward, planned_forward_eval, set_exec_plan_enabled, CompiledNet,
-    ExecPlan, PlanState, SlotSpec,
+    planned_backward, planned_forward_eval, CompiledNet, ExecPlan, PlanState, SlotSpec,
 };
 pub use trainer::{
     evaluate_accuracy, train_classifier, EvalSet, LrSchedule, TrainConfig, TrainLog, TrainRecord,

@@ -1,11 +1,12 @@
 //! Execution planning: liveness analysis, arena-backed buffer reuse and the
 //! planned executor.
 //!
-//! The reference executor ([`crate::forward`] / [`crate::backward`])
-//! interprets the graph node by
-//! node and allocates a fresh tensor for every activation and gradient. This
-//! module *compiles* a [`Graph`] into an [`ExecPlan`] — a static schedule of
-//! buffer lifetimes — and then runs forward/backward passes against a
+//! This is the executor every training and evaluation driver runs. The
+//! reference interpreter ([`crate::forward`] / [`crate::backward`]) defines
+//! its semantics: it interprets the graph node by node and allocates a fresh
+//! tensor for every activation and gradient. This module *compiles* a
+//! [`Graph`] into an [`ExecPlan`] — a static schedule of buffer lifetimes —
+//! and then runs forward/backward passes against a
 //! [`wootz_tensor::TensorArena`], recycling every tensor the moment its last
 //! reader has run. After a warm-up pass the steady state performs **zero**
 //! tensor allocations per training step.
@@ -17,9 +18,9 @@
 //! allocation history. Every kernel invoked by the planned executor is the
 //! `_into` body of the corresponding allocating kernel, and the arena zeroes
 //! buffers on reuse, so a planned pass is **bit-identical** to the
-//! interpreted pass for any `--threads` value. `scripts/verify.sh` checks
-//! this end-to-end and `tests/plan_equivalence.rs` property-checks it on
-//! generated graphs.
+//! interpreted pass for any `--threads` value. `tests/plan_equivalence.rs`
+//! property-checks single passes on generated graphs; the trainer and
+//! pre-training tests pin whole driver runs against an interpreter loop.
 //!
 //! # Liveness timeline
 //!
@@ -46,8 +47,6 @@
 //! — the arena's peak live footprint equals the colored slot total.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 
 use wootz_tensor::ops;
 use wootz_tensor::{ArenaStats, Tensor, TensorArena};
@@ -56,38 +55,6 @@ use crate::exec::{EvalAccess, TrainAccess, VarAccess};
 use crate::graph::{Graph, NodeId, NodeShape, Op};
 use crate::var::VarStore;
 use crate::{Mode, NnError, Result};
-
-// ---------------------------------------------------------------------------
-// Global switch
-// ---------------------------------------------------------------------------
-
-/// Environment variable consulted once for the default of
-/// [`exec_plan_enabled`]; the `--exec-plan` CLI flag sets both the flag and
-/// this variable so spawned cluster workers inherit the choice.
-pub const EXEC_PLAN_ENV: &str = "WOOTZ_EXEC_PLAN";
-
-fn exec_plan_cell() -> &'static AtomicBool {
-    static CELL: OnceLock<AtomicBool> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let on = match std::env::var(EXEC_PLAN_ENV) {
-            Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "off" | "0" | "false"),
-            Err(_) => true,
-        };
-        AtomicBool::new(on)
-    })
-}
-
-/// Whether high-level drivers (trainer, pre-training, evaluation) should use
-/// the planned executor. Defaults to `true`; `WOOTZ_EXEC_PLAN=off` or
-/// `--exec-plan off` selects the reference interpreter.
-pub fn exec_plan_enabled() -> bool {
-    exec_plan_cell().load(Ordering::Relaxed)
-}
-
-/// Overrides [`exec_plan_enabled`] for this process.
-pub fn set_exec_plan_enabled(on: bool) {
-    exec_plan_cell().store(on, Ordering::Relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // Plan construction
@@ -921,8 +888,7 @@ pub fn planned_backward(
                     match &mut state.grads[ti] {
                         Some(acc) => axpy_flat(acc, &dy),
                         slot @ None => {
-                            let mut dx =
-                                state.arena.take(&runtime_shape(graph, ti, state.batch));
+                            let mut dx = state.arena.take(&runtime_shape(graph, ti, state.batch));
                             dx.copy_data_from(&dy)?;
                             *slot = Some(dx);
                         }

@@ -7,9 +7,9 @@ use wootz_tensor::ops;
 use wootz_tensor::sgd::SgdConfig;
 use wootz_tensor::Tensor;
 
-use crate::exec::{backward, forward, forward_eval, Mode};
+use crate::exec::Mode;
 use crate::graph::{Graph, NodeId};
-use crate::plan::{exec_plan_enabled, planned_forward_eval, CompiledNet, ExecPlan, PlanState};
+use crate::plan::{planned_forward_eval, CompiledNet, ExecPlan, PlanState};
 use crate::var::VarStore;
 use crate::{NnError, Result};
 
@@ -17,8 +17,7 @@ use crate::{NnError, Result};
 /// rates ("We experimented with other learning rates and dynamic decay
 /// schemes" — §7.1 footnote); step decay and cosine annealing are provided
 /// for the same experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub enum LrSchedule {
     /// Constant learning rate (the paper's choice).
     #[default]
@@ -33,7 +32,6 @@ pub enum LrSchedule {
     /// Cosine annealing from the base rate to zero over the step budget.
     Cosine,
 }
-
 
 impl LrSchedule {
     /// The learning rate at `step` of `max_steps` given `base`.
@@ -159,10 +157,10 @@ const EVAL_SHARD: usize = 8;
 /// batch.
 ///
 /// The batch is split into fixed-size (`EVAL_SHARD` = 8 samples) shards that run
-/// [`forward_eval`] concurrently on the `wootz-par` pool against the shared
-/// immutable variable store (evaluation never mutates variables). Every
-/// sample sees exactly the per-sample math of a whole-batch evaluation and
-/// the integer match counts merge in shard order, so the accuracy is
+/// the planned eval forward concurrently on the `wootz-par` pool against the
+/// shared immutable variable store (evaluation never mutates variables).
+/// Every sample sees exactly the per-sample math of a whole-batch evaluation
+/// and the integer match counts merge in shard order, so the accuracy is
 /// bit-identical to the single-threaded whole-batch result.
 ///
 /// # Errors
@@ -176,8 +174,22 @@ pub fn evaluate_accuracy(
     images: &Tensor,
     labels: &[usize],
 ) -> Result<f32> {
+    let plan = ExecPlan::for_eval(graph, &[logits_node])?;
+    accuracy_with(graph, &plan, vars, input_name, logits_node, images, labels)
+}
+
+/// [`evaluate_accuracy`] through an eval plan that keeps `logits_node`, so a
+/// driver that already holds one builds none.
+fn accuracy_with(
+    graph: &Graph,
+    plan: &ExecPlan,
+    vars: &VarStore,
+    input_name: &str,
+    logits_node: NodeId,
+    images: &Tensor,
+    labels: &[usize],
+) -> Result<f32> {
     wootz_obs::counter("trainer.evals").incr();
-    let vars = &*vars;
     let n = images.shape().first().copied().unwrap_or(0);
     // Like the whole-batch zip, score only samples that have both an image
     // and a label.
@@ -186,13 +198,7 @@ pub fn evaluate_accuracy(
         return Ok(0.0);
     }
     // One eval plan shared by every shard; each shard owns its PlanState
-    // (disjoint buffers), exactly as each shard owned its ForwardPass.
-    let eval_plan: Option<ExecPlan> = if exec_plan_enabled() {
-        Some(ExecPlan::for_eval(graph, &[logits_node])?)
-    } else {
-        None
-    };
-    let eval_plan = eval_plan.as_ref();
+    // (disjoint buffers).
     let sample_len = images.len() / n;
     let counts = wootz_par::parallel_chunks(&labels[..scored], EVAL_SHARD, |si, shard_labels| {
         let s0 = si * EVAL_SHARD;
@@ -203,17 +209,9 @@ pub fn evaluate_accuracy(
             images.data()[s0 * sample_len..(s0 + rows) * sample_len].to_vec(),
             &shape,
         )?;
-        let preds = match eval_plan {
-            Some(plan) => {
-                let mut state = PlanState::new(graph);
-                planned_forward_eval(graph, plan, &mut state, vars, &[(input_name, &shard_x)])?;
-                state.activation(plan, logits_node)?.argmax_rows()?
-            }
-            None => {
-                let pass = forward_eval(graph, vars, &[(input_name, &shard_x)])?;
-                pass.activation(logits_node).argmax_rows()?
-            }
-        };
+        let mut state = PlanState::new(graph);
+        planned_forward_eval(graph, plan, &mut state, vars, &[(input_name, &shard_x)])?;
+        let preds = state.activation(plan, logits_node)?.argmax_rows()?;
         Ok::<usize, NnError>(
             preds
                 .iter()
@@ -283,9 +281,10 @@ fn emit_diverged(step: usize, loss: f32, var: Option<&str>) {
 ///
 /// # Observability
 ///
-/// Each call opens a `trainer.run` span, counts SGD steps on
-/// `trainer.steps` and test-set passes on `trainer.evals` (one per
-/// [`evaluate_accuracy`] call), records per-step wall time in the
+/// Each call builds two plans (`plan.builds`: one train, one eval) and
+/// reuses them for every step and measurement, opens a `trainer.run` span,
+/// counts SGD steps on `trainer.steps` and test-set passes on
+/// `trainer.evals` (one per measurement), records per-step wall time in the
 /// `trainer.step_time_us` histogram, and emits a `trainer.eval` event
 /// (fields `step`, `loss`, `accuracy`) at every curve point after step 0.
 /// Events and spans only materialize after [`wootz_obs::enable`]; the
@@ -309,22 +308,16 @@ pub fn train_classifier(
     let _run = wootz_obs::span("trainer.run").with("max_steps", cfg.max_steps);
     let steps_counter = wootz_obs::counter("trainer.steps");
     let step_time = wootz_obs::histogram("trainer.step_time_us");
-    // Planned execution (the default): compile the graph once and reuse the
-    // plan + arena across every step — steady-state steps allocate no
-    // tensors. `--exec-plan off` (or WOOTZ_EXEC_PLAN=off) selects the
-    // reference interpreter instead; both paths are bit-identical.
-    let mut net: Option<CompiledNet> = if exec_plan_enabled() {
-        Some(CompiledNet::new(graph, &[logits_node])?)
-    } else {
-        None
-    };
-    // Persistent loss buffers for the planned path, rebuilt only when the
-    // batch shape changes.
+    // Compile the graph once and reuse the plans + arena across every step
+    // and measurement: steady-state steps allocate no tensors.
+    let mut net = CompiledNet::new(graph, &[logits_node])?;
+    // Persistent loss buffers, rebuilt only when the batch shape changes.
     let mut probs = Tensor::zeros(&[0, 0]);
     let mut dlogits = Tensor::zeros(&[0, 0]);
-    let measure = |vars: &mut VarStore, eval: &EvalSet<'_>| {
-        evaluate_accuracy(
+    let measure = |net: &CompiledNet, vars: &VarStore, eval: &EvalSet<'_>| {
+        accuracy_with(
             graph,
+            net.plan(Mode::Eval),
             vars,
             input_name,
             logits_node,
@@ -337,7 +330,7 @@ pub fn train_classifier(
     // and none of its points has reached the target yet.
     let mut curve_open = cfg.eval_every > 0;
     if let Some(eval) = eval_data.filter(|_| curve_open) {
-        let accuracy = measure(vars, &eval)?;
+        let accuracy = measure(&net, vars, &eval)?;
         log.initial_accuracy = Some(accuracy);
         log.records.push(TrainRecord {
             step: 0,
@@ -349,44 +342,25 @@ pub fn train_classifier(
     for step in 0..cfg.max_steps {
         let step_start = std::time::Instant::now();
         let (images, labels) = next_batch(step);
-        let loss = if let Some(net) = net.as_mut() {
-            net.forward(vars, &[(input_name, &images)], Mode::Train)?;
-            let logits = net.activation(logits_node)?;
-            if probs.shape() != logits.shape() {
-                probs = Tensor::zeros(logits.shape());
-                dlogits = Tensor::zeros(logits.shape());
-            }
-            let loss = ops::softmax_cross_entropy_into(logits, &labels, &mut probs, &mut dlogits);
-            // Numerical-health guard #1: a non-finite loss means the
-            // forward pass already blew up; stop before the gradients
-            // poison anything.
-            if !loss.is_finite() {
-                emit_diverged(step, loss, None);
-                return Err(NnError::Diverged {
-                    step,
-                    loss,
-                    var: None,
-                });
-            }
-            vars.zero_grads();
-            net.backward(vars, &[(logits_node, &dlogits)])?;
-            loss
-        } else {
-            let pass = forward(graph, vars, &[(input_name, &images)], Mode::Train)?;
-            let out = ops::softmax_cross_entropy(pass.activation(logits_node), &labels);
-            // Numerical-health guard #1 (see above).
-            if !out.loss.is_finite() {
-                emit_diverged(step, out.loss, None);
-                return Err(NnError::Diverged {
-                    step,
-                    loss: out.loss,
-                    var: None,
-                });
-            }
-            vars.zero_grads();
-            backward(graph, vars, &pass, &[(logits_node, out.dlogits)])?;
-            out.loss
-        };
+        net.forward(vars, &[(input_name, &images)], Mode::Train)?;
+        let logits = net.activation(logits_node)?;
+        if probs.shape() != logits.shape() {
+            probs = Tensor::zeros(logits.shape());
+            dlogits = Tensor::zeros(logits.shape());
+        }
+        let loss = ops::softmax_cross_entropy_into(logits, &labels, &mut probs, &mut dlogits);
+        // Numerical-health guard #1: a non-finite loss means the forward
+        // pass already blew up; stop before the gradients poison anything.
+        if !loss.is_finite() {
+            emit_diverged(step, loss, None);
+            return Err(NnError::Diverged {
+                step,
+                loss,
+                var: None,
+            });
+        }
+        vars.zero_grads();
+        net.backward(vars, &[(logits_node, &dlogits)])?;
         // Numerical-health guard #2: a non-finite gradient would corrupt
         // the variables on the next update (and every checkpoint captured
         // afterwards). Fail *before* `sgd_step` applies it.
@@ -422,7 +396,7 @@ pub fn train_classifier(
         if curve_open && (step + 1) % cfg.eval_every == 0 {
             let mut accuracy = None;
             if let Some(eval) = eval_data {
-                let a = measure(vars, &eval)?;
+                let a = measure(&net, vars, &eval)?;
                 curve_open = !eval.reached(a);
                 accuracy = Some(a);
             }
@@ -446,7 +420,7 @@ pub fn train_classifier(
         let at_end = log.records.last().filter(|r| r.step == cfg.max_steps);
         let final_acc = match at_end.and_then(|r| r.accuracy) {
             Some(accuracy) => accuracy,
-            None => measure(vars, &eval)?,
+            None => measure(&net, vars, &eval)?,
         };
         log.final_accuracy = Some(final_acc);
         if curve_open && at_end.is_none() {
@@ -463,6 +437,7 @@ pub fn train_classifier(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{backward, forward, forward_eval, sgd_step, zero_grads};
     use crate::graph::GraphBuilder;
 
     /// A linearly separable two-class toy problem: class = sign of the mean.
@@ -477,7 +452,9 @@ mod tests {
                 -0.8
             }
         });
-        let labels = (0..n).map(|s| usize::from((s + step).is_multiple_of(2))).collect();
+        let labels = (0..n)
+            .map(|s| usize::from((s + step).is_multiple_of(2)))
+            .collect();
         (images, labels)
     }
 
@@ -648,6 +625,87 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `toy_batch` until step 12, then 5 samples instead of 8.
+    fn shrinking_batch(step: usize) -> (Tensor, Vec<usize>) {
+        let (images, labels) = toy_batch(step);
+        if step < 12 {
+            return (images, labels);
+        }
+        let n = 5;
+        let images = Tensor::from_vec(images.data()[..n * 4].to_vec(), &[n, 1, 2, 2]).unwrap();
+        (images, labels[..n].to_vec())
+    }
+
+    /// Every variable's name, value bits and gradient bits.
+    fn var_bits(vars: &VarStore) -> Vec<(String, Vec<u32>, Vec<u32>)> {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect();
+        vars.iter()
+            .map(|(name, p)| (name.to_string(), bits(&p.value), bits(&p.grad)))
+            .collect()
+    }
+
+    #[test]
+    fn planned_trainer_equals_the_reference_interpreter_loop() {
+        let cfg = TrainConfig {
+            max_steps: 24,
+            sgd: SgdConfig {
+                learning_rate: 0.1,
+                weight_decay: 1e-3,
+                momentum: 0.9,
+            },
+            schedule: LrSchedule::StepDecay {
+                every: 10,
+                gamma: 0.5,
+            },
+            eval_every: 1,
+        };
+        let (eval_x, eval_y) = toy_batch(1);
+        let (graph, mut planned, logits) = toy_net();
+        let eval = EvalSet::new(&eval_x, &eval_y);
+        let log = train_classifier(
+            &graph,
+            &mut planned,
+            "data",
+            logits,
+            &cfg,
+            shrinking_batch,
+            Some(eval),
+        )
+        .unwrap();
+
+        // The reference: the interpreter, a fresh loss tensor per step.
+        let (_, mut reference, _) = toy_net();
+        let mut losses = Vec::new();
+        for step in 0..cfg.max_steps {
+            let (images, labels) = shrinking_batch(step);
+            let pass = forward(&graph, &mut reference, &[("data", &images)], Mode::Train).unwrap();
+            let out = ops::softmax_cross_entropy(pass.activation(logits), &labels);
+            zero_grads(&mut reference);
+            backward(&graph, &mut reference, &pass, &[(logits, out.dlogits)]).unwrap();
+            let sgd = SgdConfig {
+                learning_rate: cfg
+                    .schedule
+                    .lr_at(cfg.sgd.learning_rate, step, cfg.max_steps),
+                ..cfg.sgd
+            };
+            sgd_step(&mut reference, &sgd);
+            losses.push(out.loss.to_bits());
+        }
+
+        // A point per step: each step's loss, the last one the final loss.
+        let planned_losses: Vec<u32> = log.records[1..].iter().map(|r| r.loss.to_bits()).collect();
+        assert_eq!(planned_losses, losses);
+        assert_eq!(var_bits(&planned), var_bits(&reference));
+        let pass = forward_eval(&graph, &reference, &[("data", &eval_x)]).unwrap();
+        let preds = pass.activation(logits).argmax_rows().unwrap();
+        let correct = preds.iter().zip(&eval_y).filter(|(p, l)| p == l).count();
+        let accuracy = correct as f32 / eval_y.len() as f32;
+        assert_eq!(
+            log.final_accuracy.map(f32::to_bits),
+            Some(accuracy.to_bits())
+        );
     }
 
     #[test]

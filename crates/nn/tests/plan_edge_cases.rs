@@ -10,7 +10,9 @@
 //! * input validation parity: a bad feed fails identically before and
 //!   after a successful pass, and the state stays usable.
 
-use wootz_nn::{forward_eval, CompiledNet, ExecPlan, Graph, GraphBuilder, Mode, NodeId, PlanState, VarStore};
+use wootz_nn::{
+    forward_eval, CompiledNet, ExecPlan, Graph, GraphBuilder, Mode, NodeId, PlanState, VarStore,
+};
 use wootz_tensor::ops::softmax_cross_entropy;
 use wootz_tensor::Tensor;
 
@@ -33,7 +35,9 @@ fn batch(seed: u64, n: usize) -> Tensor {
     let mut s = seed;
     let data: Vec<f32> = (0..n * 2 * 6 * 6)
         .map(|_| {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             ((s >> 33) as f32 / (1u64 << 31) as f32) - 0.5
         })
         .collect();
@@ -131,12 +135,17 @@ fn bad_feed_fails_cleanly_and_state_stays_usable() {
     let bad = batch(3, 8).reshape(&[2, 8, 6, 6]).unwrap(); // wrong channels
     let mut net = CompiledNet::new(&graph, &[logits]).unwrap();
 
-    assert!(net.forward(&mut vars, &[("data", &bad)], Mode::Train).is_err());
-    assert!(net.forward(&mut vars, &[("other", &good)], Mode::Train).is_err());
+    assert!(net
+        .forward(&mut vars, &[("data", &bad)], Mode::Train)
+        .is_err());
+    assert!(net
+        .forward(&mut vars, &[("other", &good)], Mode::Train)
+        .is_err());
 
     // The failed attempts must not wedge the state: a good feed still
     // produces the interpreter's bits.
-    net.forward(&mut vars, &[("data", &good)], Mode::Eval).unwrap();
+    net.forward(&mut vars, &[("data", &good)], Mode::Eval)
+        .unwrap();
     let planned = net.activation(logits).unwrap().data().to_vec();
     let reference = forward_eval(&graph, &vars, &[("data", &good)]).unwrap();
     let want = reference.activation(logits).data();

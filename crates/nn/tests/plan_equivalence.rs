@@ -14,7 +14,9 @@ use wootz_tensor::Tensor;
 /// Deterministic 64-bit LCG (SplitMix-style) so every test run sees the
 /// same ≥100 graphs.
 fn next(s: &mut u64) -> u64 {
-    *s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+    *s = s
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
     let z = *s;
     (z ^ (z >> 29)).wrapping_mul(0xBF58476D1CE4E5B9) >> 17
 }
@@ -131,13 +133,21 @@ fn check_case(seed: u64, steps: usize) {
         let pass = forward(&graph, &mut vars_i, &[("data", &input)], Mode::Train).unwrap();
         let out_i = softmax_cross_entropy(pass.activation(logits), &labels);
         vars_i.zero_grads();
-        backward(&graph, &mut vars_i, &pass, &[(logits, out_i.dlogits.clone())]).unwrap();
+        backward(
+            &graph,
+            &mut vars_i,
+            &pass,
+            &[(logits, out_i.dlogits.clone())],
+        )
+        .unwrap();
 
         // Planned step.
-        net.forward(&mut vars_p, &[("data", &input)], Mode::Train).unwrap();
+        net.forward(&mut vars_p, &[("data", &input)], Mode::Train)
+            .unwrap();
         let out_p = softmax_cross_entropy(net.activation(logits).unwrap(), &labels);
         vars_p.zero_grads();
-        net.backward(&mut vars_p, &[(logits, &out_p.dlogits)]).unwrap();
+        net.backward(&mut vars_p, &[(logits, &out_p.dlogits)])
+            .unwrap();
 
         assert_eq!(
             out_i.loss.to_bits(),
@@ -146,7 +156,11 @@ fn check_case(seed: u64, steps: usize) {
             out_i.loss,
             out_p.loss
         );
-        assert_vars_bit_identical(&vars_i, &vars_p, &format!("seed {seed} step {step} post-bwd"));
+        assert_vars_bit_identical(
+            &vars_i,
+            &vars_p,
+            &format!("seed {seed} step {step} post-bwd"),
+        );
 
         vars_i.sgd_step(&sgd);
         vars_p.sgd_step(&sgd);
@@ -209,7 +223,8 @@ fn planned_matches_interpreter_with_multiple_seeds() {
     .unwrap();
 
     let mut net = CompiledNet::new(&graph, &[r1, r2]).unwrap();
-    net.forward(&mut vars_p, &[("data", &input)], Mode::Train).unwrap();
+    net.forward(&mut vars_p, &[("data", &input)], Mode::Train)
+        .unwrap();
     vars_p.zero_grads();
     net.backward(&mut vars_p, &[(r1, &d1), (r2, &d2)]).unwrap();
 

@@ -1,6 +1,7 @@
 //! How many test-set passes `train_classifier` makes, counted on
-//! `trainer.evals` (one per `evaluate_accuracy` call). A test binary of its
-//! own because the counter is process-global; the tests here take turns.
+//! `trainer.evals` (one per measurement), and how many plans it builds,
+//! counted on `plan.builds`. A test binary of its own because the counters
+//! are process-global; the tests here take turns.
 
 use std::sync::Mutex;
 
@@ -30,8 +31,8 @@ fn batch(step: usize) -> (Tensor, Vec<usize>) {
 }
 
 /// Trains the same toy classifier from the same seed and returns the log
-/// with the number of test-set passes it took.
-fn train(eval_every: usize, target: Option<f32>) -> (TrainLog, u64) {
+/// with the number of test-set passes it took and of plans it built.
+fn train(eval_every: usize, target: Option<f32>) -> (TrainLog, u64, u64) {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut b = GraphBuilder::new(21);
     let x = b.input("data", (1, 2, 2));
@@ -57,9 +58,10 @@ fn train(eval_every: usize, target: Option<f32>) -> (TrainLog, u64) {
         target,
     };
     let evals = wootz_obs::counter("trainer.evals");
-    let before = evals.get();
+    let plans = wootz_obs::counter("plan.builds");
+    let (evals_before, plans_before) = (evals.get(), plans.get());
     let log = train_classifier(&graph, &mut vars, "data", d, &cfg, batch, Some(eval)).unwrap();
-    (log, evals.get() - before)
+    (log, evals.get() - evals_before, plans.get() - plans_before)
 }
 
 fn steps(records: &[TrainRecord]) -> Vec<usize> {
@@ -76,7 +78,7 @@ fn points(records: &[TrainRecord]) -> Vec<(usize, u32, Option<f32>)> {
 
 #[test]
 fn without_a_curve_only_the_final_accuracy_is_measured() {
-    let (log, evals) = train(0, None);
+    let (log, evals, _) = train(0, None);
     assert_eq!(evals, 1);
     assert_eq!(log.initial_accuracy, None);
     assert!(log.records.is_empty(), "{log:?}");
@@ -87,12 +89,12 @@ fn without_a_curve_only_the_final_accuracy_is_measured() {
 #[test]
 fn a_curve_point_at_the_last_step_is_the_final_accuracy() {
     // 5 divides 20: the step-20 point is measured once, not again as final.
-    let (log, evals) = train(5, None);
+    let (log, evals, _) = train(5, None);
     assert_eq!(steps(&log.records), [0, 5, 10, 15, 20]);
     assert_eq!(evals, 5);
     assert_eq!(log.records.last().unwrap().accuracy, log.final_accuracy);
     // 7 does not: the final pass is the curve's last point.
-    let (log, evals) = train(7, None);
+    let (log, evals, _) = train(7, None);
     assert_eq!(steps(&log.records), [0, 7, 14, 20]);
     assert_eq!(evals, 4);
     assert_eq!(log.records.last().unwrap().accuracy, log.final_accuracy);
@@ -100,7 +102,7 @@ fn a_curve_point_at_the_last_step_is_the_final_accuracy() {
 
 #[test]
 fn a_reached_target_ends_the_curve() {
-    let (full, _) = train(2, None);
+    let (full, _, _) = train(2, None);
     // The first point at the curve's best accuracy, before the last step.
     let best = full
         .records
@@ -114,7 +116,7 @@ fn a_reached_target_ends_the_curve() {
         .unwrap();
     assert!(full.records[at].step < MAX_STEPS, "{full:?}");
 
-    let (cut, evals) = train(2, Some(best));
+    let (cut, evals, _) = train(2, Some(best));
     assert_eq!(
         points(&cut.records),
         points(&full.records[..=at]),
@@ -127,8 +129,19 @@ fn a_reached_target_ends_the_curve() {
 
     // A target the untrained network already meets: step 0 and the final
     // accuracy are all that is measured.
-    let (log, evals) = train(2, Some(0.0));
+    let (log, evals, _) = train(2, Some(0.0));
     assert_eq!(steps(&log.records), [0]);
     assert_eq!(evals, 2);
     assert_eq!(log.final_accuracy, full.final_accuracy);
+}
+
+#[test]
+fn every_measurement_runs_through_the_run_s_own_eval_plan() {
+    // One train plan and one eval plan per run, however many points the
+    // curve takes.
+    for eval_every in [0, 1, 7] {
+        let (log, evals, plans) = train(eval_every, None);
+        assert!(evals >= 1, "{log:?}");
+        assert_eq!(plans, 2, "eval_every {eval_every}: {evals} passes");
+    }
 }

@@ -27,8 +27,8 @@ echo "== release: kernel oracle at every kernel level =="
 # micro-kernel level this CPU supports, as the optimizer compiles it.
 cargo test --release -q -p wootz-tensor --test kernel_oracle
 
-echo "== fmt: cargo fmt --check -p wootz-tensor -p wootz-par =="
-cargo fmt --check -p wootz-tensor -p wootz-par
+echo "== fmt: cargo fmt --check -p wootz-tensor -p wootz-par -p wootz-nn =="
+cargo fmt --check -p wootz-tensor -p wootz-par -p wootz-nn
 
 echo "== docs: cargo doc --no-deps (warnings are errors, whole workspace) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
@@ -110,18 +110,6 @@ evals_passes=$(sed -n 's/.*"name":"trainer.evals","value":\([0-9]*\).*/\1/p' "$S
 cmp -s "$SMOKE/evals.json" "$SMOKE/evals_t1.json" || {
     echo "evals smoke FAILED: the --threads 1 output differs"; exit 1; }
 echo "evals smoke ok: trainer.evals $evals_passes = 1 full model + $evals_fresh evaluations, outputs identical at --threads 1"
-
-echo "== exec-plan smoke: wootz prune bitwise-identical --exec-plan on vs off =="
-# The planned executor (DESIGN.md §10) runs the same float-op sequence as
-# the interpreter against arena-backed buffers; prune results must be
-# byte-identical whichever executor runs the training loops.
-threads_prune --exec-plan on --out "$SMOKE/run_plan.json"
-threads_prune --exec-plan off --out "$SMOKE/run_interp.json"
-cmp -s "$SMOKE/run_plan.json" "$SMOKE/run_interp.json" || {
-    echo "exec-plan smoke FAILED: --exec-plan on and off outputs differ"; exit 1; }
-cmp -s "$SMOKE/run_plan.json" "$SMOKE/run_t1.json" || {
-    echo "exec-plan smoke FAILED: planned output differs from the threads-smoke baseline"; exit 1; }
-echo "exec-plan smoke ok: results byte-identical across executors"
 
 echo "== memory smoke: reproduce memory =="
 # Exits non-zero unless steady-state training makes zero tensor
