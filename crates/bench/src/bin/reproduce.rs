@@ -31,7 +31,7 @@ use std::process::ExitCode;
 
 use wootz_bench::real::{fig6_report, table1_report, table2_report, MicroOpts};
 use wootz_bench::simrep::{
-    fig4_report, fig7_report, faults_report, shape_check, table3_report, table4_report,
+    faults_report, fig4_report, fig7_report, shape_check, table3_report, table4_report,
     table5_report,
 };
 
@@ -85,7 +85,9 @@ fn parse_args() -> Result<Args, String> {
                 json_dir = Some(std::path::PathBuf::from(v));
             }
             "--metrics-out" => {
-                let v = args.next().ok_or("--metrics-out needs a path".to_string())?;
+                let v = args
+                    .next()
+                    .ok_or("--metrics-out needs a path".to_string())?;
                 metrics_out = Some(std::path::PathBuf::from(v));
             }
             "--threads" => {
@@ -157,7 +159,9 @@ fn cluster_worker() -> ExitCode {
     match wootz_cluster::worker_net_main(&addr, &id, None) {
         Ok(wootz_cluster::WorkerExit::Shutdown) => ExitCode::SUCCESS,
         Ok(wootz_cluster::WorkerExit::CoordinatorGone) => {
-            eprintln!("cluster-worker {id}: coordinator at `{addr}` gone past the orphan grace budget");
+            eprintln!(
+                "cluster-worker {id}: coordinator at `{addr}` gone past the orphan grace budget"
+            );
             ExitCode::from(86)
         }
         Err(e) => {

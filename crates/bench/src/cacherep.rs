@@ -91,10 +91,8 @@ impl CacheArtifact {
 /// whole warm run.
 fn warm_subspace(seed_configs: &[PruneConfig], extras: usize) -> Vec<PruneConfig> {
     let mut out: Vec<PruneConfig> = seed_configs.to_vec();
-    let mut seen: std::collections::HashSet<Vec<u8>> = seed_configs
-        .iter()
-        .map(|c| c.rates().to_vec())
-        .collect();
+    let mut seen: std::collections::HashSet<Vec<u8>> =
+        seed_configs.iter().map(|c| c.rates().to_vec()).collect();
     let n = seed_configs.len();
     let mut shift = 1usize;
     while out.len() < n + extras && shift < n * n {
@@ -121,10 +119,7 @@ fn warm_subspace(seed_configs: &[PruneConfig], extras: usize) -> Vec<PruneConfig
     out
 }
 
-fn run_job(
-    inputs: &WootzInputs,
-    store: &BlockStore,
-) -> Result<(WootzRun, f64), String> {
+fn run_job(inputs: &WootzInputs, store: &BlockStore) -> Result<(WootzRun, f64), String> {
     let dataset = micro_dataset(&inputs.solver.dataset, inputs.solver.seed);
     let opts = RunOptions {
         retry: RetryPolicy::abort_fast(),
@@ -147,8 +142,12 @@ pub fn cache(opts: &MicroOpts) -> Result<CacheArtifact, String> {
     let dataset_name = "flowers102";
     let ir = wootz_models::resnet_mini(classes);
     let modules = ir.conv_module_ids().len();
-    let seed_configs =
-        sample_subspace(modules, &PAPER_RATES, opts.configs_per_cell.max(3), opts.seed);
+    let seed_configs = sample_subspace(
+        modules,
+        &PAPER_RATES,
+        opts.configs_per_cell.max(3),
+        opts.seed,
+    );
     let extras = (seed_configs.len() / 2).max(2);
     let warm_configs = warm_subspace(&seed_configs, extras);
     let solver = opts.solver(dataset_name);
@@ -207,8 +206,7 @@ pub fn cache(opts: &MicroOpts) -> Result<CacheArtifact, String> {
         cold_wall_ms,
         warm_wall_ms,
         speedup: cold_wall_ms / warm_wall,
-        bit_identical: warm.best == cold_b.best
-            && warm.full_accuracy == cold_b.full_accuracy,
+        bit_identical: warm.best == cold_b.best && warm.full_accuracy == cold_b.full_accuracy,
     })
 }
 
@@ -238,7 +236,13 @@ pub fn cache_report(art: &CacheArtifact) -> (String, bool) {
         ],
     ];
     out.push_str(&report::render_table(
-        &["run of job B", "wall ms", "pretrain steps", "hits/lookups", "bytes served"],
+        &[
+            "run of job B",
+            "wall ms",
+            "pretrain steps",
+            "hits/lookups",
+            "bytes served",
+        ],
         &body,
     ));
     out.push_str(&format!(

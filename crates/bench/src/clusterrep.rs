@@ -64,8 +64,8 @@ fn micro_inputs(seed: u64) -> WootzInputs {
          pretrain_iter: 4\neval_every: 4\nseed: {seed}\nnum_workers: 4\n"
     ))
     .expect("static solver");
-    let objective = Objective::parse("min ModelSize\nconstraint Accuracy >= 0.1\n")
-        .expect("static objective");
+    let objective =
+        Objective::parse("min ModelSize\nconstraint Accuracy >= 0.1\n").expect("static objective");
     WootzInputs {
         model,
         subspace,

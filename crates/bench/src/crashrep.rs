@@ -147,8 +147,8 @@ fn micro_inputs(seed: u64) -> WootzInputs {
          pretrain_iter: 4\neval_every: 4\nseed: {seed}\nnum_workers: 2\n"
     ))
     .expect("static solver");
-    let objective = Objective::parse("min ModelSize\nconstraint Accuracy >= 0.1\n")
-        .expect("static objective");
+    let objective =
+        Objective::parse("min ModelSize\nconstraint Accuracy >= 0.1\n").expect("static objective");
     WootzInputs {
         model,
         subspace,
@@ -226,12 +226,7 @@ pub fn run_scenario(
 /// # Errors
 ///
 /// Returns a rendered error when the run or the outcome write fails.
-pub fn crash_child_main(
-    scenario: &str,
-    dir: &Path,
-    out: &Path,
-    seed: u64,
-) -> Result<(), String> {
+pub fn crash_child_main(scenario: &str, dir: &Path, out: &Path, seed: u64) -> Result<(), String> {
     let scenario = Scenario::parse(scenario)
         .ok_or_else(|| format!("unknown crash-child scenario `{scenario}`"))?;
     let outcome = run_scenario(scenario, dir, seed, false)?;
@@ -418,10 +413,7 @@ fn corrupt_and_resume(base: &Path, baseline: &str, seed: u64) -> Result<SiteResu
 /// Returns a rendered error when any scenario fails to crash, fails to
 /// recover, or recovers to a different result.
 pub fn crashes_report(seed: u64, _quick: bool) -> Result<String, String> {
-    let base = std::env::temp_dir().join(format!(
-        "wootz_reproduce_crashes_{}",
-        std::process::id()
-    ));
+    let base = std::env::temp_dir().join(format!("wootz_reproduce_crashes_{}", std::process::id()));
     std::fs::remove_dir_all(&base).ok();
     std::fs::create_dir_all(&base).map_err(|e| format!("cannot create scratch dir: {e}"))?;
 
@@ -430,9 +422,13 @@ pub fn crashes_report(seed: u64, _quick: bool) -> Result<String, String> {
     // Composability mode on the same micro instance, so the
     // single-process run is the bit-identity reference of the
     // distributed rows too.
-    let baseline =
-        run_scenario(Scenario::Pipeline, &scenario_dir(&base, "baseline.pipeline")?, seed, false)?
-            .fingerprint;
+    let baseline = run_scenario(
+        Scenario::Pipeline,
+        &scenario_dir(&base, "baseline.pipeline")?,
+        seed,
+        false,
+    )?
+    .fingerprint;
 
     let mut rows = Vec::new();
     for site in KILL_SITES {
@@ -473,7 +469,13 @@ pub fn crashes_report(seed: u64, _quick: bool) -> Result<String, String> {
          evaluation record).\n\n",
     );
     out.push_str(&report::render_table(
-        &["kill site", "scenario", "crash", "recovery", "bit-identical"],
+        &[
+            "kill site",
+            "scenario",
+            "crash",
+            "recovery",
+            "bit-identical",
+        ],
         &table,
     ));
     let failed: Vec<&SiteResult> = rows.iter().filter(|r| !r.identical).collect();
@@ -491,7 +493,10 @@ pub fn crashes_report(seed: u64, _quick: bool) -> Result<String, String> {
                 r.site
             ));
         }
-        out.push_str(&format!("\nscratch kept for inspection: {}\n", base.display()));
+        out.push_str(&format!(
+            "\nscratch kept for inspection: {}\n",
+            base.display()
+        ));
         Err(out)
     }
 }

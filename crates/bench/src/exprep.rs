@@ -39,9 +39,9 @@ use wootz_core::pipeline::{
 };
 use wootz_core::prune::{sample_subspace, PAPER_RATES};
 use wootz_data::micro_dataset;
-use wootz_nn::Checkpoint;
 use wootz_fault::RetryPolicy;
 use wootz_ir::Objective;
+use wootz_nn::Checkpoint;
 use wootz_store::BlockStore;
 
 use crate::real::MicroOpts;
@@ -280,7 +280,11 @@ pub fn explorers(sc: &Scenario, budget: usize) -> Result<ExplorersArtifact, Stri
     std::fs::remove_dir_all(&base).ok();
 
     let mut rows = Vec::new();
-    for kind in [ExplorerKind::Fixed, ExplorerKind::Taylor, ExplorerKind::Bandit] {
+    for kind in [
+        ExplorerKind::Fixed,
+        ExplorerKind::Taylor,
+        ExplorerKind::Bandit,
+    ] {
         let strategy_budget = if kind.is_adaptive() { budget } else { 0 };
         let store_dir = base.join(kind.as_str());
         let store = BlockStore::open(&store_dir, None).map_err(|e| e.to_string())?;
@@ -325,8 +329,7 @@ pub fn explorers_report(art: &ExplorersArtifact) -> (String, bool) {
         .map(|r| {
             vec![
                 r.strategy.clone(),
-                r.evals_to_target
-                    .map_or("-".to_string(), |e| e.to_string()),
+                r.evals_to_target.map_or("-".to_string(), |e| e.to_string()),
                 r.configs_explored.to_string(),
                 r.cold_pretrain_steps.to_string(),
                 r.warm_pretrain_steps.to_string(),

@@ -98,7 +98,11 @@ fn bench_case(
         workload: workload.to_string(),
         single_ms,
         multi_ms,
-        speedup: if multi_ms > 0.0 { single_ms / multi_ms } else { 1.0 },
+        speedup: if multi_ms > 0.0 {
+            single_ms / multi_ms
+        } else {
+            1.0
+        },
         bitwise_equal: out1 == outn,
     }
 }
@@ -114,7 +118,11 @@ pub fn kernels(threads: usize, reps: usize, quick: bool) -> KernelsArtifact {
 
     // Problem sizes: large enough to dominate per-task dispatch overhead,
     // small enough that the suite stays in smoke-test territory.
-    let (mm, batch, chw, classes) = if quick { (64, 4, 8, 10) } else { (128, 8, 16, 100) };
+    let (mm, batch, chw, classes) = if quick {
+        (64, 4, 8, 10)
+    } else {
+        (128, 8, 16, 100)
+    };
 
     let a = init::normal(&mut rng, &[mm, mm], 0.0, 1.0);
     let b = init::normal(&mut rng, &[mm, mm], 0.0, 1.0);
@@ -195,7 +203,11 @@ pub fn kernels_table(art: &KernelsArtifact) -> String {
                 report::f(r.single_ms, 3),
                 report::f(r.multi_ms, 3),
                 report::speedup(r.speedup),
-                if r.bitwise_equal { "yes".into() } else { "NO".into() },
+                if r.bitwise_equal {
+                    "yes".into()
+                } else {
+                    "NO".into()
+                },
             ]
         })
         .collect();
@@ -208,7 +220,14 @@ pub fn kernels_table(art: &KernelsArtifact) -> String {
     );
     report::titled_table(
         &intro,
-        &["kernel", "workload", "1-thread ms", "N-thread ms", "speedup", "bitwise"],
+        &[
+            "kernel",
+            "workload",
+            "1-thread ms",
+            "N-thread ms",
+            "speedup",
+            "bitwise",
+        ],
         &body,
     )
 }
@@ -243,7 +262,11 @@ mod tests {
         assert_eq!(art.kernel_level, ops::kernel_level().name());
         assert_eq!(art.rows.len(), 4);
         for row in &art.rows {
-            assert!(row.bitwise_equal, "{} diverged across thread counts", row.kernel);
+            assert!(
+                row.bitwise_equal,
+                "{} diverged across thread counts",
+                row.kernel
+            );
             assert!(row.single_ms >= 0.0 && row.multi_ms >= 0.0);
         }
         let (text, ok) = kernels_report(&art);

@@ -122,7 +122,12 @@ pub fn memory(batch: usize, steps: usize) -> MemoryArtifact {
     let mut rng = ChaCha8Rng::seed_from_u64(11);
     let x = init::normal(
         &mut rng,
-        &[batch, input_spec.channels, input_spec.height, input_spec.width],
+        &[
+            batch,
+            input_spec.channels,
+            input_spec.height,
+            input_spec.width,
+        ],
         0.0,
         1.0,
     );
@@ -139,22 +144,29 @@ pub fn memory(batch: usize, steps: usize) -> MemoryArtifact {
         // Interpreter step: meter the process-wide interp-alloc counters
         // around one forward + loss + backward.
         let (a0, b0) = (allocs.get(), bytes.get());
-        let pass = forward(&interp.graph, &mut interp.vars, &feed, Mode::Train)
-            .expect("interp forward");
+        let pass =
+            forward(&interp.graph, &mut interp.vars, &feed, Mode::Train).expect("interp forward");
         let retained = pass.retained_bytes() as u64;
         let out = softmax_cross_entropy(pass.activation(logits), &labels);
         interp.vars.zero_grads();
-        backward(&interp.graph, &mut interp.vars, &pass, &[(logits, out.dlogits)])
-            .expect("interp backward");
+        backward(
+            &interp.graph,
+            &mut interp.vars,
+            &pass,
+            &[(logits, out.dlogits)],
+        )
+        .expect("interp backward");
         let (interp_allocs, interp_alloc_bytes) = (allocs.get() - a0, bytes.get() - b0);
 
         // Planned step: reset the arena counters (keeping the pool warm)
         // so `fresh` and the peak watermark are per-step readings.
         net.reset_arena_stats();
-        net.forward(&mut planned.vars, &feed, Mode::Train).expect("planned forward");
+        net.forward(&mut planned.vars, &feed, Mode::Train)
+            .expect("planned forward");
         let pout = softmax_cross_entropy(net.activation(logits).expect("kept"), &labels);
         planned.vars.zero_grads();
-        net.backward(&mut planned.vars, &[(logits, &pout.dlogits)]).expect("planned backward");
+        net.backward(&mut planned.vars, &[(logits, &pout.dlogits)])
+            .expect("planned backward");
         let st = net.arena_stats();
 
         train_rows.push(MemStepRow {
@@ -178,7 +190,9 @@ pub fn memory(batch: usize, steps: usize) -> MemoryArtifact {
     let eval_pass = forward_eval(&interp.graph, &interp.vars, &feed).expect("interp eval");
     let eval_interp_bytes = eval_pass.retained_bytes() as u64;
     let mut eval_net = CompiledNet::new(&planned.graph, &[logits]).expect("plan compiles");
-    eval_net.forward_eval(&planned.vars, &feed).expect("planned eval");
+    eval_net
+        .forward_eval(&planned.vars, &feed)
+        .expect("planned eval");
     let eval_planned_peak_bytes = eval_net.arena_stats().peak_live_bytes as u64;
     let eval_reduction = if eval_planned_peak_bytes > 0 {
         eval_interp_bytes as f64 / eval_planned_peak_bytes as f64

@@ -447,7 +447,12 @@ pub fn pipeline_report(
     let dataset_name = "flowers102";
     let ir = wootz_models::resnet_mini(classes);
     let modules = ir.conv_module_ids().len();
-    let subspace = sample_subspace(modules, &PAPER_RATES, opts.configs_per_cell.max(3), opts.seed);
+    let subspace = sample_subspace(
+        modules,
+        &PAPER_RATES,
+        opts.configs_per_cell.max(3),
+        opts.seed,
+    );
     let solver = opts.solver(dataset_name);
     let dataset = micro_dataset(dataset_name, solver.seed);
     let inputs = WootzInputs {

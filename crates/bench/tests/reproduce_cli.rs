@@ -25,7 +25,11 @@ fn table4_runs_and_writes_json() {
         .arg(&dir)
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("Table 4"), "{stdout}");
     assert!(stdout.contains("paper-speedup"), "{stdout}");

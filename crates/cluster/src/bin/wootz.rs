@@ -93,11 +93,11 @@ use wootz_cluster::{
 use wootz_core::blocks::{identify_tuning_blocks, partition_into_groups};
 use wootz_core::explorer::ExplorerKind;
 use wootz_core::pipeline::{run_wootz_with, RunMode, RunOptions, WootzInputs, WootzRun};
-use wootz_fault::chaos;
-use wootz_fault::{FaultPlan, OnExhausted, RetryPolicy};
 use wootz_core::prune::{sample_segment_subspace, sample_subspace, PruneConfig, PAPER_RATES};
 use wootz_core::stats::model_stats;
 use wootz_data::micro_dataset;
+use wootz_fault::chaos;
+use wootz_fault::{FaultPlan, OnExhausted, RetryPolicy};
 use wootz_ir::{ModelIr, Objective, SolverConfig};
 
 /// Exit code of a TCP worker whose orphan grace budget expired without
@@ -221,7 +221,10 @@ fn take_explorer_flags(
         None => ExplorerKind::Fixed,
     };
     let budget_flag: Option<usize> = match take_flag(args, "--explorer-budget") {
-        Some(s) => Some(s.parse().map_err(|e| format!("bad --explorer-budget: {e}"))?),
+        Some(s) => Some(
+            s.parse()
+                .map_err(|e| format!("bad --explorer-budget: {e}"))?,
+        ),
         None => None,
     };
     if budget_flag.is_some() && !explorer.is_adaptive() {
@@ -421,7 +424,10 @@ fn cmd_prune(mut args: Vec<String>) -> CliResult {
     let resume = take_switch(&mut args, "--resume");
     let fault_path = take_flag(&mut args, "--inject-faults");
     let retry_attempts: Option<u32> = match take_flag(&mut args, "--retry-attempts") {
-        Some(s) => Some(s.parse().map_err(|e| format!("bad --retry-attempts: {e}"))?),
+        Some(s) => Some(
+            s.parse()
+                .map_err(|e| format!("bad --retry-attempts: {e}"))?,
+        ),
         None => None,
     };
     let on_fail = take_flag(&mut args, "--on-fail");
@@ -436,7 +442,10 @@ fn cmd_prune(mut args: Vec<String>) -> CliResult {
     };
     let listen = take_flag(&mut args, "--listen");
     let orphan_grace_ms: Option<u64> = match take_flag(&mut args, "--orphan-grace-ms") {
-        Some(s) => Some(s.parse().map_err(|e| format!("bad --orphan-grace-ms: {e}"))?),
+        Some(s) => Some(
+            s.parse()
+                .map_err(|e| format!("bad --orphan-grace-ms: {e}"))?,
+        ),
         None => None,
     };
     let store_dir: Option<PathBuf> = take_flag(&mut args, "--store").map(Into::into);
@@ -455,7 +464,10 @@ fn cmd_prune(mut args: Vec<String>) -> CliResult {
     }
 
     if distributed.is_none()
-        && (run_dir.is_some() || lease_ms.is_some() || listen.is_some() || orphan_grace_ms.is_some())
+        && (run_dir.is_some()
+            || lease_ms.is_some()
+            || listen.is_some()
+            || orphan_grace_ms.is_some())
     {
         return Err(
             "--run-dir/--lease-ms/--listen/--orphan-grace-ms only apply with --distributed N"
@@ -626,8 +638,7 @@ fn cmd_submit(mut args: Vec<String>) -> CliResult {
     let mut read = |flag: &str| -> Result<String, Box<dyn std::error::Error>> {
         let path =
             take_flag(&mut args, flag).ok_or_else(|| format!("submit needs {flag} <file>"))?;
-        Ok(std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read `{path}`: {e}"))?)
+        Ok(std::fs::read_to_string(&path).map_err(|e| format!("cannot read `{path}`: {e}"))?)
     };
     let model = read("--model")?;
     let configs = read("--configs")?;
@@ -655,7 +666,10 @@ fn cmd_worker(mut args: Vec<String>) -> Result<ExitCode, Box<dyn std::error::Err
     let addr = take_flag(&mut args, "--connect").ok_or("worker needs --connect <addr>")?;
     let worker_id = take_flag(&mut args, "--worker-id").ok_or("worker needs --worker-id <id>")?;
     let orphan_grace_ms: Option<u64> = match take_flag(&mut args, "--orphan-grace-ms") {
-        Some(s) => Some(s.parse().map_err(|e| format!("bad --orphan-grace-ms: {e}"))?),
+        Some(s) => Some(
+            s.parse()
+                .map_err(|e| format!("bad --orphan-grace-ms: {e}"))?,
+        ),
         None => None,
     };
     reject_leftovers(&args)?;
@@ -681,7 +695,10 @@ fn cmd_chaos(mut args: Vec<String>) -> CliResult {
         return Err(format!("unknown chaos subcommand `{sub}` (try `wootz chaos list`)").into());
     }
     reject_leftovers(&args)?;
-    println!("deterministic kill points (arm one with {}=<site>:<n>;", chaos::ENV_KILL_AT);
+    println!(
+        "deterministic kill points (arm one with {}=<site>:<n>;",
+        chaos::ENV_KILL_AT
+    );
     println!("the process aborts mid-write at the n-th crossing of that site):");
     println!();
     let width = chaos::KILL_SITES

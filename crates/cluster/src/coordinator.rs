@@ -47,8 +47,8 @@ use wootz_core::compile::{MultiplexingModel, TuningBlock};
 use wootz_core::explore::SupervisedEval;
 use wootz_core::explorer::ExplorerKind;
 use wootz_core::pipeline::{
-    block_pretrain_config, run_phases, RoundBackend, RunMode, RunOptions, UniverseEnv,
-    WootzInputs, WootzRun,
+    block_pretrain_config, run_phases, RoundBackend, RunMode, RunOptions, UniverseEnv, WootzInputs,
+    WootzRun,
 };
 use wootz_core::pretrain::{
     pretrain_groups_with, BlockSink, GroupOutcome, PretrainOutcome, PretrainedBlock,
@@ -554,7 +554,9 @@ impl Coordinator<'_> {
                     continue;
                 }
                 for att in &unit.live {
-                    let Some(signal) = att.last_signal else { continue };
+                    let Some(signal) = att.last_signal else {
+                        continue;
+                    };
                     let age = now.saturating_duration_since(signal);
                     if age.as_millis() as u64 > self.opts.lease_ms {
                         reclaims.push((seq, att.task.attempt));
@@ -566,8 +568,7 @@ impl Coordinator<'_> {
                     continue;
                 }
                 let unit = units.get_mut(&seq).expect("reclaim of a known unit");
-                let Some(pos) = unit.live.iter().position(|a| a.task.attempt == attempt)
-                else {
+                let Some(pos) = unit.live.iter().position(|a| a.task.attempt == attempt) else {
                     continue;
                 };
                 let old = unit.live.remove(pos);

@@ -77,6 +77,6 @@ pub mod worker;
 
 pub use coordinator::{run_distributed, self_worker_cmd, ClusterOptions, ClusterStats};
 pub use messages::Message;
-pub use serve::{job_code, serve, submit, ServeOptions};
 pub use queue::RunDir;
+pub use serve::{job_code, serve, submit, ServeOptions};
 pub use worker::{worker_net_main, WorkerExit, DEFAULT_ORPHAN_GRACE_MS, ENV_ORPHAN_GRACE_MS};

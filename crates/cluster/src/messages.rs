@@ -446,7 +446,9 @@ mod tests {
                     epoch: 1,
                 },
                 "Welcome" => continue, // needs a manifest; covered by integration tests
-                "TaskRequest" => Message::TaskRequest { worker: "w0".into() },
+                "TaskRequest" => Message::TaskRequest {
+                    worker: "w0".into(),
+                },
                 "TaskGrant" => continue,
                 "NoTask" => Message::NoTask { backoff_ms: 50 },
                 "Heartbeat" => Message::Heartbeat {

@@ -348,7 +348,10 @@ pub(crate) fn read_doc<R: Read, T: for<'de> Deserialize<'de>>(
 
 /// Reads a wire `u64` into a host `usize`, rejecting values the host
 /// cannot represent.
-pub(crate) fn read_usize<R: Read>(r: &mut WireReader<R>, context: &'static str) -> WireResult<usize> {
+pub(crate) fn read_usize<R: Read>(
+    r: &mut WireReader<R>,
+    context: &'static str,
+) -> WireResult<usize> {
     let v = r.u64(context)?;
     usize::try_from(v).map_err(|_| WireError::InvalidValue {
         context,
@@ -461,11 +464,7 @@ impl WireDeserialize for TaskSpec {
 
 impl WireSerialize for WireEval {
     fn wire_size(&self) -> usize {
-        8 + 1
-            + self.outcome.as_ref().map_or(0, doc_size)
-            + self.error.wire_size()
-            + 4
-            + 8
+        8 + 1 + self.outcome.as_ref().map_or(0, doc_size) + self.error.wire_size() + 4 + 8
     }
 
     fn wire_write<W: Write + ?Sized>(&self, w: &mut W) -> WireResult<()> {
@@ -505,9 +504,9 @@ impl WireSerialize for ResultPayload {
     fn wire_size(&self) -> usize {
         match self {
             ResultPayload::Eval(eval) => 1 + eval.wire_size(),
-            ResultPayload::Pretrain {
-                blocks, failed, ..
-            } => 1 + 8 + doc_size(blocks) + failed.wire_size(),
+            ResultPayload::Pretrain { blocks, failed, .. } => {
+                1 + 8 + doc_size(blocks) + failed.wire_size()
+            }
         }
     }
 
@@ -670,7 +669,11 @@ mod tests {
         for spec in specs {
             let mut buf = Vec::new();
             spec.wire_write(&mut buf).unwrap();
-            assert_eq!(buf.len(), spec.wire_size(), "declared size matches encoding");
+            assert_eq!(
+                buf.len(),
+                spec.wire_size(),
+                "declared size matches encoding"
+            );
             let mut reader = WireReader::new(
                 buf.as_slice(),
                 buf.len() as u64,

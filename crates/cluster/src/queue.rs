@@ -162,11 +162,7 @@ impl RunDir {
                 }
                 // Another worker won the race for this file; try the next.
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(e) => {
-                    return Err(protocol::cluster_err(format!(
-                        "cannot claim `{name}`: {e}"
-                    )))
-                }
+                Err(e) => return Err(protocol::cluster_err(format!("cannot claim `{name}`: {e}"))),
             }
         }
         Ok(None)

@@ -39,9 +39,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use wootz_core::explorer::ExplorerKind;
-use wootz_core::pipeline::{
-    run_wootz_with, RunEvent, RunMode, RunOptions, WootzInputs, WootzRun,
-};
+use wootz_core::pipeline::{run_wootz_with, RunEvent, RunMode, RunOptions, WootzInputs, WootzRun};
 use wootz_core::prune::PruneConfig;
 use wootz_data::micro_dataset;
 use wootz_fault::{fnv1a64, RetryPolicy};
@@ -136,7 +134,15 @@ fn parse_job(
     explorer: &str,
     explorer_budget: u64,
 ) -> std::result::Result<Job, String> {
-    let id = job_id(model, configs, solver, objective, mode, explorer, explorer_budget);
+    let id = job_id(
+        model,
+        configs,
+        solver,
+        objective,
+        mode,
+        explorer,
+        explorer_budget,
+    );
     let model = ModelIr::parse(model).map_err(|e| format!("model: {e}"))?;
     let raw: Vec<Vec<u8>> = serde_json::from_str(configs)
         .map_err(|e| format!("configs: must be a JSON array of rate arrays: {e}"))?;
@@ -161,8 +167,10 @@ fn parse_job(
         other => ExplorerKind::parse(other).map_err(|e| format!("explorer: {e}"))?,
     };
     if !explorer.is_adaptive() && explorer_budget != 0 {
-        return Err("explorer: explorer_budget requires an adaptive explorer (taylor or bandit)"
-            .to_string());
+        return Err(
+            "explorer: explorer_budget requires an adaptive explorer (taylor or bandit)"
+                .to_string(),
+        );
     }
     Ok(Job {
         id,
@@ -296,7 +304,15 @@ fn handle_connection(daemon: &Daemon, mut stream: TcpStream, peer: String) {
                 mode,
                 explorer,
                 explorer_budget,
-            }) => (model, configs, solver, objective, mode, explorer, explorer_budget),
+            }) => (
+                model,
+                configs,
+                solver,
+                objective,
+                mode,
+                explorer,
+                explorer_budget,
+            ),
             Ok(other) => {
                 // Not job traffic (a confused worker, a port scan): answer
                 // with a structured refusal and close.
@@ -432,9 +448,7 @@ fn run_job(daemon: &Daemon, job: &Job, writer: &Mutex<TcpStream>) -> (u32, Strin
         },
         // The journal lock names a concurrent writer of this exact job —
         // the cross-process analogue of the active-set guard above.
-        Err(e) if e.to_string().contains("journal is locked") => {
-            (job_code::BUSY, e.to_string())
-        }
+        Err(e) if e.to_string().contains("journal is locked") => (job_code::BUSY, e.to_string()),
         Err(e) => (job_code::FAILED, e.to_string()),
     }
 }
@@ -495,7 +509,9 @@ pub fn submit(addr: &str, msg: &Message) -> Result<String> {
                         job_code::BUSY => "busy",
                         _ => "failed",
                     };
-                    Err(cluster_err(format!("job {job} {kind} (code {code}): {detail}")))
+                    Err(cluster_err(format!(
+                        "job {job} {kind} (code {code}): {detail}"
+                    )))
                 };
             }
             Ok(other) => {
@@ -537,11 +553,27 @@ mod tests {
         let err = parse_job("not a model", "[[0]]", "", "max Accuracy", "", "", 0).unwrap_err();
         assert!(err.starts_with("model:"), "{err}");
         let model = wootz_models::resnet_mini(4).to_prototxt();
-        let err = parse_job(&model, "nope", "dataset: \"flowers102\"", "max Accuracy", "", "", 0)
-            .unwrap_err();
+        let err = parse_job(
+            &model,
+            "nope",
+            "dataset: \"flowers102\"",
+            "max Accuracy",
+            "",
+            "",
+            0,
+        )
+        .unwrap_err();
         assert!(err.starts_with("configs:"), "{err}");
-        let err = parse_job(&model, "[]", "dataset: \"flowers102\"", "max Accuracy", "", "", 0)
-            .unwrap_err();
+        let err = parse_job(
+            &model,
+            "[]",
+            "dataset: \"flowers102\"",
+            "max Accuracy",
+            "",
+            "",
+            0,
+        )
+        .unwrap_err();
         assert!(err.starts_with("configs: empty"), "{err}");
         let err = parse_job(
             &model,

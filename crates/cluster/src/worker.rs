@@ -141,7 +141,11 @@ impl WorkerEnv {
             .as_ref()
             .is_some_and(|env| env.inputs.subspace == *universe)
         {
-            self.universe = Some(UniverseEnv::build(&self.inputs, universe, self.manifest.mode)?);
+            self.universe = Some(UniverseEnv::build(
+                &self.inputs,
+                universe,
+                self.manifest.mode,
+            )?);
         }
         let env = self.universe.as_ref().expect("built above");
         // Re-fetch whenever this universe implies a key we have not seen.
@@ -348,11 +352,7 @@ fn connect_backoff_ms(worker_id: &str, failure: usize) -> u64 {
 /// Returns an error when the received manifest cannot be reconstructed
 /// into a working evaluation environment. Connection failures are *not*
 /// errors — they burn orphan grace instead.
-pub fn worker_net_main(
-    addr: &str,
-    worker_id: &str,
-    grace_ms: Option<u64>,
-) -> Result<WorkerExit> {
+pub fn worker_net_main(addr: &str, worker_id: &str, grace_ms: Option<u64>) -> Result<WorkerExit> {
     let _span = wootz_obs::span("cluster.net_worker").with("worker", worker_id);
     let grace = Duration::from_millis(grace_ms.unwrap_or_else(|| {
         std::env::var(ENV_ORPHAN_GRACE_MS)
@@ -449,7 +449,12 @@ pub fn worker_net_main(
 
         // Deliver a result the previous session failed to get through.
         if let Some(result) = undelivered.take() {
-            if client.send(&Message::TaskDone { result: result.clone() }).is_err() {
+            if client
+                .send(&Message::TaskDone {
+                    result: result.clone(),
+                })
+                .is_err()
+            {
                 undelivered = Some(result);
                 continue 'session;
             }
@@ -653,6 +658,9 @@ mod tests {
             .map(|w| connect_backoff_ms(&format!("w{w}"), 20))
             .collect();
         let distinct: std::collections::BTreeSet<u64> = at_cap.iter().copied().collect();
-        assert!(distinct.len() > 1, "all workers stampede in phase: {at_cap:?}");
+        assert!(
+            distinct.len() > 1,
+            "all workers stampede in phase: {at_cap:?}"
+        );
     }
 }

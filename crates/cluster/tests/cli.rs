@@ -204,10 +204,17 @@ fn prune_with_metrics_out_writes_parseable_ndjson() {
         "explore.config",
         "trainer.run",
     ] {
-        assert!(span_names.contains(expected), "missing span {expected}: {span_names:?}");
+        assert!(
+            span_names.contains(expected),
+            "missing span {expected}: {span_names:?}"
+        );
     }
     // ...the kernel FLOP accounting as counters...
-    for expected in ["tensor.conv2d.calls", "tensor.conv2d.flops", "tensor.conv2d.bytes"] {
+    for expected in [
+        "tensor.conv2d.calls",
+        "tensor.conv2d.flops",
+        "tensor.conv2d.bytes",
+    ] {
         assert!(
             counter_names.contains(expected),
             "missing counter {expected}: {counter_names:?}"
@@ -294,11 +301,7 @@ fn prune_journal_then_resume_skips_finished_work() {
             .lines()
             .find(|l| l.starts_with("exploration:"))
             .unwrap_or_else(|| panic!("no exploration line in {stdout}"));
-        line.split_whitespace()
-            .nth(1)
-            .unwrap()
-            .parse()
-            .unwrap()
+        line.split_whitespace().nth(1).unwrap().parse().unwrap()
     };
     let best = |stdout: &str| -> String {
         stdout

@@ -187,7 +187,11 @@ fn hung_worker_is_fenced_and_its_zombie_result_rejected() {
     // a checksummed envelope.
     let bytes = std::fs::read(&journal).unwrap();
     let scan = wootz_wire::scan_records(&bytes, &wootz_wire::Limits::ARTIFACT);
-    assert!(scan.tail.is_clean(), "journal ends cleanly: {:?}", scan.tail);
+    assert!(
+        scan.tail.is_clean(),
+        "journal ends cleanly: {:?}",
+        scan.tail
+    );
     let mut eval_counts: std::collections::BTreeMap<u64, usize> = Default::default();
     for record in &scan.records {
         if record.frame.msg_type != wootz_wire::record_type::JOURNAL_EVAL {

@@ -481,7 +481,10 @@ fn socket_closed_mid_block_fetch_reconnects_instead_of_exiting() {
         match listener.accept() {
             Ok((conn, _)) => break conn,
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                assert!(!worker.is_finished(), "the worker exited instead of redialing");
+                assert!(
+                    !worker.is_finished(),
+                    "the worker exited instead of redialing"
+                );
                 std::thread::sleep(Duration::from_millis(5));
             }
             Err(e) => panic!("accept failed: {e}"),

@@ -43,7 +43,11 @@ fn spec_table(marker: &str) -> Vec<(u16, String, String)> {
             .strip_prefix('`')
             .and_then(|s| s.strip_suffix('`'))
             .unwrap_or_else(|| panic!("{marker} row for code {code} lacks a `backticked` name"));
-        rows.push((code, name.to_string(), cells.next().unwrap_or_default().to_string()));
+        rows.push((
+            code,
+            name.to_string(),
+            cells.next().unwrap_or_default().to_string(),
+        ));
     }
     rows
 }
@@ -108,14 +112,21 @@ fn protocol_md_task_kind_table_matches_what_task_kind_encodes() {
             kind.wire_write(&mut buf).unwrap();
             // The variant name is the head of the derived Debug rendering.
             let name = format!("{kind:?}");
-            (buf[0], name.split(' ').next().unwrap_or_default().to_string())
+            (
+                buf[0],
+                name.split(' ').next().unwrap_or_default().to_string(),
+            )
         })
         .collect();
     assert_eq!(of_status("live"), encoded, "PROTOCOL.md live task kinds");
 
     // Retired rows: exactly the tags the decoder refuses as retired.
     let retired: Vec<u8> = of_status("retired").iter().map(|(tag, _)| *tag).collect();
-    assert_eq!(retired, TaskKind::RETIRED_TAGS, "PROTOCOL.md retired task kinds");
+    assert_eq!(
+        retired,
+        TaskKind::RETIRED_TAGS,
+        "PROTOCOL.md retired task kinds"
+    );
     for tag in retired {
         let buf = [tag, 0, 0, 0, 0, 0, 0, 0, 0];
         let mut reader = WireReader::new(buf.as_slice(), buf.len() as u64, Limits::DEFAULT);

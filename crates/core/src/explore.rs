@@ -23,7 +23,9 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use serde::{Deserialize, Serialize};
-use wootz_fault::{panic_message, site, FaultError, FaultKind, FaultPlan, OnExhausted, RetryPolicy};
+use wootz_fault::{
+    panic_message, site, FaultError, FaultKind, FaultPlan, OnExhausted, RetryPolicy,
+};
 use wootz_ir::{ExplorationOrder, Measurements, Metric, Objective};
 use wootz_nn::TrainLog;
 
@@ -93,7 +95,13 @@ impl EvalRecord {
 
     /// Whether the objective was satisfied (always `false` for failures).
     pub fn satisfies(&self) -> bool {
-        matches!(self, EvalRecord::Done { satisfies: true, .. })
+        matches!(
+            self,
+            EvalRecord::Done {
+                satisfies: true,
+                ..
+            }
+        )
     }
 
     /// Whether this entry is a permanent failure.
@@ -266,9 +274,9 @@ where
 {
     let injected = FaultPlan::fire_opt(faults, site::EXPLORE_EVAL, config_index as u64, attempt);
     let run = catch_unwind(AssertUnwindSafe(|| match &injected {
-        Some(FaultKind::EvalPanic) => panic!(
-            "injected fault: evaluator panic (config {config_index}, attempt {attempt})"
-        ),
+        Some(FaultKind::EvalPanic) => {
+            panic!("injected fault: evaluator panic (config {config_index}, attempt {attempt})")
+        }
         // Process-level kinds (WorkerCrash/WorkerHang) belong to the
         // distributed `cluster.task` site; planted here they degrade to a
         // clean injected error rather than killing the host process.
@@ -374,7 +382,9 @@ pub(crate) fn fold_round(
                 (rec.clone(), false)
             }
             None => {
-                let sup = fresh.next().expect("one supervised result per fresh config");
+                let sup = fresh
+                    .next()
+                    .expect("one supervised result per fresh config");
                 let record = match sup.result {
                     Ok(outcome) => {
                         let satisfies = objective.satisfied_by(&outcome);
@@ -601,17 +611,14 @@ pub(crate) fn finish_exploration(
 /// be "best"; such records only arise from hand-built inputs — a NaN
 /// accuracy never satisfies an accuracy constraint in the first place).
 fn pick_best(objective: &Objective, evaluated: &[EvalRecord]) -> Option<usize> {
-    let candidates = evaluated
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| match r {
-            EvalRecord::Done {
-                outcome,
-                satisfies: true,
-                ..
-            } if !objective.metric_of(outcome).is_nan() => Some((i, outcome)),
-            _ => None,
-        });
+    let candidates = evaluated.iter().enumerate().filter_map(|(i, r)| match r {
+        EvalRecord::Done {
+            outcome,
+            satisfies: true,
+            ..
+        } if !objective.metric_of(outcome).is_nan() => Some((i, outcome)),
+        _ => None,
+    });
     let key = |o: &EvalOutcome| objective.metric_of(o);
     let cmp = |a: f64, b: f64| a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal);
     match objective.direction {
@@ -713,7 +720,10 @@ mod tests {
             log: None,
         };
         let obj = min_size(0.5);
-        assert!(obj.satisfied_by(&outcome(100, 0.5)), "boundary is inclusive");
+        assert!(
+            obj.satisfied_by(&outcome(100, 0.5)),
+            "boundary is inclusive"
+        );
         assert!(!obj.satisfied_by(&outcome(100, 0.4999)));
         // NaN accuracy satisfies nothing — and must not panic.
         assert!(!obj.satisfied_by(&outcome(100, f64::NAN)));
@@ -786,8 +796,14 @@ mod tests {
         assert_eq!(res4.wall_cost, 2.0);
         // Both find the same best network.
         assert_eq!(
-            res1.evaluated[res1.best.unwrap()].outcome().unwrap().model_size,
-            res4.evaluated[res4.best.unwrap()].outcome().unwrap().model_size
+            res1.evaluated[res1.best.unwrap()]
+                .outcome()
+                .unwrap()
+                .model_size,
+            res4.evaluated[res4.best.unwrap()]
+                .outcome()
+                .unwrap()
+                .model_size
         );
     }
 
@@ -807,7 +823,10 @@ mod tests {
         // Explores size-descending: 300 (violates), 200 (ok) -> stops.
         assert_eq!(res.configs_explored, 2);
         assert_eq!(
-            res.evaluated[res.best.unwrap()].outcome().unwrap().model_size,
+            res.evaluated[res.best.unwrap()]
+                .outcome()
+                .unwrap()
+                .model_size,
             200
         );
     }
@@ -858,7 +877,14 @@ mod tests {
         let res = explore_threaded(&min_size(0.9), &sizes, 2, eval, &ExploreOptions::default());
         let err = res.unwrap_err();
         assert!(
-            matches!(err, CoreError::Eval { config_index: 1, attempts: 1, .. }),
+            matches!(
+                err,
+                CoreError::Eval {
+                    config_index: 1,
+                    attempts: 1,
+                    ..
+                }
+            ),
             "{err}"
         );
     }
@@ -918,8 +944,7 @@ mod tests {
             },
             resume: BTreeMap::new(),
         };
-        let res =
-            explore_supervised(&min_size(0.9), &sizes, 1, eval, &opts, None).unwrap();
+        let res = explore_supervised(&min_size(0.9), &sizes, 1, eval, &opts, None).unwrap();
         assert_eq!(res.failed, 0);
         assert_eq!(res.configs_explored, 3);
         // Config 1's record carries the backoff of one failed attempt.
@@ -951,15 +976,17 @@ mod tests {
             resume: BTreeMap::new(),
         };
         let res =
-            explore_supervised(&min_size(0.25), &sizes, 1, toy_eval(&sizes), &opts, None)
-                .unwrap();
+            explore_supervised(&min_size(0.25), &sizes, 1, toy_eval(&sizes), &opts, None).unwrap();
         assert_eq!(res.failed, 1);
         let failed = &res.evaluated[0];
         assert!(failed.is_failed());
         assert_eq!(failed.config_index(), 0);
         match failed {
             EvalRecord::Failed {
-                attempts, error, cost, ..
+                attempts,
+                error,
+                cost,
+                ..
             } => {
                 assert_eq!(*attempts, 2);
                 assert!(error.contains("panic"), "{error}");
@@ -994,7 +1021,14 @@ mod tests {
         let err = explore_supervised(&min_size(0.5), &sizes, 1, toy_eval(&sizes), &opts, None)
             .unwrap_err();
         assert!(
-            matches!(err, CoreError::Eval { config_index: 0, attempts: 3, .. }),
+            matches!(
+                err,
+                CoreError::Eval {
+                    config_index: 0,
+                    attempts: 3,
+                    ..
+                }
+            ),
             "{err}"
         );
     }
@@ -1022,8 +1056,8 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.failed > 0, "the 40% rate should kill some configs");
         // And the sequential supervisor agrees exactly.
-        let c = explore_supervised(&min_size(0.9), &sizes, 4, toy_eval(&sizes), &opts, None)
-            .unwrap();
+        let c =
+            explore_supervised(&min_size(0.9), &sizes, 4, toy_eval(&sizes), &opts, None).unwrap();
         assert_eq!(a, c);
     }
 
@@ -1040,8 +1074,8 @@ mod tests {
             retry: RetryPolicy::default(),
             resume: BTreeMap::new(),
         };
-        let res = explore_supervised(&min_size(0.9), &sizes, 1, toy_eval(&sizes), &opts, None)
-            .unwrap();
+        let res =
+            explore_supervised(&min_size(0.9), &sizes, 1, toy_eval(&sizes), &opts, None).unwrap();
         assert_eq!(res.failed, 0);
         assert_eq!(res.evaluated[0].outcome().unwrap().cost, 3.0);
         assert_eq!(res.total_cost, 4.0);

@@ -342,7 +342,11 @@ pub fn run_explorer(
                     pending.push_back(index);
                 }
             }
-            stale = if pending.len() == before { stale + 1 } else { 0 };
+            stale = if pending.len() == before {
+                stale + 1
+            } else {
+                0
+            };
         }
         if pending.is_empty() {
             break;
@@ -695,7 +699,11 @@ impl Explorer for BanditExplorer {
             let w = &mut self.weights[module][arm];
             *w = if rate == 0 {
                 // The unpruned arm gains only when pruning elsewhere missed.
-                if rewarded { *w } else { (*w * 1.1).min(1e6) }
+                if rewarded {
+                    *w
+                } else {
+                    (*w * 1.1).min(1e6)
+                }
             } else if rewarded {
                 (*w * 1.25).min(1e6)
             } else {
@@ -850,8 +858,14 @@ mod tests {
         for (width, expected) in [(1usize, vec![0, 1]), (2, vec![0, 1]), (3, vec![0, 1, 3])] {
             for budget in [0usize, 2] {
                 let mut explorer = FixedSubspace::new(&objective, configs.clone(), &sizes);
-                let (out, proposals, sunk) =
-                    run_toy(&mut explorer, &objective, width, budget, BTreeMap::new(), &[]);
+                let (out, proposals, sunk) = run_toy(
+                    &mut explorer,
+                    &objective,
+                    width,
+                    budget,
+                    BTreeMap::new(),
+                    &[],
+                );
                 let order: Vec<usize> = out
                     .exploration
                     .evaluated
@@ -903,8 +917,7 @@ mod tests {
             }
         }
         let objective = min_size(2.0);
-        let (out, proposals, _) =
-            run_toy(&mut Mixed(0), &objective, 2, 1, BTreeMap::new(), &[]);
+        let (out, proposals, _) = run_toy(&mut Mixed(0), &objective, 2, 1, BTreeMap::new(), &[]);
         let order: Vec<usize> = out
             .exploration
             .evaluated
@@ -924,9 +937,17 @@ mod tests {
             budget: 0,
             replay_proposals: &[],
         };
-        let err = run_explorer(&mut Mixed(2), &objective, 2, &mut toy_round, &opts, None, None)
-            .unwrap_err()
-            .to_string();
+        let err = run_explorer(
+            &mut Mixed(2),
+            &objective,
+            2,
+            &mut toy_round,
+            &opts,
+            None,
+            None,
+        )
+        .unwrap_err()
+        .to_string();
         assert!(err.contains("proposed universe index 9 of 2"), "{err}");
     }
 
@@ -953,9 +974,17 @@ mod tests {
             replay_proposals: &[],
         };
         let mut taylor = TaylorSaliency::new(&[0.1, 0.2], vec![30]);
-        let err = run_explorer(&mut taylor, &objective, 2, &mut toy_round, &opts, None, None)
-            .unwrap_err()
-            .to_string();
+        let err = run_explorer(
+            &mut taylor,
+            &objective,
+            2,
+            &mut toy_round,
+            &opts,
+            None,
+            None,
+        )
+        .unwrap_err()
+        .to_string();
         assert!(err.contains("without proposal records"), "{err}");
         // Proposal records of another explorer: refused before any work,
         // even by a strategy whose seeded universe covers the indices.
@@ -975,7 +1004,10 @@ mod tests {
         let err = run_explorer(&mut fixed, &objective, 2, &mut toy_round, &opts, None, None)
             .unwrap_err()
             .to_string();
-        assert!(err.contains("proposal records of the `taylor` explorer"), "{err}");
+        assert!(
+            err.contains("proposal records of the `taylor` explorer"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -998,7 +1030,7 @@ mod tests {
         let saliency = [0.1, 0.2, 0.3];
         let mut t = TaylorSaliency::new(&saliency, vec![30, 50]);
         let c1 = next_config(&mut t); // depth 3 at rate 30
-        // A miss at depth 3 caps later levels at depth 2.
+                                      // A miss at depth 3 caps later levels at depth 2.
         t.observe(&c1, &toy_outcome(&c1), false);
         let _d2 = t.propose(); // depth 2 at rate 30
         let _d1 = t.propose(); // depth 1 at rate 30
@@ -1098,8 +1130,7 @@ mod tests {
             .map(|r| (r.config_index(), r.clone()))
             .collect();
         let replayed: Vec<ProposalRecord> = cold_props[..2].to_vec();
-        let (warm, warm_props, sunk) =
-            run_toy(&mut full(), &objective, 3, 9, resume, &replayed);
+        let (warm, warm_props, sunk) = run_toy(&mut full(), &objective, 3, 9, resume, &replayed);
         assert_eq!(warm.exploration.evaluated, cold.exploration.evaluated);
         assert_eq!(warm.exploration.best, cold.exploration.best);
         assert_eq!(warm.exploration.resumed, cut);
@@ -1129,7 +1160,15 @@ mod tests {
             budget: 8,
             replay_proposals: &bogus,
         };
-        let err = run_explorer(&mut bandit, &objective, 3, &mut toy_round, &opts, None, None)
+        let err = run_explorer(
+            &mut bandit,
+            &objective,
+            3,
+            &mut toy_round,
+            &opts,
+            None,
+            None,
+        )
         .unwrap_err()
         .to_string();
         assert!(err.contains("explorer trajectory diverged"), "{err}");

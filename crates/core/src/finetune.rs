@@ -422,7 +422,10 @@ mod tests {
         let default_net = assemble(&mm, &config, &full, InitStrategy::Default, 0).unwrap();
         assert_eq!(
             built.vars.value("net/res2_1_branch2a/weight").unwrap(),
-            default_net.vars.value("net/res2_1_branch2a/weight").unwrap()
+            default_net
+                .vars
+                .value("net/res2_1_branch2a/weight")
+                .unwrap()
         );
     }
 

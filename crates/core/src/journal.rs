@@ -136,7 +136,9 @@ pub struct Replay {
 impl Replay {
     /// Total replayed work units.
     pub fn len(&self) -> usize {
-        usize::from(self.full.is_some()) + self.blocks.len() + self.evals.len()
+        usize::from(self.full.is_some())
+            + self.blocks.len()
+            + self.evals.len()
             + self.proposals.len()
     }
 
@@ -244,8 +246,8 @@ impl Journal {
     pub fn create(path: impl AsRef<Path>, header: &JournalHeader) -> Result<Journal> {
         let path = path.as_ref().to_path_buf();
         let lock = JournalLock::acquire(&path)?;
-        let file = File::create(&path)
-            .map_err(|e| journal_err(&path, format!("cannot create: {e}")))?;
+        let file =
+            File::create(&path).map_err(|e| journal_err(&path, format!("cannot create: {e}")))?;
         let mut journal = Journal {
             file,
             path,
@@ -384,10 +386,7 @@ pub fn read_journal(path: impl AsRef<Path>) -> Result<(JournalHeader, Replay)> {
     if let Some(damage) = &scan.damage {
         return Err(journal_err(
             path,
-            format!(
-                "corrupt entry at byte {}: {}",
-                damage.offset, damage.error
-            ),
+            format!("corrupt entry at byte {}: {}", damage.offset, damage.error),
         ));
     }
     let header = scan
@@ -455,8 +454,7 @@ fn check_header(path: &Path, found: &JournalHeader, expect: &JournalHeader) -> R
 /// encodings; evaluations ride as the canonical JSON document so the
 /// replay is byte-for-byte the same object the NDJSON era stored.
 fn encode_entry_record(path: &Path, entry: &JournalEntry) -> Result<Vec<u8>> {
-    let encode_err =
-        |e: WireError| journal_err(path, format!("cannot encode entry: {e}"));
+    let encode_err = |e: WireError| journal_err(path, format!("cannot encode entry: {e}"));
     let (record_type, payload) = match entry {
         JournalEntry::Header(h) => {
             let mut p = Vec::new();
@@ -481,7 +479,9 @@ fn encode_entry_record(path: &Path, entry: &JournalEntry) -> Result<Vec<u8>> {
             block.key.wire_write(&mut p).map_err(encode_err)?;
             block.first_loss.wire_write(&mut p).map_err(encode_err)?;
             block.last_loss.wire_write(&mut p).map_err(encode_err)?;
-            (block.steps as u64).wire_write(&mut p).map_err(encode_err)?;
+            (block.steps as u64)
+                .wire_write(&mut p)
+                .map_err(encode_err)?;
             block.checkpoint.wire_encode(&mut p);
             (record_type::JOURNAL_BLOCK, p)
         }
@@ -574,8 +574,7 @@ struct JournalScan {
 /// unreadable files and structural misuse (a parseable first entry that
 /// is not a header, a second header) fail.
 fn scan_journal(path: &Path) -> Result<JournalScan> {
-    let bytes =
-        std::fs::read(path).map_err(|e| journal_err(path, format!("cannot read: {e}")))?;
+    let bytes = std::fs::read(path).map_err(|e| journal_err(path, format!("cannot read: {e}")))?;
     let mut scan = JournalScan::default();
     let mut offset = 0usize;
     let mut entry_no = 0usize;
@@ -878,7 +877,8 @@ mod tests {
         // Simulate a kill mid-append: append half a (legacy) line.
         let good_len = std::fs::metadata(&path).unwrap().len();
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(b"{\"Eval\":{\"Done\":{\"config_index\":2,").unwrap();
+        f.write_all(b"{\"Eval\":{\"Done\":{\"config_index\":2,")
+            .unwrap();
         drop(f);
         let (mut j2, replay) = Journal::resume(&path, &header()).unwrap();
         assert!(replay.truncated_tail);
@@ -937,8 +937,8 @@ mod tests {
         bytes[victim] ^= 0x20;
         std::fs::write(&path, &bytes).unwrap();
 
-        let (mut j2, replay) = Journal::resume(&path, &header())
-            .expect("mid-file corruption must degrade, not abort");
+        let (mut j2, replay) =
+            Journal::resume(&path, &header()).expect("mid-file corruption must degrade, not abort");
         assert!(replay.quarantined, "quarantine flagged");
         assert!(!replay.truncated_tail);
         assert_eq!(replay.evals.len(), 1, "only the intact prefix replays");
@@ -946,8 +946,7 @@ mod tests {
         // The damaged original and its report are preserved as evidence.
         let qdir = dir.join(recovery::QUARANTINE_DIR);
         assert_eq!(std::fs::read(qdir.join("midfile.ndjson")).unwrap(), bytes);
-        let report =
-            std::fs::read_to_string(qdir.join("midfile.ndjson.report.json")).unwrap();
+        let report = std::fs::read_to_string(qdir.join("midfile.ndjson.report.json")).unwrap();
         assert!(report.contains("crc"), "{report}");
         // The rebuilt journal keeps working: append, drop, re-read.
         j2.append(&eval(1)).unwrap();
@@ -973,7 +972,10 @@ mod tests {
         assert!(replay.quarantined);
         assert_eq!(replay.evals.len(), 0, "damage right after the header");
         drop(j2);
-        assert!(dir.join(recovery::QUARANTINE_DIR).join("legacy.ndjson").exists());
+        assert!(dir
+            .join(recovery::QUARANTINE_DIR)
+            .join("legacy.ndjson")
+            .exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -990,7 +992,10 @@ mod tests {
         // One file, two eras: JSON prefix, binary continuation.
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(bytes[0], b'{');
-        assert!(bytes.windows(4).any(|w| w == MAGIC), "binary records appended");
+        assert!(
+            bytes.windows(4).any(|w| w == MAGIC),
+            "binary records appended"
+        );
         let (h, replay) = read_journal(&path).unwrap();
         assert_eq!(h, header());
         assert_eq!(replay.evals.len(), 3);
@@ -1063,7 +1068,10 @@ mod tests {
         // A second writer in this (live) process: create and resume both
         // refuse while the lock is held.
         let err = Journal::create(&path, &header()).unwrap_err().to_string();
-        assert!(err.contains("journal is locked by running process"), "{err}");
+        assert!(
+            err.contains("journal is locked by running process"),
+            "{err}"
+        );
         let err = Journal::resume(&path, &header()).unwrap_err().to_string();
         assert!(err.contains("journal is locked"), "{err}");
         drop(j1);

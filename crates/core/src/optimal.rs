@@ -55,8 +55,10 @@ pub fn evaluate_block_set(
     blocks: &[TuningBlock],
     model: &BlockCostModel,
 ) -> f64 {
-    let pretrain: f64 =
-        blocks.iter().map(|b| b.parts.len() as f64 * model.pretrain_per_module).sum();
+    let pretrain: f64 = blocks
+        .iter()
+        .map(|b| b.parts.len() as f64 * model.pretrain_per_module)
+        .sum();
     let composites = assign_composites(configs, blocks);
     let finetune: f64 = composites
         .iter()
@@ -84,8 +86,7 @@ pub fn candidate_blocks(configs: &[PruneConfig], max_len: usize) -> Vec<TuningBl
         let rates = config.rates();
         for start in 0..rates.len() {
             for len in 1..=max_len.min(rates.len() - start) {
-                let parts: Vec<(usize, u8)> =
-                    (start..start + len).map(|m| (m, rates[m])).collect();
+                let parts: Vec<(usize, u8)> = (start..start + len).map(|m| (m, rates[m])).collect();
                 if parts.iter().all(|(_, r)| *r == 0) {
                     continue;
                 }
@@ -141,7 +142,13 @@ pub fn exhaustive_blocks(
         }
     }
     let composites = assign_composites(configs, &best);
-    (BlockSet { blocks: best, composites }, best_cost)
+    (
+        BlockSet {
+            blocks: best,
+            composites,
+        },
+        best_cost,
+    )
 }
 
 #[cfg(test)]

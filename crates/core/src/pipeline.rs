@@ -741,7 +741,13 @@ impl RoundBackend for Threads<'_> {
         checkpoints: &BTreeMap<String, Checkpoint>,
         fresh: &[usize],
     ) -> Result<Vec<SupervisedEval>> {
-        let ctx = env.context(self.dataset, self.mm, full_ckpt, Some(checkpoints), self.faults);
+        let ctx = env.context(
+            self.dataset,
+            self.mm,
+            full_ckpt,
+            Some(checkpoints),
+            self.faults,
+        );
         Ok(supervise_round(
             &|config_index| ctx.evaluate(config_index),
             fresh,

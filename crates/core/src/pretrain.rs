@@ -366,8 +366,7 @@ pub fn pretrain_group_supervised(
     faults: Option<&FaultPlan>,
 ) -> GroupOutcome {
     let group_attempt = || -> Result<PretrainOutcome> {
-        if let Some(kind) =
-            FaultPlan::fire_opt(faults, site::PRETRAIN_GROUP, group_index as u64, 1)
+        if let Some(kind) = FaultPlan::fire_opt(faults, site::PRETRAIN_GROUP, group_index as u64, 1)
         {
             if let wootz_fault::FaultKind::EvalPanic = kind {
                 // Exercise the real panic path so the supervisor's
@@ -565,13 +564,17 @@ fn pretrain_one_group(
             wootz_obs::event("pretrain.block_done")
                 .field("key", block_keys[bi].clone())
                 .field("structure_hash", format!("{:016x}", block_hashes[bi]))
-                .field("first_loss", f64::from(first_losses[bi].unwrap_or(f32::NAN)))
+                .field(
+                    "first_loss",
+                    f64::from(first_losses[bi].unwrap_or(f32::NAN)),
+                )
                 .field("last_loss", f64::from(last_losses[bi]))
                 .emit();
             let prefix = format!("{}/", block_scopes[bi]);
-            outcome
-                .checkpoints
-                .insert(block_keys[bi].clone(), Checkpoint::capture(&built.vars, &prefix));
+            outcome.checkpoints.insert(
+                block_keys[bi].clone(),
+                Checkpoint::capture(&built.vars, &prefix),
+            );
             outcome.losses.push((
                 block_keys[bi].clone(),
                 first_losses[bi].unwrap_or(f32::NAN),
@@ -900,10 +903,8 @@ mod tests {
             None,
         )
         .unwrap();
-        let completed: BTreeMap<String, PretrainedBlock> = journaled
-            .into_iter()
-            .map(|b| (b.key.clone(), b))
-            .collect();
+        let completed: BTreeMap<String, PretrainedBlock> =
+            journaled.into_iter().map(|b| (b.key.clone(), b)).collect();
         let mut fresh = 0usize;
         let mut sink = |_: &PretrainedBlock| {
             fresh += 1;
@@ -989,6 +990,9 @@ mod tests {
         };
         let reference = Checkpoint::capture(&built.vars, &format!("{}/", scopes[0]));
         assert!(!reference.is_empty());
-        assert_eq!(bits(&planned.checkpoints[&blocks[0].key()]), bits(&reference));
+        assert_eq!(
+            bits(&planned.checkpoints[&blocks[0].key()]),
+            bits(&reference)
+        );
     }
 }

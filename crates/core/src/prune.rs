@@ -450,10 +450,7 @@ mod tests {
         let configs = sample_subspace(16, &PAPER_RATES, 200, 3);
         let mean_rate =
             |c: &PruneConfig| c.rates().iter().map(|&r| r as f64).sum::<f64>() / c.len() as f64;
-        let min = configs
-            .iter()
-            .map(&mean_rate)
-            .fold(f64::INFINITY, f64::min);
+        let min = configs.iter().map(&mean_rate).fold(f64::INFINITY, f64::min);
         let max = configs.iter().map(mean_rate).fold(0.0, f64::max);
         assert!(min < 38.0, "min mean rate {min}");
         assert!(max > 62.0, "max mean rate {max}");

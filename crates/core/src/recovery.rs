@@ -175,7 +175,10 @@ pub fn quarantine_artifact(
 }
 
 fn quarantine_err(path: &Path, detail: String) -> CoreError {
-    CoreError::Journal(format!("quarantine of `{}` failed: {detail}", path.display()))
+    CoreError::Journal(format!(
+        "quarantine of `{}` failed: {detail}",
+        path.display()
+    ))
 }
 
 #[cfg(test)]

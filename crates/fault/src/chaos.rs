@@ -190,7 +190,11 @@ mod tests {
                 assert_ne!(a.name, b.name);
             }
         }
-        assert_eq!(KILL_SITES.len(), 8, "update `reproduce crashes` when adding a site");
+        assert_eq!(
+            KILL_SITES.len(),
+            8,
+            "update `reproduce crashes` when adding a site"
+        );
     }
 
     // The firing behavior is exercised end-to-end by the crash matrix

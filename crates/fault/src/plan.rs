@@ -206,7 +206,12 @@ impl FaultPlan {
     }
 
     /// Convenience for call sites holding an `Option<&FaultPlan>`.
-    pub fn fire_opt(plan: Option<&FaultPlan>, site: &str, key: u64, attempt: u32) -> Option<FaultKind> {
+    pub fn fire_opt(
+        plan: Option<&FaultPlan>,
+        site: &str,
+        key: u64,
+        attempt: u32,
+    ) -> Option<FaultKind> {
         plan.and_then(|p| p.fire(site, key, attempt))
     }
 }
@@ -305,7 +310,8 @@ mod tests {
         let back = serde_json::to_string(&plan).unwrap();
         assert_eq!(FaultPlan::parse(&back).unwrap(), plan);
         // Missing optional fields are tolerated.
-        let sparse = r#"{"seed":0,"triggers":[{"site":"explore.eval","kind":"EvalError"}],"rates":[]}"#;
+        let sparse =
+            r#"{"seed":0,"triggers":[{"site":"explore.eval","kind":"EvalError"}],"rates":[]}"#;
         assert_eq!(FaultPlan::parse(sparse).unwrap().triggers[0].times(), 1);
         // Bad probability rejected.
         assert!(FaultPlan::parse(

@@ -431,13 +431,12 @@ impl ModelIr {
                     num_output,
                     kernel_size,
                     ..
+                } if (*num_output == 0 || *kernel_size == 0) => {
+                    return Err(IrError::new(format!(
+                        "conv `{}` must have positive num_output and kernel_size",
+                        layer.name
+                    )));
                 }
-                    if (*num_output == 0 || *kernel_size == 0) => {
-                        return Err(IrError::new(format!(
-                            "conv `{}` must have positive num_output and kernel_size",
-                            layer.name
-                        )));
-                    }
                 LayerKind::InnerProduct { num_output } if *num_output == 0 => {
                     return Err(IrError::new(format!(
                         "inner product `{}` must have positive num_output",
@@ -448,21 +447,19 @@ impl ModelIr {
                     kernel_size,
                     global,
                     ..
+                } if !*global && *kernel_size == 0 => {
+                    return Err(IrError::new(format!(
+                        "pooling `{}` must have positive kernel_size",
+                        layer.name
+                    )));
                 }
-                    if !*global && *kernel_size == 0 => {
-                        return Err(IrError::new(format!(
-                            "pooling `{}` must have positive kernel_size",
-                            layer.name
-                        )));
-                    }
-                LayerKind::Eltwise | LayerKind::Concat
-                    if layer.bottoms.len() < 2 => {
-                        return Err(IrError::new(format!(
-                            "`{}` ({}) needs at least two bottoms",
-                            layer.name,
-                            layer.kind.type_name()
-                        )));
-                    }
+                LayerKind::Eltwise | LayerKind::Concat if layer.bottoms.len() < 2 => {
+                    return Err(IrError::new(format!(
+                        "`{}` ({}) needs at least two bottoms",
+                        layer.name,
+                        layer.kind.type_name()
+                    )));
+                }
                 _ => {}
             }
         }
@@ -629,8 +626,7 @@ fn resolve_in_place(input_name: &str, layers: &mut [LayerDef]) {
                 *b = current.clone();
             }
         }
-        let in_place =
-            layer.bottoms.contains(&layer.top) || alias.contains_key(&layer.top);
+        let in_place = layer.bottoms.contains(&layer.top) || alias.contains_key(&layer.top);
         if in_place {
             // The layer's unique name becomes the fresh blob.
             let fresh = layer.name.clone();
@@ -672,20 +668,22 @@ fn lower_layer(msg: &Message, layer_line: Option<usize>) -> Result<LayerDef> {
     let module = match module_decls.next() {
         None => None,
         Some((value, mline)) => {
-            let id = value.as_num().filter(|n| n.fract() == 0.0 && *n >= 0.0).ok_or_else(|| {
-                let what = format!("layer `{name}`: `module` needs a non-negative integer");
-                match mline.or(line) {
-                    Some(l) => IrError::at_line(l, what),
-                    None => IrError::new(what),
-                }
-            })? as usize;
+            let id = value
+                .as_num()
+                .filter(|n| n.fract() == 0.0 && *n >= 0.0)
+                .ok_or_else(|| {
+                    let what = format!("layer `{name}`: `module` needs a non-negative integer");
+                    match mline.or(line) {
+                        Some(l) => IrError::at_line(l, what),
+                        None => IrError::new(what),
+                    }
+                })? as usize;
             // A second, conflicting `module:` on the same layer is a
             // duplicate declaration, not a repeated field.
             for (other, oline) in module_decls {
                 if other.as_num() != Some(id as f64) {
-                    let what = format!(
-                        "layer `{name}` declares `module` twice with different values"
-                    );
+                    let what =
+                        format!("layer `{name}` declares `module` twice with different values");
                     return Err(match oline.or(line) {
                         Some(l) => IrError::at_line(l, what),
                         None => IrError::new(what),
@@ -739,9 +737,11 @@ fn lower_layer(msg: &Message, layer_line: Option<usize>) -> Result<LayerDef> {
             }
         }
         "InnerProduct" => {
-            let p = msg
-                .message("inner_product_param")
-                .ok_or_else(|| at(format!("inner product `{name}` missing inner_product_param")))?;
+            let p = msg.message("inner_product_param").ok_or_else(|| {
+                at(format!(
+                    "inner product `{name}` missing inner_product_param"
+                ))
+            })?;
             LayerKind::InnerProduct {
                 num_output: p
                     .usize("num_output")

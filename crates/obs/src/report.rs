@@ -220,14 +220,8 @@ impl Report {
             ("v".to_string(), Value::Int(SCHEMA_VERSION as i128)),
             ("kind".to_string(), Value::String("meta".to_string())),
             ("schema".to_string(), Value::String(self.schema.clone())),
-            (
-                "spans".to_string(),
-                Value::Int(self.spans.len() as i128),
-            ),
-            (
-                "events".to_string(),
-                Value::Int(self.events.len() as i128),
-            ),
+            ("spans".to_string(), Value::Int(self.spans.len() as i128)),
+            ("events".to_string(), Value::Int(self.events.len() as i128)),
         ]);
         out.push_str(&meta.to_json());
         out.push('\n');

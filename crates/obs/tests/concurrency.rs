@@ -120,8 +120,5 @@ fn gauge_set_is_last_write_wins_not_lost() {
     });
     assert_eq!(done.load(Ordering::SeqCst), 4);
     let v = gauge.get();
-    assert!(
-        [1.5, 3.0, 4.5, 6.0].contains(&v),
-        "torn gauge read: {v}"
-    );
+    assert!([1.5, 3.0, 4.5, 6.0].contains(&v), "torn gauge read: {v}");
 }

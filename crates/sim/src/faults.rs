@@ -103,8 +103,8 @@ pub fn faulted_arm(
 ) -> FaultedArm {
     let p = workers.max(1) as f64;
     let active = workers.max(1).min(configs.max(1)) as f64;
-    let m = 1.0
-        + (1.0 - (1.0 - fm.straggler_prob).powf(active)) * (fm.straggler_factor - 1.0).max(0.0);
+    let m =
+        1.0 + (1.0 - (1.0 - fm.straggler_prob).powf(active)) * (fm.straggler_factor - 1.0).max(0.0);
     let straggler_hours = ideal_hours * m;
 
     let (journal_hours, abort_hours, expected_failures) = if fm.mtbf_hours.is_finite() {

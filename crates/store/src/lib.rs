@@ -425,9 +425,7 @@ impl BlockStore {
         let mut record = Vec::with_capacity(wootz_wire::HEADER_LEN + payload.len());
         write_frame(&mut record, record_type::STORE_BLOCK, &payload)
             .map_err(|e| StoreError::Encode(e.to_string()))?;
-        let tmp = self
-            .dir
-            .join(format!("{name}.tmp.{}", std::process::id()));
+        let tmp = self.dir.join(format!("{name}.tmp.{}", std::process::id()));
         {
             let mut file = File::create(&tmp)?;
             file.write_all(&record)?;
@@ -548,7 +546,9 @@ impl EntryDamage {
 fn encode_entry(key: &StoreKey, entry: &BlockEntry) -> Vec<u8> {
     let mut out = Vec::new();
     // Writing to a Vec cannot fail.
-    STORE_FORMAT_VERSION.wire_write(&mut out).expect("vec write");
+    STORE_FORMAT_VERSION
+        .wire_write(&mut out)
+        .expect("vec write");
     key.structure.wire_write(&mut out).expect("vec write");
     key.dataset.wire_write(&mut out).expect("vec write");
     key.solver.wire_write(&mut out).expect("vec write");
@@ -663,10 +663,7 @@ mod tests {
     use wootz_tensor::Tensor;
 
     fn tmp_store(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "wootz_store_{tag}_{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("wootz_store_{tag}_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -804,10 +801,8 @@ mod tests {
         assert!(!path.exists(), "damaged file moved aside");
         let qdir = dir.join(QUARANTINE_DIR);
         assert!(qdir.join(k.file_name()).exists(), "entry quarantined");
-        let report = fs::read_to_string(
-            qdir.join(format!("{}.report.json", k.file_name())),
-        )
-        .unwrap();
+        let report =
+            fs::read_to_string(qdir.join(format!("{}.report.json", k.file_name()))).unwrap();
         assert!(report.contains("damage_offset"), "{report}");
         // The slot is free again: a fresh insert repopulates it.
         assert!(store.insert(&k, &entry("m4r70", &[4.0; 8])).unwrap());

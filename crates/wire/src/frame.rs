@@ -115,7 +115,9 @@ pub fn read_frame<R: Read + ?Sized>(r: &mut R, limits: &Limits) -> WireResult<Fr
     // actually arrive, so a truncated frame allocates at most what was
     // received — never the declared length up front.
     let mut payload = Vec::new();
-    r.take(len).read_to_end(&mut payload).map_err(WireError::Io)?;
+    r.take(len)
+        .read_to_end(&mut payload)
+        .map_err(WireError::Io)?;
     if (payload.len() as u64) < len {
         return Err(WireError::Truncated {
             context: "frame payload",
@@ -186,7 +188,10 @@ mod tests {
         let cut = &buf[..HEADER_LEN - 3];
         assert!(matches!(
             read_frame(&mut &cut[..], &Limits::DEFAULT),
-            Err(WireError::Truncated { context: "frame header", .. })
+            Err(WireError::Truncated {
+                context: "frame header",
+                ..
+            })
         ));
     }
 }

@@ -91,7 +91,13 @@ fn corpus_truncated_header() {
     for cut in 1..HEADER_LEN {
         let err = read_frame(&mut &frame[..cut], &Limits::DEFAULT).unwrap_err();
         assert!(
-            matches!(err, WireError::Truncated { context: "frame header", .. }),
+            matches!(
+                err,
+                WireError::Truncated {
+                    context: "frame header",
+                    ..
+                }
+            ),
             "cut at {cut} gave {err:?}"
         );
     }
@@ -141,7 +147,10 @@ fn corpus_unsupported_version() {
     // Version 0 is reserved-invalid.
     frame[4..6].copy_from_slice(&0u16.to_be_bytes());
     let err = read_frame(&mut &frame[..], &Limits::DEFAULT).unwrap_err();
-    assert!(matches!(err, WireError::UnsupportedVersion { found: 0, .. }));
+    assert!(matches!(
+        err,
+        WireError::UnsupportedVersion { found: 0, .. }
+    ));
 }
 
 #[test]
@@ -160,10 +169,8 @@ fn corpus_oversized_declared_length_rejected_before_allocation() {
         max_items: 1024,
     };
     let err = read_frame(&mut &header[..], &limits).unwrap_err();
-    assert!(
-        matches!(err, WireError::OversizedFrame { declared, limit }
-            if declared == u32::MAX as u64 && limit == 1024)
-    );
+    assert!(matches!(err, WireError::OversizedFrame { declared, limit }
+            if declared == u32::MAX as u64 && limit == 1024));
 }
 
 #[test]
@@ -189,10 +196,8 @@ fn corpus_string_declaring_more_than_the_frame_holds() {
     payload.extend_from_slice(&u32::MAX.to_be_bytes());
     payload.extend_from_slice(b"abcdefgh");
     let err = String::wire_from_bytes(&payload, &Limits::DEFAULT).unwrap_err();
-    assert!(
-        matches!(err, WireError::Exhausted { needed, remaining, .. }
-            if needed == u32::MAX as u64 && remaining == 8)
-    );
+    assert!(matches!(err, WireError::Exhausted { needed, remaining, .. }
+            if needed == u32::MAX as u64 && remaining == 8));
 }
 
 #[test]
@@ -206,9 +211,13 @@ fn corpus_collection_count_above_max_items() {
     payload.extend_from_slice(&[0u8; 64]);
     let mut reader = WireReader::new(&payload[..], payload.len() as u64, limits);
     let err = Vec::<u8>::wire_read(&mut reader).unwrap_err();
-    assert!(
-        matches!(err, WireError::OversizedCollection { declared: 1000, limit: 16 })
-    );
+    assert!(matches!(
+        err,
+        WireError::OversizedCollection {
+            declared: 1000,
+            limit: 16
+        }
+    ));
 }
 
 #[test]

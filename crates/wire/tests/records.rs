@@ -3,9 +3,7 @@
 //! classify every damage class correctly and never panic, never
 //! over-allocate, and never trust a byte past the damage point.
 
-use wootz_wire::{
-    record_type, scan_records, write_frame, Frame, Limits, RecordTail, HEADER_LEN,
-};
+use wootz_wire::{record_type, scan_records, write_frame, Frame, Limits, RecordTail, HEADER_LEN};
 
 fn artifact(payloads: &[(u16, &[u8])]) -> Vec<u8> {
     let mut buf = Vec::new();

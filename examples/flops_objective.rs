@@ -54,8 +54,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..SolverConfig::default()
     };
 
-    for objective_text in ["min ModelSize\nconstraint Accuracy >= 0.5",
-                           "min Flops\nconstraint Accuracy >= 0.5"] {
+    for objective_text in [
+        "min ModelSize\nconstraint Accuracy >= 0.5",
+        "min Flops\nconstraint Accuracy >= 0.5",
+    ] {
         let inputs = WootzInputs {
             model: model.clone(),
             subspace: subspace.clone(),

@@ -63,7 +63,10 @@ fn pipeline_output_is_byte_identical_at_every_kernel_level() {
         .collect();
     let (first, want) = &runs[0];
     for (name, json) in &runs[1..] {
-        assert!(json == want, "the {name} level's run differs from the {first} level's");
+        assert!(
+            json == want,
+            "the {name} level's run differs from the {first} level's"
+        );
     }
 }
 

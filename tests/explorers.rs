@@ -109,7 +109,11 @@ fn adaptive_strategies_are_deterministic_and_diverge_from_fixed() {
 fn distributed_is_bit_identical_to_single_process() {
     let inputs = inputs();
     let dataset = dataset_for(&inputs);
-    for kind in [ExplorerKind::Fixed, ExplorerKind::Taylor, ExplorerKind::Bandit] {
+    for kind in [
+        ExplorerKind::Fixed,
+        ExplorerKind::Taylor,
+        ExplorerKind::Bandit,
+    ] {
         let reference = single(&inputs, &dataset, kind, None, false).unwrap();
         let dir = tempdir(&format!("dist_{}", kind.as_str()));
         let mut opts = ClusterOptions::new(dir.join("run"), 2, worker_cmd());
@@ -296,7 +300,8 @@ fn fixed_explorer_matches_the_pre_unification_structural_golden() {
     // Everything satisfies: exploration stops after round one and the
     // best network is the smallest configuration of that round.
     let mut first_round = inputs();
-    first_round.objective = Objective::parse("min ModelSize\nconstraint Accuracy >= 0.0\n").unwrap();
+    first_round.objective =
+        Objective::parse("min ModelSize\nconstraint Accuracy >= 0.0\n").unwrap();
 
     assert_eq!(
         structure(&sweep, RunMode::Baseline, "golden_sweep_base"),
@@ -326,12 +331,24 @@ fn parent_commit_fixed_journal_resumes_without_reevaluating() {
     let inputs = inputs();
     let dataset = dataset_for(&inputs);
     let dir = tempdir("legacy");
-    let legacy = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/parent_fixed.journal");
+    let legacy =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/parent_fixed.journal");
     let journal = dir.join("run.journal");
     std::fs::copy(&legacy, &journal).unwrap();
 
-    let warm = single(&inputs, &dataset, ExplorerKind::Fixed, Some(journal.clone()), true).unwrap();
-    assert_eq!(warm.exploration.fresh_evals(), 0, "legacy journal was re-evaluated");
+    let warm = single(
+        &inputs,
+        &dataset,
+        ExplorerKind::Fixed,
+        Some(journal.clone()),
+        true,
+    )
+    .unwrap();
+    assert_eq!(
+        warm.exploration.fresh_evals(),
+        0,
+        "legacy journal was re-evaluated"
+    );
     assert_eq!(warm.exploration.resumed, inputs.subspace.len());
     assert_eq!(
         std::fs::read(&journal).unwrap(),
@@ -341,7 +358,10 @@ fn parent_commit_fixed_journal_resumes_without_reevaluating() {
 
     // And the legacy journal still refuses a proposing strategy.
     let err = single(&inputs, &dataset, ExplorerKind::Taylor, Some(journal), true).unwrap_err();
-    assert!(err.to_string().contains("without proposal records"), "{err}");
+    assert!(
+        err.to_string().contains("without proposal records"),
+        "{err}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -365,7 +385,15 @@ fn thread_count_is_invisible_to_adaptive_cli_runs() {
     };
     run(&["genmodel", "--classes", "8", "--out", "model.prototxt"]);
     run(&[
-        "sample", "--modules", "4", "--count", "6", "--seed", "5", "--out", "configs.json",
+        "sample",
+        "--modules",
+        "4",
+        "--count",
+        "6",
+        "--seed",
+        "5",
+        "--out",
+        "configs.json",
     ]);
     std::fs::write(
         dir.join("solver.prototxt"),
