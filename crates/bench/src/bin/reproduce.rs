@@ -15,10 +15,6 @@
 //! reproduce crashes [--quick] [--seed N]  # kill-point crash matrix: die mid-write, resume, compare
 //! reproduce pipeline [--quick] [--seed N] [--journal <run.ndjson>] [--resume]
 //!           [--inject-faults <plan.json>] # end-to-end micro pipeline, resumable
-//! reproduce kernels [--quick] [--threads N] # 1-vs-N-thread kernel micro-bench
-//! reproduce memory [--quick]              # interpreter-vs-planned memory accounting
-//! reproduce cache [--quick] [--seed N]    # cold-vs-warm block-store comparison
-//! reproduce explorers [--quick] [--seed N] [--budget N] # evals-to-target per exploration strategy
 //! reproduce verify [--seed N]             # qualitative shape checks
 //! reproduce all [--quick] [--seed N]      # everything, in order
 //! ```
@@ -44,7 +40,6 @@ struct Args {
     journal: Option<std::path::PathBuf>,
     resume: bool,
     fault_plan: Option<std::path::PathBuf>,
-    budget: Option<usize>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -57,7 +52,6 @@ fn parse_args() -> Result<Args, String> {
     let mut journal = None;
     let mut resume = false;
     let mut fault_plan = None;
-    let mut budget = None;
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--quick" => quick = true,
@@ -75,10 +69,6 @@ fn parse_args() -> Result<Args, String> {
             "--seed" => {
                 let v = args.next().ok_or("--seed needs a value".to_string())?;
                 seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-            }
-            "--budget" => {
-                let v = args.next().ok_or("--budget needs a value".to_string())?;
-                budget = Some(v.parse().map_err(|_| format!("bad budget `{v}`"))?);
             }
             "--json" => {
                 let v = args.next().ok_or("--json needs a directory".to_string())?;
@@ -117,18 +107,13 @@ fn parse_args() -> Result<Args, String> {
         journal,
         resume,
         fault_plan,
-        budget,
     })
 }
 
 fn usage() -> String {
-    "usage: reproduce <table1|table2|table3|table4|table5|fig4|fig6|fig7|faults|cluster|crashes|pipeline|kernels|memory|cache|explorers|verify|all> \
+    "usage: reproduce <table1|table2|table3|table4|table5|fig4|fig6|fig7|faults|cluster|crashes|pipeline|verify|all> \
      [--quick] [--seed N] [--threads N] [--json <dir>] [--metrics-out <path>]\n\
-     pipeline extras: [--journal <run.ndjson>] [--resume] [--inject-faults <plan.json>]\n\
-     kernels: 1-vs-N-thread micro-bench; writes BENCH_kernels.json (to --json dir if given)\n\
-     memory: interpreter-vs-planned allocation accounting; writes BENCH_exec_mem.json\n\
-     cache: cold-vs-warm runs sharing a block store; writes BENCH_cache.json\n\
-     explorers: evals-to-target per exploration strategy [--budget N]; writes BENCH_explorers.json"
+     pipeline extras: [--journal <run.ndjson>] [--resume] [--inject-faults <plan.json>]"
         .to_string()
 }
 
@@ -308,123 +293,6 @@ fn dispatch(args: &Args) -> ExitCode {
                     eprintln!("pipeline failed: {e}");
                     ExitCode::FAILURE
                 }
-            }
-        }
-        "kernels" => {
-            let threads = wootz_par::configured_threads();
-            let reps = if args.quick { 3 } else { 9 };
-            let art = wootz_bench::kernels::kernels(threads, reps, args.quick);
-            let (text, ok) = wootz_bench::kernels::kernels_report(&art);
-            println!("{text}");
-            let json = wootz_bench::kernels::artifact_json(&art);
-            let path = match &args.json_dir {
-                Some(dir) => {
-                    std::fs::create_dir_all(dir).ok();
-                    dir.join("BENCH_kernels.json")
-                }
-                None => std::path::PathBuf::from("BENCH_kernels.json"),
-            };
-            match std::fs::write(&path, json) {
-                Ok(()) => println!("kernel benchmark written to {}", path.display()),
-                Err(e) => {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-            if ok {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        "memory" => {
-            let (batch, steps) = if args.quick { (4, 3) } else { (8, 6) };
-            let art = wootz_bench::memrep::memory(batch, steps);
-            let (text, ok) = wootz_bench::memrep::memory_report(&art);
-            println!("{text}");
-            let json = wootz_bench::memrep::artifact_json(&art);
-            let path = match &args.json_dir {
-                Some(dir) => {
-                    std::fs::create_dir_all(dir).ok();
-                    dir.join("BENCH_exec_mem.json")
-                }
-                None => std::path::PathBuf::from("BENCH_exec_mem.json"),
-            };
-            match std::fs::write(&path, json) {
-                Ok(()) => println!("memory benchmark written to {}", path.display()),
-                Err(e) => {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-            if ok {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        "cache" => {
-            let art = match wootz_bench::cacherep::cache(&micro) {
-                Ok(art) => art,
-                Err(e) => {
-                    eprintln!("cache benchmark failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let (text, ok) = wootz_bench::cacherep::cache_report(&art);
-            println!("{text}");
-            let json = wootz_bench::cacherep::artifact_json(&art);
-            let path = match &args.json_dir {
-                Some(dir) => {
-                    std::fs::create_dir_all(dir).ok();
-                    dir.join("BENCH_cache.json")
-                }
-                None => std::path::PathBuf::from("BENCH_cache.json"),
-            };
-            match std::fs::write(&path, json) {
-                Ok(()) => println!("cache benchmark written to {}", path.display()),
-                Err(e) => {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-            if ok {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        "explorers" => {
-            let budget = args.budget.unwrap_or(wootz_bench::exprep::DEFAULT_BUDGET);
-            let scenario = wootz_bench::exprep::Scenario::standard(seed);
-            let art = match wootz_bench::exprep::explorers(&scenario, budget) {
-                Ok(art) => art,
-                Err(e) => {
-                    eprintln!("explorers benchmark failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let (text, ok) = wootz_bench::exprep::explorers_report(&art);
-            println!("{text}");
-            let json = wootz_bench::exprep::artifact_json(&art);
-            let path = match &args.json_dir {
-                Some(dir) => {
-                    std::fs::create_dir_all(dir).ok();
-                    dir.join("BENCH_explorers.json")
-                }
-                None => std::path::PathBuf::from("BENCH_explorers.json"),
-            };
-            match std::fs::write(&path, json) {
-                Ok(()) => println!("explorers benchmark written to {}", path.display()),
-                Err(e) => {
-                    eprintln!("cannot write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-            if ok {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
             }
         }
         "crashes" => match wootz_bench::crashrep::crashes_report(seed, args.quick) {

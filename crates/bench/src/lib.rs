@@ -13,26 +13,17 @@
 //! | Table 5 — extra speedups from the block identifier | calibrated simulation | [`simrep::table5_report`] |
 //! | Figure 7 — accuracy vs model size | calibrated simulation | [`simrep::fig7_report`] |
 //! | Figure 4 — Sequitur grammar/DAG example | exact algorithm run | [`simrep::fig4_report`] |
-//! | Kernel micro-bench — 1 vs N threads | real kernels on wootz-par | [`kernels::kernels_report`] |
-//! | Memory bench — interpreter vs planned executor | real execution on the stock graph | [`memrep::memory_report`] |
+//! | Speedup under node failures/stragglers | calibrated simulation | [`simrep::faults_report`] |
+//! | Cluster — simulated fault model vs the real distributed runtime | real worker processes | [`clusterrep::cluster_report`] |
 //! | Crash matrix — kill-point durability | real runs killed mid-write | [`crashrep::crashes_report`] |
-//! | Cache bench — cold vs warm block store | real runs sharing a `wootz-store` | [`cacherep::cache_report`] |
-//! | Explorer bench — evals-to-target per strategy | real runs, cold vs warm cache | [`exprep::explorers_report`] |
 //!
 //! Run `cargo run -p wootz-bench --bin reproduce --release -- all` to print
-//! every artifact with the paper's reference numbers alongside. The
-//! `benches/` directory holds one Criterion benchmark per artifact plus
-//! kernel/algorithm micro-benchmarks; `reproduce kernels` emits the
-//! thread-scaling table (`BENCH_kernels.json`) and `reproduce memory` the
-//! allocator comparison (`BENCH_exec_mem.json`), both documented in
-//! `PERFORMANCE.md`.
+//! every artifact with the paper's reference numbers alongside. Wall-clock
+//! performance is measured by the repository benchmark (`BENCHMARK.json`),
+//! not by this crate.
 
-pub mod cacherep;
 pub mod clusterrep;
 pub mod crashrep;
-pub mod exprep;
-pub mod kernels;
-pub mod memrep;
 pub mod real;
 pub mod report;
 pub mod simrep;

@@ -55,7 +55,7 @@ impl MicroOpts {
         }
     }
 
-    /// A cut-down budget for smoke tests and Criterion benches. Keeps
+    /// A cut-down budget for smoke tests (`--quick`). Keeps
     /// enough full-model steps for a usable teacher.
     pub fn quick() -> Self {
         MicroOpts {

@@ -1,12 +1,8 @@
 //! Plain-text table rendering and shared statistics helpers for the
 //! reproduction reports.
 //!
-//! Every report in this crate renders through [`render_table`]; the two
-//! benchmark artifact writers (`reproduce kernels` and `reproduce memory`)
-//! additionally share [`titled_table`] so that an intro paragraph plus an
-//! aligned table is formatted in exactly one place. [`median`] is the
-//! single median implementation used by both the accuracy experiments
-//! (`real.rs`) and the benchmark timing/memory rows — it returns
+//! Every report in this crate renders through [`render_table`]. [`median`]
+//! is the median the accuracy experiments (`real.rs`) share — it returns
 //! `Option<f64>` so an empty sample renders as `-` instead of leaking a
 //! `NaN` into a report row.
 
@@ -64,17 +60,6 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
         out.push_str(&fmt_row(row));
         out.push('\n');
     }
-    out
-}
-
-/// The shared benchmark-report formatter: an intro paragraph, a blank
-/// line, then the aligned table. Both artifact report writers
-/// (`kernels.rs`, `memrep.rs`) render through this single entry point.
-pub fn titled_table(intro: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = String::new();
-    out.push_str(intro.trim_end());
-    out.push_str("\n\n");
-    out.push_str(&render_table(headers, rows));
     out
 }
 
@@ -140,12 +125,6 @@ mod tests {
     fn empty_rows_render_header_only() {
         let t = render_table(&["a", "b"], &[]);
         assert_eq!(t.lines().count(), 2);
-    }
-
-    #[test]
-    fn titled_table_separates_intro_from_table() {
-        let t = titled_table("Intro line.\n", &["a"], &[vec!["1".into()]]);
-        assert!(t.starts_with("Intro line.\n\na\n"));
     }
 
     #[test]

@@ -155,7 +155,7 @@ fn prune_with_metrics_out_writes_parseable_ndjson() {
         .arg(&solver)
         .args(["--objective"])
         .arg(&objective)
-        .args(["--mode", "composability", "--metrics-out"])
+        .args(["--mode", "composability", "--threads", "2", "--metrics-out"])
         .arg(&metrics)
         .output()
         .unwrap();
@@ -170,6 +170,8 @@ fn prune_with_metrics_out_writes_parseable_ndjson() {
     let mut counter_names = std::collections::BTreeSet::new();
     let mut event_names = std::collections::BTreeSet::new();
     let mut histogram_names = std::collections::BTreeSet::new();
+    let mut gauge_names = std::collections::BTreeSet::new();
+    let mut par_tasks = 0;
     for line in text.lines() {
         let v: serde_json::Value = serde_json::from_str(line).unwrap();
         assert_eq!(v["v"].as_u64(), Some(1), "{line}");
@@ -180,7 +182,13 @@ fn prune_with_metrics_out_writes_parseable_ndjson() {
                 span_names.insert(name);
             }
             "counter" => {
+                if name == "par.tasks" {
+                    par_tasks = v["value"].as_u64().unwrap();
+                }
                 counter_names.insert(name);
+            }
+            "gauge" => {
+                gauge_names.insert(name);
             }
             "event" => {
                 event_names.insert(name);
@@ -220,6 +228,12 @@ fn prune_with_metrics_out_writes_parseable_ndjson() {
             "missing counter {expected}: {counter_names:?}"
         );
     }
+    // ...the two-thread pool's work and the GEMM micro-kernel level...
+    assert!(par_tasks > 0, "no pool tasks ran at --threads 2");
+    assert!(
+        gauge_names.contains("tensor.kernel_level"),
+        "missing gauge tensor.kernel_level: {gauge_names:?}"
+    );
     // ...and the trainer telemetry as events + a step-time histogram.
     assert!(event_names.contains("trainer.eval"), "{event_names:?}");
     assert!(event_names.contains("explore.progress"), "{event_names:?}");

@@ -496,7 +496,7 @@ impl Explorer for FixedSubspace {
 }
 
 /// Saliency-guided candidate synthesis (Molchanov et al.'s first-order
-/// Taylor criterion, computed here as the mean L1 filter importance of
+/// Taylor ranking, computed here as the mean L1 filter importance of
 /// each module's prunable convolutions in the *trained* full model — the
 /// magnitude term of the Taylor expansion at the trained point).
 ///

@@ -278,7 +278,7 @@ fn accuracy_threshold(objective: &Objective) -> Option<f64> {
 }
 
 /// Per-module saliency of the trained full model — the first-order
-/// Taylor-style criterion the [`TaylorSaliency`] explorer ranks modules
+/// Taylor-style score the [`TaylorSaliency`] explorer ranks modules
 /// by: the mean L1 filter importance over each module's prunable
 /// convolutions (checkpoint scope `net/`). A module without prunable
 /// convolutions gets `f64::INFINITY`, so candidate synthesis prunes it
@@ -1167,19 +1167,77 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Cross-run composability: a second run against a warm block store
-    /// spends zero pre-training steps and lands on a bit-identical best
-    /// network — the across-run analogue of the paper's within-run reuse.
+    /// Job B's subspace for the crossover store case: job A's
+    /// configurations plus `extras` crossovers that recombine rates
+    /// *within* A — every `(module, rate)` pair of an extra configuration
+    /// already appears in some configuration of A, so the module-level
+    /// block set is unchanged and a store seeded by A can serve all of B.
+    fn warm_subspace(seed_configs: &[PruneConfig], extras: usize) -> Vec<PruneConfig> {
+        let mut out: Vec<PruneConfig> = seed_configs.to_vec();
+        let mut seen: std::collections::HashSet<Vec<u8>> =
+            seed_configs.iter().map(|c| c.rates().to_vec()).collect();
+        let n = seed_configs.len();
+        let mut shift = 1usize;
+        while out.len() < n + extras && shift < n * n {
+            for i in 0..n {
+                // Alternate modules between configuration i and its
+                // shifted partner — a crossover, never a novel rate.
+                let a = seed_configs[i].rates();
+                let b = seed_configs[(i + shift) % n].rates();
+                let mixed: Vec<u8> = a
+                    .iter()
+                    .zip(b.iter())
+                    .enumerate()
+                    .map(|(m, (&x, &y))| if m % 2 == 0 { x } else { y })
+                    .collect();
+                if seen.insert(mixed.clone()) {
+                    out.push(PruneConfig::new(mixed).expect("rates < 100"));
+                    if out.len() == n + extras {
+                        break;
+                    }
+                }
+            }
+            shift += 1;
+        }
+        out
+    }
+
     #[test]
-    fn warm_store_run_skips_pretraining_bit_identically() {
+    fn warm_subspace_reuses_only_existing_rates() {
+        let seeds = sample_subspace(4, &crate::prune::PAPER_RATES, 4, 3);
+        let warm = warm_subspace(&seeds, 3);
+        assert_eq!(warm.len(), seeds.len() + 3);
+        let mut pairs = std::collections::HashSet::new();
+        for c in &seeds {
+            for (m, &r) in c.rates().iter().enumerate() {
+                pairs.insert((m, r));
+            }
+        }
+        for c in &warm[seeds.len()..] {
+            for (m, &r) in c.rates().iter().enumerate() {
+                assert!(
+                    pairs.contains(&(m, r)),
+                    "crossover introduced a novel (module, rate) pair"
+                );
+            }
+        }
+    }
+
+    /// Cross-run composability: job A seeds a block store in `dir`, then
+    /// job B runs against it. B must be served every block from the store
+    /// (all hits, no misses), spend zero pre-training steps, and land on a
+    /// best network and full accuracy bit-equal to B run cold in a fresh
+    /// store — the across-run analogue of the paper's within-run reuse.
+    fn assert_store_serves_job_b(
+        case: &str,
+        dir: &std::path::Path,
+        ds: &Dataset,
+        job_a: &WootzInputs,
+        job_b: &WootzInputs,
+    ) {
         use std::sync::Mutex;
 
-        let inputs = tiny_inputs(3);
-        let ds = micro_dataset("flowers102", 3);
-        let dir = std::env::temp_dir().join(format!("wootz_pipe_store_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
         let store = wootz_store::BlockStore::open(dir.join("store"), None).unwrap();
-
         let events: Mutex<Vec<RunEvent>> = Mutex::new(Vec::new());
         let record = |e: &RunEvent| events.lock().unwrap().push(e.clone());
         let opts = RunOptions {
@@ -1187,7 +1245,7 @@ mod tests {
             progress: Some(&record),
             ..RunOptions::default()
         };
-        let cold = run_wootz_with(&inputs, &ds, RunMode::Composability, None, &opts).unwrap();
+        let cold = run_wootz_with(job_a, ds, RunMode::Composability, None, &opts).unwrap();
         assert!(cold.pretrain_steps > 0);
         let cold_events = std::mem::take(&mut *events.lock().unwrap());
         let pretrained = cold_events
@@ -1197,31 +1255,93 @@ mod tests {
         assert_eq!(pretrained, cold.blocks_pretrained);
         assert_eq!(store.stats().inserts, cold.blocks_pretrained as u64);
 
-        let warm = run_wootz_with(&inputs, &ds, RunMode::Composability, None, &opts).unwrap();
-        assert_eq!(warm.pretrain_steps, 0, "warm run must skip pre-training");
-        assert_eq!(warm.best, cold.best, "reuse must be bit-identical");
-        assert_eq!(warm.full_accuracy, cold.full_accuracy);
+        let seeded = store.stats();
+        let warm = run_wootz_with(job_b, ds, RunMode::Composability, None, &opts).unwrap();
+        let after = store.stats();
+        assert_eq!(
+            warm.pretrain_steps, 0,
+            "{case}: warm run must skip pre-training"
+        );
+        assert_eq!(
+            after.misses, seeded.misses,
+            "{case}: a block missed the store"
+        );
+        assert_eq!(
+            after.hits - seeded.hits,
+            cold.blocks_pretrained as u64,
+            "{case}: every block of job A served warm"
+        );
+        assert!(after.bytes_served > seeded.bytes_served, "{case}");
         let warm_events = std::mem::take(&mut *events.lock().unwrap());
         let hits = warm_events
             .iter()
             .filter(|e| matches!(e, RunEvent::BlockCacheHit { .. }))
             .count();
-        assert_eq!(hits, warm.blocks_pretrained, "every block served warm");
+        assert_eq!(
+            hits, warm.blocks_pretrained,
+            "{case}: every block served warm"
+        );
         assert!(
             !warm_events
                 .iter()
                 .any(|e| matches!(e, RunEvent::BlockPretrained { .. })),
-            "no block trained fresh on the warm run"
+            "{case}: no block trained fresh on the warm run"
         );
+
+        // The cold control: job B alone in a fresh store.
+        let control_store = wootz_store::BlockStore::open(dir.join("control"), None).unwrap();
+        let control_opts = RunOptions {
+            store: Some(&control_store),
+            ..RunOptions::default()
+        };
+        let control =
+            run_wootz_with(job_b, ds, RunMode::Composability, None, &control_opts).unwrap();
+        assert!(control.pretrain_steps > 0, "{case}");
+        assert_eq!(
+            warm.best, control.best,
+            "{case}: reuse must be bit-identical"
+        );
+        assert_eq!(warm.full_accuracy, control.full_accuracy, "{case}");
+    }
+
+    /// Job B is job A itself; then a different solver seed must miss.
+    #[test]
+    fn warm_store_run_skips_pretraining_bit_identically() {
+        let ds = micro_dataset("flowers102", 3);
+        let dir = std::env::temp_dir().join(format!("wootz_pipe_store_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_store_serves_job_b("rerun", &dir, &ds, &tiny_inputs(3), &tiny_inputs(3));
 
         // A different solver seed must not hit the cache: the solver hash
         // guards against serving blocks trained under other hyper-params.
+        let store = wootz_store::BlockStore::open(dir.join("store"), None).unwrap();
+        let opts = RunOptions {
+            store: Some(&store),
+            ..RunOptions::default()
+        };
         let mut other = tiny_inputs(3);
         other.solver.seed = 4;
         let misses_before = store.stats().misses;
         let cool = run_wootz_with(&other, &ds, RunMode::Composability, None, &opts).unwrap();
         assert!(cool.pretrain_steps > 0, "different solver must retrain");
         assert!(store.stats().misses > misses_before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Job B's subspace adds crossovers of job A's configurations: every
+    /// block B needs is one A already trained, so the store serves all of B.
+    #[test]
+    fn crossover_subspace_is_served_entirely_from_the_store() {
+        let ds = micro_dataset("flowers102", 3);
+        let job_a = tiny_inputs(3);
+        let crossover = WootzInputs {
+            subspace: warm_subspace(&job_a.subspace, 2),
+            ..tiny_inputs(3)
+        };
+        assert_eq!(crossover.subspace.len(), job_a.subspace.len() + 2);
+        let dir = std::env::temp_dir().join(format!("wootz_pipe_cross_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_store_serves_job_b("crossover", &dir, &ds, &job_a, &crossover);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -59,7 +59,7 @@ impl ForwardPass {
     /// plus the batch-norm caches and max-pool argmax indices. This is what
     /// the interpreter holds live between forward and backward — the number
     /// the planned executor's arena peak is compared against in
-    /// `wootz reproduce memory`.
+    /// `wootz-core`'s `tests/memory.rs`.
     pub fn retained_bytes(&self) -> usize {
         let acts: usize = self.activations.iter().map(|t| 4 * t.len()).sum();
         let caches: usize = self

@@ -11,11 +11,10 @@
 //! drivers compile it once into a [`CompiledNet`] and run every step
 //! through that planned executor (see [`plan`]). The interpreter —
 //! [`forward`]/[`backward`]/[`forward_eval`] — is the reference semantics
-//! the planned executor is pinned against bit for bit, in tests and the
-//! `reproduce memory` benchmark. Parameter
-//! names are hierarchical (`scope/layer/weight`), exactly like TF variable
-//! scopes, so checkpoints can be re-targeted when tuning blocks are assembled
-//! into pruned networks.
+//! the planned executor is pinned against bit for bit; only tests call
+//! it. Parameter names are hierarchical (`scope/layer/weight`), exactly
+//! like TF variable scopes, so checkpoints can be re-targeted when tuning
+//! blocks are assembled into pruned networks.
 //!
 //! ```
 //! use wootz_nn::{GraphBuilder, Mode, forward};

@@ -151,9 +151,8 @@ thread_local! {
 /// Runs `f` with all parallel operations on the *current thread* dispatched
 /// to `pool` instead of the process-global pool.
 ///
-/// This is how the micro-benchmarks (`reproduce kernels`) and the
-/// determinism tests compare 1-thread and N-thread executions inside one
-/// process. The override is thread-local and restored on exit (including
+/// This is how the determinism tests compare 1-thread and N-thread
+/// executions inside one process. The override is thread-local and restored on exit (including
 /// panics); tasks running *on* `pool`'s workers execute nested regions
 /// inline as usual.
 ///

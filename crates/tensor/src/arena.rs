@@ -28,8 +28,9 @@
 //! Every arena mirrors its local [`ArenaStats`] into the global `arena.*`
 //! counters (`arena.takes`, `arena.fresh`, `arena.reuses`,
 //! `arena.recycles`) and the `arena.peak_live_bytes` gauge — see
-//! `OBSERVABILITY.md` for the inventory. The per-instance stats are what the
-//! `reproduce memory` benchmark reads.
+//! `OBSERVABILITY.md` for the inventory. The per-instance stats are what
+//! `wootz-core`'s zero-steady-state-allocation test (`tests/memory.rs`)
+//! reads.
 
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -145,8 +146,8 @@ impl TensorArena {
     }
 
     /// Resets the `fresh`/`reuses`/`takes`/`recycles` counts and the peak
-    /// watermark while keeping the pool itself warm. The `reproduce memory`
-    /// benchmark calls this between the warm-up and the measured steps.
+    /// watermark while keeping the pool itself warm, so each step of a
+    /// warm training loop can be read on its own.
     pub fn reset_stats(&mut self) {
         let live = self.stats.live_bytes;
         let pooled = self.stats.pooled_bytes;

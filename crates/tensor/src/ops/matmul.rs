@@ -215,7 +215,7 @@ impl KernelLevel {
     /// Every level, narrowest first.
     pub const ALL: [KernelLevel; 2] = [KernelLevel::Baseline, KernelLevel::Avx2];
 
-    /// The level's name, as `reproduce kernels` reports it.
+    /// The level's name (`baseline` or `avx2`).
     pub fn name(self) -> &'static str {
         match self {
             KernelLevel::Baseline => "baseline",

@@ -111,6 +111,25 @@ fn conv2d_forward_and_backward_are_bitwise_identical_across_thread_counts() {
 }
 
 #[test]
+fn grain_boundary_shapes_are_bitwise_identical_across_thread_counts() {
+    // A matmul exactly on the grain (2·64³ = GRAIN_FLOPS, which fans out).
+    let a = fill(&[64, 64], 1);
+    let b = fill(&[64, 64], 2);
+    assert_same_on_one_and_four("matmul 64x64x64", true, || bits(&ops::matmul(&a, &b)));
+    // A conv whose forward pass runs inline (4·2·8·72·64 ≈ 0.29 MFLOP)
+    // while its backward pass, twice the work, fans out.
+    let cfg = ops::Conv2dCfg { stride: 1, pad: 1 };
+    let x = fill(&[4, 8, 8, 8], 3);
+    let w = fill(&[8, 8, 3, 3], 4);
+    let bias = fill(&[8], 5);
+    assert_same_on_one_and_four("conv2d [4, 8, 8, 8] * [8, 8, 3, 3]", true, || {
+        let y = ops::conv2d(&x, &w, &bias, cfg);
+        let g = ops::conv2d_backward(&x, &w, &y.scale(0.31), cfg);
+        [&y, &g.dx, &g.dw, &g.db].map(bits)
+    });
+}
+
+#[test]
 fn softmax_cross_entropy_is_bitwise_identical_across_thread_counts() {
     for (n, k, above) in [(13, 7, false), (2048, 100, true)] {
         let logits = fill(&[n, k], 6);

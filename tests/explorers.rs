@@ -4,7 +4,9 @@
 //! repeat runs, thread counts, worker processes, and a crash/resume that
 //! splits a proposal round. The
 //! default `fixed` strategy is additionally pinned to a structural golden
-//! and a journal captured before the static loop was deleted. These tests
+//! and a journal captured before the static loop was deleted, and an
+//! evaluations-to-target gate holds taylor and bandit to reaching an
+//! accuracy target in fewer evaluations than fixed. These tests
 //! are registered under `wootz-cluster` so they can drive both the
 //! library pipeline and the real `wootz` binary.
 
@@ -12,12 +14,17 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use wootz_cluster::{run_distributed, ClusterOptions};
+use wootz_core::compile::MultiplexingModel;
 use wootz_core::explorer::ExplorerKind;
-use wootz_core::pipeline::{run_wootz_with, RunMode, RunOptions, WootzInputs, WootzRun};
+use wootz_core::pipeline::{
+    run_wootz_with, train_full_model, RunMode, RunOptions, WootzInputs, WootzRun,
+};
 use wootz_core::prune::{sample_subspace, PAPER_RATES};
 use wootz_data::{micro_dataset, Dataset};
 use wootz_fault::RetryPolicy;
 use wootz_ir::{Objective, SolverConfig};
+use wootz_nn::Checkpoint;
+use wootz_store::BlockStore;
 use wootz_wire::{record_type, scan_records, Limits};
 
 /// Adaptive evaluation budget: three rounds of `num_workers = 2`.
@@ -432,6 +439,150 @@ fn thread_count_is_invisible_to_adaptive_cli_runs() {
         let t1 = std::fs::read(dir.join(format!("{kind}_t1.json"))).unwrap();
         let t4 = std::fs::read(dir.join(format!("{kind}_t4.json"))).unwrap();
         assert_eq!(t1, t4, "{kind}: --threads 1 and --threads 4 outputs differ");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Adaptive evaluation budget of the evaluations-to-target gate.
+const GATE_BUDGET: usize = 24;
+
+/// The evaluations-to-target gate's pruning problem at seed `seed`: a
+/// 12-config subspace of `resnet_mini(8)` under `min ModelSize` with an
+/// accuracy bound of 0.75, fine-tuned for only 10 steps. With so short a
+/// fine-tune an evaluated network's accuracy is dominated by its
+/// initialization — aggressive prunes score low, gentle ones high — which
+/// is what separates the strategies: `fixed` walks ascending model size
+/// (most aggressive first), while an adaptive strategy can lead with
+/// candidates likely to clear the bound. Returns the inputs and the
+/// teacher's solver (320 steps: a good but imperfect teacher). Neither
+/// scale may shrink: both move every accuracy and can flip the gate.
+fn gate_inputs(seed: u64) -> (WootzInputs, SolverConfig) {
+    let teacher = SolverConfig {
+        dataset: "flowers102".into(),
+        base_lr: 0.02,
+        max_iter: 320,
+        batch_size: 8,
+        pretrain_lr: 0.015,
+        pretrain_iter: 100,
+        eval_every: 1,
+        seed,
+        ..SolverConfig::default()
+    };
+    let model = wootz_models::resnet_mini(8);
+    let n = model.conv_module_ids().len();
+    let inputs = WootzInputs {
+        subspace: sample_subspace(n, &PAPER_RATES, 12, seed),
+        solver: SolverConfig {
+            max_iter: 10,
+            eval_every: 10,
+            num_workers: 2,
+            ..teacher.clone()
+        },
+        objective: Objective::min_size_with_accuracy(0.75),
+        model,
+    };
+    (inputs, teacher)
+}
+
+/// One strategy's run against `store`; without a `teacher` the run
+/// trains its own full model.
+fn gate_run(
+    inputs: &WootzInputs,
+    dataset: &Dataset,
+    teacher: Option<&(Checkpoint, f64)>,
+    store: &BlockStore,
+    kind: ExplorerKind,
+    budget: usize,
+) -> WootzRun {
+    let opts = RunOptions {
+        retry: RetryPolicy::abort_fast(),
+        store: Some(store),
+        explorer: kind,
+        explorer_budget: if kind.is_adaptive() { budget } else { 0 },
+        ..RunOptions::default()
+    };
+    run_wootz_with(
+        inputs,
+        dataset,
+        RunMode::Composability,
+        teacher.cloned(),
+        &opts,
+    )
+    .unwrap()
+}
+
+/// Evaluations spent up to and including the first configuration that
+/// satisfies the objective (`None` when none does).
+fn evals_to_target(run: &WootzRun) -> Option<usize> {
+    run.exploration
+        .evaluated
+        .iter()
+        .position(|r| r.satisfies())
+        .map(|p| p + 1)
+}
+
+/// The evaluations-to-target gate at the seed-7 operating point: every
+/// strategy runs cold against a fresh block store, then again warm against
+/// the store it seeded. Every strategy must reach the target, each warm
+/// rerun must pre-train nothing and repeat its cold run bit for bit, and
+/// the better of taylor and bandit must reach the target in fewer
+/// evaluations than fixed.
+#[test]
+fn an_adaptive_strategy_reaches_the_target_in_fewer_evaluations_than_fixed() {
+    let (inputs, teacher_solver) = gate_inputs(7);
+    let dataset = dataset_for(&inputs);
+    let mm = MultiplexingModel::compile(inputs.model.clone()).unwrap();
+    let (ckpt, accuracy, _) = train_full_model(&mm, &dataset, &teacher_solver).unwrap();
+    let teacher = (ckpt, accuracy);
+    let dir = tempdir("gate");
+    let mut evals = Vec::new();
+    for kind in [
+        ExplorerKind::Fixed,
+        ExplorerKind::Taylor,
+        ExplorerKind::Bandit,
+    ] {
+        let store = BlockStore::open(dir.join(kind.as_str()), None).unwrap();
+        let cold = gate_run(&inputs, &dataset, Some(&teacher), &store, kind, GATE_BUDGET);
+        let warm = gate_run(&inputs, &dataset, Some(&teacher), &store, kind, GATE_BUDGET);
+        assert!(
+            cold.pretrain_steps > 0,
+            "{kind:?}: the cold run trained nothing"
+        );
+        assert_eq!(
+            warm.pretrain_steps, 0,
+            "{kind:?}: the warm rerun pre-trained"
+        );
+        assert_eq!(
+            replay_digest(&warm),
+            replay_digest(&cold),
+            "{kind:?}: the warm rerun differs from its cold run"
+        );
+        let reached = evals_to_target(&warm);
+        assert!(reached.is_some(), "{kind:?} never reached the target");
+        evals.push(reached);
+    }
+    let (fixed, adaptive) = (evals[0], evals[1].min(evals[2]));
+    assert!(
+        adaptive < fixed,
+        "evaluations to target: fixed {fixed:?}, taylor {:?}, bandit {:?}",
+        evals[1],
+        evals[2]
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// With a budget of zero the adaptive strategies propose nothing, so they
+/// evaluate nothing and never reach the target.
+#[test]
+fn zero_budget_leaves_the_adaptive_strategies_without_evaluations() {
+    let (inputs, _) = gate_inputs(7);
+    let dataset = dataset_for(&inputs);
+    let dir = tempdir("gate_zero");
+    for kind in [ExplorerKind::Taylor, ExplorerKind::Bandit] {
+        let store = BlockStore::open(dir.join(kind.as_str()), None).unwrap();
+        let run = gate_run(&inputs, &dataset, None, &store, kind, 0);
+        assert_eq!(run.exploration.configs_explored, 0, "{kind:?}");
+        assert_eq!(evals_to_target(&run), None, "{kind:?}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
