@@ -13,7 +13,7 @@
 //! reproduce faults [--seed N]             # speedup under node failures/stragglers (simulation)
 //! reproduce cluster [--seed N]            # sim fault model vs the real distributed runtime
 //! reproduce crashes [--quick] [--seed N]  # kill-point crash matrix: die mid-write, resume, compare
-//! reproduce pipeline [--quick] [--seed N] [--journal <run.ndjson>] [--resume]
+//! reproduce pipeline [--quick] [--seed N] [--journal <run.journal>] [--resume]
 //!           [--inject-faults <plan.json>] # end-to-end micro pipeline, resumable
 //! reproduce verify [--seed N]             # qualitative shape checks
 //! reproduce all [--quick] [--seed N]      # everything, in order
@@ -113,7 +113,7 @@ fn parse_args() -> Result<Args, String> {
 fn usage() -> String {
     "usage: reproduce <table1|table2|table3|table4|table5|fig4|fig6|fig7|faults|cluster|crashes|pipeline|verify|all> \
      [--quick] [--seed N] [--threads N] [--json <dir>] [--metrics-out <path>]\n\
-     pipeline extras: [--journal <run.ndjson>] [--resume] [--inject-faults <plan.json>]"
+     pipeline extras: [--journal <run.journal>] [--resume] [--inject-faults <plan.json>]"
         .to_string()
 }
 

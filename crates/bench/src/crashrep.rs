@@ -174,7 +174,7 @@ pub fn run_scenario(
 ) -> Result<ChildOutcome, String> {
     let inputs = micro_inputs(seed);
     let dataset = micro_dataset(&inputs.solver.dataset, inputs.solver.seed);
-    let journal = dir.join("run.ndjson");
+    let journal = dir.join("run.journal");
     match scenario {
         Scenario::Pipeline => {
             let opts = RunOptions {
@@ -372,7 +372,7 @@ fn kill_and_restart_coordinator(
 fn corrupt_and_resume(base: &Path, baseline: &str, seed: u64) -> Result<SiteResult, String> {
     let dir = scenario_dir(base, "journal.corrupt")?;
     run_scenario(Scenario::Pipeline, &dir, seed, false)?;
-    let journal = dir.join("run.ndjson");
+    let journal = dir.join("run.journal");
     let mut bytes =
         std::fs::read(&journal).map_err(|e| format!("cannot read finished journal: {e}"))?;
     let scan = wootz_wire::scan_records(&bytes, &wootz_wire::Limits::ARTIFACT);
@@ -389,7 +389,7 @@ fn corrupt_and_resume(base: &Path, baseline: &str, seed: u64) -> Result<SiteResu
     bytes[victim] ^= 0x40;
     std::fs::write(&journal, &bytes).map_err(|e| format!("cannot corrupt journal: {e}"))?;
     let recovered = run_scenario(Scenario::Pipeline, &dir, seed, true)?;
-    let quarantined = dir.join(QUARANTINE_DIR).join("run.ndjson");
+    let quarantined = dir.join(QUARANTINE_DIR).join("run.journal");
     if !quarantined.exists() {
         return Err(format!(
             "corrupt journal was not quarantined (`{}` missing)",

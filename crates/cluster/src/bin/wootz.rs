@@ -23,14 +23,14 @@
 //!             [--mode baseline|composability|hierarchical]
 //!             [--explorer fixed|taylor|bandit] [--explorer-budget N]
 //!             [--out results.json]
-//!             [--journal <run.ndjson>] [--resume]
+//!             [--journal <run.journal>] [--resume]
 //!             [--inject-faults <plan.json>]
 //!             [--retry-attempts N] [--on-fail skip|abort]
 //!             [--distributed N --run-dir <dir> [--lease-ms MS] [--listen ADDR]
 //!              [--orphan-grace-ms MS]]
 //!     Run the full pruning pipeline on the micro dataset named in the
 //!     solver's `dataset:` field. With `--journal`, every completed unit
-//!     of work is appended to an NDJSON journal; `--resume` replays it and
+//!     of work is appended to a record journal; `--resume` replays it and
 //!     skips the finished work. `--inject-faults` loads a deterministic
 //!     fault plan (see `wootz-fault`); the retry flags control the
 //!     evaluation supervisor (defaults: 1 attempt + abort without faults,

@@ -108,7 +108,7 @@ pub struct ClusterOptions<'a> {
     /// Retry policy for configuration evaluations (applied inside the
     /// workers, exactly like the in-process supervisor).
     pub retry: RetryPolicy,
-    /// NDJSON journal path (crash-resume support, same file format as the
+    /// Record journal path (crash-resume support, same file format as the
     /// single-process pipeline).
     pub journal: Option<PathBuf>,
     /// Replay an existing journal instead of redoing the work.

@@ -7,11 +7,9 @@
 //! is a [`JournalEntry`] for a completed unit of work — the trained full
 //! model, one pre-trained tuning block, or one configuration evaluation.
 //! Every record carries the envelope CRC, so each entry verifies
-//! independently. Journals written by older builds are one JSON object
-//! per line (NDJSON); the reader auto-detects the format *per entry*
-//! (binary records start with `b'W'`, JSON lines with `b'{'`), so an old
-//! journal resumes seamlessly and its continuation is appended in the
-//! new format — one file, two eras, one scan.
+//! independently. A file that does not start with the record magic is
+//! not a journal: [`Journal::resume`] and [`read_journal`] refuse it and
+//! leave it byte-for-byte untouched.
 //!
 //! Each entry is flushed as soon as it is appended, so a killed run
 //! loses at most the record being written. On resume the scanner
@@ -40,23 +38,23 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 use wootz_fault::chaos::{self, kill_site};
-use wootz_fault::fnv1a64;
+use wootz_fault::{fnv1a64, pid_alive};
 use wootz_nn::Checkpoint;
 use wootz_wire::{
-    read_frame, record_type, write_frame, Frame, Limits, WireError, WireReader, WireSerialize,
-    HEADER_LEN, MAGIC,
+    is_record_artifact, record_type, scan_records, write_frame, Frame, Limits, RecordDamage,
+    RecordTail, WireError, WireReader, WireSerialize, HEADER_LEN,
 };
 
 use crate::explore::EvalRecord;
 use crate::explorer::ProposalRecord;
 use crate::pretrain::PretrainedBlock;
 use crate::prune::PruneConfig;
-use crate::recovery::{self, ArtifactDamage};
+use crate::recovery;
 use crate::{CoreError, Result};
 
-/// Current journal format version. Still 1: the binary record envelope
-/// is detected from the bytes themselves, not from this number, so old
-/// NDJSON journals and new record journals share a header version.
+/// Current journal format version, pinned in the header record. The
+/// record envelope carries its own version (`PROTOCOL.md` §8); this one
+/// changes only when the journal's entry payloads do.
 pub const JOURNAL_VERSION: u32 = 1;
 
 /// The identity of a run. A journal may only resume a run whose header
@@ -219,13 +217,6 @@ impl Drop for JournalLock {
     }
 }
 
-/// Whether a pid names a live process. Uses `/proc` (this runtime targets
-/// Linux); on systems without `/proc`, locks are conservatively treated as
-/// stale.
-fn pid_alive(pid: u32) -> bool {
-    Path::new("/proc").join(pid.to_string()).exists()
-}
-
 /// An open, append-only journal. Holds the single-writer lock for the
 /// journal path until dropped.
 #[derive(Debug)]
@@ -270,11 +261,12 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Journal`] when the file is unreadable, the
-    /// header mismatches, or another live process holds the journal's
-    /// writer lock. Corruption is *not* an error here: the damaged file
-    /// moves to `quarantine/` (with a report) and the run resumes from
-    /// the intact prefix, flagged in [`Replay::quarantined`].
+    /// Returns [`CoreError::Journal`] when the file is unreadable or not
+    /// a record artifact (left untouched), the header mismatches, or
+    /// another live process holds the journal's writer lock. Corruption
+    /// is *not* an error here: the damaged file moves to `quarantine/`
+    /// (with a report) and the run resumes from the intact prefix,
+    /// flagged in [`Replay::quarantined`].
     pub fn resume(path: impl AsRef<Path>, expect: &JournalHeader) -> Result<(Journal, Replay)> {
         let path = path.as_ref().to_path_buf();
         let lock = JournalLock::acquire(&path)?;
@@ -295,7 +287,7 @@ impl Journal {
             // survived; when the header itself was the casualty the
             // rebuild starts from `expect`.
             let kept = scan.entries.len() + usize::from(scan.header.is_some());
-            recovery::quarantine_artifact(&path, damage, kept, scan.keep_bytes)?;
+            recovery::quarantine_journal(&path, damage, kept, scan.keep_bytes)?;
             rebuild_journal(&path, expect, &scan.entries)?;
             replay.quarantined = true;
             rebuilt = true;
@@ -378,8 +370,9 @@ impl Journal {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Journal`] on unreadable files, a missing or
-/// malformed header, or mid-file corruption.
+/// Returns [`CoreError::Journal`] on unreadable files, files that are not
+/// record artifacts, a missing or malformed header, or mid-file
+/// corruption.
 pub fn read_journal(path: impl AsRef<Path>) -> Result<(JournalHeader, Replay)> {
     let path = path.as_ref();
     let scan = scan_journal(path)?;
@@ -451,8 +444,8 @@ fn check_header(path: &Path, found: &JournalHeader, expect: &JournalHeader) -> R
 
 /// Encodes one entry as a complete record (envelope + payload), per
 /// `PROTOCOL.md` §8: header/full-model/block payloads are flat wire
-/// encodings; evaluations ride as the canonical JSON document so the
-/// replay is byte-for-byte the same object the NDJSON era stored.
+/// encodings; evaluations and proposals ride as their canonical JSON
+/// document, the same serializer the run dir uses.
 fn encode_entry_record(path: &Path, entry: &JournalEntry) -> Result<Vec<u8>> {
     let encode_err = |e: WireError| journal_err(path, format!("cannot encode entry: {e}"));
     let (record_type, payload) = match entry {
@@ -561,105 +554,48 @@ struct JournalScan {
     entries: Vec<JournalEntry>,
     /// Byte length of the intact prefix (safe truncation point).
     keep_bytes: u64,
-    /// The file ends in a torn record/line (crash mid-append).
+    /// The file ends in a torn record (crash mid-append).
     truncated_tail: bool,
     /// Mid-file corruption: everything from `damage.offset` on is
     /// untrustworthy.
-    damage: Option<ArtifactDamage>,
+    damage: Option<RecordDamage>,
 }
 
-/// Parses the whole journal, auto-detecting the era of each entry:
-/// `b'W'` starts a checksummed binary record, anything else is read as
-/// one legacy NDJSON line. Damage is *classified*, not errored — only
-/// unreadable files and structural misuse (a parseable first entry that
-/// is not a header, a second header) fail.
+/// Parses the whole journal: the records [`scan_records`] vouches for,
+/// decoded in order up to the first that does not decode. Damage is
+/// *classified*, not errored — only unreadable files, files that are not
+/// record artifacts, and structural misuse (a first entry that is not a
+/// header, a second header) fail.
 fn scan_journal(path: &Path) -> Result<JournalScan> {
     let bytes = std::fs::read(path).map_err(|e| journal_err(path, format!("cannot read: {e}")))?;
-    let mut scan = JournalScan::default();
-    let mut offset = 0usize;
-    let mut entry_no = 0usize;
-    while offset < bytes.len() {
-        let rest = &bytes[offset..];
-        let (entry, consumed) = if rest[0] == MAGIC[0] {
-            let mut cursor = rest;
-            match read_frame(&mut cursor, &Limits::ARTIFACT) {
-                Ok(frame) => match decode_entry_record(&frame) {
-                    Ok(entry) => (Some(entry), rest.len() - cursor.len()),
-                    Err(error) => {
-                        scan.damage = Some(ArtifactDamage {
-                            offset: offset as u64,
-                            error,
-                            crc_expected: None,
-                            crc_found: None,
-                        });
-                        break;
-                    }
-                },
-                Err(WireError::Truncated { .. }) | Err(WireError::Closed) => {
-                    scan.truncated_tail = true;
-                    break;
-                }
-                Err(e) => {
-                    let (crc_expected, crc_found) = match &e {
-                        WireError::ChecksumMismatch { expected, found } => {
-                            (Some(*expected), Some(*found))
-                        }
-                        _ => (None, None),
-                    };
-                    scan.damage = Some(ArtifactDamage {
-                        offset: offset as u64,
-                        error: e.to_string(),
-                        crc_expected,
-                        crc_found,
-                    });
-                    break;
-                }
-            }
-        } else {
-            // Legacy NDJSON line (or the torn/corrupt remains of one).
-            let nl = rest.iter().position(|&b| b == b'\n');
-            let (line_bytes, terminated, consumed) = match nl {
-                Some(i) => (&rest[..i], true, i + 1),
-                None => (rest, false, rest.len()),
-            };
-            let parsed = std::str::from_utf8(line_bytes)
-                .map_err(|e| e.to_string())
-                .and_then(|line| {
-                    if line.trim().is_empty() {
-                        Ok(None)
-                    } else {
-                        serde_json::from_str::<JournalEntry>(line)
-                            .map(Some)
-                            .map_err(|e| e.to_string())
-                    }
-                });
-            match parsed {
-                Ok(None) => {
-                    // Blank line: skip without counting an entry.
-                    offset += consumed;
-                    if terminated {
-                        scan.keep_bytes = offset as u64;
-                    }
-                    continue;
-                }
-                Ok(Some(entry)) => (Some(entry), consumed),
-                Err(error) if terminated => {
-                    scan.damage = Some(ArtifactDamage {
-                        offset: offset as u64,
-                        error,
-                        crc_expected: None,
-                        crc_found: None,
-                    });
-                    break;
-                }
-                Err(_) => {
-                    // Unterminated and unparseable: a torn final line.
-                    scan.truncated_tail = true;
-                    break;
-                }
+    if !is_record_artifact(&bytes) {
+        return Err(journal_err(
+            path,
+            "not a record artifact (no `WOTZ` magic); journals are binary wire records \
+             (PROTOCOL.md §8)"
+                .to_string(),
+        ));
+    }
+    let records = scan_records(&bytes, &Limits::ARTIFACT);
+    let mut scan = JournalScan {
+        keep_bytes: records.intact_bytes,
+        ..JournalScan::default()
+    };
+    match records.tail {
+        RecordTail::Clean => {}
+        RecordTail::Torn { .. } => scan.truncated_tail = true,
+        RecordTail::Corrupt(damage) => scan.damage = Some(damage),
+    }
+    for (entry_no, record) in records.records.iter().enumerate() {
+        let entry = match decode_entry_record(&record.frame) {
+            Ok(entry) => entry,
+            Err(error) => {
+                scan.damage = Some(RecordDamage::at(record.offset, error));
+                scan.keep_bytes = record.offset;
+                scan.truncated_tail = false;
+                break;
             }
         };
-        let entry = entry.expect("loop breaks instead of yielding None");
         match (entry_no, entry) {
             (0, JournalEntry::Header(h)) => scan.header = Some(h),
             (0, _) => {
@@ -676,9 +612,6 @@ fn scan_journal(path: &Path) -> Result<JournalScan> {
             }
             (_, entry) => scan.entries.push(entry),
         }
-        entry_no += 1;
-        offset += consumed;
-        scan.keep_bytes = offset as u64;
     }
     Ok(scan)
 }
@@ -732,7 +665,7 @@ fn rebuild_journal(path: &Path, header: &JournalHeader, entries: &[JournalEntry]
 mod tests {
     use super::*;
     use crate::explore::{EvalOutcome, EvalRecord};
-    use wootz_wire::scan_records;
+    use wootz_wire::MAGIC;
 
     fn header() -> JournalHeader {
         JournalHeader {
@@ -764,13 +697,12 @@ mod tests {
         dir.join(name)
     }
 
-    /// A journal written entirely by the pre-record (NDJSON) era.
-    fn write_legacy_journal(path: &Path, entries: &[JournalEntry]) {
-        let mut text = serde_json::to_string(&JournalEntry::Header(header())).unwrap() + "\n";
-        for e in entries {
-            text += &(serde_json::to_string(e).unwrap() + "\n");
-        }
-        std::fs::write(path, text).unwrap();
+    /// The first `len` bytes of `entry`'s record: what a writer killed
+    /// mid-append leaves behind.
+    fn torn_record(entry: &JournalEntry, len: usize) -> Vec<u8> {
+        let record = encode_entry_record(Path::new("torn"), entry).unwrap();
+        assert!(len < record.len());
+        record[..len].to_vec()
     }
 
     #[test]
@@ -874,10 +806,10 @@ mod tests {
         j.append(&eval(0)).unwrap();
         j.append(&eval(1)).unwrap();
         drop(j);
-        // Simulate a kill mid-append: append half a (legacy) line.
+        // Simulate a kill mid-append: append half a record.
         let good_len = std::fs::metadata(&path).unwrap().len();
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(b"{\"Eval\":{\"Done\":{\"config_index\":2,")
+        f.write_all(&torn_record(&eval(2), HEADER_LEN + 10))
             .unwrap();
         drop(f);
         let (mut j2, replay) = Journal::resume(&path, &header()).unwrap();
@@ -958,55 +890,6 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_legacy_line_quarantines_too() {
-        let dir = std::env::temp_dir().join("wootz_journal_quarantine_legacy");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("legacy.ndjson");
-        write_legacy_journal(&path, &[eval(0), eval(1)]);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let mut lines: Vec<&str> = text.lines().collect();
-        lines[1] = "{ definitely not json";
-        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
-        let (j2, replay) = Journal::resume(&path, &header()).unwrap();
-        assert!(replay.quarantined);
-        assert_eq!(replay.evals.len(), 0, "damage right after the header");
-        drop(j2);
-        assert!(dir
-            .join(recovery::QUARANTINE_DIR)
-            .join("legacy.ndjson")
-            .exists());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn legacy_ndjson_journal_resumes_and_continues_in_binary() {
-        let path = tmp("mixed.ndjson");
-        write_legacy_journal(&path, &[eval(0)]);
-        let (mut j, replay) = Journal::resume(&path, &header()).unwrap();
-        assert_eq!(replay.evals.len(), 1);
-        assert!(!replay.truncated_tail && !replay.quarantined);
-        j.append(&eval(1)).unwrap();
-        j.append(&eval(2)).unwrap();
-        drop(j);
-        // One file, two eras: JSON prefix, binary continuation.
-        let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(bytes[0], b'{');
-        assert!(
-            bytes.windows(4).any(|w| w == MAGIC),
-            "binary records appended"
-        );
-        let (h, replay) = read_journal(&path).unwrap();
-        assert_eq!(h, header());
-        assert_eq!(replay.evals.len(), 3);
-        // And the mixed file resumes again.
-        let (j3, replay) = Journal::resume(&path, &header()).unwrap();
-        assert_eq!(replay.evals.len(), 3);
-        drop(j3);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn torn_or_empty_header_resumes_as_create() {
         let path = tmp("torn_header.ndjson");
         // An empty file: the writer died between create and header write.
@@ -1053,11 +936,61 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("cannot read"), "{err}");
-        let path = tmp("headerless.ndjson");
-        std::fs::write(&path, serde_json::to_string(&eval(0)).unwrap() + "\n").unwrap();
+        let path = tmp("headerless.journal");
+        std::fs::write(&path, encode_entry_record(&path, &eval(0)).unwrap()).unwrap();
         let err = read_journal(&path).unwrap_err().to_string();
         assert!(err.contains("not a journal header"), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Writes `text` to `dir/name` and requires both journal readers to
+    /// refuse it with an error naming the path, leaving the file
+    /// byte-for-byte untouched and nothing quarantined.
+    fn assert_journal_refused_untouched(dir: &str, name: &str, text: &str) {
+        let dir = std::env::temp_dir().join(dir);
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        let errs = [
+            Journal::resume(&path, &header())
+                .map(drop)
+                .unwrap_err()
+                .to_string(),
+            read_journal(&path).map(drop).unwrap_err().to_string(),
+        ];
+        for err in errs {
+            assert!(err.contains(&path.display().to_string()), "{err}");
+            assert!(err.contains("not a record artifact"), "{err}");
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+            assert!(!dir.join(recovery::QUARANTINE_DIR).exists(), "{err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An NDJSON journal from before the record format is refused by
+    /// `resume` and `read_journal` alike: it is neither replayed nor
+    /// continued in binary, and stays as it was.
+    #[test]
+    fn legacy_ndjson_journal_resumes_and_continues_in_binary() {
+        let ndjson = format!(
+            "{}\n{}\n",
+            serde_json::to_string(&JournalEntry::Header(header())).unwrap(),
+            serde_json::to_string(&eval(0)).unwrap()
+        );
+        assert_journal_refused_untouched("wootz_journal_ndjson", "run.ndjson", &ndjson);
+    }
+
+    /// A corrupt line in an NDJSON journal no longer quarantines the
+    /// file: the whole journal is refused before any entry is read.
+    #[test]
+    fn corrupt_legacy_line_quarantines_too() {
+        let ndjson = format!(
+            "{}\n{{\"Eval\": garbage}}\n{}\n",
+            serde_json::to_string(&JournalEntry::Header(header())).unwrap(),
+            serde_json::to_string(&eval(1)).unwrap()
+        );
+        assert_journal_refused_untouched("wootz_journal_ndjson_corrupt", "run.ndjson", &ndjson);
     }
 
     #[test]
@@ -1116,7 +1049,7 @@ mod tests {
     }
 
     /// A *different OS process* is killed mid-append, leaving a torn final
-    /// line and a stale lock; the next writer must truncate the tear, take
+    /// record and a stale lock; the next writer must truncate the tear, take
     /// over the lock, and resume cleanly.
     #[test]
     fn torn_line_written_by_another_process_is_tolerated() {
@@ -1125,14 +1058,17 @@ mod tests {
         j.append(&eval(0)).unwrap();
         drop(j);
         let good_len = std::fs::metadata(&path).unwrap().len();
-        // The "dying writer": a real child process appends half a JSON line
+        // The "dying writer": a real child process appends half a record
         // (its kill cut the write short) and leaves its own lock behind.
         let lock = path.with_file_name("torn_mp.ndjson.lock");
+        let octal: String = torn_record(&eval(1), HEADER_LEN + 10)
+            .iter()
+            .map(|b| format!("\\{b:03o}"))
+            .collect();
         let status = std::process::Command::new("sh")
             .arg("-c")
             .arg(format!(
-                "printf '{{\"Eval\":{{\"Done\":{{\"config_index\":1,' >> '{}'; \
-                 printf '4294967294' > '{}'",
+                "printf '{octal}' >> '{}'; printf '4294967294' > '{}'",
                 path.display(),
                 lock.display()
             ))

@@ -35,10 +35,10 @@
 //!   Taylor-saliency candidate synthesis, seeded bandit policy) behind a
 //!   propose/observe engine with journaled, replayable trajectories;
 //! * [`journal`] — the append-only run journal (checksummed binary wire
-//!   records, legacy NDJSON still readable) that makes long exploration
-//!   runs crash-resumable;
-//! * [`recovery`] — quarantine + degradation reporting for damaged
-//!   artifacts (the journal scanner's "corrupt" verdict lands here);
+//!   records) that makes long exploration runs crash-resumable;
+//! * [`recovery`] — journal quarantine + degradation reporting for
+//!   damaged artifacts (the journal scanner's "corrupt" verdict lands
+//!   here);
 //! * [`pipeline`] — the end-to-end driver tying everything together
 //!   (Figure 2).
 

@@ -142,7 +142,7 @@ pub struct RunOptions<'a> {
     /// Retry policy for configuration evaluations.
     pub retry: RetryPolicy,
     /// When set, every completed unit of work (full model, pre-trained
-    /// block, evaluation) is appended to this NDJSON journal.
+    /// block, evaluation) is appended to this record journal.
     pub journal: Option<PathBuf>,
     /// When true and the journal file exists, verify its header and replay
     /// its entries instead of redoing the work.

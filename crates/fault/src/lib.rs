@@ -18,6 +18,8 @@
 //!   configuration is skipped or aborts the run.
 //! * [`FaultError`] — the structured error carried end-to-end when an
 //!   injected (or real) fault surfaces.
+//! * [`pid_alive`] — whether the process that left a lock or temp file
+//!   behind is still running.
 //! * [`panic_message`] — extracts a human-readable message from a caught
 //!   panic payload, used by every `catch_unwind` supervisor in the
 //!   workspace.
@@ -62,6 +64,14 @@ pub mod site {
     /// ([`super::FaultKind::WorkerCrash`], [`super::FaultKind::WorkerHang`])
     /// and wall-clock stragglers ([`super::FaultKind::SlowWorker`]) fire.
     pub const CLUSTER_TASK: &str = "cluster.task";
+}
+
+/// Whether a pid names a live process — how a lock or temp file left by
+/// a killed writer is told apart from one a live writer still holds.
+/// Uses `/proc` (this runtime targets Linux); without `/proc` every pid
+/// reads as dead.
+pub fn pid_alive(pid: u32) -> bool {
+    std::path::Path::new("/proc").join(pid.to_string()).exists()
 }
 
 /// Extracts a printable message from a `catch_unwind` payload.

@@ -6,10 +6,7 @@
 //! (`record_type::CHECKPOINT`, see `PROTOCOL.md` §8): the envelope's
 //! CRC covers every byte and the payload carries an additional FNV-1a
 //! content hash, so corruption is caught at two independent layers.
-//! [`Checkpoint::load`] auto-detects the format from the first bytes —
-//! files written by older builds (a JSON `CheckpointFile` container or
-//! the even older bare `{"entries": {...}}` map) still load; every new
-//! save writes the binary record.
+//! A file that is not a record artifact is refused, never guessed at.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -20,31 +17,12 @@ use serde::{Deserialize, Serialize};
 use wootz_fault::chaos::{self, kill_site};
 use wootz_tensor::Tensor;
 use wootz_wire::{
-    record_type, scan_records, write_bytes, write_frame, write_len, Limits, RecordTail, WireReader,
-    WireResult, WireSerialize, MAGIC,
+    is_record_artifact, read_single_record, record_type, write_bytes, write_frame, write_len,
+    WireReader, WireResult, WireSerialize,
 };
 
 use crate::var::VarStore;
 use crate::{NnError, Result};
-
-/// Magic string identifying the legacy versioned JSON container.
-const CKPT_MAGIC: &str = "wootz-ckpt";
-/// Version of the legacy JSON container this build still reads.
-const CKPT_VERSION: u32 = 1;
-
-/// The legacy on-disk envelope: a versioned, checksummed JSON container
-/// around the entry map, read-only since the binary record format
-/// replaced it. Older files that are a bare `{"entries": {...}}` map
-/// also still load (no checksum protection).
-#[derive(Debug, Serialize, Deserialize)]
-struct CheckpointFile {
-    magic: String,
-    version: u32,
-    /// FNV-1a over entry names, shapes, and value bits — independent of
-    /// JSON float formatting.
-    checksum: u64,
-    entries: BTreeMap<String, Tensor>,
-}
 
 /// A serializable map from variable names to tensor values.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -258,116 +236,31 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Loads a checkpoint, auto-detecting the format: files starting with
-    /// the wire magic `b"WOTZ"` decode as the binary record written by
-    /// [`Checkpoint::save`]; anything else takes the legacy JSON paths
-    /// (the versioned `CheckpointFile` container, then the bare
-    /// `{"entries": {...}}` form).
+    /// Loads a checkpoint written by [`Checkpoint::save`]: exactly one
+    /// `CHECKPOINT` record, clean tail, matching content hash.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::Io`] on read failure and [`NnError::Serde`] with
-    /// a message that distinguishes truncation (a torn write), an
-    /// unsupported container version, and a checksum mismatch.
+    /// Returns [`NnError::Io`] on read failure and [`NnError::Serde`]
+    /// naming the path otherwise: a file that is not a record artifact,
+    /// a truncated (torn) or corrupt record, an unsupported envelope
+    /// version, or a content-hash mismatch.
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref();
         let bytes = std::fs::read(path)?;
-        if bytes.starts_with(&MAGIC) {
-            return Checkpoint::load_record(path, &bytes);
-        }
-        let text = String::from_utf8(bytes).map_err(|_| {
-            NnError::Serde(format!(
-                "`{}`: neither a wire record nor UTF-8 JSON — the checkpoint is corrupt",
+        if !is_record_artifact(&bytes) {
+            return Err(NnError::Serde(format!(
+                "`{}`: not a record artifact (no `WOTZ` magic); checkpoints are binary wire records",
                 path.display()
+            )));
+        }
+        let (stored, ckpt) = read_single_record(&bytes, record_type::CHECKPOINT, |r| {
+            Ok((
+                r.u64("checkpoint content hash")?,
+                Checkpoint::wire_decode(r)?,
             ))
-        })?;
-        if let Ok(container) = serde_json::from_str::<CheckpointFile>(&text) {
-            if container.magic != CKPT_MAGIC {
-                return Err(NnError::Serde(format!(
-                    "`{}`: bad magic `{}` (expected `{CKPT_MAGIC}`)",
-                    path.display(),
-                    container.magic
-                )));
-            }
-            if container.version != CKPT_VERSION {
-                return Err(NnError::Serde(format!(
-                    "`{}`: unsupported checkpoint version {} (this build reads version {CKPT_VERSION})",
-                    path.display(),
-                    container.version
-                )));
-            }
-            let ckpt = Checkpoint {
-                entries: container.entries,
-            };
-            let computed = ckpt.content_hash();
-            if computed != container.checksum {
-                return Err(NnError::Serde(format!(
-                    "`{}`: checksum mismatch (stored {:#018x}, computed {computed:#018x}) — the checkpoint is corrupt",
-                    path.display(),
-                    container.checksum
-                )));
-            }
-            return Ok(ckpt);
-        }
-        // Legacy bare form.
-        match serde_json::from_str::<Checkpoint>(&text) {
-            Ok(ckpt) => Ok(ckpt),
-            Err(e) => {
-                if !text.trim_end().ends_with('}') {
-                    Err(NnError::Serde(format!(
-                        "`{}`: file appears truncated (does not end with `}}`) — likely a torn write: {e}",
-                        path.display()
-                    )))
-                } else {
-                    Err(NnError::Serde(format!("`{}`: {e}", path.display())))
-                }
-            }
-        }
-    }
-
-    /// Decodes the binary record form: exactly one `CHECKPOINT` record,
-    /// clean tail, matching content hash.
-    fn load_record(path: &Path, bytes: &[u8]) -> Result<Self> {
-        let scan = scan_records(bytes, &Limits::ARTIFACT);
-        match &scan.tail {
-            RecordTail::Clean => {}
-            RecordTail::Torn { offset } => {
-                return Err(NnError::Serde(format!(
-                    "`{}`: record truncated at byte {offset} — likely a torn write",
-                    path.display()
-                )))
-            }
-            RecordTail::Corrupt { offset, error, .. } => {
-                return Err(NnError::Serde(format!(
-                    "`{}`: corrupt record at byte {offset}: {error}",
-                    path.display()
-                )))
-            }
-        }
-        let [record] = scan.records.as_slice() else {
-            return Err(NnError::Serde(format!(
-                "`{}`: expected exactly one checkpoint record, found {}",
-                path.display(),
-                scan.records.len()
-            )));
-        };
-        if record.frame.msg_type != record_type::CHECKPOINT {
-            return Err(NnError::Serde(format!(
-                "`{}`: record type {:#06x} is not a checkpoint",
-                path.display(),
-                record.frame.msg_type
-            )));
-        }
-        let payload = &record.frame.payload;
-        let mut r = WireReader::new(&payload[..], payload.len() as u64, Limits::ARTIFACT);
-        let decode = (|| -> WireResult<(u64, Checkpoint)> {
-            let stored = r.u64("checkpoint content hash")?;
-            let ckpt = Checkpoint::wire_decode(&mut r)?;
-            r.expect_consumed()?;
-            Ok((stored, ckpt))
-        })();
-        let (stored, ckpt) =
-            decode.map_err(|e| NnError::Serde(format!("`{}`: {e}", path.display())))?;
+        })
+        .map_err(|damage| NnError::Serde(format!("`{}`: {damage}", path.display())))?;
         let computed = ckpt.content_hash();
         if computed != stored {
             return Err(NnError::Serde(format!(
@@ -382,6 +275,7 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wootz_wire::{scan_records, Limits, MAGIC};
 
     fn store_with(names: &[(&str, &[usize])]) -> VarStore {
         let mut vs = VarStore::new();
@@ -518,35 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_json_container_still_loads() {
-        let dir = std::env::temp_dir().join("wootz_ckpt_legacy_container");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("container.json");
-        let mut ckpt = Checkpoint::new();
-        ckpt.insert("w", Tensor::from_vec(vec![1.0, -2.0], &[2]).unwrap());
-        // What Checkpoint::save wrote before the binary record format.
-        let container = CheckpointFile {
-            magic: CKPT_MAGIC.to_string(),
-            version: CKPT_VERSION,
-            checksum: ckpt.content_hash(),
-            entries: ckpt.entries.clone(),
-        };
-        std::fs::write(&path, serde_json::to_string(&container).unwrap()).unwrap();
-        assert_eq!(Checkpoint::load(&path).unwrap(), ckpt);
-        // Its checksum is still enforced.
-        let bad = CheckpointFile {
-            checksum: 0xdead_beef,
-            entries: ckpt.entries.clone(),
-            magic: CKPT_MAGIC.to_string(),
-            version: CKPT_VERSION,
-        };
-        std::fs::write(&path, serde_json::to_string(&bad).unwrap()).unwrap();
-        let err = Checkpoint::load(&path).unwrap_err().to_string();
-        assert!(err.contains("checksum mismatch"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn wire_encoding_round_trips_bit_exactly() {
         let mut ckpt = Checkpoint::new();
         ckpt.insert(
@@ -583,18 +448,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bare_checkpoints_still_load() {
-        let dir = std::env::temp_dir().join("wootz_ckpt_legacy");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("legacy.json");
-        std::fs::write(&path, r#"{"entries":{"w":{"shape":[2],"data":[1.0,2.0]}}}"#).unwrap();
-        let ckpt = Checkpoint::load(&path).unwrap();
-        assert_eq!(ckpt.len(), 1);
-        assert_eq!(ckpt.get("w").unwrap().data(), &[1.0, 2.0]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn content_hash_tracks_values_names_and_shapes() {
         let mut a = Checkpoint::new();
         a.insert("w", Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap());
@@ -611,6 +464,45 @@ mod tests {
         assert_ne!(base, d.content_hash(), "shape change");
     }
 
+    /// Writes `text` to `dir/name` and requires `Checkpoint::load` to
+    /// refuse it with an error naming the path, leaving the file
+    /// byte-for-byte untouched and nothing quarantined.
+    fn assert_checkpoint_refused_untouched(dir: &str, name: &str, text: &str) {
+        let dir = std::env::temp_dir().join(dir);
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        let err = Checkpoint::load(&path).unwrap_err().to_string();
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        assert!(err.contains("not a record artifact"), "{err}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        assert!(!dir.join(wootz_wire::QUARANTINE_DIR).exists(), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A `wootz-ckpt` JSON container from before the record format is
+    /// refused untouched rather than loaded.
+    #[test]
+    fn legacy_json_container_still_loads() {
+        assert_checkpoint_refused_untouched(
+            "wootz_ckpt_legacy_container",
+            "container.ckpt",
+            r#"{"magic":"wootz-ckpt","version":1,"checksum":0,"entries":{}}"#,
+        );
+    }
+
+    /// A bare-`entries` JSON checkpoint is refused untouched rather than
+    /// loaded.
+    #[test]
+    fn legacy_bare_checkpoints_still_load() {
+        assert_checkpoint_refused_untouched(
+            "wootz_ckpt_legacy_bare",
+            "bare.ckpt",
+            r#"{"entries":{"w":{"shape":[2],"data":[1.0,2.0]}}}"#,
+        );
+    }
+
     #[test]
     fn load_missing_file_is_io_error() {
         let err = Checkpoint::load("/nonexistent/wootz.ckpt").unwrap_err();
@@ -625,8 +517,8 @@ mod tests {
         std::fs::write(&path, "{ not json ").unwrap();
         let err = Checkpoint::load(&path).unwrap_err();
         assert!(matches!(err, NnError::Serde(_)), "{err}");
-        // A checkpoint with tensor-level corruption (wrong element count)
-        // also fails cleanly at deserialization.
+        // So does a JSON checkpoint with tensor-level corruption (wrong
+        // element count): no JSON is parsed at all.
         std::fs::write(&path, r#"{"entries":{"w":{"shape":[2,2],"data":[1.0]}}}"#).unwrap();
         assert!(Checkpoint::load(&path).is_err());
         std::fs::remove_dir_all(&dir).ok();

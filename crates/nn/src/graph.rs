@@ -16,7 +16,7 @@ pub type NodeId = usize;
 
 /// The operation a graph node performs. Parameterized ops reference their
 /// variables by name in the companion [`VarStore`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// External input placeholder.
     Input,
@@ -91,7 +91,7 @@ impl Op {
 }
 
 /// One graph node: a named operation applied to the outputs of `inputs`.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Node {
     /// Unique node name (doubles as the TF-style scope for its parameters).
     pub name: String,
@@ -102,7 +102,7 @@ pub struct Node {
 }
 
 /// Per-node activation shape, ignoring the batch dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeShape {
     /// Convolutional activation `[C, H, W]`.
     Chw(usize, usize, usize),
@@ -134,7 +134,7 @@ impl NodeShape {
 
 /// An immutable computational graph. Node IDs index [`Graph::nodes`] and are
 /// topologically ordered.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Graph {
     nodes: Vec<Node>,
     shapes: Vec<NodeShape>,
@@ -177,30 +177,6 @@ impl Graph {
     /// Looks a node up by name.
     pub fn find(&self, name: &str) -> Option<NodeId> {
         self.nodes.iter().position(|n| n.name == name)
-    }
-
-    /// Serializes the graph structure to a JSON file (parameters are saved
-    /// separately as a [`crate::Checkpoint`], mirroring how TensorFlow
-    /// splits GraphDef from checkpoints).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Io`] / [`NnError::Serde`] on failure.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
-        let file = std::fs::File::create(path)?;
-        serde_json::to_writer(std::io::BufWriter::new(file), self)
-            .map_err(|e| NnError::Serde(e.to_string()))
-    }
-
-    /// Loads a graph structure from a JSON file written by [`Graph::save`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Io`] / [`NnError::Serde`] on failure.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self> {
-        let file = std::fs::File::open(path)?;
-        serde_json::from_reader(std::io::BufReader::new(file))
-            .map_err(|e| NnError::Serde(e.to_string()))
     }
 }
 
@@ -700,40 +676,6 @@ mod tests {
         let x = b.input("data", (1, 2, 2));
         assert!(b.conv2d("c", x, 1, 5, 1, 0).is_err());
         assert!(b.max_pool("p", x, 5, 1, 0).is_err());
-    }
-
-    #[test]
-    fn graph_save_load_round_trip() {
-        let mut b = GraphBuilder::new(0);
-        let x = b.input("data", (3, 8, 8));
-        let c = b.conv2d("c1", x, 4, 3, 1, 1).unwrap();
-        let r = b.relu("r1", c).unwrap();
-        let g = b.global_avg_pool("gap", r).unwrap();
-        b.dense("fc", g, 5).unwrap();
-        let (graph, mut vars) = b.finish();
-
-        let dir = std::env::temp_dir().join("wootz_graph_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("graph.json");
-        graph.save(&path).unwrap();
-        let loaded = Graph::load(&path).unwrap();
-        assert_eq!(loaded.len(), graph.len());
-        for id in 0..graph.len() {
-            assert_eq!(loaded.node(id).name, graph.node(id).name);
-            assert_eq!(loaded.node(id).op, graph.node(id).op);
-            assert_eq!(loaded.shape(id), graph.shape(id));
-        }
-        // The loaded graph executes against the original variables.
-        let xt = wootz_tensor::Tensor::zeros(&[1, 3, 8, 8]);
-        let pass = crate::exec::forward(
-            &loaded,
-            &mut vars,
-            &[("data", &xt)],
-            crate::exec::Mode::Eval,
-        )
-        .unwrap();
-        assert_eq!(pass.activation(loaded.find("fc").unwrap()).shape(), &[1, 5]);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -16,13 +16,14 @@
 //!
 //! On disk every entry is one `wootz-wire` record
 //! (`record_type::STORE_BLOCK`, see `PROTOCOL.md` §8) written atomically
-//! (unique temp file + `rename(2)`), decoded under [`Limits::ARTIFACT`]
-//! bounds so a hostile or truncated entry cannot OOM the reader, and
-//! double-checked by the checkpoint's own FNV content hash behind the
-//! envelope CRC. A damaged entry is **quarantined** — moved into
-//! `quarantine/` beside the store with a structured JSON report, the same
-//! convention the run journal uses (`wootz-core::recovery`) — and served
-//! as a miss, never as bad weights.
+//! (unique temp file + `rename(2)`), decoded under
+//! [`wootz_wire::Limits::ARTIFACT`] bounds so a hostile or truncated
+//! entry cannot OOM the reader, and double-checked by the checkpoint's
+//! own FNV content hash behind the envelope CRC. A damaged entry is **quarantined** — moved into
+//! `quarantine/` beside the store with a structured JSON report by the
+//! same [`wootz_wire::quarantine`] the run journal uses — and served as a
+//! miss, never as bad weights. A temp file left by an inserter that was
+//! killed before its rename is removed at the next open.
 //!
 //! Capacity is an LRU byte budget: inserts that push the store over
 //! budget evict least-recently-used entries (recency is an in-process
@@ -50,10 +51,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::UNIX_EPOCH;
 
-use wootz_fault::fnv1a64;
+use wootz_fault::{fnv1a64, pid_alive};
 use wootz_nn::Checkpoint;
 use wootz_wire::{
-    record_type, scan_records, write_frame, Limits, RecordTail, WireReader, WireSerialize, MAGIC,
+    quarantine, read_single_record, record_type, write_frame, RecordDamage, WireSerialize, MAGIC,
 };
 
 /// Version tag of the entry payload layout; bumped on incompatible
@@ -63,10 +64,6 @@ const STORE_FORMAT_VERSION: u32 = 1;
 
 /// File extension of store entries.
 const ENTRY_EXT: &str = "blk";
-
-/// Directory (inside the store) that damaged entries are moved into —
-/// the same convention the run journal's recovery path uses.
-const QUARANTINE_DIR: &str = "quarantine";
 
 /// Errors of the block store.
 #[derive(Debug)]
@@ -264,7 +261,9 @@ impl BlockStore {
     /// optional LRU byte budget.
     ///
     /// Existing entries are indexed; their recency order is seeded from
-    /// file mtimes so a restarted daemon evicts oldest-first.
+    /// file mtimes so a restarted daemon evicts oldest-first. Temp files
+    /// of inserters that died before their rename are removed; those of
+    /// live inserters are left alone.
     ///
     /// # Errors
     ///
@@ -282,7 +281,15 @@ impl BlockStore {
                 continue;
             }
             let name = dirent.file_name().to_string_lossy().into_owned();
-            if name.starts_with('.') || name.contains(".tmp") {
+            if let Some((_, suffix)) = name.rsplit_once(".tmp") {
+                // `<entry>.tmp.<pid>`: an insert between write and rename.
+                let pid = suffix.strip_prefix('.').and_then(|p| p.parse().ok());
+                if pid.is_some_and(|pid| !pid_alive(pid)) {
+                    let _ = fs::remove_file(dirent.path());
+                }
+                continue;
+            }
+            if name.starts_with('.') {
                 continue;
             }
             // Format detection: every store file starts with the wire
@@ -467,78 +474,20 @@ impl BlockStore {
         }
     }
 
-    /// Moves a damaged entry into `quarantine/` with a structured JSON
-    /// report beside it — the run journal's recovery convention, applied
-    /// to the store. Nothing is deleted: an operator can inspect exactly
+    /// Moves a damaged entry into `quarantine/` ([`wootz_wire::quarantine`])
+    /// and books it. Nothing is deleted: an operator can inspect exactly
     /// which bytes were given up on and why.
-    fn quarantine(&self, path: &Path, damage: &EntryDamage) {
-        let qdir = self.dir.join(QUARANTINE_DIR);
-        if fs::create_dir_all(&qdir).is_err() {
-            return;
-        }
-        let name = match path.file_name() {
-            Some(n) => n.to_string_lossy().into_owned(),
-            None => return,
-        };
-        // Never overwrite an earlier incident's evidence.
-        let Some((artifact, report)) = (0..1000)
-            .map(|i| {
-                let qname = if i == 0 {
-                    name.clone()
-                } else {
-                    format!("{name}.{i}")
-                };
-                (qdir.join(&qname), qdir.join(format!("{qname}.report.json")))
-            })
-            .find(|(a, r)| !a.exists() && !r.exists())
-        else {
+    fn quarantine(&self, path: &Path, damage: &RecordDamage) {
+        let Ok(q) = quarantine(path, damage, 0, 0) else {
             return;
         };
-        if fs::rename(path, &artifact).is_err() {
-            return;
-        }
-        let crc = |v: Option<u32>| v.map_or("null".to_string(), |c| c.to_string());
-        // Best-effort evidence; the quarantine itself already succeeded.
-        let _ = fs::write(
-            &report,
-            format!(
-                "{{\n  \"artifact\": {:?},\n  \"quarantined_as\": {:?},\n  \
-                 \"damage_offset\": {},\n  \"error\": {:?},\n  \
-                 \"crc_expected\": {},\n  \"crc_found\": {}\n}}\n",
-                path.display().to_string(),
-                artifact.display().to_string(),
-                damage.offset,
-                damage.error,
-                crc(damage.crc_expected),
-                crc(damage.crc_found),
-            ),
-        );
         wootz_obs::counter("store.quarantined").incr();
         wootz_obs::event("store.quarantined")
             .field("path", path.display().to_string())
-            .field("quarantined_as", artifact.display().to_string())
+            .field("quarantined_as", q.artifact.display().to_string())
             .field("offset", damage.offset as usize)
             .field("error", damage.error.clone())
             .emit();
-    }
-}
-
-/// What made an on-disk entry unservable.
-struct EntryDamage {
-    offset: u64,
-    error: String,
-    crc_expected: Option<u32>,
-    crc_found: Option<u32>,
-}
-
-impl EntryDamage {
-    fn content(error: impl Into<String>) -> EntryDamage {
-        EntryDamage {
-            offset: 0,
-            error: error.into(),
-            crc_expected: None,
-            crc_found: None,
-        }
     }
 }
 
@@ -566,92 +515,55 @@ fn encode_entry(key: &StoreKey, entry: &BlockEntry) -> Vec<u8> {
 }
 
 /// Decodes and verifies one entry file against the key that addressed
-/// it. Every failure mode is classified as [`EntryDamage`] so the caller
-/// can quarantine with evidence.
-fn decode_entry(bytes: &[u8], key: &StoreKey) -> std::result::Result<BlockEntry, EntryDamage> {
-    let scan = scan_records(bytes, &Limits::ARTIFACT);
-    match &scan.tail {
-        RecordTail::Clean => {}
-        RecordTail::Torn { offset } => {
-            return Err(EntryDamage {
-                offset: *offset,
-                error: "record truncated (torn write)".to_string(),
-                crc_expected: None,
-                crc_found: None,
-            })
-        }
-        RecordTail::Corrupt {
-            offset,
-            error,
-            crc_expected,
-            crc_found,
-        } => {
-            return Err(EntryDamage {
-                offset: *offset,
-                error: error.clone(),
-                crc_expected: *crc_expected,
-                crc_found: *crc_found,
-            })
-        }
-    }
-    let [record] = scan.records.as_slice() else {
-        return Err(EntryDamage::content(format!(
-            "expected exactly one store record, found {}",
-            scan.records.len()
-        )));
-    };
-    if record.frame.msg_type != record_type::STORE_BLOCK {
-        return Err(EntryDamage::content(format!(
-            "record type {:#06x} is not a store block",
-            record.frame.msg_type
-        )));
-    }
-    let payload = &record.frame.payload;
-    let mut r = WireReader::new(&payload[..], payload.len() as u64, Limits::ARTIFACT);
-    let decode = (|| -> wootz_wire::WireResult<(StoreKey, BlockEntry, u64)> {
-        let version = r.u32("store entry version")?;
-        if version != STORE_FORMAT_VERSION {
-            return Err(wootz_wire::WireError::InvalidValue {
-                context: "store entry version",
-                detail: format!("unsupported version {version}"),
-            });
-        }
-        let stored_key = StoreKey {
-            structure: r.u64("store entry structure")?,
-            dataset: r.string("store entry dataset")?,
-            solver: r.u64("store entry solver")?,
-        };
-        let block_key = r.string("store entry block key")?;
-        let first_loss = r.f32("store entry first loss")?;
-        let last_loss = r.f32("store entry last loss")?;
-        let trained_steps = r.u64("store entry steps")?;
-        let stored_hash = r.u64("store entry content hash")?;
-        let checkpoint = Checkpoint::wire_decode(&mut r)?;
-        r.expect_consumed()?;
-        Ok((
-            stored_key,
-            BlockEntry {
-                block_key,
-                first_loss,
-                last_loss,
-                trained_steps,
-                checkpoint,
-            },
-            stored_hash,
-        ))
-    })();
+/// it. Every failure mode is a [`RecordDamage`] so the caller can
+/// quarantine with evidence.
+fn decode_entry(bytes: &[u8], key: &StoreKey) -> std::result::Result<BlockEntry, RecordDamage> {
     let (stored_key, entry, stored_hash) =
-        decode.map_err(|e| EntryDamage::content(e.to_string()))?;
+        read_single_record(bytes, record_type::STORE_BLOCK, |r| {
+            let version = r.u32("store entry version")?;
+            if version != STORE_FORMAT_VERSION {
+                return Err(wootz_wire::WireError::InvalidValue {
+                    context: "store entry version",
+                    detail: format!("unsupported version {version}"),
+                });
+            }
+            let stored_key = StoreKey {
+                structure: r.u64("store entry structure")?,
+                dataset: r.string("store entry dataset")?,
+                solver: r.u64("store entry solver")?,
+            };
+            let block_key = r.string("store entry block key")?;
+            let first_loss = r.f32("store entry first loss")?;
+            let last_loss = r.f32("store entry last loss")?;
+            let trained_steps = r.u64("store entry steps")?;
+            let stored_hash = r.u64("store entry content hash")?;
+            let checkpoint = Checkpoint::wire_decode(r)?;
+            Ok((
+                stored_key,
+                BlockEntry {
+                    block_key,
+                    first_loss,
+                    last_loss,
+                    trained_steps,
+                    checkpoint,
+                },
+                stored_hash,
+            ))
+        })?;
     if stored_key != *key {
-        return Err(EntryDamage::content(
+        return Err(RecordDamage::at(
+            0,
             "entry key does not match the key that addressed it",
         ));
     }
     let computed = entry.checkpoint.content_hash();
     if computed != stored_hash {
-        return Err(EntryDamage::content(format!(
-            "checkpoint content hash mismatch (stored {stored_hash:#018x}, computed {computed:#018x})"
-        )));
+        return Err(RecordDamage::at(
+            0,
+            format!(
+                "checkpoint content hash mismatch (stored {stored_hash:#018x}, computed {computed:#018x})"
+            ),
+        ));
     }
     Ok(entry)
 }
@@ -661,6 +573,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use wootz_tensor::Tensor;
+    use wootz_wire::QUARANTINE_DIR;
 
     fn tmp_store(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("wootz_store_{tag}_{}", std::process::id()));
@@ -807,6 +720,30 @@ mod tests {
         // The slot is free again: a fresh insert repopulates it.
         assert!(store.insert(&k, &entry("m4r70", &[4.0; 8])).unwrap());
         assert!(store.get(&k).is_some());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn temp_files_of_dead_inserters_are_removed_at_open() {
+        let dir = tmp_store("leaked_tmp");
+        let store = BlockStore::open(&dir, None).unwrap();
+        store.insert(&key(6), &entry("m6r30", &[6.0; 4])).unwrap();
+        drop(store);
+        let name = key(7).file_name();
+        // A pid beyond PID_MAX_LIMIT cannot be alive: its inserter died
+        // between write and rename.
+        let dead = dir.join(format!("{name}.tmp.4294967294"));
+        let live = dir.join(format!("{name}.tmp.{}", std::process::id()));
+        fs::write(&dead, b"half an entry").unwrap();
+        fs::write(&live, b"an insert in flight").unwrap();
+        let store = BlockStore::open(&dir, None).unwrap();
+        assert!(!dead.exists(), "dead inserter's temp file removed");
+        assert!(live.exists(), "live inserter's temp file kept");
+        assert_eq!(store.len(), 1, "temp files are never entries");
+        assert_eq!(
+            store.bytes(),
+            fs::metadata(dir.join(key(6).file_name())).unwrap().len()
+        );
         fs::remove_dir_all(&dir).ok();
     }
 

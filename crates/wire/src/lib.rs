@@ -24,11 +24,12 @@
 //!   messages on a TCP stream (and doubles as the record format when
 //!   frames are journaled to disk).
 //! * [`scan_records`] — the same envelope read back *from disk*: walks a
-//!   durable artifact (run journal, checkpoint) record by record and
-//!   classifies how it ends ([`RecordTail`]) — clean, torn by a crash
-//!   mid-append, or corrupted in place — so recovery code can decide
-//!   between truncating a tear and quarantining the file. Record-type
-//!   codes live in [`record_type`].
+//!   durable artifact (run journal, checkpoint, store entry) record by
+//!   record and classifies how it ends ([`RecordTail`]) — clean, torn by
+//!   a crash mid-append, or corrupted in place ([`RecordDamage`]) — so
+//!   recovery code can decide between truncating a tear and moving the
+//!   file aside ([`quarantine`]). [`read_single_record`] reads the
+//!   one-record artifacts; record-type codes live in [`record_type`].
 //!
 //! Failure is always a structured [`WireError`] — truncation, bad
 //! magic, version or msg-type mismatches, oversized declarations,
@@ -61,4 +62,7 @@ pub use codec::{write_bytes, write_len, Limits, WireDeserialize, WireReader, Wir
 pub use crc::crc32;
 pub use error::{WireError, WireResult};
 pub use frame::{read_frame, write_frame, Frame, HEADER_LEN, MAGIC, VERSION};
-pub use record::{record_type, scan_records, RecordAt, RecordScan, RecordTail};
+pub use record::{
+    is_record_artifact, quarantine, read_single_record, record_type, scan_records, Quarantined,
+    RecordAt, RecordDamage, RecordScan, RecordTail, QUARANTINE_DIR,
+};

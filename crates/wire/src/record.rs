@@ -4,9 +4,9 @@
 //! A *record* is exactly one frame ([`crate::write_frame`]) written to a
 //! file instead of a socket: `magic | version | record-type | len | crc |
 //! payload`. Appending records to a file yields an artifact that is
-//! self-delimiting (no sidecar index), self-identifying (the magic
-//! doubles as a format-detection byte — binary artifacts start with
-//! `b'W'`, the legacy JSON ones with `b'{'`), and verifiable byte-by-byte
+//! self-delimiting (no sidecar index), self-identifying (every artifact
+//! starts with the magic `WOTZ`; a file that does not is no record
+//! artifact, see [`is_record_artifact`]), and verifiable byte-by-byte
 //! (every payload is covered by the envelope CRC).
 //!
 //! The interesting part of a durable format is not the happy path but
@@ -23,8 +23,12 @@
 //!   wrong *content*, not the wrong *length*: bad magic, an impossible
 //!   declared length, or a payload whose CRC disagrees with its header.
 //!   Bytes after this point cannot be trusted (resynchronization could
-//!   mask an overwritten region), so callers quarantine the file and
+//!   mask an overwritten region), so callers [`quarantine`] the file and
 //!   rebuild from the intact prefix.
+//!
+//! Single-record artifacts (checkpoints, block-store entries) are read
+//! through [`read_single_record`], which folds every way such a file can
+//! be wrong into one [`RecordDamage`].
 //!
 //! Record-type codes live in [`record_type`] and share the 16-bit code
 //! space with the network message catalog (`wootz-cluster::protocol`);
@@ -32,9 +36,13 @@
 //! to the TCP transport (or vice versa) fails loudly as an unknown type.
 //! `PROTOCOL.md` §8 ("On-disk records") is the normative spec.
 
-use crate::codec::Limits;
-use crate::error::WireError;
-use crate::frame::{read_frame, Frame};
+use std::fmt;
+use std::io;
+use std::path::{Path, PathBuf};
+
+use crate::codec::{Limits, WireReader};
+use crate::error::{WireError, WireResult};
+use crate::frame::{read_frame, Frame, MAGIC};
 
 /// Record-type codes for durable artifacts. The payload encodings are
 /// owned by the crates that write them (`wootz-core::journal`,
@@ -74,6 +82,39 @@ impl Limits {
     };
 }
 
+/// Where and why an artifact stopped being trustworthy.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecordDamage {
+    /// Byte offset of the damaged record (= intact prefix length).
+    pub offset: u64,
+    /// Human-readable decode error at the damage point.
+    pub error: String,
+    /// The CRC the envelope declared, when the damage is a checksum
+    /// mismatch.
+    pub crc_expected: Option<u32>,
+    /// The CRC computed over the payload actually on disk.
+    pub crc_found: Option<u32>,
+}
+
+impl RecordDamage {
+    /// Damage without checksum evidence: a record whose envelope verified
+    /// but whose content is wrong, or a file of the wrong shape.
+    pub fn at(offset: u64, error: impl Into<String>) -> RecordDamage {
+        RecordDamage {
+            offset,
+            error: error.into(),
+            crc_expected: None,
+            crc_found: None,
+        }
+    }
+}
+
+impl fmt::Display for RecordDamage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "corrupt record at byte {}: {}", self.offset, self.error)
+    }
+}
+
 /// How an artifact ends, as judged by [`scan_records`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecordTail {
@@ -85,19 +126,9 @@ pub enum RecordTail {
         /// Byte offset of the first torn byte (= intact prefix length).
         offset: u64,
     },
-    /// The record at `offset` is damaged in place (bit rot, overwrite,
-    /// interleaved writer). Nothing at or after `offset` can be trusted.
-    Corrupt {
-        /// Byte offset of the damaged record (= intact prefix length).
-        offset: u64,
-        /// Human-readable decode error at the damage point.
-        error: String,
-        /// The CRC the envelope declared, when the damage is a checksum
-        /// mismatch.
-        crc_expected: Option<u32>,
-        /// The CRC computed over the payload actually on disk.
-        crc_found: Option<u32>,
-    },
+    /// A record is damaged in place (bit rot, overwrite, interleaved
+    /// writer). Nothing at or after the damage offset can be trusted.
+    Corrupt(RecordDamage),
 }
 
 impl RecordTail {
@@ -138,7 +169,7 @@ pub struct RecordScan {
 pub fn scan_records(bytes: &[u8], limits: &Limits) -> RecordScan {
     let mut records = Vec::new();
     let mut offset = 0u64;
-    loop {
+    let tail = loop {
         let rest = &bytes[offset as usize..];
         let mut cursor = rest;
         match read_frame(&mut cursor, limits) {
@@ -147,40 +178,172 @@ pub fn scan_records(bytes: &[u8], limits: &Limits) -> RecordScan {
                 records.push(RecordAt { offset, frame });
                 offset += consumed;
             }
-            Err(WireError::Closed) => {
-                return RecordScan {
-                    records,
-                    tail: RecordTail::Clean,
-                    intact_bytes: offset,
-                }
-            }
-            Err(WireError::Truncated { .. }) => {
-                return RecordScan {
-                    records,
-                    tail: RecordTail::Torn { offset },
-                    intact_bytes: offset,
-                }
-            }
+            Err(WireError::Closed) => break RecordTail::Clean,
+            Err(WireError::Truncated { .. }) => break RecordTail::Torn { offset },
             Err(e) => {
-                let (crc_expected, crc_found) = match &e {
-                    WireError::ChecksumMismatch { expected, found } => {
-                        (Some(*expected), Some(*found))
-                    }
-                    _ => (None, None),
-                };
-                return RecordScan {
-                    records,
-                    tail: RecordTail::Corrupt {
-                        offset,
-                        error: e.to_string(),
-                        crc_expected,
-                        crc_found,
-                    },
-                    intact_bytes: offset,
-                };
+                let mut damage = RecordDamage::at(offset, e.to_string());
+                if let WireError::ChecksumMismatch { expected, found } = e {
+                    damage.crc_expected = Some(expected);
+                    damage.crc_found = Some(found);
+                }
+                break RecordTail::Corrupt(damage);
             }
         }
+    };
+    RecordScan {
+        records,
+        tail,
+        intact_bytes: offset,
     }
+}
+
+/// Whether `bytes` can be a record artifact: empty, or starting with the
+/// record magic (a file shorter than the magic must be a prefix of it —
+/// a header torn mid-write). Anything else — a JSON document, an NDJSON
+/// log, a stray file — is not one, and readers refuse it untouched.
+pub fn is_record_artifact(bytes: &[u8]) -> bool {
+    let n = bytes.len().min(MAGIC.len());
+    bytes[..n] == MAGIC[..n]
+}
+
+/// Reads an artifact that must be exactly one record of `record_type`
+/// with a clean tail, decoding its payload with `decode` under
+/// [`Limits::ARTIFACT`] bounds; the payload must be consumed whole.
+///
+/// # Errors
+///
+/// Every way the file can be wrong — torn, corrupt, the wrong number or
+/// type of records, a payload that does not decode — is one
+/// [`RecordDamage`].
+pub fn read_single_record<T>(
+    bytes: &[u8],
+    record_type: u16,
+    decode: impl FnOnce(&mut WireReader<&[u8]>) -> WireResult<T>,
+) -> Result<T, RecordDamage> {
+    let scan = scan_records(bytes, &Limits::ARTIFACT);
+    match scan.tail {
+        RecordTail::Clean => {}
+        RecordTail::Torn { offset } => {
+            return Err(RecordDamage::at(offset, "record truncated (torn write)"))
+        }
+        RecordTail::Corrupt(damage) => return Err(damage),
+    }
+    let [record] = scan.records.as_slice() else {
+        return Err(RecordDamage::at(
+            0,
+            format!("expected exactly one record, found {}", scan.records.len()),
+        ));
+    };
+    if record.frame.msg_type != record_type {
+        return Err(RecordDamage::at(
+            0,
+            format!(
+                "record type {:#06x}, expected {record_type:#06x}",
+                record.frame.msg_type
+            ),
+        ));
+    }
+    let payload = &record.frame.payload[..];
+    let mut r = WireReader::new(payload, payload.len() as u64, Limits::ARTIFACT);
+    decode(&mut r)
+        .and_then(|value| r.expect_consumed().map(|()| value))
+        .map_err(|e| RecordDamage::at(0, e.to_string()))
+}
+
+/// Directory (next to a damaged artifact) that [`quarantine`] moves it
+/// into.
+pub const QUARANTINE_DIR: &str = "quarantine";
+
+/// Where a quarantined artifact and its report ended up.
+#[derive(Debug, Clone)]
+pub struct Quarantined {
+    /// The damaged file's new home under `quarantine/`.
+    pub artifact: PathBuf,
+    /// The JSON report written next to it.
+    pub report: PathBuf,
+}
+
+/// Moves a damaged artifact into `quarantine/` beside it and writes a
+/// JSON report next to it: where the damage is, what it is, and how much
+/// the caller salvaged (`kept_entries` records in `kept_bytes` bytes;
+/// zero when nothing was). Nothing is deleted, and an earlier incident's
+/// evidence is never overwritten: a repeated name takes the first free
+/// `.1`, `.2`, … suffix. The artifact path is free afterwards for the
+/// caller to rebuild. Tallies, counters and events are the caller's.
+///
+/// # Errors
+///
+/// Fails when the quarantine directory cannot be created or the artifact
+/// cannot be moved; the damaged file is then left where it was. The
+/// report is best-effort evidence: failing to write it does not undo a
+/// quarantine that already happened.
+pub fn quarantine(
+    path: &Path,
+    damage: &RecordDamage,
+    kept_entries: usize,
+    kept_bytes: u64,
+) -> io::Result<Quarantined> {
+    let qdir = path
+        .parent()
+        .unwrap_or_else(|| Path::new("."))
+        .join(QUARANTINE_DIR);
+    std::fs::create_dir_all(&qdir).map_err(|e| {
+        io::Error::new(e.kind(), format!("cannot create `{}`: {e}", qdir.display()))
+    })?;
+    let name = path
+        .file_name()
+        .ok_or_else(|| io::Error::other("artifact has no file name"))?
+        .to_string_lossy()
+        .into_owned();
+    let (artifact, report) = (0..1000)
+        .map(|i| {
+            let qname = if i == 0 {
+                name.clone()
+            } else {
+                format!("{name}.{i}")
+            };
+            (qdir.join(&qname), qdir.join(format!("{qname}.report.json")))
+        })
+        .find(|(a, r)| !a.exists() && !r.exists())
+        .ok_or_else(|| io::Error::other("quarantine directory is full"))?;
+    std::fs::rename(path, &artifact).map_err(|e| {
+        io::Error::new(
+            e.kind(),
+            format!("cannot move into `{}`: {e}", artifact.display()),
+        )
+    })?;
+    let crc = |v: Option<u32>| v.map_or("null".to_string(), |c| c.to_string());
+    let _ = std::fs::write(
+        &report,
+        format!(
+            "{{\n  \"artifact\": {},\n  \"quarantined_as\": {},\n  \"damage_offset\": {},\n  \
+             \"error\": {},\n  \"crc_expected\": {},\n  \"crc_found\": {},\n  \
+             \"kept_entries\": {kept_entries},\n  \"kept_bytes\": {kept_bytes}\n}}\n",
+            json_string(&path.display().to_string()),
+            json_string(&artifact.display().to_string()),
+            damage.offset,
+            json_string(&damage.error),
+            crc(damage.crc_expected),
+            crc(damage.crc_found),
+        ),
+    );
+    Ok(Quarantined { artifact, report })
+}
+
+/// `s` as a JSON string literal.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 #[cfg(test)]
@@ -233,11 +396,11 @@ mod tests {
         let scan = scan_records(&buf, &Limits::ARTIFACT);
         assert_eq!(scan.records.len(), 1);
         match scan.tail {
-            RecordTail::Corrupt {
+            RecordTail::Corrupt(RecordDamage {
                 crc_expected: Some(e),
                 crc_found: Some(f),
                 ..
-            } => assert_ne!(e, f),
+            }) => assert_ne!(e, f),
             other => panic!("expected checksum corruption, got {other:?}"),
         }
     }
@@ -250,9 +413,67 @@ mod tests {
         let scan = scan_records(&buf, &Limits::ARTIFACT);
         assert_eq!(scan.records.len(), 1);
         assert!(
-            matches!(scan.tail, RecordTail::Corrupt { offset, .. } if offset == first_len),
+            matches!(scan.tail, RecordTail::Corrupt(RecordDamage { offset, .. }) if offset == first_len),
             "{:?}",
             scan.tail
         );
+    }
+
+    #[test]
+    fn only_magic_prefixed_bytes_are_record_artifacts() {
+        assert!(is_record_artifact(b""));
+        assert!(is_record_artifact(b"WO"), "a header torn inside the magic");
+        assert!(is_record_artifact(&two_records()));
+        assert!(!is_record_artifact(b"{\"entries\":{}}"));
+        assert!(!is_record_artifact(b"Wx"));
+    }
+
+    #[test]
+    fn single_record_reader_classifies_every_wrong_shape() {
+        let one = |ty: u16, payload: &[u8]| {
+            let mut buf = Vec::new();
+            write_frame(&mut buf, ty, payload).unwrap();
+            buf
+        };
+        let read =
+            |bytes: &[u8]| read_single_record(bytes, record_type::CHECKPOINT, |r| r.u32("value"));
+        let good = one(record_type::CHECKPOINT, &7u32.to_be_bytes());
+        assert_eq!(read(&good), Ok(7));
+        let err = |bytes: &[u8]| read(bytes).unwrap_err().to_string();
+        assert!(err(&good[..good.len() - 1]).contains("torn write"));
+        let mut flipped = good.clone();
+        *flipped.last_mut().unwrap() ^= 1;
+        assert!(read(&flipped).unwrap_err().crc_found.is_some());
+        assert!(err(&two_records()).contains("exactly one record, found 2"));
+        let wrong = one(record_type::STORE_BLOCK, &7u32.to_be_bytes());
+        assert!(err(&wrong).contains("expected 0x4301"));
+        let long = one(record_type::CHECKPOINT, &[0, 0, 0, 7, 0]);
+        assert!(err(&long).contains("trailing"), "{}", err(&long));
+    }
+
+    #[test]
+    fn quarantine_keeps_every_incident_and_escapes_its_report() {
+        let dir =
+            std::env::temp_dir().join(format!("wootz_wire_quarantine_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let victim = dir.join("artifact.bin");
+        let damage = RecordDamage::at(9, "bad \"quote\" \\ and\nnewline");
+        std::fs::write(&victim, b"first").unwrap();
+        let q = quarantine(&victim, &damage, 2, 9).unwrap();
+        std::fs::write(&victim, b"second").unwrap();
+        let q2 = quarantine(&victim, &damage, 0, 0).unwrap();
+        assert!(!victim.exists());
+        assert_eq!(std::fs::read(&q.artifact).unwrap(), b"first");
+        assert_eq!(std::fs::read(&q2.artifact).unwrap(), b"second");
+        assert!(q2.artifact.ends_with("artifact.bin.1"));
+        let report = std::fs::read_to_string(&q.report).unwrap();
+        assert!(
+            report.contains(r#""error": "bad \"quote\" \\ and\u000anewline""#),
+            "{report}"
+        );
+        assert!(report.contains("\"kept_entries\": 2"), "{report}");
+        assert!(report.contains("\"crc_found\": null"), "{report}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

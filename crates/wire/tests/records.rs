@@ -3,7 +3,9 @@
 //! classify every damage class correctly and never panic, never
 //! over-allocate, and never trust a byte past the damage point.
 
-use wootz_wire::{record_type, scan_records, write_frame, Frame, Limits, RecordTail, HEADER_LEN};
+use wootz_wire::{
+    record_type, scan_records, write_frame, Frame, Limits, RecordDamage, RecordTail, HEADER_LEN,
+};
 
 fn artifact(payloads: &[(u16, &[u8])]) -> Vec<u8> {
     let mut buf = Vec::new();
@@ -90,12 +92,12 @@ fn flipped_crc_is_corrupt_with_both_checksums_reported() {
     let scan = scan_records(&buf, &Limits::ARTIFACT);
     assert!(scan.records.is_empty());
     match scan.tail {
-        RecordTail::Corrupt {
+        RecordTail::Corrupt(RecordDamage {
             offset,
             crc_expected: Some(expected),
             crc_found: Some(found),
             ..
-        } => {
+        }) => {
             assert_eq!(offset, 0);
             assert_ne!(expected, found);
         }
@@ -115,7 +117,7 @@ fn flipped_payload_bit_is_corrupt_at_the_damaged_record() {
     let scan = scan_records(&buf, &Limits::ARTIFACT);
     assert_eq!(scan.records.len(), 1, "only the record before the damage");
     assert!(
-        matches!(scan.tail, RecordTail::Corrupt { offset, .. } if offset == second_off as u64),
+        matches!(scan.tail, RecordTail::Corrupt(RecordDamage { offset, .. }) if offset == second_off as u64),
         "{:?}",
         scan.tail
     );
@@ -143,7 +145,7 @@ fn oversized_declared_length_is_corrupt_and_allocation_free() {
     let scan = scan_records(&buf, &tight);
     assert_eq!(scan.records.len(), 1);
     match &scan.tail {
-        RecordTail::Corrupt { offset, error, .. } => {
+        RecordTail::Corrupt(RecordDamage { offset, error, .. }) => {
             assert_eq!(*offset, second_off as u64);
             assert!(error.contains("declares"), "{error}");
         }
@@ -156,7 +158,7 @@ fn garbage_prefix_is_corrupt_at_offset_zero() {
     let scan = scan_records(b"{\"json\": \"journal line\"}\n", &Limits::ARTIFACT);
     assert!(scan.records.is_empty());
     assert!(
-        matches!(&scan.tail, RecordTail::Corrupt { offset: 0, error, .. }
+        matches!(&scan.tail, RecordTail::Corrupt(RecordDamage { offset: 0, error, .. })
             if error.contains("magic")),
         "{:?}",
         scan.tail

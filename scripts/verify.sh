@@ -61,7 +61,7 @@ printf '{"seed": 5, "triggers": [{"site":"explore.eval","key":0,"kind":"EvalErro
 run_prune() {
     "$W" prune --model "$SMOKE/model.prototxt" --configs "$SMOKE/configs.json" \
         --solver "$SMOKE/solver.prototxt" --objective "$SMOKE/objective.txt" \
-        --inject-faults "$SMOKE/faults.json" --journal "$SMOKE/run.ndjson" "$@"
+        --inject-faults "$SMOKE/faults.json" --journal "$SMOKE/run.journal" "$@"
 }
 COLD=$(run_prune)
 WARM=$(run_prune --resume)
@@ -76,6 +76,26 @@ warm_best=$(printf '%s\n' "$WARM" | grep '^best network:')
 [ "$cold_best" = "$warm_best" ] || {
     echo "smoke FAILED: best network changed across resume"; echo "  cold: $cold_best"; echo "  warm: $warm_best"; exit 1; }
 echo "smoke ok: fresh $cold_fresh -> $warm_fresh, best network stable"
+
+echo "== refusal smoke: a pre-record NDJSON journal is refused untouched =="
+# Journals are binary wire records; a file that does not start with the
+# record magic must fail the run with a structured error and stay
+# byte-for-byte as it was (no truncation, rebuild or quarantine).
+printf '{"Header":{"version":1,"subspace_hash":0,"objective":"{}","seed":3,"mode":"Composability"}}\n' \
+    > "$SMOKE/legacy.ndjson"
+cp "$SMOKE/legacy.ndjson" "$SMOKE/legacy.orig"
+if "$W" prune --model "$SMOKE/model.prototxt" --configs "$SMOKE/configs.json" \
+    --solver "$SMOKE/solver.prototxt" --objective "$SMOKE/objective.txt" \
+    --journal "$SMOKE/legacy.ndjson" --resume > /dev/null 2> "$SMOKE/legacy.err"; then
+    echo "refusal smoke FAILED: a non-record journal resumed"; exit 1
+fi
+grep -q 'not a record artifact' "$SMOKE/legacy.err" || {
+    echo "refusal smoke FAILED: refusal message missing"; cat "$SMOKE/legacy.err"; exit 1; }
+cmp -s "$SMOKE/legacy.ndjson" "$SMOKE/legacy.orig" || {
+    echo "refusal smoke FAILED: the refused journal was modified"; exit 1; }
+[ ! -e "$SMOKE/quarantine" ] || {
+    echo "refusal smoke FAILED: the refused journal was quarantined"; exit 1; }
+echo "refusal smoke ok: $(head -n 1 "$SMOKE/legacy.err")"
 
 echo "== threads smoke: wootz prune bitwise-identical at --threads 1 vs 4 =="
 # The wootz-par determinism contract (PERFORMANCE.md): the kernel pool's
