@@ -1,27 +1,25 @@
 //! `reproduce crashes`: the deterministic kill-point crash matrix.
 //!
 //! For every kill site registered in [`wootz_fault::chaos::KILL_SITES`],
-//! this report kills a run *mid-write* at that exact artifact boundary
-//! (by re-spawning the `reproduce` binary with `WOOTZ_CHAOS_KILL_AT`
+//! this report kills a run at that exact boundary — mid-write, for the
+//! journal sites — (by re-spawning the `reproduce` binary with `WOOTZ_CHAOS_KILL_AT`
 //! armed in the child's environment only), recovers with `--resume`, and
 //! asserts the recovered run's results are **bit-identical** to an
 //! uninterrupted run of the same scenario. A final scenario flips a byte
 //! in the middle of a finished journal and asserts resume degrades
 //! through quarantine (see `wootz_core::recovery`) instead of aborting.
 //!
-//! Two scenario shapes cover the eight sites:
+//! Two scenario shapes cover the five sites:
 //!
 //! * **pipeline** — the single-process micro pipeline with a journal
 //!   (`journal.header`, `journal.append`, and the corrupt-journal
 //!   scenario);
-//! * **distributed** — the multi-process runtime. All six of its sites
+//! * **distributed** — the multi-process runtime. All three of its sites
 //!   fire in the *coordinator* mid-run while its workers are alive:
-//!   `coord.grant` and `rundir.publish` in a hub handler (granting a
-//!   task, journaling a `TaskDone`), `coord.reap` in the drive loop,
-//!   `ckpt.write`, `ckpt.rename` and `coord.assemble` while the
-//!   pre-trained block bag is published. The coordinator is restarted
-//!   with `--resume` on the same port and must re-adopt the orphaned
-//!   workers.
+//!   `coord.grant` in a hub handler granting a task, `coord.reap` in the
+//!   drive loop, `coord.assemble` while the pre-trained block bag is
+//!   published. The coordinator is restarted with `--resume` on the same
+//!   port and must re-adopt the orphaned workers.
 //!
 //! The matrix is exhaustive by construction: it enumerates
 //! `KILL_SITES`, so registering a new kill point fails this report until
@@ -207,9 +205,9 @@ pub fn run_scenario(
             // Orphans from a killed coordinator must outlive the gap
             // until the restart re-binds the port.
             opts.orphan_grace_ms = Some(30_000);
-            // Composability mode so block pre-training, assembly, the
-            // block checkpoints and the block-index write all exist —
-            // that is where `ckpt.*` and `coord.assemble` fire.
+            // Composability mode so block pre-training and the block
+            // bag's publication exist — that is where `coord.assemble`
+            // fires.
             let (run, stats) = run_distributed(&inputs, &dataset, RunMode::Composability, &opts)
                 .map_err(|e| format!("distributed run failed: {e}"))?;
             Ok(ChildOutcome {
@@ -359,7 +357,7 @@ fn kill_and_restart_coordinator(
     Ok(SiteResult {
         site,
         scenario,
-        crash: "coordinator aborted mid-write".to_string(),
+        crash: "coordinator aborted".to_string(),
         recovery: format!("--resume, same port ({} re-adopted)", recovered.readopted),
         identical: recovered.fingerprint == baseline,
     })
@@ -436,12 +434,7 @@ pub fn crashes_report(seed: u64, _quick: bool) -> Result<String, String> {
             kill_site::JOURNAL_HEADER | kill_site::JOURNAL_APPEND => {
                 kill_and_resume(site.name, &base, &baseline, seed)?
             }
-            kill_site::CKPT_WRITE
-            | kill_site::CKPT_RENAME
-            | kill_site::RUNDIR_PUBLISH
-            | kill_site::COORD_GRANT
-            | kill_site::COORD_REAP
-            | kill_site::COORD_ASSEMBLE => {
+            kill_site::COORD_GRANT | kill_site::COORD_REAP | kill_site::COORD_ASSEMBLE => {
                 kill_and_restart_coordinator(site.name, &base, &baseline, seed)?
             }
             other => return Err(format!("kill site `{other}` has no crash-matrix scenario")),
@@ -463,8 +456,8 @@ pub fn crashes_report(seed: u64, _quick: bool) -> Result<String, String> {
         })
         .collect();
     let mut out = String::from(
-        "Crash matrix: every registered kill point fired mid-write, run\n\
-         recovered, result compared bit-for-bit against an uninterrupted\n\
+        "Crash matrix: every registered kill point fired, run recovered,\n\
+         result compared bit-for-bit against an uninterrupted\n\
          run (fingerprint = full-model accuracy + best network + every\n\
          evaluation record).\n\n",
     );

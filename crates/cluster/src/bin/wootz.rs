@@ -37,8 +37,8 @@
 //!     3 attempts + skip when a fault plan is given). `--distributed N`
 //!     executes pre-training and evaluation on N worker OS processes that
 //!     the coordinator spawns and feeds over a loopback TCP socket
-//!     speaking the `wootz-wire` framed protocol (see PROTOCOL.md), from
-//!     a crash-safe task queue it journals under `--run-dir` (results
+//!     speaking the `wootz-wire` framed protocol (see PROTOCOL.md);
+//!     `--run-dir` holds the run's manifest and the worker logs (results
 //!     stay bit-identical to the single-process run; see DESIGN.md §9).
 //!     `--listen ADDR` names the socket's address instead of an ephemeral
 //!     loopback port, to accept workers from other machines
@@ -553,8 +553,8 @@ fn cmd_prune(mut args: Vec<String>) -> CliResult {
             run
         }
         Some(workers) => {
-            let run_dir =
-                run_dir.ok_or("--distributed needs --run-dir <dir> for the task queue")?;
+            let run_dir = run_dir
+                .ok_or("--distributed needs --run-dir <dir> for the manifest and worker logs")?;
             let mut copts = ClusterOptions::new(run_dir, workers, self_worker_cmd(&["worker"])?);
             copts.faults = faults.as_ref();
             copts.retry = retry;
@@ -699,7 +699,7 @@ fn cmd_chaos(mut args: Vec<String>) -> CliResult {
         "deterministic kill points (arm one with {}=<site>:<n>;",
         chaos::ENV_KILL_AT
     );
-    println!("the process aborts mid-write at the n-th crossing of that site):");
+    println!("the process aborts at the n-th crossing of that site):");
     println!();
     let width = chaos::KILL_SITES
         .iter()

@@ -15,11 +15,12 @@
 //!
 //! Workers are reached one way: the coordinator binds a [`NetHub`] (on
 //! loopback unless `listen` names a deployment address), spawns its pool
-//! as `worker --connect <addr>`, and the hub claims tasks from and
-//! journals results to the run directory on the workers' behalf. The
-//! drive loop never sleeps on a timer of its own: it waits on the hub's
-//! event signal, bounded by `poll_ms` so the lease, speculation, respawn
-//! and stall clocks still get serviced.
+//! as `worker --connect <addr>`, and enqueues into the hub's in-memory
+//! queue, from which the hub grants tasks and into which it delivers
+//! results on the workers' behalf. The drive loop never sleeps on a
+//! timer of its own: it waits on the hub's event signal, bounded by
+//! `poll_ms` so the lease, speculation, respawn and stall clocks still
+//! get serviced.
 //!
 //! Failure handling, in one paragraph: every granted task carries a lease
 //! that the worker's heartbeat frames keep fresh; a grant without a
@@ -32,11 +33,11 @@
 //! sequence number among the over-deadline ones) is *speculated*: a
 //! duplicate attempt races the straggler and the first publication wins.
 //! Dead worker processes are respawned while work is outstanding. All
-//! coordinator state that matters across a crash rides on the PR 2 NDJSON
+//! coordinator state that matters across a crash rides on the record
 //! journal, so killing the coordinator and re-running with `--resume`
 //! re-evaluates nothing that was journaled.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -61,9 +62,8 @@ use wootz_nn::Checkpoint;
 use crate::net::NetHub;
 use crate::protocol::{
     atomic_write_json, cluster_err, read_json, Manifest, ResultPayload, TaskKind, TaskResult,
-    TaskSpec,
+    TaskSpec, LOGS_DIR, MANIFEST,
 };
-use crate::queue::RunDir;
 
 /// Options of a distributed run.
 #[derive(Debug, Clone)]
@@ -79,8 +79,8 @@ pub struct ClusterOptions<'a> {
     pub lease_ms: u64,
     /// Coordinator poll period in milliseconds: how often the drive loop
     /// services its lease, speculation, respawn and stall clocks. Results
-    /// do not wait for it — the hub wakes the loop the moment one is
-    /// journaled.
+    /// do not wait for it — the hub wakes the loop the moment one
+    /// arrives.
     pub poll_ms: u64,
     /// Fixed speculation deadline override (ms of claimed run time). When
     /// `None`, the deadline is `3 × median per-step wall time × expected
@@ -96,8 +96,8 @@ pub struct ClusterOptions<'a> {
     /// broadcast before killing them (this grace window is also when late
     /// zombie results get counted as rejected).
     pub shutdown_grace_ms: u64,
-    /// The run directory: the coordinator's durability journal (manifest,
-    /// task queue, journaled results, published blocks, worker logs).
+    /// The run directory: the manifest, whose epoch fences workers
+    /// across coordinator restarts, and the worker logs.
     pub run_dir: PathBuf,
     /// How to start a worker: executable plus leading arguments; the
     /// coordinator appends `--connect <addr> --worker-id <id>`.
@@ -243,7 +243,8 @@ struct Slot {
 /// The set of spawned worker processes. Dropping the pool kills whatever
 /// is still running, so an error path never leaks child processes.
 struct WorkerPool {
-    dir: RunDir,
+    /// The run directory's worker-log directory.
+    logs: PathBuf,
     exe: PathBuf,
     prefix: Vec<String>,
     /// Orphan grace budget forwarded to the workers (see
@@ -254,9 +255,9 @@ struct WorkerPool {
 }
 
 impl WorkerPool {
-    fn spawn(dir: RunDir, opts: &ClusterOptions<'_>, hub: &NetHub) -> Result<WorkerPool> {
+    fn spawn(logs: PathBuf, opts: &ClusterOptions<'_>, hub: &NetHub) -> Result<WorkerPool> {
         let mut pool = WorkerPool {
-            dir,
+            logs,
             exe: opts.worker_cmd.0.clone(),
             prefix: opts.worker_cmd.1.clone(),
             orphan_grace_ms: opts.orphan_grace_ms,
@@ -278,7 +279,7 @@ impl WorkerPool {
     }
 
     fn spawn_process(&self, id: &str, respawn: bool, hub: &NetHub) -> Result<Child> {
-        let log_path = self.dir.logs().join(format!("{id}.log"));
+        let log_path = self.logs.join(format!("{id}.log"));
         let log = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -421,7 +422,6 @@ struct TaskOutcome {
 }
 
 struct Coordinator<'a> {
-    dir: RunDir,
     epoch: u64,
     opts: &'a ClusterOptions<'a>,
     solver: &'a wootz_ir::SolverConfig,
@@ -430,14 +430,12 @@ struct Coordinator<'a> {
     hub: NetHub,
     stats: ClusterStats,
     next_seq: u64,
-    /// Result files already examined (accepted or rejected).
-    processed_results: BTreeSet<String>,
     /// Per-step wall-time samples (ms) of accepted results — the
     /// speculation deadline's calibration data.
     rate_samples: Vec<f64>,
-    /// The published bag of pre-trained blocks: block key → checkpoint
-    /// file name under `blocks/` (grows monotonically).
-    published: BTreeMap<String, String>,
+    /// The published bag of pre-trained blocks, by block key (grows
+    /// monotonically).
+    published: BTreeMap<String, Checkpoint>,
 }
 
 impl Coordinator<'_> {
@@ -451,15 +449,6 @@ impl Coordinator<'_> {
             kind,
             expected_steps,
         }
-    }
-
-    /// Publishes `task` into the queue and wakes the `TaskRequest`s the
-    /// hub has parked — the one enqueue path of first attempts, lease
-    /// re-enqueues and speculative duplicates.
-    fn enqueue(&self, task: &TaskSpec) -> Result<()> {
-        self.dir.enqueue(task)?;
-        self.hub.notify_work();
-        Ok(())
     }
 
     /// The speculation deadline (ms of claimed run time) for a task of
@@ -483,7 +472,7 @@ impl Coordinator<'_> {
         let seqs: Vec<u64> = tasks.iter().map(|t| t.seq).collect();
         let mut units: BTreeMap<u64, Unit> = BTreeMap::new();
         for task in tasks {
-            self.enqueue(&task)?;
+            self.hub.enqueue(task.clone());
             units.insert(
                 task.seq,
                 Unit {
@@ -502,31 +491,22 @@ impl Coordinator<'_> {
         let mut last_progress = Instant::now();
         while done.len() < total {
             let mut progressed = false;
-            // Read before the directory listing: a result journaled after
-            // the listing then ends this tick's wait at once.
+            // Read before taking results: a result arriving after the
+            // take then ends this tick's wait at once.
             let seen = self.hub.events_seen();
 
-            // 1. Reap freshly journaled results, applying fencing. The
-            // run-directory files are the source of truth; the hub's
-            // event only says when to look.
-            for name in self.dir.result_files()? {
-                if self.processed_results.contains(&name) {
-                    continue;
-                }
-                let result = self.dir.read_result(&name)?;
-                // Chaos: die with the result durable in `results/` but not
-                // yet folded into run state — the reap window. The
-                // restarted epoch wipes `results/` and re-runs the unit
-                // from the journal; bit-identity must survive.
+            // 1. Reap the results that arrived, applying fencing.
+            for (result, arrived) in self.hub.take_results() {
+                // Chaos: die with the result received but not yet folded
+                // into run state — the reap window. The restarted epoch
+                // re-runs the unit from the journal; bit-identity must
+                // survive.
                 if wootz_fault::chaos::kill_point(wootz_fault::chaos::kill_site::COORD_REAP) {
                     wootz_fault::chaos::die(wootz_fault::chaos::kill_site::COORD_REAP);
                 }
                 progressed |= self.accept_or_fence(result, &mut units, &mut done);
-                if let Some(at) = self.hub.take_arrival(&name) {
-                    wootz_obs::histogram("cluster.reap_latency_us")
-                        .record(at.elapsed().as_micros() as u64);
-                }
-                self.processed_results.insert(name);
+                wootz_obs::histogram("cluster.reap_latency_us")
+                    .record(arrived.elapsed().as_micros() as u64);
             }
 
             // 2. Fold in the hub's liveness signals. The grant starts an
@@ -585,7 +565,7 @@ impl Coordinator<'_> {
                         attempt: unit.attempts_launched,
                         ..old.task.clone()
                     };
-                    self.enqueue(&task)?;
+                    self.hub.enqueue(task.clone());
                     unit.live.push(Attempt {
                         task,
                         claim_seen: None,
@@ -613,7 +593,7 @@ impl Coordinator<'_> {
             // completed task to calibrate against, and a claimed straggler
             // past its deadline — duplicate the lowest such sequence
             // number (deterministic tie-break). First publication wins.
-            if !self.rate_samples.is_empty() && self.dir.pending()?.is_empty() {
+            if !self.rate_samples.is_empty() && self.hub.pending() == 0 {
                 let candidate = units
                     .iter()
                     .filter(|(seq, u)| {
@@ -635,7 +615,7 @@ impl Coordinator<'_> {
                         attempt: unit.attempts_launched,
                         ..unit.live[0].task.clone()
                     };
-                    self.enqueue(&task)?;
+                    self.hub.enqueue(task.clone());
                     self.stats.speculative_launched += 1;
                     wootz_obs::counter("cluster.speculative_launched").incr();
                     wootz_obs::event("cluster.speculative_launch")
@@ -664,10 +644,10 @@ impl Coordinator<'_> {
                     self.opts.stall_timeout_ms,
                     done.len(),
                     total,
-                    self.dir.pending()?.len(),
-                    self.dir.claimed()?.len(),
+                    self.hub.pending(),
+                    self.hub.claimed(),
                     self.pool.poll_alive(),
-                    self.dir.logs().display()
+                    self.pool.logs.display()
                 )));
             }
             if done.len() < total {
@@ -752,53 +732,37 @@ impl Coordinator<'_> {
     }
 
     /// Publishes the grown bag of pre-trained blocks for the evaluation
-    /// workers: each checkpoint is written exactly once under a name
-    /// derived from its block key (stable across rounds, so a concurrent
-    /// fetch never sees a file change underneath it), the index is
-    /// republished atomically, and the hub's cached copy is dropped so
-    /// workers always fetch the round-complete bag.
+    /// workers: a block already in the bag keeps its first copy, and the
+    /// hub re-encodes the bag's frame so workers always fetch the
+    /// round-complete bag.
     fn publish_blocks(&mut self, checkpoints: &BTreeMap<String, Checkpoint>) -> Result<()> {
         for (key, ckpt) in checkpoints {
-            if !self.published.contains_key(key) {
-                let file = format!("{:016x}.ckpt", wootz_fault::fnv1a64(key.as_bytes()));
-                ckpt.save(self.dir.blocks().join(&file))?;
-                self.published.insert(key.clone(), file);
-            }
+            self.published
+                .entry(key.clone())
+                .or_insert_with(|| ckpt.clone());
         }
-        // Chaos: die with every block checkpoint saved but the index
-        // half-written to its temp file — the assembly-publish window.
-        // Consumers must only ever see the index appear atomically; the
-        // restarted epoch re-runs pre-training from the journal and
-        // republishes.
-        {
-            use wootz_fault::chaos::{self, kill_site};
-            if chaos::kill_point(kill_site::COORD_ASSEMBLE) {
-                let json = serde_json::to_vec(&self.published).unwrap_or_default();
-                let path = self.dir.blocks_index();
-                let tmp = path.with_file_name(format!(".index.tmp-{}", std::process::id()));
-                if let Ok(mut file) = std::fs::File::create(&tmp) {
-                    chaos::torn_write_and_die(kill_site::COORD_ASSEMBLE, &mut file, &json);
-                }
-                chaos::die(kill_site::COORD_ASSEMBLE);
-            }
+        // Chaos: die with the round's blocks pre-trained and journaled
+        // but the bag not yet handed to the hub — the assembly-publish
+        // window. The restarted epoch replays pre-training from the
+        // journal and republishes.
+        if wootz_fault::chaos::kill_point(wootz_fault::chaos::kill_site::COORD_ASSEMBLE) {
+            wootz_fault::chaos::die(wootz_fault::chaos::kill_site::COORD_ASSEMBLE);
         }
-        atomic_write_json(&self.dir.blocks_index(), &self.published)?;
-        self.hub.invalidate_blocks();
-        Ok(())
+        self.hub.publish_blocks(&self.published)
     }
 
     /// Shuts the run down: broadcasts `Shutdown`, waits up to the grace
     /// period for workers to finish their in-flight tasks and exit
-    /// (counting any late result journaled meanwhile as a fenced zombie),
-    /// then kills whatever is left.
-    fn finish(mut self) -> Result<ClusterStats> {
+    /// (counting any late result that arrives meanwhile as a fenced
+    /// zombie), then kills whatever is left.
+    fn finish(mut self) -> ClusterStats {
         // Sockets stay open through the grace period so in-flight
-        // TaskDone frames still land in the durability journal.
+        // TaskDone frames still reach the hub.
         self.hub.broadcast_shutdown();
         let deadline = Instant::now() + Duration::from_millis(self.opts.shutdown_grace_ms);
         loop {
             let seen = self.hub.events_seen();
-            self.reap_late_results()?;
+            self.reap_late_results();
             let alive = self.pool.poll_alive();
             wootz_obs::gauge("cluster.workers_alive").set(alive as f64);
             let now = Instant::now();
@@ -822,27 +786,26 @@ impl Coordinator<'_> {
         self.stats.no_task_replies = self.hub.no_task_replies();
         self.hub.close();
         self.pool.kill_all();
-        self.reap_late_results()?;
+        self.reap_late_results();
         wootz_obs::gauge("cluster.workers_alive").set(0.0);
-        Ok(self.stats)
+        self.stats
     }
 
-    /// After all scheduled work completed, any result file that was never
-    /// accepted is by definition a fenced zombie (a reclaimed attempt that
-    /// finished late). Counting them here makes the fencing guarantee
-    /// observable even when the zombie outlives the phase that fenced it.
-    fn reap_late_results(&mut self) -> Result<()> {
-        for name in self.dir.result_files()? {
-            if self.processed_results.insert(name.clone()) {
-                self.stats.zombie_results_rejected += 1;
-                wootz_obs::counter("cluster.zombie_results_rejected").incr();
-                wootz_obs::event("cluster.zombie_result_rejected")
-                    .field("file", name)
-                    .field("reason", "run complete")
-                    .emit();
-            }
+    /// After all scheduled work completed, any result that arrives is by
+    /// definition a fenced zombie (a reclaimed attempt that finished
+    /// late). Counting them here makes the fencing guarantee observable
+    /// even when the zombie outlives the phase that fenced it.
+    fn reap_late_results(&mut self) {
+        for (result, _) in self.hub.take_results() {
+            self.stats.zombie_results_rejected += 1;
+            wootz_obs::counter("cluster.zombie_results_rejected").incr();
+            wootz_obs::event("cluster.zombie_result_rejected")
+                .field("seq", result.seq as usize)
+                .field("attempt", result.attempt as usize)
+                .field("worker", result.worker)
+                .field("reason", "run complete")
+                .emit();
         }
-        Ok(())
     }
 }
 
@@ -971,7 +934,7 @@ impl<'a> Coordinator<'a> {
     /// claims the next fencing epoch over the run directory, writes the
     /// manifest, binds the hub (which hands the manifest and the
     /// full-model checkpoint to every worker in its `Welcome`), and
-    /// spawns the worker pool.
+    /// spawns the worker pool with its logs under the run directory.
     fn start(
         inputs: &'a WootzInputs,
         mode: RunMode,
@@ -979,9 +942,9 @@ impl<'a> Coordinator<'a> {
         full_ckpt: &Checkpoint,
     ) -> Result<Coordinator<'a>> {
         // Fencing epoch: strictly greater than any previous coordinator's
-        // over this run directory (read *before* wiping the queue state).
-        let dir = RunDir::new(&opts.run_dir);
-        let epoch = match read_json::<Manifest>(&dir.manifest()) {
+        // over this run directory.
+        let manifest_path = opts.run_dir.join(MANIFEST);
+        let epoch = match read_json::<Manifest>(&manifest_path) {
             Ok(m) => m.epoch + 1,
             Err(_) => 1,
         };
@@ -995,7 +958,9 @@ impl<'a> Coordinator<'a> {
                 .field("resume", opts.resume)
                 .emit();
         }
-        dir.init_epoch()?;
+        let logs = opts.run_dir.join(LOGS_DIR);
+        std::fs::create_dir_all(&logs)
+            .map_err(|e| cluster_err(format!("cannot create `{}`: {e}", logs.display())))?;
         let manifest = Manifest {
             epoch,
             model: inputs.model.clone(),
@@ -1007,7 +972,7 @@ impl<'a> Coordinator<'a> {
             retry: opts.retry,
             lease_ms: opts.lease_ms,
         };
-        atomic_write_json(&dir.manifest(), &manifest)?;
+        atomic_write_json(&manifest_path, &manifest)?;
         wootz_obs::event("cluster.manifest_written")
             .field("epoch", epoch as usize)
             .field("workers", opts.workers)
@@ -1016,10 +981,9 @@ impl<'a> Coordinator<'a> {
         // Bind the hub before any worker starts, so the first connection
         // attempt succeeds.
         let addr = opts.listen.as_deref().unwrap_or("127.0.0.1:0");
-        let hub = NetHub::bind(addr, dir.clone(), manifest, full_ckpt.clone())?;
-        let pool = WorkerPool::spawn(dir.clone(), opts, &hub)?;
+        let hub = NetHub::bind(addr, manifest, full_ckpt.clone())?;
+        let pool = WorkerPool::spawn(logs, opts, &hub)?;
         Ok(Coordinator {
-            dir,
             epoch,
             opts,
             solver: &inputs.solver,
@@ -1030,7 +994,6 @@ impl<'a> Coordinator<'a> {
                 ..ClusterStats::default()
             },
             next_seq: 0,
-            processed_results: BTreeSet::new(),
             rate_samples: Vec::new(),
             published: BTreeMap::new(),
         })
@@ -1041,7 +1004,7 @@ impl<'a> Coordinator<'a> {
 /// same phase driver as [`wootz_core::pipeline::run_wootz_with`]
 /// ([`run_phases`]), with pre-training groups and configuration
 /// evaluations executing on `opts.workers` separate worker OS processes
-/// fed over TCP from the crash-safe queue under `opts.run_dir`. The
+/// fed over TCP from the hub's in-memory queue. The
 /// full model is replayed from the journal or trained locally (training
 /// it remotely would serialize on one worker anyway), and the journal's
 /// single-writer lock is what makes a SIGKILLed coordinator safely
@@ -1056,8 +1019,8 @@ impl<'a> Coordinator<'a> {
 ///
 /// # Errors
 ///
-/// Propagates phase errors, journal errors, and queue I/O failures;
-/// returns a stall error (with diagnostics) when no task makes progress
+/// Propagates phase errors, journal errors, and run-directory I/O
+/// failures; returns a stall error (with diagnostics) when no task makes progress
 /// for `opts.stall_timeout_ms`.
 pub fn run_distributed(
     inputs: &WootzInputs,
@@ -1085,7 +1048,7 @@ pub fn run_distributed(
     let (run, coord) = run_phases(inputs, dataset, mode, &mm, None, &run_opts, |full_ckpt| {
         Coordinator::start(inputs, mode, opts, full_ckpt)
     })?;
-    let stats = coord.finish()?;
+    let stats = coord.finish();
     wootz_obs::event("cluster.run_done")
         .field("tasks", stats.tasks_completed)
         .field("reclaimed", stats.leases_reclaimed)

@@ -96,8 +96,9 @@ pub enum Message {
         /// The [`Message::Heartbeat`] nonce, echoed.
         nonce: u64,
     },
-    /// Worker → coordinator: delivers a completed task. The coordinator
-    /// journals the result durably before acting on it.
+    /// Worker → coordinator: delivers a completed task. The hub keeps
+    /// the first copy of each `(epoch, seq, attempt)` for the
+    /// coordinator's fencing and drops resent ones.
     TaskDone {
         /// The completed task's result record.
         result: TaskResult,

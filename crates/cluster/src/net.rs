@@ -2,16 +2,17 @@
 //! [`NetClient`], speaking the `wootz-wire` framed protocol of
 //! [`crate::messages`] (specified byte-by-byte in `PROTOCOL.md`).
 //!
-//! # What the run directory is for
+//! # The hub owns the task queue
 //!
-//! The run directory is not a communication medium: it is a **durability
-//! journal** owned solely by the coordinator. The hub claims tasks from
-//! `tasks/` when a worker asks for work, and journals every received
-//! `TaskDone` into `results/` *before* the coordinator acts on it.
-//! Workers never touch shared storage — everything they need (manifest,
-//! full checkpoint, block checkpoints, tasks) arrives in frames, and
-//! everything they produce leaves in frames. A result is durable exactly
-//! when it is in `results/`, and `--resume` replays the run journal.
+//! The coordinator's queue lives in memory, inside the hub: the drive
+//! loop enqueues, a handler answering a `TaskRequest` claims the lowest
+//! pending `(seq, attempt)`, and a handler receiving a `TaskDone` hands
+//! the result, with its arrival time, to the drive loop. Workers never
+//! touch shared storage — everything they need (manifest, full
+//! checkpoint, block checkpoints, tasks) arrives in frames, and
+//! everything they produce leaves in frames. What survives a coordinator
+//! crash is the run journal, which `--resume` replays; the queue of the
+//! dead epoch is gone with its process.
 //!
 //! # Threading
 //!
@@ -32,23 +33,23 @@
 //! Nothing on the grant → execute → deliver → reap → shutdown path waits
 //! out a timer. Two condvar signals carry the wake-ups: *work* (coordinator →
 //! parked `TaskRequest` handlers: raised on every enqueue and on drain)
-//! and *events* (hub → coordinator: raised after a `TaskDone` is
-//! journaled and when a session closes). Both only say "look again" —
-//! the run directory stays the single source of truth for what is
-//! pending and what is done.
+//! and *events* (hub → coordinator: raised when a result arrives and
+//! when a session closes). Both only say "look again" — the queue
+//! itself says what is pending and what is done.
 //!
 //! # Failure model
 //!
 //! A connection can die at any byte. The guarantees are end-to-end, not
 //! per-connection: a worker whose `TaskDone` write fails mid-frame
-//! reconnects and *re-sends the same result* (the coordinator
-//! deduplicates by `(seq, attempt)`); a worker that dies silently stops
-//! heartbeating and its lease is reclaimed; a zombie reconnecting from a
-//! previous epoch is welcomed, but its stale-epoch results are fenced by
-//! the coordinator. The deterministic chaos hook `WOOTZ_CHAOS_NET_DROP`
-//! (see [`crate::worker`]) exercises the mid-frame path in tests.
+//! reconnects and *re-sends the same result* (the hub keeps the first
+//! copy of each `(epoch, seq, attempt)` and drops the rest); a worker
+//! that dies silently stops heartbeating and its lease is reclaimed; a
+//! zombie reconnecting from a previous epoch is welcomed, but its
+//! stale-epoch results are fenced by the coordinator. The deterministic
+//! chaos hook `WOOTZ_CHAOS_NET_DROP` (see [`crate::worker`]) exercises
+//! the mid-frame path in tests.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::io::Write;
 use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -63,8 +64,7 @@ use wootz_wire::{write_frame, Limits, WireError, WireResult};
 use wootz_core::Result;
 
 use crate::messages::Message;
-use crate::protocol::{cluster_err, read_json, task_file_name, Manifest};
-use crate::queue::RunDir;
+use crate::protocol::{cluster_err, Manifest, TaskResult, TaskSpec};
 
 /// How long a client read may sit idle before the reader treats the
 /// connection as dead and triggers a reconnect. A parked `TaskRequest`
@@ -214,9 +214,24 @@ impl Session {
     }
 }
 
+/// The coordinator's task queue. The drive loop enqueues and takes
+/// results; the connection handlers claim and deliver.
+#[derive(Default)]
+struct Queue {
+    /// Tasks not granted yet, claimed lowest `(seq, attempt)` first.
+    pending: BTreeMap<(u64, u32), TaskSpec>,
+    /// Granted `(seq, attempt)`s whose result has not arrived.
+    claimed: BTreeSet<(u64, u32)>,
+    /// Every `(epoch, seq, attempt)` a result arrived for: a worker
+    /// resending a `TaskDone` it could not confirm is heard once.
+    delivered: HashSet<(u64, u64, u32)>,
+    /// Received results with their arrival times, until the drive loop
+    /// takes them (`cluster.reap_latency_us`).
+    results: Vec<(TaskResult, Instant)>,
+}
+
 /// Shared state of the coordinator's network hub.
 struct HubState {
-    dir: RunDir,
     epoch: u64,
     manifest: Manifest,
     full_ckpt: Checkpoint,
@@ -224,15 +239,12 @@ struct HubState {
     park: Duration,
     /// Coordinator → handlers: a task was enqueued, or the run drains.
     work: Signal,
-    /// Handlers → coordinator: a result was journaled, or a session
-    /// closed.
+    /// Handlers → coordinator: a result arrived, or a session closed.
     events: Signal,
+    queue: Mutex<Queue>,
     /// Last signal (grant or heartbeat) per live `(seq, attempt)` — the
     /// coordinator's in-memory lease bookkeeping source.
     signals: Mutex<HashMap<(u64, u32), Instant>>,
-    /// When the `TaskDone` behind each result file arrived, until the
-    /// coordinator folds it (`cluster.reap_latency_us`).
-    arrived: Mutex<HashMap<String, Instant>>,
     /// Spawn times of pool workers that have not asked for work yet
     /// (`cluster.worker_ready_ms`).
     spawned: Mutex<HashMap<String, Instant>>,
@@ -245,9 +257,9 @@ struct HubState {
     /// `NoTask` replies sent — each one a park that expired.
     no_task_replies: AtomicUsize,
     /// The encoded [`Message::Blocks`] frame of the published block
-    /// index, built on the first [`Message::BlocksRequest`] and shared by
-    /// every later one.
-    blocks: Mutex<Option<Arc<EncodedFrame>>>,
+    /// bag ([`NetHub::publish_blocks`]; empty until the first publish),
+    /// shared by every [`Message::BlocksRequest`].
+    blocks: Mutex<Arc<EncodedFrame>>,
     /// Set when the coordinator is draining: new sessions and task
     /// requests are answered with [`Message::Shutdown`].
     draining: AtomicBool,
@@ -261,28 +273,6 @@ struct HubState {
 }
 
 impl HubState {
-    fn blocks_frame(&self) -> Result<Arc<EncodedFrame>> {
-        let mut cache = lock_recover(&self.blocks);
-        if let Some(frame) = cache.as_ref() {
-            return Ok(Arc::clone(frame));
-        }
-        // Loaded lazily: the index appears only after the pre-training
-        // phase published it, and workers only ask once they hold an
-        // evaluation task — which the coordinator enqueues strictly after
-        // publication.
-        let files: std::collections::BTreeMap<String, String> =
-            read_json(&self.dir.blocks_index())?;
-        let mut index = Vec::with_capacity(files.len());
-        for (key, file) in files {
-            index.push((key, Checkpoint::load(self.dir.blocks().join(&file))?));
-        }
-        let frame = EncodedFrame::of(&Message::Blocks { index })
-            .map_err(|e| cluster_err(format!("cannot encode the block index: {e}")))?;
-        let frame = Arc::new(frame);
-        *cache = Some(Arc::clone(&frame));
-        Ok(frame)
-    }
-
     /// The live sessions, snapshotted so no frame is written and no socket
     /// closed under the registry lock.
     fn live_sessions(&self) -> Vec<Arc<Session>> {
@@ -293,13 +283,36 @@ impl HubState {
         lock_recover(&self.signals).insert((seq, attempt), Instant::now());
     }
 
+    /// Moves the lowest pending `(seq, attempt)` into the claimed set.
+    fn claim(&self) -> Option<TaskSpec> {
+        let mut queue = lock_recover(&self.queue);
+        let (key, task) = queue.pending.pop_first()?;
+        queue.claimed.insert(key);
+        Some(task)
+    }
+
+    /// Hands a received result to the drive loop, unless a copy of it
+    /// already arrived, and wakes the loop.
+    fn deliver(&self, result: TaskResult, received: Instant) {
+        let mut queue = lock_recover(&self.queue);
+        queue.claimed.remove(&(result.seq, result.attempt));
+        if queue
+            .delivered
+            .insert((result.epoch, result.seq, result.attempt))
+        {
+            queue.results.push((result, received));
+            drop(queue);
+            self.events.raise();
+        }
+    }
+
     /// Answers one `TaskRequest` as a long-poll: grants the moment a task
     /// can be claimed, sends `Shutdown` the moment the run drains, and
     /// only after [`HubState::park`] without either answers `NoTask` —
     /// with a zero backoff, because the waiting already happened here.
     /// `None` means the session's one `Shutdown` was (or already had
     /// been) sent instead of a reply.
-    fn answer_task_request(&self, session: &Session, worker: &str) -> Option<Message> {
+    fn answer_task_request(&self, session: &Session) -> Option<Message> {
         let deadline = Instant::now() + self.park;
         loop {
             // Generation first, queue second: an enqueue between the
@@ -310,31 +323,23 @@ impl HubState {
                 session.send_shutdown();
                 return None;
             }
-            match self.dir.try_claim(worker) {
-                Ok(Some(task)) => {
-                    self.record_signal(task.seq, task.attempt);
-                    let grant = Message::TaskGrant { task };
-                    // Chaos: the claim rename is already durable but
-                    // the grant frame reaches the worker torn — the
-                    // crash window between "coordinator committed"
-                    // and "worker informed". The restarted epoch
-                    // wipes claims/ and re-enqueues the task; the
-                    // worker sees a truncated frame and reconnects.
-                    if wootz_fault::chaos::kill_point(wootz_fault::chaos::kill_site::COORD_GRANT) {
-                        let mut frame = Vec::new();
-                        let _ = grant.write_to(&mut frame);
-                        let mut stream = lock_recover(&session.writer);
-                        let _ = stream.write_all(&frame[..frame.len() / 2]);
-                        let _ = stream.flush();
-                        wootz_fault::chaos::die(wootz_fault::chaos::kill_site::COORD_GRANT);
-                    }
-                    return Some(grant);
+            if let Some(task) = self.claim() {
+                self.record_signal(task.seq, task.attempt);
+                let grant = Message::TaskGrant { task };
+                // Chaos: the task is claimed but the grant frame reaches
+                // the worker torn — the crash window between
+                // "coordinator committed" and "worker informed". The
+                // restarted epoch re-runs the unit from the journal; the
+                // worker sees a truncated frame and reconnects.
+                if wootz_fault::chaos::kill_point(wootz_fault::chaos::kill_site::COORD_GRANT) {
+                    let mut frame = Vec::new();
+                    let _ = grant.write_to(&mut frame);
+                    let mut stream = lock_recover(&session.writer);
+                    let _ = stream.write_all(&frame[..frame.len() / 2]);
+                    let _ = stream.flush();
+                    wootz_fault::chaos::die(wootz_fault::chaos::kill_site::COORD_GRANT);
                 }
-                Ok(None) => {}
-                // Parked like an empty queue: the next enqueue retries.
-                Err(e) => wootz_obs::event("net.claim_error")
-                    .field("error", e.to_string())
-                    .emit(),
+                return Some(grant);
             }
             let now = Instant::now();
             if now >= deadline {
@@ -347,9 +352,9 @@ impl HubState {
     }
 }
 
-/// The coordinator's network front-end: accepts worker connections and
-/// speaks the protocol on the coordinator's behalf, claiming from and
-/// journaling to the run directory.
+/// The coordinator's network front-end: accepts worker connections,
+/// speaks the protocol on the coordinator's behalf, and owns the task
+/// queue between them.
 pub struct NetHub {
     state: Arc<HubState>,
     listener: Option<JoinHandle<()>>,
@@ -364,12 +369,7 @@ impl NetHub {
     /// # Errors
     ///
     /// Returns an error when the address cannot be bound.
-    pub fn bind(
-        addr: &str,
-        dir: RunDir,
-        manifest: Manifest,
-        full_ckpt: Checkpoint,
-    ) -> Result<NetHub> {
+    pub fn bind(addr: &str, manifest: Manifest, full_ckpt: Checkpoint) -> Result<NetHub> {
         // Retry `AddrInUse` briefly: a restarted coordinator rebinding the
         // port its killed predecessor held can race the kernel's socket
         // teardown. Any other error is immediately fatal.
@@ -390,21 +390,23 @@ impl NetHub {
             .map_err(|e| cluster_err(format!("cannot resolve listen address: {e}")))?;
         let local_addr = bound.to_string();
         let state = Arc::new(HubState {
-            dir,
             epoch: manifest.epoch,
             park: long_poll_park(manifest.lease_ms),
             manifest,
             full_ckpt,
             work: Signal::new(),
             events: Signal::new(),
+            queue: Mutex::new(Queue::default()),
             signals: Mutex::new(HashMap::new()),
-            arrived: Mutex::new(HashMap::new()),
             spawned: Mutex::new(HashMap::new()),
             known_workers: Mutex::new(HashMap::new()),
             reconnects: AtomicUsize::new(0),
             readopted: AtomicUsize::new(0),
             no_task_replies: AtomicUsize::new(0),
-            blocks: Mutex::new(None),
+            blocks: Mutex::new(Arc::new(
+                EncodedFrame::of(&Message::Blocks { index: Vec::new() })
+                    .expect("an empty block bag encodes"),
+            )),
             draining: AtomicBool::new(false),
             closing: AtomicBool::new(false),
             sessions: Mutex::new(HashMap::new()),
@@ -455,21 +457,40 @@ impl NetHub {
         &self.local_addr
     }
 
-    /// Tells parked `TaskRequest`s that the queue changed. The
-    /// coordinator calls this after every enqueue (first attempts, lease
-    /// re-enqueues, speculative duplicates).
-    pub fn notify_work(&self) {
+    /// Queues `task` for the next `TaskRequest` and wakes the parked
+    /// ones — the one enqueue path of first attempts, lease re-enqueues
+    /// and speculative duplicates.
+    pub fn enqueue(&self, task: TaskSpec) {
+        lock_recover(&self.state.queue)
+            .pending
+            .insert((task.seq, task.attempt), task);
         self.state.work.raise();
     }
 
-    /// The event generation as of now; read it *before* inspecting the
-    /// run directory, then hand it to [`NetHub::wait_event`].
+    /// Number of tasks not granted yet.
+    pub fn pending(&self) -> usize {
+        lock_recover(&self.state.queue).pending.len()
+    }
+
+    /// Number of granted tasks whose result has not arrived.
+    pub fn claimed(&self) -> usize {
+        lock_recover(&self.state.queue).claimed.len()
+    }
+
+    /// Takes the results received since the last call, each with the
+    /// time its `TaskDone` arrived, in arrival order.
+    pub fn take_results(&self) -> Vec<(TaskResult, Instant)> {
+        std::mem::take(&mut lock_recover(&self.state.queue).results)
+    }
+
+    /// The event generation as of now; read it *before* taking results,
+    /// then hand it to [`NetHub::wait_event`].
     pub fn events_seen(&self) -> u64 {
         self.state.events.seen()
     }
 
-    /// Blocks until a result was journaled or a session closed after
-    /// `seen` was read, or until `timeout` elapses.
+    /// Blocks until a result arrived or a session closed after `seen`
+    /// was read, or until `timeout` elapses.
     pub fn wait_event(&self, seen: u64, timeout: Duration) {
         self.state.events.wait_past(seen, timeout);
     }
@@ -483,11 +504,6 @@ impl NetHub {
     /// `TaskRequest` records `cluster.worker_ready_ms`.
     pub fn note_spawned(&self, worker: &str) {
         lock_recover(&self.state.spawned).insert(worker.to_string(), Instant::now());
-    }
-
-    /// When the `TaskDone` journaled as result file `name` arrived, once.
-    pub fn take_arrival(&self, name: &str) -> Option<Instant> {
-        lock_recover(&self.state.arrived).remove(name)
     }
 
     /// Drains and clears the heartbeat/grant signal map: the
@@ -514,13 +530,21 @@ impl NetHub {
         self.state.no_task_replies.load(Ordering::Relaxed)
     }
 
-    /// Drops the cached pre-trained block index so the next
-    /// [`Message::BlocksRequest`] re-reads the run directory. Rounds that
-    /// pre-train new blocks grow the published bag mid-run; the
-    /// coordinator calls this right after republishing `blocks/index.json`
-    /// so workers always see the round's complete bag.
-    pub fn invalidate_blocks(&self) {
-        *lock_recover(&self.state.blocks) = None;
+    /// Publishes the bag of pre-trained blocks: encodes its
+    /// [`Message::Blocks`] frame once, for every later
+    /// [`Message::BlocksRequest`]. Rounds that pre-train new blocks grow
+    /// the bag mid-run; the coordinator republishes it before it enqueues
+    /// the round's evaluations, so workers always see the complete bag.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the frame cannot be encoded.
+    pub fn publish_blocks(&self, bag: &BTreeMap<String, Checkpoint>) -> Result<()> {
+        let index = bag.iter().map(|(k, c)| (k.clone(), c.clone())).collect();
+        let frame = EncodedFrame::of(&Message::Blocks { index })
+            .map_err(|e| cluster_err(format!("cannot encode the block index: {e}")))?;
+        *lock_recover(&self.state.blocks) = Arc::new(frame);
+        Ok(())
     }
 
     /// Enters drain mode: every live connection gets one
@@ -660,7 +684,7 @@ fn handle_connection(state: Arc<HubState>, id: u64, stream: TcpStream) {
                     wootz_obs::histogram("cluster.worker_ready_ms")
                         .record(spawned.elapsed().as_millis() as u64);
                 }
-                state.answer_task_request(&session, &worker)
+                state.answer_task_request(&session)
             }
             Message::Heartbeat {
                 seq,
@@ -672,45 +696,20 @@ fn handle_connection(state: Arc<HubState>, id: u64, stream: TcpStream) {
                 Some(Message::HeartbeatAck { nonce })
             }
             Message::TaskDone { result } => {
-                // Journal durably *before* the coordinator can observe the
-                // result; then clean up the claim and wake the
-                // coordinator's reap. The coordinator's fencing (epoch +
-                // live-attempt) decides acceptance — the hub journals
-                // zombies too.
-                let name = task_file_name(result.seq, result.attempt);
-                // Noted before the file can be seen, so the coordinator
-                // never folds a result whose arrival time is still missing.
-                lock_recover(&state.arrived).insert(name.clone(), received);
-                match state.dir.publish_result(&result) {
-                    Ok(()) => {
-                        state.dir.release(&name);
-                        state.events.raise();
-                    }
-                    Err(e) => {
-                        lock_recover(&state.arrived).remove(&name);
-                        wootz_obs::event("net.journal_error")
-                            .field("error", e.to_string())
-                            .emit();
-                    }
+                // The coordinator's fencing (epoch + live attempt)
+                // decides acceptance — the hub delivers zombies too.
+                state.deliver(result, received);
+                None
+            }
+            Message::BlocksRequest => {
+                // The cached frame goes out as it is: no per-request
+                // copy of the bag, no per-request re-encoding.
+                let frame = Arc::clone(&lock_recover(&state.blocks));
+                if send_frame(&session.writer, &frame).is_err() {
+                    return;
                 }
                 None
             }
-            Message::BlocksRequest => match state.blocks_frame() {
-                Ok(frame) => {
-                    // The cached frame goes out as it is: no per-request
-                    // copy of the bag, no per-request re-encoding.
-                    if send_frame(&session.writer, &frame).is_err() {
-                        return;
-                    }
-                    None
-                }
-                Err(e) => {
-                    wootz_obs::event("net.blocks_error")
-                        .field("error", e.to_string())
-                        .emit();
-                    Some(Message::Blocks { index: Vec::new() })
-                }
-            },
             // Coordinator-bound streams never carry these; ignore rather
             // than kill the session (forward compatibility). Job traffic
             // (`SubmitJob`/`JobEvent`/`JobDone`) belongs to the serve
@@ -872,7 +871,109 @@ impl Drop for NetClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{ResultPayload, TaskKind, WireEval};
+    use std::collections::BTreeSet;
     use wootz_core::pipeline::RunMode;
+
+    /// A hub on an ephemeral loopback port whose tasks nobody executes.
+    fn idle_hub() -> NetHub {
+        let manifest = Manifest {
+            epoch: 1,
+            model: wootz_models::resnet_mini(8),
+            subspace: Vec::new(),
+            solver: wootz_ir::SolverConfig::parse("dataset: \"flowers102\"\n").unwrap(),
+            objective: wootz_ir::Objective::parse("min ModelSize\n").unwrap(),
+            mode: RunMode::Baseline,
+            faults: None,
+            retry: wootz_fault::RetryPolicy::abort_fast(),
+            lease_ms: 1500,
+        };
+        NetHub::bind("127.0.0.1:0", manifest, Checkpoint::new()).unwrap()
+    }
+
+    fn spec(seq: u64, attempt: u32) -> TaskSpec {
+        TaskSpec {
+            seq,
+            attempt,
+            epoch: 1,
+            kind: TaskKind::Eval {
+                config_index: seq as usize,
+                universe: Vec::new(),
+            },
+            expected_steps: 5,
+        }
+    }
+
+    fn result(task: &TaskSpec) -> TaskResult {
+        TaskResult {
+            seq: task.seq,
+            attempt: task.attempt,
+            epoch: task.epoch,
+            worker: "w0".to_string(),
+            wall_ms: 1,
+            payload: ResultPayload::Eval(WireEval {
+                config_index: task.seq as usize,
+                outcome: None,
+                error: Some("boom".to_string()),
+                attempts: 1,
+                backoff: 0.0,
+            }),
+        }
+    }
+
+    #[test]
+    fn enqueue_claim_and_result_round_trip() {
+        let hub = idle_hub();
+        hub.enqueue(spec(2, 1));
+        hub.enqueue(spec(1, 1));
+        assert_eq!(hub.pending(), 2);
+        // Claims drain in sequence order.
+        let first = hub.state.claim().unwrap();
+        assert_eq!(first.seq, 1);
+        let second = hub.state.claim().unwrap();
+        assert_eq!(second.seq, 2);
+        assert!(hub.state.claim().is_none());
+        assert_eq!((hub.pending(), hub.claimed()), (0, 2));
+        let arrived = Instant::now();
+        hub.state.deliver(result(&first), arrived);
+        assert_eq!(hub.claimed(), 1);
+        let results = hub.take_results();
+        assert_eq!(results, vec![(result(&first), arrived)]);
+        // A resent copy of a delivered result is dropped.
+        hub.state.deliver(result(&first), Instant::now());
+        assert!(hub.take_results().is_empty());
+    }
+
+    #[test]
+    fn racing_claimants_get_disjoint_tasks() {
+        let hub = idle_hub();
+        let n_tasks = 24u64;
+        for seq in 1..=n_tasks {
+            hub.enqueue(spec(seq, 1));
+        }
+        let winners: Vec<Vec<u64>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    let state = &hub.state;
+                    scope.spawn(move || {
+                        let mut got = Vec::new();
+                        while let Some(task) = state.claim() {
+                            got.push(task.seq);
+                        }
+                        got
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for got in &winners {
+            assert!(got.windows(2).all(|w| w[0] < w[1]), "{got:?} out of order");
+        }
+        let all: Vec<u64> = winners.iter().flatten().copied().collect();
+        let unique: BTreeSet<u64> = all.iter().copied().collect();
+        assert_eq!(all.len() as u64, n_tasks, "every task claimed exactly once");
+        assert_eq!(unique.len() as u64, n_tasks, "no task claimed twice");
+    }
 
     #[test]
     fn a_raise_between_reading_the_generation_and_waiting_is_not_lost() {
@@ -903,23 +1004,7 @@ mod tests {
 
     #[test]
     fn closed_sessions_leave_the_registry_and_their_handles_are_dropped() {
-        let root = std::env::temp_dir().join(format!("wootz_hub_reap_{}", std::process::id()));
-        std::fs::remove_dir_all(&root).ok();
-        let dir = RunDir::new(&root);
-        dir.init_epoch().unwrap();
-        let manifest = Manifest {
-            epoch: 1,
-            model: wootz_models::resnet_mini(8),
-            subspace: Vec::new(),
-            solver: wootz_ir::SolverConfig::parse("dataset: \"flowers102\"\n").unwrap(),
-            objective: wootz_ir::Objective::parse("min ModelSize\n").unwrap(),
-            mode: RunMode::Baseline,
-            faults: None,
-            retry: wootz_fault::RetryPolicy::abort_fast(),
-            lease_ms: 1500,
-        };
-        let hub = NetHub::bind("127.0.0.1:0", dir, manifest, Checkpoint::new()).unwrap();
-
+        let hub = idle_hub();
         // A reconnect storm, one session at a time: each connection is
         // opened, seen by the hub, closed, and seen gone — the closing is
         // reported as an event, so the wait needs no polling.
@@ -945,7 +1030,5 @@ mod tests {
             "{handles} handler handles kept for 12 closed sessions"
         );
         assert_eq!(hub.reconnects(), 11);
-        drop(hub);
-        std::fs::remove_dir_all(&root).ok();
     }
 }

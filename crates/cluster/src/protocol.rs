@@ -1,13 +1,13 @@
-//! The value types of the distributed runtime, and their on-disk form.
+//! The value types of the distributed runtime, and their encodings.
 //!
 //! What the coordinator and the worker processes exchange — a
 //! [`Manifest`] that pins the run's identity and inputs, task
 //! specifications ([`TaskSpec`]), and task results ([`TaskResult`]) —
-//! travels in frames ([`crate::messages`]) and is journaled by the
-//! coordinator as plain files under the *run directory*. The files are
-//! JSON written atomically (temp-file + rename), so a reader never
-//! observes a partial file and a `SIGKILL`ed writer leaves at most an
-//! orphaned temp file behind.
+//! travels in frames ([`crate::messages`]). Only the manifest is also a
+//! file: the coordinator writes it into the *run directory* as JSON,
+//! atomically (temp-file + rename), so a reader never observes a partial
+//! file and a `SIGKILL`ed writer leaves at most an orphaned temp file
+//! behind.
 //!
 //! The formats are deliberately *value-complete*: a worker process needs
 //! nothing but its `Welcome` and its tasks to reconstruct the exact
@@ -36,16 +36,6 @@ use wootz_wire::{
 
 /// Manifest file name inside the run directory.
 pub const MANIFEST: &str = "manifest.json";
-/// Directory of pre-trained block checkpoints (plus `index.json`).
-pub const BLOCKS_DIR: &str = "blocks";
-/// Index file inside [`BLOCKS_DIR`]: block key → checkpoint file name.
-pub const BLOCKS_INDEX: &str = "index.json";
-/// Directory of pending (unclaimed) tasks.
-pub const TASKS_DIR: &str = "tasks";
-/// Directory of claimed tasks (a claim is an atomic rename into here).
-pub const CLAIMS_DIR: &str = "claims";
-/// Directory of completed task results.
-pub const RESULTS_DIR: &str = "results";
 /// Directory of per-worker log files.
 pub const LOGS_DIR: &str = "logs";
 
@@ -84,7 +74,7 @@ pub struct Manifest {
 /// because only the coordinator knows the explorer's trajectory: the
 /// evaluation universe is the input subspace for the default `fixed`
 /// explorer and grows from proposals for the others.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TaskKind {
     /// Evaluate one configuration of the evaluation *universe* (assemble,
     /// fine-tune, test). The universe index doubles as the evaluation
@@ -123,9 +113,9 @@ impl TaskKind {
 
 /// One schedulable task. `(seq, attempt)` is globally unique within an
 /// epoch: re-executions of the same unit of work (after lease reclamation
-/// or for speculation) get a fresh attempt number, so files never collide
-/// and fencing can distinguish the copies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// or for speculation) get a fresh attempt number, so fencing can
+/// distinguish the copies.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskSpec {
     /// Queue sequence number (stable identity of the unit of work).
     pub seq: u64,
@@ -141,11 +131,6 @@ pub struct TaskSpec {
 }
 
 impl TaskSpec {
-    /// Canonical file name of this `(seq, attempt)` in the queue dirs.
-    pub fn file_name(&self) -> String {
-        task_file_name(self.seq, self.attempt)
-    }
-
     /// The fault-injection key of this task at `site::CLUSTER_TASK`:
     /// config index for evaluations, group index for pre-training — the
     /// same keying the in-process fault sites use.
@@ -157,24 +142,12 @@ impl TaskSpec {
     }
 }
 
-/// Builds the canonical queue file name of a `(seq, attempt)` pair.
-pub fn task_file_name(seq: u64, attempt: u32) -> String {
-    format!("t{seq:06}.a{attempt:03}.json")
-}
-
-/// Parses a queue file name back into its `(seq, attempt)` pair.
-pub fn parse_task_file_name(name: &str) -> Option<(u64, u32)> {
-    let rest = name.strip_prefix('t')?.strip_suffix(".json")?;
-    let (seq, attempt) = rest.split_once(".a")?;
-    Some((seq.parse().ok()?, attempt.parse().ok()?))
-}
-
 /// A [`SupervisedEval`] in wire form: the error side is carried as its
 /// rendered message (errors are not serializable structurally), which the
 /// coordinator re-wraps as [`CoreError::Remote`] — a variant that displays
 /// verbatim, so the failure record the fold produces is byte-identical to
 /// the single-process one.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WireEval {
     /// Index of the evaluated configuration.
     pub config_index: usize,
@@ -222,7 +195,7 @@ impl WireEval {
 }
 
 /// The payload of a completed task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ResultPayload {
     /// One configuration evaluation.
     Eval(WireEval),
@@ -238,8 +211,8 @@ pub enum ResultPayload {
     },
 }
 
-/// A completed task, written atomically into `results/` by the worker.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A completed task, as the worker's `TaskDone` carries it.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskResult {
     /// The task's queue sequence number.
     pub seq: u64,
@@ -300,16 +273,15 @@ pub fn cluster_err(detail: impl Into<String>) -> CoreError {
 
 // --- wire encodings ---------------------------------------------------------
 //
-// The network transport (`crate::net`) moves the same values the
-// filesystem queue stores, framed by `wootz-wire`. Control-plane scalars
-// (ids, sequence numbers, tags) get hand-written fixed-layout encodings;
-// deeply nested model state (`Manifest`, `Checkpoint`, `EvalOutcome`,
-// `PretrainedBlock`) rides as a length-prefixed JSON *document* — the
-// exact bytes `serde_json` would put on disk — so a result that crossed
-// TCP is byte-identical to one that crossed the run directory, and the
-// durability journal can reuse the blob verbatim. Documents are bounded
-// like any other blob: their declared length is checked against the frame
-// budget before allocation. See PROTOCOL.md §5 for the byte-level rules.
+// The network transport (`crate::net`) frames these values with
+// `wootz-wire`. Control-plane scalars (ids, sequence numbers, tags) get
+// hand-written fixed-layout encodings; deeply nested model state
+// (`Manifest`, `Checkpoint`, `EvalOutcome`, `PretrainedBlock`) rides as a
+// length-prefixed JSON *document*. The vendored `serde_json` round-trips
+// `f32` bit-exactly, so a result that crossed TCP is byte-identical to
+// one computed in process. Documents are bounded like any other blob:
+// their declared length is checked against the frame budget before
+// allocation. See PROTOCOL.md §5 for the byte-level rules.
 
 /// Encoded size of a JSON document field (length prefix + bytes).
 ///
@@ -578,24 +550,7 @@ impl WireDeserialize for TaskResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn task_file_names_round_trip() {
-        let spec = TaskSpec {
-            seq: 42,
-            attempt: 3,
-            epoch: 1,
-            kind: TaskKind::Eval {
-                config_index: 7,
-                universe: vec![PruneConfig::unpruned(4)],
-            },
-            expected_steps: 10,
-        };
-        assert_eq!(spec.file_name(), "t000042.a003.json");
-        assert_eq!(parse_task_file_name(&spec.file_name()), Some((42, 3)));
-        assert_eq!(parse_task_file_name("garbage"), None);
-        assert_eq!(parse_task_file_name(".t000001.a001.json.tmp-9"), None);
-    }
+    use wootz_wire::Limits;
 
     #[test]
     fn wire_eval_round_trips_both_sides() {
@@ -613,8 +568,16 @@ mod tests {
                 backoff: 1.25,
             },
         );
-        let json = serde_json::to_string(&ok).unwrap();
-        let back: WireEval = serde_json::from_str(&json).unwrap();
+        let mut buf = Vec::new();
+        ok.wire_write(&mut buf).unwrap();
+        assert_eq!(buf.len(), ok.wire_size(), "declared size matches encoding");
+        let back = WireEval::wire_read(&mut WireReader::new(
+            buf.as_slice(),
+            buf.len() as u64,
+            Limits::DEFAULT,
+        ))
+        .unwrap();
+        assert_eq!(back, ok);
         let sup = back.into_supervised();
         assert_eq!(sup.attempts, 2);
         assert_eq!(sup.backoff, 1.25);
@@ -674,16 +637,8 @@ mod tests {
                 spec.wire_size(),
                 "declared size matches encoding"
             );
-            let mut reader = WireReader::new(
-                buf.as_slice(),
-                buf.len() as u64,
-                wootz_wire::Limits::DEFAULT,
-            );
+            let mut reader = WireReader::new(buf.as_slice(), buf.len() as u64, Limits::DEFAULT);
             let back = TaskSpec::wire_read(&mut reader).unwrap();
-            assert_eq!(back, spec);
-            // The JSON queue files carry the same value losslessly too.
-            let json = serde_json::to_string(&spec).unwrap();
-            let back: TaskSpec = serde_json::from_str(&json).unwrap();
             assert_eq!(back, spec);
         }
     }
@@ -692,21 +647,24 @@ mod tests {
     fn atomic_write_then_read_round_trips() {
         let dir = std::env::temp_dir().join(format!("wootz_proto_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t000001.a001.json");
-        let spec = TaskSpec {
-            seq: 1,
-            attempt: 1,
+        let path = dir.join(MANIFEST);
+        let manifest = Manifest {
             epoch: 2,
-            kind: TaskKind::Pretrain {
-                group_index: 0,
-                blocks: Vec::new(),
-                group: vec![0, 2],
-            },
-            expected_steps: 6,
+            model: wootz_models::resnet_mini(8),
+            subspace: vec![PruneConfig::uniform(4, 50).unwrap()],
+            solver: SolverConfig::parse("dataset: \"flowers102\"\nseed: 3\n").unwrap(),
+            objective: Objective::parse("min ModelSize\n").unwrap(),
+            mode: RunMode::Composability,
+            faults: None,
+            retry: RetryPolicy::abort_fast(),
+            lease_ms: 400,
         };
-        atomic_write_json(&path, &spec).unwrap();
-        let back: TaskSpec = read_json(&path).unwrap();
-        assert_eq!(back, spec);
+        atomic_write_json(&path, &manifest).unwrap();
+        let back: Manifest = read_json(&path).unwrap();
+        assert_eq!(
+            serde_json::to_string(&back).unwrap(),
+            serde_json::to_string(&manifest).unwrap()
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

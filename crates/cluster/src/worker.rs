@@ -311,8 +311,8 @@ pub enum WorkerExit {
     Shutdown,
     /// The orphan grace budget expired without reaching a coordinator.
     /// Any completed-but-undelivered result is dropped here — its bytes
-    /// are reproducible (tasks are pure), and the coordinator's own
-    /// `results/` journal survives for the next epoch.
+    /// are reproducible (tasks are pure), so a restarted coordinator
+    /// re-runs the unit unless its journal already holds the result.
     CoordinatorGone,
 }
 

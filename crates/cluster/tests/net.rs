@@ -12,15 +12,13 @@ use std::time::{Duration, Instant};
 
 use wootz_cluster::net::{long_poll_park, NetHub};
 use wootz_cluster::protocol::{Manifest, ResultPayload, TaskKind, TaskResult, TaskSpec, WireEval};
-use wootz_cluster::{
-    run_distributed, worker_net_main, ClusterOptions, Message, RunDir, WorkerExit,
-};
+use wootz_cluster::{run_distributed, worker_net_main, ClusterOptions, Message, WorkerExit};
 use wootz_core::explore::EvalOutcome;
 use wootz_core::pipeline::{run_wootz_with, RunMode, RunOptions, WootzInputs, WootzRun};
 use wootz_data::{micro_dataset, Dataset};
 use wootz_fault::RetryPolicy;
 use wootz_ir::{Objective, SolverConfig};
-use wootz_wire::Limits;
+use wootz_wire::{Limits, WireSerialize};
 
 fn worker_cmd() -> (PathBuf, Vec<String>) {
     (
@@ -373,9 +371,14 @@ fn stale_epoch_reconnect_across_coordinator_restart_redelivers_once() {
         other => panic!("expected the epoch-2 TaskDone, got {}", other.name()),
     };
     assert_eq!((redone.seq, redone.attempt, redone.epoch), (1, 2, 2));
+    let bytes = |payload: &ResultPayload| {
+        let mut buf = Vec::new();
+        payload.wire_write(&mut buf).unwrap();
+        buf
+    };
     assert_eq!(
-        serde_json::to_string(&redone.payload).unwrap(),
-        serde_json::to_string(&held.payload).unwrap(),
+        bytes(&redone.payload),
+        bytes(&held.payload),
         "re-execution under the new epoch diverged from the held result"
     );
 
@@ -497,23 +500,18 @@ fn socket_closed_mid_block_fetch_reconnects_instead_of_exiting() {
     assert_eq!(worker.join().unwrap().unwrap(), WorkerExit::Shutdown);
 }
 
-/// A real [`NetHub`] over a fresh run directory, with no coordinator
-/// behind it: the test plays the coordinator (enqueue + notify) and the
-/// worker (a raw socket, or the real worker loop on a thread).
-fn bare_hub(name: &str, lease_ms: u64) -> (NetHub, RunDir, PathBuf) {
-    let root = tempdir(name);
-    let dir = RunDir::new(root.join("run"));
-    dir.init_epoch().unwrap();
+/// A real [`NetHub`] with no coordinator behind it: the test plays the
+/// coordinator (enqueue, take results) and the worker (a raw socket, or
+/// the real worker loop on a thread).
+fn bare_hub(lease_ms: u64) -> NetHub {
     // No task is ever executed against this hub, so an empty full-model
     // checkpoint is enough for the Welcome.
-    let hub = NetHub::bind(
+    NetHub::bind(
         "127.0.0.1:0",
-        dir.clone(),
         epoch_one_manifest(lease_ms),
         wootz_nn::Checkpoint::new(),
     )
-    .unwrap();
-    (hub, dir, root)
+    .unwrap()
 }
 
 /// A scripted worker session: connected and welcomed.
@@ -563,7 +561,7 @@ fn request_task(conn: &mut TcpStream) {
 fn parked_task_request_is_granted_the_moment_work_is_enqueued() {
     // A minute-long lease: the park (10 s) outlives the test, so every
     // reply below is caused by the enqueue, never by an expiry.
-    let (hub, dir, root) = bare_hub("longpoll", 60_000);
+    let hub = bare_hub(60_000);
     let mut conn = scripted_worker(&hub);
     let mut best = Duration::MAX;
     for seq in 1..=5u64 {
@@ -584,9 +582,8 @@ fn parked_task_request_is_granted_the_moment_work_is_enqueued() {
             },
             expected_steps: 1,
         };
-        dir.enqueue(&task).unwrap();
         let enqueued = Instant::now();
-        hub.notify_work();
+        hub.enqueue(task);
         match read_within(&mut conn, 10_000) {
             Some(Message::TaskGrant { task }) => assert_eq!(task.seq, seq),
             other => panic!("expected a grant, got {:?}", other.map(|m| m.name())),
@@ -600,13 +597,78 @@ fn parked_task_request_is_granted_the_moment_work_is_enqueued() {
         "fastest grant took {best:?}"
     );
     assert_eq!(hub.no_task_replies(), 0);
-    drop(hub);
-    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A worker that resends a `TaskDone` it could not confirm delivers the
+/// same `(seq, attempt)` twice, both frames complete. The hub hands the
+/// coordinator one copy: the drive loop folds it once, and nothing is
+/// left for `finish` to count as a late zombie.
+#[test]
+fn a_task_done_delivered_twice_is_folded_once() {
+    let hub = bare_hub(60_000);
+    let mut conn = scripted_worker(&hub);
+    let task = TaskSpec {
+        seq: 1,
+        attempt: 1,
+        epoch: 1,
+        kind: TaskKind::Eval {
+            config_index: 0,
+            universe: Vec::new(),
+        },
+        expected_steps: 1,
+    };
+    hub.enqueue(task.clone());
+    request_task(&mut conn);
+    match read_within(&mut conn, 10_000) {
+        Some(Message::TaskGrant { task: granted }) => assert_eq!(granted, task),
+        other => panic!("expected a grant, got {:?}", other.map(|m| m.name())),
+    }
+    assert_eq!(hub.claimed(), 1);
+    let result = TaskResult {
+        seq: 1,
+        attempt: 1,
+        epoch: 1,
+        worker: "w0".to_string(),
+        wall_ms: 3,
+        payload: ResultPayload::Eval(WireEval {
+            config_index: 0,
+            outcome: None,
+            error: Some("boom".to_string()),
+            attempts: 1,
+            backoff: 0.0,
+        }),
+    };
+    let done = Message::TaskDone {
+        result: result.clone(),
+    };
+    done.write_to(&mut conn).unwrap();
+    done.write_to(&mut conn).unwrap();
+    // The handler reads one frame at a time: once the heartbeat behind
+    // the two TaskDones is acknowledged, both have been handled.
+    Message::Heartbeat {
+        worker: "w0".to_string(),
+        seq: 1,
+        attempt: 1,
+        nonce: 7,
+    }
+    .write_to(&mut conn)
+    .unwrap();
+    assert!(matches!(
+        read_within(&mut conn, 10_000),
+        Some(Message::HeartbeatAck { nonce: 7 })
+    ));
+    let delivered: Vec<TaskResult> = hub.take_results().into_iter().map(|(r, _)| r).collect();
+    assert_eq!(delivered, vec![result], "folded once");
+    assert_eq!(hub.claimed(), 0);
+    assert!(
+        hub.take_results().is_empty(),
+        "the resent copy would be counted a zombie"
+    );
 }
 
 #[test]
 fn park_expiry_answers_no_task_with_zero_backoff() {
-    let (hub, _dir, root) = bare_hub("expiry", 25);
+    let hub = bare_hub(25);
     let park = long_poll_park(25);
     let mut conn = scripted_worker(&hub);
     let asked = Instant::now();
@@ -621,8 +683,6 @@ fn park_expiry_answers_no_task_with_zero_backoff() {
         asked.elapsed()
     );
     assert_eq!(hub.no_task_replies(), 1);
-    drop(hub);
-    std::fs::remove_dir_all(&root).ok();
 }
 
 /// The worker half of the long-poll, against a scripted coordinator: a
@@ -664,7 +724,7 @@ fn worker_re_requests_at_once_after_a_zero_backoff_no_task() {
 #[test]
 fn drain_answers_a_parked_request_with_exactly_one_shutdown() {
     // Scripted worker: every frame the drain puts on the socket is seen.
-    let (hub, _dir, root) = bare_hub("drain", 60_000);
+    let hub = bare_hub(60_000);
     let mut conn = scripted_worker(&hub);
     request_task(&mut conn);
     assert!(
@@ -694,11 +754,10 @@ fn drain_answers_a_parked_request_with_exactly_one_shutdown() {
     );
     drop(conn);
     drop(hub);
-    std::fs::remove_dir_all(&root).ok();
 
     // The real worker loop, parked the same way, exits `Shutdown` and its
     // closing session is reported as an event.
-    let (hub, _dir, root) = bare_hub("drain_worker", 60_000);
+    let hub = bare_hub(60_000);
     let addr = hub.local_addr().to_string();
     let worker = std::thread::spawn(move || worker_net_main(&addr, "w0", Some(10_000)));
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -727,6 +786,4 @@ fn drain_answers_a_parked_request_with_exactly_one_shutdown() {
         );
         hub.wait_event(seen, Duration::from_secs(1));
     }
-    drop(hub);
-    std::fs::remove_dir_all(&root).ok();
 }

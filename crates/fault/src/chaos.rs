@@ -2,9 +2,10 @@
 //! boundary, on the Nth visit.
 //!
 //! Crash-consistency bugs hide in the few instructions between "bytes
-//! written" and "bytes durable": half an appended record, a temp file
-//! fsynced but never renamed, a result published torn. This module turns
-//! each such boundary into a *kill site* — a stable name registered in
+//! written" and "bytes durable" (half an appended record) and between
+//! "coordinator committed" and "run state updated" (a grant sent torn, a
+//! result received but never folded). This module turns each such
+//! boundary into a *kill site* — a stable name registered in
 //! [`KILL_SITES`] — at which the environment variable
 //! [`ENV_KILL_AT`]`=<site>:<n>` makes the process die on the `n`-th
 //! visit, after flushing a deliberately partial write. The schedule is
@@ -43,26 +44,17 @@ pub mod kill_site {
     pub const JOURNAL_HEADER: &str = "journal.header";
     /// Appending one run-journal record (`Journal::append`).
     pub const JOURNAL_APPEND: &str = "journal.append";
-    /// Streaming a checkpoint's bytes into its temp file
-    /// (`Checkpoint::save`, before fsync).
-    pub const CKPT_WRITE: &str = "ckpt.write";
-    /// Between the temp file's fsync and the rename over the final
-    /// checkpoint path (`Checkpoint::save`).
-    pub const CKPT_RENAME: &str = "ckpt.rename";
-    /// Coordinator journaling a received `TaskDone` into the run dir's
-    /// `results/` (`RunDir::publish_result` in `NetHub`'s connection
-    /// handler, mid-temp-file).
-    pub const RUNDIR_PUBLISH: &str = "rundir.publish";
-    /// Coordinator granting a task: the claim file is already
-    /// renamed, the `TaskGrant` frame half-written to the socket
+    /// Coordinator granting a task: the task is claimed from the hub's
+    /// queue, the `TaskGrant` frame half-written to the socket
     /// (`NetHub`'s connection handler).
     pub const COORD_GRANT: &str = "coord.grant";
-    /// Coordinator reaping a result: the journaled result file is read
-    /// back, abort before `accept_or_fence` folds it into run state
+    /// Coordinator reaping a result: the result is taken from the hub,
+    /// abort before `accept_or_fence` folds it into run state
     /// (`Coordinator::drive`).
     pub const COORD_REAP: &str = "coord.reap";
-    /// Coordinator assembling the block index: temp file half-written,
-    /// abort before the atomic publish (`run_distributed`).
+    /// Coordinator publishing the pre-trained block bag: the round's
+    /// blocks are journaled, abort before the hub gets the bag
+    /// (`Coordinator::publish_blocks`).
     pub const COORD_ASSEMBLE: &str = "coord.assemble";
 }
 
@@ -79,28 +71,16 @@ pub const KILL_SITES: &[KillSite] = &[
         boundary: "run journal: entry record half-written, then abort (tail is torn)",
     },
     KillSite {
-        name: kill_site::CKPT_WRITE,
-        boundary: "checkpoint save: temp file half-written, no fsync, then abort",
-    },
-    KillSite {
-        name: kill_site::CKPT_RENAME,
-        boundary: "checkpoint save: temp file complete + fsynced, abort before rename",
-    },
-    KillSite {
-        name: kill_site::RUNDIR_PUBLISH,
-        boundary: "coordinator journal: TaskDone received, results/ temp file half-written, abort before rename",
-    },
-    KillSite {
         name: kill_site::COORD_GRANT,
-        boundary: "coordinator grant: task claimed on disk, TaskGrant frame half-written, then abort",
+        boundary: "coordinator grant: task claimed in memory, TaskGrant frame half-written, then abort",
     },
     KillSite {
         name: kill_site::COORD_REAP,
-        boundary: "coordinator reap: result durable in results/, abort before it folds into run state",
+        boundary: "coordinator reap: result received, abort before it folds into run state",
     },
     KillSite {
         name: kill_site::COORD_ASSEMBLE,
-        boundary: "coordinator assemble: block-index temp file half-written, abort before rename",
+        boundary: "coordinator assemble: block bag pre-trained and journaled, abort before the hub gets it",
     },
 ];
 
@@ -192,7 +172,7 @@ mod tests {
         }
         assert_eq!(
             KILL_SITES.len(),
-            8,
+            5,
             "update `reproduce crashes` when adding a site"
         );
     }

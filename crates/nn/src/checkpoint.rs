@@ -1,28 +1,22 @@
-//! Named-tensor checkpoints — the persistence format that carries
-//! pre-trained tuning blocks from the pre-training phase to network
-//! assembly, mirroring TensorFlow checkpoints (name → tensor maps).
+//! Named-tensor checkpoints — the values that carry pre-trained tuning
+//! blocks from the pre-training phase to network assembly, mirroring
+//! TensorFlow checkpoints (name → tensor maps).
 //!
-//! On disk a checkpoint is one `wootz-wire` record
-//! (`record_type::CHECKPOINT`, see `PROTOCOL.md` §8): the envelope's
-//! CRC covers every byte and the payload carries an additional FNV-1a
-//! content hash, so corruption is caught at two independent layers.
-//! A file that is not a record artifact is refused, never guessed at.
+//! A checkpoint has no file of its own: it is persisted inside the
+//! records that need it — the run journal's full-model and block
+//! entries and the block store's entries (`PROTOCOL.md` §8) — in the
+//! [`Checkpoint::wire_encode`] form, under the record envelope's CRC;
+//! the block store also keeps the FNV-1a [`Checkpoint::content_hash`].
 
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{BufWriter, Read, Write};
-use std::path::Path;
+use std::io::Read;
 
 use serde::{Deserialize, Serialize};
-use wootz_fault::chaos::{self, kill_site};
 use wootz_tensor::Tensor;
-use wootz_wire::{
-    is_record_artifact, read_single_record, record_type, write_bytes, write_frame, write_len,
-    WireReader, WireResult, WireSerialize,
-};
+use wootz_wire::{write_bytes, write_len, WireReader, WireResult, WireSerialize};
 
 use crate::var::VarStore;
-use crate::{NnError, Result};
+use crate::Result;
 
 /// A serializable map from variable names to tensor values.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -90,7 +84,7 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::Var`] when a translated name exists in `vars` but
+    /// Returns [`crate::NnError::Var`] when a translated name exists in `vars` but
     /// the shapes disagree.
     pub fn restore(
         &self,
@@ -140,8 +134,8 @@ impl Checkpoint {
     /// The wire encoding of the entry map: `u32` entry count, then per
     /// entry `name` (length-prefixed UTF-8), `shape` (`u32` rank + `u64`
     /// dims) and `data` (`u32` element count + `f32` bit patterns). This
-    /// is the payload the binary checkpoint file and the run journal's
-    /// inline checkpoints share; floats are bit patterns, so an encoded
+    /// is the form the run journal's and the block store's inline
+    /// checkpoints share; floats are bit patterns, so an encoded
     /// checkpoint round-trips bit-exactly.
     pub fn wire_encode(&self, out: &mut Vec<u8>) {
         // Writing to a Vec cannot fail; lengths under u32::MAX are
@@ -195,87 +189,12 @@ impl Checkpoint {
         }
         Ok(Checkpoint { entries })
     }
-
-    /// Serializes the checkpoint as one binary wire record (see
-    /// `PROTOCOL.md` §8): payload = content hash (`u64`) + entry map,
-    /// under the CRC-checksummed record envelope.
-    ///
-    /// The write is atomic: the bytes go to `<path>.tmp`, are fsynced, and
-    /// the temp file is renamed over `path`. A crash mid-save leaves either
-    /// the old file or the new file, never a torn one — the `ckpt.write`
-    /// and `ckpt.rename` kill points sit on exactly those two boundaries.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Io`] / [`NnError::Serde`] on failure.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        let path = path.as_ref();
-        let tmp = path.with_extension("tmp");
-        let mut payload = Vec::new();
-        self.content_hash()
-            .wire_write(&mut payload)
-            .expect("vec write");
-        self.wire_encode(&mut payload);
-        let mut record = Vec::with_capacity(wootz_wire::HEADER_LEN + payload.len());
-        write_frame(&mut record, record_type::CHECKPOINT, &payload)
-            .map_err(|e| NnError::Serde(format!("cannot encode checkpoint record: {e}")))?;
-        {
-            let mut file = File::create(&tmp)?;
-            if chaos::kill_point(kill_site::CKPT_WRITE) {
-                chaos::torn_write_and_die(kill_site::CKPT_WRITE, &mut file, &record);
-            }
-            let mut writer = BufWriter::new(file);
-            writer.write_all(&record)?;
-            writer.flush()?;
-            writer.get_ref().sync_all()?;
-        }
-        if chaos::kill_point(kill_site::CKPT_RENAME) {
-            chaos::die(kill_site::CKPT_RENAME);
-        }
-        std::fs::rename(&tmp, path)?;
-        Ok(())
-    }
-
-    /// Loads a checkpoint written by [`Checkpoint::save`]: exactly one
-    /// `CHECKPOINT` record, clean tail, matching content hash.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Io`] on read failure and [`NnError::Serde`]
-    /// naming the path otherwise: a file that is not a record artifact,
-    /// a truncated (torn) or corrupt record, an unsupported envelope
-    /// version, or a content-hash mismatch.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self> {
-        let path = path.as_ref();
-        let bytes = std::fs::read(path)?;
-        if !is_record_artifact(&bytes) {
-            return Err(NnError::Serde(format!(
-                "`{}`: not a record artifact (no `WOTZ` magic); checkpoints are binary wire records",
-                path.display()
-            )));
-        }
-        let (stored, ckpt) = read_single_record(&bytes, record_type::CHECKPOINT, |r| {
-            Ok((
-                r.u64("checkpoint content hash")?,
-                Checkpoint::wire_decode(r)?,
-            ))
-        })
-        .map_err(|damage| NnError::Serde(format!("`{}`: {damage}", path.display())))?;
-        let computed = ckpt.content_hash();
-        if computed != stored {
-            return Err(NnError::Serde(format!(
-                "`{}`: checksum mismatch (stored {stored:#018x}, computed {computed:#018x}) — the checkpoint is corrupt",
-                path.display()
-            )));
-        }
-        Ok(ckpt)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wootz_wire::{scan_records, Limits, MAGIC};
+    use wootz_wire::Limits;
 
     fn store_with(names: &[(&str, &[usize])]) -> VarStore {
         let mut vs = VarStore::new();
@@ -329,89 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn save_and_load_round_trip() {
-        let dir = std::env::temp_dir().join("wootz_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.json");
-        let mut ckpt = Checkpoint::new();
-        ckpt.insert("a/w", Tensor::from_vec(vec![1.5, -2.5], &[2]).unwrap());
-        ckpt.save(&path).unwrap();
-        let loaded = Checkpoint::load(&path).unwrap();
-        assert_eq!(ckpt, loaded);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn save_is_atomic_and_binary() {
-        let dir = std::env::temp_dir().join("wootz_ckpt_atomic");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.json");
-        let mut ckpt = Checkpoint::new();
-        ckpt.insert("w", Tensor::from_vec(vec![0.25, -1.0], &[2]).unwrap());
-        ckpt.save(&path).unwrap();
-        assert!(
-            !path.with_extension("tmp").exists(),
-            "temp file renamed away"
-        );
-        let bytes = std::fs::read(&path).unwrap();
-        assert!(bytes.starts_with(&MAGIC), "binary record format");
-        let scan = scan_records(&bytes, &Limits::ARTIFACT);
-        assert!(scan.tail.is_clean());
-        assert_eq!(scan.records.len(), 1, "one checkpoint record");
-        assert_eq!(scan.records[0].frame.msg_type, record_type::CHECKPOINT);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn load_distinguishes_truncation_checksum_and_version() {
-        let dir = std::env::temp_dir().join("wootz_ckpt_detail");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.json");
-        let mut ckpt = Checkpoint::new();
-        ckpt.insert("w", Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).unwrap());
-        ckpt.save(&path).unwrap();
-        let good = std::fs::read(&path).unwrap();
-
-        // Truncation: chop off the tail, as a killed process would.
-        std::fs::write(&path, &good[..good.len() / 2]).unwrap();
-        let err = Checkpoint::load(&path).unwrap_err().to_string();
-        assert!(err.contains("truncated"), "{err}");
-
-        // Flipped payload bit: the record envelope's CRC catches it.
-        let mut flipped = good.clone();
-        let n = flipped.len();
-        flipped[n - 2] ^= 0x10;
-        std::fs::write(&path, &flipped).unwrap();
-        let err = Checkpoint::load(&path).unwrap_err().to_string();
-        assert!(err.contains("corrupt record"), "{err}");
-
-        // Content-hash mismatch behind an intact envelope: rewrite the
-        // stored hash and re-checksum the record, as a subtly buggy
-        // writer would.
-        let mut rehashed = good.clone();
-        for b in &mut rehashed[wootz_wire::HEADER_LEN..wootz_wire::HEADER_LEN + 8] {
-            *b ^= 0xff;
-        }
-        let crc = wootz_wire::crc32(&rehashed[wootz_wire::HEADER_LEN..]);
-        rehashed[12..16].copy_from_slice(&crc.to_be_bytes());
-        std::fs::write(&path, &rehashed).unwrap();
-        let err = Checkpoint::load(&path).unwrap_err().to_string();
-        assert!(err.contains("checksum mismatch"), "{err}");
-
-        // Envelope version from the future.
-        let mut versioned = good.clone();
-        versioned[4..6].copy_from_slice(&99u16.to_be_bytes());
-        std::fs::write(&path, &versioned).unwrap();
-        let err = Checkpoint::load(&path).unwrap_err().to_string();
-        assert!(err.contains("version"), "{err}");
-
-        // Untouched file still loads.
-        std::fs::write(&path, &good).unwrap();
-        assert_eq!(Checkpoint::load(&path).unwrap(), ckpt);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn wire_encoding_round_trips_bit_exactly() {
         let mut ckpt = Checkpoint::new();
         ckpt.insert(
@@ -462,65 +298,5 @@ mod tests {
         let mut d = Checkpoint::new();
         d.insert("w", Tensor::from_vec(vec![1.0, 2.0], &[2, 1]).unwrap());
         assert_ne!(base, d.content_hash(), "shape change");
-    }
-
-    /// Writes `text` to `dir/name` and requires `Checkpoint::load` to
-    /// refuse it with an error naming the path, leaving the file
-    /// byte-for-byte untouched and nothing quarantined.
-    fn assert_checkpoint_refused_untouched(dir: &str, name: &str, text: &str) {
-        let dir = std::env::temp_dir().join(dir);
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(name);
-        std::fs::write(&path, text).unwrap();
-        let err = Checkpoint::load(&path).unwrap_err().to_string();
-        assert!(err.contains(&path.display().to_string()), "{err}");
-        assert!(err.contains("not a record artifact"), "{err}");
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
-        assert!(!dir.join(wootz_wire::QUARANTINE_DIR).exists(), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A `wootz-ckpt` JSON container from before the record format is
-    /// refused untouched rather than loaded.
-    #[test]
-    fn legacy_json_container_still_loads() {
-        assert_checkpoint_refused_untouched(
-            "wootz_ckpt_legacy_container",
-            "container.ckpt",
-            r#"{"magic":"wootz-ckpt","version":1,"checksum":0,"entries":{}}"#,
-        );
-    }
-
-    /// A bare-`entries` JSON checkpoint is refused untouched rather than
-    /// loaded.
-    #[test]
-    fn legacy_bare_checkpoints_still_load() {
-        assert_checkpoint_refused_untouched(
-            "wootz_ckpt_legacy_bare",
-            "bare.ckpt",
-            r#"{"entries":{"w":{"shape":[2],"data":[1.0,2.0]}}}"#,
-        );
-    }
-
-    #[test]
-    fn load_missing_file_is_io_error() {
-        let err = Checkpoint::load("/nonexistent/wootz.ckpt").unwrap_err();
-        assert!(matches!(err, NnError::Io(_)));
-    }
-
-    #[test]
-    fn load_corrupted_file_is_serde_error() {
-        let dir = std::env::temp_dir().join("wootz_ckpt_corrupt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.json");
-        std::fs::write(&path, "{ not json ").unwrap();
-        let err = Checkpoint::load(&path).unwrap_err();
-        assert!(matches!(err, NnError::Serde(_)), "{err}");
-        // So does a JSON checkpoint with tensor-level corruption (wrong
-        // element count): no JSON is parsed at all.
-        std::fs::write(&path, r#"{"entries":{"w":{"shape":[2,2],"data":[1.0]}}}"#).unwrap();
-        assert!(Checkpoint::load(&path).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -4,7 +4,7 @@ use std::fmt;
 use wootz_tensor::ShapeError;
 
 /// Errors raised by graph construction, execution, training or
-/// checkpointing.
+/// checkpoint restore.
 #[derive(Debug)]
 pub enum NnError {
     /// A tensor-level shape violation.
@@ -14,10 +14,6 @@ pub enum NnError {
     Graph(String),
     /// A named variable was missing or had the wrong shape.
     Var(String),
-    /// Checkpoint I/O failure.
-    Io(std::io::Error),
-    /// Checkpoint (de)serialization failure.
-    Serde(String),
     /// Training produced a non-finite loss, gradient or weight (numerical
     /// divergence, e.g. an exploding learning rate). The training loop
     /// aborts at the step it happens, so a run that returns `Ok` — and any
@@ -40,8 +36,6 @@ impl fmt::Display for NnError {
             NnError::Shape(e) => write!(f, "{e}"),
             NnError::Graph(m) => write!(f, "graph error: {m}"),
             NnError::Var(m) => write!(f, "variable error: {m}"),
-            NnError::Io(e) => write!(f, "checkpoint i/o error: {e}"),
-            NnError::Serde(m) => write!(f, "checkpoint serialization error: {m}"),
             NnError::Diverged { step, loss, var } => match var {
                 Some(name) => write!(
                     f,
@@ -57,7 +51,6 @@ impl Error for NnError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             NnError::Shape(e) => Some(e),
-            NnError::Io(e) => Some(e),
             _ => None,
         }
     }
@@ -66,12 +59,6 @@ impl Error for NnError {
 impl From<ShapeError> for NnError {
     fn from(e: ShapeError) -> Self {
         NnError::Shape(e)
-    }
-}
-
-impl From<std::io::Error> for NnError {
-    fn from(e: std::io::Error) -> Self {
-        NnError::Io(e)
     }
 }
 

@@ -46,7 +46,7 @@ use crate::frame::{read_frame, Frame, MAGIC};
 
 /// Record-type codes for durable artifacts. The payload encodings are
 /// owned by the crates that write them (`wootz-core::journal`,
-/// `wootz-nn::checkpoint`); this catalog only reserves the codes so every
+/// `wootz-store`); this catalog only reserves the codes so every
 /// on-disk record type is enumerable in one place.
 pub mod record_type {
     /// Run-journal header: run identity (version, subspace hash,
@@ -57,13 +57,14 @@ pub mod record_type {
     /// Run-journal entry: one pre-trained tuning block.
     pub const JOURNAL_BLOCK: u16 = 0x4A03;
     /// Run-journal entry: one configuration evaluation, carried as the
-    /// canonical JSON document (same serializer as the run dir).
+    /// canonical JSON document.
     pub const JOURNAL_EVAL: u16 = 0x4A04;
     /// Run-journal entry: one adaptive-explorer proposal round (round
     /// index, strategy name, proposed configurations), carried as the
     /// canonical JSON document like [`JOURNAL_EVAL`].
     pub const JOURNAL_PROPOSAL: u16 = 0x4A06;
-    /// A stand-alone checkpoint file: content hash + named tensors.
+    /// Reserved: the stand-alone checkpoint file (content hash + named
+    /// tensors), which nothing writes any more.
     pub const CHECKPOINT: u16 = 0x4301;
     /// Block-store entry: one cached pre-trained tuning block, keyed by
     /// `(structure hash, dataset id, solver hash)` — the cross-run reuse

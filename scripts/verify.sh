@@ -133,7 +133,7 @@ echo "evals smoke ok: trainer.evals $evals_passes = 1 full model + $evals_fresh 
 
 echo "== crash-matrix smoke: reproduce crashes --quick =="
 # For every registered kill point (wootz chaos list) plus a mid-file
-# corruption row: kill a run mid-write, resume it, and require the final
+# corruption row: kill a run at that point, resume it, and require the final
 # best network bit-identical to an uninterrupted baseline (DESIGN.md §12).
 R="$PWD/target/release/reproduce"
 (cd "$SMOKE" && "$R" crashes --quick) > "$SMOKE/crashes.out" 2>&1 || {
@@ -197,6 +197,12 @@ dist_best=$(grep '^best network:' "$SMOKE/dist.out" || true)
     echo "chaos smoke FAILED: best network changed under faults"
     echo "  single:      $base_best"; echo "  distributed: $dist_best"; exit 1; }
 echo "chaos smoke ok: $(grep '^cluster:' "$SMOKE/dist.out" || echo 'stats line missing'), best network stable"
+# The task queue lives in the coordinator's memory: the run directory
+# holds the manifest and the worker logs, nothing else.
+dist_entries=$(LC_ALL=C ls -A "$DIST_DIR" | tr '\n' ' ')
+[ "$dist_entries" = "logs manifest.json " ] || {
+    echo "chaos smoke FAILED: the run dir holds more than manifest.json and logs/: $dist_entries"; exit 1; }
+echo "run-dir check ok: $dist_entries"
 
 echo "== socket chaos smoke: a mid-frame disconnect =="
 # The same inputs again (wire format: PROTOCOL.md): the coordinator
