@@ -61,7 +61,7 @@ use wootz_nn::Checkpoint;
 
 use crate::net::NetHub;
 use crate::protocol::{
-    atomic_write_json, cluster_err, read_json, Manifest, ResultPayload, TaskKind, TaskResult,
+    atomic_write_json, cluster_err, next_epoch, Manifest, ResultPayload, TaskKind, TaskResult,
     TaskSpec, LOGS_DIR, MANIFEST,
 };
 
@@ -944,10 +944,7 @@ impl<'a> Coordinator<'a> {
         // Fencing epoch: strictly greater than any previous coordinator's
         // over this run directory.
         let manifest_path = opts.run_dir.join(MANIFEST);
-        let epoch = match read_json::<Manifest>(&manifest_path) {
-            Ok(m) => m.epoch + 1,
-            Err(_) => 1,
-        };
+        let epoch = next_epoch(&manifest_path)?;
         if epoch > 1 {
             // A manifest from a previous coordinator exists: this run is a
             // restart over live state (possibly with orphaned workers

@@ -5,9 +5,10 @@
 //! codes, names and payload encodings here are what `PROTOCOL.md` §4
 //! documents, and a test pins the two against each other so the spec
 //! cannot drift from the implementation. The payload encodings build on
-//! the hand-written [`wootz_wire`] impls in [`crate::protocol`]; deeply
-//! nested model state (manifest, checkpoints) rides as bounded JSON
-//! documents (see PROTOCOL.md §5).
+//! the hand-written [`wootz_wire`] impls in [`crate::protocol`]:
+//! checkpoints and pre-trained blocks travel in the run journal's binary
+//! record encoding (PROTOCOL.md §8), the manifest as a bounded JSON
+//! document (PROTOCOL.md §5).
 //!
 //! The conversation, briefly (full state machine in PROTOCOL.md §6):
 //!
@@ -29,11 +30,11 @@ use std::io::{Read, Write};
 
 use wootz_nn::Checkpoint;
 use wootz_wire::{
-    read_frame, write_frame, write_len, Frame, Limits, WireDeserialize, WireError, WireReader,
-    WireResult, WireSerialize, HEADER_LEN,
+    read_frame, write_frame, Frame, Limits, WireDeserialize, WireError, WireReader, WireResult,
+    WireSerialize, HEADER_LEN,
 };
 
-use crate::protocol::{doc_size, read_doc, write_doc, Manifest, TaskResult, TaskSpec};
+use crate::protocol::{read_doc, write_doc, Manifest, TaskResult, TaskSpec};
 
 /// A protocol message: one frame on the wire. Variant order matches the
 /// msg-type codes in [`Message::CATALOG`].
@@ -55,7 +56,7 @@ pub enum Message {
         epoch: u64,
         /// The run manifest (JSON document on the wire).
         manifest: Manifest,
-        /// The trained full-model checkpoint (JSON document).
+        /// The trained full-model checkpoint.
         full_ckpt: Checkpoint,
     },
     /// Worker → coordinator: asks for work. A long-poll: the coordinator
@@ -109,7 +110,7 @@ pub enum Message {
     /// Coordinator → worker: the current pre-trained block index as
     /// `(block key, checkpoint)` pairs.
     Blocks {
-        /// Block key → trained checkpoint (JSON documents).
+        /// Block key → trained checkpoint.
         index: Vec<(String, Checkpoint)>,
     },
     /// Coordinator → worker: drain and exit. Also the reply to a
@@ -229,7 +230,7 @@ impl Message {
             } => {
                 epoch.wire_write(&mut out)?;
                 write_doc(&mut out, "Welcome manifest", manifest)?;
-                write_doc(&mut out, "Welcome full_ckpt", full_ckpt)?;
+                full_ckpt.wire_write(&mut out)?;
             }
             Message::TaskRequest { worker } => worker.wire_write(&mut out)?,
             Message::TaskGrant { task } => task.wire_write(&mut out)?,
@@ -248,13 +249,7 @@ impl Message {
             Message::HeartbeatAck { nonce } => nonce.wire_write(&mut out)?,
             Message::TaskDone { result } => result.wire_write(&mut out)?,
             Message::BlocksRequest | Message::Shutdown => {}
-            Message::Blocks { index } => {
-                write_len(&mut out, "Blocks index", index.len())?;
-                for (key, ckpt) in index {
-                    key.wire_write(&mut out)?;
-                    write_doc(&mut out, "Blocks checkpoint", ckpt)?;
-                }
-            }
+            Message::Blocks { index } => index.wire_write(&mut out)?,
             Message::SubmitJob {
                 model,
                 configs,
@@ -285,24 +280,19 @@ impl Message {
         Ok(out)
     }
 
-    /// A capacity hint for [`Message::encode_payload`] (exact for
-    /// scalar-only messages, approximate for document-bearing ones).
+    /// A capacity hint for [`Message::encode_payload`]: exact for every
+    /// message but `Welcome`, whose manifest document is estimated.
     fn payload_size_hint(&self) -> usize {
         match self {
             Message::Hello { worker, .. } => worker.wire_size() + 8,
-            Message::Welcome { .. } => 64 * 1024,
+            Message::Welcome { full_ckpt, .. } => 8 + 64 * 1024 + full_ckpt.wire_size(),
             Message::TaskRequest { worker } => worker.wire_size(),
             Message::TaskGrant { task } => task.wire_size(),
             Message::NoTask { .. } | Message::HeartbeatAck { .. } => 8,
             Message::Heartbeat { worker, .. } => worker.wire_size() + 8 + 4 + 8,
             Message::TaskDone { result } => result.wire_size(),
             Message::BlocksRequest | Message::Shutdown => 0,
-            Message::Blocks { index } => {
-                4 + index
-                    .iter()
-                    .map(|(k, c)| k.wire_size() + doc_size(c))
-                    .sum::<usize>()
-            }
+            Message::Blocks { index } => index.wire_size(),
             Message::SubmitJob {
                 model,
                 configs,
@@ -347,7 +337,7 @@ impl Message {
             2 => Message::Welcome {
                 epoch: r.u64("Welcome epoch")?,
                 manifest: read_doc(&mut r, "Welcome manifest")?,
-                full_ckpt: read_doc(&mut r, "Welcome full_ckpt")?,
+                full_ckpt: Checkpoint::wire_read(&mut r)?,
             },
             3 => Message::TaskRequest {
                 worker: r.string("TaskRequest worker")?,
@@ -371,16 +361,9 @@ impl Message {
                 result: TaskResult::wire_read(&mut r)?,
             },
             9 => Message::BlocksRequest,
-            10 => {
-                let count = r.seq_len("Blocks index", 8)?;
-                let mut index = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let key = r.string("Blocks key")?;
-                    let ckpt = read_doc(&mut r, "Blocks checkpoint")?;
-                    index.push((key, ckpt));
-                }
-                Message::Blocks { index }
-            }
+            10 => Message::Blocks {
+                index: Vec::<(String, Checkpoint)>::wire_read(&mut r)?,
+            },
             11 => Message::Shutdown,
             12 => Message::SubmitJob {
                 model: r.string("SubmitJob model")?,

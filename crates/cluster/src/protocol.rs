@@ -13,10 +13,11 @@
 //! nothing but its `Welcome` and its tasks to reconstruct the exact
 //! evaluation function the single-process pipeline would run (the model
 //! IR, subspace, solver and objective are all in the manifest; the
-//! trained full model and the pre-trained block checkpoints arrive as
-//! checksummed binary records). The vendored `serde_json` round-trips
-//! `f32` values bit-exactly, which is what makes remote results
-//! byte-identical to local ones.
+//! trained full model and the pre-trained block checkpoints arrive in
+//! the checkpoint encoding of `PROTOCOL.md` §8). Weights are bytes, never
+//! text: checkpoints and pre-trained blocks cross TCP in the encoding
+//! the run journal stores, floats as bit patterns, which is what makes
+//! remote results byte-identical to local ones.
 
 use std::io::{Read, Write};
 use std::path::Path;
@@ -265,6 +266,34 @@ pub fn read_json<T: for<'de> Deserialize<'de>>(path: &Path) -> Result<T> {
         .map_err(|e| cluster_err(format!("cannot parse `{}`: {e}", path.display())))
 }
 
+/// The fencing epoch a coordinator starting over `manifest_path` takes:
+/// `1` when there is no manifest yet, else the manifest's `epoch` + 1.
+/// Only the `epoch` field is read, so a manifest written by another
+/// build still advances the epoch.
+///
+/// # Errors
+///
+/// A manifest that exists but cannot be read or carries no readable
+/// `epoch` is an error naming its path, and the file is left untouched:
+/// restarting fencing at 1 would let a previous epoch-1 coordinator's
+/// orphaned workers deliver results that pass fencing.
+pub(crate) fn next_epoch(manifest_path: &Path) -> Result<u64> {
+    #[derive(Deserialize)]
+    struct Epoch {
+        epoch: u64,
+    }
+    if let Ok(false) = manifest_path.try_exists() {
+        return Ok(1);
+    }
+    let Epoch { epoch } = read_json(manifest_path)?;
+    epoch.checked_add(1).ok_or_else(|| {
+        cluster_err(format!(
+            "`{}`: epoch {epoch} cannot advance",
+            manifest_path.display()
+        ))
+    })
+}
+
 /// Builds the crate's uniform [`CoreError::Pipeline`] with a `cluster:`
 /// prefix, so distributed-runtime failures are recognizable end to end.
 pub fn cluster_err(detail: impl Into<String>) -> CoreError {
@@ -274,14 +303,13 @@ pub fn cluster_err(detail: impl Into<String>) -> CoreError {
 // --- wire encodings ---------------------------------------------------------
 //
 // The network transport (`crate::net`) frames these values with
-// `wootz-wire`. Control-plane scalars (ids, sequence numbers, tags) get
-// hand-written fixed-layout encodings; deeply nested model state
-// (`Manifest`, `Checkpoint`, `EvalOutcome`, `PretrainedBlock`) rides as a
-// length-prefixed JSON *document*. The vendored `serde_json` round-trips
-// `f32` bit-exactly, so a result that crossed TCP is byte-identical to
-// one computed in process. Documents are bounded like any other blob:
-// their declared length is checked against the frame budget before
-// allocation. See PROTOCOL.md §5 for the byte-level rules.
+// `wootz-wire`. Control-plane scalars (ids, sequence numbers, tags) and
+// weights (`Checkpoint`, `PretrainedBlock`) get fixed-layout binary
+// encodings; the manifest, the task universe, tuning blocks and
+// evaluation outcomes ride as a length-prefixed JSON *document*, the same
+// JSON the run manifest and the journal hold. Documents are bounded like
+// any other blob: their declared length is checked against the frame
+// budget before allocation. See PROTOCOL.md §5 for the byte-level rules.
 
 /// Encoded size of a JSON document field (length prefix + bytes).
 ///
@@ -477,7 +505,7 @@ impl WireSerialize for ResultPayload {
         match self {
             ResultPayload::Eval(eval) => 1 + eval.wire_size(),
             ResultPayload::Pretrain { blocks, failed, .. } => {
-                1 + 8 + doc_size(blocks) + failed.wire_size()
+                1 + 8 + blocks.wire_size() + failed.wire_size()
             }
         }
     }
@@ -495,7 +523,7 @@ impl WireSerialize for ResultPayload {
             } => {
                 w.write_all(&[1])?;
                 (*group_index as u64).wire_write(w)?;
-                write_doc(w, "ResultPayload blocks", blocks)?;
+                blocks.wire_write(w)?;
                 failed.wire_write(w)
             }
         }
@@ -508,7 +536,7 @@ impl WireDeserialize for ResultPayload {
             0 => Ok(ResultPayload::Eval(WireEval::wire_read(r)?)),
             1 => Ok(ResultPayload::Pretrain {
                 group_index: read_usize(r, "ResultPayload group_index")?,
-                blocks: read_doc::<_, Vec<PretrainedBlock>>(r, "ResultPayload blocks")?,
+                blocks: Vec::<PretrainedBlock>::wire_read(r)?,
                 failed: Vec::<(String, String)>::wire_read(r)?,
             }),
             other => Err(WireError::InvalidValue {
@@ -641,6 +669,32 @@ mod tests {
             let back = TaskSpec::wire_read(&mut reader).unwrap();
             assert_eq!(back, spec);
         }
+    }
+
+    #[test]
+    fn next_epoch_is_one_then_manifest_epoch_plus_one_and_refuses_damage() {
+        let dir = std::env::temp_dir().join(format!("wootz_epoch_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(MANIFEST);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(next_epoch(&path).unwrap(), 1, "no manifest yet");
+
+        // Only `epoch` is read: a manifest of another build still advances.
+        std::fs::write(&path, r#"{"epoch":4,"model":"from another build"}"#).unwrap();
+        assert_eq!(next_epoch(&path).unwrap(), 5);
+
+        for damaged in [
+            "{\"epoch\": 4",
+            "",
+            "{\"model\":1}",
+            "{\"epoch\":18446744073709551615}",
+        ] {
+            std::fs::write(&path, damaged).unwrap();
+            let err = next_epoch(&path).unwrap_err().to_string();
+            assert!(err.contains(&path.display().to_string()), "{err}");
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), damaged);
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

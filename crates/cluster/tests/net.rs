@@ -1,5 +1,7 @@
 //! Integration tests of the TCP transport: framed-message round-trips for
-//! the task-bearing protocol types, a full loopback run asserted
+//! the task-bearing protocol types, weight bit patterns through every
+//! frame that carries checkpoints (and old-layout JSON weights refused
+//! with a structured error), a full loopback run asserted
 //! bit-identical to the single-process pipeline, socket chaos — a
 //! worker killing its own connection halfway through a result frame —
 //! or a coordinator vanishing under a block fetch — and the event-driven
@@ -15,10 +17,13 @@ use wootz_cluster::protocol::{Manifest, ResultPayload, TaskKind, TaskResult, Tas
 use wootz_cluster::{run_distributed, worker_net_main, ClusterOptions, Message, WorkerExit};
 use wootz_core::explore::EvalOutcome;
 use wootz_core::pipeline::{run_wootz_with, RunMode, RunOptions, WootzInputs, WootzRun};
+use wootz_core::pretrain::PretrainedBlock;
 use wootz_data::{micro_dataset, Dataset};
 use wootz_fault::RetryPolicy;
 use wootz_ir::{Objective, SolverConfig};
-use wootz_wire::{Limits, WireSerialize};
+use wootz_nn::Checkpoint;
+use wootz_tensor::Tensor;
+use wootz_wire::{write_bytes, Frame, Limits, WireError, WireSerialize};
 
 fn worker_cmd() -> (PathBuf, Vec<String>) {
     (
@@ -182,6 +187,148 @@ fn task_messages_round_trip_bit_exactly() {
             result: done_pretrain,
         },
     ]);
+}
+
+/// A checkpoint holding the float classes a text encoding gets wrong:
+/// both infinities, a NaN with payload `0x7fc00001`, negative zero and a
+/// subnormal.
+fn odd_float_checkpoint() -> Checkpoint {
+    let values = vec![
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::from_bits(0x7fc0_0001),
+        -0.0,
+        f32::from_bits(1),
+    ];
+    let mut ckpt = Checkpoint::new();
+    ckpt.insert("net/w", Tensor::from_vec(values, &[5]).unwrap());
+    ckpt
+}
+
+/// Every entry of `ckpt` as `(name, shape, f32 bit patterns)`.
+fn weight_bits(ckpt: &Checkpoint) -> Vec<(String, Vec<usize>, Vec<u32>)> {
+    ckpt.iter()
+        .map(|(name, t)| {
+            let bits = t.data().iter().map(|v| v.to_bits()).collect();
+            (name.to_string(), t.shape().to_vec(), bits)
+        })
+        .collect()
+}
+
+/// Checkpoints cross TCP as bytes: every bit of every weight survives the
+/// `Welcome`, `Blocks` and `TaskDone` (pre-training) frames, and the
+/// pre-training result's declared size is its encoded size.
+#[test]
+fn weight_bits_survive_welcome_blocks_and_task_done() {
+    let ckpt = odd_float_checkpoint();
+    let done = TaskResult {
+        seq: 2,
+        attempt: 1,
+        epoch: 1,
+        worker: "w0".to_string(),
+        wall_ms: 17,
+        payload: ResultPayload::Pretrain {
+            group_index: 0,
+            blocks: vec![PretrainedBlock {
+                key: "m0r30".to_string(),
+                checkpoint: ckpt.clone(),
+                first_loss: f32::from_bits(0x7fc0_0001),
+                last_loss: -0.0,
+                steps: 4,
+            }],
+            failed: vec![],
+        },
+    };
+    let mut buf = Vec::new();
+    done.wire_write(&mut buf).unwrap();
+    assert_eq!(
+        buf.len(),
+        done.wire_size(),
+        "declared size matches encoding"
+    );
+
+    let messages = [
+        Message::Welcome {
+            epoch: 1,
+            manifest: epoch_one_manifest(400),
+            full_ckpt: ckpt.clone(),
+        },
+        Message::Blocks {
+            index: vec![("m0r30".to_string(), ckpt.clone())],
+        },
+        Message::TaskDone { result: done },
+    ];
+    round_trip_messages(&messages);
+    for message in &messages {
+        let mut frame = Vec::new();
+        message.write_to(&mut frame).unwrap();
+        let (back, _) = Message::read_from(&mut frame.as_slice(), &Limits::DEFAULT).unwrap();
+        let got = match back {
+            Message::Welcome { full_ckpt, .. } => full_ckpt,
+            Message::Blocks { mut index } => index.remove(0).1,
+            Message::TaskDone { result } => match result.payload {
+                ResultPayload::Pretrain { mut blocks, .. } => {
+                    let block = blocks.remove(0);
+                    assert_eq!(block.first_loss.to_bits(), 0x7fc0_0001);
+                    assert_eq!(block.last_loss.to_bits(), (-0.0f32).to_bits());
+                    block.checkpoint
+                }
+                other => panic!("expected a pre-training result, got {other:?}"),
+            },
+            other => panic!("unexpected {}", other.name()),
+        };
+        assert_eq!(weight_bits(&got), weight_bits(&ckpt), "{}", message.name());
+    }
+}
+
+/// A peer that still sends checkpoints and pre-trained blocks as JSON
+/// documents (the layout before weights became bytes) speaks the same
+/// frame version, so its `Welcome`, `Blocks` and `TaskDone` must fail to
+/// decode with a structured error — never a panic, never a success.
+#[test]
+fn old_layout_weight_documents_fail_loudly() {
+    let ckpt_json = r#"{"entries":{"net/w":{"shape":[2],"data":[1.5,-2.0]}}}"#;
+    let blocks_json = format!(
+        r#"[{{"key":"m0r30","checkpoint":{ckpt_json},"first_loss":1.0,"last_loss":0.5,"steps":4}}]"#
+    );
+    let doc = |out: &mut Vec<u8>, json: &str| write_bytes(out, "doc", json.as_bytes()).unwrap();
+
+    let mut welcome = Vec::new();
+    1u64.wire_write(&mut welcome).unwrap();
+    doc(
+        &mut welcome,
+        &serde_json::to_string(&epoch_one_manifest(400)).unwrap(),
+    );
+    doc(&mut welcome, ckpt_json);
+
+    let mut blocks = Vec::new();
+    1u32.wire_write(&mut blocks).unwrap();
+    "m0r30".to_string().wire_write(&mut blocks).unwrap();
+    doc(&mut blocks, ckpt_json);
+
+    let mut task_done = Vec::new();
+    2u64.wire_write(&mut task_done).unwrap(); // seq
+    1u32.wire_write(&mut task_done).unwrap(); // attempt
+    1u64.wire_write(&mut task_done).unwrap(); // epoch
+    "w0".to_string().wire_write(&mut task_done).unwrap();
+    17u64.wire_write(&mut task_done).unwrap(); // wall_ms
+    1u8.wire_write(&mut task_done).unwrap(); // Pretrain
+    0u64.wire_write(&mut task_done).unwrap(); // group_index
+    doc(&mut task_done, &blocks_json);
+    Vec::<(String, String)>::new()
+        .wire_write(&mut task_done)
+        .unwrap();
+
+    for (msg_type, payload) in [(2, welcome), (10, blocks), (8, task_done)] {
+        let frame = Frame { msg_type, payload };
+        let err = Message::decode(&frame, &Limits::DEFAULT)
+            .map(|m| m.name())
+            .expect_err("an old-layout weight document must not decode");
+        assert!(
+            matches!(err, WireError::Exhausted { .. }),
+            "msg-type {msg_type}: {err:?}"
+        );
+    }
 }
 
 #[test]

@@ -42,7 +42,7 @@ use wootz_fault::{fnv1a64, pid_alive};
 use wootz_nn::Checkpoint;
 use wootz_wire::{
     is_record_artifact, record_type, scan_records, write_frame, Frame, Limits, RecordDamage,
-    RecordTail, WireError, WireReader, WireSerialize, HEADER_LEN,
+    RecordTail, WireDeserialize, WireError, WireReader, WireSerialize, HEADER_LEN,
 };
 
 use crate::explore::EvalRecord;
@@ -76,7 +76,7 @@ pub struct JournalHeader {
 }
 
 /// One journal entry after the header.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JournalEntry {
     /// The header entry (only valid as the first entry).
     Header(JournalHeader),
@@ -442,12 +442,25 @@ fn check_header(path: &Path, found: &JournalHeader, expect: &JournalHeader) -> R
     Ok(())
 }
 
+/// The JSON form of the journal's eval and proposal records:
+/// `{"Eval":…}` and `{"Proposal":…}`.
+#[derive(Serialize, Deserialize)]
+enum JsonEntry {
+    Eval(EvalRecord),
+    Proposal(ProposalRecord),
+}
+
 /// Encodes one entry as a complete record (envelope + payload), per
 /// `PROTOCOL.md` §8: header/full-model/block payloads are flat wire
 /// encodings; evaluations and proposals ride as their canonical JSON
-/// document, the same serializer the run dir uses.
+/// document.
 fn encode_entry_record(path: &Path, entry: &JournalEntry) -> Result<Vec<u8>> {
     let encode_err = |e: WireError| journal_err(path, format!("cannot encode entry: {e}"));
+    let json = |entry: JsonEntry| {
+        serde_json::to_string(&entry)
+            .map(String::into_bytes)
+            .map_err(|e| journal_err(path, format!("cannot serialize entry: {e}")))
+    };
     let (record_type, payload) = match entry {
         JournalEntry::Header(h) => {
             let mut p = Vec::new();
@@ -462,32 +475,20 @@ fn encode_entry_record(path: &Path, entry: &JournalEntry) -> Result<Vec<u8>> {
             accuracy,
             checkpoint,
         } => {
-            let mut p = Vec::new();
+            let mut p = Vec::with_capacity(8 + checkpoint.wire_size());
             accuracy.wire_write(&mut p).map_err(encode_err)?;
             checkpoint.wire_encode(&mut p);
             (record_type::JOURNAL_FULL_MODEL, p)
         }
-        JournalEntry::Block(block) => {
-            let mut p = Vec::new();
-            block.key.wire_write(&mut p).map_err(encode_err)?;
-            block.first_loss.wire_write(&mut p).map_err(encode_err)?;
-            block.last_loss.wire_write(&mut p).map_err(encode_err)?;
-            (block.steps as u64)
-                .wire_write(&mut p)
-                .map_err(encode_err)?;
-            block.checkpoint.wire_encode(&mut p);
-            (record_type::JOURNAL_BLOCK, p)
-        }
-        JournalEntry::Eval(_) => {
-            let json = serde_json::to_string(entry)
-                .map_err(|e| journal_err(path, format!("cannot serialize entry: {e}")))?;
-            (record_type::JOURNAL_EVAL, json.into_bytes())
-        }
-        JournalEntry::Proposal(_) => {
-            let json = serde_json::to_string(entry)
-                .map_err(|e| journal_err(path, format!("cannot serialize entry: {e}")))?;
-            (record_type::JOURNAL_PROPOSAL, json.into_bytes())
-        }
+        JournalEntry::Block(block) => (record_type::JOURNAL_BLOCK, block.wire_to_vec()),
+        JournalEntry::Eval(record) => (
+            record_type::JOURNAL_EVAL,
+            json(JsonEntry::Eval(record.clone()))?,
+        ),
+        JournalEntry::Proposal(record) => (
+            record_type::JOURNAL_PROPOSAL,
+            json(JsonEntry::Proposal(record.clone()))?,
+        ),
     };
     let mut record = Vec::with_capacity(HEADER_LEN + payload.len());
     write_frame(&mut record, record_type, &payload).map_err(encode_err)?;
@@ -499,24 +500,21 @@ fn encode_entry_record(path: &Path, entry: &JournalEntry) -> Result<Vec<u8>> {
 /// tampering, and the scanner treats it as corruption.
 fn decode_entry_record(frame: &Frame) -> std::result::Result<JournalEntry, String> {
     let payload = &frame.payload;
-    if frame.msg_type == record_type::JOURNAL_EVAL {
+    let json = |what: &str| -> std::result::Result<JsonEntry, String> {
         let text =
-            std::str::from_utf8(payload).map_err(|e| format!("eval record is not UTF-8: {e}"))?;
-        let entry: JournalEntry =
-            serde_json::from_str(text).map_err(|e| format!("eval record does not parse: {e}"))?;
-        return match entry {
-            JournalEntry::Eval(_) => Ok(entry),
-            _ => Err("eval record holds a non-eval entry".to_string()),
+            std::str::from_utf8(payload).map_err(|e| format!("{what} record is not UTF-8: {e}"))?;
+        serde_json::from_str(text).map_err(|e| format!("{what} record does not parse: {e}"))
+    };
+    if frame.msg_type == record_type::JOURNAL_EVAL {
+        return match json("eval")? {
+            JsonEntry::Eval(record) => Ok(JournalEntry::Eval(record)),
+            JsonEntry::Proposal(_) => Err("eval record holds a non-eval entry".to_string()),
         };
     }
     if frame.msg_type == record_type::JOURNAL_PROPOSAL {
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| format!("proposal record is not UTF-8: {e}"))?;
-        let entry: JournalEntry = serde_json::from_str(text)
-            .map_err(|e| format!("proposal record does not parse: {e}"))?;
-        return match entry {
-            JournalEntry::Proposal(_) => Ok(entry),
-            _ => Err("proposal record holds a non-proposal entry".to_string()),
+        return match json("proposal")? {
+            JsonEntry::Proposal(record) => Ok(JournalEntry::Proposal(record)),
+            JsonEntry::Eval(_) => Err("proposal record holds a non-proposal entry".to_string()),
         };
     }
     let mut r = WireReader::new(&payload[..], payload.len() as u64, Limits::ARTIFACT);
@@ -532,13 +530,9 @@ fn decode_entry_record(frame: &Frame) -> std::result::Result<JournalEntry, Strin
             accuracy: r.f64("accuracy").map_err(|e| e.to_string())?,
             checkpoint: Checkpoint::wire_decode(&mut r).map_err(|e| e.to_string())?,
         },
-        record_type::JOURNAL_BLOCK => JournalEntry::Block(PretrainedBlock {
-            key: r.string("block key").map_err(|e| e.to_string())?,
-            first_loss: r.f32("first loss").map_err(|e| e.to_string())?,
-            last_loss: r.f32("last loss").map_err(|e| e.to_string())?,
-            steps: r.u64("steps").map_err(|e| e.to_string())? as usize,
-            checkpoint: Checkpoint::wire_decode(&mut r).map_err(|e| e.to_string())?,
-        }),
+        record_type::JOURNAL_BLOCK => {
+            JournalEntry::Block(PretrainedBlock::wire_read(&mut r).map_err(|e| e.to_string())?)
+        }
         other => return Err(format!("unknown journal record type {other:#06x}")),
     };
     r.expect_consumed().map_err(|e| e.to_string())?;
@@ -678,7 +672,11 @@ mod tests {
     }
 
     fn eval(i: usize) -> JournalEntry {
-        JournalEntry::Eval(EvalRecord::Done {
+        JournalEntry::Eval(eval_record(i))
+    }
+
+    fn eval_record(i: usize) -> EvalRecord {
+        EvalRecord::Done {
             config_index: i,
             outcome: EvalOutcome {
                 model_size: 100 + i,
@@ -688,7 +686,12 @@ mod tests {
                 log: None,
             },
             satisfies: i % 2 == 0,
-        })
+        }
+    }
+
+    /// One line of a pre-record NDJSON journal: `{"<tag>":<json>}`.
+    fn ndjson_line(tag: &str, json: String) -> String {
+        format!("{{\"{tag}\":{json}}}")
     }
 
     fn tmp(name: &str) -> PathBuf {
@@ -975,8 +978,8 @@ mod tests {
     fn legacy_ndjson_journal_resumes_and_continues_in_binary() {
         let ndjson = format!(
             "{}\n{}\n",
-            serde_json::to_string(&JournalEntry::Header(header())).unwrap(),
-            serde_json::to_string(&eval(0)).unwrap()
+            ndjson_line("Header", serde_json::to_string(&header()).unwrap()),
+            ndjson_line("Eval", serde_json::to_string(&eval_record(0)).unwrap())
         );
         assert_journal_refused_untouched("wootz_journal_ndjson", "run.ndjson", &ndjson);
     }
@@ -987,8 +990,8 @@ mod tests {
     fn corrupt_legacy_line_quarantines_too() {
         let ndjson = format!(
             "{}\n{{\"Eval\": garbage}}\n{}\n",
-            serde_json::to_string(&JournalEntry::Header(header())).unwrap(),
-            serde_json::to_string(&eval(1)).unwrap()
+            ndjson_line("Header", serde_json::to_string(&header()).unwrap()),
+            ndjson_line("Eval", serde_json::to_string(&eval_record(1)).unwrap())
         );
         assert_journal_refused_untouched("wootz_journal_ndjson_corrupt", "run.ndjson", &ndjson);
     }

@@ -9,6 +9,7 @@
 //! blocks.
 
 use std::collections::BTreeMap;
+use std::io::{Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use serde::{Deserialize, Serialize};
@@ -17,6 +18,7 @@ use wootz_nn::{Checkpoint, CompiledNet, Mode, NodeId};
 use wootz_tensor::ops::{mse_loss, mse_loss_backward_into};
 use wootz_tensor::sgd::SgdConfig;
 use wootz_tensor::Tensor;
+use wootz_wire::{WireDeserialize, WireReader, WireResult, WireSerialize};
 
 use crate::blocks::partition_into_groups;
 use crate::compile::{BuiltModel, ModeToUse, MultiplexingModel, TuningBlock};
@@ -77,7 +79,12 @@ pub struct PretrainOutcome {
 /// in the run journal. `steps` carries the group's SGD-step cost on the
 /// group's first block (the rest record 0) so that replaying a journal
 /// reproduces [`PretrainOutcome::total_steps`] exactly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Its one byte encoding ([`WireSerialize`]) is the `journal-block`
+/// payload of `PROTOCOL.md` §8 — `key: string, first_loss: f32,
+/// last_loss: f32, steps: u64, checkpoint` — which the journal's block
+/// records and the `TaskDone` frame of a pre-training task both carry.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PretrainedBlock {
     /// The block's [`TuningBlock::key`].
     pub key: String,
@@ -89,6 +96,32 @@ pub struct PretrainedBlock {
     pub last_loss: f32,
     /// SGD steps this block is charged for (see above).
     pub steps: usize,
+}
+
+impl WireSerialize for PretrainedBlock {
+    fn wire_size(&self) -> usize {
+        self.key.wire_size() + 4 + 4 + 8 + self.checkpoint.wire_size()
+    }
+
+    fn wire_write<W: Write + ?Sized>(&self, w: &mut W) -> WireResult<()> {
+        self.key.wire_write(w)?;
+        self.first_loss.wire_write(w)?;
+        self.last_loss.wire_write(w)?;
+        (self.steps as u64).wire_write(w)?;
+        self.checkpoint.wire_write(w)
+    }
+}
+
+impl WireDeserialize for PretrainedBlock {
+    fn wire_read<R: Read>(r: &mut WireReader<R>) -> WireResult<Self> {
+        Ok(PretrainedBlock {
+            key: r.string("block key")?,
+            first_loss: r.f32("first loss")?,
+            last_loss: r.f32("last loss")?,
+            steps: r.u64("steps")? as usize,
+            checkpoint: Checkpoint::wire_read(r)?,
+        })
+    }
 }
 
 /// Options for the supervised pre-training loop.

@@ -2,24 +2,25 @@
 //! blocks from the pre-training phase to network assembly, mirroring
 //! TensorFlow checkpoints (name → tensor maps).
 //!
-//! A checkpoint has no file of its own: it is persisted inside the
-//! records that need it — the run journal's full-model and block
-//! entries and the block store's entries (`PROTOCOL.md` §8) — in the
-//! [`Checkpoint::wire_encode`] form, under the record envelope's CRC;
-//! the block store also keeps the FNV-1a [`Checkpoint::content_hash`].
+//! A checkpoint has no file of its own and exactly one byte encoding,
+//! [`Checkpoint::wire_encode`] (`PROTOCOL.md` §8): the run journal's
+//! full-model and block records, the block store's entries and the
+//! `Welcome`, `Blocks` and `TaskDone` frames all carry it, under the
+//! envelope's CRC. Floats travel as bit patterns, so every path
+//! round-trips every value bit-exactly, NaN payloads included. The block
+//! store also keeps the FNV-1a [`Checkpoint::content_hash`].
 
 use std::collections::BTreeMap;
-use std::io::Read;
+use std::io::{Read, Write};
 
-use serde::{Deserialize, Serialize};
 use wootz_tensor::Tensor;
-use wootz_wire::{write_bytes, write_len, WireReader, WireResult, WireSerialize};
+use wootz_wire::{write_bytes, write_len, WireDeserialize, WireReader, WireResult, WireSerialize};
 
 use crate::var::VarStore;
 use crate::Result;
 
-/// A serializable map from variable names to tensor values.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// A map from variable names to tensor values.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Checkpoint {
     entries: BTreeMap<String, Tensor>,
 }
@@ -134,24 +135,13 @@ impl Checkpoint {
     /// The wire encoding of the entry map: `u32` entry count, then per
     /// entry `name` (length-prefixed UTF-8), `shape` (`u32` rank + `u64`
     /// dims) and `data` (`u32` element count + `f32` bit patterns). This
-    /// is the form the run journal's and the block store's inline
-    /// checkpoints share; floats are bit patterns, so an encoded
-    /// checkpoint round-trips bit-exactly.
+    /// is the one form every persisted or transmitted checkpoint takes;
+    /// floats are bit patterns, so an encoded checkpoint round-trips
+    /// bit-exactly. [`WireSerialize::wire_size`] gives its exact length.
     pub fn wire_encode(&self, out: &mut Vec<u8>) {
         // Writing to a Vec cannot fail; lengths under u32::MAX are
         // guaranteed by Limits at decode time and by memory at encode time.
-        write_len(out, "checkpoint entries", self.entries.len()).expect("vec write");
-        for (name, tensor) in &self.entries {
-            write_bytes(out, "checkpoint entry name", name.as_bytes()).expect("vec write");
-            write_len(out, "tensor shape", tensor.shape().len()).expect("vec write");
-            for &d in tensor.shape() {
-                (d as u64).wire_write(out).expect("vec write");
-            }
-            write_len(out, "tensor data", tensor.data().len()).expect("vec write");
-            for &v in tensor.data() {
-                v.wire_write(out).expect("vec write");
-            }
-        }
+        self.wire_write(out).expect("vec write");
     }
 
     /// Decodes the encoding produced by [`Checkpoint::wire_encode`] from
@@ -164,6 +154,40 @@ impl Checkpoint {
     /// Returns a structured [`wootz_wire::WireError`] on malformed,
     /// truncated or oversized input.
     pub fn wire_decode<R: Read>(r: &mut WireReader<R>) -> WireResult<Checkpoint> {
+        Checkpoint::wire_read(r)
+    }
+}
+
+impl WireSerialize for Checkpoint {
+    fn wire_size(&self) -> usize {
+        4 + self
+            .entries
+            .iter()
+            .map(|(name, tensor)| {
+                4 + name.len() + 4 + 8 * tensor.shape().len() + 4 + 4 * tensor.len()
+            })
+            .sum::<usize>()
+    }
+
+    fn wire_write<W: Write + ?Sized>(&self, w: &mut W) -> WireResult<()> {
+        write_len(w, "checkpoint entries", self.entries.len())?;
+        for (name, tensor) in &self.entries {
+            write_bytes(w, "checkpoint entry name", name.as_bytes())?;
+            write_len(w, "tensor shape", tensor.shape().len())?;
+            for &d in tensor.shape() {
+                (d as u64).wire_write(w)?;
+            }
+            write_len(w, "tensor data", tensor.data().len())?;
+            for &v in tensor.data() {
+                v.wire_write(w)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl WireDeserialize for Checkpoint {
+    fn wire_read<R: Read>(r: &mut WireReader<R>) -> WireResult<Checkpoint> {
         // Minimum entry: empty name (4) + rank 0 (4) + zero elements (4).
         let count = r.seq_len("checkpoint entries", 12)?;
         let mut entries = BTreeMap::new();
@@ -261,6 +285,11 @@ mod tests {
         ckpt.insert("empty", Tensor::from_vec(vec![], &[0]).unwrap());
         let mut buf = Vec::new();
         ckpt.wire_encode(&mut buf);
+        assert_eq!(
+            buf.len(),
+            ckpt.wire_size(),
+            "declared size matches encoding"
+        );
         let mut r = WireReader::new(&buf[..], buf.len() as u64, Limits::ARTIFACT);
         let back = Checkpoint::wire_decode(&mut r).unwrap();
         r.expect_consumed().unwrap();

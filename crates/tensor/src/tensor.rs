@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::shape::{num_elements, strides_for, ShapeError};
 
 /// A dense, row-major `f32` tensor.
@@ -20,28 +18,10 @@ use crate::shape::{num_elements, strides_for, ShapeError};
 /// assert_eq!(t.at(&[1, 0]), 3.0);
 /// assert_eq!(t.sum(), 10.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,
-}
-
-impl<'de> Deserialize<'de> for Tensor {
-    /// Deserializes with validation: the element count must match the
-    /// shape, so corrupted checkpoints fail at load time instead of
-    /// panicking deep inside a kernel later.
-    fn deserialize<D>(deserializer: D) -> std::result::Result<Self, D::Error>
-    where
-        D: serde::Deserializer<'de>,
-    {
-        #[derive(Deserialize)]
-        struct Repr {
-            shape: Vec<usize>,
-            data: Vec<f32>,
-        }
-        let repr = Repr::deserialize(deserializer)?;
-        Tensor::from_vec(repr.data, &repr.shape).map_err(serde::de::Error::custom)
-    }
 }
 
 impl Tensor {
@@ -623,15 +603,6 @@ mod tests {
         let b = Tensor::ones(&[2]);
         assert_eq!(a.zip(&b, |x, y| x * y + 1.0).unwrap().data(), &[2.0, -1.0]);
         assert!(a.zip(&Tensor::ones(&[3]), |x, _| x).is_err());
-    }
-
-    #[test]
-    fn deserialization_validates_shape() {
-        let good: Tensor =
-            serde_json::from_str(r#"{"shape":[2,2],"data":[1.0,2.0,3.0,4.0]}"#).unwrap();
-        assert_eq!(good.at(&[1, 1]), 4.0);
-        let bad: Result<Tensor, _> = serde_json::from_str(r#"{"shape":[2,2],"data":[1.0]}"#);
-        assert!(bad.is_err());
     }
 
     #[test]

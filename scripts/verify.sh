@@ -204,6 +204,25 @@ dist_entries=$(LC_ALL=C ls -A "$DIST_DIR" | tr '\n' ' ')
     echo "chaos smoke FAILED: the run dir holds more than manifest.json and logs/: $dist_entries"; exit 1; }
 echo "run-dir check ok: $dist_entries"
 
+echo "== transport smoke: in-process and --distributed 2 write the same bytes =="
+# A distributed run's pre-trained blocks cross TCP twice (a worker's
+# TaskDone, then the hub's Blocks frame to the evaluating workers) and
+# its full model once (Welcome). Weights travel as the journal's own
+# record encoding (PROTOCOL.md §8), so the journal and the results file
+# must be byte-equal to the in-process run's, not just the best network.
+transport_prune() {
+    "$W" prune --model "$SMOKE/model.prototxt" --configs "$SMOKE/configs.json" \
+        --solver "$SMOKE/solver.prototxt" --objective "$SMOKE/objective.txt" "$@" >/dev/null
+}
+transport_prune --journal "$SMOKE/local.journal" --out "$SMOKE/local.json"
+transport_prune --distributed 2 --run-dir "$SMOKE/tdist" \
+    --journal "$SMOKE/tdist.journal" --out "$SMOKE/tdist.json"
+cmp "$SMOKE/local.journal" "$SMOKE/tdist.journal" || {
+    echo "transport smoke FAILED: the distributed journal differs from the in-process one"; exit 1; }
+cmp "$SMOKE/local.json" "$SMOKE/tdist.json" || {
+    echo "transport smoke FAILED: the distributed --out differs from the in-process one"; exit 1; }
+echo "transport smoke ok: journals ($(wc -c < "$SMOKE/local.journal") bytes) and --out files byte-equal"
+
 echo "== socket chaos smoke: a mid-frame disconnect =="
 # The same inputs again (wire format: PROTOCOL.md): the coordinator
 # listens on loopback, workers connect, and worker w0's first
