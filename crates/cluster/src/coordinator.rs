@@ -3,15 +3,18 @@
 //! the exact exploration loop the single-process pipeline runs.
 //!
 //! The key structural decision is that the coordinator is *just another
-//! [`RoundBackend`]* plugged into the one phase driver
-//! ([`wootz_core::pipeline::run_phases`]): the round width stays
-//! `solver.num_workers` (the paper's logical task-assignment `p`), while
-//! `--distributed N` only chooses how many OS processes execute the
-//! round's tasks. Logical and physical parallelism are decoupled, so the
-//! distributed [`WootzRun`] is bit-identical to the single-process one for
-//! *any* worker count — including under worker crashes, hangs and
-//! stragglers, because a re-executed task is a pure function of its inputs
-//! and fencing guarantees exactly one result per unit of work is counted.
+//! [`Executor`]* plugged into the one phase driver
+//! ([`wootz_core::pipeline::run_phases`]): each [`Task`] the driver hands
+//! it becomes one wire task, which a worker runs through the same
+//! [`wootz_core::pipeline::execute`] as the in-process runtime. The round
+//! width stays `solver.num_workers` (the paper's logical task-assignment
+//! `p`), while `--distributed N` only chooses how many OS processes
+//! execute the round's tasks. Logical and physical parallelism are
+//! decoupled, so the distributed [`WootzRun`] is bit-identical to the
+//! single-process one for *any* worker count — including under worker
+//! crashes, hangs and stragglers, because a re-executed task is a pure
+//! function of its inputs and fencing guarantees exactly one result per
+//! unit of work is counted.
 //!
 //! Workers are reached one way: the coordinator binds a [`NetHub`] (on
 //! loopback unless `listen` names a deployment address), spawns its pool
@@ -37,7 +40,7 @@
 //! journal, so killing the coordinator and re-running with `--resume`
 //! re-evaluates nothing that was journaled.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -45,15 +48,12 @@ use std::time::{Duration, Instant};
 use serde::Serialize;
 
 use wootz_core::compile::{MultiplexingModel, TuningBlock};
-use wootz_core::explore::SupervisedEval;
 use wootz_core::explorer::ExplorerKind;
 use wootz_core::pipeline::{
-    block_pretrain_config, run_phases, RoundBackend, RunMode, RunOptions, UniverseEnv, WootzInputs,
-    WootzRun,
+    block_pretrain_config, run_phases, Executor, RunMode, RunOptions, Task, TaskContext,
+    TaskOutput, WootzInputs, WootzRun,
 };
-use wootz_core::pretrain::{
-    pretrain_groups_with, BlockSink, GroupOutcome, PretrainOutcome, PretrainedBlock,
-};
+use wootz_core::pretrain::GroupOutcome;
 use wootz_core::{CoreError, Result};
 use wootz_data::Dataset;
 use wootz_fault::{FaultPlan, RetryPolicy};
@@ -424,7 +424,6 @@ struct TaskOutcome {
 struct Coordinator<'a> {
     epoch: u64,
     opts: &'a ClusterOptions<'a>,
-    solver: &'a wootz_ir::SolverConfig,
     pool: WorkerPool,
     /// The TCP front-end every worker talks to.
     hub: NetHub,
@@ -809,123 +808,118 @@ impl Coordinator<'_> {
     }
 }
 
-/// The distributed [`RoundBackend`]: one task per todo pre-training group
-/// and one per fresh configuration, executed by the worker processes and
-/// re-associated positionally, so the phase driver folds exactly what the
-/// in-process backend would have produced.
-impl RoundBackend for Coordinator<'_> {
-    /// Pre-trains `batch` remotely — the group shell (replays, journaled
-    /// copies, step accounting, sink order) is
-    /// [`pretrain_groups_with`], shared with the in-process supervisor —
-    /// then publishes the grown block bag for the evaluation workers.
-    fn pretrain(
-        &mut self,
-        _full_ckpt: &Checkpoint,
-        batch: &[TuningBlock],
-        completed: BTreeMap<String, PretrainedBlock>,
-        sink: &mut BlockSink<'_>,
-    ) -> Result<PretrainOutcome> {
-        let _span = wootz_obs::span("cluster.pretrain").with("blocks", batch.len());
-        let steps = block_pretrain_config(self.solver).steps;
-        let run_groups = |todo: &[(usize, &[usize])]| -> Result<Vec<GroupOutcome>> {
-            let tasks = todo
-                .iter()
-                .map(|&(group_index, group)| {
-                    let kind = TaskKind::Pretrain {
-                        group_index,
-                        blocks: batch.to_vec(),
-                        group: group.to_vec(),
-                    };
-                    self.task(kind, steps)
-                })
-                .collect();
-            let outcomes = self.drive(tasks)?;
-            todo.iter()
-                .zip(outcomes)
-                .map(|(&(gi, group), outcome)| match outcome.result {
-                    Some(TaskResult {
-                        payload: ResultPayload::Pretrain { blocks, failed, .. },
-                        ..
-                    }) => Ok(GroupOutcome {
-                        blocks,
-                        failed,
-                        first_error: None,
-                    }),
-                    Some(_) => Err(cluster_err(format!(
-                        "pre-training task for group {gi} returned an evaluation payload"
-                    ))),
-                    None => {
-                        let msg = format!(
-                            "pre-training group {gi} abandoned after {} worker attempts \
-                             (every lease expired)",
-                            outcome.attempts
-                        );
-                        Ok(GroupOutcome {
-                            blocks: Vec::new(),
-                            failed: group
-                                .iter()
-                                .map(|&bi| (batch[bi].key(), msg.clone()))
-                                .collect(),
-                            first_error: Some(CoreError::Remote(msg)),
-                        })
-                    }
-                })
-                .collect()
-        };
-        let outcome = pretrain_groups_with(batch, &completed, run_groups, Some(sink))?;
-        self.publish_blocks(&outcome.checkpoints)?;
-        Ok(outcome)
-    }
-
-    /// Runs one exploration round remotely: one universe-carrying
-    /// evaluation task per fresh configuration.
-    fn evaluate(
-        &mut self,
-        _full_ckpt: &Checkpoint,
-        env: &UniverseEnv,
-        _checkpoints: &BTreeMap<String, Checkpoint>,
-        fresh: &[usize],
-    ) -> Result<Vec<SupervisedEval>> {
-        let tasks: Vec<TaskSpec> = fresh
+/// The distributed [`Executor`]: one queue task per [`Task`], executed by
+/// the worker processes and mapped back positionally, so the phase driver
+/// folds exactly what the [`LocalExecutor`] would have produced.
+impl Executor for Coordinator<'_> {
+    /// Publishes the block bag first when an evaluation batch needs keys
+    /// the workers cannot fetch yet, then drives one wire task per
+    /// [`Task`] to completion. An abandoned unit of work becomes a
+    /// [`CoreError::Remote`] failure of its task.
+    fn run(&mut self, cx: &TaskContext<'_>, tasks: &[Task]) -> Result<Vec<TaskOutput>> {
+        let evaluates = tasks.iter().any(|t| matches!(t, Task::Eval { .. }));
+        if let Some(bag) = cx.blocks.filter(|_| evaluates) {
+            if bag.keys().any(|key| !self.published.contains_key(key)) {
+                self.publish_blocks(bag)?;
+            }
+        }
+        let _span = matches!(tasks.first(), Some(Task::Pretrain { .. }))
+            .then(|| wootz_obs::span("cluster.pretrain").with("blocks", cx.batch.len()));
+        let specs = tasks
             .iter()
-            .map(|&config_index| {
-                let kind = TaskKind::Eval {
-                    config_index,
-                    universe: env.inputs.subspace.clone(),
+            .map(|task| {
+                let (kind, expected_steps) = match task {
+                    Task::Eval { config_index } => (
+                        TaskKind::Eval {
+                            config_index: *config_index,
+                            universe: cx
+                                .env
+                                .expect("an evaluation task needs a universe")
+                                .inputs
+                                .subspace
+                                .clone(),
+                        },
+                        cx.inputs.solver.max_iter,
+                    ),
+                    Task::Pretrain { group_index, group } => (
+                        TaskKind::Pretrain {
+                            group_index: *group_index,
+                            blocks: cx.batch.to_vec(),
+                            group: group.clone(),
+                        },
+                        block_pretrain_config(&cx.inputs.solver).steps,
+                    ),
                 };
-                self.task(kind, self.solver.max_iter)
+                self.task(kind, expected_steps)
             })
             .collect();
-        let outcomes = self.drive(tasks)?;
-        fresh
+        let outcomes = self.drive(specs)?;
+        tasks
             .iter()
             .zip(outcomes)
-            .map(|(&config_index, outcome)| match outcome.result {
-                Some(TaskResult {
-                    payload: ResultPayload::Eval(wire),
-                    ..
-                }) if wire.config_index != config_index => Err(cluster_err(format!(
-                    "evaluation of config {config_index} returned config {}",
-                    wire.config_index
-                ))),
-                Some(TaskResult {
-                    payload: ResultPayload::Eval(wire),
-                    ..
-                }) => Ok(wire.into_supervised()),
-                Some(_) => Err(cluster_err(format!(
-                    "evaluation of config {config_index} returned a pre-training payload"
-                ))),
-                None => Ok(SupervisedEval {
-                    result: Err(CoreError::Remote(format!(
-                        "configuration {config_index}: task abandoned after {} worker \
-                         attempts (every lease expired)",
+            .map(|(task, outcome)| match outcome.result {
+                Some(result) => task_output(task, cx.batch, result.payload),
+                None => {
+                    let error = CoreError::Remote(format!(
+                        "{}: task abandoned after {} worker attempts (every lease expired)",
+                        unit(task),
                         outcome.attempts
-                    ))),
-                    attempts: outcome.attempts,
-                    backoff: 0.0,
-                }),
+                    ));
+                    Ok(TaskOutput::failed(task, cx.batch, error, outcome.attempts))
+                }
             })
             .collect()
+    }
+}
+
+/// How errors name the unit of work `task` is.
+fn unit(task: &Task) -> String {
+    match task {
+        Task::Eval { config_index } => format!("configuration {config_index}"),
+        Task::Pretrain { group_index, .. } => format!("pre-training group {group_index}"),
+    }
+}
+
+/// Maps an accepted result onto the task it answers. A payload of the
+/// other kind, for another configuration or group, or naming a block
+/// outside the task's group is refused: the driver would fold or journal
+/// it under the wrong unit of work.
+fn task_output(task: &Task, batch: &[TuningBlock], payload: ResultPayload) -> Result<TaskOutput> {
+    let refuse = |what: String| Err(cluster_err(format!("{} returned {what}", unit(task))));
+    match (task, payload) {
+        (Task::Eval { config_index }, ResultPayload::Eval(wire)) => {
+            if wire.config_index != *config_index {
+                return refuse(format!("config {}", wire.config_index));
+            }
+            Ok(TaskOutput::Eval(wire.into_supervised()))
+        }
+        (
+            Task::Pretrain { group_index, group },
+            ResultPayload::Pretrain {
+                group_index: returned,
+                blocks,
+                failed,
+            },
+        ) => {
+            if returned != *group_index {
+                return refuse(format!("group {returned}"));
+            }
+            let keys: BTreeSet<String> = group.iter().map(|&bi| batch[bi].key()).collect();
+            let returned_keys = blocks.iter().map(|b| &b.key);
+            if let Some(stray) = returned_keys
+                .chain(failed.iter().map(|(key, _)| key))
+                .find(|key| !keys.contains(*key))
+            {
+                return refuse(format!("block `{stray}` from outside its group"));
+            }
+            Ok(TaskOutput::Pretrain(GroupOutcome {
+                blocks,
+                failed,
+                first_error: None,
+            }))
+        }
+        (_, ResultPayload::Eval(_)) => refuse("an evaluation payload".into()),
+        (_, ResultPayload::Pretrain { .. }) => refuse("a pre-training payload".into()),
     }
 }
 
@@ -983,7 +977,6 @@ impl<'a> Coordinator<'a> {
         Ok(Coordinator {
             epoch,
             opts,
-            solver: &inputs.solver,
             pool,
             hub,
             stats: ClusterStats {
@@ -1067,4 +1060,116 @@ pub fn self_worker_cmd(prefix: &[&str]) -> Result<(PathBuf, Vec<String>)> {
     let exe = std::env::current_exe()
         .map_err(|e| cluster_err(format!("cannot locate current executable: {e}")))?;
     Ok((exe, prefix.iter().map(|s| s.to_string()).collect()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wootz_core::explore::{EvalOutcome, SupervisedEval};
+    use wootz_core::pretrain::PretrainedBlock;
+
+    use crate::protocol::WireEval;
+
+    fn batch() -> Vec<TuningBlock> {
+        vec![
+            TuningBlock::new(0, vec![(1, 50)]).unwrap(),
+            TuningBlock::new(1, vec![(2, 50)]).unwrap(),
+            TuningBlock::new(2, vec![(3, 70)]).unwrap(),
+        ]
+    }
+
+    fn eval_payload(config_index: usize) -> ResultPayload {
+        let outcome = EvalOutcome {
+            model_size: 10,
+            flops: 20,
+            accuracy: 0.5,
+            cost: 3.0,
+            log: None,
+        };
+        let sup = SupervisedEval {
+            result: Ok(outcome),
+            attempts: 1,
+            backoff: 0.0,
+        };
+        ResultPayload::Eval(WireEval::from_supervised(config_index, sup))
+    }
+
+    fn pretrain_payload(group_index: usize, trained: &[&str], failed: &[&str]) -> ResultPayload {
+        let block = |key: &&str| PretrainedBlock {
+            key: key.to_string(),
+            checkpoint: Checkpoint::new(),
+            first_loss: 1.0,
+            last_loss: 0.5,
+            steps: 4,
+        };
+        ResultPayload::Pretrain {
+            group_index,
+            blocks: trained.iter().map(block).collect(),
+            failed: failed
+                .iter()
+                .map(|key| (key.to_string(), "boom".to_string()))
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn results_for_another_unit_of_work_are_refused() {
+        let batch = batch();
+        let (k0, k1, k2) = (batch[0].key(), batch[1].key(), batch[2].key());
+        let eval = Task::Eval { config_index: 3 };
+        let group = Task::Pretrain {
+            group_index: 1,
+            group: vec![0, 2],
+        };
+        let refused = |task: &Task, payload: ResultPayload| match task_output(task, &batch, payload)
+        {
+            Ok(_) => panic!("accepted a mismatched payload for {task:?}"),
+            Err(e) => e.to_string(),
+        };
+        let msg = refused(&eval, eval_payload(4));
+        assert!(msg.contains("configuration 3 returned config 4"), "{msg}");
+        let msg = refused(&eval, pretrain_payload(3, &[], &[]));
+        assert!(msg.contains("a pre-training payload"), "{msg}");
+        let msg = refused(&group, eval_payload(1));
+        assert!(msg.contains("an evaluation payload"), "{msg}");
+        let msg = refused(&group, pretrain_payload(0, &[&k0, &k2], &[]));
+        assert!(
+            msg.contains("pre-training group 1 returned group 0"),
+            "{msg}"
+        );
+        // A block of the batch, but not of this group, trained or failed.
+        let msg = refused(&group, pretrain_payload(1, &[&k0, &k1], &[]));
+        assert!(msg.contains(&format!("block `{k1}`")), "{msg}");
+        let msg = refused(&group, pretrain_payload(1, &[&k0], &[&k1]));
+        assert!(msg.contains(&format!("block `{k1}`")), "{msg}");
+        let msg = refused(&group, pretrain_payload(1, &["m9r10"], &[]));
+        assert!(msg.contains("block `m9r10`"), "{msg}");
+    }
+
+    #[test]
+    fn results_for_their_own_task_map_to_its_output() {
+        let batch = batch();
+        let (k0, k2) = (batch[0].key(), batch[2].key());
+        let eval = Task::Eval { config_index: 3 };
+        match task_output(&eval, &batch, eval_payload(3)).unwrap() {
+            TaskOutput::Eval(sup) => {
+                assert_eq!(sup.attempts, 1);
+                assert_eq!(sup.result.unwrap().model_size, 10);
+            }
+            TaskOutput::Pretrain(_) => panic!("an evaluation mapped to a group"),
+        }
+        let group = Task::Pretrain {
+            group_index: 1,
+            group: vec![0, 2],
+        };
+        match task_output(&group, &batch, pretrain_payload(1, &[&k0], &[&k2])).unwrap() {
+            TaskOutput::Pretrain(out) => {
+                assert_eq!(out.blocks.len(), 1);
+                assert_eq!(out.blocks[0].key, k0);
+                assert_eq!(out.failed, vec![(k2, "boom".to_string())]);
+                assert!(out.first_error.is_none());
+            }
+            TaskOutput::Eval(_) => panic!("a group mapped to an evaluation"),
+        }
+    }
 }

@@ -45,10 +45,11 @@
 //!   slowest outstanding task against a deadline derived from the observed
 //!   per-step rate (3× the median) and launches a duplicate attempt. The
 //!   first result to arrive wins; the loser is fenced.
-//! * **Determinism** — each task ([`wootz_core::pipeline::EvalContext`]
-//!   evaluation or a block pre-training group) is a pure function of the
-//!   manifest + checkpoints, so any attempt on any process produces the
-//!   same bytes, and the fold order is fixed by the round runner.
+//! * **Determinism** — each task (a configuration evaluation or a block
+//!   pre-training group, run by [`wootz_core::pipeline::execute`]) is a
+//!   pure function of the manifest + checkpoints, so any attempt on any
+//!   process produces the same bytes, and the fold order is fixed by the
+//!   round runner.
 //! * **Reconnects** — a worker that loses its connection mid-frame
 //!   reconnects and resends its undelivered result, which the hub
 //!   deduplicates by `(epoch, seq, attempt)`. See [`net`] for the socket

@@ -15,12 +15,11 @@
 //! rebuilt from the `Welcome` exactly as the single-process pipeline
 //! builds it: manifest → model / solver / objective, the full-model
 //! checkpoint, the deterministic micro dataset, the [`UniverseEnv`] of
-//! the universe the latest evaluation task carried, and the per-task
-//! execution (evaluation or block pre-training). Because every unit of
-//! work ([`wootz_core::pipeline::EvalContext::evaluate`],
-//! [`wootz_core::pretrain::pretrain_group_supervised`]) is a pure
-//! function of its inputs, a task executes bit-identically no matter
-//! which process — or attempt — runs it.
+//! the universe the latest evaluation task carried, and the fetched block
+//! bag. Each granted `TaskKind` becomes a [`Task`] and runs through
+//! [`execute`], the one function the in-process runtime runs too. Because
+//! a task is a pure function of its inputs, it executes bit-identically no
+//! matter which process — or attempt — runs it.
 //!
 //! Process-level faults fire here, at `site::CLUSTER_TASK`:
 //!
@@ -48,9 +47,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use wootz_core::compile::MultiplexingModel;
-use wootz_core::explore::supervise_eval;
-use wootz_core::pipeline::{block_pretrain_config, UniverseEnv, WootzInputs};
-use wootz_core::pretrain::pretrain_group_supervised;
+use wootz_core::pipeline::{execute, Task, TaskContext, TaskOutput, UniverseEnv, WootzInputs};
 use wootz_core::Result;
 use wootz_data::{micro_dataset, Dataset};
 use wootz_fault::{site, FaultKind, FaultPlan};
@@ -160,51 +157,51 @@ impl WorkerEnv {
     }
 
     /// Executes one [prepared](WorkerEnv::prepare) task to its result
-    /// payload.
+    /// payload: the wire task becomes a [`Task`] and runs through the
+    /// same [`execute`] as the in-process runtime.
     fn execute(&self, task: &TaskSpec) -> ResultPayload {
-        let faults = self.manifest.faults.as_ref();
-        match &task.kind {
-            TaskKind::Eval { config_index, .. } => {
-                let env = self.universe.as_ref().expect("prepared for this task");
-                let ctx = env.context(
-                    &self.dataset,
-                    &self.mm,
-                    &self.full_ckpt,
-                    self.block_ckpts.as_ref(),
-                    faults,
-                );
-                let sup = supervise_eval(
-                    &|i| ctx.evaluate(i),
-                    *config_index,
-                    &self.manifest.retry,
-                    faults,
-                );
-                ResultPayload::Eval(WireEval::from_supervised(*config_index, sup))
-            }
+        let (unit, batch) = match &task.kind {
+            TaskKind::Eval { config_index, .. } => (
+                Task::Eval {
+                    config_index: *config_index,
+                },
+                &[][..],
+            ),
             TaskKind::Pretrain {
                 group_index,
                 blocks,
                 group,
-            } => {
-                let cfg = block_pretrain_config(&self.inputs.solver);
-                let batch_size = self.inputs.solver.batch_size;
-                let dataset = &self.dataset;
-                let trained = pretrain_group_supervised(
-                    &self.mm,
-                    blocks,
-                    group,
-                    *group_index,
-                    &self.full_ckpt,
-                    &cfg,
-                    &|step| dataset.train_batch(step, batch_size).0,
-                    faults,
-                );
-                ResultPayload::Pretrain {
+            } => (
+                Task::Pretrain {
                     group_index: *group_index,
+                    group: group.clone(),
+                },
+                blocks.as_slice(),
+            ),
+        };
+        let cx = TaskContext {
+            inputs: &self.inputs,
+            dataset: &self.dataset,
+            mm: &self.mm,
+            full_ckpt: &self.full_ckpt,
+            batch,
+            env: self.universe.as_ref(),
+            blocks: self.block_ckpts.as_ref(),
+            faults: self.manifest.faults.as_ref(),
+            retry: self.manifest.retry,
+        };
+        match (execute(&unit, &cx), unit) {
+            (TaskOutput::Eval(sup), Task::Eval { config_index }) => {
+                ResultPayload::Eval(WireEval::from_supervised(config_index, sup))
+            }
+            (TaskOutput::Pretrain(trained), Task::Pretrain { group_index, .. }) => {
+                ResultPayload::Pretrain {
+                    group_index,
                     blocks: trained.blocks,
                     failed: trained.failed,
                 }
             }
+            _ => unreachable!("execute answers a task in its own kind"),
         }
     }
 }

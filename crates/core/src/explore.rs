@@ -10,8 +10,8 @@
 //! that stops as soon as a round produces a satisfying network.
 //!
 //! Unlike the original single-shot loop, evaluation here is *supervised*:
-//! evaluator panics are caught (`catch_unwind` in the worker thread — a
-//! worker never takes the whole round down), failures are retried per a
+//! evaluator panics are caught (`catch_unwind` around every attempt — an
+//! evaluation never takes the whole round down), failures are retried per a
 //! [`RetryPolicy`] with exponential backoff charged in cost units, and a
 //! configuration that exhausts its attempts is either skipped (recorded as
 //! a first-class [`EvalRecord::Failed`] entry) or aborts the run with a
@@ -249,9 +249,9 @@ pub fn task_assignment(order: &[usize], workers: usize) -> Result<Vec<Vec<usize>
 
 /// The outcome of supervising one configuration to completion: the final
 /// result after retries, how many attempts were made, and the retry
-/// backoff charged. Produced by [`supervise_eval`] locally, or by a remote
-/// worker process in the distributed runtime (`wootz-cluster`), which is
-/// why the fields are public.
+/// backoff charged. Produced by [`supervise_eval`] in whichever process
+/// executes the evaluation task; the fields are public because the
+/// distributed runtime (`wootz-cluster`) carries it over the wire.
 pub struct SupervisedEval {
     /// The last attempt's result.
     pub result: std::result::Result<EvalOutcome, CoreError>,
@@ -308,10 +308,10 @@ where
 /// Supervises one configuration: retries per policy, accumulates backoff
 /// cost, emits `explore.retry` events.
 ///
-/// Public because the distributed runtime (`wootz-cluster`) runs exactly
-/// this supervisor inside each worker process, so local and remote
-/// evaluation share retry semantics, fault-injection sites and error
-/// rendering bit for bit.
+/// [`crate::pipeline::execute`] runs exactly this supervisor for every
+/// evaluation task, in-process or inside a worker process, so local and
+/// remote evaluation share retry semantics, fault-injection sites and
+/// error rendering bit for bit.
 pub fn supervise_eval<E>(
     evaluate: &E,
     config_index: usize,
@@ -435,56 +435,6 @@ pub(crate) fn fold_round(
         result.evaluated.push(record);
     }
     Ok(found)
-}
-
-/// Supervises one round's fresh configurations on real OS threads, one
-/// per configuration — the single-machine analogue of the paper's MPI
-/// exploration and the in-process round runner of the engine
-/// ([`crate::explorer::run_explorer`]). Results come back positionally
-/// (one per entry of `fresh`, in order), so scheduling cannot change the
-/// fold: a threaded round is bit-identical to a sequential one.
-///
-/// A panicking evaluator is captured by [`supervise_eval`]; a panic in
-/// the supervision scaffolding itself is converted here — neither ever
-/// aborts the process.
-pub fn supervise_round<E>(
-    evaluate: &E,
-    fresh: &[usize],
-    retry: &RetryPolicy,
-    faults: Option<&FaultPlan>,
-) -> Vec<SupervisedEval>
-where
-    E: Fn(usize) -> Result<EvalOutcome> + Sync,
-{
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = fresh
-            .iter()
-            .map(|&config_index| {
-                scope.spawn(move || {
-                    // Worker threads have their own span stacks, so each
-                    // evaluation shows up as a top-level span tagged with
-                    // its configuration index.
-                    let _cfg_span = wootz_obs::span("explore.config").with("config", config_index);
-                    supervise_eval(evaluate, config_index, retry, faults)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .zip(fresh)
-            .map(|(h, &config_index)| match h.join() {
-                Ok(sup) => sup,
-                Err(payload) => SupervisedEval {
-                    result: Err(CoreError::Panic {
-                        what: format!("evaluator thread for config {config_index}"),
-                        message: panic_message(&*payload),
-                    }),
-                    attempts: 1,
-                    backoff: 0.0,
-                },
-            })
-            .collect()
-    })
 }
 
 /// Explores an index-only subspace in objective order with `workers`
@@ -654,8 +604,9 @@ mod tests {
         }
     }
 
-    /// The engine over an index-only subspace with the threaded round
-    /// runner — exactly what the in-process pipeline backend runs.
+    /// The engine over an index-only subspace with each round's
+    /// evaluations on one scoped OS thread apiece, as the local executor
+    /// places them: threaded rounds must fold exactly like sequential ones.
     fn explore_threaded<E>(
         objective: &Objective,
         sizes: &[usize],
@@ -666,8 +617,21 @@ mod tests {
     where
         E: Fn(usize) -> Result<EvalOutcome> + Sync,
     {
-        let run_round =
-            |fresh: &[usize]| supervise_round(&evaluate, fresh, &opts.retry, opts.faults);
+        let run_round = |fresh: &[usize]| {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = fresh
+                    .iter()
+                    .map(|&i| {
+                        let evaluate = &evaluate;
+                        scope.spawn(move || supervise_eval(evaluate, i, &opts.retry, opts.faults))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("supervise_eval catches evaluator panics"))
+                    .collect()
+            })
+        };
         explore_indices(objective, sizes, workers, run_round, opts, None)
     }
 

@@ -6,11 +6,12 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
 use wootz_data::Dataset;
-use wootz_fault::{FaultPlan, RetryPolicy};
+use wootz_fault::{panic_message, FaultPlan, RetryPolicy};
 use wootz_ir::{Metric, ModelIr, Objective, SolverConfig};
 use wootz_nn::{Checkpoint, EvalSet, LrSchedule, TrainConfig, TrainLog};
 use wootz_tensor::sgd::SgdConfig;
@@ -19,7 +20,7 @@ use wootz_tensor::Tensor;
 use crate::blocks::{identify_tuning_blocks, module_level_blocks, BlockSet};
 use crate::compile::{ModeToUse, MultiplexingModel, TuningBlock};
 use crate::explore::{
-    supervise_round, EvalOutcome, EvalRecord, ExplorationResult, ExploreOptions, SupervisedEval,
+    supervise_eval, EvalOutcome, EvalRecord, ExplorationResult, ExploreOptions, SupervisedEval,
 };
 use crate::explorer::{
     run_explorer, BanditExplorer, EngineOptions, Explorer, ExplorerKind, FixedSubspace,
@@ -30,8 +31,7 @@ use crate::journal::{
     subspace_hash, Journal, JournalEntry, JournalHeader, Replay, JOURNAL_VERSION,
 };
 use crate::pretrain::{
-    pretrain_blocks_supervised, BlockSink, PretrainConfig, PretrainOptions, PretrainOutcome,
-    PretrainedBlock,
+    pretrain_group_supervised, pretrain_groups_with, GroupOutcome, PretrainConfig, PretrainedBlock,
 };
 use crate::prune::{config_param_count, filter_importance, PruneConfig, PAPER_RATES};
 use crate::{CoreError, Result};
@@ -450,11 +450,9 @@ pub fn best_network_in(
 
 /// Everything needed to evaluate one pruning configuration: the compiled
 /// multiplexing model, the trained full model, the (optional) pre-trained
-/// block checkpoints and the analytic stats. Extracted from the body of
-/// [`run_wootz_with`] so a remote worker process (`wootz-cluster`) can
-/// reconstruct the identical evaluation function from on-disk artifacts:
-/// [`EvalContext::evaluate`] is a pure, deterministic function of
-/// `config_index`, whichever process calls it.
+/// block checkpoints and the analytic stats. [`execute`] builds one per
+/// evaluation task, so [`EvalContext::evaluate`] is a pure, deterministic
+/// function of `config_index`, whichever process calls it.
 pub struct EvalContext<'a> {
     inputs: &'a WootzInputs,
     dataset: &'a Dataset,
@@ -597,8 +595,7 @@ impl<'a> EvalContext<'a> {
 /// for it, and the analytic per-configuration stats. The phase driver
 /// rebuilds it whenever proposals grow the universe, and a remote worker
 /// rebuilds the identical value from the universe its task carries — so
-/// [`UniverseEnv::context`] yields the same evaluation function in every
-/// process.
+/// [`execute`] evaluates the same function in every process.
 pub struct UniverseEnv {
     /// The run inputs with [`WootzInputs::subspace`] set to the universe
     /// (universe index == evaluation seed index).
@@ -634,127 +631,211 @@ impl UniverseEnv {
             flops,
         })
     }
+}
 
-    /// The evaluation context of this universe over the given trained
-    /// artifacts (`checkpoints` is the bag of pre-trained blocks so far).
-    pub fn context<'a>(
-        &'a self,
-        dataset: &'a Dataset,
-        mm: &'a MultiplexingModel,
-        full_ckpt: &'a Checkpoint,
-        checkpoints: Option<&'a BTreeMap<String, Checkpoint>>,
-        faults: Option<&'a FaultPlan>,
-    ) -> EvalContext<'a> {
-        EvalContext::new(
-            &self.inputs,
-            dataset,
-            mm,
-            full_ckpt,
-            self.block_set.as_ref(),
-            checkpoints,
-            &self.sizes,
-            &self.flops,
-            faults,
-        )
+/// One unit of work of a run: the only thing either runtime executes.
+/// An evaluation addresses the universe of [`TaskContext::env`]; a
+/// pre-training group addresses the batch [`TaskContext::batch`].
+#[derive(Debug)]
+pub enum Task {
+    /// Supervise the evaluation of one configuration.
+    Eval {
+        /// Universe index of the configuration (also its seed index).
+        config_index: usize,
+    },
+    /// Pre-train one group of non-overlapping blocks.
+    Pretrain {
+        /// The group's index in the batch's partition (keys its batch
+        /// stream).
+        group_index: usize,
+        /// Indices into the batch of the group's blocks.
+        group: Vec<usize>,
+    },
+}
+
+/// What executing a [`Task`] produced, in the task's own variant.
+pub enum TaskOutput {
+    /// The supervised evaluation of [`Task::Eval`].
+    Eval(SupervisedEval),
+    /// The supervised group of [`Task::Pretrain`].
+    Pretrain(GroupOutcome),
+}
+
+impl TaskOutput {
+    /// The output of a `task` that could not run to completion after
+    /// `attempts` tries: an evaluation failed with `error`, or a group
+    /// whose every block failed with it.
+    pub fn failed(task: &Task, batch: &[TuningBlock], error: CoreError, attempts: u32) -> Self {
+        match task {
+            Task::Eval { .. } => TaskOutput::Eval(SupervisedEval {
+                result: Err(error),
+                attempts,
+                backoff: 0.0,
+            }),
+            Task::Pretrain { group, .. } => TaskOutput::Pretrain(GroupOutcome {
+                blocks: Vec::new(),
+                failed: group
+                    .iter()
+                    .map(|&bi| (batch[bi].key(), error.to_string()))
+                    .collect(),
+                first_error: Some(error),
+            }),
+        }
     }
 }
 
-/// What a runtime contributes to [`run_phases`]: how a batch of tuning
-/// blocks gets pre-trained and how one round's configurations get
-/// evaluated. Everything else — journal, store, explorer, round folding —
-/// is the driver's. Two implementors exist: in-process threads (behind
-/// [`run_wootz_with`]) and the `wootz-cluster` coordinator, which feeds
-/// worker processes over its queue or TCP transport.
-pub trait RoundBackend {
-    /// Pre-trains `batch` against the trained full model with the
-    /// semantics of [`pretrain_blocks_supervised`]: groups partitioned
-    /// from `batch`, groups fully covered by `completed` (journaled or
-    /// store-served copies) replayed instead of retrained, `sink` invoked
-    /// once per freshly trained block in group order.
+/// Everything a [`Task`] executes against. The phase driver builds it from
+/// its own state; a `wootz worker` process rebuilds the same values from
+/// its `Welcome` and task frames.
+pub struct TaskContext<'a> {
+    /// The run inputs (model, solver, objective).
+    pub inputs: &'a WootzInputs,
+    /// The training data.
+    pub dataset: &'a Dataset,
+    /// The compiled multiplexing model.
+    pub mm: &'a MultiplexingModel,
+    /// The trained full model (the teacher).
+    pub full_ckpt: &'a Checkpoint,
+    /// The current pre-training batch, in trajectory order.
+    pub batch: &'a [TuningBlock],
+    /// The universe evaluations address.
+    pub env: Option<&'a UniverseEnv>,
+    /// The bag of pre-trained blocks so far, by block key.
+    pub blocks: Option<&'a BTreeMap<String, Checkpoint>>,
+    /// Deterministic fault-injection plan.
+    pub faults: Option<&'a FaultPlan>,
+    /// Retry policy for evaluations.
+    pub retry: RetryPolicy,
+}
+
+/// Executes one task: the one function that maps a unit of work to its
+/// output, whichever runtime and process runs it. An evaluation is
+/// [`supervise_eval`] over [`EvalContext::evaluate`] under an
+/// `explore.config` span; a group is [`pretrain_group_supervised`] on the
+/// solver's pre-training configuration. Both are pure functions of the
+/// task and the context, which is what makes the runtimes interchangeable.
+///
+/// # Panics
+///
+/// When an evaluation task meets a context without a universe.
+pub fn execute(task: &Task, cx: &TaskContext<'_>) -> TaskOutput {
+    match task {
+        &Task::Eval { config_index } => {
+            let _span = wootz_obs::span("explore.config").with("config", config_index);
+            let env = cx.env.expect("an evaluation task needs a universe");
+            let ctx = EvalContext::new(
+                &env.inputs,
+                cx.dataset,
+                cx.mm,
+                cx.full_ckpt,
+                env.block_set.as_ref(),
+                cx.blocks,
+                &env.sizes,
+                &env.flops,
+                cx.faults,
+            );
+            TaskOutput::Eval(supervise_eval(
+                &|i| ctx.evaluate(i),
+                config_index,
+                &cx.retry,
+                cx.faults,
+            ))
+        }
+        Task::Pretrain { group_index, group } => {
+            let batch_size = cx.inputs.solver.batch_size;
+            TaskOutput::Pretrain(pretrain_group_supervised(
+                cx.mm,
+                cx.batch,
+                group,
+                *group_index,
+                cx.full_ckpt,
+                &block_pretrain_config(&cx.inputs.solver),
+                &|step| cx.dataset.train_batch(step, batch_size).0,
+                cx.faults,
+            ))
+        }
+    }
+}
+
+/// The runtime seam of [`run_phases`]: runs a batch of tasks and returns
+/// one output per task, in task order. Journal, store, explorer and fold
+/// stay the driver's, so an executor decides only where and when each
+/// task executes.
+pub trait Executor {
+    /// Executes `tasks` against `cx`.
     ///
     /// # Errors
     ///
-    /// Propagates systematic pre-training failures and `sink` errors.
-    fn pretrain(
-        &mut self,
-        full_ckpt: &Checkpoint,
-        batch: &[TuningBlock],
-        completed: BTreeMap<String, PretrainedBlock>,
-        sink: &mut BlockSink<'_>,
-    ) -> Result<PretrainOutcome>;
-
-    /// Supervises the evaluation of the `fresh` indices of `env`'s
-    /// universe, one [`SupervisedEval`] per index, in order.
-    /// `checkpoints` holds every block pre-trained so far.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures; evaluation failures travel inside
-    /// the returned records.
-    fn evaluate(
-        &mut self,
-        full_ckpt: &Checkpoint,
-        env: &UniverseEnv,
-        checkpoints: &BTreeMap<String, Checkpoint>,
-        fresh: &[usize],
-    ) -> Result<Vec<SupervisedEval>>;
+    /// Transport failures; task failures travel inside the outputs.
+    fn run(&mut self, cx: &TaskContext<'_>, tasks: &[Task]) -> Result<Vec<TaskOutput>>;
 }
 
-/// The in-process [`RoundBackend`]: block groups pre-train on the
-/// `wootz-par` pool, each round's configurations evaluate on one OS
-/// thread apiece.
-struct Threads<'a> {
-    inputs: &'a WootzInputs,
-    dataset: &'a Dataset,
-    mm: &'a MultiplexingModel,
-    faults: Option<&'a FaultPlan>,
-    retry: RetryPolicy,
+/// The in-process [`Executor`] behind [`run_wootz_with`] — the
+/// single-machine analogue of the paper's MPI workers (§6.2): [`execute`]
+/// under `catch_unwind`, pre-training groups as `wootz-par` tasks (each
+/// group's kernels then run inline on its task), any other batch on one
+/// scoped OS thread per task.
+pub struct LocalExecutor;
+
+impl Executor for LocalExecutor {
+    fn run(&mut self, cx: &TaskContext<'_>, tasks: &[Task]) -> Result<Vec<TaskOutput>> {
+        let caught = |task: &Task| {
+            catch_unwind(AssertUnwindSafe(|| execute(task, cx))).unwrap_or_else(|payload| {
+                let what = match task {
+                    Task::Eval { config_index } => {
+                        format!("evaluator thread for config {config_index}")
+                    }
+                    Task::Pretrain { group_index, .. } => {
+                        format!("pre-training thread for group {group_index}")
+                    }
+                };
+                let error = CoreError::Panic {
+                    what,
+                    message: panic_message(payload.as_ref()),
+                };
+                TaskOutput::failed(task, cx.batch, error, 1)
+            })
+        };
+        if tasks.iter().all(|t| matches!(t, Task::Pretrain { .. })) {
+            return Ok(wootz_par::parallel_map(tasks.len(), |i| caught(&tasks[i])));
+        }
+        Ok(std::thread::scope(|scope| {
+            let handles: Vec<_> = tasks
+                .iter()
+                .map(|task| scope.spawn(|| caught(task)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("panics are caught on the task's thread"))
+                .collect()
+        }))
+    }
 }
 
-impl RoundBackend for Threads<'_> {
-    fn pretrain(
-        &mut self,
-        full_ckpt: &Checkpoint,
-        batch: &[TuningBlock],
-        completed: BTreeMap<String, PretrainedBlock>,
-        sink: &mut BlockSink<'_>,
-    ) -> Result<PretrainOutcome> {
-        let batch_size = self.inputs.solver.batch_size;
-        pretrain_blocks_supervised(
-            self.mm,
-            batch,
-            full_ckpt,
-            &block_pretrain_config(&self.inputs.solver),
-            |step| self.dataset.train_batch(step, batch_size).0,
-            &PretrainOptions {
-                faults: self.faults,
-                completed,
-            },
-            Some(sink),
-        )
-    }
-
-    fn evaluate(
-        &mut self,
-        full_ckpt: &Checkpoint,
-        env: &UniverseEnv,
-        checkpoints: &BTreeMap<String, Checkpoint>,
-        fresh: &[usize],
-    ) -> Result<Vec<SupervisedEval>> {
-        let ctx = env.context(
-            self.dataset,
-            self.mm,
-            full_ckpt,
-            Some(checkpoints),
-            self.faults,
-        );
-        Ok(supervise_round(
-            &|config_index| ctx.evaluate(config_index),
-            fresh,
-            &self.retry,
-            self.faults,
-        ))
-    }
+/// Runs the `(group index, block indices)` groups `todo` of `cx.batch` on
+/// `executor`: the group runner [`pretrain_groups_with`] calls.
+pub(crate) fn run_groups(
+    executor: &mut impl Executor,
+    cx: &TaskContext<'_>,
+    todo: &[(usize, &[usize])],
+) -> Result<Vec<GroupOutcome>> {
+    let tasks: Vec<Task> = todo
+        .iter()
+        .map(|&(group_index, group)| Task::Pretrain {
+            group_index,
+            group: group.to_vec(),
+        })
+        .collect();
+    executor
+        .run(cx, &tasks)?
+        .into_iter()
+        .map(|output| match output {
+            TaskOutput::Pretrain(group) => Ok(group),
+            TaskOutput::Eval(_) => Err(CoreError::Pipeline(
+                "executor answered a pre-training task with an evaluation".into(),
+            )),
+        })
+        .collect()
 }
 
 /// Runs the complete pruning pipeline on a dataset.
@@ -783,7 +864,7 @@ pub fn run_wootz(
 /// [`run_wootz`] with explicit options: fault injection, retry policy,
 /// the crash-resumable run journal, the cross-run block store, progress
 /// events and the exploration strategy. Runs [`run_phases`] over the
-/// in-process thread backend.
+/// [`LocalExecutor`].
 ///
 /// # Errors
 ///
@@ -804,50 +885,47 @@ pub fn run_wootz_with(
         let _compile = wootz_obs::span("pipeline.compile");
         MultiplexingModel::compile(inputs.model.clone())?
     };
-    let threads = Threads {
-        inputs,
-        dataset,
-        mm: &mm,
-        faults: opts.faults,
-        retry: opts.retry,
-    };
-    run_phases(inputs, dataset, mode, &mm, full, opts, |_| Ok(threads)).map(|(run, _)| run)
+    run_phases(inputs, dataset, mode, &mm, full, opts, |_| {
+        Ok(LocalExecutor)
+    })
+    .map(|(run, _)| run)
 }
 
 /// The phase driver every run goes through, whatever the strategy and
 /// whichever runtime executes the work: journal open/resume → full model
-/// → `start` the backend → explorer rounds (per round: the blocks the
-/// universe newly implies → block store → pre-train → publish, then
-/// evaluate → fold → observe) → [`WootzRun`].
+/// → `start` the executor → explorer rounds (per round: the blocks the
+/// universe newly implies → block store → one [`Task::Pretrain`] per
+/// group to train, then one [`Task::Eval`] per fresh configuration → fold
+/// → observe) → [`WootzRun`].
 ///
-/// `start` receives the trained full model and returns the
-/// [`RoundBackend`]; the backend is handed back with the run so the
-/// caller can shut it down and collect its statistics.
+/// `start` receives the trained full model and returns the [`Executor`];
+/// the executor is handed back with the run so the caller can shut it
+/// down and collect its statistics.
 ///
 /// Determinism: the universe index doubles as the evaluation seed index,
 /// and each pre-training batch is derived from the *trajectory* (the
 /// blocks of the current universe no earlier universe implied, in
 /// first-appearance order), never from which blocks happen to be trained
-/// — so any backend, and any resume point, partitions every batch into
+/// — so any executor, and any resume point, partitions every batch into
 /// the same groups and replays the same training bytes. Blocks compose
 /// across rounds (the within-run reuse that makes proposal-driven
 /// exploration nearly free) and the cross-run store serves repeats at
 /// zero steps (`explore.cache_assisted`). Journal order per round is
-/// Proposal → Blocks → Evals for every backend, so either runtime resumes
+/// Proposal → Blocks → Evals for every executor, so either runtime resumes
 /// the other's journal mid-round.
 ///
 /// # Errors
 ///
-/// Propagates journal, training, backend and exploration errors.
-pub fn run_phases<B: RoundBackend>(
+/// Propagates journal, training, executor and exploration errors.
+pub fn run_phases<E: Executor>(
     inputs: &WootzInputs,
     dataset: &Dataset,
     mode: RunMode,
     mm: &MultiplexingModel,
     full: Option<(Checkpoint, f64)>,
     opts: &RunOptions<'_>,
-    start: impl FnOnce(&Checkpoint) -> Result<B>,
-) -> Result<(WootzRun, B)> {
+    start: impl FnOnce(&Checkpoint) -> Result<E>,
+) -> Result<(WootzRun, E)> {
     // Journal setup: create fresh, or verify + replay an existing one.
     let header = journal_header(inputs, mode)?;
     let (mut journal, replay) = match &opts.journal {
@@ -888,7 +966,7 @@ pub fn run_phases<B: RoundBackend>(
         accuracy: full_accuracy,
     });
 
-    let mut backend = start(&full_ckpt)?;
+    let mut executor = start(&full_ckpt)?;
     let mut explorer = build_explorer(opts.explorer, inputs, &full_ckpt)?;
     let dataset_id = inputs.solver.dataset.as_str();
     let solver_hash = opts
@@ -902,6 +980,17 @@ pub fn run_phases<B: RoundBackend>(
             Some(journal) => journal.append(entry),
             None => Ok(()),
         }
+    };
+    let base = TaskContext {
+        inputs,
+        dataset,
+        mm,
+        full_ckpt: &full_ckpt,
+        batch: &[],
+        env: None,
+        blocks: None,
+        faults: opts.faults,
+        retry: opts.retry,
     };
     let mut env: Option<UniverseEnv> = None;
     let mut known_block_keys: BTreeSet<String> = BTreeSet::new();
@@ -990,16 +1079,42 @@ pub fn run_phases<B: RoundBackend>(
                     });
                     Ok(())
                 };
-                let outcome =
-                    backend.pretrain(&full_ckpt, &batch, batch_completed, &mut block_sink)?;
+                let cx = TaskContext {
+                    batch: &batch,
+                    ..base
+                };
+                let outcome = pretrain_groups_with(
+                    &batch,
+                    &batch_completed,
+                    |todo| run_groups(&mut executor, &cx, todo),
+                    Some(&mut block_sink),
+                )?;
                 pretrain_steps += outcome.total_steps;
                 blocks_failed += outcome.failed.len();
                 checkpoints.extend(outcome.checkpoints);
             }
             env = Some(grown);
         }
-        let env = env.as_ref().expect("built above");
-        let results = backend.evaluate(&full_ckpt, env, &checkpoints, round.fresh)?;
+        let cx = TaskContext {
+            env: env.as_ref(),
+            blocks: Some(&checkpoints),
+            ..base
+        };
+        let tasks: Vec<Task> = round
+            .fresh
+            .iter()
+            .map(|&config_index| Task::Eval { config_index })
+            .collect();
+        let results = executor
+            .run(&cx, &tasks)?
+            .into_iter()
+            .map(|output| match output {
+                TaskOutput::Eval(sup) => Ok(sup),
+                TaskOutput::Pretrain(_) => Err(CoreError::Pipeline(
+                    "executor answered an evaluation task with a pre-training outcome".into(),
+                )),
+            })
+            .collect::<Result<Vec<_>>>()?;
         finetune_steps += results
             .iter()
             .filter_map(|sup| sup.result.as_ref().ok()?.log.as_ref())
@@ -1060,7 +1175,7 @@ pub fn run_phases<B: RoundBackend>(
         pretrain_steps,
         finetune_steps,
     };
-    Ok((run, backend))
+    Ok((run, executor))
 }
 
 #[cfg(test)]
@@ -1477,6 +1592,47 @@ mod tests {
             .to_string();
         assert!(err.contains("proposal records"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every runtime runs an evaluation through [`execute`], so the
+    /// `explore.config` span ("one evaluation") is emitted there, on the
+    /// thread that runs the task.
+    #[test]
+    fn execute_spans_an_evaluation_as_explore_config() {
+        wootz_obs::enable();
+        let mut inputs = tiny_inputs(2);
+        inputs.solver.max_iter = 2;
+        let ds = micro_dataset("flowers102", 3);
+        let mm = MultiplexingModel::compile(inputs.model.clone()).unwrap();
+        let full = Checkpoint::capture(&mm.build(&ModeToUse::Original, 1).unwrap().vars, "net/");
+        let env = UniverseEnv::build(&inputs, &inputs.subspace, RunMode::Baseline).unwrap();
+        let cx = TaskContext {
+            inputs: &inputs,
+            dataset: &ds,
+            mm: &mm,
+            full_ckpt: &full,
+            batch: &[],
+            env: Some(&env),
+            blocks: None,
+            faults: None,
+            retry: RetryPolicy::default(),
+        };
+        let TaskOutput::Eval(sup) = execute(&Task::Eval { config_index: 1 }, &cx) else {
+            panic!("an evaluation task yields an evaluation");
+        };
+        assert_eq!(sup.attempts, 1);
+        assert!(sup.result.is_ok());
+        let thread = std::thread::current()
+            .name()
+            .unwrap_or_default()
+            .to_string();
+        let spans = wootz_obs::snapshot().spans;
+        assert!(
+            spans.iter().any(|s| s.name == "explore.config"
+                && s.thread == thread
+                && s.fields.get("config") == Some(&wootz_obs::FieldValue::Int(1))),
+            "no explore.config span for config 1 on {thread}"
+        );
     }
 
     #[test]

@@ -124,17 +124,6 @@ impl WireDeserialize for PretrainedBlock {
     }
 }
 
-/// Options for the supervised pre-training loop.
-#[derive(Default)]
-pub struct PretrainOptions<'a> {
-    /// Deterministic fault-injection plan (`None` = no faults, zero cost).
-    pub faults: Option<&'a FaultPlan>,
-    /// Blocks already pre-trained in an earlier (journaled) run, replayed
-    /// instead of retrained. A group is only retrained when at least one of
-    /// its blocks is missing here.
-    pub completed: BTreeMap<String, PretrainedBlock>,
-}
-
 /// Callback invoked once per freshly trained block (journal hook).
 pub type BlockSink<'s> = dyn FnMut(&PretrainedBlock) -> Result<()> + 's;
 
@@ -186,104 +175,17 @@ pub fn pretrain_blocks(
     Ok(outcome)
 }
 
-/// Pre-trains every tuning block like [`pretrain_blocks`] but runs the
-/// non-overlapping groups as parallel tasks on the `wootz-par` pool — the
-/// single-machine analogue of the paper's MPI multi-node pre-training ("The pre-training
-/// script can run on a single node or multiple nodes in parallel to
-/// concurrently train multiple groups through MPI", §6.2). Results are
-/// bit-identical to the sequential version: each group's batch stream is
-/// keyed by its group index.
-///
-/// # Errors
-///
-/// Returns the first group's error, in group order.
-pub fn pretrain_blocks_parallel(
-    mm: &MultiplexingModel,
-    blocks: &[TuningBlock],
-    full: &Checkpoint,
-    cfg: &PretrainConfig,
-    next_batch: impl Fn(usize) -> Tensor + Sync,
-) -> Result<PretrainOutcome> {
-    pretrain_blocks_supervised(
-        mm,
-        blocks,
-        full,
-        cfg,
-        next_batch,
-        &PretrainOptions::default(),
-        None,
-    )
-}
-
-/// The supervised variant of [`pretrain_blocks_parallel`]: groups still run
-/// as parallel `wootz-par` tasks, but each group is wrapped in a supervisor
-/// that
-///
-/// 1. catches evaluator panics (`catch_unwind`) and converts them into
-///    structured [`CoreError::Panic`] values naming the group,
-/// 2. consults the fault-injection plan at sites [`site::PRETRAIN_GROUP`]
-///    (keyed by group index) and [`site::PRETRAIN_BLOCK`] (keyed by block
-///    index),
-/// 3. degrades a failed group to per-block training — blocks that still
-///    fail are recorded in [`PretrainOutcome::failed`] and later fall back
-///    to inherited weights at assembly time, and
-/// 4. replays blocks from `opts.completed` (a resumed journal) instead of
-///    retraining them, and reports each freshly trained block to `sink`.
-///
-/// Without faults and without panics the outcome is bit-identical to
-/// [`pretrain_blocks`].
-///
-/// # Errors
-///
-/// Returns the first group's error only if *no* block was produced at all
-/// (a systematic failure, e.g. a model/block mismatch); partial failures
-/// degrade instead of aborting.
-pub fn pretrain_blocks_supervised(
-    mm: &MultiplexingModel,
-    blocks: &[TuningBlock],
-    full: &Checkpoint,
-    cfg: &PretrainConfig,
-    next_batch: impl Fn(usize) -> Tensor + Sync,
-    opts: &PretrainOptions<'_>,
-    sink: Option<&mut BlockSink<'_>>,
-) -> Result<PretrainOutcome> {
-    let next_batch = &next_batch;
-    // One `wootz-par` task per group (the single-machine analogue of the
-    // paper's MPI multi-group pre-training). Group results come back in
-    // group order, so the outcome is bit-identical to the sequential loop
-    // for any thread count; each group's kernels then run inline on their
-    // task (no oversubscription).
-    let run_groups = |todo: &[(usize, &[usize])]| {
-        Ok(wootz_par::parallel_map(todo.len(), |t| {
-            let (gi, group) = todo[t];
-            catch_unwind(AssertUnwindSafe(|| {
-                pretrain_group_supervised(mm, blocks, group, gi, full, cfg, next_batch, opts.faults)
-            }))
-            .unwrap_or_else(|payload| GroupOutcome {
-                blocks: Vec::new(),
-                failed: group
-                    .iter()
-                    .map(|&bi| (blocks[bi].key(), "supervisor thread panicked".to_string()))
-                    .collect(),
-                first_error: Some(CoreError::Panic {
-                    what: format!("pre-training thread for group {gi}"),
-                    message: panic_message(payload.as_ref()),
-                }),
-            })
-        }))
-    };
-    pretrain_groups_with(blocks, &opts.completed, run_groups, sink)
-}
-
 /// The journal-aware shell of supervised pre-training, over a pluggable
 /// group runner: partitions `blocks` into non-overlapping groups, hands
 /// `run_groups` the `(group index, block indices)` of every group *not*
 /// fully covered by `completed`, and merges what it returns — one
 /// [`GroupOutcome`] per handed group, in order — with the journaled
-/// copies, in group order. [`pretrain_blocks_supervised`] runs the groups
-/// on the `wootz-par` pool; the distributed coordinator runs them as
-/// remote tasks; both therefore replay, prefer journaled copies, charge
-/// steps and report fresh blocks to `sink` identically.
+/// copies, in group order. The phase driver hands the groups to its
+/// executor as [`crate::pipeline::Task::Pretrain`] tasks, so every
+/// runtime replays, prefers journaled copies, charges steps and reports
+/// fresh blocks to `sink` identically. Without faults and without panics
+/// the outcome is bit-identical to [`pretrain_blocks`]: each group's batch
+/// stream is keyed by its group index.
 ///
 /// # Errors
 ///
@@ -380,13 +282,16 @@ fn injected(site: &str, key: u64, kind: &wootz_fault::FaultKind) -> CoreError {
     })
 }
 
-/// Supervises one group — the unit of work one `wootz-par` task of
-/// [`pretrain_blocks_supervised`] or one distributed worker task executes:
-/// tries the joint group run first; on any failure (real error, panic, or
-/// injected fault) degrades to training each block alone. Blocks that fail
-/// even alone are reported, not fatal. The batch stream is keyed by
-/// `group_index`, so a group trained remotely is bit-identical to the same
-/// group trained in-process.
+/// Supervises one group — what [`crate::pipeline::execute`] runs for a
+/// [`crate::pipeline::Task::Pretrain`]: consults the fault plan at
+/// [`site::PRETRAIN_GROUP`] (keyed by group index), tries the joint group
+/// run first and, on any failure (real error, panic caught by
+/// `catch_unwind`, or injected fault), degrades to training each block
+/// alone (fault site [`site::PRETRAIN_BLOCK`], keyed by block index).
+/// Blocks that fail even alone are reported, not fatal: they assemble
+/// from inherited weights. The batch stream is keyed by `group_index`, so
+/// a group trained remotely is bit-identical to the same group trained
+/// in-process.
 #[allow(clippy::too_many_arguments)]
 pub fn pretrain_group_supervised(
     mm: &MultiplexingModel,
@@ -518,9 +423,9 @@ fn pretrain_one_group(
     cfg: &PretrainConfig,
     next_batch: &(impl Fn(usize) -> Tensor + Sync),
 ) -> Result<PretrainOutcome> {
-    // Parallel pre-training spawns one thread per group, so this span lands
-    // on its own thread-local stack; `pretrain.run` still brackets the whole
-    // wall-clock interval on the calling thread.
+    // The executor runs groups on pool or worker threads, so this span
+    // lands on its own thread-local stack; `pretrain.run` still brackets
+    // the whole wall-clock interval on the driver thread.
     let _group_span = wootz_obs::span("pretrain.group")
         .with("group", group_index)
         .with("blocks", group.len())
@@ -675,6 +580,11 @@ fn build_group(
 mod tests {
     use super::*;
     use crate::compile::MultiplexingModel;
+    use crate::pipeline::WootzInputs;
+    use crate::pipeline::{block_pretrain_config, run_groups, LocalExecutor, TaskContext};
+    use wootz_data::{micro_dataset, Dataset};
+    use wootz_fault::RetryPolicy;
+    use wootz_ir::{Objective, SolverConfig};
     use wootz_models::resnet_mini;
     use wootz_nn::{backward, forward};
     use wootz_tensor::ops::mse_loss_backward;
@@ -689,6 +599,62 @@ mod tests {
         Tensor::from_fn(&[4, 3, 16, 16], |i| {
             ((i + step * 31) % 17) as f32 / 17.0 - 0.5
         })
+    }
+
+    /// Run inputs whose solver pre-trains blocks for `steps` steps on
+    /// batches of four micro `flowers102` images (16×16, like
+    /// `resnet_mini`'s input), and that dataset.
+    fn solver_inputs(steps: usize) -> (WootzInputs, Dataset) {
+        let inputs = WootzInputs {
+            model: resnet_mini(4),
+            subspace: Vec::new(),
+            solver: SolverConfig {
+                dataset: "flowers102".into(),
+                batch_size: 4,
+                pretrain_iter: steps,
+                pretrain_lr: 0.02,
+                ..SolverConfig::default()
+            },
+            objective: Objective::min_size_with_accuracy(0.5),
+        };
+        (inputs, micro_dataset("flowers102", 3))
+    }
+
+    /// The task context of pre-training `batch` under `inputs`.
+    fn context<'a>(
+        inputs: &'a WootzInputs,
+        dataset: &'a Dataset,
+        mm: &'a MultiplexingModel,
+        full: &'a Checkpoint,
+        batch: &'a [TuningBlock],
+        faults: Option<&'a FaultPlan>,
+    ) -> TaskContext<'a> {
+        TaskContext {
+            inputs,
+            dataset,
+            mm,
+            full_ckpt: full,
+            batch,
+            env: None,
+            blocks: None,
+            faults,
+            retry: RetryPolicy::default(),
+        }
+    }
+
+    /// `cx.batch` pre-trained the way the phase driver does it: the
+    /// journal-aware shell over the local executor.
+    fn pretrain_local(
+        cx: &TaskContext<'_>,
+        completed: &BTreeMap<String, PretrainedBlock>,
+        sink: Option<&mut BlockSink<'_>>,
+    ) -> Result<PretrainOutcome> {
+        pretrain_groups_with(
+            cx.batch,
+            completed,
+            |todo| run_groups(&mut LocalExecutor, cx, todo),
+            sink,
+        )
     }
 
     #[test]
@@ -729,17 +695,13 @@ mod tests {
             TuningBlock::new(1, vec![(1, 70)]).unwrap(),
             TuningBlock::new(2, vec![(3, 30)]).unwrap(),
         ];
-        let cfg = PretrainConfig {
-            steps: 6,
-            sgd: SgdConfig {
-                learning_rate: 0.02,
-                weight_decay: 0.0,
-                momentum: 0.9,
-            },
-            seed: 4,
-        };
-        let seq = pretrain_blocks(&mm, &blocks, &full, &cfg, batches).unwrap();
-        let par = pretrain_blocks_parallel(&mm, &blocks, &full, &cfg, batches).unwrap();
+        let (inputs, ds) = solver_inputs(6);
+        let cfg = block_pretrain_config(&inputs.solver);
+        let seq =
+            pretrain_blocks(&mm, &blocks, &full, &cfg, |step| ds.train_batch(step, 4).0).unwrap();
+        let cx = context(&inputs, &ds, &mm, &full, &blocks, None);
+        let par = pretrain_local(&cx, &BTreeMap::new(), None).unwrap();
+        assert_eq!(par.groups.len(), 2, "the overlapping blocks split");
         assert_eq!(seq.total_steps, par.total_steps);
         assert_eq!(seq.groups, par.groups);
         assert_eq!(seq.checkpoints, par.checkpoints);
@@ -827,10 +789,7 @@ mod tests {
             TuningBlock::new(0, vec![(1, 50)]).unwrap(),
             TuningBlock::new(1, vec![(3, 50)]).unwrap(),
         ];
-        let cfg = PretrainConfig {
-            steps: 4,
-            ..PretrainConfig::default()
-        };
+        let (inputs, ds) = solver_inputs(4);
         // Both blocks are disjoint => one group (index 0). Panic that group.
         let plan = FaultPlan {
             seed: 0,
@@ -842,12 +801,8 @@ mod tests {
             }],
             rates: vec![],
         };
-        let opts = PretrainOptions {
-            faults: Some(&plan),
-            completed: BTreeMap::new(),
-        };
-        let out =
-            pretrain_blocks_supervised(&mm, &blocks, &full, &cfg, batches, &opts, None).unwrap();
+        let cx = context(&inputs, &ds, &mm, &full, &blocks, Some(&plan));
+        let out = pretrain_local(&cx, &BTreeMap::new(), None).unwrap();
         assert_eq!(out.checkpoints.len(), 2, "fallback still trains each block");
         assert!(out.failed.is_empty());
         assert_eq!(
@@ -863,10 +818,7 @@ mod tests {
             TuningBlock::new(0, vec![(1, 50)]).unwrap(),
             TuningBlock::new(1, vec![(3, 50)]).unwrap(),
         ];
-        let cfg = PretrainConfig {
-            steps: 2,
-            ..PretrainConfig::default()
-        };
+        let (inputs, ds) = solver_inputs(2);
         let plan = FaultPlan {
             seed: 0,
             triggers: vec![
@@ -885,12 +837,8 @@ mod tests {
             ],
             rates: vec![],
         };
-        let opts = PretrainOptions {
-            faults: Some(&plan),
-            completed: BTreeMap::new(),
-        };
-        let out =
-            pretrain_blocks_supervised(&mm, &blocks, &full, &cfg, batches, &opts, None).unwrap();
+        let cx = context(&inputs, &ds, &mm, &full, &blocks, Some(&plan));
+        let out = pretrain_local(&cx, &BTreeMap::new(), None).unwrap();
         assert_eq!(out.checkpoints.len(), 1, "block 0 recovered via fallback");
         assert_eq!(out.failed.len(), 1);
         assert_eq!(out.failed[0].0, blocks[1].key());
@@ -904,38 +852,18 @@ mod tests {
             TuningBlock::new(0, vec![(1, 50)]).unwrap(),
             TuningBlock::new(1, vec![(3, 50)]).unwrap(),
         ];
-        let cfg = PretrainConfig {
-            steps: 3,
-            ..PretrainConfig::default()
-        };
+        let (inputs, ds) = solver_inputs(3);
+        let cx = context(&inputs, &ds, &mm, &full, &blocks, None);
         let mut journaled: Vec<PretrainedBlock> = Vec::new();
         {
             let mut sink = |b: &PretrainedBlock| {
                 journaled.push(b.clone());
                 Ok(())
             };
-            pretrain_blocks_supervised(
-                &mm,
-                &blocks,
-                &full,
-                &cfg,
-                batches,
-                &PretrainOptions::default(),
-                Some(&mut sink),
-            )
-            .unwrap();
+            pretrain_local(&cx, &BTreeMap::new(), Some(&mut sink)).unwrap();
         }
         assert_eq!(journaled.len(), 2, "sink sees every fresh block");
-        let first = pretrain_blocks_supervised(
-            &mm,
-            &blocks,
-            &full,
-            &cfg,
-            batches,
-            &PretrainOptions::default(),
-            None,
-        )
-        .unwrap();
+        let first = pretrain_local(&cx, &BTreeMap::new(), None).unwrap();
         let completed: BTreeMap<String, PretrainedBlock> =
             journaled.into_iter().map(|b| (b.key.clone(), b)).collect();
         let mut fresh = 0usize;
@@ -943,16 +871,14 @@ mod tests {
             fresh += 1;
             Ok(())
         };
-        let resumed = pretrain_blocks_supervised(
-            &mm,
+        // A resumed run must not even reach the executor with work:
+        // nothing retrains.
+        let resumed = pretrain_groups_with(
             &blocks,
-            &full,
-            &cfg,
-            // A resumed run must not even need the data: nothing retrains.
-            |_| panic!("resume must not draw batches"),
-            &PretrainOptions {
-                faults: None,
-                completed,
+            &completed,
+            |todo| {
+                assert!(todo.is_empty(), "resume retrained groups {todo:?}");
+                run_groups(&mut LocalExecutor, &cx, todo)
             },
             Some(&mut sink),
         )
@@ -967,18 +893,16 @@ mod tests {
     fn teacher_parameters_do_not_move() {
         // The interpreter loop the planned pre-training loop replaced runs
         // the same group: the teacher must not move, and the student must
-        // end on the bits the supervised driver produces.
+        // end on the bits the local executor produces.
         let (mm, full) = trained_full();
         let blocks = vec![TuningBlock::new(0, vec![(1, 50)]).unwrap()];
-        let cfg = PretrainConfig {
-            steps: 5,
-            ..PretrainConfig::default()
-        };
+        let (inputs, ds) = solver_inputs(5);
+        let cfg = block_pretrain_config(&inputs.solver);
         let scopes = vec![blocks[0].scope()];
         let mut built = build_group(&mm, &blocks, &scopes, &full, cfg.seed).unwrap();
         let before = built.vars.value("teacher/conv1/weight").unwrap().clone();
         for step in 0..cfg.steps {
-            let images = batches(step);
+            let images = ds.train_batch(step, 4).0;
             let pass = forward(
                 &built.graph,
                 &mut built.vars,
@@ -1003,16 +927,8 @@ mod tests {
         }
         assert_eq!(built.vars.value("teacher/conv1/weight").unwrap(), &before);
 
-        let planned = pretrain_blocks_supervised(
-            &mm,
-            &blocks,
-            &full,
-            &cfg,
-            batches,
-            &PretrainOptions::default(),
-            None,
-        )
-        .unwrap();
+        let cx = context(&inputs, &ds, &mm, &full, &blocks, None);
+        let planned = pretrain_local(&cx, &BTreeMap::new(), None).unwrap();
         let bits = |c: &Checkpoint| -> Vec<(String, Vec<u32>)> {
             c.iter()
                 .map(|(name, t)| {

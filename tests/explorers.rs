@@ -121,18 +121,27 @@ fn distributed_is_bit_identical_to_single_process() {
         ExplorerKind::Taylor,
         ExplorerKind::Bandit,
     ] {
-        let reference = single(&inputs, &dataset, kind, None, false).unwrap();
         let dir = tempdir(&format!("dist_{}", kind.as_str()));
+        let local_journal = dir.join("local.journal");
+        let reference =
+            single(&inputs, &dataset, kind, Some(local_journal.clone()), false).unwrap();
         let mut opts = ClusterOptions::new(dir.join("run"), 2, worker_cmd());
         opts.retry = RetryPolicy::abort_fast();
         opts.explorer = kind;
         opts.explorer_budget = BUDGET;
+        opts.journal = Some(dir.join("dist.journal"));
         let (dist, stats) =
             run_distributed(&inputs, &dataset, RunMode::Composability, &opts).unwrap();
         assert_eq!(
             run_json(&reference),
             run_json(&dist),
             "{kind:?} diverged across worker processes"
+        );
+        let local = std::fs::read(&local_journal).unwrap();
+        assert!(!local.is_empty(), "{kind:?} journaled nothing");
+        assert!(
+            local == std::fs::read(dir.join("dist.journal")).unwrap(),
+            "{kind:?} journal bytes differ across runtimes"
         );
         assert!(stats.tasks_completed > 0, "{}", stats.summary());
         std::fs::remove_dir_all(&dir).ok();
