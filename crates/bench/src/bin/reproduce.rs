@@ -12,9 +12,6 @@
 //! reproduce fig7 [--seed N]               # accuracy vs size scatter (simulation)
 //! reproduce faults [--seed N]             # speedup under node failures/stragglers (simulation)
 //! reproduce cluster [--seed N]            # sim fault model vs the real distributed runtime
-//! reproduce crashes [--quick] [--seed N]  # kill-point crash matrix: die mid-write, resume, compare
-//! reproduce pipeline [--quick] [--seed N] [--journal <run.journal>] [--resume]
-//!           [--inject-faults <plan.json>] # end-to-end micro pipeline, resumable
 //! reproduce verify [--seed N]             # qualitative shape checks
 //! reproduce all [--quick] [--seed N]      # everything, in order
 //! ```
@@ -22,6 +19,10 @@
 //! All subcommands honour `--threads N` (equivalently the `WOOTZ_THREADS`
 //! environment variable) to size the `wootz-par` kernel thread pool; results
 //! are bitwise identical at any thread count (see `PERFORMANCE.md`).
+//!
+//! Crash recovery, resume and bit-identity across runtimes are not
+//! artifacts of the paper: `wootz prune --journal --resume --inject-faults`
+//! runs them, and `crates/cluster/tests/contracts.rs` pins them.
 
 use std::process::ExitCode;
 
@@ -37,9 +38,6 @@ struct Args {
     seed: u64,
     json_dir: Option<std::path::PathBuf>,
     metrics_out: Option<std::path::PathBuf>,
-    journal: Option<std::path::PathBuf>,
-    resume: bool,
-    fault_plan: Option<std::path::PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -49,23 +47,9 @@ fn parse_args() -> Result<Args, String> {
     let mut seed = 7u64;
     let mut json_dir = None;
     let mut metrics_out = None;
-    let mut journal = None;
-    let mut resume = false;
-    let mut fault_plan = None;
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--quick" => quick = true,
-            "--resume" => resume = true,
-            "--journal" => {
-                let v = args.next().ok_or("--journal needs a path".to_string())?;
-                journal = Some(std::path::PathBuf::from(v));
-            }
-            "--inject-faults" => {
-                let v = args
-                    .next()
-                    .ok_or("--inject-faults needs a path".to_string())?;
-                fault_plan = Some(std::path::PathBuf::from(v));
-            }
             "--seed" => {
                 let v = args.next().ok_or("--seed needs a value".to_string())?;
                 seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
@@ -95,32 +79,24 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}`\n{}", usage())),
         }
     }
-    if resume && journal.is_none() {
-        return Err("--resume requires --journal <path>".to_string());
-    }
     Ok(Args {
         command,
         quick,
         seed,
         json_dir,
         metrics_out,
-        journal,
-        resume,
-        fault_plan,
     })
 }
 
 fn usage() -> String {
-    "usage: reproduce <table1|table2|table3|table4|table5|fig4|fig6|fig7|faults|cluster|crashes|pipeline|verify|all> \
-     [--quick] [--seed N] [--threads N] [--json <dir>] [--metrics-out <path>]\n\
-     pipeline extras: [--journal <run.journal>] [--resume] [--inject-faults <plan.json>]"
+    "usage: reproduce <table1|table2|table3|table4|table5|fig4|fig6|fig7|faults|cluster|verify|all> \
+     [--quick] [--seed N] [--threads N] [--json <dir>] [--metrics-out <path>]"
         .to_string()
 }
 
 /// Hidden worker entry point: `reproduce cluster-worker --connect ADDR
 /// --worker-id I` re-enters this binary as a distributed worker process
-/// (the `cluster` and `crashes` reports spawn these against their own
-/// executable).
+/// (the `cluster` report spawns these against its own executable).
 fn cluster_worker() -> ExitCode {
     let mut connect = None;
     let mut worker_id = None;
@@ -156,49 +132,9 @@ fn cluster_worker() -> ExitCode {
     }
 }
 
-/// Hidden crash-matrix entry point: `reproduce crash-child
-/// <pipeline|distributed:PORT> --dir D --out F [--seed N]` runs one
-/// scenario fresh — this is the process `reproduce crashes` arms
-/// `WOOTZ_CHAOS_KILL_AT` against and expects to die mid-write.
-fn crash_child_main() -> ExitCode {
-    let mut args = std::env::args().skip(2);
-    let Some(scenario) = args.next() else {
-        eprintln!("crash-child needs a scenario");
-        return ExitCode::FAILURE;
-    };
-    let mut dir = None;
-    let mut out = None;
-    let mut seed = 7u64;
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--dir" => dir = args.next().map(std::path::PathBuf::from),
-            "--out" => out = args.next().map(std::path::PathBuf::from),
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(seed),
-            other => {
-                eprintln!("crash-child: unknown flag `{other}`");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let (Some(dir), Some(out)) = (dir, out) else {
-        eprintln!("crash-child needs --dir <dir> --out <path>");
-        return ExitCode::FAILURE;
-    };
-    match wootz_bench::crashrep::crash_child_main(&scenario, &dir, &out, seed) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("crash-child: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn main() -> ExitCode {
     if std::env::args().nth(1).as_deref() == Some(wootz_bench::clusterrep::WORKER_SUBCOMMAND) {
         return cluster_worker();
-    }
-    if std::env::args().nth(1).as_deref() == Some(wootz_bench::crashrep::CRASH_CHILD_SUBCOMMAND) {
-        return crash_child_main();
     }
     let args = match parse_args() {
         Ok(a) => a,
@@ -268,43 +204,6 @@ fn dispatch(args: &Args) -> ExitCode {
     };
 
     match args.command.as_str() {
-        "pipeline" => {
-            let faults = match &args.fault_plan {
-                Some(path) => match wootz_fault::FaultPlan::load(path) {
-                    Ok(plan) => Some(plan),
-                    Err(e) => {
-                        eprintln!("cannot load fault plan `{}`: {e}", path.display());
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => None,
-            };
-            match wootz_bench::real::pipeline_report(
-                &micro,
-                args.journal.clone(),
-                args.resume,
-                faults.as_ref(),
-            ) {
-                Ok(text) => {
-                    println!("{text}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("pipeline failed: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "crashes" => match wootz_bench::crashrep::crashes_report(seed, args.quick) {
-            Ok(text) => {
-                println!("{text}");
-                ExitCode::SUCCESS
-            }
-            Err(text) => {
-                eprintln!("{text}");
-                ExitCode::FAILURE
-            }
-        },
         "cluster" => match wootz_bench::clusterrep::cluster_report(seed) {
             Ok(text) => {
                 println!("{text}");

@@ -15,7 +15,6 @@
 //! | Figure 4 — Sequitur grammar/DAG example | exact algorithm run | [`simrep::fig4_report`] |
 //! | Speedup under node failures/stragglers | calibrated simulation | [`simrep::faults_report`] |
 //! | Cluster — simulated fault model vs the real distributed runtime | real worker processes | [`clusterrep::cluster_report`] |
-//! | Crash matrix — kill-point durability | real runs killed mid-write | [`crashrep::crashes_report`] |
 //!
 //! Run `cargo run -p wootz-bench --bin reproduce --release -- all` to print
 //! every artifact with the paper's reference numbers alongside. Wall-clock
@@ -23,7 +22,6 @@
 //! not by this crate.
 
 pub mod clusterrep;
-pub mod crashrep;
 pub mod real;
 pub mod report;
 pub mod simrep;

@@ -423,89 +423,6 @@ pub fn artifact_json(name: &str, opts: &MicroOpts) -> String {
     }
 }
 
-/// Runs the complete Wootz pipeline end-to-end at micro scale — ResNet-mini
-/// on the Flowers102 micro dataset — with optional journaling, resume and
-/// deterministic fault injection. This is the harness behind `reproduce
-/// pipeline`, the driver-level proof that a killed reproduction run can be
-/// resumed without redoing finished work.
-///
-/// # Errors
-///
-/// Propagates pipeline errors (including exhausted-retry aborts when a
-/// fault plan with an aborting policy is active).
-pub fn pipeline_report(
-    opts: &MicroOpts,
-    journal: Option<std::path::PathBuf>,
-    resume: bool,
-    faults: Option<&wootz_fault::FaultPlan>,
-) -> Result<String, Box<dyn std::error::Error>> {
-    use wootz_core::pipeline::{run_wootz_with, RunMode, RunOptions, WootzInputs};
-    use wootz_fault::RetryPolicy;
-    use wootz_ir::Objective;
-
-    let classes = 8;
-    let dataset_name = "flowers102";
-    let ir = wootz_models::resnet_mini(classes);
-    let modules = ir.conv_module_ids().len();
-    let subspace = sample_subspace(
-        modules,
-        &PAPER_RATES,
-        opts.configs_per_cell.max(3),
-        opts.seed,
-    );
-    let solver = opts.solver(dataset_name);
-    let dataset = micro_dataset(dataset_name, solver.seed);
-    let inputs = WootzInputs {
-        model: ir,
-        subspace,
-        solver,
-        objective: Objective::min_size_with_accuracy(0.1),
-    };
-    let retry = if faults.is_some() {
-        RetryPolicy::skip_after(3)
-    } else {
-        RetryPolicy::abort_fast()
-    };
-    let run_opts = RunOptions {
-        faults,
-        retry,
-        journal,
-        resume,
-        ..RunOptions::default()
-    };
-    let run = run_wootz_with(&inputs, &dataset, RunMode::Composability, None, &run_opts)?;
-    let mut out = format!(
-        "End-to-end pipeline: ResNet-mini on {dataset_name} ({} configurations).\n\n\
-         full-model accuracy: {:.3}\n\
-         explored: {} configurations ({} fresh, {} resumed from journal, {} failed)\n\
-         pre-trained blocks: {} ({} failed)\n\
-         steps: {} pre-train, {} fine-tune\n",
-        inputs.subspace.len(),
-        run.full_accuracy,
-        run.exploration.configs_explored,
-        run.exploration.fresh_evals(),
-        run.exploration.resumed,
-        run.exploration.failed,
-        run.blocks_pretrained,
-        run.blocks_failed.unwrap_or(0),
-        run.pretrain_steps,
-        run.finetune_steps,
-    );
-    match &run.best {
-        Some(best) => out.push_str(&format!(
-            "best network: rates {:?} -> {} params @ accuracy {:.3}\n",
-            best.rates, best.model_size, best.accuracy
-        )),
-        None => out.push_str("no configuration met the objective\n"),
-    }
-    // Artifact damage survived (torn tails truncated, journals
-    // quarantined) is part of the run's story — surface it.
-    if let Some(summary) = wootz_core::recovery::degradation_summary() {
-        eprintln!("{summary}");
-    }
-    Ok(out)
-}
-
 /// One Figure 6 panel: accuracy curves of one pruned network trained
 /// default vs block-trained.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

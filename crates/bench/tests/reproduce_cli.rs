@@ -42,8 +42,18 @@ fn table4_runs_and_writes_json() {
 #[test]
 fn unknown_command_fails() {
     // Wall-clock measurement belongs to the repository benchmark
-    // (`BENCHMARK.json`), not to `reproduce`.
-    for command in ["tableX", "kernels", "memory", "cache", "explorers"] {
+    // (`BENCHMARK.json`), not to `reproduce`; crash recovery and resume
+    // to `wootz prune` and the contracts test of `wootz-cluster`.
+    for command in [
+        "tableX",
+        "kernels",
+        "memory",
+        "cache",
+        "explorers",
+        "crashes",
+        "pipeline",
+        "crash-child",
+    ] {
         let out = reproduce().args([command]).output().unwrap();
         assert!(!out.status.success(), "{command}");
         assert!(
@@ -55,7 +65,13 @@ fn unknown_command_fails() {
 
 #[test]
 fn bad_flag_fails_with_usage() {
-    let cases: [&[&str]; 2] = [&["fig4", "--bogus"], &["fig4", "--budget", "1"]];
+    let cases: [&[&str]; 5] = [
+        &["fig4", "--bogus"],
+        &["fig4", "--budget", "1"],
+        &["fig4", "--journal", "run.journal"],
+        &["fig4", "--resume"],
+        &["fig4", "--inject-faults", "plan.json"],
+    ];
     for args in cases {
         let out = reproduce().args(args).output().unwrap();
         assert!(!out.status.success(), "{args:?}");

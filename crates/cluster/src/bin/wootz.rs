@@ -121,7 +121,7 @@ type CliResult = Result<(), Box<dyn std::error::Error>>;
 fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // `--metrics-out` is global: it may appear anywhere on the command line.
-    let metrics_out: Option<PathBuf> = take_flag(&mut args, "--metrics-out").map(Into::into);
+    let metrics_out: Option<PathBuf> = take_flag(&mut args, "--metrics-out")?.map(Into::into);
     if metrics_out.is_some() {
         wootz_obs::enable();
     }
@@ -129,7 +129,7 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     // (default: `WOOTZ_THREADS`, else the machine's available parallelism)
     // and is inherited by spawned workers via `WOOTZ_THREADS`. Results are
     // bit-identical for any value — see PERFORMANCE.md.
-    if let Some(t) = take_flag(&mut args, "--threads") {
+    if let Some(t) = take_flag(&mut args, "--threads")? {
         let n: usize = t
             .parse()
             .map_err(|_| format!("--threads expects a positive integer, got `{t}`"))?;
@@ -184,15 +184,19 @@ fn usage() -> &'static str {
      run `wootz help` for per-command options; SERVING.md documents the daemon"
 }
 
-/// Pulls the value following `--flag` out of `args`, if present.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    if i + 1 >= args.len() {
-        return None;
+/// Pulls the value following `--flag` out of `args`, if present. A flag
+/// at the end of the line, or followed by another `--flag`, is missing
+/// its value: that is an error, never a swallowed neighbour.
+fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    if args.get(i + 1).is_none_or(|v| v.starts_with("--")) {
+        return Err(format!("`{flag}` needs a value"));
     }
     let value = args.remove(i + 1);
     args.remove(i);
-    Some(value)
+    Ok(Some(value))
 }
 
 /// Pulls a boolean `--flag`.
@@ -216,11 +220,11 @@ const DEFAULT_EXPLORER_BUDGET: usize = 64;
 fn take_explorer_flags(
     args: &mut Vec<String>,
 ) -> Result<(ExplorerKind, usize), Box<dyn std::error::Error>> {
-    let explorer = match take_flag(args, "--explorer") {
+    let explorer = match take_flag(args, "--explorer")? {
         Some(s) => ExplorerKind::parse(&s)?,
         None => ExplorerKind::Fixed,
     };
-    let budget_flag: Option<usize> = match take_flag(args, "--explorer-budget") {
+    let budget_flag: Option<usize> = match take_flag(args, "--explorer-budget")? {
         Some(s) => Some(
             s.parse()
                 .map_err(|e| format!("bad --explorer-budget: {e}"))?,
@@ -265,7 +269,7 @@ fn load_configs(path: &str) -> Result<Vec<PruneConfig>, Box<dyn std::error::Erro
 }
 
 fn cmd_compile(mut args: Vec<String>) -> CliResult {
-    let emit_python = take_flag(&mut args, "--emit-python");
+    let emit_python = take_flag(&mut args, "--emit-python")?;
     let summary = take_switch(&mut args, "--summary");
     let Some((path, rest)) = args.split_first() else {
         return Err("compile needs exactly one <model.prototxt>".into());
@@ -297,22 +301,22 @@ fn cmd_compile(mut args: Vec<String>) -> CliResult {
 }
 
 fn cmd_sample(mut args: Vec<String>) -> CliResult {
-    let modules: usize = take_flag(&mut args, "--modules")
+    let modules: usize = take_flag(&mut args, "--modules")?
         .ok_or("sample needs --modules N")?
         .parse()
         .map_err(|e| format!("bad --modules: {e}"))?;
-    let count: usize = take_flag(&mut args, "--count")
+    let count: usize = take_flag(&mut args, "--count")?
         .ok_or("sample needs --count K")?
         .parse()
         .map_err(|e| format!("bad --count: {e}"))?;
-    let seed: u64 = take_flag(&mut args, "--seed")
+    let seed: u64 = take_flag(&mut args, "--seed")?
         .map_or(Ok(7), |s| s.parse())
         .map_err(|e| format!("bad --seed: {e}"))?;
-    let segments: Option<usize> = match take_flag(&mut args, "--segments") {
+    let segments: Option<usize> = match take_flag(&mut args, "--segments")? {
         Some(s) => Some(s.parse().map_err(|e| format!("bad --segments: {e}"))?),
         None => None,
     };
-    let out = take_flag(&mut args, "--out");
+    let out = take_flag(&mut args, "--out")?;
     reject_leftovers(&args)?;
 
     let configs = match segments {
@@ -332,9 +336,9 @@ fn cmd_sample(mut args: Vec<String>) -> CliResult {
 }
 
 fn cmd_identify(mut args: Vec<String>) -> CliResult {
-    let model = load_model(&take_flag(&mut args, "--model").ok_or("identify needs --model")?)?;
+    let model = load_model(&take_flag(&mut args, "--model")?.ok_or("identify needs --model")?)?;
     let configs =
-        load_configs(&take_flag(&mut args, "--configs").ok_or("identify needs --configs")?)?;
+        load_configs(&take_flag(&mut args, "--configs")?.ok_or("identify needs --configs")?)?;
     reject_leftovers(&args)?;
     let n = model.conv_module_ids().len();
     for (i, c) in configs.iter().enumerate() {
@@ -375,12 +379,12 @@ fn cmd_identify(mut args: Vec<String>) -> CliResult {
 }
 
 fn cmd_genmodel(mut args: Vec<String>) -> CliResult {
-    let classes: usize = take_flag(&mut args, "--classes")
+    let classes: usize = take_flag(&mut args, "--classes")?
         .map_or(Ok(8), |s| s.parse())
         .map_err(|e| format!("bad --classes: {e}"))?;
     let deep = take_switch(&mut args, "--deep");
-    let family = take_flag(&mut args, "--family").unwrap_or_else(|| "resnet".into());
-    let out = take_flag(&mut args, "--out");
+    let family = take_flag(&mut args, "--family")?.unwrap_or_else(|| "resnet".into());
+    let out = take_flag(&mut args, "--out")?;
     reject_leftovers(&args)?;
 
     let model = match (family.as_str(), deep) {
@@ -408,48 +412,48 @@ fn cmd_genmodel(mut args: Vec<String>) -> CliResult {
 }
 
 fn cmd_prune(mut args: Vec<String>) -> CliResult {
-    let model = load_model(&take_flag(&mut args, "--model").ok_or("prune needs --model")?)?;
+    let model = load_model(&take_flag(&mut args, "--model")?.ok_or("prune needs --model")?)?;
     let subspace =
-        load_configs(&take_flag(&mut args, "--configs").ok_or("prune needs --configs")?)?;
-    let solver_path = take_flag(&mut args, "--solver").ok_or("prune needs --solver")?;
-    let objective_path = take_flag(&mut args, "--objective").ok_or("prune needs --objective")?;
-    let mode = match take_flag(&mut args, "--mode").as_deref() {
+        load_configs(&take_flag(&mut args, "--configs")?.ok_or("prune needs --configs")?)?;
+    let solver_path = take_flag(&mut args, "--solver")?.ok_or("prune needs --solver")?;
+    let objective_path = take_flag(&mut args, "--objective")?.ok_or("prune needs --objective")?;
+    let mode = match take_flag(&mut args, "--mode")?.as_deref() {
         None | Some("composability") => RunMode::Composability,
         Some("baseline") => RunMode::Baseline,
         Some("hierarchical") => RunMode::ComposabilityHierarchical,
         Some(other) => return Err(format!("unknown --mode `{other}`").into()),
     };
-    let out: Option<PathBuf> = take_flag(&mut args, "--out").map(Into::into);
-    let journal: Option<PathBuf> = take_flag(&mut args, "--journal").map(Into::into);
+    let out: Option<PathBuf> = take_flag(&mut args, "--out")?.map(Into::into);
+    let journal: Option<PathBuf> = take_flag(&mut args, "--journal")?.map(Into::into);
     let resume = take_switch(&mut args, "--resume");
-    let fault_path = take_flag(&mut args, "--inject-faults");
-    let retry_attempts: Option<u32> = match take_flag(&mut args, "--retry-attempts") {
+    let fault_path = take_flag(&mut args, "--inject-faults")?;
+    let retry_attempts: Option<u32> = match take_flag(&mut args, "--retry-attempts")? {
         Some(s) => Some(
             s.parse()
                 .map_err(|e| format!("bad --retry-attempts: {e}"))?,
         ),
         None => None,
     };
-    let on_fail = take_flag(&mut args, "--on-fail");
-    let distributed: Option<usize> = match take_flag(&mut args, "--distributed") {
+    let on_fail = take_flag(&mut args, "--on-fail")?;
+    let distributed: Option<usize> = match take_flag(&mut args, "--distributed")? {
         Some(s) => Some(s.parse().map_err(|e| format!("bad --distributed: {e}"))?),
         None => None,
     };
-    let run_dir: Option<PathBuf> = take_flag(&mut args, "--run-dir").map(Into::into);
-    let lease_ms: Option<u64> = match take_flag(&mut args, "--lease-ms") {
+    let run_dir: Option<PathBuf> = take_flag(&mut args, "--run-dir")?.map(Into::into);
+    let lease_ms: Option<u64> = match take_flag(&mut args, "--lease-ms")? {
         Some(s) => Some(s.parse().map_err(|e| format!("bad --lease-ms: {e}"))?),
         None => None,
     };
-    let listen = take_flag(&mut args, "--listen");
-    let orphan_grace_ms: Option<u64> = match take_flag(&mut args, "--orphan-grace-ms") {
+    let listen = take_flag(&mut args, "--listen")?;
+    let orphan_grace_ms: Option<u64> = match take_flag(&mut args, "--orphan-grace-ms")? {
         Some(s) => Some(
             s.parse()
                 .map_err(|e| format!("bad --orphan-grace-ms: {e}"))?,
         ),
         None => None,
     };
-    let store_dir: Option<PathBuf> = take_flag(&mut args, "--store").map(Into::into);
-    let store_budget: Option<u64> = match take_flag(&mut args, "--store-budget") {
+    let store_dir: Option<PathBuf> = take_flag(&mut args, "--store")?.map(Into::into);
+    let store_budget: Option<u64> = match take_flag(&mut args, "--store-budget")? {
         Some(s) => Some(s.parse().map_err(|e| format!("bad --store-budget: {e}"))?),
         None => None,
     };
@@ -609,15 +613,15 @@ fn cmd_prune(mut args: Vec<String>) -> CliResult {
 /// `wootz serve`: the pruning-as-a-service daemon (SERVING.md). Binds,
 /// prints `serving on <addr>`, and accepts jobs until killed.
 fn cmd_serve(mut args: Vec<String>) -> CliResult {
-    let listen = take_flag(&mut args, "--listen").unwrap_or_else(|| "127.0.0.1:0".to_string());
-    let store_dir: PathBuf = take_flag(&mut args, "--store")
+    let listen = take_flag(&mut args, "--listen")?.unwrap_or_else(|| "127.0.0.1:0".to_string());
+    let store_dir: PathBuf = take_flag(&mut args, "--store")?
         .ok_or("serve needs --store <dir> (the block-cache directory)")?
         .into();
-    let store_budget: Option<u64> = match take_flag(&mut args, "--store-budget") {
+    let store_budget: Option<u64> = match take_flag(&mut args, "--store-budget")? {
         Some(s) => Some(s.parse().map_err(|e| format!("bad --store-budget: {e}"))?),
         None => None,
     };
-    let state_dir: PathBuf = take_flag(&mut args, "--state")
+    let state_dir: PathBuf = take_flag(&mut args, "--state")?
         .map(Into::into)
         .unwrap_or_else(|| store_dir.join("state"));
     reject_leftovers(&args)?;
@@ -634,17 +638,17 @@ fn cmd_serve(mut args: Vec<String>) -> CliResult {
 /// to stdout. The input files are read here and shipped as text — the
 /// daemon needs no shared filesystem.
 fn cmd_submit(mut args: Vec<String>) -> CliResult {
-    let addr = take_flag(&mut args, "--connect").ok_or("submit needs --connect <addr>")?;
+    let addr = take_flag(&mut args, "--connect")?.ok_or("submit needs --connect <addr>")?;
     let mut read = |flag: &str| -> Result<String, Box<dyn std::error::Error>> {
         let path =
-            take_flag(&mut args, flag).ok_or_else(|| format!("submit needs {flag} <file>"))?;
+            take_flag(&mut args, flag)?.ok_or_else(|| format!("submit needs {flag} <file>"))?;
         Ok(std::fs::read_to_string(&path).map_err(|e| format!("cannot read `{path}`: {e}"))?)
     };
     let model = read("--model")?;
     let configs = read("--configs")?;
     let solver = read("--solver")?;
     let objective = read("--objective")?;
-    let mode = take_flag(&mut args, "--mode").unwrap_or_default();
+    let mode = take_flag(&mut args, "--mode")?.unwrap_or_default();
     let (explorer, explorer_budget) = take_explorer_flags(&mut args)?;
     reject_leftovers(&args)?;
     submit(
@@ -663,9 +667,9 @@ fn cmd_submit(mut args: Vec<String>) -> CliResult {
 }
 
 fn cmd_worker(mut args: Vec<String>) -> Result<ExitCode, Box<dyn std::error::Error>> {
-    let addr = take_flag(&mut args, "--connect").ok_or("worker needs --connect <addr>")?;
-    let worker_id = take_flag(&mut args, "--worker-id").ok_or("worker needs --worker-id <id>")?;
-    let orphan_grace_ms: Option<u64> = match take_flag(&mut args, "--orphan-grace-ms") {
+    let addr = take_flag(&mut args, "--connect")?.ok_or("worker needs --connect <addr>")?;
+    let worker_id = take_flag(&mut args, "--worker-id")?.ok_or("worker needs --worker-id <id>")?;
+    let orphan_grace_ms: Option<u64> = match take_flag(&mut args, "--orphan-grace-ms")? {
         Some(s) => Some(
             s.parse()
                 .map_err(|e| format!("bad --orphan-grace-ms: {e}"))?,
@@ -710,6 +714,6 @@ fn cmd_chaos(mut args: Vec<String>) -> CliResult {
         println!("  {:width$}  {}", site.name, site.boundary);
     }
     println!();
-    println!("`reproduce crashes` exercises every site and asserts resume bit-identity.");
+    println!("crates/cluster/tests/contracts.rs kills a run at every site and asserts its resume.");
     Ok(())
 }

@@ -1,38 +1,13 @@
 //! Integration tests of the `wootz` CLI binary: the full file-driven
 //! workflow of the paper's Figure 2 (compile → sample → identify → prune).
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+mod common;
 
-fn wootz() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_wootz"))
-}
-
-fn tempdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("wootz_cli_{name}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn write_model(dir: &Path) -> PathBuf {
-    let path = dir.join("model.prototxt");
-    std::fs::write(&path, wootz_models::resnet_mini(8).to_prototxt()).unwrap();
-    path
-}
-
-fn assert_success(out: &Output) -> String {
-    assert!(
-        out.status.success(),
-        "stdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8_lossy(&out.stdout).into_owned()
-}
+use common::{assert_success, tempdir, wootz, write_model, SOLVER};
 
 #[test]
 fn compile_reports_stats_and_emits_python() {
-    let dir = tempdir("compile");
+    let dir = tempdir("cli_compile");
     let model = write_model(&dir);
     let py = dir.join("model_gen.py");
     let out = wootz()
@@ -55,7 +30,7 @@ fn compile_reports_stats_and_emits_python() {
 
 #[test]
 fn sample_then_identify() {
-    let dir = tempdir("identify");
+    let dir = tempdir("cli_identify");
     let model = write_model(&dir);
     let configs = dir.join("configs.json");
     let out = wootz()
@@ -94,16 +69,12 @@ fn sample_then_identify() {
 
 #[test]
 fn prune_end_to_end_writes_results() {
-    let dir = tempdir("prune");
+    let dir = tempdir("cli_prune");
     let model = write_model(&dir);
     let configs = dir.join("configs.json");
     std::fs::write(&configs, "[[30,30,30,30],[70,70,70,70]]").unwrap();
     let solver = dir.join("solver.prototxt");
-    std::fs::write(
-        &solver,
-        "dataset: \"flowers102\"\nbase_lr: 0.03\nmax_iter: 30\nbatch_size: 8\npretrain_iter: 8\neval_every: 10\nseed: 3\n",
-    )
-    .unwrap();
+    std::fs::write(&solver, SOLVER).unwrap();
     let objective = dir.join("objective.txt");
     std::fs::write(&objective, "min ModelSize\nconstraint Accuracy >= 0.1\n").unwrap();
     let results = dir.join("results.json");
@@ -131,7 +102,7 @@ fn prune_end_to_end_writes_results() {
 
 #[test]
 fn prune_with_metrics_out_writes_parseable_ndjson() {
-    let dir = tempdir("metrics");
+    let dir = tempdir("cli_metrics");
     let model = write_model(&dir);
     let configs = dir.join("configs.json");
     std::fs::write(&configs, "[[30,30,30,30],[70,70,70,70]]").unwrap();
@@ -246,7 +217,7 @@ fn prune_with_metrics_out_writes_parseable_ndjson() {
 
 #[test]
 fn genmodel_emits_a_compilable_model() {
-    let dir = tempdir("genmodel");
+    let dir = tempdir("cli_genmodel");
     let model = dir.join("gen.prototxt");
     let out = wootz()
         .args(["genmodel", "--classes", "8", "--out"])
@@ -272,83 +243,17 @@ fn genmodel_emits_a_compilable_model() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Runs `prune` with identical inputs: once cold with `--journal`, once
-/// warm with `--resume`. The resumed run must do strictly less fresh
-/// evaluation work while reporting the same best network.
-#[test]
-fn prune_journal_then_resume_skips_finished_work() {
-    let dir = tempdir("resume");
-    let model = write_model(&dir);
-    let configs = dir.join("configs.json");
-    std::fs::write(&configs, "[[30,30,30,30],[70,70,70,70]]").unwrap();
-    let solver = dir.join("solver.prototxt");
-    std::fs::write(
-        &solver,
-        "dataset: \"flowers102\"\nbase_lr: 0.03\nmax_iter: 30\nbatch_size: 8\npretrain_iter: 8\neval_every: 10\nseed: 3\n",
-    )
-    .unwrap();
-    let objective = dir.join("objective.txt");
-    std::fs::write(&objective, "min ModelSize\nconstraint Accuracy >= 0.1\n").unwrap();
-    let journal = dir.join("run.ndjson");
-
-    let run = |extra: &[&str]| {
-        let mut cmd = wootz();
-        cmd.args(["prune", "--model"])
-            .arg(&model)
-            .args(["--configs"])
-            .arg(&configs)
-            .args(["--solver"])
-            .arg(&solver)
-            .args(["--objective"])
-            .arg(&objective)
-            .args(["--journal"])
-            .arg(&journal)
-            .args(extra);
-        cmd.output().unwrap()
-    };
-
-    let cold = assert_success(&run(&[]));
-    let warm = assert_success(&run(&["--resume"]));
-
-    let fresh = |stdout: &str| -> usize {
-        let line = stdout
-            .lines()
-            .find(|l| l.starts_with("exploration:"))
-            .unwrap_or_else(|| panic!("no exploration line in {stdout}"));
-        line.split_whitespace().nth(1).unwrap().parse().unwrap()
-    };
-    let best = |stdout: &str| -> String {
-        stdout
-            .lines()
-            .find(|l| l.starts_with("best network:"))
-            .unwrap_or_else(|| panic!("no best line in {stdout}"))
-            .to_string()
-    };
-    assert!(fresh(&cold) >= 1, "{cold}");
-    assert!(
-        fresh(&warm) < fresh(&cold),
-        "resume did not skip work:\ncold: {cold}\nwarm: {warm}"
-    );
-    assert!(warm.contains("resumed from journal"), "{warm}");
-    assert_eq!(best(&cold), best(&warm), "\ncold: {cold}\nwarm: {warm}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// A deterministic fault plan with an exhaustible per-config trigger:
 /// the faulty configuration is retried, then skipped, and the run still
 /// completes and reports the failure.
 #[test]
 fn prune_with_fault_plan_skips_exhausted_config() {
-    let dir = tempdir("faults");
+    let dir = tempdir("cli_faults");
     let model = write_model(&dir);
     let configs = dir.join("configs.json");
     std::fs::write(&configs, "[[70,70,70,70],[30,30,30,30]]").unwrap();
     let solver = dir.join("solver.prototxt");
-    std::fs::write(
-        &solver,
-        "dataset: \"flowers102\"\nbase_lr: 0.03\nmax_iter: 30\nbatch_size: 8\npretrain_iter: 8\neval_every: 10\nseed: 3\n",
-    )
-    .unwrap();
+    std::fs::write(&solver, SOLVER).unwrap();
     let objective = dir.join("objective.txt");
     std::fs::write(&objective, "min ModelSize\nconstraint Accuracy >= 0.0\n").unwrap();
     let plan = dir.join("faults.json");
@@ -390,7 +295,7 @@ fn bad_inputs_fail_with_messages() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read model"));
 
-    let dir = tempdir("bad");
+    let dir = tempdir("cli_bad");
     let model = write_model(&dir);
     let configs = dir.join("bad.json");
     std::fs::write(&configs, "{\"not\": \"a list\"}").unwrap();
@@ -426,6 +331,38 @@ fn bad_inputs_fail_with_messages() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unrecognized arguments"));
+
+    // A flag never takes the next flag as its value, and a flag at the end
+    // of the line is missing its value: neither runs a job.
+    let configs = dir.join("configs.json");
+    std::fs::write(&configs, "[[30,30,30,30]]").unwrap();
+    for (tail, flag) in [
+        (&["--journal", "--resume"][..], "--journal"),
+        (&["--out"][..], "--out"),
+    ] {
+        let out = wootz()
+            .current_dir(&dir)
+            .args(["prune", "--model"])
+            .arg(&model)
+            .args(["--configs"])
+            .arg(&configs)
+            .args([
+                "--solver",
+                "solver.prototxt",
+                "--objective",
+                "objective.txt",
+            ])
+            .args(tail)
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{tail:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("`{flag}` needs a value")),
+            "{tail:?}: {stderr}"
+        );
+        assert!(!dir.join("--resume").exists(), "a journal named `--resume`");
+    }
     std::fs::remove_dir_all(&dir).ok();
 
     // A worker joins over TCP only; there is no shared-directory mode.

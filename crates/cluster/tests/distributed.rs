@@ -7,71 +7,12 @@
 //! same inputs — for any worker count and under injected worker crashes,
 //! hangs (zombies) and stragglers.
 
-use std::path::PathBuf;
+mod common;
 
+use common::{baseline, dataset_for, inputs, run_json, tempdir, worker_cmd};
 use wootz_cluster::{run_distributed, ClusterOptions};
-use wootz_core::pipeline::{run_wootz_with, RunMode, RunOptions, WootzInputs, WootzRun};
-use wootz_data::{micro_dataset, Dataset};
+use wootz_core::pipeline::RunMode;
 use wootz_fault::{FaultKind, FaultPlan, RetryPolicy, Trigger};
-use wootz_ir::{Objective, SolverConfig};
-
-fn worker_cmd() -> (PathBuf, Vec<String>) {
-    (
-        PathBuf::from(env!("CARGO_BIN_EXE_wootz")),
-        vec!["worker".to_string()],
-    )
-}
-
-fn tempdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("wootz_dist_{name}_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn inputs() -> WootzInputs {
-    let model = wootz_models::resnet_mini(8);
-    let subspace = ["[[30,30,30,30],[50,70,70,70],[70,70,70,70],[50,50,50,50]]"]
-        .iter()
-        .flat_map(|json| {
-            let raw: Vec<Vec<u8>> = serde_json::from_str(json).unwrap();
-            raw.into_iter()
-                .map(|r| wootz_core::prune::PruneConfig::new(r).unwrap())
-        })
-        .collect();
-    let solver = SolverConfig::parse(
-        "dataset: \"flowers102\"\nbase_lr: 0.03\nmax_iter: 8\nbatch_size: 4\n\
-         pretrain_iter: 4\neval_every: 4\nseed: 11\nnum_workers: 2\n",
-    )
-    .unwrap();
-    let objective = Objective::parse("min ModelSize\nconstraint Accuracy >= 0.1\n").unwrap();
-    WootzInputs {
-        model,
-        subspace,
-        solver,
-        objective,
-    }
-}
-
-fn dataset_for(inputs: &WootzInputs) -> Dataset {
-    micro_dataset(&inputs.solver.dataset, inputs.solver.seed)
-}
-
-/// The single-process reference run with the same inputs and retry policy.
-fn baseline(inputs: &WootzInputs, dataset: &Dataset, mode: RunMode) -> WootzRun {
-    let opts = RunOptions {
-        faults: None,
-        retry: RetryPolicy::abort_fast(),
-        journal: None,
-        resume: false,
-        ..RunOptions::default()
-    };
-    run_wootz_with(inputs, dataset, mode, None, &opts).unwrap()
-}
-
-fn run_json(run: &WootzRun) -> String {
-    serde_json::to_string(run).unwrap()
-}
 
 #[test]
 fn distributed_run_is_bit_identical_to_single_process() {
@@ -79,7 +20,7 @@ fn distributed_run_is_bit_identical_to_single_process() {
     let dataset = dataset_for(&inputs);
     let single = baseline(&inputs, &dataset, RunMode::Composability);
 
-    let dir = tempdir("identity");
+    let dir = tempdir("dist_identity");
     let mut opts = ClusterOptions::new(dir.join("run"), 3, worker_cmd());
     opts.retry = RetryPolicy::abort_fast();
     let (dist, stats) = run_distributed(&inputs, &dataset, RunMode::Composability, &opts).unwrap();
@@ -90,49 +31,6 @@ fn distributed_run_is_bit_identical_to_single_process() {
     // Clean run: nothing reclaimed, nothing speculated, nothing rejected.
     assert_eq!(stats.leases_reclaimed, 0);
     assert_eq!(stats.zombie_results_rejected, 0);
-    assert_eq!(stats.tasks_abandoned, 0);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn crashed_worker_is_reclaimed_respawned_and_result_unchanged() {
-    let inputs = inputs();
-    let dataset = dataset_for(&inputs);
-    let single = baseline(&inputs, &dataset, RunMode::Composability);
-
-    // Attempt 1 of unit-of-work key 1 (pre-training group 1 *and* config 1)
-    // aborts the worker process mid-task: no result, no heartbeat, no
-    // cleanup.
-    let plan = FaultPlan {
-        seed: 1,
-        triggers: vec![Trigger {
-            site: wootz_fault::site::CLUSTER_TASK.to_string(),
-            key: Some(1),
-            kind: FaultKind::WorkerCrash,
-            times: Some(1),
-        }],
-        rates: vec![],
-    };
-    let dir = tempdir("crash");
-    let mut opts = ClusterOptions::new(dir.join("run"), 2, worker_cmd());
-    opts.retry = RetryPolicy::abort_fast();
-    opts.faults = Some(&plan);
-    opts.lease_ms = 300;
-    let (dist, stats) = run_distributed(&inputs, &dataset, RunMode::Composability, &opts).unwrap();
-
-    // The crash cost an attempt but not correctness: the replacement
-    // attempt recomputed the exact same bytes.
-    assert_eq!(run_json(&single), run_json(&dist));
-    assert!(
-        stats.leases_reclaimed >= 1,
-        "expected a reclaim: {}",
-        stats.summary()
-    );
-    assert!(
-        stats.workers_respawned >= 1,
-        "expected a respawn: {}",
-        stats.summary()
-    );
     assert_eq!(stats.tasks_abandoned, 0);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -160,7 +58,7 @@ fn hung_worker_is_fenced_and_its_zombie_result_rejected() {
         }],
         rates: vec![],
     };
-    let dir = tempdir("zombie");
+    let dir = tempdir("dist_zombie");
     let journal = dir.join("run.ndjson");
     let mut opts = ClusterOptions::new(dir.join("run"), 2, worker_cmd());
     opts.retry = RetryPolicy::abort_fast();
@@ -232,7 +130,7 @@ fn straggler_trips_speculative_reexecution_and_result_unchanged() {
         }],
         rates: vec![],
     };
-    let dir = tempdir("straggler");
+    let dir = tempdir("dist_straggler");
     let mut opts = ClusterOptions::new(dir.join("run"), 2, worker_cmd());
     opts.retry = RetryPolicy::abort_fast();
     opts.faults = Some(&plan);
@@ -273,7 +171,7 @@ fn poison_task_is_abandoned_and_run_completes() {
         }],
         rates: vec![],
     };
-    let dir = tempdir("poison");
+    let dir = tempdir("dist_poison");
     let mut opts = ClusterOptions::new(dir.join("run"), 2, worker_cmd());
     opts.retry = RetryPolicy::skip_after(1);
     opts.faults = Some(&plan);
@@ -336,7 +234,7 @@ fn poison_task_is_abandoned_and_run_completes() {
 fn resumed_coordinator_re_evaluates_nothing() {
     let inputs = inputs();
     let dataset = dataset_for(&inputs);
-    let dir = tempdir("resume");
+    let dir = tempdir("dist_resume");
     let journal = dir.join("run.ndjson");
 
     let mut opts = ClusterOptions::new(dir.join("run"), 2, worker_cmd());

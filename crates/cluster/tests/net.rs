@@ -2,81 +2,30 @@
 //! the task-bearing protocol types, weight bit patterns through every
 //! frame that carries checkpoints (and old-layout JSON weights refused
 //! with a structured error), a full loopback run asserted
-//! bit-identical to the single-process pipeline, socket chaos — a
-//! worker killing its own connection halfway through a result frame —
-//! or a coordinator vanishing under a block fetch — and the event-driven
-//! dispatch: long-poll grants, park expiry, and the drain reaching a
-//! parked request.
+//! bit-identical to the single-process pipeline, a coordinator vanishing
+//! under a block fetch, and the event-driven dispatch: long-poll grants,
+//! park expiry, and the drain reaching a parked request. A worker cutting
+//! its own connection halfway through a result frame is a row of
+//! `contracts.rs`.
+
+mod common;
 
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
+
+use common::{baseline, inputs, run_json, tempdir, worker_cmd};
 
 use wootz_cluster::net::{long_poll_park, NetHub};
 use wootz_cluster::protocol::{Manifest, ResultPayload, TaskKind, TaskResult, TaskSpec, WireEval};
 use wootz_cluster::{run_distributed, worker_net_main, ClusterOptions, Message, WorkerExit};
 use wootz_core::explore::EvalOutcome;
-use wootz_core::pipeline::{run_wootz_with, RunMode, RunOptions, WootzInputs, WootzRun};
+use wootz_core::pipeline::RunMode;
 use wootz_core::pretrain::PretrainedBlock;
-use wootz_data::{micro_dataset, Dataset};
+use wootz_data::micro_dataset;
 use wootz_fault::RetryPolicy;
-use wootz_ir::{Objective, SolverConfig};
 use wootz_nn::Checkpoint;
 use wootz_tensor::Tensor;
 use wootz_wire::{write_bytes, Frame, Limits, WireError, WireSerialize};
-
-fn worker_cmd() -> (PathBuf, Vec<String>) {
-    (
-        PathBuf::from(env!("CARGO_BIN_EXE_wootz")),
-        vec!["worker".to_string()],
-    )
-}
-
-fn tempdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("wootz_net_{name}_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn inputs() -> WootzInputs {
-    let model = wootz_models::resnet_mini(8);
-    let subspace = ["[[30,30,30,30],[50,70,70,70],[70,70,70,70],[50,50,50,50]]"]
-        .iter()
-        .flat_map(|json| {
-            let raw: Vec<Vec<u8>> = serde_json::from_str(json).unwrap();
-            raw.into_iter()
-                .map(|r| wootz_core::prune::PruneConfig::new(r).unwrap())
-        })
-        .collect();
-    let solver = SolverConfig::parse(
-        "dataset: \"flowers102\"\nbase_lr: 0.03\nmax_iter: 8\nbatch_size: 4\n\
-         pretrain_iter: 4\neval_every: 4\nseed: 11\nnum_workers: 2\n",
-    )
-    .unwrap();
-    let objective = Objective::parse("min ModelSize\nconstraint Accuracy >= 0.1\n").unwrap();
-    WootzInputs {
-        model,
-        subspace,
-        solver,
-        objective,
-    }
-}
-
-fn baseline(inputs: &WootzInputs, dataset: &Dataset, mode: RunMode) -> WootzRun {
-    let opts = RunOptions {
-        faults: None,
-        retry: RetryPolicy::abort_fast(),
-        journal: None,
-        resume: false,
-        ..RunOptions::default()
-    };
-    run_wootz_with(inputs, dataset, mode, None, &opts).unwrap()
-}
-
-fn run_json(run: &WootzRun) -> String {
-    serde_json::to_string(run).unwrap()
-}
 
 /// Writes each message into one byte stream, reads them all back, and
 /// asserts each decode re-encodes to the exact original frame bytes —
@@ -337,7 +286,7 @@ fn tcp_run_is_bit_identical_to_single_process() {
     let dataset = micro_dataset(&inputs.solver.dataset, inputs.solver.seed);
     let single = baseline(&inputs, &dataset, RunMode::Composability);
 
-    let dir = tempdir("identity");
+    let dir = tempdir("net_identity");
     let mut opts = ClusterOptions::new(dir.join("run"), 2, worker_cmd());
     opts.retry = RetryPolicy::abort_fast();
     opts.listen = Some("127.0.0.1:0".to_string());
@@ -533,35 +482,6 @@ fn stale_epoch_reconnect_across_coordinator_restart_redelivers_once() {
     Message::Shutdown.write_to(&mut conn).unwrap();
     let status = worker.wait().unwrap();
     assert!(status.success(), "worker exit: {status:?}");
-}
-
-#[test]
-fn mid_frame_disconnect_reconnects_and_result_unchanged() {
-    let inputs = inputs();
-    let dataset = micro_dataset(&inputs.solver.dataset, inputs.solver.seed);
-    let single = baseline(&inputs, &dataset, RunMode::Composability);
-
-    // Worker w0's first TaskDone frame is cut in half and its socket
-    // hard-closed (the *process* survives): the hub must discard the
-    // truncated frame, the worker must reconnect under the same epoch and
-    // resend the undelivered result, and the run must stay byte-equal.
-    let dir = tempdir("midframe");
-    let mut opts = ClusterOptions::new(dir.join("run"), 2, worker_cmd());
-    opts.retry = RetryPolicy::abort_fast();
-    opts.listen = Some("127.0.0.1:0".to_string());
-    opts.worker_env = vec![("WOOTZ_CHAOS_NET_DROP".to_string(), "w0:1".to_string())];
-    let (dist, stats) = run_distributed(&inputs, &dataset, RunMode::Composability, &opts).unwrap();
-
-    assert_eq!(run_json(&single), run_json(&dist));
-    assert!(
-        stats.net_reconnects >= 1,
-        "expected a zombie reconnect: {}",
-        stats.summary()
-    );
-    // The resent result deduplicates on its (seq, attempt) journal file:
-    // nothing is double-counted, nothing abandoned.
-    assert_eq!(stats.tasks_abandoned, 0, "{}", stats.summary());
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The manifest of a first-epoch Baseline run over [`inputs`].

@@ -1,11 +1,13 @@
 //! Integration tests of the `wootz serve` daemon, driven over the wire
 //! protocol against the real binary.
 
+mod common;
+
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 
+use common::tempdir;
 use wootz_cluster::{job_code, Message};
 use wootz_wire::Limits;
 
@@ -62,20 +64,13 @@ impl Drop for Daemon {
     }
 }
 
-fn tempdir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("wootz_serve_{name}_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 /// A client that resubmits the same job the moment it reads `JobDone`
 /// must never be refused busy: the daemon frees the job id (the journal
 /// lock is long released) *before* it announces completion. Found by the
 /// repository benchmark, whose replay clients resubmit exactly like this.
 #[test]
 fn resubmitting_on_job_done_is_never_refused_busy() {
-    let dir = tempdir("resubmit");
+    let dir = tempdir("serve_resubmit");
     let daemon = Daemon::start(&dir);
     let job = Message::SubmitJob {
         model: wootz_models::resnet_mini(8).to_prototxt(),

@@ -10,16 +10,17 @@
 //! [`ENV_KILL_AT`]`=<site>:<n>` makes the process die on the `n`-th
 //! visit, after flushing a deliberately partial write. The schedule is
 //! fully deterministic: same binary, same inputs, same `<site>:<n>` ⇒
-//! the same torn bytes on disk, which is what lets `reproduce crashes`
-//! assert byte-identical recovery for every site.
+//! the same torn bytes on disk, which is what lets the `wootz-cluster`
+//! contracts test (`crates/cluster/tests/contracts.rs`) assert identical
+//! recovery for every site.
 //!
 //! Dying means [`std::process::abort`] — no unwinding, no `Drop`, no
 //! atexit flushing — the closest a process can get to `kill -9`-ing
 //! itself at an exact instruction.
 //!
-//! The registry is enumerable (`wootz chaos list`) so the crash matrix
-//! can never silently fall out of sync with the code: a site added here
-//! without a matrix entry is visible in one command.
+//! The registry is enumerable (`wootz chaos list`) so the contracts test
+//! can never silently fall out of sync with the code: it fails on a site
+//! added here without a row of its own.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -59,8 +60,8 @@ pub mod kill_site {
 }
 
 /// Every kill point registered in the workspace, with the boundary it
-/// guards. `wootz chaos list` prints this table; the `reproduce crashes`
-/// matrix iterates it.
+/// guards. `wootz chaos list` prints this table; the contracts test
+/// (`crates/cluster/tests/contracts.rs`) requires a row for each entry.
 pub const KILL_SITES: &[KillSite] = &[
     KillSite {
         name: kill_site::JOURNAL_HEADER,
@@ -173,11 +174,11 @@ mod tests {
         assert_eq!(
             KILL_SITES.len(),
             5,
-            "update `reproduce crashes` when adding a site"
+            "give a new site a row in crates/cluster/tests/contracts.rs"
         );
     }
 
-    // The firing behavior is exercised end-to-end by the crash matrix
-    // (`reproduce crashes`), which spawns real child processes — an
+    // The firing behavior is exercised end-to-end by the contracts test
+    // of `wootz-cluster`, which kills real `wootz` processes — an
     // aborting assertion cannot run in-process.
 }
