@@ -26,7 +26,7 @@
 //!             [--journal <run.journal>] [--resume]
 //!             [--inject-faults <plan.json>]
 //!             [--retry-attempts N] [--on-fail skip|abort]
-//!             [--distributed N --run-dir <dir> [--lease-ms MS] [--listen ADDR]
+//!             [--distributed N --log-dir <dir> [--lease-ms MS] [--listen ADDR]
 //!              [--orphan-grace-ms MS]]
 //!     Run the full pruning pipeline on the micro dataset named in the
 //!     solver's `dataset:` field. With `--journal`, every completed unit
@@ -38,16 +38,17 @@
 //!     executes pre-training and evaluation on N worker OS processes that
 //!     the coordinator spawns and feeds over a loopback TCP socket
 //!     speaking the `wootz-wire` framed protocol (see PROTOCOL.md);
-//!     `--run-dir` holds the run's manifest and the worker logs (results
-//!     stay bit-identical to the single-process run; see DESIGN.md §9).
+//!     `--log-dir` receives one `<worker-id>.log` per worker process
+//!     (results stay bit-identical to the single-process run; see
+//!     DESIGN.md §9).
 //!     `--listen ADDR` names the socket's address instead of an ephemeral
 //!     loopback port, to accept workers from other machines
 //!     (`wootz worker --connect`) or to survive a restart. A killed
-//!     coordinator restarts with `--resume --listen <same addr>`: the
-//!     epoch bumps, live workers are re-adopted on their next redial, and
+//!     coordinator restarts with `--resume --listen <same addr>`: it draws
+//!     a fresh epoch, live workers are re-adopted on their next redial, and
 //!     the result is bit-identical to an uninterrupted run. `--orphan-grace-ms` sets the workers' orphan
 //!     grace budget (how long they redial a gone coordinator).
-//!     `--explorer` selects the exploration strategy (DESIGN.md §14):
+//!     `--explorer` selects the exploration strategy (DESIGN.md §13):
 //!     `fixed` (the paper's objective-ordered sweep; the default) or an
 //!     adaptive propose/observe strategy (`taylor` saliency ladder,
 //!     `bandit` seeded policy) that grows the configuration universe
@@ -178,8 +179,8 @@ fn usage() -> &'static str {
     "usage: wootz <compile|sample|identify|genmodel|prune|serve|submit|worker|chaos|help> [options] [--metrics-out <path>] [--threads <n>]\n\
      serve:  --store <dir> [--listen <addr>] [--store-budget <bytes>] [--state <dir>]\n\
      submit: --connect <addr> --model <file> --configs <file> --solver <file> --objective <file> [--mode <m>] [--explorer fixed|taylor|bandit] [--explorer-budget <n>]\n\
-     prune:  … [--explorer fixed|taylor|bandit] [--explorer-budget <n>] selects the exploration strategy (DESIGN.md §14)\n\
-     prune:  … [--distributed <n> --run-dir <dir> [--listen <addr>] [--lease-ms <ms>] [--orphan-grace-ms <ms>]] runs on n worker processes over TCP (DESIGN.md §9)\n\
+     prune:  … [--explorer fixed|taylor|bandit] [--explorer-budget <n>] selects the exploration strategy (DESIGN.md §13)\n\
+     prune:  … [--distributed <n> --log-dir <dir> [--listen <addr>] [--lease-ms <ms>] [--orphan-grace-ms <ms>]] runs on n worker processes over TCP (DESIGN.md §9)\n\
      worker: --connect <addr> --worker-id <id> [--orphan-grace-ms <ms>]\n\
      run `wootz help` for per-command options; SERVING.md documents the daemon"
 }
@@ -439,7 +440,7 @@ fn cmd_prune(mut args: Vec<String>) -> CliResult {
         Some(s) => Some(s.parse().map_err(|e| format!("bad --distributed: {e}"))?),
         None => None,
     };
-    let run_dir: Option<PathBuf> = take_flag(&mut args, "--run-dir")?.map(Into::into);
+    let log_dir: Option<PathBuf> = take_flag(&mut args, "--log-dir")?.map(Into::into);
     let lease_ms: Option<u64> = match take_flag(&mut args, "--lease-ms")? {
         Some(s) => Some(s.parse().map_err(|e| format!("bad --lease-ms: {e}"))?),
         None => None,
@@ -468,13 +469,13 @@ fn cmd_prune(mut args: Vec<String>) -> CliResult {
     }
 
     if distributed.is_none()
-        && (run_dir.is_some()
+        && (log_dir.is_some()
             || lease_ms.is_some()
             || listen.is_some()
             || orphan_grace_ms.is_some())
     {
         return Err(
-            "--run-dir/--lease-ms/--listen/--orphan-grace-ms only apply with --distributed N"
+            "--log-dir/--lease-ms/--listen/--orphan-grace-ms only apply with --distributed N"
                 .into(),
         );
     }
@@ -557,9 +558,9 @@ fn cmd_prune(mut args: Vec<String>) -> CliResult {
             run
         }
         Some(workers) => {
-            let run_dir = run_dir
-                .ok_or("--distributed needs --run-dir <dir> for the manifest and worker logs")?;
-            let mut copts = ClusterOptions::new(run_dir, workers, self_worker_cmd(&["worker"])?);
+            let log_dir =
+                log_dir.ok_or("--distributed needs --log-dir <dir> for the worker logs")?;
+            let mut copts = ClusterOptions::new(log_dir, workers, self_worker_cmd(&["worker"])?);
             copts.faults = faults.as_ref();
             copts.retry = retry;
             copts.journal = journal;

@@ -22,7 +22,7 @@
 //! queue, from which the hub grants tasks and into which it delivers
 //! results on the workers' behalf. The drive loop never sleeps on a
 //! timer of its own: it waits on the hub's event signal, bounded by
-//! `poll_ms` so the lease, speculation, respawn and stall clocks still
+//! a 20 ms tick so the lease, speculation, respawn and stall clocks still
 //! get serviced.
 //!
 //! Failure handling, in one paragraph: every granted task carries a lease
@@ -38,12 +38,16 @@
 //! Dead worker processes are respawned while work is outstanding. All
 //! coordinator state that matters across a crash rides on the record
 //! journal, so killing the coordinator and re-running with `--resume`
-//! re-evaluates nothing that was journaled.
+//! re-evaluates nothing that was journaled; the only other file a run
+//! writes is one log per worker process. Fencing across restarts needs
+//! no file: every start draws a fresh epoch that no earlier coordinator
+//! used.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use serde::Serialize;
 
@@ -60,10 +64,7 @@ use wootz_fault::{FaultPlan, RetryPolicy};
 use wootz_nn::Checkpoint;
 
 use crate::net::NetHub;
-use crate::protocol::{
-    atomic_write_json, cluster_err, next_epoch, Manifest, ResultPayload, TaskKind, TaskResult,
-    TaskSpec, LOGS_DIR, MANIFEST,
-};
+use crate::protocol::{cluster_err, Manifest, ResultPayload, TaskKind, TaskResult, TaskSpec};
 
 /// Options of a distributed run.
 #[derive(Debug, Clone)]
@@ -77,11 +78,6 @@ pub struct ClusterOptions<'a> {
     /// this; a claimed task without a heartbeat for a full lease is
     /// reclaimed.
     pub lease_ms: u64,
-    /// Coordinator poll period in milliseconds: how often the drive loop
-    /// services its lease, speculation, respawn and stall clocks. Results
-    /// do not wait for it — the hub wakes the loop the moment one
-    /// arrives.
-    pub poll_ms: u64,
     /// Fixed speculation deadline override (ms of claimed run time). When
     /// `None`, the deadline is `3 × median per-step wall time × expected
     /// steps` over the completed tasks so far, floored at `lease_ms`.
@@ -89,21 +85,14 @@ pub struct ClusterOptions<'a> {
     /// Maximum execution attempts per unit of work (first run, reclaims
     /// and speculation all count) before it is abandoned.
     pub max_task_attempts: u32,
-    /// Abort the run with diagnostics when nothing completes, reclaims or
-    /// abandons for this long.
-    pub stall_timeout_ms: u64,
-    /// How long to wait for workers to exit after the `Shutdown`
-    /// broadcast before killing them (this grace window is also when late
-    /// zombie results get counted as rejected).
-    pub shutdown_grace_ms: u64,
-    /// The run directory: the manifest, whose epoch fences workers
-    /// across coordinator restarts, and the worker logs.
-    pub run_dir: PathBuf,
+    /// Where each spawned worker's stdout and stderr go, as
+    /// `<log_dir>/<worker-id>.log` (created if missing).
+    pub log_dir: PathBuf,
     /// How to start a worker: executable plus leading arguments; the
     /// coordinator appends `--connect <addr> --worker-id <id>`.
     pub worker_cmd: (PathBuf, Vec<String>),
-    /// Deterministic fault-injection plan (embedded into the manifest so
-    /// workers share the schedule).
+    /// Deterministic fault-injection plan (carried in the `Welcome`'s
+    /// manifest so workers share the schedule).
     pub faults: Option<&'a FaultPlan>,
     /// Retry policy for configuration evaluations (applied inside the
     /// workers, exactly like the in-process supervisor).
@@ -139,22 +128,19 @@ pub struct ClusterOptions<'a> {
 }
 
 impl<'a> ClusterOptions<'a> {
-    /// Defaults for a run over `run_dir` with `workers` processes started
-    /// via `worker_cmd` (executable + argument prefix).
+    /// Defaults for a run logging to `log_dir` with `workers` processes
+    /// started via `worker_cmd` (executable + argument prefix).
     pub fn new(
-        run_dir: impl Into<PathBuf>,
+        log_dir: impl Into<PathBuf>,
         workers: usize,
         worker_cmd: (PathBuf, Vec<String>),
     ) -> Self {
         ClusterOptions {
             workers,
             lease_ms: 1500,
-            poll_ms: 20,
             speculate_after_ms: None,
             max_task_attempts: 5,
-            stall_timeout_ms: 120_000,
-            shutdown_grace_ms: 5_000,
-            run_dir: run_dir.into(),
+            log_dir: log_dir.into(),
             worker_cmd,
             faults: None,
             retry: RetryPolicy::default(),
@@ -224,6 +210,21 @@ impl ClusterStats {
     }
 }
 
+/// The drive loop's tick: how often it services its lease,
+/// speculation, respawn and stall clocks. Results do not wait for it —
+/// the hub wakes the loop the moment one arrives.
+const POLL: Duration = Duration::from_millis(20);
+
+/// Abort the run with diagnostics when nothing completes, reclaims or
+/// abandons for this long.
+const STALL_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// How long [`Coordinator::finish`] waits after the `Shutdown` broadcast
+/// for every session to close and the pool to exit before it closes the
+/// rest and kills the pool (this grace window is also when late zombie
+/// results get counted as rejected).
+const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
+
 /// [`Coordinator::finish`]'s wait between worker-exit checks while a
 /// worker may still be running.
 const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
@@ -243,7 +244,7 @@ struct Slot {
 /// The set of spawned worker processes. Dropping the pool kills whatever
 /// is still running, so an error path never leaks child processes.
 struct WorkerPool {
-    /// The run directory's worker-log directory.
+    /// Where the worker logs go ([`ClusterOptions::log_dir`]).
     logs: PathBuf,
     exe: PathBuf,
     prefix: Vec<String>,
@@ -255,9 +256,9 @@ struct WorkerPool {
 }
 
 impl WorkerPool {
-    fn spawn(logs: PathBuf, opts: &ClusterOptions<'_>, hub: &NetHub) -> Result<WorkerPool> {
+    fn spawn(opts: &ClusterOptions<'_>, hub: &NetHub) -> Result<WorkerPool> {
         let mut pool = WorkerPool {
-            logs,
+            logs: opts.log_dir.clone(),
             exe: opts.worker_cmd.0.clone(),
             prefix: opts.worker_cmd.1.clone(),
             orphan_grace_ms: opts.orphan_grace_ms,
@@ -432,9 +433,10 @@ struct Coordinator<'a> {
     /// Per-step wall-time samples (ms) of accepted results — the
     /// speculation deadline's calibration data.
     rate_samples: Vec<f64>,
-    /// The published bag of pre-trained blocks, by block key (grows
-    /// monotonically).
-    published: BTreeMap<String, Checkpoint>,
+    /// The keys of the block bag last handed to the hub. The driver's
+    /// bag only grows, so a batch needing a key outside this set is what
+    /// triggers a republish.
+    published: BTreeSet<String>,
 }
 
 impl Coordinator<'_> {
@@ -636,11 +638,11 @@ impl Coordinator<'_> {
             // 6. Stall watchdog.
             if progressed {
                 last_progress = Instant::now();
-            } else if last_progress.elapsed().as_millis() as u64 > self.opts.stall_timeout_ms {
+            } else if last_progress.elapsed() > STALL_TIMEOUT {
                 return Err(cluster_err(format!(
                     "no progress for {}ms: {}/{} tasks done, {} pending, {} claimed, \
                      {} workers alive; worker logs in `{}`",
-                    self.opts.stall_timeout_ms,
+                    STALL_TIMEOUT.as_millis(),
                     done.len(),
                     total,
                     self.hub.pending(),
@@ -650,8 +652,7 @@ impl Coordinator<'_> {
                 )));
             }
             if done.len() < total {
-                self.hub
-                    .wait_event(seen, Duration::from_millis(self.opts.poll_ms));
+                self.hub.wait_event(seen, POLL);
             }
         }
         Ok(seqs
@@ -730,16 +731,11 @@ impl Coordinator<'_> {
         true
     }
 
-    /// Publishes the grown bag of pre-trained blocks for the evaluation
-    /// workers: a block already in the bag keeps its first copy, and the
-    /// hub re-encodes the bag's frame so workers always fetch the
-    /// round-complete bag.
-    fn publish_blocks(&mut self, checkpoints: &BTreeMap<String, Checkpoint>) -> Result<()> {
-        for (key, ckpt) in checkpoints {
-            self.published
-                .entry(key.clone())
-                .or_insert_with(|| ckpt.clone());
-        }
+    /// Publishes the driver's grown bag of pre-trained blocks for the
+    /// evaluation workers: the hub re-encodes the bag's frame so workers
+    /// always fetch the round-complete bag.
+    fn publish_blocks(&mut self, bag: &BTreeMap<String, Checkpoint>) -> Result<()> {
+        self.published.extend(bag.keys().cloned());
         // Chaos: die with the round's blocks pre-trained and journaled
         // but the bag not yet handed to the hub — the assembly-publish
         // window. The restarted epoch replays pre-training from the
@@ -747,25 +743,31 @@ impl Coordinator<'_> {
         if wootz_fault::chaos::kill_point(wootz_fault::chaos::kill_site::COORD_ASSEMBLE) {
             wootz_fault::chaos::die(wootz_fault::chaos::kill_site::COORD_ASSEMBLE);
         }
-        self.hub.publish_blocks(&self.published)
+        self.hub.publish_blocks(bag)
     }
 
     /// Shuts the run down: broadcasts `Shutdown`, waits up to the grace
-    /// period for workers to finish their in-flight tasks and exit
+    /// period for every worker — spawned or started by hand — to finish
+    /// its in-flight task and close its session, and for the pool to exit
     /// (counting any late result that arrives meanwhile as a fenced
-    /// zombie), then kills whatever is left.
+    /// zombie), then closes what is left and kills the pool.
     fn finish(mut self) -> ClusterStats {
-        // Sockets stay open through the grace period so in-flight
-        // TaskDone frames still reach the hub.
+        // A session stays open until its worker closes it: a worker that
+        // still has a frame to write before it reads its `Shutdown` (a
+        // `TaskDone`, the next `TaskRequest`) would find the socket closed
+        // under it, take that for a lost coordinator and redial, leaving
+        // the `Shutdown` unread. In-flight results reach the hub the same
+        // way.
         self.hub.broadcast_shutdown();
-        let deadline = Instant::now() + Duration::from_millis(self.opts.shutdown_grace_ms);
+        let deadline = Instant::now() + SHUTDOWN_GRACE;
         loop {
             let seen = self.hub.events_seen();
             self.reap_late_results();
             let alive = self.pool.poll_alive();
             wootz_obs::gauge("cluster.workers_alive").set(alive as f64);
+            let sessions = self.hub.sessions();
             let now = Instant::now();
-            if alive == 0 || now >= deadline {
+            if (alive == 0 && sessions == 0) || now >= deadline {
                 break;
             }
             // A worker leaves by closing its session, which the hub
@@ -773,7 +775,7 @@ impl Coordinator<'_> {
             // winding down, so once no session is open the exit check
             // repeats on a short leash. The 50 ms cadence remains for
             // workers that never held a session.
-            let tick = if self.hub.sessions() == 0 {
+            let tick = if sessions == 0 {
                 EXIT_POLL
             } else {
                 SHUTDOWN_POLL
@@ -819,7 +821,7 @@ impl Executor for Coordinator<'_> {
     fn run(&mut self, cx: &TaskContext<'_>, tasks: &[Task]) -> Result<Vec<TaskOutput>> {
         let evaluates = tasks.iter().any(|t| matches!(t, Task::Eval { .. }));
         if let Some(bag) = cx.blocks.filter(|_| evaluates) {
-            if bag.keys().any(|key| !self.published.contains_key(key)) {
+            if bag.keys().any(|key| !self.published.contains(key)) {
                 self.publish_blocks(bag)?;
             }
         }
@@ -925,33 +927,19 @@ fn task_output(task: &Task, batch: &[TuningBlock], payload: ResultPayload) -> Re
 
 impl<'a> Coordinator<'a> {
     /// Brings the distributed runtime up around the trained full model:
-    /// claims the next fencing epoch over the run directory, writes the
-    /// manifest, binds the hub (which hands the manifest and the
-    /// full-model checkpoint to every worker in its `Welcome`), and
-    /// spawns the worker pool with its logs under the run directory.
+    /// draws this start's fencing epoch, binds the hub (which hands the
+    /// manifest and the full-model checkpoint to every worker in its
+    /// `Welcome`), and spawns the worker pool with its logs in the log
+    /// directory.
     fn start(
         inputs: &'a WootzInputs,
         mode: RunMode,
         opts: &'a ClusterOptions<'a>,
         full_ckpt: &Checkpoint,
     ) -> Result<Coordinator<'a>> {
-        // Fencing epoch: strictly greater than any previous coordinator's
-        // over this run directory.
-        let manifest_path = opts.run_dir.join(MANIFEST);
-        let epoch = next_epoch(&manifest_path)?;
-        if epoch > 1 {
-            // A manifest from a previous coordinator exists: this run is a
-            // restart over live state (possibly with orphaned workers
-            // still redialing the listen address).
-            wootz_obs::counter("cluster.coordinator_restarts").incr();
-            wootz_obs::event("cluster.coordinator_restart")
-                .field("epoch", epoch as usize)
-                .field("resume", opts.resume)
-                .emit();
-        }
-        let logs = opts.run_dir.join(LOGS_DIR);
-        std::fs::create_dir_all(&logs)
-            .map_err(|e| cluster_err(format!("cannot create `{}`: {e}", logs.display())))?;
+        let epoch = fresh_epoch();
+        std::fs::create_dir_all(&opts.log_dir)
+            .map_err(|e| cluster_err(format!("cannot create `{}`: {e}", opts.log_dir.display())))?;
         let manifest = Manifest {
             epoch,
             model: inputs.model.clone(),
@@ -963,17 +951,12 @@ impl<'a> Coordinator<'a> {
             retry: opts.retry,
             lease_ms: opts.lease_ms,
         };
-        atomic_write_json(&manifest_path, &manifest)?;
-        wootz_obs::event("cluster.manifest_written")
-            .field("epoch", epoch as usize)
-            .field("workers", opts.workers)
-            .emit();
 
         // Bind the hub before any worker starts, so the first connection
         // attempt succeeds.
         let addr = opts.listen.as_deref().unwrap_or("127.0.0.1:0");
         let hub = NetHub::bind(addr, manifest, full_ckpt.clone())?;
-        let pool = WorkerPool::spawn(logs, opts, &hub)?;
+        let pool = WorkerPool::spawn(opts, &hub)?;
         Ok(Coordinator {
             epoch,
             opts,
@@ -985,9 +968,26 @@ impl<'a> Coordinator<'a> {
             },
             next_seq: 0,
             rate_samples: Vec::new(),
-            published: BTreeMap::new(),
+            published: BTreeSet::new(),
         })
     }
+}
+
+/// A fencing epoch no other coordinator start has drawn: FNV-1a over the
+/// process id, the wall clock in nanoseconds and a process-wide start
+/// counter. Fencing only tests epochs for equality, so an epoch need not
+/// grow across restarts, only differ — which is why it needs no file.
+/// Never 0, the epoch a worker's first `Hello` announces.
+fn fresh_epoch() -> u64 {
+    static STARTS: AtomicU64 = AtomicU64::new(0);
+    let nanos = SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos());
+    let mut seed = Vec::with_capacity(4 + 16 + 8);
+    seed.extend_from_slice(&std::process::id().to_le_bytes());
+    seed.extend_from_slice(&nanos.to_le_bytes());
+    seed.extend_from_slice(&STARTS.fetch_add(1, Ordering::Relaxed).to_le_bytes());
+    wootz_fault::fnv1a64(&seed).max(1)
 }
 
 /// Runs the complete pruning pipeline with the distributed runtime: the
@@ -1009,9 +1009,9 @@ impl<'a> Coordinator<'a> {
 ///
 /// # Errors
 ///
-/// Propagates phase errors, journal errors, and run-directory I/O
-/// failures; returns a stall error (with diagnostics) when no task makes progress
-/// for `opts.stall_timeout_ms`.
+/// Propagates phase errors, journal errors, and log-directory I/O
+/// failures; returns a stall error (with diagnostics) when no task makes
+/// progress for two minutes.
 pub fn run_distributed(
     inputs: &WootzInputs,
     dataset: &Dataset,
@@ -1110,6 +1110,21 @@ mod tests {
                 .map(|key| (key.to_string(), "boom".to_string()))
                 .collect(),
         }
+    }
+
+    #[test]
+    fn fresh_epochs_are_non_zero_and_pairwise_distinct() {
+        // Many starts in one process, from several threads at once, the
+        // way coordinators of concurrent runs in one test binary start.
+        let epochs: Vec<u64> = std::thread::scope(|scope| {
+            let starts: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| (0..256).map(|_| fresh_epoch()).collect::<Vec<_>>()))
+                .collect();
+            starts.into_iter().flat_map(|s| s.join().unwrap()).collect()
+        });
+        assert!(epochs.iter().all(|&e| e != 0), "a fresh epoch was 0");
+        let distinct: BTreeSet<u64> = epochs.iter().copied().collect();
+        assert_eq!(distinct.len(), epochs.len(), "two starts drew one epoch");
     }
 
     #[test]

@@ -18,14 +18,12 @@
 //! started on another machine alike. Workers share no storage with it:
 //! the manifest, the checkpoints and every task arrive in frames. The
 //! task queue lives in the hub's memory; what survives a coordinator
-//! crash is the run journal (`--journal`, replayed by `--resume`) and
-//! the run directory's manifest, whose epoch fences the next
-//! coordinator's workers:
+//! crash is the run journal (`--journal`, replayed by `--resume`). The
+//! only other files a run writes are the worker logs:
 //!
 //! ```text
-//! run-dir/
-//!   manifest.json      frozen inputs + epoch (fencing token) + lease period
-//!   logs/              per-worker stdout/stderr
+//! log-dir/
+//!   <worker-id>.log    one spawned worker's stdout/stderr
 //! ```
 //!
 //! * **Claim** — answering a [`Message::TaskRequest`], a hub handler
@@ -37,7 +35,8 @@
 //!   lease period from a background thread, refresh it. The coordinator
 //!   reclaims any granted task without a signal for a whole lease period,
 //!   re-enqueueing a fresh *attempt*.
-//! * **Fencing** — every task carries the coordinator's `epoch` and an
+//! * **Fencing** — every task carries the coordinator's `epoch`, drawn
+//!   fresh at each start so no two coordinators share one, and an
 //!   `attempt` number. A result is accepted only if its epoch matches and
 //!   its attempt is still live; a zombie worker completing a reclaimed task
 //!   delivers a result that is *rejected*, never double-counted.
@@ -53,7 +52,7 @@
 //! * **Reconnects** — a worker that loses its connection mid-frame
 //!   reconnects and resends its undelivered result, which the hub
 //!   deduplicates by `(epoch, seq, attempt)`. See [`net`] for the socket
-//!   runtime and `DESIGN.md` §11 for the failure matrix.
+//!   runtime and `DESIGN.md` §9 for the failure matrix.
 //!
 //! Process-level faults (worker crash / hang / straggler) are injected
 //! deterministically through [`wootz_fault`] at `site::CLUSTER_TASK`, which

@@ -3,11 +3,7 @@
 //! What the coordinator and the worker processes exchange — a
 //! [`Manifest`] that pins the run's identity and inputs, task
 //! specifications ([`TaskSpec`]), and task results ([`TaskResult`]) —
-//! travels in frames ([`crate::messages`]). Only the manifest is also a
-//! file: the coordinator writes it into the *run directory* as JSON,
-//! atomically (temp-file + rename), so a reader never observes a partial
-//! file and a `SIGKILL`ed writer leaves at most an orphaned temp file
-//! behind.
+//! travels in frames ([`crate::messages`]); none of it is a file.
 //!
 //! The formats are deliberately *value-complete*: a worker process needs
 //! nothing but its `Welcome` and its tasks to reconstruct the exact
@@ -20,7 +16,6 @@
 //! remote results byte-identical to local ones.
 
 use std::io::{Read, Write};
-use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
@@ -28,27 +23,23 @@ use wootz_core::explore::{EvalOutcome, SupervisedEval};
 use wootz_core::pipeline::RunMode;
 use wootz_core::pretrain::PretrainedBlock;
 use wootz_core::prune::PruneConfig;
-use wootz_core::{CoreError, Result};
+use wootz_core::CoreError;
 use wootz_fault::{FaultPlan, RetryPolicy};
 use wootz_ir::{ModelIr, Objective, SolverConfig};
 use wootz_wire::{
     write_bytes, write_len, WireDeserialize, WireError, WireReader, WireResult, WireSerialize,
 };
 
-/// Manifest file name inside the run directory.
-pub const MANIFEST: &str = "manifest.json";
-/// Directory of per-worker log files.
-pub const LOGS_DIR: &str = "logs";
-
 /// Everything a worker process needs to reconstruct the run: the four
 /// pipeline inputs, the supervision policy, and the coordinator's fencing
-/// epoch. Written once per coordinator start, before any worker is
-/// spawned.
+/// epoch. Built once per coordinator start and handed to every worker
+/// in its `Welcome`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Manifest {
-    /// Fencing epoch. Incremented on every coordinator start over the same
-    /// run directory; a result whose epoch does not match the current
-    /// manifest is a zombie from a previous coordinator and is rejected.
+    /// Fencing epoch: drawn fresh and non-zero at every coordinator
+    /// start, so no two coordinators share one; a result whose epoch does
+    /// not match the current one is a zombie from a previous coordinator
+    /// and is rejected.
     pub epoch: u64,
     /// The to-be-pruned model.
     pub model: ModelIr,
@@ -230,70 +221,6 @@ pub struct TaskResult {
     pub payload: ResultPayload,
 }
 
-/// Writes `value` as JSON to `path` atomically: the bytes land in a
-/// sibling temp file first and are renamed into place, so concurrent
-/// readers see either nothing or the complete document.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Pipeline`] on serialization or I/O failure.
-pub fn atomic_write_json<T: Serialize>(path: &Path, value: &T) -> Result<()> {
-    let json = serde_json::to_vec(value)
-        .map_err(|e| cluster_err(format!("cannot serialize `{}`: {e}", path.display())))?;
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| cluster_err(format!("`{}` has no file name", path.display())))?
-        .to_string_lossy()
-        .into_owned();
-    let tmp = path.with_file_name(format!(".{file_name}.tmp-{}", std::process::id()));
-    std::fs::write(&tmp, &json)
-        .map_err(|e| cluster_err(format!("cannot write `{}`: {e}", tmp.display())))?;
-    std::fs::rename(&tmp, path).map_err(|e| {
-        let _ = std::fs::remove_file(&tmp);
-        cluster_err(format!("cannot publish `{}`: {e}", path.display()))
-    })
-}
-
-/// Reads a JSON document written by [`atomic_write_json`].
-///
-/// # Errors
-///
-/// Returns [`CoreError::Pipeline`] on I/O or parse failure.
-pub fn read_json<T: for<'de> Deserialize<'de>>(path: &Path) -> Result<T> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| cluster_err(format!("cannot read `{}`: {e}", path.display())))?;
-    serde_json::from_str(&text)
-        .map_err(|e| cluster_err(format!("cannot parse `{}`: {e}", path.display())))
-}
-
-/// The fencing epoch a coordinator starting over `manifest_path` takes:
-/// `1` when there is no manifest yet, else the manifest's `epoch` + 1.
-/// Only the `epoch` field is read, so a manifest written by another
-/// build still advances the epoch.
-///
-/// # Errors
-///
-/// A manifest that exists but cannot be read or carries no readable
-/// `epoch` is an error naming its path, and the file is left untouched:
-/// restarting fencing at 1 would let a previous epoch-1 coordinator's
-/// orphaned workers deliver results that pass fencing.
-pub(crate) fn next_epoch(manifest_path: &Path) -> Result<u64> {
-    #[derive(Deserialize)]
-    struct Epoch {
-        epoch: u64,
-    }
-    if let Ok(false) = manifest_path.try_exists() {
-        return Ok(1);
-    }
-    let Epoch { epoch } = read_json(manifest_path)?;
-    epoch.checked_add(1).ok_or_else(|| {
-        cluster_err(format!(
-            "`{}`: epoch {epoch} cannot advance",
-            manifest_path.display()
-        ))
-    })
-}
-
 /// Builds the crate's uniform [`CoreError::Pipeline`] with a `cluster:`
 /// prefix, so distributed-runtime failures are recognizable end to end.
 pub fn cluster_err(detail: impl Into<String>) -> CoreError {
@@ -307,9 +234,9 @@ pub fn cluster_err(detail: impl Into<String>) -> CoreError {
 // weights (`Checkpoint`, `PretrainedBlock`) get fixed-layout binary
 // encodings; the manifest, the task universe, tuning blocks and
 // evaluation outcomes ride as a length-prefixed JSON *document*, the same
-// JSON the run manifest and the journal hold. Documents are bounded like
-// any other blob: their declared length is checked against the frame
-// budget before allocation. See PROTOCOL.md §5 for the byte-level rules.
+// JSON the journal holds. Documents are bounded like any other blob:
+// their declared length is checked against the frame budget before
+// allocation. See PROTOCOL.md §5 for the byte-level rules.
 
 /// Encoded size of a JSON document field (length prefix + bytes).
 ///
@@ -669,56 +596,5 @@ mod tests {
             let back = TaskSpec::wire_read(&mut reader).unwrap();
             assert_eq!(back, spec);
         }
-    }
-
-    #[test]
-    fn next_epoch_is_one_then_manifest_epoch_plus_one_and_refuses_damage() {
-        let dir = std::env::temp_dir().join(format!("wootz_epoch_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(MANIFEST);
-        std::fs::remove_file(&path).ok();
-        assert_eq!(next_epoch(&path).unwrap(), 1, "no manifest yet");
-
-        // Only `epoch` is read: a manifest of another build still advances.
-        std::fs::write(&path, r#"{"epoch":4,"model":"from another build"}"#).unwrap();
-        assert_eq!(next_epoch(&path).unwrap(), 5);
-
-        for damaged in [
-            "{\"epoch\": 4",
-            "",
-            "{\"model\":1}",
-            "{\"epoch\":18446744073709551615}",
-        ] {
-            std::fs::write(&path, damaged).unwrap();
-            let err = next_epoch(&path).unwrap_err().to_string();
-            assert!(err.contains(&path.display().to_string()), "{err}");
-            assert_eq!(std::fs::read_to_string(&path).unwrap(), damaged);
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn atomic_write_then_read_round_trips() {
-        let dir = std::env::temp_dir().join(format!("wootz_proto_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(MANIFEST);
-        let manifest = Manifest {
-            epoch: 2,
-            model: wootz_models::resnet_mini(8),
-            subspace: vec![PruneConfig::uniform(4, 50).unwrap()],
-            solver: SolverConfig::parse("dataset: \"flowers102\"\nseed: 3\n").unwrap(),
-            objective: Objective::parse("min ModelSize\n").unwrap(),
-            mode: RunMode::Composability,
-            faults: None,
-            retry: RetryPolicy::abort_fast(),
-            lease_ms: 400,
-        };
-        atomic_write_json(&path, &manifest).unwrap();
-        let back: Manifest = read_json(&path).unwrap();
-        assert_eq!(
-            serde_json::to_string(&back).unwrap(),
-            serde_json::to_string(&manifest).unwrap()
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

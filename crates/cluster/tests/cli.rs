@@ -363,6 +363,36 @@ fn bad_inputs_fail_with_messages() {
         );
         assert!(!dir.join("--resume").exists(), "a journal named `--resume`");
     }
+
+    // `--run-dir` is not a flag (a run writes no directory but its
+    // worker logs), and `--log-dir` means nothing without `--distributed`.
+    for (tail, message) in [
+        (
+            &["--distributed", "1", "--run-dir", "d"][..],
+            "unrecognized arguments",
+        ),
+        (&["--log-dir", "d"][..], "only apply with --distributed N"),
+    ] {
+        let out = wootz()
+            .current_dir(&dir)
+            .args(["prune", "--model"])
+            .arg(&model)
+            .args(["--configs"])
+            .arg(&configs)
+            .args([
+                "--solver",
+                "solver.prototxt",
+                "--objective",
+                "objective.txt",
+            ])
+            .args(tail)
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{tail:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{tail:?}: {stderr}");
+        assert!(!dir.join("d").exists(), "{tail:?} created a directory");
+    }
     std::fs::remove_dir_all(&dir).ok();
 
     // A worker joins over TCP only; there is no shared-directory mode.

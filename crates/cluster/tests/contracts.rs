@@ -1,6 +1,6 @@
 //! The bit-identity contract as one table: any runtime, thread count,
 //! explorer, block-store temperature and interruption lands on the same
-//! best network (DESIGN.md §12, PERFORMANCE.md §3).
+//! best network (DESIGN.md §11, PERFORMANCE.md §3).
 //!
 //! Every row of [`ROWS`] drives the real `wootz` binary (`prune`, `worker`,
 //! `serve`, `submit`) on one small pruning problem and is checked against
@@ -703,7 +703,7 @@ impl<'a> Case<'a> {
         }
         if let Distributed(workers) = row.runtime {
             args.extend(words(&format!(
-                "--distributed {workers} --run-dir run --listen 127.0.0.1:{}",
+                "--distributed {workers} --log-dir logs --listen 127.0.0.1:{}",
                 self.port
             )));
             if matches!(row.cut, Fault(_) | Hand(Stopped)) {
@@ -817,15 +817,16 @@ impl<'a> Case<'a> {
             );
         }
         if let Distributed(_) = row.runtime {
-            // The task queue lives in the coordinator's memory.
-            let mut entries: Vec<String> = std::fs::read_dir(self.dir.join("run"))
+            // The task queue lives in the coordinator's memory, and the
+            // epoch is drawn, not stored: a run leaves worker logs only.
+            let strays: Vec<String> = std::fs::read_dir(self.dir.join("logs"))
                 .map_err(|e| e.to_string())?
                 .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .filter(|name| !name.ends_with(".log"))
                 .collect();
-            entries.sort();
             ensure!(
-                entries == ["logs", "manifest.json"],
-                "the run dir holds more than manifest.json and logs/: {entries:?}"
+                strays.is_empty(),
+                "the log dir holds more than worker logs: {strays:?}"
             );
             ensure!(
                 last.cluster_stat("tasks abandoned")? == 0,
@@ -1030,7 +1031,7 @@ impl<'a> Case<'a> {
         let coordinator = self.spawn(job, &[])?;
         // The pool's first worker is spawned once the hub listens; join then.
         let started = Instant::now();
-        while !self.dir.join("run/logs/w0.log").exists() {
+        while !self.dir.join("logs/w0.log").exists() {
             ensure!(
                 started.elapsed() < DEADLINE,
                 "the coordinator never spawned a worker"
@@ -1053,10 +1054,16 @@ impl<'a> Case<'a> {
         }
         let ran = self.wait(coordinator)?;
         if how == Measured {
-            // Its metrics are written when it exits. Any exit: a worker
-            // outside the pool can miss the drain's `Shutdown` and leave
-            // as an orphan once its grace runs out (ROADMAP).
-            self.wait(worker)?;
+            // The drain reaches a worker outside the pool too: it reads
+            // its `Shutdown` and exits cleanly (its metrics are written
+            // on the way out).
+            let exited = self.wait(worker)?;
+            ensure!(
+                exited.status.success(),
+                "the hand-started worker exited with {}:\n{}",
+                exited.status,
+                exited.stderr
+            );
         }
         Ok(ran)
     }

@@ -21,7 +21,7 @@ fn distributed_run_is_bit_identical_to_single_process() {
     let single = baseline(&inputs, &dataset, RunMode::Composability);
 
     let dir = tempdir("dist_identity");
-    let mut opts = ClusterOptions::new(dir.join("run"), 3, worker_cmd());
+    let mut opts = ClusterOptions::new(dir.join("logs"), 3, worker_cmd());
     opts.retry = RetryPolicy::abort_fast();
     let (dist, stats) = run_distributed(&inputs, &dataset, RunMode::Composability, &opts).unwrap();
 
@@ -60,7 +60,7 @@ fn hung_worker_is_fenced_and_its_zombie_result_rejected() {
     };
     let dir = tempdir("dist_zombie");
     let journal = dir.join("run.ndjson");
-    let mut opts = ClusterOptions::new(dir.join("run"), 2, worker_cmd());
+    let mut opts = ClusterOptions::new(dir.join("logs"), 2, worker_cmd());
     opts.retry = RetryPolicy::abort_fast();
     opts.faults = Some(&plan);
     opts.lease_ms = 300;
@@ -131,7 +131,7 @@ fn straggler_trips_speculative_reexecution_and_result_unchanged() {
         rates: vec![],
     };
     let dir = tempdir("dist_straggler");
-    let mut opts = ClusterOptions::new(dir.join("run"), 2, worker_cmd());
+    let mut opts = ClusterOptions::new(dir.join("logs"), 2, worker_cmd());
     opts.retry = RetryPolicy::abort_fast();
     opts.faults = Some(&plan);
     opts.speculate_after_ms = Some(100);
@@ -172,7 +172,7 @@ fn poison_task_is_abandoned_and_run_completes() {
         rates: vec![],
     };
     let dir = tempdir("dist_poison");
-    let mut opts = ClusterOptions::new(dir.join("run"), 2, worker_cmd());
+    let mut opts = ClusterOptions::new(dir.join("logs"), 2, worker_cmd());
     opts.retry = RetryPolicy::skip_after(1);
     opts.faults = Some(&plan);
     opts.lease_ms = 300;
@@ -237,13 +237,13 @@ fn resumed_coordinator_re_evaluates_nothing() {
     let dir = tempdir("dist_resume");
     let journal = dir.join("run.ndjson");
 
-    let mut opts = ClusterOptions::new(dir.join("run"), 2, worker_cmd());
+    let mut opts = ClusterOptions::new(dir.join("logs"), 2, worker_cmd());
     opts.retry = RetryPolicy::abort_fast();
     opts.journal = Some(journal.clone());
     let (first, _) = run_distributed(&inputs, &dataset, RunMode::Composability, &opts).unwrap();
     assert!(first.exploration.fresh_evals() > 0);
 
-    // Second coordinator over the same run directory and journal: a higher
+    // Second coordinator over the same log directory and journal: a fresh
     // fencing epoch, and every unit of work replayed rather than redone.
     opts.resume = true;
     let (second, stats) =

@@ -1,12 +1,13 @@
 //! Integration tests of the TCP transport: framed-message round-trips for
 //! the task-bearing protocol types, weight bit patterns through every
 //! frame that carries checkpoints (and old-layout JSON weights refused
-//! with a structured error), a full loopback run asserted
-//! bit-identical to the single-process pipeline, a coordinator vanishing
-//! under a block fetch, and the event-driven dispatch: long-poll grants,
-//! park expiry, and the drain reaching a parked request. A worker cutting
-//! its own connection halfway through a result frame is a row of
-//! `contracts.rs`.
+//! with a structured error), a full loopback run asserted bit-identical
+//! to the single-process pipeline, a coordinator restarted without
+//! `--resume` fencing a late result of the previous epoch, a coordinator
+//! vanishing under a block fetch, and the event-driven dispatch:
+//! long-poll grants, park expiry, and the drain reaching a parked request
+//! and waiting for a worker outside the pool. A worker cutting its own
+//! connection halfway through a result frame is a row of `contracts.rs`.
 
 mod common;
 
@@ -287,7 +288,7 @@ fn tcp_run_is_bit_identical_to_single_process() {
     let single = baseline(&inputs, &dataset, RunMode::Composability);
 
     let dir = tempdir("net_identity");
-    let mut opts = ClusterOptions::new(dir.join("run"), 2, worker_cmd());
+    let mut opts = ClusterOptions::new(dir.join("logs"), 2, worker_cmd());
     opts.retry = RetryPolicy::abort_fast();
     opts.listen = Some("127.0.0.1:0".to_string());
     let started = Instant::now();
@@ -498,6 +499,196 @@ fn epoch_one_manifest(lease_ms: u64) -> Manifest {
         retry: RetryPolicy::abort_fast(),
         lease_ms,
     }
+}
+
+/// Dials `addr` until a coordinator listens there, then opens a session
+/// as worker `id` announcing `epoch`; returns the socket and the
+/// coordinator's epoch from its `Welcome`.
+fn dial_session(addr: &str, id: &str, epoch: u64) -> (TcpStream, u64) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut conn = loop {
+        match TcpStream::connect(addr) {
+            Ok(conn) => break conn,
+            Err(e) => {
+                assert!(Instant::now() < deadline, "nothing listens on {addr}: {e}");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+    };
+    conn.set_nodelay(true).unwrap();
+    let hello = Message::Hello {
+        worker: id.to_string(),
+        epoch,
+    };
+    hello.write_to(&mut conn).unwrap();
+    match read_within(&mut conn, 30_000) {
+        Some(Message::Welcome { epoch, .. }) => (conn, epoch),
+        other => panic!("expected Welcome, got {:?}", other.map(|m| m.name())),
+    }
+}
+
+/// A coordinator restarted *without* `--resume` on the same log
+/// directory and listen port still fences the previous coordinator's
+/// workers. Sequence numbers restart at 1, so a late result of the old
+/// epoch can name a unit that is live in the new run: only the epoch,
+/// drawn fresh at every start, tells them apart. A scripted zombie learns
+/// the first run's epoch, then answers a grant of the second run with a
+/// failure stamped with that epoch; the second run must reject it and
+/// still equal the single-process run.
+#[test]
+fn a_restart_without_resume_fences_a_late_result_of_the_previous_epoch() {
+    let inputs = inputs();
+    let dataset = micro_dataset(&inputs.solver.dataset, inputs.solver.seed);
+    let single = baseline(&inputs, &dataset, RunMode::Composability);
+
+    let dir = tempdir("net_restart");
+    let port = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .unwrap()
+        .port();
+    let addr = format!("127.0.0.1:{port}");
+    let mut opts = ClusterOptions::new(dir.join("logs"), 1, worker_cmd());
+    opts.retry = RetryPolicy::abort_fast();
+    opts.listen = Some(addr.clone());
+    // The zombie never answers the grant it holds in the second run.
+    opts.lease_ms = 400;
+
+    // The first coordinator: the zombie joins it only to learn its epoch.
+    let first_epoch = {
+        let addr = addr.clone();
+        std::thread::spawn(move || dial_session(&addr, "zombie", 0).1)
+    };
+    let (first, _) = run_distributed(&inputs, &dataset, RunMode::Composability, &opts).unwrap();
+    assert_eq!(run_json(&single), run_json(&first));
+    let old_epoch = first_epoch.join().unwrap();
+
+    // The restart, no journal: the zombie redials with its old epoch and
+    // delivers a failure for the unit it is granted, under that epoch.
+    let zombie = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let (mut conn, epoch) = dial_session(&addr, "zombie", old_epoch);
+            assert_ne!(epoch, old_epoch, "the restart reused the epoch");
+            request_task(&mut conn);
+            let task = match read_within(&mut conn, 30_000) {
+                Some(Message::TaskGrant { task }) => task,
+                other => panic!("expected a grant, got {:?}", other.map(|m| m.name())),
+            };
+            let payload = match &task.kind {
+                TaskKind::Eval { config_index, .. } => ResultPayload::Eval(WireEval {
+                    config_index: *config_index,
+                    outcome: None,
+                    error: Some("zombie".to_string()),
+                    attempts: 1,
+                    backoff: 0.0,
+                }),
+                TaskKind::Pretrain {
+                    group_index,
+                    blocks,
+                    group,
+                } => ResultPayload::Pretrain {
+                    group_index: *group_index,
+                    blocks: vec![],
+                    failed: group
+                        .iter()
+                        .map(|&b| (blocks[b].key(), "zombie".to_string()))
+                        .collect(),
+                },
+            };
+            let late = TaskResult {
+                seq: task.seq,
+                attempt: task.attempt,
+                epoch: old_epoch,
+                worker: "zombie".to_string(),
+                wall_ms: 1,
+                payload,
+            };
+            Message::TaskDone { result: late }
+                .write_to(&mut conn)
+                .unwrap();
+            // Silent from here on: the grant's lease runs out, and the
+            // drain's Shutdown ends the session.
+            loop {
+                match read_within(&mut conn, 30_000) {
+                    Some(Message::Shutdown) => return,
+                    Some(_) => {}
+                    None => panic!("no Shutdown reached the zombie"),
+                }
+            }
+        })
+    };
+    let (second, stats) =
+        run_distributed(&inputs, &dataset, RunMode::Composability, &opts).unwrap();
+    zombie.join().unwrap();
+    assert_eq!(run_json(&single), run_json(&second));
+    assert!(stats.zombie_results_rejected >= 1, "{}", stats.summary());
+    assert!(stats.workers_readopted >= 1, "{}", stats.summary());
+
+    // Nothing but worker logs is left behind.
+    for entry in std::fs::read_dir(dir.join("logs")).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        assert!(name.ends_with(".log"), "`{name}` in the log dir");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The drain keeps a session open until its worker closes it, also for
+/// a worker the coordinator did not spawn: such a worker may still be
+/// writing (a late `TaskDone`, its next `TaskRequest`) when the pool has
+/// already exited, and a socket closed under that write sends it
+/// redialing a gone coordinator instead of reading its `Shutdown`. A
+/// scripted worker joins beside the pool, reads its `Shutdown`, stays
+/// silent a while — the socket must stay open — and the run ends as soon
+/// as it closes, well inside the shutdown grace.
+#[test]
+fn the_drain_waits_for_a_worker_outside_the_pool_to_close_its_session() {
+    let inputs = inputs();
+    let dataset = micro_dataset(&inputs.solver.dataset, inputs.solver.seed);
+    let dir = tempdir("net_drain");
+    let port = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .unwrap()
+        .port();
+    let addr = format!("127.0.0.1:{port}");
+    let mut opts = ClusterOptions::new(dir.join("logs"), 1, worker_cmd());
+    opts.retry = RetryPolicy::abort_fast();
+    opts.listen = Some(addr.clone());
+    let hand = std::thread::spawn(move || {
+        // Joined, but never asks for work: all it will hear is Shutdown.
+        let (mut conn, _) = dial_session(&addr, "hand", 0);
+        match read_within(&mut conn, 60_000) {
+            Some(Message::Shutdown) => {}
+            other => panic!("expected Shutdown, got {:?}", other.map(|m| m.name())),
+        }
+        conn.set_read_timeout(Some(Duration::from_millis(300)))
+            .unwrap();
+        match Message::read_from(&mut conn, &Limits::DEFAULT) {
+            Err(WireError::Io(e))
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) => {}
+            other => panic!(
+                "the hub ended the session before its worker did: {:?}",
+                other.map(|(m, _)| m.name())
+            ),
+        }
+        drop(conn);
+        Instant::now()
+    });
+    let (run, _) = run_distributed(&inputs, &dataset, RunMode::Composability, &opts).unwrap();
+    let finished = Instant::now();
+    let closed = hand.join().unwrap();
+    assert_eq!(
+        run_json(&baseline(&inputs, &dataset, RunMode::Composability)),
+        run_json(&run)
+    );
+    let lag = finished.saturating_duration_since(closed);
+    assert!(
+        lag < Duration::from_millis(2500),
+        "the run ended {lag:?} after the last session closed"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A socket that dies during the `BlocksRequest`/`Blocks` exchange is a

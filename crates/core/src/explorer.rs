@@ -1,5 +1,5 @@
 //! Pluggable exploration strategies and the one propose/observe engine
-//! every run explores through (`DESIGN.md` §14).
+//! every run explores through (`DESIGN.md` §13).
 //!
 //! The paper fixes the promising subspace up front and evaluates it in
 //! objective order, in rounds of `num_workers`. Composability makes

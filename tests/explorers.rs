@@ -1,4 +1,4 @@
-//! Explorer determinism contract (DESIGN.md §14): every strategy
+//! Explorer determinism contract (DESIGN.md §13): every strategy
 //! (`fixed`, `taylor`, `bandit`) runs through the one propose/observe
 //! driver and must walk the exact same trajectory — bit for bit — across
 //! repeat runs, thread counts, worker processes, and a crash/resume that
@@ -125,7 +125,7 @@ fn distributed_is_bit_identical_to_single_process() {
         let local_journal = dir.join("local.journal");
         let reference =
             single(&inputs, &dataset, kind, Some(local_journal.clone()), false).unwrap();
-        let mut opts = ClusterOptions::new(dir.join("run"), 2, worker_cmd());
+        let mut opts = ClusterOptions::new(dir.join("logs"), 2, worker_cmd());
         opts.retry = RetryPolicy::abort_fast();
         opts.explorer = kind;
         opts.explorer_budget = BUDGET;
