@@ -5,7 +5,7 @@
 //! The key structural decision is that the coordinator is *just another
 //! [`Executor`]* plugged into the one phase driver
 //! ([`wootz_core::pipeline::run_phases`]): each [`Task`] the driver hands
-//! it becomes one wire task, which a worker runs through the same
+//! travels as one wire task, which a worker runs through the same
 //! [`wootz_core::pipeline::execute`] as the in-process runtime. The round
 //! width stays `solver.num_workers` (the paper's logical task-assignment
 //! `p`), while `--distributed N` only chooses how many OS processes
@@ -51,7 +51,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use serde::Serialize;
 
-use wootz_core::compile::{MultiplexingModel, TuningBlock};
+use wootz_core::compile::MultiplexingModel;
 use wootz_core::explorer::ExplorerKind;
 use wootz_core::pipeline::{
     block_pretrain_config, run_phases, Executor, RunMode, RunOptions, Task, TaskContext,
@@ -64,7 +64,7 @@ use wootz_fault::{FaultPlan, RetryPolicy};
 use wootz_nn::Checkpoint;
 
 use crate::net::NetHub;
-use crate::protocol::{cluster_err, Manifest, ResultPayload, TaskKind, TaskResult, TaskSpec};
+use crate::protocol::{cluster_err, Manifest, ResultPayload, TaskResult, TaskSpec};
 
 /// Options of a distributed run.
 #[derive(Debug, Clone)]
@@ -119,8 +119,8 @@ pub struct ClusterOptions<'a> {
     /// Exploration strategy. [`ExplorerKind::Fixed`] (the default) walks
     /// the input subspace in objective order; the others grow the
     /// evaluation universe from their own proposals. Every strategy runs
-    /// the same driver, dispatches universe-carrying tasks, and
-    /// republishes the block bag whenever a round pre-trained new blocks.
+    /// the same driver, dispatches self-contained tasks, and publishes a
+    /// round's newly pre-trained blocks before its evaluations.
     pub explorer: ExplorerKind,
     /// Maximum configurations proposals may add to the evaluation
     /// universe (the fixed strategy adds none and so ignores it).
@@ -433,21 +433,17 @@ struct Coordinator<'a> {
     /// Per-step wall-time samples (ms) of accepted results — the
     /// speculation deadline's calibration data.
     rate_samples: Vec<f64>,
-    /// The keys of the block bag last handed to the hub. The driver's
-    /// bag only grows, so a batch needing a key outside this set is what
-    /// triggers a republish.
-    published: BTreeSet<String>,
 }
 
 impl Coordinator<'_> {
     /// A first-attempt task of this epoch under a fresh sequence number.
-    fn task(&mut self, kind: TaskKind, expected_steps: usize) -> TaskSpec {
+    fn task(&mut self, task: Task, expected_steps: usize) -> TaskSpec {
         self.next_seq += 1;
         TaskSpec {
             seq: self.next_seq,
             attempt: 1,
             epoch: self.epoch,
-            kind,
+            task,
             expected_steps,
         }
     }
@@ -731,19 +727,26 @@ impl Coordinator<'_> {
         true
     }
 
-    /// Publishes the driver's grown bag of pre-trained blocks for the
-    /// evaluation workers: the hub re-encodes the bag's frame so workers
-    /// always fetch the round-complete bag.
+    /// Hands the blocks of the driver's bag the hub does not have yet to
+    /// the hub, for the evaluation workers to fetch by key. Called before
+    /// an evaluation batch is enqueued, so every block a round's
+    /// evaluations can use is published before any of them is granted.
     fn publish_blocks(&mut self, bag: &BTreeMap<String, Checkpoint>) -> Result<()> {
-        self.published.extend(bag.keys().cloned());
+        let fresh: Vec<(&String, &Checkpoint)> = bag
+            .iter()
+            .filter(|(key, _)| !self.hub.has_block(key))
+            .collect();
+        if fresh.is_empty() {
+            return Ok(());
+        }
         // Chaos: die with the round's blocks pre-trained and journaled
-        // but the bag not yet handed to the hub — the assembly-publish
-        // window. The restarted epoch replays pre-training from the
-        // journal and republishes.
+        // but not yet handed to the hub — the assembly-publish window.
+        // The restarted epoch replays pre-training from the journal and
+        // publishes.
         if wootz_fault::chaos::kill_point(wootz_fault::chaos::kill_site::COORD_ASSEMBLE) {
             wootz_fault::chaos::die(wootz_fault::chaos::kill_site::COORD_ASSEMBLE);
         }
-        self.hub.publish_blocks(bag)
+        self.hub.publish_blocks(fresh)
     }
 
     /// Shuts the run down: broadcasts `Shutdown`, waits up to the grace
@@ -814,45 +817,31 @@ impl Coordinator<'_> {
 /// the worker processes and mapped back positionally, so the phase driver
 /// folds exactly what the [`LocalExecutor`] would have produced.
 impl Executor for Coordinator<'_> {
-    /// Publishes the block bag first when an evaluation batch needs keys
-    /// the workers cannot fetch yet, then drives one wire task per
-    /// [`Task`] to completion. An abandoned unit of work becomes a
-    /// [`CoreError::Remote`] failure of its task.
+    /// Publishes the bag's new blocks first when the batch evaluates,
+    /// then drives one wire task per [`Task`] to completion. An abandoned
+    /// unit of work becomes a [`CoreError::Remote`] failure of its task.
     fn run(&mut self, cx: &TaskContext<'_>, tasks: &[Task]) -> Result<Vec<TaskOutput>> {
-        let evaluates = tasks.iter().any(|t| matches!(t, Task::Eval { .. }));
-        if let Some(bag) = cx.blocks.filter(|_| evaluates) {
-            if bag.keys().any(|key| !self.published.contains(key)) {
-                self.publish_blocks(bag)?;
-            }
+        if tasks.iter().any(|t| matches!(t, Task::Eval { .. })) {
+            self.publish_blocks(cx.blocks)?;
         }
-        let _span = matches!(tasks.first(), Some(Task::Pretrain { .. }))
-            .then(|| wootz_obs::span("cluster.pretrain").with("blocks", cx.batch.len()));
+        let _span = matches!(tasks.first(), Some(Task::Pretrain { .. })).then(|| {
+            let blocks: usize = tasks
+                .iter()
+                .map(|t| match t {
+                    Task::Pretrain { blocks, .. } => blocks.len(),
+                    Task::Eval { .. } => 0,
+                })
+                .sum();
+            wootz_obs::span("cluster.pretrain").with("blocks", blocks)
+        });
         let specs = tasks
             .iter()
             .map(|task| {
-                let (kind, expected_steps) = match task {
-                    Task::Eval { config_index } => (
-                        TaskKind::Eval {
-                            config_index: *config_index,
-                            universe: cx
-                                .env
-                                .expect("an evaluation task needs a universe")
-                                .inputs
-                                .subspace
-                                .clone(),
-                        },
-                        cx.inputs.solver.max_iter,
-                    ),
-                    Task::Pretrain { group_index, group } => (
-                        TaskKind::Pretrain {
-                            group_index: *group_index,
-                            blocks: cx.batch.to_vec(),
-                            group: group.clone(),
-                        },
-                        block_pretrain_config(&cx.inputs.solver).steps,
-                    ),
+                let expected_steps = match task {
+                    Task::Eval { .. } => cx.inputs.solver.max_iter,
+                    Task::Pretrain { .. } => block_pretrain_config(&cx.inputs.solver).steps,
                 };
-                self.task(kind, expected_steps)
+                self.task(task.clone(), expected_steps)
             })
             .collect();
         let outcomes = self.drive(specs)?;
@@ -860,14 +849,14 @@ impl Executor for Coordinator<'_> {
             .iter()
             .zip(outcomes)
             .map(|(task, outcome)| match outcome.result {
-                Some(result) => task_output(task, cx.batch, result.payload),
+                Some(result) => task_output(task, result.payload),
                 None => {
                     let error = CoreError::Remote(format!(
                         "{}: task abandoned after {} worker attempts (every lease expired)",
                         unit(task),
                         outcome.attempts
                     ));
-                    Ok(TaskOutput::failed(task, cx.batch, error, outcome.attempts))
+                    Ok(TaskOutput::failed(task, error, outcome.attempts))
                 }
             })
             .collect()
@@ -877,7 +866,7 @@ impl Executor for Coordinator<'_> {
 /// How errors name the unit of work `task` is.
 fn unit(task: &Task) -> String {
     match task {
-        Task::Eval { config_index } => format!("configuration {config_index}"),
+        Task::Eval { config_index, .. } => format!("configuration {config_index}"),
         Task::Pretrain { group_index, .. } => format!("pre-training group {group_index}"),
     }
 }
@@ -886,17 +875,20 @@ fn unit(task: &Task) -> String {
 /// other kind, for another configuration or group, or naming a block
 /// outside the task's group is refused: the driver would fold or journal
 /// it under the wrong unit of work.
-fn task_output(task: &Task, batch: &[TuningBlock], payload: ResultPayload) -> Result<TaskOutput> {
+fn task_output(task: &Task, payload: ResultPayload) -> Result<TaskOutput> {
     let refuse = |what: String| Err(cluster_err(format!("{} returned {what}", unit(task))));
     match (task, payload) {
-        (Task::Eval { config_index }, ResultPayload::Eval(wire)) => {
+        (Task::Eval { config_index, .. }, ResultPayload::Eval(wire)) => {
             if wire.config_index != *config_index {
                 return refuse(format!("config {}", wire.config_index));
             }
             Ok(TaskOutput::Eval(wire.into_supervised()))
         }
         (
-            Task::Pretrain { group_index, group },
+            Task::Pretrain {
+                group_index,
+                blocks: group,
+            },
             ResultPayload::Pretrain {
                 group_index: returned,
                 blocks,
@@ -906,7 +898,7 @@ fn task_output(task: &Task, batch: &[TuningBlock], payload: ResultPayload) -> Re
             if returned != *group_index {
                 return refuse(format!("group {returned}"));
             }
-            let keys: BTreeSet<String> = group.iter().map(|&bi| batch[bi].key()).collect();
+            let keys: BTreeSet<String> = group.iter().map(|(_, block)| block.key()).collect();
             let returned_keys = blocks.iter().map(|b| &b.key);
             if let Some(stray) = returned_keys
                 .chain(failed.iter().map(|(key, _)| key))
@@ -933,7 +925,6 @@ impl<'a> Coordinator<'a> {
     /// directory.
     fn start(
         inputs: &'a WootzInputs,
-        mode: RunMode,
         opts: &'a ClusterOptions<'a>,
         full_ckpt: &Checkpoint,
     ) -> Result<Coordinator<'a>> {
@@ -943,10 +934,8 @@ impl<'a> Coordinator<'a> {
         let manifest = Manifest {
             epoch,
             model: inputs.model.clone(),
-            subspace: inputs.subspace.clone(),
             solver: inputs.solver.clone(),
             objective: inputs.objective.clone(),
-            mode,
             faults: opts.faults.cloned(),
             retry: opts.retry,
             lease_ms: opts.lease_ms,
@@ -968,7 +957,6 @@ impl<'a> Coordinator<'a> {
             },
             next_seq: 0,
             rate_samples: Vec::new(),
-            published: BTreeSet::new(),
         })
     }
 }
@@ -1036,7 +1024,7 @@ pub fn run_distributed(
         ..RunOptions::default()
     };
     let (run, coord) = run_phases(inputs, dataset, mode, &mm, None, &run_opts, |full_ckpt| {
-        Coordinator::start(inputs, mode, opts, full_ckpt)
+        Coordinator::start(inputs, opts, full_ckpt)
     })?;
     let stats = coord.finish();
     wootz_obs::event("cluster.run_done")
@@ -1065,8 +1053,10 @@ pub fn self_worker_cmd(prefix: &[&str]) -> Result<(PathBuf, Vec<String>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wootz_core::compile::TuningBlock;
     use wootz_core::explore::{EvalOutcome, SupervisedEval};
     use wootz_core::pretrain::PretrainedBlock;
+    use wootz_core::prune::PruneConfig;
 
     use crate::protocol::WireEval;
 
@@ -1131,13 +1121,16 @@ mod tests {
     fn results_for_another_unit_of_work_are_refused() {
         let batch = batch();
         let (k0, k1, k2) = (batch[0].key(), batch[1].key(), batch[2].key());
-        let eval = Task::Eval { config_index: 3 };
+        let eval = Task::Eval {
+            config_index: 3,
+            config: PruneConfig::unpruned(4),
+            blocks: None,
+        };
         let group = Task::Pretrain {
             group_index: 1,
-            group: vec![0, 2],
+            blocks: vec![(0, batch[0].clone()), (2, batch[2].clone())],
         };
-        let refused = |task: &Task, payload: ResultPayload| match task_output(task, &batch, payload)
-        {
+        let refused = |task: &Task, payload: ResultPayload| match task_output(task, payload) {
             Ok(_) => panic!("accepted a mismatched payload for {task:?}"),
             Err(e) => e.to_string(),
         };
@@ -1165,8 +1158,12 @@ mod tests {
     fn results_for_their_own_task_map_to_its_output() {
         let batch = batch();
         let (k0, k2) = (batch[0].key(), batch[2].key());
-        let eval = Task::Eval { config_index: 3 };
-        match task_output(&eval, &batch, eval_payload(3)).unwrap() {
+        let eval = Task::Eval {
+            config_index: 3,
+            config: PruneConfig::unpruned(4),
+            blocks: None,
+        };
+        match task_output(&eval, eval_payload(3)).unwrap() {
             TaskOutput::Eval(sup) => {
                 assert_eq!(sup.attempts, 1);
                 assert_eq!(sup.result.unwrap().model_size, 10);
@@ -1175,9 +1172,9 @@ mod tests {
         }
         let group = Task::Pretrain {
             group_index: 1,
-            group: vec![0, 2],
+            blocks: vec![(0, batch[0].clone()), (2, batch[2].clone())],
         };
-        match task_output(&group, &batch, pretrain_payload(1, &[&k0], &[&k2])).unwrap() {
+        match task_output(&group, pretrain_payload(1, &[&k0], &[&k2])).unwrap() {
             TaskOutput::Pretrain(out) => {
                 assert_eq!(out.blocks.len(), 1);
                 assert_eq!(out.blocks[0].key, k0);

@@ -10,16 +10,16 @@
 //! record encoding (PROTOCOL.md §8), the manifest as a bounded JSON
 //! document (PROTOCOL.md §5).
 //!
-//! The conversation, briefly (full state machine in PROTOCOL.md §6):
+//! The conversation, briefly (full state machine in PROTOCOL.md §7):
 //!
 //! ```text
 //! worker                         coordinator
 //!   | -- Hello{worker,epoch} ------>  |   (epoch 0 = "tell me yours")
 //!   | <-- Welcome{epoch,manifest,...} |   (or Shutdown when draining)
-//!   | -- BlocksRequest ------------>  |   (optional, before eval work)
-//!   | <-- Blocks{index} ------------  |
 //!   | -- TaskRequest{worker} ------>  |   (long-poll: parked until work)
 //!   | <-- TaskGrant{task} | NoTask -  |
+//!   | -- BlocksRequest{keys} ------>  |   (an evaluation needing blocks
+//!   | <-- Blocks{index} ------------  |    the worker lacks)
 //!   | -- Heartbeat{...} ----------->  |   (quarter-lease cadence)
 //!   | <-- HeartbeatAck{nonce} ------  |
 //!   | -- TaskDone{result} --------->  |
@@ -38,6 +38,11 @@ use crate::protocol::{read_doc, write_doc, Manifest, TaskResult, TaskSpec};
 
 /// A protocol message: one frame on the wire. Variant order matches the
 /// msg-type codes in [`Message::CATALOG`].
+// `Welcome` (its inline manifest) makes every `Message` ≈ 400 bytes.
+// A message lives only between a decode and its handling, one per frame,
+// and is never stored in bulk, so boxing the manifest would buy nothing
+// but an allocation per `Welcome` and a `Box` at every construction site.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum Message {
     /// Worker → coordinator: opens (or re-opens) a session. `epoch` is
@@ -104,11 +109,16 @@ pub enum Message {
         /// The completed task's result record.
         result: TaskResult,
     },
-    /// Worker → coordinator: asks for the pre-trained block index
-    /// (needed before evaluation tasks; empty until pre-training ends).
-    BlocksRequest,
-    /// Coordinator → worker: the current pre-trained block index as
-    /// `(block key, checkpoint)` pairs.
+    /// Worker → coordinator: asks for pre-trained blocks by key — the
+    /// keys an evaluation task needs that the worker has neither fetched
+    /// nor been told are absent.
+    BlocksRequest {
+        /// The block keys asked for.
+        keys: Vec<String>,
+    },
+    /// Coordinator → worker: the requested blocks the coordinator has, as
+    /// `(block key, checkpoint)` pairs in request order. A requested key left
+    /// out is a block whose pre-training failed.
     Blocks {
         /// Block key → trained checkpoint.
         index: Vec<(String, Checkpoint)>,
@@ -196,7 +206,7 @@ impl Message {
             Message::Heartbeat { .. } => 6,
             Message::HeartbeatAck { .. } => 7,
             Message::TaskDone { .. } => 8,
-            Message::BlocksRequest => 9,
+            Message::BlocksRequest { .. } => 9,
             Message::Blocks { .. } => 10,
             Message::Shutdown => 11,
             Message::SubmitJob { .. } => 12,
@@ -248,7 +258,8 @@ impl Message {
             }
             Message::HeartbeatAck { nonce } => nonce.wire_write(&mut out)?,
             Message::TaskDone { result } => result.wire_write(&mut out)?,
-            Message::BlocksRequest | Message::Shutdown => {}
+            Message::Shutdown => {}
+            Message::BlocksRequest { keys } => keys.wire_write(&mut out)?,
             Message::Blocks { index } => index.wire_write(&mut out)?,
             Message::SubmitJob {
                 model,
@@ -291,7 +302,8 @@ impl Message {
             Message::NoTask { .. } | Message::HeartbeatAck { .. } => 8,
             Message::Heartbeat { worker, .. } => worker.wire_size() + 8 + 4 + 8,
             Message::TaskDone { result } => result.wire_size(),
-            Message::BlocksRequest | Message::Shutdown => 0,
+            Message::Shutdown => 0,
+            Message::BlocksRequest { keys } => keys.wire_size(),
             Message::Blocks { index } => index.wire_size(),
             Message::SubmitJob {
                 model,
@@ -360,7 +372,9 @@ impl Message {
             8 => Message::TaskDone {
                 result: TaskResult::wire_read(&mut r)?,
             },
-            9 => Message::BlocksRequest,
+            9 => Message::BlocksRequest {
+                keys: Vec::<String>::wire_read(&mut r)?,
+            },
             10 => Message::Blocks {
                 index: Vec::<(String, Checkpoint)>::wire_read(&mut r)?,
             },
@@ -443,7 +457,9 @@ mod tests {
                 },
                 "HeartbeatAck" => Message::HeartbeatAck { nonce: 9 },
                 "TaskDone" => continue,
-                "BlocksRequest" => Message::BlocksRequest,
+                "BlocksRequest" => Message::BlocksRequest {
+                    keys: vec!["m0r30".into()],
+                },
                 "Blocks" => Message::Blocks { index: Vec::new() },
                 "Shutdown" => Message::Shutdown,
                 "SubmitJob" => Message::SubmitJob {
@@ -498,7 +514,9 @@ mod tests {
                 nonce: 0xDEAD,
             },
             Message::HeartbeatAck { nonce: 0xDEAD },
-            Message::BlocksRequest,
+            Message::BlocksRequest {
+                keys: vec!["m0r30".into(), "m1r50+m2r50".into()],
+            },
             Message::Shutdown,
             Message::SubmitJob {
                 model: "name: \"net\"".into(),

@@ -59,7 +59,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use wootz_nn::Checkpoint;
-use wootz_wire::{write_frame, Limits, WireError, WireResult};
+use wootz_wire::{write_frame, write_len, Limits, WireError, WireResult, WireSerialize};
 
 use wootz_core::Result;
 
@@ -256,10 +256,13 @@ struct HubState {
     readopted: AtomicUsize,
     /// `NoTask` replies sent — each one a park that expired.
     no_task_replies: AtomicUsize,
-    /// The encoded [`Message::Blocks`] frame of the published block
-    /// bag ([`NetHub::publish_blocks`]; empty until the first publish),
-    /// shared by every [`Message::BlocksRequest`].
-    blocks: Mutex<Arc<EncodedFrame>>,
+    /// The published pre-trained blocks by key ([`NetHub::publish_blocks`]),
+    /// each encoded once, as its `(key, checkpoint)` element of a
+    /// [`Message::Blocks`] payload.
+    blocks: Mutex<BTreeMap<String, Vec<u8>>>,
+    /// The block keys each worker id has asked for, so a key asked for
+    /// again is counted (`net.blocks_keys_repeated`).
+    asked: Mutex<HashMap<String, HashSet<String>>>,
     /// Set when the coordinator is draining: new sessions and task
     /// requests are answered with [`Message::Shutdown`].
     draining: AtomicBool,
@@ -304,6 +307,34 @@ impl HubState {
             drop(queue);
             self.events.raise();
         }
+    }
+
+    /// Answers a `BlocksRequest` from `worker` with the requested blocks
+    /// the hub has, in request order: the payload is the elements
+    /// [`NetHub::publish_blocks`] encoded, copied, never re-encoded.
+    fn answer_blocks_request(
+        &self,
+        session: &Session,
+        worker: Option<&str>,
+        keys: &[String],
+    ) -> WireResult<usize> {
+        wootz_obs::counter("net.blocks_requests").incr();
+        if let Some(worker) = worker {
+            let mut asked = lock_recover(&self.asked);
+            let asked = asked.entry(worker.to_string()).or_default();
+            let repeated = keys.iter().filter(|key| !asked.insert(key.to_string()));
+            wootz_obs::counter("net.blocks_keys_repeated").add(repeated.count() as u64);
+        }
+        let published = lock_recover(&self.blocks);
+        let found: Vec<&Vec<u8>> = keys.iter().filter_map(|key| published.get(key)).collect();
+        let mut payload = Vec::new();
+        write_len(&mut payload, "Blocks index", found.len())?;
+        found
+            .iter()
+            .for_each(|element| payload.extend_from_slice(element));
+        drop(published);
+        let msg_type = Message::Blocks { index: Vec::new() }.msg_type();
+        send_frame(&session.writer, &EncodedFrame { msg_type, payload })
     }
 
     /// Answers one `TaskRequest` as a long-poll: grants the moment a task
@@ -403,10 +434,8 @@ impl NetHub {
             reconnects: AtomicUsize::new(0),
             readopted: AtomicUsize::new(0),
             no_task_replies: AtomicUsize::new(0),
-            blocks: Mutex::new(Arc::new(
-                EncodedFrame::of(&Message::Blocks { index: Vec::new() })
-                    .expect("an empty block bag encodes"),
-            )),
+            blocks: Mutex::new(BTreeMap::new()),
+            asked: Mutex::new(HashMap::new()),
             draining: AtomicBool::new(false),
             closing: AtomicBool::new(false),
             sessions: Mutex::new(HashMap::new()),
@@ -530,20 +559,32 @@ impl NetHub {
         self.state.no_task_replies.load(Ordering::Relaxed)
     }
 
-    /// Publishes the bag of pre-trained blocks: encodes its
-    /// [`Message::Blocks`] frame once, for every later
-    /// [`Message::BlocksRequest`]. Rounds that pre-train new blocks grow
-    /// the bag mid-run; the coordinator republishes it before it enqueues
-    /// the round's evaluations, so workers always see the complete bag.
+    /// Whether the block `key` has been published.
+    pub fn has_block(&self, key: &str) -> bool {
+        lock_recover(&self.state.blocks).contains_key(key)
+    }
+
+    /// Publishes pre-trained blocks for [`Message::BlocksRequest`]s:
+    /// encodes each once and adds it under its key. Rounds that pre-train
+    /// new blocks publish them before the round's evaluations are
+    /// enqueued, so a key a worker asks for and the hub lacks is a block
+    /// whose pre-training failed.
     ///
     /// # Errors
     ///
-    /// Returns an error when the frame cannot be encoded.
-    pub fn publish_blocks(&self, bag: &BTreeMap<String, Checkpoint>) -> Result<()> {
-        let index = bag.iter().map(|(k, c)| (k.clone(), c.clone())).collect();
-        let frame = EncodedFrame::of(&Message::Blocks { index })
-            .map_err(|e| cluster_err(format!("cannot encode the block index: {e}")))?;
-        *lock_recover(&self.state.blocks) = Arc::new(frame);
+    /// Returns an error when a block cannot be encoded.
+    pub fn publish_blocks<'b>(
+        &self,
+        blocks: impl IntoIterator<Item = (&'b String, &'b Checkpoint)>,
+    ) -> Result<()> {
+        let mut published = lock_recover(&self.state.blocks);
+        for (key, checkpoint) in blocks {
+            let mut element = Vec::with_capacity(key.wire_size() + checkpoint.wire_size());
+            key.wire_write(&mut element)
+                .and_then(|_| checkpoint.wire_write(&mut element))
+                .map_err(|e| cluster_err(format!("cannot encode block `{key}`: {e}")))?;
+            published.insert(key.clone(), element);
+        }
         Ok(())
     }
 
@@ -620,6 +661,8 @@ fn handle_connection(state: Arc<HubState>, id: u64, stream: TcpStream) {
         writer: Mutex::new(stream),
         shutdown_sent: AtomicBool::new(false),
     });
+    // The worker id of the session's `Hello`.
+    let mut worker_id: Option<String> = None;
     lock_recover(&state.sessions).insert(id, Arc::clone(&session));
     let _registered = SessionGuard { state: &state, id };
     if state.closing.load(Ordering::SeqCst) {
@@ -645,6 +688,7 @@ fn handle_connection(state: Arc<HubState>, id: u64, stream: TcpStream) {
         let is_task_request = matches!(msg, Message::TaskRequest { .. });
         let reply = match msg {
             Message::Hello { worker, epoch } => {
+                worker_id = Some(worker.clone());
                 let mut known = lock_recover(&state.known_workers);
                 let sessions = known.entry(worker.clone()).or_insert(0);
                 *sessions += 1;
@@ -701,11 +745,11 @@ fn handle_connection(state: Arc<HubState>, id: u64, stream: TcpStream) {
                 state.deliver(result, received);
                 None
             }
-            Message::BlocksRequest => {
-                // The cached frame goes out as it is: no per-request
-                // copy of the bag, no per-request re-encoding.
-                let frame = Arc::clone(&lock_recover(&state.blocks));
-                if send_frame(&session.writer, &frame).is_err() {
+            Message::BlocksRequest { keys } => {
+                if state
+                    .answer_blocks_request(&session, worker_id.as_deref(), &keys)
+                    .is_err()
+                {
                     return;
                 }
                 None
@@ -871,19 +915,18 @@ impl Drop for NetClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{ResultPayload, TaskKind, WireEval};
+    use crate::protocol::{ResultPayload, WireEval};
     use std::collections::BTreeSet;
-    use wootz_core::pipeline::RunMode;
+    use wootz_core::pipeline::Task;
+    use wootz_core::prune::PruneConfig;
 
     /// A hub on an ephemeral loopback port whose tasks nobody executes.
     fn idle_hub() -> NetHub {
         let manifest = Manifest {
             epoch: 1,
             model: wootz_models::resnet_mini(8),
-            subspace: Vec::new(),
             solver: wootz_ir::SolverConfig::parse("dataset: \"flowers102\"\n").unwrap(),
             objective: wootz_ir::Objective::parse("min ModelSize\n").unwrap(),
-            mode: RunMode::Baseline,
             faults: None,
             retry: wootz_fault::RetryPolicy::abort_fast(),
             lease_ms: 1500,
@@ -896,9 +939,10 @@ mod tests {
             seq,
             attempt,
             epoch: 1,
-            kind: TaskKind::Eval {
+            task: Task::Eval {
                 config_index: seq as usize,
-                universe: Vec::new(),
+                config: PruneConfig::unpruned(4),
+                blocks: None,
             },
             expected_steps: 5,
         }

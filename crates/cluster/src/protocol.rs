@@ -6,11 +6,12 @@
 //! travels in frames ([`crate::messages`]); none of it is a file.
 //!
 //! The formats are deliberately *value-complete*: a worker process needs
-//! nothing but its `Welcome` and its tasks to reconstruct the exact
-//! evaluation function the single-process pipeline would run (the model
-//! IR, subspace, solver and objective are all in the manifest; the
-//! trained full model and the pre-trained block checkpoints arrive in
-//! the checkpoint encoding of `PROTOCOL.md` §8). Weights are bytes, never
+//! nothing but its `Welcome`, its tasks and the blocks it fetches by key
+//! to run the exact function the single-process pipeline would run (the
+//! model IR, solver and objective are in the manifest; each task carries
+//! its configuration or blocks; the trained full model and the
+//! pre-trained block checkpoints arrive in the checkpoint encoding of
+//! `PROTOCOL.md` §8). Weights are bytes, never
 //! text: checkpoints and pre-trained blocks cross TCP in the encoding
 //! the run journal stores, floats as bit patterns, which is what makes
 //! remote results byte-identical to local ones.
@@ -20,19 +21,16 @@ use std::io::{Read, Write};
 use serde::{Deserialize, Serialize};
 
 use wootz_core::explore::{EvalOutcome, SupervisedEval};
-use wootz_core::pipeline::RunMode;
+use wootz_core::pipeline::Task;
 use wootz_core::pretrain::PretrainedBlock;
-use wootz_core::prune::PruneConfig;
 use wootz_core::CoreError;
 use wootz_fault::{FaultPlan, RetryPolicy};
 use wootz_ir::{ModelIr, Objective, SolverConfig};
-use wootz_wire::{
-    write_bytes, write_len, WireDeserialize, WireError, WireReader, WireResult, WireSerialize,
-};
+use wootz_wire::{write_bytes, WireDeserialize, WireError, WireReader, WireResult, WireSerialize};
 
-/// Everything a worker process needs to reconstruct the run: the four
-/// pipeline inputs, the supervision policy, and the coordinator's fencing
-/// epoch. Built once per coordinator start and handed to every worker
+/// What a worker process needs of the run besides its tasks: the model,
+/// solver and objective, the supervision policy, and the coordinator's
+/// fencing epoch. Built once per coordinator start and handed to every worker
 /// in its `Welcome`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Manifest {
@@ -43,14 +41,10 @@ pub struct Manifest {
     pub epoch: u64,
     /// The to-be-pruned model.
     pub model: ModelIr,
-    /// The promising subspace.
-    pub subspace: Vec<PruneConfig>,
     /// Training meta data.
     pub solver: SolverConfig,
     /// The pruning objective.
     pub objective: Objective,
-    /// The run mode (workers recompute tuning blocks from it).
-    pub mode: RunMode,
     /// Deterministic fault-injection plan, shared by every process so the
     /// schedule is identical no matter which worker claims a task.
     pub faults: Option<FaultPlan>,
@@ -59,48 +53,6 @@ pub struct Manifest {
     /// Lease duration in milliseconds; workers heartbeat at a quarter of
     /// this period.
     pub lease_ms: u64,
-}
-
-/// The unit of work a task executes. Both kinds are self-describing —
-/// they carry the configurations or blocks they operate on inline —
-/// because only the coordinator knows the explorer's trajectory: the
-/// evaluation universe is the input subspace for the default `fixed`
-/// explorer and grows from proposals for the others.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TaskKind {
-    /// Evaluate one configuration of the evaluation *universe* (assemble,
-    /// fine-tune, test). The universe index doubles as the evaluation
-    /// seed index.
-    Eval {
-        /// Index into `universe` of the configuration to evaluate.
-        config_index: usize,
-        /// The evaluation universe as of this round (the explorer's
-        /// initial universe followed by every accepted proposal so far).
-        universe: Vec<PruneConfig>,
-    },
-    /// Pre-train one group of non-overlapping tuning blocks of a round's
-    /// block batch.
-    Pretrain {
-        /// Group index within the batch's partition (keys the
-        /// deterministic batch stream).
-        group_index: usize,
-        /// The round's full pre-training batch, in trajectory order.
-        blocks: Vec<wootz_core::compile::TuningBlock>,
-        /// Block indices (into `blocks`) of this group.
-        group: Vec<usize>,
-    },
-}
-
-impl TaskKind {
-    /// Wire tag of [`TaskKind::Eval`].
-    pub const TAG_EVAL: u8 = 2;
-    /// Wire tag of [`TaskKind::Pretrain`].
-    pub const TAG_PRETRAIN: u8 = 3;
-    /// Retired wire tags: the index-only `Eval` (0) and `Pretrain` (1) of
-    /// protocol revisions whose tasks addressed the manifest's subspace
-    /// and block list. Never reused, so a mixed fleet fails decoding with
-    /// `InvalidValue` instead of misreading a task.
-    pub const RETIRED_TAGS: [u8; 2] = [0, 1];
 }
 
 /// One schedulable task. `(seq, attempt)` is globally unique within an
@@ -115,21 +67,33 @@ pub struct TaskSpec {
     pub attempt: u32,
     /// The coordinator epoch that enqueued this task.
     pub epoch: u64,
-    /// What to execute.
-    pub kind: TaskKind,
+    /// What to execute, with everything it needs but the run's fixed
+    /// context and the pre-trained blocks it fetches by key.
+    pub task: Task,
     /// Expected SGD steps (from the solver), the deadline basis for
     /// straggler speculation.
     pub expected_steps: usize,
 }
 
 impl TaskSpec {
+    /// Wire tag of [`Task::Eval`].
+    pub const TAG_EVAL: u8 = 4;
+    /// Wire tag of [`Task::Pretrain`].
+    pub const TAG_PRETRAIN: u8 = 5;
+    /// Retired wire tags, never reused, so a mixed fleet fails decoding
+    /// with `InvalidValue` instead of misreading a task: the index-only
+    /// `Eval` (0) and `Pretrain` (1) that addressed the manifest's
+    /// subspace and block list, and the `Eval` (2) and `Pretrain` (3)
+    /// that carried the whole universe and the whole batch.
+    pub const RETIRED_TAGS: [u8; 4] = [0, 1, 2, 3];
+
     /// The fault-injection key of this task at `site::CLUSTER_TASK`:
     /// config index for evaluations, group index for pre-training — the
     /// same keying the in-process fault sites use.
     pub fn fault_key(&self) -> u64 {
-        match &self.kind {
-            TaskKind::Eval { config_index, .. } => *config_index as u64,
-            TaskKind::Pretrain { group_index, .. } => *group_index as u64,
+        match &self.task {
+            Task::Eval { config_index, .. } => *config_index as u64,
+            Task::Pretrain { group_index, .. } => *group_index as u64,
         }
     }
 }
@@ -232,7 +196,7 @@ pub fn cluster_err(detail: impl Into<String>) -> CoreError {
 // The network transport (`crate::net`) frames these values with
 // `wootz-wire`. Control-plane scalars (ids, sequence numbers, tags) and
 // weights (`Checkpoint`, `PretrainedBlock`) get fixed-layout binary
-// encodings; the manifest, the task universe, tuning blocks and
+// encodings; the manifest, a task's configuration, tuning blocks and
 // evaluation outcomes ride as a length-prefixed JSON *document*, the same
 // JSON the journal holds. Documents are bounded like any other blob:
 // their declared length is checked against the frame budget before
@@ -286,104 +250,79 @@ pub(crate) fn read_usize<R: Read>(
     })
 }
 
-impl WireSerialize for TaskKind {
-    fn wire_size(&self) -> usize {
-        match self {
-            TaskKind::Eval { universe, .. } => 1 + 8 + doc_size(universe),
-            TaskKind::Pretrain { blocks, group, .. } => {
-                1 + 8 + doc_size(blocks) + 4 + 8 * group.len()
-            }
-        }
-    }
-
-    fn wire_write<W: Write + ?Sized>(&self, w: &mut W) -> WireResult<()> {
-        match self {
-            TaskKind::Eval {
-                config_index,
-                universe,
-            } => {
-                w.write_all(&[TaskKind::TAG_EVAL])?;
-                (*config_index as u64).wire_write(w)?;
-                write_doc(w, "TaskKind::Eval universe", universe)
-            }
-            TaskKind::Pretrain {
-                group_index,
-                blocks,
-                group,
-            } => {
-                w.write_all(&[TaskKind::TAG_PRETRAIN])?;
-                (*group_index as u64).wire_write(w)?;
-                write_doc(w, "TaskKind::Pretrain blocks", blocks)?;
-                write_len(w, "TaskKind::Pretrain group", group.len())?;
-                for &block in group {
-                    (block as u64).wire_write(w)?;
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-impl WireDeserialize for TaskKind {
-    fn wire_read<R: Read>(r: &mut WireReader<R>) -> WireResult<Self> {
-        match r.u8("TaskKind tag")? {
-            TaskKind::TAG_EVAL => Ok(TaskKind::Eval {
-                config_index: read_usize(r, "TaskKind::Eval config_index")?,
-                universe: read_doc::<_, Vec<PruneConfig>>(r, "TaskKind::Eval universe")?,
-            }),
-            TaskKind::TAG_PRETRAIN => {
-                let group_index = read_usize(r, "TaskKind::Pretrain group_index")?;
-                let blocks = read_doc::<_, Vec<wootz_core::compile::TuningBlock>>(
-                    r,
-                    "TaskKind::Pretrain blocks",
-                )?;
-                let count = r.seq_len("TaskKind::Pretrain group", 8)?;
-                let mut group = Vec::with_capacity(count);
-                for _ in 0..count {
-                    group.push(read_usize(r, "TaskKind::Pretrain group element")?);
-                }
-                Ok(TaskKind::Pretrain {
-                    group_index,
-                    blocks,
-                    group,
-                })
-            }
-            tag if TaskKind::RETIRED_TAGS.contains(&tag) => Err(WireError::InvalidValue {
-                context: "TaskKind tag",
-                detail: format!(
-                    "retired variant tag {tag} (an index-only task of an older protocol \
-                     revision; upgrade the sender)"
-                ),
-            }),
-            other => Err(WireError::InvalidValue {
-                context: "TaskKind tag",
-                detail: format!("unknown variant tag {other}"),
-            }),
-        }
-    }
-}
-
 impl WireSerialize for TaskSpec {
     fn wire_size(&self) -> usize {
-        8 + 4 + 8 + self.kind.wire_size() + 8
+        let task = match &self.task {
+            Task::Eval { config, blocks, .. } => 8 + doc_size(config) + doc_size(blocks),
+            Task::Pretrain { blocks, .. } => 8 + doc_size(blocks),
+        };
+        8 + 4 + 8 + 1 + task + 8
     }
 
     fn wire_write<W: Write + ?Sized>(&self, w: &mut W) -> WireResult<()> {
         self.seq.wire_write(w)?;
         self.attempt.wire_write(w)?;
         self.epoch.wire_write(w)?;
-        self.kind.wire_write(w)?;
+        match &self.task {
+            Task::Eval {
+                config_index,
+                config,
+                blocks,
+            } => {
+                w.write_all(&[TaskSpec::TAG_EVAL])?;
+                (*config_index as u64).wire_write(w)?;
+                write_doc(w, "Task::Eval config", config)?;
+                write_doc(w, "Task::Eval blocks", blocks)?;
+            }
+            Task::Pretrain {
+                group_index,
+                blocks,
+            } => {
+                w.write_all(&[TaskSpec::TAG_PRETRAIN])?;
+                (*group_index as u64).wire_write(w)?;
+                write_doc(w, "Task::Pretrain blocks", blocks)?;
+            }
+        }
         (self.expected_steps as u64).wire_write(w)
     }
 }
 
 impl WireDeserialize for TaskSpec {
     fn wire_read<R: Read>(r: &mut WireReader<R>) -> WireResult<Self> {
+        let seq = r.u64("TaskSpec seq")?;
+        let attempt = r.u32("TaskSpec attempt")?;
+        let epoch = r.u64("TaskSpec epoch")?;
+        let task = match r.u8("Task tag")? {
+            TaskSpec::TAG_EVAL => Task::Eval {
+                config_index: read_usize(r, "Task::Eval config_index")?,
+                config: read_doc(r, "Task::Eval config")?,
+                blocks: read_doc(r, "Task::Eval blocks")?,
+            },
+            TaskSpec::TAG_PRETRAIN => Task::Pretrain {
+                group_index: read_usize(r, "Task::Pretrain group_index")?,
+                blocks: read_doc(r, "Task::Pretrain blocks")?,
+            },
+            tag if TaskSpec::RETIRED_TAGS.contains(&tag) => {
+                return Err(WireError::InvalidValue {
+                    context: "Task tag",
+                    detail: format!(
+                        "retired variant tag {tag} (a task of an older protocol revision; \
+                         upgrade the sender)"
+                    ),
+                })
+            }
+            other => {
+                return Err(WireError::InvalidValue {
+                    context: "Task tag",
+                    detail: format!("unknown variant tag {other}"),
+                })
+            }
+        };
         Ok(TaskSpec {
-            seq: r.u64("TaskSpec seq")?,
-            attempt: r.u32("TaskSpec attempt")?,
-            epoch: r.u64("TaskSpec epoch")?,
-            kind: TaskKind::wire_read(r)?,
+            seq,
+            attempt,
+            epoch,
+            task,
             expected_steps: read_usize(r, "TaskSpec expected_steps")?,
         })
     }
@@ -555,36 +494,33 @@ mod tests {
     #[test]
     fn task_kinds_round_trip_on_the_wire() {
         use wootz_core::compile::TuningBlock;
-        let specs = vec![
-            TaskSpec {
-                seq: 9,
-                attempt: 2,
-                epoch: 3,
-                kind: TaskKind::Eval {
-                    config_index: 5,
-                    universe: vec![
-                        PruneConfig::unpruned(4),
-                        PruneConfig::uniform(4, 50).unwrap(),
-                    ],
-                },
-                expected_steps: 12,
-            },
-            TaskSpec {
-                seq: 10,
-                attempt: 1,
-                epoch: 3,
-                kind: TaskKind::Pretrain {
-                    group_index: 1,
-                    blocks: vec![
-                        TuningBlock::new(0, vec![(1, 30), (2, 50)]).unwrap(),
-                        TuningBlock::new(1, vec![(3, 70)]).unwrap(),
-                    ],
-                    group: vec![1],
-                },
-                expected_steps: 6,
+        use wootz_core::prune::PruneConfig;
+        let blocks = vec![
+            TuningBlock::new(0, vec![(1, 30), (2, 50)]).unwrap(),
+            TuningBlock::new(1, vec![(3, 70)]).unwrap(),
+        ];
+        let eval = |blocks| Task::Eval {
+            config_index: 5,
+            config: PruneConfig::uniform(4, 50).unwrap(),
+            blocks,
+        };
+        let tasks = vec![
+            eval(None),
+            eval(Some(blocks.clone())),
+            eval(Some(Vec::new())),
+            Task::Pretrain {
+                group_index: 1,
+                blocks: vec![(0, blocks[0].clone()), (3, blocks[1].clone())],
             },
         ];
-        for spec in specs {
+        for (seq, task) in tasks.into_iter().enumerate() {
+            let spec = TaskSpec {
+                seq: seq as u64,
+                attempt: 2,
+                epoch: 3,
+                task,
+                expected_steps: 12,
+            };
             let mut buf = Vec::new();
             spec.wire_write(&mut buf).unwrap();
             assert_eq!(

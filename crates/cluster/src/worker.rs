@@ -13,13 +13,16 @@
 //!
 //! The execution environment (`WorkerEnv`, private to this module) is
 //! rebuilt from the `Welcome` exactly as the single-process pipeline
-//! builds it: manifest → model / solver / objective, the full-model
-//! checkpoint, the deterministic micro dataset, the [`UniverseEnv`] of
-//! the universe the latest evaluation task carried, and the fetched block
-//! bag. Each granted `TaskKind` becomes a [`Task`] and runs through
-//! [`execute`], the one function the in-process runtime runs too. Because
-//! a task is a pure function of its inputs, it executes bit-identically no
-//! matter which process — or attempt — runs it.
+//! builds its [`TaskContext`]: manifest → model / solver / objective, the
+//! full-model checkpoint, the deterministic micro dataset and (built on
+//! the first evaluation) its evaluation set, and the pre-trained blocks
+//! fetched so far. A worker
+//! holds no universe: each granted [`Task`] carries its configuration and
+//! composite blocks, or its group's blocks, and the worker fetches by key
+//! only the block checkpoints it has not fetched yet. The task runs
+//! through [`execute`], the one function the in-process runtime runs too.
+//! Because a task is a pure function of its inputs, it executes
+//! bit-identically no matter which process — or attempt — runs it.
 //!
 //! Process-level faults fire here, at `site::CLUSTER_TASK`:
 //!
@@ -41,49 +44,50 @@
 //! socket — a deterministic mid-frame disconnect. The worker then
 //! reconnects and re-sends; the run's results must be unaffected.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
+use std::sync::OnceLock;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use wootz_core::compile::MultiplexingModel;
-use wootz_core::pipeline::{execute, Task, TaskContext, TaskOutput, UniverseEnv, WootzInputs};
+use wootz_core::pipeline::{execute, Task, TaskContext, TaskOutput, WootzInputs};
 use wootz_core::Result;
 use wootz_data::{micro_dataset, Dataset};
 use wootz_fault::{site, FaultKind, FaultPlan};
 use wootz_nn::Checkpoint;
+use wootz_tensor::Tensor;
 
 use crate::messages::Message;
 use crate::net::{lock_recover, send_message, NetClient};
-use crate::protocol::{Manifest, ResultPayload, TaskKind, TaskResult, TaskSpec, WireEval};
+use crate::protocol::{Manifest, ResultPayload, TaskResult, TaskSpec, WireEval};
 
-/// Everything a worker needs to execute tasks, reconstructed from the
-/// manifest and the full-model checkpoint exactly as the single-process
-/// pipeline builds it.
+/// Everything a worker needs to execute tasks besides the tasks
+/// themselves, reconstructed from the `Welcome` exactly as the
+/// single-process pipeline builds its [`TaskContext`], plus the
+/// pre-trained blocks fetched so far. Rebuilt on every new epoch, so
+/// what it fetched always comes from the current coordinator.
 struct WorkerEnv {
     manifest: Manifest,
     inputs: WootzInputs,
     dataset: Dataset,
+    eval_set: OnceLock<(Tensor, Vec<usize>)>,
     mm: MultiplexingModel,
     full_ckpt: Checkpoint,
-    /// The environment of the universe the latest evaluation task
-    /// carried — the exact value the in-process driver derives per
-    /// universe. Rebuilt whenever a task carries a different universe:
-    /// never again for the `fixed` explorer, once per appending round for
-    /// the proposing ones (universes only grow).
-    universe: Option<UniverseEnv>,
-    /// Pre-trained block checkpoints, fetched lazily on the first
-    /// evaluation task (they do not exist before pre-training completes)
-    /// and re-fetched when a universe implies a block key not seen yet
-    /// (appending rounds grow the published bag).
-    block_ckpts: Option<BTreeMap<String, Checkpoint>>,
+    /// Pre-trained block checkpoints fetched so far, by key.
+    blocks: BTreeMap<String, Checkpoint>,
+    /// Keys asked for that the coordinator had no block for: blocks whose
+    /// pre-training failed, which assemble from inherited weights. The
+    /// coordinator publishes a round's blocks before its evaluations, so
+    /// such a key stays absent for the epoch and is never asked again.
+    absent: BTreeSet<String>,
 }
 
 impl WorkerEnv {
     fn new(manifest: Manifest, full_ckpt: Checkpoint) -> Result<WorkerEnv> {
         let inputs = WootzInputs {
             model: manifest.model.clone(),
-            subspace: manifest.subspace.clone(),
+            subspace: Vec::new(),
             solver: manifest.solver.clone(),
             objective: manifest.objective.clone(),
         };
@@ -93,10 +97,11 @@ impl WorkerEnv {
             manifest,
             inputs,
             dataset,
+            eval_set: OnceLock::new(),
             mm,
             full_ckpt,
-            universe: None,
-            block_ckpts: None,
+            blocks: BTreeMap::new(),
+            absent: BTreeSet::new(),
         })
     }
 
@@ -124,79 +129,56 @@ impl WorkerEnv {
         }
     }
 
-    /// Points the environment at `task`'s universe, rebuilding it when
-    /// the task carries a different one, and reports whether evaluating
-    /// it needs block checkpoints this worker does not hold yet — the
-    /// caller then fetches the published bag into `block_ckpts` before
-    /// [`WorkerEnv::execute`].
-    fn prepare(&mut self, task: &TaskSpec) -> Result<bool> {
-        let TaskKind::Eval { universe, .. } = &task.kind else {
-            return Ok(false);
+    /// The block keys `task` needs that this worker has neither fetched
+    /// nor been told are absent, in key order: what its
+    /// [`Message::BlocksRequest`] names.
+    fn missing_keys(&self, task: &Task) -> Vec<String> {
+        let Task::Eval {
+            blocks: Some(blocks),
+            ..
+        } = task
+        else {
+            return Vec::new();
         };
-        if !self
-            .universe
-            .as_ref()
-            .is_some_and(|env| env.inputs.subspace == *universe)
-        {
-            self.universe = Some(UniverseEnv::build(
-                &self.inputs,
-                universe,
-                self.manifest.mode,
-            )?);
-        }
-        let env = self.universe.as_ref().expect("built above");
-        // Re-fetch whenever this universe implies a key we have not seen.
-        // A key absent even from the fresh index belongs to a block whose
-        // pre-training failed — evaluation inherits pruned full-model
-        // weights for it, exactly like the in-process driver.
-        Ok(env.block_set.as_ref().is_some_and(|set| {
-            self.block_ckpts
-                .as_ref()
-                .is_none_or(|ckpts| set.blocks.iter().any(|b| !ckpts.contains_key(&b.key())))
-        }))
+        let keys: BTreeSet<String> = blocks
+            .iter()
+            .map(|block| block.key())
+            .filter(|key| !self.blocks.contains_key(key) && !self.absent.contains(key))
+            .collect();
+        keys.into_iter().collect()
     }
 
-    /// Executes one [prepared](WorkerEnv::prepare) task to its result
-    /// payload: the wire task becomes a [`Task`] and runs through the
-    /// same [`execute`] as the in-process runtime.
-    fn execute(&self, task: &TaskSpec) -> ResultPayload {
-        let (unit, batch) = match &task.kind {
-            TaskKind::Eval { config_index, .. } => (
-                Task::Eval {
-                    config_index: *config_index,
-                },
-                &[][..],
-            ),
-            TaskKind::Pretrain {
-                group_index,
-                blocks,
-                group,
-            } => (
-                Task::Pretrain {
-                    group_index: *group_index,
-                    group: group.clone(),
-                },
-                blocks.as_slice(),
-            ),
-        };
+    /// Files the answer to a request for `asked`: the blocks it holds,
+    /// and every asked key it left out as absent.
+    fn fetched(&mut self, asked: Vec<String>, index: Vec<(String, Checkpoint)>) {
+        self.blocks.extend(index);
+        self.absent.extend(
+            asked
+                .into_iter()
+                .filter(|key| !self.blocks.contains_key(key)),
+        );
+    }
+
+    /// Executes one task to its result payload through the same
+    /// [`execute`] as the in-process runtime.
+    fn execute(&self, task: &Task) -> ResultPayload {
         let cx = TaskContext {
             inputs: &self.inputs,
             dataset: &self.dataset,
+            eval_set: &self.eval_set,
             mm: &self.mm,
             full_ckpt: &self.full_ckpt,
-            batch,
-            env: self.universe.as_ref(),
-            blocks: self.block_ckpts.as_ref(),
+            blocks: &self.blocks,
             faults: self.manifest.faults.as_ref(),
             retry: self.manifest.retry,
         };
-        match (execute(&unit, &cx), unit) {
-            (TaskOutput::Eval(sup), Task::Eval { config_index }) => {
-                ResultPayload::Eval(WireEval::from_supervised(config_index, sup))
+        match (execute(task, &cx), task) {
+            (TaskOutput::Eval(sup), Task::Eval { config_index, .. }) => {
+                ResultPayload::Eval(WireEval::from_supervised(*config_index, sup))
             }
             (TaskOutput::Pretrain(trained), Task::Pretrain { group_index, .. }) => {
                 ResultPayload::Pretrain {
-                    group_index,
+                    group_index: *group_index,
                     blocks: trained.blocks,
                     failed: trained.failed,
                 }
@@ -523,18 +505,17 @@ pub fn worker_net_main(addr: &str, worker_id: &str, grace_ms: Option<u64>) -> Re
             };
 
             let started = Instant::now();
-            if env.prepare(&task)? {
-                // The published block bag, fetched in the session loop so
-                // a socket that dies mid-exchange is handled like any
+            let keys = env.missing_keys(&task.task);
+            if !keys.is_empty() {
+                // The missing blocks, fetched in the session loop so a
+                // socket that dies mid-exchange is handled like any
                 // other: drop the task (its lease reclaims the attempt)
                 // and redial.
                 let reply = client
-                    .send(&Message::BlocksRequest)
+                    .send(&Message::BlocksRequest { keys: keys.clone() })
                     .and_then(|_| client.recv());
                 match reply {
-                    Ok(Message::Blocks { index }) => {
-                        env.block_ckpts = Some(index.into_iter().collect());
-                    }
+                    Ok(Message::Blocks { index }) => env.fetched(keys, index),
                     Ok(Message::Shutdown) => {
                         heartbeat.stop();
                         return Ok(WorkerExit::Shutdown);
@@ -545,7 +526,7 @@ pub fn worker_net_main(addr: &str, worker_id: &str, grace_ms: Option<u64>) -> Re
                     }
                 }
             }
-            let payload = env.execute(&task);
+            let payload = env.execute(&task.task);
 
             if let Some(factor) = slow_factor {
                 let extra = started.elapsed().mul_f64(factor - 1.0);

@@ -85,7 +85,10 @@ enum Objective {
     MaxAccuracy,
 }
 
-/// The cross-run block store the job runs against.
+/// The cross-run block store the job runs against. (`NoStore`, not
+/// `None`: the variants are imported, and `None` would shadow
+/// `Option::None`.)
+#[allow(clippy::enum_variant_names)]
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Store {
     NoStore,
@@ -287,8 +290,8 @@ struct Reference {
 
 impl Reference {
     fn of(objective: Objective, explorer: Explorer) -> Arc<Reference> {
-        static REFERENCES: OnceLock<Mutex<BTreeMap<(Objective, Explorer), Arc<Reference>>>> =
-            OnceLock::new();
+        type ByJob = BTreeMap<(Objective, Explorer), Arc<Reference>>;
+        static REFERENCES: OnceLock<Mutex<ByJob>> = OnceLock::new();
         let mut refs = REFERENCES.get_or_init(Default::default).lock().unwrap();
         let entry = refs.entry((objective, explorer)).or_insert_with(|| {
             let dir = tempdir(&format!("contracts_ref_{objective:?}_{explorer:?}"));

@@ -263,3 +263,116 @@ fn resumed_coordinator_re_evaluates_nothing() {
 fn run_json_piece<T: serde::Serialize>(value: &T) -> String {
     serde_json::to_string(value).unwrap()
 }
+
+/// A block that fails pre-training is fetched by key like any other, so a
+/// worker asks for it once: the coordinator's answer leaves it out, the
+/// worker records it as absent for the epoch, and every configuration
+/// using it assembles that block from inherited weights. The plan fails
+/// every group's joint run and the solo run of the batch's first block;
+/// the objective is unsatisfiable, so every configuration is evaluated.
+/// The distributed run's `--out` and journal equal the in-process run's
+/// byte for byte.
+#[test]
+fn a_block_that_failed_pretraining_is_asked_for_once() {
+    use common::{assert_success, wootz, write_model, SOLVER};
+
+    let dir = tempdir("dist_failed_block");
+    write_model(&dir);
+    let configs: Vec<Vec<u8>> = inputs()
+        .subspace
+        .iter()
+        .map(|c| c.rates().to_vec())
+        .collect();
+    std::fs::write(
+        dir.join("configs.json"),
+        serde_json::to_string(&configs).unwrap(),
+    )
+    .unwrap();
+    std::fs::write(
+        dir.join("solver.prototxt"),
+        format!("{SOLVER}num_workers: 2\n"),
+    )
+    .unwrap();
+    std::fs::write(
+        dir.join("objective.txt"),
+        "min ModelSize\nconstraint Accuracy >= 0.99\n",
+    )
+    .unwrap();
+    let plan = FaultPlan {
+        seed: 7,
+        triggers: vec![
+            Trigger {
+                site: wootz_fault::site::PRETRAIN_GROUP.to_string(),
+                key: None,
+                kind: FaultKind::EvalError,
+                times: Some(1),
+            },
+            Trigger {
+                site: wootz_fault::site::PRETRAIN_BLOCK.to_string(),
+                key: Some(0),
+                kind: FaultKind::EvalError,
+                times: Some(1),
+            },
+        ],
+        rates: vec![],
+    };
+    std::fs::write(
+        dir.join("faults.json"),
+        serde_json::to_string(&plan).unwrap(),
+    )
+    .unwrap();
+    let prune = |name: &str, runtime: &[&str]| {
+        let out = wootz()
+            .current_dir(&dir)
+            .args(["prune", "--model", "model.prototxt", "--configs"])
+            .args(["configs.json", "--solver", "solver.prototxt"])
+            .args(["--objective", "objective.txt", "--mode", "composability"])
+            .args(["--inject-faults", "faults.json"])
+            .args(["--journal", &format!("{name}.journal")])
+            .args(["--out", &format!("{name}.json")])
+            .args(["--metrics-out", &format!("{name}.ndjson")])
+            .args(runtime)
+            .output()
+            .unwrap();
+        assert_success(&out);
+    };
+    prune("local", &["--threads", "1"]);
+    prune("dist", &["--distributed", "2", "--log-dir", "logs"]);
+
+    let read = |file: &str| std::fs::read(dir.join(file)).unwrap();
+    let counter = |file: &str, name: &str| -> u64 {
+        String::from_utf8(read(file))
+            .unwrap()
+            .lines()
+            .filter_map(|l| serde_json::from_str::<serde_json::Value>(l).ok())
+            .find(|v| v["name"] == name)
+            .and_then(|v| v["value"].as_u64())
+            .unwrap_or(0)
+    };
+    let run: serde_json::Value =
+        serde_json::from_str(&String::from_utf8(read("local.json")).unwrap()).unwrap();
+    assert_eq!(
+        run["blocks_failed"].as_u64(),
+        Some(1),
+        "the plan fails exactly one block: {run:?}"
+    );
+    assert!(
+        counter("local.ndjson", "assemble.block_fallbacks") > 0,
+        "no configuration fell back to inherited weights for the failed block"
+    );
+    assert!(read("dist.json") == read("local.json"), "--out differs");
+    assert!(
+        read("dist.journal") == read("local.journal"),
+        "the journal differs"
+    );
+    assert!(
+        counter("dist.ndjson", "net.blocks_requests") > 0,
+        "no worker fetched a block"
+    );
+    assert_eq!(
+        counter("dist.ndjson", "net.blocks_keys_repeated"),
+        0,
+        "a worker asked for a key it had asked for before"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

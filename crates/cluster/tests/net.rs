@@ -3,8 +3,9 @@
 //! frame that carries checkpoints (and old-layout JSON weights refused
 //! with a structured error), a full loopback run asserted bit-identical
 //! to the single-process pipeline, a coordinator restarted without
-//! `--resume` fencing a late result of the previous epoch, a coordinator
-//! vanishing under a block fetch, and the event-driven dispatch:
+//! `--resume` fencing a late result of the previous epoch, blocks
+//! answered by key, a coordinator vanishing under a block fetch, and the
+//! event-driven dispatch:
 //! long-poll grants, park expiry, and the drain reaching a parked request
 //! and waiting for a worker outside the pool. A worker cutting its own
 //! connection halfway through a result frame is a row of `contracts.rs`.
@@ -17,11 +18,13 @@ use std::time::{Duration, Instant};
 use common::{baseline, inputs, run_json, tempdir, worker_cmd};
 
 use wootz_cluster::net::{long_poll_park, NetHub};
-use wootz_cluster::protocol::{Manifest, ResultPayload, TaskKind, TaskResult, TaskSpec, WireEval};
+use wootz_cluster::protocol::{Manifest, ResultPayload, TaskResult, TaskSpec, WireEval};
 use wootz_cluster::{run_distributed, worker_net_main, ClusterOptions, Message, WorkerExit};
+use wootz_core::compile::TuningBlock;
 use wootz_core::explore::EvalOutcome;
-use wootz_core::pipeline::RunMode;
+use wootz_core::pipeline::{blocks_for_mode, RunMode, Task};
 use wootz_core::pretrain::PretrainedBlock;
+use wootz_core::prune::PruneConfig;
 use wootz_data::micro_dataset;
 use wootz_fault::RetryPolicy;
 use wootz_nn::Checkpoint;
@@ -57,12 +60,10 @@ fn task_messages_round_trip_bit_exactly() {
         seq: 7,
         attempt: 2,
         epoch: 3,
-        kind: TaskKind::Eval {
+        task: Task::Eval {
             config_index: 11,
-            universe: vec![
-                wootz_core::prune::PruneConfig::unpruned(4),
-                wootz_core::prune::PruneConfig::uniform(4, 50).unwrap(),
-            ],
+            config: PruneConfig::uniform(4, 50).unwrap(),
+            blocks: Some(vec![TuningBlock::new(0, vec![(1, 50), (2, 50)]).unwrap()]),
         },
         expected_steps: 8,
     };
@@ -70,10 +71,9 @@ fn task_messages_round_trip_bit_exactly() {
         seq: 0,
         attempt: 1,
         epoch: 1,
-        kind: TaskKind::Pretrain {
+        task: Task::Pretrain {
             group_index: 4,
-            blocks: vec![wootz_core::compile::TuningBlock::new(0, vec![(1, 30), (2, 50)]).unwrap()],
-            group: vec![0, 3, 9],
+            blocks: vec![(3, TuningBlock::new(0, vec![(1, 30), (2, 50)]).unwrap())],
         },
         expected_steps: 4,
     };
@@ -362,17 +362,15 @@ fn stale_epoch_reconnect_across_coordinator_restart_redelivers_once() {
     let dataset = micro_dataset(&inputs.solver.dataset, inputs.solver.seed);
     let mm = MultiplexingModel::compile(inputs.model.clone()).unwrap();
     let (full_ckpt, _, _) = train_full_model(&mm, &dataset, &inputs.solver).unwrap();
-    // Baseline mode: no tuning blocks, so the scripted session never has
-    // to answer a BlocksRequest. A huge lease keeps the heartbeat cadence
+    // A baseline task: no tuning blocks, so the scripted session never
+    // has to answer a BlocksRequest. A huge lease keeps the heartbeat cadence
     // (lease/4) far beyond the test's lifetime: no Heartbeat frames
     // interleave with the scripted exchange.
     let manifest = |epoch: u64| Manifest {
         epoch,
         model: inputs.model.clone(),
-        subspace: inputs.subspace.clone(),
         solver: inputs.solver.clone(),
         objective: inputs.objective.clone(),
-        mode: RunMode::Baseline,
         faults: None,
         retry: RetryPolicy::abort_fast(),
         lease_ms: 60_000,
@@ -381,9 +379,10 @@ fn stale_epoch_reconnect_across_coordinator_restart_redelivers_once() {
         seq: 1,
         attempt,
         epoch,
-        kind: TaskKind::Eval {
+        task: Task::Eval {
             config_index: 2,
-            universe: inputs.subspace.clone(),
+            config: inputs.subspace[2].clone(),
+            blocks: None,
         },
         expected_steps: 8,
     };
@@ -491,10 +490,8 @@ fn epoch_one_manifest(lease_ms: u64) -> Manifest {
     Manifest {
         epoch: 1,
         model: inputs.model,
-        subspace: inputs.subspace,
         solver: inputs.solver,
         objective: inputs.objective,
-        mode: RunMode::Baseline,
         faults: None,
         retry: RetryPolicy::abort_fast(),
         lease_ms,
@@ -574,24 +571,23 @@ fn a_restart_without_resume_fences_a_late_result_of_the_previous_epoch() {
                 Some(Message::TaskGrant { task }) => task,
                 other => panic!("expected a grant, got {:?}", other.map(|m| m.name())),
             };
-            let payload = match &task.kind {
-                TaskKind::Eval { config_index, .. } => ResultPayload::Eval(WireEval {
+            let payload = match &task.task {
+                Task::Eval { config_index, .. } => ResultPayload::Eval(WireEval {
                     config_index: *config_index,
                     outcome: None,
                     error: Some("zombie".to_string()),
                     attempts: 1,
                     backoff: 0.0,
                 }),
-                TaskKind::Pretrain {
+                Task::Pretrain {
                     group_index,
                     blocks,
-                    group,
                 } => ResultPayload::Pretrain {
                     group_index: *group_index,
                     blocks: vec![],
-                    failed: group
+                    failed: blocks
                         .iter()
-                        .map(|&b| (blocks[b].key(), "zombie".to_string()))
+                        .map(|(_, block)| (block.key(), "zombie".to_string()))
                         .collect(),
                 },
             };
@@ -701,16 +697,13 @@ fn socket_closed_mid_block_fetch_reconnects_instead_of_exiting() {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let worker = std::thread::spawn(move || worker_net_main(&addr, "w0", Some(30_000)));
-    // Composability mode: the first evaluation task needs the published
-    // block bag. The fetch precedes execution, so an empty full-model
+    // A composability evaluation task: the worker fetches its blocks
+    // first. The fetch precedes execution, so an empty full-model
     // checkpoint is enough; the minute-long lease keeps heartbeat frames
     // out of the scripted exchange.
     let welcome = Message::Welcome {
         epoch: 1,
-        manifest: Manifest {
-            mode: RunMode::Composability,
-            ..epoch_one_manifest(60_000)
-        },
+        manifest: epoch_one_manifest(60_000),
         full_ckpt: wootz_nn::Checkpoint::new(),
     };
     let mut conn = accept_session(&listener, 0, &welcome);
@@ -723,10 +716,7 @@ fn socket_closed_mid_block_fetch_reconnects_instead_of_exiting() {
         seq: 1,
         attempt: 1,
         epoch: 1,
-        kind: TaskKind::Eval {
-            config_index: 0,
-            universe: inputs().subspace,
-        },
+        task: composite_eval(0),
         expected_steps: 8,
     };
     Message::TaskGrant { task }.write_to(&mut conn).unwrap();
@@ -756,6 +746,34 @@ fn socket_closed_mid_block_fetch_reconnects_instead_of_exiting() {
     expect(&mut conn, "TaskRequest");
     Message::Shutdown.write_to(&mut conn).unwrap();
     assert_eq!(worker.join().unwrap().unwrap(), WorkerExit::Shutdown);
+}
+
+/// The evaluation task of configuration `config_index` of [`inputs`] in
+/// composability mode: it carries the configuration's composite blocks.
+fn composite_eval(config_index: usize) -> Task {
+    let inputs = inputs();
+    let set = blocks_for_mode(&inputs, RunMode::Composability)
+        .unwrap()
+        .unwrap();
+    let blocks = set.composites[config_index]
+        .parts
+        .iter()
+        .map(|p| set.blocks[p.block_index].clone())
+        .collect();
+    Task::Eval {
+        config_index,
+        config: inputs.subspace[config_index].clone(),
+        blocks: Some(blocks),
+    }
+}
+
+/// A baseline evaluation task nobody executes.
+fn baseline_eval() -> Task {
+    Task::Eval {
+        config_index: 0,
+        config: PruneConfig::unpruned(4),
+        blocks: None,
+    }
 }
 
 /// A real [`NetHub`] with no coordinator behind it: the test plays the
@@ -815,6 +833,37 @@ fn request_task(conn: &mut TcpStream) {
     request.write_to(conn).unwrap();
 }
 
+/// Blocks are fetched by key: the hub answers a `BlocksRequest` with
+/// exactly the requested keys it has, in request order, every weight bit
+/// intact, and leaves out a key it has none for (a block whose
+/// pre-training failed). A publish adds keys without touching the ones
+/// already published.
+#[test]
+fn blocks_are_answered_by_key() {
+    let hub = bare_hub(60_000);
+    let (first, second) = (odd_float_checkpoint(), Checkpoint::new());
+    let (k1, k2) = ("m0r30".to_string(), "m1r50+m2r50".to_string());
+    hub.publish_blocks([(&k1, &first)]).unwrap();
+    hub.publish_blocks([(&k2, &second)]).unwrap();
+    assert!(hub.has_block(&k1) && hub.has_block(&k2) && !hub.has_block("m3r70"));
+    let mut conn = scripted_worker(&hub);
+    let mut fetch = |keys: &[&str]| {
+        let keys = keys.iter().map(|k| k.to_string()).collect();
+        Message::BlocksRequest { keys }.write_to(&mut conn).unwrap();
+        match read_within(&mut conn, 10_000) {
+            Some(Message::Blocks { index }) => index,
+            other => panic!("expected Blocks, got {:?}", other.map(|m| m.name())),
+        }
+    };
+    let index = fetch(&[&k2, "m3r70", &k1]);
+    let keys: Vec<&str> = index.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, [k2.as_str(), k1.as_str()]);
+    assert_eq!(weight_bits(&index[0].1), weight_bits(&second));
+    assert_eq!(weight_bits(&index[1].1), weight_bits(&first));
+    assert!(fetch(&["m3r70"]).is_empty());
+    assert!(fetch(&[]).is_empty());
+}
+
 #[test]
 fn parked_task_request_is_granted_the_moment_work_is_enqueued() {
     // A minute-long lease: the park (10 s) outlives the test, so every
@@ -834,10 +883,7 @@ fn parked_task_request_is_granted_the_moment_work_is_enqueued() {
             seq,
             attempt: 1,
             epoch: 1,
-            kind: TaskKind::Eval {
-                config_index: 0,
-                universe: Vec::new(),
-            },
+            task: baseline_eval(),
             expected_steps: 1,
         };
         let enqueued = Instant::now();
@@ -869,10 +915,7 @@ fn a_task_done_delivered_twice_is_folded_once() {
         seq: 1,
         attempt: 1,
         epoch: 1,
-        kind: TaskKind::Eval {
-            config_index: 0,
-            universe: Vec::new(),
-        },
+        task: baseline_eval(),
         expected_steps: 1,
     };
     hub.enqueue(task.clone());

@@ -3,12 +3,17 @@
 //! markers) must list exactly the codes and names of `Message::CATALOG`,
 //! in order, and the task-kind table in §4.1 (between the
 //! `taskkinds:begin` / `taskkinds:end` markers) must list exactly the
-//! tags `TaskKind` encodes as live and exactly the tags it refuses as
-//! retired. Editing one without the other fails these tests.
+//! tags a `TaskSpec` encodes its `Task` with as live and exactly the tags
+//! it refuses as retired. Editing one without the other fails these
+//! tests. The mixed-revision failures §3 names are pinned too: each is
+//! refused with the named error.
 
-use wootz_cluster::protocol::TaskKind;
+use wootz_cluster::protocol::TaskSpec;
 use wootz_cluster::Message;
-use wootz_wire::{Limits, WireDeserialize, WireError, WireReader, WireSerialize};
+use wootz_core::compile::TuningBlock;
+use wootz_core::pipeline::Task;
+use wootz_core::prune::PruneConfig;
+use wootz_wire::{Frame, Limits, WireDeserialize, WireError, WireReader, WireSerialize};
 
 const SPEC: &str = include_str!("../../../PROTOCOL.md");
 
@@ -93,27 +98,37 @@ fn protocol_md_task_kind_table_matches_what_task_kind_encodes() {
         "every task-kind row is either `live` or `retired`: {rows:?}"
     );
 
-    // Live rows: exactly the tag byte each variant actually encodes.
+    // Live rows: exactly the tag byte each variant actually encodes,
+    // after the spec's seq (8), attempt (4) and epoch (8).
+    const TAG_OFFSET: usize = 8 + 4 + 8;
+    let block = TuningBlock::new(0, vec![(1, 30)]).unwrap();
     let samples = [
-        TaskKind::Eval {
+        Task::Eval {
             config_index: 0,
-            universe: Vec::new(),
+            config: PruneConfig::unpruned(4),
+            blocks: Some(vec![block.clone()]),
         },
-        TaskKind::Pretrain {
+        Task::Pretrain {
             group_index: 0,
-            blocks: Vec::new(),
-            group: Vec::new(),
+            blocks: vec![(0, block)],
         },
     ];
+    let spec_of = |task: Task| TaskSpec {
+        seq: 1,
+        attempt: 1,
+        epoch: 1,
+        task,
+        expected_steps: 1,
+    };
     let encoded: Vec<(u8, String)> = samples
-        .iter()
-        .map(|kind| {
-            let mut buf = Vec::new();
-            kind.wire_write(&mut buf).unwrap();
+        .into_iter()
+        .map(|task| {
             // The variant name is the head of the derived Debug rendering.
-            let name = format!("{kind:?}");
+            let name = format!("{task:?}");
+            let mut buf = Vec::new();
+            spec_of(task).wire_write(&mut buf).unwrap();
             (
-                buf[0],
+                buf[TAG_OFFSET],
                 name.split(' ').next().unwrap_or_default().to_string(),
             )
         })
@@ -124,13 +139,17 @@ fn protocol_md_task_kind_table_matches_what_task_kind_encodes() {
     let retired: Vec<u8> = of_status("retired").iter().map(|(tag, _)| *tag).collect();
     assert_eq!(
         retired,
-        TaskKind::RETIRED_TAGS,
+        TaskSpec::RETIRED_TAGS,
         "PROTOCOL.md retired task kinds"
     );
     for tag in retired {
-        let buf = [tag, 0, 0, 0, 0, 0, 0, 0, 0];
+        // A grant of an older revision: the envelope fields, the retired
+        // tag, then whatever that revision put after it.
+        let mut buf = vec![0u8; TAG_OFFSET];
+        buf.push(tag);
+        buf.extend_from_slice(&[0; 16]);
         let mut reader = WireReader::new(buf.as_slice(), buf.len() as u64, Limits::DEFAULT);
-        match TaskKind::wire_read(&mut reader) {
+        match TaskSpec::wire_read(&mut reader) {
             Err(WireError::InvalidValue { detail, .. }) => {
                 assert!(detail.contains("retired"), "{detail}")
             }
@@ -162,6 +181,43 @@ fn spec_documents_every_wire_error() {
         assert!(
             SPEC.contains(&format!("| `{variant}` |")),
             "PROTOCOL.md §6 is missing a row for WireError::{variant}"
+        );
+    }
+
+    // The two `BlocksRequest` mismatches of a mixed fleet (§3), each
+    // refused with the error §3 names. An older worker's request carries
+    // no keys: this revision runs out of payload reading their count.
+    let keyless = Frame {
+        msg_type: 9,
+        payload: Vec::new(),
+    };
+    assert!(
+        matches!(
+            Message::decode(&keyless, &Limits::DEFAULT),
+            Err(WireError::Exhausted { .. })
+        ),
+        "a keyless BlocksRequest must be refused as Exhausted"
+    );
+    // This revision's request, read the way an older coordinator reads a
+    // `BlocksRequest` — an empty payload — leaves the keys unread.
+    let keyed = Message::BlocksRequest {
+        keys: vec!["m0r30".to_string()],
+    };
+    let payload = keyed.encode_payload().unwrap();
+    let reader = WireReader::new(payload.as_slice(), payload.len() as u64, Limits::DEFAULT);
+    assert!(
+        matches!(
+            reader.expect_consumed(),
+            Err(WireError::TrailingBytes { .. })
+        ),
+        "a keyed BlocksRequest must be refused as TrailingBytes by a keyless decoder"
+    );
+    for error in ["`InvalidValue`", "`Exhausted`", "`TrailingBytes`"] {
+        let section = &SPEC[SPEC.find("## 3.").expect("PROTOCOL.md lost §3")..];
+        let section = &section[..section.find("\n## 4.").expect("PROTOCOL.md lost §4")];
+        assert!(
+            section.contains(error),
+            "PROTOCOL.md §3 does not name {error} among the mixed-revision failures"
         );
     }
 }

@@ -685,7 +685,7 @@ mod tests {
                 cost: 1.0,
                 log: None,
             },
-            satisfies: i % 2 == 0,
+            satisfies: i.is_multiple_of(2),
         }
     }
 

@@ -8,6 +8,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 use wootz_data::Dataset;
@@ -235,7 +236,7 @@ pub fn train_full_model(
         schedule: schedule_of(solver),
         eval_every: 0,
     };
-    let (eval_x, eval_y) = dataset.test_set(256);
+    let (eval_x, eval_y) = evaluation_set(dataset);
     let batch_size = solver.batch_size;
     let logits = built
         .logits
@@ -394,17 +395,25 @@ pub fn block_pretrain_config(solver: &SolverConfig) -> PretrainConfig {
     }
 }
 
-/// The tuning-block set a mode implies (deterministic in the subspace, so
-/// coordinator and workers recompute it independently and agree).
+/// The tuning-block set a mode implies for the run's subspace
+/// ([`WootzInputs::subspace`]).
 ///
 /// # Errors
 ///
 /// Propagates hierarchical block-identification errors.
 pub fn blocks_for_mode(inputs: &WootzInputs, mode: RunMode) -> Result<Option<BlockSet>> {
+    blocks_of(&inputs.subspace, mode)
+}
+
+/// The tuning-block set a mode implies for `universe` (`None` for the
+/// baseline). Deterministic in the universe; only the phase driver
+/// derives it, and every evaluation task carries its own composite
+/// blocks.
+fn blocks_of(universe: &[PruneConfig], mode: RunMode) -> Result<Option<BlockSet>> {
     Ok(match mode {
         RunMode::Baseline => None,
-        RunMode::Composability => Some(module_level_blocks(&inputs.subspace)),
-        RunMode::ComposabilityHierarchical => Some(identify_tuning_blocks(&inputs.subspace)?),
+        RunMode::Composability => Some(module_level_blocks(universe)),
+        RunMode::ComposabilityHierarchical => Some(identify_tuning_blocks(universe)?),
     })
 }
 
@@ -448,11 +457,23 @@ pub fn best_network_in(
     })
 }
 
-/// Everything needed to evaluate one pruning configuration: the compiled
+/// How many test samples every evaluation measures accuracy on.
+const EVAL_SET_SIZE: usize = 256;
+
+/// The evaluation set of `dataset`: the test samples every fine-tune
+/// measures accuracy on. Deterministic in the dataset, so every process
+/// measures the same samples; a [`TaskContext`] builds it once, for its
+/// first evaluation.
+pub fn evaluation_set(dataset: &Dataset) -> (Tensor, Vec<usize>) {
+    dataset.test_set(EVAL_SET_SIZE)
+}
+
+/// Evaluates configurations of a subspace by index: the compiled
 /// multiplexing model, the trained full model, the (optional) pre-trained
-/// block checkpoints and the analytic stats. [`execute`] builds one per
-/// evaluation task, so [`EvalContext::evaluate`] is a pure, deterministic
-/// function of `config_index`, whichever process calls it.
+/// block checkpoints and the analytic stats. [`EvalContext::evaluate`]
+/// looks configuration `i`, its composite blocks and its stats up and
+/// runs the one per-configuration evaluation [`execute`] runs too, so it
+/// is a pure, deterministic function of `config_index`.
 pub struct EvalContext<'a> {
     inputs: &'a WootzInputs,
     dataset: &'a Dataset,
@@ -463,12 +484,7 @@ pub struct EvalContext<'a> {
     sizes: &'a [usize],
     flops: &'a [u64],
     faults: Option<&'a FaultPlan>,
-    eval_set: (Tensor, Vec<usize>),
-    threshold: Option<f64>,
-    // Placeholder for blocks whose pre-training failed: assembles as an
-    // empty checkpoint, which the assembler degrades to inherited weights
-    // (with an `assemble.block_fallback` event), keeping the run alive.
-    missing_ckpt: Checkpoint,
+    eval_set: OnceLock<(Tensor, Vec<usize>)>,
 }
 
 impl<'a> EvalContext<'a> {
@@ -497,159 +513,78 @@ impl<'a> EvalContext<'a> {
             sizes,
             flops,
             faults,
-            eval_set: dataset.test_set(256),
-            threshold: accuracy_threshold(&inputs.objective),
-            missing_ckpt: Checkpoint::new(),
+            eval_set: OnceLock::from(evaluation_set(dataset)),
         }
     }
 
-    /// Assembles, fine-tunes and measures configuration `config_index`.
-    /// Deterministic: the assembly seed and the batch stream are pure
-    /// functions of the solver seed and `config_index`.
-    ///
-    /// The outcome reads the final accuracy and, under an `Accuracy` bound,
-    /// the first step at which the accuracy curve reaches it (the cost).
-    /// So the fine-tune records a curve only under such a bound, every
-    /// `eval_every` steps, and ends it at that point; without one it
-    /// measures the final accuracy alone.
+    /// Assembles, fine-tunes and measures configuration `config_index` of
+    /// the subspace, through the per-configuration evaluation [`execute`]
+    /// runs.
     ///
     /// # Errors
     ///
     /// Propagates assembly and training errors.
     pub fn evaluate(&self, config_index: usize) -> Result<EvalOutcome> {
-        let config = &self.inputs.subspace[config_index];
-        let pairs_storage;
-        let strategy = match (self.block_set, self.checkpoints) {
-            (Some(set), Some(ckpts)) => {
-                let composite = &set.composites[config_index];
-                pairs_storage = composite
-                    .parts
-                    .iter()
-                    .map(|p| {
-                        let block = &set.blocks[p.block_index];
-                        let ckpt = ckpts.get(&block.key()).unwrap_or(&self.missing_ckpt);
-                        (block, ckpt)
-                    })
-                    .collect::<Vec<_>>();
-                InitStrategy::BlockTrained(&pairs_storage)
-            }
-            _ => InitStrategy::Default,
+        let (bag, blocks) = match (self.block_set, self.checkpoints) {
+            (Some(set), Some(bag)) => (bag, Some(composite_blocks(set, config_index))),
+            _ => (&NO_BLOCKS, None),
         };
-        let (mut built, _fallbacks) = assemble_supervised(
-            self.mm,
-            config,
-            self.full_ckpt,
-            strategy,
-            self.inputs.solver.seed ^ config_index as u64,
-            self.faults,
-            config_index as u64,
-        )?;
-        let solver = &self.inputs.solver;
-        let cfg = TrainConfig {
-            max_steps: solver.max_iter,
-            sgd: SgdConfig {
-                learning_rate: solver.base_lr,
-                weight_decay: solver.weight_decay,
-                momentum: solver.momentum,
-            },
-            schedule: schedule_of(solver),
-            eval_every: match self.threshold {
-                Some(_) => solver.eval_every.max(1),
-                None => 0,
-            },
+        let cx = TaskContext {
+            inputs: self.inputs,
+            dataset: self.dataset,
+            eval_set: &self.eval_set,
+            mm: self.mm,
+            full_ckpt: self.full_ckpt,
+            blocks: bag,
+            faults: self.faults,
+            retry: RetryPolicy::default(),
         };
-        let batch_size = solver.batch_size;
-        let (eval_x, eval_y) = &self.eval_set;
-        let eval = EvalSet {
-            images: eval_x,
-            labels: eval_y,
-            target: self.threshold.map(|t| t as f32),
-        };
-        let log = global_finetune(
-            &mut built,
-            &cfg,
-            |step| {
-                self.dataset
-                    .train_batch(step.wrapping_add(config_index * 1009), batch_size)
-            },
-            Some(eval),
-        )?;
-        let accuracy = log.final_accuracy.unwrap_or(0.0) as f64;
-        // Steps-to-target as cost when the target was hit mid-run.
-        let cost_steps = self
-            .threshold
-            .and_then(|t| log.first_step_reaching(t as f32))
-            .unwrap_or(log.steps_run);
-        Ok(EvalOutcome {
-            model_size: self.sizes[config_index],
-            flops: self.flops[config_index],
-            accuracy,
-            cost: cost_steps as f64,
-            log: Some(log),
-        })
+        cx.evaluate(
+            config_index,
+            &self.inputs.subspace[config_index],
+            blocks.as_deref(),
+            (self.sizes[config_index], self.flops[config_index]),
+        )
     }
 }
 
-/// Everything derived from an evaluation universe: the run inputs with
-/// the universe as their subspace, the tuning-block set the mode implies
-/// for it, and the analytic per-configuration stats. The phase driver
-/// rebuilds it whenever proposals grow the universe, and a remote worker
-/// rebuilds the identical value from the universe its task carries — so
-/// [`execute`] evaluates the same function in every process.
-pub struct UniverseEnv {
-    /// The run inputs with [`WootzInputs::subspace`] set to the universe
-    /// (universe index == evaluation seed index).
-    pub inputs: WootzInputs,
-    /// The universe's tuning blocks (`None` for the baseline).
-    pub block_set: Option<BlockSet>,
-    /// Analytic parameter count per configuration.
-    pub sizes: Vec<usize>,
-    /// Analytic forward FLOPs per configuration.
-    pub flops: Vec<u64>,
+/// The empty block bag of a context that evaluates without blocks.
+static NO_BLOCKS: BTreeMap<String, Checkpoint> = BTreeMap::new();
+
+/// The composite blocks of configuration `config_index` of `set`, in part
+/// order: what its evaluation assembles from.
+fn composite_blocks(set: &BlockSet, config_index: usize) -> Vec<TuningBlock> {
+    set.composites[config_index]
+        .parts
+        .iter()
+        .map(|p| set.blocks[p.block_index].clone())
+        .collect()
 }
 
-impl UniverseEnv {
-    /// Derives the environment of `universe` under `base`'s model, solver
-    /// and objective.
-    ///
-    /// # Errors
-    ///
-    /// Propagates block-identification and analytic-counter errors.
-    pub fn build(base: &WootzInputs, universe: &[PruneConfig], mode: RunMode) -> Result<Self> {
-        let inputs = WootzInputs {
-            model: base.model.clone(),
-            subspace: universe.to_vec(),
-            solver: base.solver.clone(),
-            objective: base.objective.clone(),
-        };
-        let block_set = blocks_for_mode(&inputs, mode)?;
-        let (sizes, flops) = subspace_stats(&inputs)?;
-        Ok(UniverseEnv {
-            inputs,
-            block_set,
-            sizes,
-            flops,
-        })
-    }
-}
-
-/// One unit of work of a run: the only thing either runtime executes.
-/// An evaluation addresses the universe of [`TaskContext::env`]; a
-/// pre-training group addresses the batch [`TaskContext::batch`].
-#[derive(Debug)]
+/// One unit of work of a run: the only thing either runtime executes. A
+/// task carries everything that differs between tasks; what is fixed for
+/// the whole run is its [`TaskContext`]'s.
+#[derive(Debug, Clone, PartialEq)]
 pub enum Task {
     /// Supervise the evaluation of one configuration.
     Eval {
-        /// Universe index of the configuration (also its seed index).
+        /// Universe index of the configuration (its seed index and fault
+        /// key).
         config_index: usize,
+        /// The configuration's pruning rates.
+        config: PruneConfig,
+        /// The configuration's composite blocks in part order; `None`
+        /// for the baseline, which assembles from inherited weights.
+        blocks: Option<Vec<TuningBlock>>,
     },
     /// Pre-train one group of non-overlapping blocks.
     Pretrain {
-        /// The group's index in the batch's partition (keys its batch
-        /// stream).
+        /// The group's index in its batch's partition (keys its batch
+        /// stream and its `pretrain.group` faults).
         group_index: usize,
-        /// Indices into the batch of the group's blocks.
-        group: Vec<usize>,
+        /// The group's blocks, each with its position in the batch (the
+        /// key of its `pretrain.block` faults).
+        blocks: Vec<(usize, TuningBlock)>,
     },
 }
 
@@ -665,18 +600,18 @@ impl TaskOutput {
     /// The output of a `task` that could not run to completion after
     /// `attempts` tries: an evaluation failed with `error`, or a group
     /// whose every block failed with it.
-    pub fn failed(task: &Task, batch: &[TuningBlock], error: CoreError, attempts: u32) -> Self {
+    pub fn failed(task: &Task, error: CoreError, attempts: u32) -> Self {
         match task {
             Task::Eval { .. } => TaskOutput::Eval(SupervisedEval {
                 result: Err(error),
                 attempts,
                 backoff: 0.0,
             }),
-            Task::Pretrain { group, .. } => TaskOutput::Pretrain(GroupOutcome {
+            Task::Pretrain { blocks, .. } => TaskOutput::Pretrain(GroupOutcome {
                 blocks: Vec::new(),
-                failed: group
+                failed: blocks
                     .iter()
-                    .map(|&bi| (batch[bi].key(), error.to_string()))
+                    .map(|(_, block)| (block.key(), error.to_string()))
                     .collect(),
                 first_error: Some(error),
             }),
@@ -684,69 +619,161 @@ impl TaskOutput {
     }
 }
 
-/// Everything a [`Task`] executes against. The phase driver builds it from
-/// its own state; a `wootz worker` process rebuilds the same values from
-/// its `Welcome` and task frames.
+/// What every [`Task`] of a run executes against: everything fixed for
+/// the run. The phase driver builds it from its own state; a `wootz
+/// worker` process rebuilds the same values from its `Welcome` and the
+/// blocks it fetched by key.
 pub struct TaskContext<'a> {
     /// The run inputs (model, solver, objective).
     pub inputs: &'a WootzInputs,
     /// The training data.
     pub dataset: &'a Dataset,
+    /// The test samples every evaluation measures ([`evaluation_set`]),
+    /// built by the first evaluation: once per run in-process, once per
+    /// environment in a worker, and never by a coordinator, whose
+    /// evaluations run on the workers.
+    pub eval_set: &'a OnceLock<(Tensor, Vec<usize>)>,
     /// The compiled multiplexing model.
     pub mm: &'a MultiplexingModel,
     /// The trained full model (the teacher).
     pub full_ckpt: &'a Checkpoint,
-    /// The current pre-training batch, in trajectory order.
-    pub batch: &'a [TuningBlock],
-    /// The universe evaluations address.
-    pub env: Option<&'a UniverseEnv>,
-    /// The bag of pre-trained blocks so far, by block key.
-    pub blocks: Option<&'a BTreeMap<String, Checkpoint>>,
+    /// The pre-trained blocks by block key. A key an evaluation needs but
+    /// the bag lacks is a block whose pre-training failed: its layers
+    /// assemble from inherited weights.
+    pub blocks: &'a BTreeMap<String, Checkpoint>,
     /// Deterministic fault-injection plan.
     pub faults: Option<&'a FaultPlan>,
     /// Retry policy for evaluations.
     pub retry: RetryPolicy,
 }
 
+impl TaskContext<'_> {
+    /// Assembles, fine-tunes and measures `config` — the one
+    /// per-configuration evaluation, behind both [`execute`] and
+    /// [`EvalContext::evaluate`]. Deterministic: the assembly seed and the
+    /// batch stream are pure functions of the solver seed and
+    /// `config_index`. `blocks` are the configuration's composite blocks
+    /// (`None` assembles from inherited weights); `stats` its analytic
+    /// parameter count and FLOPs.
+    ///
+    /// The outcome reads the final accuracy and, under an `Accuracy` bound,
+    /// the first step at which the accuracy curve reaches it (the cost).
+    /// So the fine-tune records a curve only under such a bound, every
+    /// `eval_every` steps, and ends it at that point; without one it
+    /// measures the final accuracy alone.
+    fn evaluate(
+        &self,
+        config_index: usize,
+        config: &PruneConfig,
+        blocks: Option<&[TuningBlock]>,
+        (model_size, flops): (usize, u64),
+    ) -> Result<EvalOutcome> {
+        // Placeholder for blocks whose pre-training failed: assembles as an
+        // empty checkpoint, which the assembler degrades to inherited
+        // weights (with an `assemble.block_fallback` event), keeping the
+        // run alive.
+        let missing = Checkpoint::new();
+        let pairs: Vec<(&TuningBlock, &Checkpoint)> = blocks
+            .unwrap_or_default()
+            .iter()
+            .map(|block| (block, self.blocks.get(&block.key()).unwrap_or(&missing)))
+            .collect();
+        let strategy = match blocks {
+            Some(_) => InitStrategy::BlockTrained(&pairs),
+            None => InitStrategy::Default,
+        };
+        let solver = &self.inputs.solver;
+        let (mut built, _fallbacks) = assemble_supervised(
+            self.mm,
+            config,
+            self.full_ckpt,
+            strategy,
+            solver.seed ^ config_index as u64,
+            self.faults,
+            config_index as u64,
+        )?;
+        let threshold = accuracy_threshold(&self.inputs.objective);
+        let cfg = TrainConfig {
+            max_steps: solver.max_iter,
+            sgd: SgdConfig {
+                learning_rate: solver.base_lr,
+                weight_decay: solver.weight_decay,
+                momentum: solver.momentum,
+            },
+            schedule: schedule_of(solver),
+            eval_every: match threshold {
+                Some(_) => solver.eval_every.max(1),
+                None => 0,
+            },
+        };
+        let batch_size = solver.batch_size;
+        let (eval_x, eval_y) = self.eval_set.get_or_init(|| evaluation_set(self.dataset));
+        let eval = EvalSet {
+            images: eval_x,
+            labels: eval_y,
+            target: threshold.map(|t| t as f32),
+        };
+        let log = global_finetune(
+            &mut built,
+            &cfg,
+            |step| {
+                self.dataset
+                    .train_batch(step.wrapping_add(config_index * 1009), batch_size)
+            },
+            Some(eval),
+        )?;
+        let accuracy = log.final_accuracy.unwrap_or(0.0) as f64;
+        // Steps-to-target as cost when the target was hit mid-run.
+        let cost_steps = threshold
+            .and_then(|t| log.first_step_reaching(t as f32))
+            .unwrap_or(log.steps_run);
+        Ok(EvalOutcome {
+            model_size,
+            flops,
+            accuracy,
+            cost: cost_steps as f64,
+            log: Some(log),
+        })
+    }
+}
+
 /// Executes one task: the one function that maps a unit of work to its
 /// output, whichever runtime and process runs it. An evaluation is
-/// [`supervise_eval`] over [`EvalContext::evaluate`] under an
+/// [`supervise_eval`] over the per-configuration evaluation under an
 /// `explore.config` span; a group is [`pretrain_group_supervised`] on the
 /// solver's pre-training configuration. Both are pure functions of the
 /// task and the context, which is what makes the runtimes interchangeable.
-///
-/// # Panics
-///
-/// When an evaluation task meets a context without a universe.
 pub fn execute(task: &Task, cx: &TaskContext<'_>) -> TaskOutput {
     match task {
-        &Task::Eval { config_index } => {
-            let _span = wootz_obs::span("explore.config").with("config", config_index);
-            let env = cx.env.expect("an evaluation task needs a universe");
-            let ctx = EvalContext::new(
-                &env.inputs,
-                cx.dataset,
-                cx.mm,
-                cx.full_ckpt,
-                env.block_set.as_ref(),
-                cx.blocks,
-                &env.sizes,
-                &env.flops,
-                cx.faults,
-            );
+        Task::Eval {
+            config_index,
+            config,
+            blocks,
+        } => {
+            let _span = wootz_obs::span("explore.config").with("config", *config_index);
+            let model = &cx.inputs.model;
+            let evaluate = |i: usize| {
+                let stats = (
+                    config_param_count(model, config)?,
+                    crate::stats::config_flop_count(model, config)?,
+                );
+                cx.evaluate(i, config, blocks.as_deref(), stats)
+            };
             TaskOutput::Eval(supervise_eval(
-                &|i| ctx.evaluate(i),
-                config_index,
+                &evaluate,
+                *config_index,
                 &cx.retry,
                 cx.faults,
             ))
         }
-        Task::Pretrain { group_index, group } => {
+        Task::Pretrain {
+            group_index,
+            blocks,
+        } => {
             let batch_size = cx.inputs.solver.batch_size;
             TaskOutput::Pretrain(pretrain_group_supervised(
                 cx.mm,
-                cx.batch,
-                group,
+                blocks,
                 *group_index,
                 cx.full_ckpt,
                 &block_pretrain_config(&cx.inputs.solver),
@@ -782,7 +809,7 @@ impl Executor for LocalExecutor {
         let caught = |task: &Task| {
             catch_unwind(AssertUnwindSafe(|| execute(task, cx))).unwrap_or_else(|payload| {
                 let what = match task {
-                    Task::Eval { config_index } => {
+                    Task::Eval { config_index, .. } => {
                         format!("evaluator thread for config {config_index}")
                     }
                     Task::Pretrain { group_index, .. } => {
@@ -793,7 +820,7 @@ impl Executor for LocalExecutor {
                     what,
                     message: panic_message(payload.as_ref()),
                 };
-                TaskOutput::failed(task, cx.batch, error, 1)
+                TaskOutput::failed(task, error, 1)
             })
         };
         if tasks.iter().all(|t| matches!(t, Task::Pretrain { .. })) {
@@ -812,18 +839,20 @@ impl Executor for LocalExecutor {
     }
 }
 
-/// Runs the `(group index, block indices)` groups `todo` of `cx.batch` on
-/// `executor`: the group runner [`pretrain_groups_with`] calls.
+/// Runs the `(group index, block indices)` groups `todo` of `batch` on
+/// `executor`, one [`Task::Pretrain`] per group: the group runner
+/// [`pretrain_groups_with`] calls.
 pub(crate) fn run_groups(
     executor: &mut impl Executor,
     cx: &TaskContext<'_>,
+    batch: &[TuningBlock],
     todo: &[(usize, &[usize])],
 ) -> Result<Vec<GroupOutcome>> {
     let tasks: Vec<Task> = todo
         .iter()
         .map(|&(group_index, group)| Task::Pretrain {
             group_index,
-            group: group.to_vec(),
+            blocks: group.iter().map(|&bi| (bi, batch[bi].clone())).collect(),
         })
         .collect();
     executor
@@ -981,18 +1010,20 @@ pub fn run_phases<E: Executor>(
             None => Ok(()),
         }
     };
+    let eval_set = OnceLock::new();
     let base = TaskContext {
         inputs,
         dataset,
+        eval_set: &eval_set,
         mm,
         full_ckpt: &full_ckpt,
-        batch: &[],
-        env: None,
-        blocks: None,
+        blocks: &NO_BLOCKS,
         faults: opts.faults,
         retry: opts.retry,
     };
-    let mut env: Option<UniverseEnv> = None;
+    // The length of the universe the last round addressed and the tuning
+    // blocks the mode implies for it.
+    let mut universe: Option<(usize, Option<BlockSet>)> = None;
     let mut known_block_keys: BTreeSet<String> = BTreeSet::new();
     let mut checkpoints: BTreeMap<String, Checkpoint> = BTreeMap::new();
     let mut pretrain_steps = 0usize;
@@ -1000,21 +1031,20 @@ pub fn run_phases<E: Executor>(
     let mut finetune_steps = 0usize;
 
     let mut run_round = |round: &Round<'_>| -> Result<Vec<SupervisedEval>> {
-        if env
+        if universe
             .as_ref()
-            .is_none_or(|e| e.inputs.subspace.len() != round.universe.len())
+            .is_none_or(|(len, _)| *len != round.universe.len())
         {
-            let grown = {
+            let block_set = {
                 let _ident = wootz_obs::span("pipeline.identify_blocks");
-                UniverseEnv::build(inputs, round.universe, mode)?
+                blocks_of(round.universe, mode)?
             };
             // This universe's pre-training batch: blocks no earlier
             // universe implied. Keyed off the trajectory, not off training
             // success, so a block that failed pre-training degrades to
             // inherited weights instead of being silently retried under a
             // different grouping.
-            let batch: Vec<TuningBlock> = grown
-                .block_set
+            let batch: Vec<TuningBlock> = block_set
                 .iter()
                 .flat_map(|set| &set.blocks)
                 .filter(|b| known_block_keys.insert(b.key()))
@@ -1080,31 +1110,35 @@ pub fn run_phases<E: Executor>(
                     Ok(())
                 };
                 let cx = TaskContext {
-                    batch: &batch,
+                    blocks: &checkpoints,
                     ..base
                 };
                 let outcome = pretrain_groups_with(
                     &batch,
                     &batch_completed,
-                    |todo| run_groups(&mut executor, &cx, todo),
+                    |todo| run_groups(&mut executor, &cx, &batch, todo),
                     Some(&mut block_sink),
                 )?;
                 pretrain_steps += outcome.total_steps;
                 blocks_failed += outcome.failed.len();
                 checkpoints.extend(outcome.checkpoints);
             }
-            env = Some(grown);
+            universe = Some((round.universe.len(), block_set));
         }
-        let cx = TaskContext {
-            env: env.as_ref(),
-            blocks: Some(&checkpoints),
-            ..base
-        };
+        let block_set = universe.as_ref().and_then(|(_, set)| set.as_ref());
         let tasks: Vec<Task> = round
             .fresh
             .iter()
-            .map(|&config_index| Task::Eval { config_index })
+            .map(|&config_index| Task::Eval {
+                config_index,
+                config: round.universe[config_index].clone(),
+                blocks: block_set.map(|set| composite_blocks(set, config_index)),
+            })
             .collect();
+        let cx = TaskContext {
+            blocks: &checkpoints,
+            ..base
+        };
         let results = executor
             .run(&cx, &tasks)?
             .into_iter()
@@ -1525,7 +1559,9 @@ mod tests {
         assert_eq!(warm.exploration.resumed, cold.exploration.configs_explored);
         // Early train-log records may hold NaN losses (NaN != NaN), so
         // compare the decisive fields per record.
-        let digest = |run: &WootzRun| -> Vec<(usize, bool, Option<(usize, u64, f64, f64)>)> {
+        // (size, flops, accuracy, cost) of a successful evaluation.
+        type Measured = (usize, u64, f64, f64);
+        let digest = |run: &WootzRun| -> Vec<(usize, bool, Option<Measured>)> {
             run.exploration
                 .evaluated
                 .iter()
@@ -1605,19 +1641,23 @@ mod tests {
         let ds = micro_dataset("flowers102", 3);
         let mm = MultiplexingModel::compile(inputs.model.clone()).unwrap();
         let full = Checkpoint::capture(&mm.build(&ModeToUse::Original, 1).unwrap().vars, "net/");
-        let env = UniverseEnv::build(&inputs, &inputs.subspace, RunMode::Baseline).unwrap();
+        let eval_set = OnceLock::new();
         let cx = TaskContext {
             inputs: &inputs,
             dataset: &ds,
+            eval_set: &eval_set,
             mm: &mm,
             full_ckpt: &full,
-            batch: &[],
-            env: Some(&env),
-            blocks: None,
+            blocks: &NO_BLOCKS,
             faults: None,
             retry: RetryPolicy::default(),
         };
-        let TaskOutput::Eval(sup) = execute(&Task::Eval { config_index: 1 }, &cx) else {
+        let task = Task::Eval {
+            config_index: 1,
+            config: inputs.subspace[1].clone(),
+            blocks: None,
+        };
+        let TaskOutput::Eval(sup) = execute(&task, &cx) else {
             panic!("an evaluation task yields an evaluation");
         };
         assert_eq!(sup.attempts, 1);
@@ -1633,6 +1673,64 @@ mod tests {
                 && s.fields.get("config") == Some(&wootz_obs::FieldValue::Int(1))),
             "no explore.config span for config 1 on {thread}"
         );
+    }
+
+    /// `EvalContext::evaluate(i)` is a lookup over the evaluation an
+    /// evaluation task runs: configuration `i`, its composite blocks and
+    /// its stats give the outcome `execute` gives the task carrying them.
+    #[test]
+    fn eval_context_and_execute_evaluate_a_configuration_alike() {
+        let mut inputs = tiny_inputs(3);
+        inputs.solver.max_iter = 2;
+        let ds = micro_dataset("flowers102", 3);
+        let mm = MultiplexingModel::compile(inputs.model.clone()).unwrap();
+        let full = Checkpoint::capture(&mm.build(&ModeToUse::Original, 1).unwrap().vars, "net/");
+        let set = blocks_for_mode(&inputs, RunMode::Composability)
+            .unwrap()
+            .unwrap();
+        // One trained-looking block, the rest missing (inherited weights).
+        let first = &set.blocks[set.composites[2].parts[0].block_index];
+        let bag: BTreeMap<String, Checkpoint> = [(first.key(), Checkpoint::new())].into();
+        let (sizes, flops) = subspace_stats(&inputs).unwrap();
+        let context = EvalContext::new(
+            &inputs,
+            &ds,
+            &mm,
+            &full,
+            Some(&set),
+            Some(&bag),
+            &sizes,
+            &flops,
+            None,
+        );
+        let looked_up = context.evaluate(2).unwrap();
+
+        let eval_set = OnceLock::new();
+        let cx = TaskContext {
+            inputs: &inputs,
+            dataset: &ds,
+            eval_set: &eval_set,
+            mm: &mm,
+            full_ckpt: &full,
+            blocks: &bag,
+            faults: None,
+            retry: RetryPolicy::default(),
+        };
+        let task = Task::Eval {
+            config_index: 2,
+            config: inputs.subspace[2].clone(),
+            blocks: Some(composite_blocks(&set, 2)),
+        };
+        let TaskOutput::Eval(sup) = execute(&task, &cx) else {
+            panic!("an evaluation task yields an evaluation");
+        };
+        let executed = sup.result.unwrap();
+        assert_eq!(
+            serde_json::to_string(&executed).unwrap(),
+            serde_json::to_string(&looked_up).unwrap()
+        );
+        assert_eq!(executed.model_size, sizes[2]);
+        assert_eq!(executed.flops, flops[2]);
     }
 
     #[test]

@@ -167,7 +167,8 @@ pub fn pretrain_blocks(
         ..PretrainOutcome::default()
     };
     for (gi, group) in groups.iter().enumerate() {
-        let partial = pretrain_one_group(mm, blocks, group, gi, full, cfg, &next_batch)?;
+        let group_blocks: Vec<TuningBlock> = group.iter().map(|&i| blocks[i].clone()).collect();
+        let partial = pretrain_one_group(mm, &group_blocks, gi, full, cfg, &next_batch)?;
         outcome.total_steps += partial.total_steps;
         outcome.checkpoints.extend(partial.checkpoints);
         outcome.losses.extend(partial.losses);
@@ -283,26 +284,26 @@ fn injected(site: &str, key: u64, kind: &wootz_fault::FaultKind) -> CoreError {
 }
 
 /// Supervises one group — what [`crate::pipeline::execute`] runs for a
-/// [`crate::pipeline::Task::Pretrain`]: consults the fault plan at
+/// [`crate::pipeline::Task::Pretrain`]: `blocks` are the group's blocks,
+/// each with its position in the batch. Consults the fault plan at
 /// [`site::PRETRAIN_GROUP`] (keyed by group index), tries the joint group
 /// run first and, on any failure (real error, panic caught by
 /// `catch_unwind`, or injected fault), degrades to training each block
-/// alone (fault site [`site::PRETRAIN_BLOCK`], keyed by block index).
+/// alone (fault site [`site::PRETRAIN_BLOCK`], keyed by batch position).
 /// Blocks that fail even alone are reported, not fatal: they assemble
 /// from inherited weights. The batch stream is keyed by `group_index`, so
 /// a group trained remotely is bit-identical to the same group trained
 /// in-process.
-#[allow(clippy::too_many_arguments)]
 pub fn pretrain_group_supervised(
     mm: &MultiplexingModel,
-    blocks: &[TuningBlock],
-    group: &[usize],
+    blocks: &[(usize, TuningBlock)],
     group_index: usize,
     full: &Checkpoint,
     cfg: &PretrainConfig,
     next_batch: &(impl Fn(usize) -> Tensor + Sync),
     faults: Option<&FaultPlan>,
 ) -> GroupOutcome {
+    let group: Vec<TuningBlock> = blocks.iter().map(|(_, block)| block.clone()).collect();
     let group_attempt = || -> Result<PretrainOutcome> {
         if let Some(kind) = FaultPlan::fire_opt(faults, site::PRETRAIN_GROUP, group_index as u64, 1)
         {
@@ -318,12 +319,12 @@ pub fn pretrain_group_supervised(
         }
         run_caught(
             || format!("pre-training group {group_index}"),
-            || pretrain_one_group(mm, blocks, group, group_index, full, cfg, next_batch),
+            || pretrain_one_group(mm, &group, group_index, full, cfg, next_batch),
         )
     };
     match group_attempt() {
         Ok(partial) => GroupOutcome {
-            blocks: as_pretrained_blocks(partial, group, blocks, cfg.steps),
+            blocks: as_pretrained_blocks(partial, &group, cfg.steps),
             failed: Vec::new(),
             first_error: None,
         },
@@ -339,34 +340,30 @@ pub fn pretrain_group_supervised(
                 failed: Vec::new(),
                 first_error: Some(err),
             };
-            for &bi in group {
-                let key = blocks[bi].key();
+            for (bi, block) in blocks {
+                let key = block.key();
                 let block_attempt = || -> Result<PretrainOutcome> {
                     if let Some(kind) =
-                        FaultPlan::fire_opt(faults, site::PRETRAIN_BLOCK, bi as u64, 1)
+                        FaultPlan::fire_opt(faults, site::PRETRAIN_BLOCK, *bi as u64, 1)
                     {
-                        return Err(injected(site::PRETRAIN_BLOCK, bi as u64, &kind));
+                        return Err(injected(site::PRETRAIN_BLOCK, *bi as u64, &kind));
                     }
                     run_caught(
                         || format!("fallback pre-training for block {key}"),
                         || {
-                            pretrain_one_group(
-                                mm,
-                                blocks,
-                                &[bi],
-                                group_index,
-                                full,
-                                cfg,
-                                next_batch,
-                            )
+                            let solo = std::slice::from_ref(block);
+                            pretrain_one_group(mm, solo, group_index, full, cfg, next_batch)
                         },
                     )
                 };
                 match block_attempt() {
                     Ok(partial) => {
                         // A solo fallback run costs the full step budget.
-                        out.blocks
-                            .extend(as_pretrained_blocks(partial, &[bi], blocks, cfg.steps));
+                        out.blocks.extend(as_pretrained_blocks(
+                            partial,
+                            std::slice::from_ref(block),
+                            cfg.steps,
+                        ));
                     }
                     Err(e) => {
                         wootz_obs::counter("pretrain.block_failures").incr();
@@ -388,13 +385,12 @@ pub fn pretrain_group_supervised(
 /// group's first block carries the whole step cost.
 fn as_pretrained_blocks(
     partial: PretrainOutcome,
-    group: &[usize],
-    blocks: &[TuningBlock],
+    group: &[TuningBlock],
     steps: usize,
 ) -> Vec<PretrainedBlock> {
     let mut out = Vec::with_capacity(group.len());
-    for (i, &bi) in group.iter().enumerate() {
-        let key = blocks[bi].key();
+    for (i, block) in group.iter().enumerate() {
+        let key = block.key();
         let (first, last) = partial
             .losses
             .iter()
@@ -412,12 +408,11 @@ fn as_pretrained_blocks(
     out
 }
 
-/// Trains one non-overlapping group of blocks jointly; `group_index` keys
-/// the group's deterministic batch stream.
+/// Trains the non-overlapping blocks `group_blocks` jointly; `group_index`
+/// keys the group's deterministic batch stream.
 fn pretrain_one_group(
     mm: &MultiplexingModel,
-    blocks: &[TuningBlock],
-    group: &[usize],
+    group_blocks: &[TuningBlock],
     group_index: usize,
     full: &Checkpoint,
     cfg: &PretrainConfig,
@@ -428,11 +423,10 @@ fn pretrain_one_group(
     // the whole wall-clock interval on the driver thread.
     let _group_span = wootz_obs::span("pretrain.group")
         .with("group", group_index)
-        .with("blocks", group.len())
+        .with("blocks", group_blocks.len())
         .with("steps", cfg.steps);
     let mut outcome = PretrainOutcome::default();
     {
-        let group_blocks: Vec<TuningBlock> = group.iter().map(|&i| blocks[i].clone()).collect();
         // Hoisted block identities: key, scope, and structure hash are pure
         // functions of the block's parts, so compute each exactly once here
         // instead of re-deriving them inside the joint loop and the
@@ -446,7 +440,7 @@ fn pretrain_one_group(
             .iter()
             .map(TuningBlock::structure_hash)
             .collect();
-        let mut built = build_group(mm, &group_blocks, &block_scopes, full, cfg.seed)?;
+        let mut built = build_group(mm, group_blocks, &block_scopes, full, cfg.seed)?;
 
         // Joint training: one forward pass serves every block in the group.
         // The graph is compiled once per group — the Teacher–Student loss
@@ -620,7 +614,13 @@ mod tests {
         (inputs, micro_dataset("flowers102", 3))
     }
 
-    /// The task context of pre-training `batch` under `inputs`.
+    /// A pre-training batch and the task context its groups execute in.
+    struct Pretraining<'a> {
+        cx: TaskContext<'a>,
+        batch: &'a [TuningBlock],
+    }
+
+    /// Pre-training `batch` under `inputs`.
     fn context<'a>(
         inputs: &'a WootzInputs,
         dataset: &'a Dataset,
@@ -628,31 +628,33 @@ mod tests {
         full: &'a Checkpoint,
         batch: &'a [TuningBlock],
         faults: Option<&'a FaultPlan>,
-    ) -> TaskContext<'a> {
-        TaskContext {
+    ) -> Pretraining<'a> {
+        static NO_BLOCKS: BTreeMap<String, Checkpoint> = BTreeMap::new();
+        static EVAL_SET: std::sync::OnceLock<(Tensor, Vec<usize>)> = std::sync::OnceLock::new();
+        let cx = TaskContext {
             inputs,
             dataset,
+            eval_set: &EVAL_SET,
             mm,
             full_ckpt: full,
-            batch,
-            env: None,
-            blocks: None,
+            blocks: &NO_BLOCKS,
             faults,
             retry: RetryPolicy::default(),
-        }
+        };
+        Pretraining { cx, batch }
     }
 
-    /// `cx.batch` pre-trained the way the phase driver does it: the
+    /// The batch pre-trained the way the phase driver does it: the
     /// journal-aware shell over the local executor.
     fn pretrain_local(
-        cx: &TaskContext<'_>,
+        p: &Pretraining<'_>,
         completed: &BTreeMap<String, PretrainedBlock>,
         sink: Option<&mut BlockSink<'_>>,
     ) -> Result<PretrainOutcome> {
         pretrain_groups_with(
-            cx.batch,
+            p.batch,
             completed,
-            |todo| run_groups(&mut LocalExecutor, cx, todo),
+            |todo| run_groups(&mut LocalExecutor, &p.cx, p.batch, todo),
             sink,
         )
     }
@@ -878,7 +880,7 @@ mod tests {
             &completed,
             |todo| {
                 assert!(todo.is_empty(), "resume retrained groups {todo:?}");
-                run_groups(&mut LocalExecutor, &cx, todo)
+                run_groups(&mut LocalExecutor, &cx.cx, cx.batch, todo)
             },
             Some(&mut sink),
         )

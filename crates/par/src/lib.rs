@@ -386,7 +386,7 @@ struct Slots<'a, R>(&'a [UnsafeCell<Option<R>>]);
 unsafe impl<R: Send> Sync for Slots<'_, R> {}
 impl<R> Clone for Slots<'_, R> {
     fn clone(&self) -> Self {
-        Slots(self.0)
+        *self
     }
 }
 impl<R> Copy for Slots<'_, R> {}
@@ -398,7 +398,7 @@ unsafe impl<T> Send for SendPtr<T> {}
 unsafe impl<T> Sync for SendPtr<T> {}
 impl<T> Clone for SendPtr<T> {
     fn clone(&self) -> Self {
-        SendPtr(self.0)
+        *self
     }
 }
 impl<T> Copy for SendPtr<T> {}
@@ -484,7 +484,7 @@ pub fn parallel_for<F>(total: usize, f: F)
 where
     F: Fn(usize) + Sync,
 {
-    parallel_map(total, |i| f(i));
+    parallel_map(total, f);
 }
 
 /// Splits `items` into consecutive chunks of `chunk_len` (the last may be

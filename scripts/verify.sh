@@ -8,9 +8,10 @@
 # temperature, kill point or damaged journal lands on the same result) are
 # part of it: crates/cluster/tests/contracts.rs drives the real binaries.
 # Then: the release-mode wootz-par and kernel-oracle tests, a workspace-wide
-# `cargo fmt --check`, a warnings-as-errors `cargo doc --no-deps` (so the
-# public API stays documented — see OBSERVABILITY.md and the crate-level
-# rustdoc of wootz-obs), and the benchmark package's own tests.
+# `cargo fmt --check`, a warnings-as-errors `cargo clippy --all-targets`
+# and `cargo doc --no-deps` over the crates/* packages (so the public API
+# stays documented — see OBSERVABILITY.md and the crate-level rustdoc of
+# wootz-obs), and the benchmark package's own tests.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -34,13 +35,22 @@ cargo test --release -q -p wootz-tensor --test kernel_oracle
 echo "== fmt: cargo fmt --check (whole workspace) =="
 cargo fmt --check
 
-echo "== docs: cargo doc --no-deps (warnings are errors, every crates/* member) =="
-# The package list is read from the `crates/*` workspace members, so a new
-# crate is held to the gate the day it lands. (The vendored stand-ins are
-# workspace members too, but their docs are not this project's API.)
+# The lint and docs gates cover the `crates/*` workspace members, their
+# package list read from the manifests, so a new crate is held to both
+# the day it lands. (The vendored stand-ins are workspace members too,
+# but they are not this project's code: the vendored proptest's own tests
+# fail clippy, and their docs are not this project's API.)
 packages=$(for manifest in crates/*/Cargo.toml; do
     sed -n '/^\[package\]/,/^\[/ s/^name *= *"\([^"]*\)".*/-p \1/p' "$manifest"
 done)
+
+echo "== lint: cargo clippy --all-targets (warnings are errors, every crates/* member) =="
+# `--no-deps` lints the named packages only, not the vendored crates they
+# depend on.
+# shellcheck disable=SC2086 # one word per `-p <package>`
+cargo clippy -q --all-targets --no-deps $packages -- -D warnings
+
+echo "== docs: cargo doc --no-deps (warnings are errors, every crates/* member) =="
 # shellcheck disable=SC2086 # one word per `-p <package>`
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q $packages
 
