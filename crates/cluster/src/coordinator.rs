@@ -57,14 +57,13 @@ use wootz_core::pipeline::{
     block_pretrain_config, run_phases, Executor, RunMode, RunOptions, Task, TaskContext,
     TaskOutput, WootzInputs, WootzRun,
 };
-use wootz_core::pretrain::GroupOutcome;
 use wootz_core::{CoreError, Result};
 use wootz_data::Dataset;
 use wootz_fault::{FaultPlan, RetryPolicy};
 use wootz_nn::Checkpoint;
 
 use crate::net::NetHub;
-use crate::protocol::{cluster_err, Manifest, ResultPayload, TaskResult, TaskSpec};
+use crate::protocol::{cluster_err, Manifest, TaskResult, TaskSpec};
 
 /// Options of a distributed run.
 #[derive(Debug, Clone)]
@@ -728,9 +727,10 @@ impl Coordinator<'_> {
     }
 
     /// Hands the blocks of the driver's bag the hub does not have yet to
-    /// the hub, for the evaluation workers to fetch by key. Called before
-    /// an evaluation batch is enqueued, so every block a round's
-    /// evaluations can use is published before any of them is granted.
+    /// the hub, which sends each to a worker ahead of the first evaluation
+    /// grant that needs it. Called before an evaluation batch is enqueued,
+    /// so every block a round's evaluations can use is published before
+    /// any of them is granted.
     fn publish_blocks(&mut self, bag: &BTreeMap<String, Checkpoint>) -> Result<()> {
         let fresh: Vec<(&String, &Checkpoint)> = bag
             .iter()
@@ -849,7 +849,7 @@ impl Executor for Coordinator<'_> {
             .iter()
             .zip(outcomes)
             .map(|(task, outcome)| match outcome.result {
-                Some(result) => task_output(task, result.payload),
+                Some(result) => task_output(task, result),
                 None => {
                     let error = CoreError::Remote(format!(
                         "{}: task abandoned after {} worker attempts (every lease expired)",
@@ -871,50 +871,43 @@ fn unit(task: &Task) -> String {
     }
 }
 
-/// Maps an accepted result onto the task it answers. A payload of the
-/// other kind, for another configuration or group, or naming a block
-/// outside the task's group is refused: the driver would fold or journal
-/// it under the wrong unit of work.
-fn task_output(task: &Task, payload: ResultPayload) -> Result<TaskOutput> {
+/// Maps an accepted result onto the task it answers: the worker's
+/// [`TaskOutput`] itself. An output of the other kind, an index echo naming
+/// another configuration or group, or a block outside the task's group is
+/// refused: the driver would fold or journal it under the wrong unit of
+/// work.
+fn task_output(task: &Task, result: TaskResult) -> Result<TaskOutput> {
     let refuse = |what: String| Err(cluster_err(format!("{} returned {what}", unit(task))));
-    match (task, payload) {
-        (Task::Eval { config_index, .. }, ResultPayload::Eval(wire)) => {
-            if wire.config_index != *config_index {
-                return refuse(format!("config {}", wire.config_index));
+    let output = result.output;
+    match (task, &output) {
+        (Task::Eval { config_index, .. }, TaskOutput::Eval(_)) => {
+            if result.index != *config_index {
+                return refuse(format!("config {}", result.index));
             }
-            Ok(TaskOutput::Eval(wire.into_supervised()))
         }
         (
             Task::Pretrain {
                 group_index,
                 blocks: group,
             },
-            ResultPayload::Pretrain {
-                group_index: returned,
-                blocks,
-                failed,
-            },
+            TaskOutput::Pretrain(outcome),
         ) => {
-            if returned != *group_index {
-                return refuse(format!("group {returned}"));
+            if result.index != *group_index {
+                return refuse(format!("group {}", result.index));
             }
             let keys: BTreeSet<String> = group.iter().map(|(_, block)| block.key()).collect();
-            let returned_keys = blocks.iter().map(|b| &b.key);
-            if let Some(stray) = returned_keys
-                .chain(failed.iter().map(|(key, _)| key))
+            let returned = outcome.blocks.iter().map(|b| &b.key);
+            if let Some(stray) = returned
+                .chain(outcome.failed.iter().map(|(key, _)| key))
                 .find(|key| !keys.contains(*key))
             {
                 return refuse(format!("block `{stray}` from outside its group"));
             }
-            Ok(TaskOutput::Pretrain(GroupOutcome {
-                blocks,
-                failed,
-                first_error: None,
-            }))
         }
-        (_, ResultPayload::Eval(_)) => refuse("an evaluation payload".into()),
-        (_, ResultPayload::Pretrain { .. }) => refuse("a pre-training payload".into()),
+        (_, TaskOutput::Eval(_)) => return refuse("an evaluation output".into()),
+        (_, TaskOutput::Pretrain(_)) => return refuse("a pre-training output".into()),
     }
+    Ok(output)
 }
 
 impl<'a> Coordinator<'a> {
@@ -1055,10 +1048,8 @@ mod tests {
     use super::*;
     use wootz_core::compile::TuningBlock;
     use wootz_core::explore::{EvalOutcome, SupervisedEval};
-    use wootz_core::pretrain::PretrainedBlock;
+    use wootz_core::pretrain::{GroupOutcome, PretrainedBlock};
     use wootz_core::prune::PruneConfig;
-
-    use crate::protocol::WireEval;
 
     fn batch() -> Vec<TuningBlock> {
         vec![
@@ -1068,7 +1059,19 @@ mod tests {
         ]
     }
 
-    fn eval_payload(config_index: usize) -> ResultPayload {
+    fn result(index: usize, output: TaskOutput) -> TaskResult {
+        TaskResult {
+            seq: 1,
+            attempt: 1,
+            epoch: 1,
+            worker: "w0".to_string(),
+            wall_ms: 1,
+            output,
+            index,
+        }
+    }
+
+    fn eval_result(config_index: usize) -> TaskResult {
         let outcome = EvalOutcome {
             model_size: 10,
             flops: 20,
@@ -1081,10 +1084,10 @@ mod tests {
             attempts: 1,
             backoff: 0.0,
         };
-        ResultPayload::Eval(WireEval::from_supervised(config_index, sup))
+        result(config_index, TaskOutput::Eval(sup))
     }
 
-    fn pretrain_payload(group_index: usize, trained: &[&str], failed: &[&str]) -> ResultPayload {
+    fn pretrain_result(group_index: usize, trained: &[&str], failed: &[&str]) -> TaskResult {
         let block = |key: &&str| PretrainedBlock {
             key: key.to_string(),
             checkpoint: Checkpoint::new(),
@@ -1092,14 +1095,15 @@ mod tests {
             last_loss: 0.5,
             steps: 4,
         };
-        ResultPayload::Pretrain {
-            group_index,
+        let outcome = GroupOutcome {
             blocks: trained.iter().map(block).collect(),
             failed: failed
                 .iter()
                 .map(|key| (key.to_string(), "boom".to_string()))
                 .collect(),
-        }
+            first_error: Some(CoreError::Remote("group boom".to_string())),
+        };
+        result(group_index, TaskOutput::Pretrain(outcome))
     }
 
     #[test]
@@ -1130,30 +1134,33 @@ mod tests {
             group_index: 1,
             blocks: vec![(0, batch[0].clone()), (2, batch[2].clone())],
         };
-        let refused = |task: &Task, payload: ResultPayload| match task_output(task, payload) {
-            Ok(_) => panic!("accepted a mismatched payload for {task:?}"),
+        let refused = |task: &Task, result: TaskResult| match task_output(task, result) {
+            Ok(_) => panic!("accepted a mismatched result for {task:?}"),
             Err(e) => e.to_string(),
         };
-        let msg = refused(&eval, eval_payload(4));
+        let msg = refused(&eval, eval_result(4));
         assert!(msg.contains("configuration 3 returned config 4"), "{msg}");
-        let msg = refused(&eval, pretrain_payload(3, &[], &[]));
-        assert!(msg.contains("a pre-training payload"), "{msg}");
-        let msg = refused(&group, eval_payload(1));
-        assert!(msg.contains("an evaluation payload"), "{msg}");
-        let msg = refused(&group, pretrain_payload(0, &[&k0, &k2], &[]));
+        let msg = refused(&eval, pretrain_result(3, &[], &[]));
+        assert!(msg.contains("a pre-training output"), "{msg}");
+        let msg = refused(&group, eval_result(1));
+        assert!(msg.contains("an evaluation output"), "{msg}");
+        let msg = refused(&group, pretrain_result(0, &[&k0, &k2], &[]));
         assert!(
             msg.contains("pre-training group 1 returned group 0"),
             "{msg}"
         );
         // A block of the batch, but not of this group, trained or failed.
-        let msg = refused(&group, pretrain_payload(1, &[&k0, &k1], &[]));
+        let msg = refused(&group, pretrain_result(1, &[&k0, &k1], &[]));
         assert!(msg.contains(&format!("block `{k1}`")), "{msg}");
-        let msg = refused(&group, pretrain_payload(1, &[&k0], &[&k1]));
+        let msg = refused(&group, pretrain_result(1, &[&k0], &[&k1]));
         assert!(msg.contains(&format!("block `{k1}`")), "{msg}");
-        let msg = refused(&group, pretrain_payload(1, &["m9r10"], &[]));
+        let msg = refused(&group, pretrain_result(1, &["m9r10"], &[]));
         assert!(msg.contains("block `m9r10`"), "{msg}");
     }
 
+    /// A result for its own task is the worker's output itself — the
+    /// group error included, which decides whether a batch whose every
+    /// block failed aborts the run, as it does in-process.
     #[test]
     fn results_for_their_own_task_map_to_its_output() {
         let batch = batch();
@@ -1163,7 +1170,7 @@ mod tests {
             config: PruneConfig::unpruned(4),
             blocks: None,
         };
-        match task_output(&eval, eval_payload(3)).unwrap() {
+        match task_output(&eval, eval_result(3)).unwrap() {
             TaskOutput::Eval(sup) => {
                 assert_eq!(sup.attempts, 1);
                 assert_eq!(sup.result.unwrap().model_size, 10);
@@ -1174,12 +1181,13 @@ mod tests {
             group_index: 1,
             blocks: vec![(0, batch[0].clone()), (2, batch[2].clone())],
         };
-        match task_output(&group, pretrain_payload(1, &[&k0], &[&k2])).unwrap() {
+        match task_output(&group, pretrain_result(1, &[&k0], &[&k2])).unwrap() {
             TaskOutput::Pretrain(out) => {
                 assert_eq!(out.blocks.len(), 1);
                 assert_eq!(out.blocks[0].key, k0);
                 assert_eq!(out.failed, vec![(k2, "boom".to_string())]);
-                assert!(out.first_error.is_none());
+                let error = out.first_error.expect("the group error was dropped");
+                assert_eq!(error.to_string(), "group boom");
             }
             TaskOutput::Eval(_) => panic!("a group mapped to an evaluation"),
         }

@@ -17,9 +17,8 @@
 //!   | -- Hello{worker,epoch} ------>  |   (epoch 0 = "tell me yours")
 //!   | <-- Welcome{epoch,manifest,...} |   (or Shutdown when draining)
 //!   | -- TaskRequest{worker} ------>  |   (long-poll: parked until work)
-//!   | <-- TaskGrant{task} | NoTask -  |
-//!   | -- BlocksRequest{keys} ------>  |   (an evaluation needing blocks
-//!   | <-- Blocks{index} ------------  |    the worker lacks)
+//!   | <-- Blocks{index} ------------  |   (before an evaluation's grant:
+//!   | <-- TaskGrant{task} | NoTask -  |    its blocks new to the session)
 //!   | -- Heartbeat{...} ----------->  |   (quarter-lease cadence)
 //!   | <-- HeartbeatAck{nonce} ------  |
 //!   | -- TaskDone{result} --------->  |
@@ -28,13 +27,14 @@
 
 use std::io::{Read, Write};
 
+use wootz_core::pipeline::{read_doc, write_doc};
 use wootz_nn::Checkpoint;
 use wootz_wire::{
     read_frame, write_frame, Frame, Limits, WireDeserialize, WireError, WireReader, WireResult,
     WireSerialize, HEADER_LEN,
 };
 
-use crate::protocol::{read_doc, write_doc, Manifest, TaskResult, TaskSpec};
+use crate::protocol::{Manifest, TaskResult, TaskSpec};
 
 /// A protocol message: one frame on the wire. Variant order matches the
 /// msg-type codes in [`Message::CATALOG`].
@@ -43,7 +43,7 @@ use crate::protocol::{read_doc, write_doc, Manifest, TaskResult, TaskSpec};
 // and is never stored in bulk, so boxing the manifest would buy nothing
 // but an allocation per `Welcome` and a `Box` at every construction site.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum Message {
     /// Worker → coordinator: opens (or re-opens) a session. `epoch` is
     /// the epoch the worker last worked under — `0` on first connect —
@@ -109,16 +109,11 @@ pub enum Message {
         /// The completed task's result record.
         result: TaskResult,
     },
-    /// Worker → coordinator: asks for pre-trained blocks by key — the
-    /// keys an evaluation task needs that the worker has neither fetched
-    /// nor been told are absent.
-    BlocksRequest {
-        /// The block keys asked for.
-        keys: Vec<String>,
-    },
-    /// Coordinator → worker: the requested blocks the coordinator has, as
-    /// `(block key, checkpoint)` pairs in request order. A requested key left
-    /// out is a block whose pre-training failed.
+    /// Coordinator → worker: pre-trained blocks, sent just before the
+    /// grant of the evaluation that needs them, as `(block key,
+    /// checkpoint)` pairs: the task's published keys this session has not
+    /// been sent yet. A key of the task the session never receives is a
+    /// block whose pre-training failed.
     Blocks {
         /// Block key → trained checkpoint.
         index: Vec<(String, Checkpoint)>,
@@ -187,13 +182,19 @@ impl Message {
         (6, "Heartbeat"),
         (7, "HeartbeatAck"),
         (8, "TaskDone"),
-        (9, "BlocksRequest"),
         (10, "Blocks"),
         (11, "Shutdown"),
         (12, "SubmitJob"),
         (13, "JobEvent"),
         (14, "JobDone"),
     ];
+
+    /// Retired msg-type codes, never reused: `(code, name)` of messages
+    /// this revision neither sends nor decodes. A frame with one of these
+    /// codes is refused as `UnknownMsgType`. Code 9 was `BlocksRequest`,
+    /// the worker's fetch of blocks by key, which the hub's push of
+    /// blocks ahead of each evaluation grant replaced.
+    pub const RETIRED: &'static [(u16, &'static str)] = &[(9, "BlocksRequest")];
 
     /// This message's msg-type code (the envelope field).
     pub fn msg_type(&self) -> u16 {
@@ -206,7 +207,6 @@ impl Message {
             Message::Heartbeat { .. } => 6,
             Message::HeartbeatAck { .. } => 7,
             Message::TaskDone { .. } => 8,
-            Message::BlocksRequest { .. } => 9,
             Message::Blocks { .. } => 10,
             Message::Shutdown => 11,
             Message::SubmitJob { .. } => 12,
@@ -217,7 +217,11 @@ impl Message {
 
     /// This message's catalog name.
     pub fn name(&self) -> &'static str {
-        Message::CATALOG[self.msg_type() as usize - 1].1
+        let code = self.msg_type();
+        Message::CATALOG
+            .iter()
+            .find(|(c, _)| *c == code)
+            .map_or("?", |(_, name)| name)
     }
 
     /// Encodes the payload (everything after the envelope header).
@@ -259,7 +263,6 @@ impl Message {
             Message::HeartbeatAck { nonce } => nonce.wire_write(&mut out)?,
             Message::TaskDone { result } => result.wire_write(&mut out)?,
             Message::Shutdown => {}
-            Message::BlocksRequest { keys } => keys.wire_write(&mut out)?,
             Message::Blocks { index } => index.wire_write(&mut out)?,
             Message::SubmitJob {
                 model,
@@ -303,7 +306,6 @@ impl Message {
             Message::Heartbeat { worker, .. } => worker.wire_size() + 8 + 4 + 8,
             Message::TaskDone { result } => result.wire_size(),
             Message::Shutdown => 0,
-            Message::BlocksRequest { keys } => keys.wire_size(),
             Message::Blocks { index } => index.wire_size(),
             Message::SubmitJob {
                 model,
@@ -371,9 +373,6 @@ impl Message {
             },
             8 => Message::TaskDone {
                 result: TaskResult::wire_read(&mut r)?,
-            },
-            9 => Message::BlocksRequest {
-                keys: Vec::<String>::wire_read(&mut r)?,
             },
             10 => Message::Blocks {
                 index: Vec::<(String, Checkpoint)>::wire_read(&mut r)?,
@@ -457,9 +456,6 @@ mod tests {
                 },
                 "HeartbeatAck" => Message::HeartbeatAck { nonce: 9 },
                 "TaskDone" => continue,
-                "BlocksRequest" => Message::BlocksRequest {
-                    keys: vec!["m0r30".into()],
-                },
                 "Blocks" => Message::Blocks { index: Vec::new() },
                 "Shutdown" => Message::Shutdown,
                 "SubmitJob" => Message::SubmitJob {
@@ -514,9 +510,6 @@ mod tests {
                 nonce: 0xDEAD,
             },
             Message::HeartbeatAck { nonce: 0xDEAD },
-            Message::BlocksRequest {
-                keys: vec!["m0r30".into(), "m1r50+m2r50".into()],
-            },
             Message::Shutdown,
             Message::SubmitJob {
                 model: "name: \"net\"".into(),

@@ -61,6 +61,7 @@ use std::time::{Duration, Instant};
 use wootz_nn::Checkpoint;
 use wootz_wire::{write_frame, write_len, Limits, WireError, WireResult, WireSerialize};
 
+use wootz_core::pipeline::Task;
 use wootz_core::Result;
 
 use crate::messages::Message;
@@ -259,10 +260,7 @@ struct HubState {
     /// The published pre-trained blocks by key ([`NetHub::publish_blocks`]),
     /// each encoded once, as its `(key, checkpoint)` element of a
     /// [`Message::Blocks`] payload.
-    blocks: Mutex<BTreeMap<String, Vec<u8>>>,
-    /// The block keys each worker id has asked for, so a key asked for
-    /// again is counted (`net.blocks_keys_repeated`).
-    asked: Mutex<HashMap<String, HashSet<String>>>,
+    blocks: Mutex<BTreeMap<String, Arc<[u8]>>>,
     /// Set when the coordinator is draining: new sessions and task
     /// requests are answered with [`Message::Shutdown`].
     draining: AtomicBool,
@@ -309,41 +307,69 @@ impl HubState {
         }
     }
 
-    /// Answers a `BlocksRequest` from `worker` with the requested blocks
-    /// the hub has, in request order: the payload is the elements
-    /// [`NetHub::publish_blocks`] encoded, copied, never re-encoded.
-    fn answer_blocks_request(
+    /// Sends `session` the blocks `task` needs that are published and
+    /// not in `sent`, as one `Blocks` frame, and adds their keys to
+    /// `sent`; sends nothing when there are none. A key the hub never
+    /// published is a block whose pre-training failed: it assembles from
+    /// inherited weights, so it never crosses the wire. The payload is the
+    /// elements [`NetHub::publish_blocks`] encoded, taken under the lock
+    /// and copied after it is released, never re-encoded.
+    fn push_blocks(
         &self,
         session: &Session,
-        worker: Option<&str>,
-        keys: &[String],
-    ) -> WireResult<usize> {
-        wootz_obs::counter("net.blocks_requests").incr();
-        if let Some(worker) = worker {
-            let mut asked = lock_recover(&self.asked);
-            let asked = asked.entry(worker.to_string()).or_default();
-            let repeated = keys.iter().filter(|key| !asked.insert(key.to_string()));
-            wootz_obs::counter("net.blocks_keys_repeated").add(repeated.count() as u64);
+        sent: &mut HashSet<String>,
+        task: &Task,
+    ) -> WireResult<()> {
+        let Task::Eval {
+            blocks: Some(blocks),
+            ..
+        } = task
+        else {
+            return Ok(());
+        };
+        let fresh: Vec<Arc<[u8]>> = {
+            let published = lock_recover(&self.blocks);
+            blocks
+                .iter()
+                .filter_map(|block| {
+                    let key = block.key();
+                    let element = published.get(&key)?;
+                    sent.insert(key).then(|| Arc::clone(element))
+                })
+                .collect()
+        };
+        if fresh.is_empty() {
+            return Ok(());
         }
-        let published = lock_recover(&self.blocks);
-        let found: Vec<&Vec<u8>> = keys.iter().filter_map(|key| published.get(key)).collect();
-        let mut payload = Vec::new();
-        write_len(&mut payload, "Blocks index", found.len())?;
-        found
+        let mut payload = Vec::with_capacity(4 + fresh.iter().map(|e| e.len()).sum::<usize>());
+        write_len(&mut payload, "Blocks index", fresh.len())?;
+        fresh
             .iter()
             .for_each(|element| payload.extend_from_slice(element));
-        drop(published);
         let msg_type = Message::Blocks { index: Vec::new() }.msg_type();
-        send_frame(&session.writer, &EncodedFrame { msg_type, payload })
+        send_frame(&session.writer, &EncodedFrame { msg_type, payload })?;
+        wootz_obs::counter("net.blocks_pushed").add(fresh.len() as u64);
+        Ok(())
     }
 
     /// Answers one `TaskRequest` as a long-poll: grants the moment a task
     /// can be claimed, sends `Shutdown` the moment the run drains, and
     /// only after [`HubState::park`] without either answers `NoTask` —
     /// with a zero backoff, because the waiting already happened here.
+    /// A grant is preceded by the blocks its task needs that the session
+    /// has not been sent yet ([`HubState::push_blocks`]), noted in `sent`.
     /// `None` means the session's one `Shutdown` was (or already had
     /// been) sent instead of a reply.
-    fn answer_task_request(&self, session: &Session) -> Option<Message> {
+    ///
+    /// # Errors
+    ///
+    /// The socket error of a failed block push; the task stays claimed
+    /// until its lease reclaims it.
+    fn answer_task_request(
+        &self,
+        session: &Session,
+        sent: &mut HashSet<String>,
+    ) -> WireResult<Option<Message>> {
         let deadline = Instant::now() + self.park;
         loop {
             // Generation first, queue second: an enqueue between the
@@ -352,10 +378,11 @@ impl HubState {
             let seen = self.work.seen();
             if self.draining.load(Ordering::SeqCst) {
                 session.send_shutdown();
-                return None;
+                return Ok(None);
             }
             if let Some(task) = self.claim() {
                 self.record_signal(task.seq, task.attempt);
+                self.push_blocks(session, sent, &task.task)?;
                 let grant = Message::TaskGrant { task };
                 // Chaos: the task is claimed but the grant frame reaches
                 // the worker torn — the crash window between
@@ -370,13 +397,13 @@ impl HubState {
                     let _ = stream.flush();
                     wootz_fault::chaos::die(wootz_fault::chaos::kill_site::COORD_GRANT);
                 }
-                return Some(grant);
+                return Ok(Some(grant));
             }
             let now = Instant::now();
             if now >= deadline {
                 self.no_task_replies.fetch_add(1, Ordering::Relaxed);
                 wootz_obs::counter("net.no_task_replies").incr();
-                return Some(Message::NoTask { backoff_ms: 0 });
+                return Ok(Some(Message::NoTask { backoff_ms: 0 }));
             }
             self.work.wait_past(seen, deadline - now);
         }
@@ -435,7 +462,6 @@ impl NetHub {
             readopted: AtomicUsize::new(0),
             no_task_replies: AtomicUsize::new(0),
             blocks: Mutex::new(BTreeMap::new()),
-            asked: Mutex::new(HashMap::new()),
             draining: AtomicBool::new(false),
             closing: AtomicBool::new(false),
             sessions: Mutex::new(HashMap::new()),
@@ -564,11 +590,11 @@ impl NetHub {
         lock_recover(&self.state.blocks).contains_key(key)
     }
 
-    /// Publishes pre-trained blocks for [`Message::BlocksRequest`]s:
-    /// encodes each once and adds it under its key. Rounds that pre-train
-    /// new blocks publish them before the round's evaluations are
-    /// enqueued, so a key a worker asks for and the hub lacks is a block
-    /// whose pre-training failed.
+    /// Publishes pre-trained blocks for the pushes ahead of evaluation
+    /// grants: encodes each once and adds it under its key. Rounds that
+    /// pre-train new blocks publish them before the round's evaluations
+    /// are enqueued, so a key of a granted evaluation the hub lacks is a
+    /// block whose pre-training failed.
     ///
     /// # Errors
     ///
@@ -583,7 +609,7 @@ impl NetHub {
             key.wire_write(&mut element)
                 .and_then(|_| checkpoint.wire_write(&mut element))
                 .map_err(|e| cluster_err(format!("cannot encode block `{key}`: {e}")))?;
-            published.insert(key.clone(), element);
+            published.insert(key.clone(), element.into());
         }
         Ok(())
     }
@@ -649,8 +675,11 @@ impl Drop for SessionGuard<'_> {
     }
 }
 
-/// One coordinator-side connection: a strict request/response loop over
-/// the worker's frames (plus fire-and-forget `TaskDone` journaling).
+/// One coordinator-side connection: a request/response loop over the
+/// worker's frames. A `TaskDone` gets no reply — the hub hands it to the
+/// drive loop — and a grant may be preceded by one `Blocks` frame; the
+/// session remembers which block keys it has sent, so a worker that
+/// redials (a new session) is sent its blocks again.
 fn handle_connection(state: Arc<HubState>, id: u64, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let mut reader = match stream.try_clone() {
@@ -661,8 +690,8 @@ fn handle_connection(state: Arc<HubState>, id: u64, stream: TcpStream) {
         writer: Mutex::new(stream),
         shutdown_sent: AtomicBool::new(false),
     });
-    // The worker id of the session's `Hello`.
-    let mut worker_id: Option<String> = None;
+    // The block keys this session has been sent.
+    let mut sent: HashSet<String> = HashSet::new();
     lock_recover(&state.sessions).insert(id, Arc::clone(&session));
     let _registered = SessionGuard { state: &state, id };
     if state.closing.load(Ordering::SeqCst) {
@@ -688,7 +717,6 @@ fn handle_connection(state: Arc<HubState>, id: u64, stream: TcpStream) {
         let is_task_request = matches!(msg, Message::TaskRequest { .. });
         let reply = match msg {
             Message::Hello { worker, epoch } => {
-                worker_id = Some(worker.clone());
                 let mut known = lock_recover(&state.known_workers);
                 let sessions = known.entry(worker.clone()).or_insert(0);
                 *sessions += 1;
@@ -728,7 +756,10 @@ fn handle_connection(state: Arc<HubState>, id: u64, stream: TcpStream) {
                     wootz_obs::histogram("cluster.worker_ready_ms")
                         .record(spawned.elapsed().as_millis() as u64);
                 }
-                state.answer_task_request(&session)
+                match state.answer_task_request(&session, &mut sent) {
+                    Ok(reply) => reply,
+                    Err(_) => return,
+                }
             }
             Message::Heartbeat {
                 seq,
@@ -743,15 +774,6 @@ fn handle_connection(state: Arc<HubState>, id: u64, stream: TcpStream) {
                 // The coordinator's fencing (epoch + live attempt)
                 // decides acceptance — the hub delivers zombies too.
                 state.deliver(result, received);
-                None
-            }
-            Message::BlocksRequest { keys } => {
-                if state
-                    .answer_blocks_request(&session, worker_id.as_deref(), &keys)
-                    .is_err()
-                {
-                    return;
-                }
                 None
             }
             // Coordinator-bound streams never carry these; ignore rather
@@ -915,10 +937,11 @@ impl Drop for NetClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{ResultPayload, WireEval};
     use std::collections::BTreeSet;
-    use wootz_core::pipeline::Task;
+    use wootz_core::explore::SupervisedEval;
+    use wootz_core::pipeline::TaskOutput;
     use wootz_core::prune::PruneConfig;
+    use wootz_core::CoreError;
 
     /// A hub on an ephemeral loopback port whose tasks nobody executes.
     fn idle_hub() -> NetHub {
@@ -955,14 +978,18 @@ mod tests {
             epoch: task.epoch,
             worker: "w0".to_string(),
             wall_ms: 1,
-            payload: ResultPayload::Eval(WireEval {
-                config_index: task.seq as usize,
-                outcome: None,
-                error: Some("boom".to_string()),
+            output: TaskOutput::Eval(SupervisedEval {
+                result: Err(CoreError::Remote("boom".to_string())),
                 attempts: 1,
                 backoff: 0.0,
             }),
+            index: task.seq as usize,
         }
+    }
+
+    /// `(seq, attempt)` of each result.
+    fn ids(results: &[(TaskResult, Instant)]) -> Vec<(u64, u32)> {
+        results.iter().map(|(r, _)| (r.seq, r.attempt)).collect()
     }
 
     #[test]
@@ -982,7 +1009,8 @@ mod tests {
         hub.state.deliver(result(&first), arrived);
         assert_eq!(hub.claimed(), 1);
         let results = hub.take_results();
-        assert_eq!(results, vec![(result(&first), arrived)]);
+        assert_eq!(ids(&results), [(1, 1)]);
+        assert_eq!(results[0].1, arrived);
         // A resent copy of a delivered result is dropped.
         hub.state.deliver(result(&first), Instant::now());
         assert!(hub.take_results().is_empty());

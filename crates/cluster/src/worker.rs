@@ -11,18 +11,20 @@
 //! and fences by epoch, so delivery is effectively exactly-once per
 //! accepted attempt.
 //!
-//! The execution environment (`WorkerEnv`, private to this module) is
-//! rebuilt from the `Welcome` exactly as the single-process pipeline
-//! builds its [`TaskContext`]: manifest → model / solver / objective, the
-//! full-model checkpoint, the deterministic micro dataset and (built on
-//! the first evaluation) its evaluation set, and the pre-trained blocks
-//! fetched so far. A worker
-//! holds no universe: each granted [`Task`] carries its configuration and
-//! composite blocks, or its group's blocks, and the worker fetches by key
-//! only the block checkpoints it has not fetched yet. The task runs
-//! through [`execute`], the one function the in-process runtime runs too.
-//! Because a task is a pure function of its inputs, it executes
-//! bit-identically no matter which process — or attempt — runs it.
+//! A worker is [`execute`] behind a socket. Its execution environment
+//! (`WorkerEnv`, private to this module) is rebuilt from the `Welcome`
+//! exactly as the single-process pipeline builds its [`TaskContext`]:
+//! manifest → model / solver / objective, the full-model checkpoint, the
+//! deterministic micro dataset and (built on the first evaluation) its
+//! evaluation set, and the pre-trained blocks received so far. A worker
+//! holds no universe and asks for nothing: each granted
+//! [`wootz_core::pipeline::Task`] carries its configuration and composite
+//! blocks, or its group's blocks, and the coordinator sends the block
+//! checkpoints an evaluation needs ahead of its grant. The task runs
+//! through [`execute`], the one function the in-process runtime runs too,
+//! and its [`TaskOutput`] travels back as it is. Because a task is a pure
+//! function of its inputs, it executes bit-identically no matter which
+//! process — or attempt — runs it.
 //!
 //! Process-level faults fire here, at `site::CLUSTER_TASK`:
 //!
@@ -44,14 +46,14 @@
 //! socket — a deterministic mid-frame disconnect. The worker then
 //! reconnects and re-sends; the run's results must be unaffected.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::OnceLock;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use wootz_core::compile::MultiplexingModel;
-use wootz_core::pipeline::{execute, Task, TaskContext, TaskOutput, WootzInputs};
+use wootz_core::pipeline::{execute, TaskContext, TaskOutput, WootzInputs};
 use wootz_core::Result;
 use wootz_data::{micro_dataset, Dataset};
 use wootz_fault::{site, FaultKind, FaultPlan};
@@ -60,13 +62,13 @@ use wootz_tensor::Tensor;
 
 use crate::messages::Message;
 use crate::net::{lock_recover, send_message, NetClient};
-use crate::protocol::{Manifest, ResultPayload, TaskResult, TaskSpec, WireEval};
+use crate::protocol::{Manifest, TaskResult, TaskSpec};
 
 /// Everything a worker needs to execute tasks besides the tasks
 /// themselves, reconstructed from the `Welcome` exactly as the
 /// single-process pipeline builds its [`TaskContext`], plus the
-/// pre-trained blocks fetched so far. Rebuilt on every new epoch, so
-/// what it fetched always comes from the current coordinator.
+/// pre-trained blocks received so far. Rebuilt on every new epoch, so
+/// its blocks always come from the current coordinator.
 struct WorkerEnv {
     manifest: Manifest,
     inputs: WootzInputs,
@@ -74,13 +76,11 @@ struct WorkerEnv {
     eval_set: OnceLock<(Tensor, Vec<usize>)>,
     mm: MultiplexingModel,
     full_ckpt: Checkpoint,
-    /// Pre-trained block checkpoints fetched so far, by key.
+    /// Pre-trained block checkpoints received so far, by key. A key an
+    /// evaluation needs and this lacks is a block whose pre-training
+    /// failed: the coordinator sends every published block ahead of the
+    /// grant that needs it.
     blocks: BTreeMap<String, Checkpoint>,
-    /// Keys asked for that the coordinator had no block for: blocks whose
-    /// pre-training failed, which assemble from inherited weights. The
-    /// coordinator publishes a round's blocks before its evaluations, so
-    /// such a key stays absent for the epoch and is never asked again.
-    absent: BTreeSet<String>,
 }
 
 impl WorkerEnv {
@@ -101,7 +101,6 @@ impl WorkerEnv {
             mm,
             full_ckpt,
             blocks: BTreeMap::new(),
-            absent: BTreeSet::new(),
         })
     }
 
@@ -111,7 +110,8 @@ impl WorkerEnv {
     /// returns the straggle factor.
     fn fault_hook(&self, task: &TaskSpec) -> Option<f64> {
         let faults = self.manifest.faults.as_ref();
-        match FaultPlan::fire_opt(faults, site::CLUSTER_TASK, task.fault_key(), task.attempt) {
+        let key = task.task.index() as u64;
+        match FaultPlan::fire_opt(faults, site::CLUSTER_TASK, key, task.attempt) {
             Some(FaultKind::WorkerCrash) => {
                 // Die instantly, mid-task: no result, no cleanup. This is
                 // what a SIGKILLed or OOM-killed worker looks like.
@@ -129,39 +129,9 @@ impl WorkerEnv {
         }
     }
 
-    /// The block keys `task` needs that this worker has neither fetched
-    /// nor been told are absent, in key order: what its
-    /// [`Message::BlocksRequest`] names.
-    fn missing_keys(&self, task: &Task) -> Vec<String> {
-        let Task::Eval {
-            blocks: Some(blocks),
-            ..
-        } = task
-        else {
-            return Vec::new();
-        };
-        let keys: BTreeSet<String> = blocks
-            .iter()
-            .map(|block| block.key())
-            .filter(|key| !self.blocks.contains_key(key) && !self.absent.contains(key))
-            .collect();
-        keys.into_iter().collect()
-    }
-
-    /// Files the answer to a request for `asked`: the blocks it holds,
-    /// and every asked key it left out as absent.
-    fn fetched(&mut self, asked: Vec<String>, index: Vec<(String, Checkpoint)>) {
-        self.blocks.extend(index);
-        self.absent.extend(
-            asked
-                .into_iter()
-                .filter(|key| !self.blocks.contains_key(key)),
-        );
-    }
-
-    /// Executes one task to its result payload through the same
-    /// [`execute`] as the in-process runtime.
-    fn execute(&self, task: &Task) -> ResultPayload {
+    /// Executes one task through the same [`execute`] as the in-process
+    /// runtime.
+    fn execute(&self, task: &TaskSpec) -> TaskOutput {
         let cx = TaskContext {
             inputs: &self.inputs,
             dataset: &self.dataset,
@@ -172,19 +142,7 @@ impl WorkerEnv {
             faults: self.manifest.faults.as_ref(),
             retry: self.manifest.retry,
         };
-        match (execute(task, &cx), task) {
-            (TaskOutput::Eval(sup), Task::Eval { config_index, .. }) => {
-                ResultPayload::Eval(WireEval::from_supervised(*config_index, sup))
-            }
-            (TaskOutput::Pretrain(trained), Task::Pretrain { group_index, .. }) => {
-                ResultPayload::Pretrain {
-                    group_index: *group_index,
-                    blocks: trained.blocks,
-                    failed: trained.failed,
-                }
-            }
-            _ => unreachable!("execute answers a task in its own kind"),
-        }
+        execute(&task.task, &cx)
     }
 }
 
@@ -343,9 +301,10 @@ pub fn worker_net_main(addr: &str, worker_id: &str, grace_ms: Option<u64>) -> Re
     let mut env: Option<WorkerEnv> = None;
     let mut chaos = ChaosNetDrop::from_env(worker_id);
     let mut next_nonce = 1u64;
-    // A result whose delivery failed mid-frame: re-sent first thing after
-    // the next successful handshake (held across the whole orphan grace).
-    let mut undelivered: Option<TaskResult> = None;
+    // A `TaskDone` whose delivery failed mid-frame: re-sent first thing
+    // after the next successful handshake (held across the whole orphan
+    // grace).
+    let mut undelivered: Option<Message> = None;
     let mut connect_failures = 0usize;
     // When the coordinator first became unreachable; cleared by a
     // successful Welcome.
@@ -427,19 +386,14 @@ pub fn worker_net_main(addr: &str, worker_id: &str, grace_ms: Option<u64>) -> Re
             .emit();
 
         // Deliver a result the previous session failed to get through.
-        if let Some(result) = undelivered.take() {
-            if client
-                .send(&Message::TaskDone {
-                    result: result.clone(),
-                })
-                .is_err()
-            {
-                undelivered = Some(result);
+        if let Some(done) = undelivered.take() {
+            if client.send(&done).is_err() {
+                undelivered = Some(done);
                 continue 'session;
             }
         }
 
-        loop {
+        'request: loop {
             if client
                 .send(&Message::TaskRequest {
                     worker: worker_id.to_string(),
@@ -448,27 +402,32 @@ pub fn worker_net_main(addr: &str, worker_id: &str, grace_ms: Option<u64>) -> Re
             {
                 continue 'session;
             }
-            let task = match client.recv() {
-                Ok(Message::TaskGrant { task }) => task,
-                Ok(Message::NoTask { backoff_ms }) => {
-                    // The request was a long-poll: the coordinator already
-                    // did the waiting and says so with a zero backoff, so
-                    // ask again at once. A non-zero value comes from a
-                    // coordinator that answers immediately and wants the
-                    // worker to pace itself (PROTOCOL.md §4).
-                    if backoff_ms > 0 {
-                        std::thread::sleep(Duration::from_millis(backoff_ms));
+            let task = loop {
+                match client.recv() {
+                    // The blocks of the evaluation whose grant follows.
+                    Ok(Message::Blocks { index }) => env.blocks.extend(index),
+                    Ok(Message::TaskGrant { task }) => break task,
+                    Ok(Message::NoTask { backoff_ms }) => {
+                        // The request was a long-poll: the coordinator
+                        // already did the waiting and says so with a zero
+                        // backoff, so ask again at once. A non-zero value
+                        // comes from a coordinator that answers
+                        // immediately and wants the worker to pace itself
+                        // (PROTOCOL.md §4).
+                        if backoff_ms > 0 {
+                            std::thread::sleep(Duration::from_millis(backoff_ms));
+                        }
+                        continue 'request;
                     }
-                    continue;
+                    Ok(Message::Shutdown) => {
+                        wootz_obs::event("cluster.worker_shutdown")
+                            .field("worker", worker_id)
+                            .emit();
+                        return Ok(WorkerExit::Shutdown);
+                    }
+                    Ok(_) => continue 'request,
+                    Err(_) => continue 'session,
                 }
-                Ok(Message::Shutdown) => {
-                    wootz_obs::event("cluster.worker_shutdown")
-                        .field("worker", worker_id)
-                        .emit();
-                    return Ok(WorkerExit::Shutdown);
-                }
-                Ok(_) => continue,
-                Err(_) => continue 'session,
             };
             let _task_span = wootz_obs::span("cluster.task")
                 .with("seq", task.seq as usize)
@@ -505,28 +464,7 @@ pub fn worker_net_main(addr: &str, worker_id: &str, grace_ms: Option<u64>) -> Re
             };
 
             let started = Instant::now();
-            let keys = env.missing_keys(&task.task);
-            if !keys.is_empty() {
-                // The missing blocks, fetched in the session loop so a
-                // socket that dies mid-exchange is handled like any
-                // other: drop the task (its lease reclaims the attempt)
-                // and redial.
-                let reply = client
-                    .send(&Message::BlocksRequest { keys: keys.clone() })
-                    .and_then(|_| client.recv());
-                match reply {
-                    Ok(Message::Blocks { index }) => env.fetched(keys, index),
-                    Ok(Message::Shutdown) => {
-                        heartbeat.stop();
-                        return Ok(WorkerExit::Shutdown);
-                    }
-                    _ => {
-                        heartbeat.stop();
-                        continue 'session;
-                    }
-                }
-            }
-            let payload = env.execute(&task.task);
+            let output = env.execute(&task);
 
             if let Some(factor) = slow_factor {
                 let extra = started.elapsed().mul_f64(factor - 1.0);
@@ -539,25 +477,24 @@ pub fn worker_net_main(addr: &str, worker_id: &str, grace_ms: Option<u64>) -> Re
                 epoch: task.epoch,
                 worker: worker_id.to_string(),
                 wall_ms: started.elapsed().as_millis() as u64,
-                payload,
+                output,
+                index: task.task.index(),
             };
             let finished = Instant::now();
             heartbeat.stop();
             wootz_obs::counter("cluster.worker_tasks").incr();
 
-            let done = Message::TaskDone {
-                result: result.clone(),
-            };
+            let done = Message::TaskDone { result };
             if chaos.fire() {
                 // Injected mid-frame disconnect: half the frame, then a
                 // hard close. The reconnect path below must deliver the
                 // result anyway.
                 let _ = client.send_half_frame_and_die(&done);
-                undelivered = Some(result);
+                undelivered = Some(done);
                 continue 'session;
             }
             if client.send(&done).is_err() {
-                undelivered = Some(result);
+                undelivered = Some(done);
                 continue 'session;
             }
             wootz_obs::histogram("net.result_delivery_us")

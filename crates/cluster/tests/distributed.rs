@@ -264,91 +264,102 @@ fn run_json_piece<T: serde::Serialize>(value: &T) -> String {
     serde_json::to_string(value).unwrap()
 }
 
-/// A block that fails pre-training is fetched by key like any other, so a
-/// worker asks for it once: the coordinator's answer leaves it out, the
-/// worker records it as absent for the epoch, and every configuration
-/// using it assembles that block from inherited weights. The plan fails
-/// every group's joint run and the solo run of the batch's first block;
-/// the objective is unsatisfiable, so every configuration is evaluated.
-/// The distributed run's `--out` and journal equal the in-process run's
-/// byte for byte.
-#[test]
-fn a_block_that_failed_pretraining_is_asked_for_once() {
-    use common::{assert_success, wootz, write_model, SOLVER};
+/// Writes the file-driven pruning problem of the runtime comparisons into
+/// `dir`: the four configurations of [`inputs`] on `resnet_mini(8)`, two
+/// evaluations per round, an unsatisfiable objective (every configuration
+/// is evaluated) and the fault plan `plan`.
+fn write_problem(dir: &std::path::Path, plan: &FaultPlan) {
+    use common::{write_model, SOLVER};
 
-    let dir = tempdir("dist_failed_block");
-    write_model(&dir);
+    write_model(dir);
     let configs: Vec<Vec<u8>> = inputs()
         .subspace
         .iter()
         .map(|c| c.rates().to_vec())
         .collect();
-    std::fs::write(
-        dir.join("configs.json"),
-        serde_json::to_string(&configs).unwrap(),
-    )
-    .unwrap();
-    std::fs::write(
-        dir.join("solver.prototxt"),
-        format!("{SOLVER}num_workers: 2\n"),
-    )
-    .unwrap();
-    std::fs::write(
-        dir.join("objective.txt"),
-        "min ModelSize\nconstraint Accuracy >= 0.99\n",
-    )
-    .unwrap();
+    let files = [
+        ("configs.json", serde_json::to_string(&configs).unwrap()),
+        ("solver.prototxt", format!("{SOLVER}num_workers: 2\n")),
+        (
+            "objective.txt",
+            "min ModelSize\nconstraint Accuracy >= 0.99\n".to_string(),
+        ),
+        ("faults.json", serde_json::to_string(plan).unwrap()),
+    ];
+    for (name, text) in files {
+        std::fs::write(dir.join(name), text).unwrap();
+    }
+}
+
+/// `wootz prune` of the problem in `dir` in composability mode on
+/// `runtime`, writing `<name>.journal`, `<name>.json` and
+/// `<name>.ndjson`.
+fn prune(dir: &std::path::Path, name: &str, runtime: &[&str]) -> std::process::Output {
+    common::wootz()
+        .current_dir(dir)
+        .args(["prune", "--model", "model.prototxt", "--configs"])
+        .args(["configs.json", "--solver", "solver.prototxt"])
+        .args(["--objective", "objective.txt", "--mode", "composability"])
+        .args(["--inject-faults", "faults.json"])
+        .args(["--journal", &format!("{name}.journal")])
+        .args(["--out", &format!("{name}.json")])
+        .args(["--metrics-out", &format!("{name}.ndjson")])
+        .args(runtime)
+        .output()
+        .unwrap()
+}
+
+/// The value of counter `name` in the metrics export `file` of `dir`.
+fn counter(dir: &std::path::Path, file: &str, name: &str) -> u64 {
+    std::fs::read_to_string(dir.join(file))
+        .unwrap()
+        .lines()
+        .filter_map(|l| serde_json::from_str::<serde_json::Value>(l).ok())
+        .find(|v| v["name"] == name)
+        .and_then(|v| v["value"].as_u64())
+        .unwrap_or(0)
+}
+
+/// A pre-training trigger of the fault plan: `kind` at `site`, for `key`
+/// (`None`: every key), `times` times (`None`: always).
+fn trigger(site: &str, key: Option<u64>, times: Option<u32>) -> Trigger {
+    Trigger {
+        site: site.to_string(),
+        key,
+        kind: FaultKind::EvalError,
+        times,
+    }
+}
+
+/// A block that fails pre-training is never published, so the hub never
+/// pushes it: every configuration using it assembles that block from
+/// inherited weights on whichever runtime evaluates it. The plan fails
+/// every group's joint run and the solo run of the batch's first block;
+/// the objective is unsatisfiable, so every configuration is evaluated.
+/// The distributed run's `--out` and journal equal the in-process run's
+/// byte for byte, and each session is sent a trained block at most once.
+#[test]
+fn a_block_that_failed_pretraining_is_never_pushed() {
+    use common::assert_success;
+
+    let dir = tempdir("dist_failed_block");
     let plan = FaultPlan {
         seed: 7,
         triggers: vec![
-            Trigger {
-                site: wootz_fault::site::PRETRAIN_GROUP.to_string(),
-                key: None,
-                kind: FaultKind::EvalError,
-                times: Some(1),
-            },
-            Trigger {
-                site: wootz_fault::site::PRETRAIN_BLOCK.to_string(),
-                key: Some(0),
-                kind: FaultKind::EvalError,
-                times: Some(1),
-            },
+            trigger(wootz_fault::site::PRETRAIN_GROUP, None, Some(1)),
+            trigger(wootz_fault::site::PRETRAIN_BLOCK, Some(0), Some(1)),
         ],
         rates: vec![],
     };
-    std::fs::write(
-        dir.join("faults.json"),
-        serde_json::to_string(&plan).unwrap(),
-    )
-    .unwrap();
-    let prune = |name: &str, runtime: &[&str]| {
-        let out = wootz()
-            .current_dir(&dir)
-            .args(["prune", "--model", "model.prototxt", "--configs"])
-            .args(["configs.json", "--solver", "solver.prototxt"])
-            .args(["--objective", "objective.txt", "--mode", "composability"])
-            .args(["--inject-faults", "faults.json"])
-            .args(["--journal", &format!("{name}.journal")])
-            .args(["--out", &format!("{name}.json")])
-            .args(["--metrics-out", &format!("{name}.ndjson")])
-            .args(runtime)
-            .output()
-            .unwrap();
-        assert_success(&out);
-    };
-    prune("local", &["--threads", "1"]);
-    prune("dist", &["--distributed", "2", "--log-dir", "logs"]);
+    write_problem(&dir, &plan);
+    assert_success(&prune(&dir, "local", &["--threads", "1"]));
+    assert_success(&prune(
+        &dir,
+        "dist",
+        &["--distributed", "2", "--log-dir", "logs"],
+    ));
 
     let read = |file: &str| std::fs::read(dir.join(file)).unwrap();
-    let counter = |file: &str, name: &str| -> u64 {
-        String::from_utf8(read(file))
-            .unwrap()
-            .lines()
-            .filter_map(|l| serde_json::from_str::<serde_json::Value>(l).ok())
-            .find(|v| v["name"] == name)
-            .and_then(|v| v["value"].as_u64())
-            .unwrap_or(0)
-    };
     let run: serde_json::Value =
         serde_json::from_str(&String::from_utf8(read("local.json")).unwrap()).unwrap();
     assert_eq!(
@@ -357,7 +368,7 @@ fn a_block_that_failed_pretraining_is_asked_for_once() {
         "the plan fails exactly one block: {run:?}"
     );
     assert!(
-        counter("local.ndjson", "assemble.block_fallbacks") > 0,
+        counter(&dir, "local.ndjson", "assemble.block_fallbacks") > 0,
         "no configuration fell back to inherited weights for the failed block"
     );
     assert!(read("dist.json") == read("local.json"), "--out differs");
@@ -365,14 +376,61 @@ fn a_block_that_failed_pretraining_is_asked_for_once() {
         read("dist.journal") == read("local.journal"),
         "the journal differs"
     );
+    // Two workers, one session each in a healthy run: every trained block
+    // crosses the wire at most twice, the failed one never.
+    let trained = run["blocks_pretrained"].as_u64().unwrap();
+    let pushed = counter(&dir, "dist.ndjson", "net.blocks_pushed");
+    assert!(pushed > 0, "no block was pushed");
     assert!(
-        counter("dist.ndjson", "net.blocks_requests") > 0,
-        "no worker fetched a block"
+        pushed <= 2 * trained,
+        "{pushed} blocks pushed for {trained} trained blocks and two sessions"
     );
-    assert_eq!(
-        counter("dist.ndjson", "net.blocks_keys_repeated"),
-        0,
-        "a worker asked for a key it had asked for before"
+    assert_eq!(counter(&dir, "dist.ndjson", "net.reconnects"), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A batch whose every group and every block fails pre-training aborts
+/// the run on both runtimes alike: the group error a worker's output
+/// carries reaches the driver, which fails the run with the same error
+/// line and leaves the same journal as the in-process run.
+#[test]
+fn a_batch_that_trains_no_block_fails_both_runtimes_alike() {
+    let dir = tempdir("dist_no_block");
+    let plan = FaultPlan {
+        seed: 7,
+        triggers: vec![
+            trigger(wootz_fault::site::PRETRAIN_GROUP, None, None),
+            trigger(wootz_fault::site::PRETRAIN_BLOCK, None, None),
+        ],
+        rates: vec![],
+    };
+    write_problem(&dir, &plan);
+    let local = prune(&dir, "local", &["--threads", "1"]);
+    let dist = prune(&dir, "dist", &["--distributed", "2", "--log-dir", "logs"]);
+    let error_line = |out: &std::process::Output| {
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(
+            !out.status.success(),
+            "the run succeeded: {}\n{stderr}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        stderr
+            .lines()
+            .find(|line| line.starts_with("wootz: "))
+            .unwrap_or_else(|| panic!("no error line in:\n{stderr}"))
+            .to_string()
+    };
+    let expected = error_line(&local);
+    assert!(
+        expected.contains("injected fault at pretrain.group[0]"),
+        "{expected}"
+    );
+    assert_eq!(error_line(&dist), expected);
+    assert_eq!(dist.status.code(), local.status.code());
+    let read = |file: &str| std::fs::read(dir.join(file)).unwrap();
+    assert!(
+        read("dist.journal") == read("local.journal"),
+        "the journal differs"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -3,8 +3,8 @@
 //! frame that carries checkpoints (and old-layout JSON weights refused
 //! with a structured error), a full loopback run asserted bit-identical
 //! to the single-process pipeline, a coordinator restarted without
-//! `--resume` fencing a late result of the previous epoch, blocks
-//! answered by key, a coordinator vanishing under a block fetch, and the
+//! `--resume` fencing a late result of the previous epoch, blocks pushed
+//! ahead of the grants that need them, once per session, and the
 //! event-driven dispatch:
 //! long-poll grants, park expiry, and the drain reaching a parked request
 //! and waiting for a worker outside the pool. A worker cutting its own
@@ -18,13 +18,14 @@ use std::time::{Duration, Instant};
 use common::{baseline, inputs, run_json, tempdir, worker_cmd};
 
 use wootz_cluster::net::{long_poll_park, NetHub};
-use wootz_cluster::protocol::{Manifest, ResultPayload, TaskResult, TaskSpec, WireEval};
+use wootz_cluster::protocol::{Manifest, TaskResult, TaskSpec};
 use wootz_cluster::{run_distributed, worker_net_main, ClusterOptions, Message, WorkerExit};
 use wootz_core::compile::TuningBlock;
-use wootz_core::explore::EvalOutcome;
-use wootz_core::pipeline::{blocks_for_mode, RunMode, Task};
-use wootz_core::pretrain::PretrainedBlock;
+use wootz_core::explore::{EvalOutcome, SupervisedEval};
+use wootz_core::pipeline::{RunMode, Task, TaskOutput};
+use wootz_core::pretrain::{GroupOutcome, PretrainedBlock};
 use wootz_core::prune::PruneConfig;
+use wootz_core::CoreError;
 use wootz_data::micro_dataset;
 use wootz_fault::RetryPolicy;
 use wootz_nn::Checkpoint;
@@ -86,19 +87,18 @@ fn task_messages_round_trip_bit_exactly() {
         epoch: 3,
         worker: "w0".to_string(),
         wall_ms: 1234,
-        payload: ResultPayload::Eval(WireEval {
-            config_index: 11,
-            outcome: Some(EvalOutcome {
+        output: TaskOutput::Eval(SupervisedEval {
+            result: Ok(EvalOutcome {
                 model_size: 4096,
                 flops: 1 << 40,
                 accuracy: 0.1 + 0.2,
                 cost: 2.5,
                 log: None,
             }),
-            error: None,
             attempts: 1,
             backoff: 0.0,
         }),
+        index: 11,
     };
     let done_err = TaskResult {
         seq: 8,
@@ -106,13 +106,14 @@ fn task_messages_round_trip_bit_exactly() {
         epoch: 3,
         worker: "w1".to_string(),
         wall_ms: 9,
-        payload: ResultPayload::Eval(WireEval {
-            config_index: 2,
-            outcome: None,
-            error: Some("supervisor: all attempts failed".to_string()),
+        output: TaskOutput::Eval(SupervisedEval {
+            result: Err(CoreError::Remote(
+                "supervisor: all attempts failed".to_string(),
+            )),
             attempts: 3,
             backoff: 1.5,
         }),
+        index: 2,
     };
     let done_pretrain = TaskResult {
         seq: 1,
@@ -120,11 +121,12 @@ fn task_messages_round_trip_bit_exactly() {
         epoch: 1,
         worker: "w0".to_string(),
         wall_ms: 55,
-        payload: ResultPayload::Pretrain {
-            group_index: 4,
+        output: TaskOutput::Pretrain(GroupOutcome {
             blocks: vec![],
             failed: vec![("conv2".to_string(), "boom".to_string())],
-        },
+            first_error: Some(CoreError::Remote("group boom".to_string())),
+        }),
+        index: 4,
     };
     round_trip_messages(&[
         Message::TaskGrant { task: eval_task },
@@ -177,8 +179,7 @@ fn weight_bits_survive_welcome_blocks_and_task_done() {
         epoch: 1,
         worker: "w0".to_string(),
         wall_ms: 17,
-        payload: ResultPayload::Pretrain {
-            group_index: 0,
+        output: TaskOutput::Pretrain(GroupOutcome {
             blocks: vec![PretrainedBlock {
                 key: "m0r30".to_string(),
                 checkpoint: ckpt.clone(),
@@ -187,7 +188,9 @@ fn weight_bits_survive_welcome_blocks_and_task_done() {
                 steps: 4,
             }],
             failed: vec![],
-        },
+            first_error: None,
+        }),
+        index: 0,
     };
     let mut buf = Vec::new();
     done.wire_write(&mut buf).unwrap();
@@ -216,8 +219,8 @@ fn weight_bits_survive_welcome_blocks_and_task_done() {
         let got = match back {
             Message::Welcome { full_ckpt, .. } => full_ckpt,
             Message::Blocks { mut index } => index.remove(0).1,
-            Message::TaskDone { result } => match result.payload {
-                ResultPayload::Pretrain { mut blocks, .. } => {
+            Message::TaskDone { result } => match result.output {
+                TaskOutput::Pretrain(GroupOutcome { mut blocks, .. }) => {
                     let block = blocks.remove(0);
                     assert_eq!(block.first_loss.to_bits(), 0x7fc0_0001);
                     assert_eq!(block.last_loss.to_bits(), (-0.0f32).to_bits());
@@ -234,7 +237,9 @@ fn weight_bits_survive_welcome_blocks_and_task_done() {
 /// A peer that still sends checkpoints and pre-trained blocks as JSON
 /// documents (the layout before weights became bytes) speaks the same
 /// frame version, so its `Welcome`, `Blocks` and `TaskDone` must fail to
-/// decode with a structured error — never a panic, never a success.
+/// decode with a structured error — never a panic, never a success. Its
+/// `Welcome` and `Blocks` run out of payload; its `TaskDone` is refused
+/// earlier, at the output tag this revision retired.
 #[test]
 fn old_layout_weight_documents_fail_loudly() {
     let ckpt_json = r#"{"entries":{"net/w":{"shape":[2],"data":[1.5,-2.0]}}}"#;
@@ -274,10 +279,11 @@ fn old_layout_weight_documents_fail_loudly() {
         let err = Message::decode(&frame, &Limits::DEFAULT)
             .map(|m| m.name())
             .expect_err("an old-layout weight document must not decode");
-        assert!(
-            matches!(err, WireError::Exhausted { .. }),
-            "msg-type {msg_type}: {err:?}"
-        );
+        match (msg_type, err) {
+            (2 | 10, WireError::Exhausted { .. }) => {}
+            (8, WireError::InvalidValue { detail, .. }) if detail.contains("retired") => {}
+            (_, err) => panic!("msg-type {msg_type}: {err:?}"),
+        }
     }
 }
 
@@ -363,7 +369,7 @@ fn stale_epoch_reconnect_across_coordinator_restart_redelivers_once() {
     let mm = MultiplexingModel::compile(inputs.model.clone()).unwrap();
     let (full_ckpt, _, _) = train_full_model(&mm, &dataset, &inputs.solver).unwrap();
     // A baseline task: no tuning blocks, so the scripted session never
-    // has to answer a BlocksRequest. A huge lease keeps the heartbeat cadence
+    // has to push blocks. A huge lease keeps the heartbeat cadence
     // (lease/4) far beyond the test's lifetime: no Heartbeat frames
     // interleave with the scripted exchange.
     let manifest = |epoch: u64| Manifest {
@@ -467,14 +473,15 @@ fn stale_epoch_reconnect_across_coordinator_restart_redelivers_once() {
         other => panic!("expected the epoch-2 TaskDone, got {}", other.name()),
     };
     assert_eq!((redone.seq, redone.attempt, redone.epoch), (1, 2, 2));
-    let bytes = |payload: &ResultPayload| {
+    let bytes = |result: &TaskResult| {
         let mut buf = Vec::new();
-        payload.wire_write(&mut buf).unwrap();
+        result.output.wire_write(&mut buf).unwrap();
+        (result.index as u64).wire_write(&mut buf).unwrap();
         buf
     };
     assert_eq!(
-        bytes(&redone.payload),
-        bytes(&held.payload),
+        bytes(&redone),
+        bytes(&held),
         "re-execution under the new epoch diverged from the held result"
     );
 
@@ -571,33 +578,14 @@ fn a_restart_without_resume_fences_a_late_result_of_the_previous_epoch() {
                 Some(Message::TaskGrant { task }) => task,
                 other => panic!("expected a grant, got {:?}", other.map(|m| m.name())),
             };
-            let payload = match &task.task {
-                Task::Eval { config_index, .. } => ResultPayload::Eval(WireEval {
-                    config_index: *config_index,
-                    outcome: None,
-                    error: Some("zombie".to_string()),
-                    attempts: 1,
-                    backoff: 0.0,
-                }),
-                Task::Pretrain {
-                    group_index,
-                    blocks,
-                } => ResultPayload::Pretrain {
-                    group_index: *group_index,
-                    blocks: vec![],
-                    failed: blocks
-                        .iter()
-                        .map(|(_, block)| (block.key(), "zombie".to_string()))
-                        .collect(),
-                },
-            };
             let late = TaskResult {
                 seq: task.seq,
                 attempt: task.attempt,
                 epoch: old_epoch,
                 worker: "zombie".to_string(),
                 wall_ms: 1,
-                payload,
+                output: TaskOutput::failed(&task.task, CoreError::Remote("zombie".into()), 1),
+                index: task.task.index(),
             };
             Message::TaskDone { result: late }
                 .write_to(&mut conn)
@@ -687,86 +675,6 @@ fn the_drain_waits_for_a_worker_outside_the_pool_to_close_its_session() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A socket that dies during the `BlocksRequest`/`Blocks` exchange is a
-/// socket failure like any other: the worker drops the task (its lease
-/// reclaims the attempt), redials, and announces the epoch it worked
-/// under — it does not exit. The coordinator side is scripted so the
-/// connection closes exactly on the `BlocksRequest`.
-#[test]
-fn socket_closed_mid_block_fetch_reconnects_instead_of_exiting() {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    let worker = std::thread::spawn(move || worker_net_main(&addr, "w0", Some(30_000)));
-    // A composability evaluation task: the worker fetches its blocks
-    // first. The fetch precedes execution, so an empty full-model
-    // checkpoint is enough; the minute-long lease keeps heartbeat frames
-    // out of the scripted exchange.
-    let welcome = Message::Welcome {
-        epoch: 1,
-        manifest: epoch_one_manifest(60_000),
-        full_ckpt: wootz_nn::Checkpoint::new(),
-    };
-    let mut conn = accept_session(&listener, 0, &welcome);
-    let expect = |conn: &mut TcpStream, name: &str| match read_within(conn, 10_000) {
-        Some(msg) if msg.name() == name => {}
-        other => panic!("expected {name}, got {:?}", other.map(|m| m.name())),
-    };
-    expect(&mut conn, "TaskRequest");
-    let task = TaskSpec {
-        seq: 1,
-        attempt: 1,
-        epoch: 1,
-        task: composite_eval(0),
-        expected_steps: 8,
-    };
-    Message::TaskGrant { task }.write_to(&mut conn).unwrap();
-    expect(&mut conn, "BlocksRequest");
-    // The coordinator dies mid-exchange.
-    drop(conn);
-
-    // The worker dials again, still on epoch 1, and asks for work anew.
-    // (Polled, so a worker that exited instead fails the test rather
-    // than leaving it blocked in `accept`.)
-    listener.set_nonblocking(true).unwrap();
-    let conn = loop {
-        match listener.accept() {
-            Ok((conn, _)) => break conn,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                assert!(
-                    !worker.is_finished(),
-                    "the worker exited instead of redialing"
-                );
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => panic!("accept failed: {e}"),
-        }
-    };
-    conn.set_nonblocking(false).unwrap();
-    let mut conn = handshake(conn, 1, &welcome);
-    expect(&mut conn, "TaskRequest");
-    Message::Shutdown.write_to(&mut conn).unwrap();
-    assert_eq!(worker.join().unwrap().unwrap(), WorkerExit::Shutdown);
-}
-
-/// The evaluation task of configuration `config_index` of [`inputs`] in
-/// composability mode: it carries the configuration's composite blocks.
-fn composite_eval(config_index: usize) -> Task {
-    let inputs = inputs();
-    let set = blocks_for_mode(&inputs, RunMode::Composability)
-        .unwrap()
-        .unwrap();
-    let blocks = set.composites[config_index]
-        .parts
-        .iter()
-        .map(|p| set.blocks[p.block_index].clone())
-        .collect();
-    Task::Eval {
-        config_index,
-        config: inputs.subspace[config_index].clone(),
-        blocks: Some(blocks),
-    }
-}
-
 /// A baseline evaluation task nobody executes.
 fn baseline_eval() -> Task {
     Task::Eval {
@@ -833,35 +741,98 @@ fn request_task(conn: &mut TcpStream) {
     request.write_to(conn).unwrap();
 }
 
-/// Blocks are fetched by key: the hub answers a `BlocksRequest` with
-/// exactly the requested keys it has, in request order, every weight bit
-/// intact, and leaves out a key it has none for (a block whose
-/// pre-training failed). A publish adds keys without touching the ones
-/// already published.
+/// The evaluation task `seq` of configuration 0 over `blocks`.
+fn eval_over(seq: u64, blocks: &[&TuningBlock]) -> TaskSpec {
+    TaskSpec {
+        seq,
+        attempt: 1,
+        epoch: 1,
+        task: Task::Eval {
+            config_index: 0,
+            config: PruneConfig::unpruned(4),
+            blocks: Some(blocks.iter().map(|&b| b.clone()).collect()),
+        },
+        expected_steps: 1,
+    }
+}
+
+/// Blocks ride with the grant: before the hub grants an evaluation it
+/// sends one `Blocks` frame holding exactly the task's published keys
+/// that session has not been sent yet, in part order, every weight bit
+/// intact — and none at all when there are none. A key the hub never
+/// published (a block whose pre-training failed) never crosses the wire,
+/// and a new session, even under the same worker id, is sent its blocks
+/// again.
 #[test]
-fn blocks_are_answered_by_key() {
+fn blocks_are_pushed_ahead_of_the_grants_that_need_them() {
     let hub = bare_hub(60_000);
+    let block = |module: usize| TuningBlock::new(module, vec![(module + 1, 50)]).unwrap();
+    let (b0, b1, b2, failed) = (block(0), block(1), block(2), block(3));
     let (first, second) = (odd_float_checkpoint(), Checkpoint::new());
-    let (k1, k2) = ("m0r30".to_string(), "m1r50+m2r50".to_string());
-    hub.publish_blocks([(&k1, &first)]).unwrap();
-    hub.publish_blocks([(&k2, &second)]).unwrap();
-    assert!(hub.has_block(&k1) && hub.has_block(&k2) && !hub.has_block("m3r70"));
-    let mut conn = scripted_worker(&hub);
-    let mut fetch = |keys: &[&str]| {
-        let keys = keys.iter().map(|k| k.to_string()).collect();
-        Message::BlocksRequest { keys }.write_to(&mut conn).unwrap();
-        match read_within(&mut conn, 10_000) {
-            Some(Message::Blocks { index }) => index,
-            other => panic!("expected Blocks, got {:?}", other.map(|m| m.name())),
+    hub.publish_blocks([(&b0.key(), &first), (&b1.key(), &second)])
+        .unwrap();
+    assert!(!hub.has_block(&failed.key()));
+
+    // The next frames of a granted request: the pushed blocks, if any, as
+    // `(key, weight bits)`, and the grant's sequence number.
+    type Pushed = Vec<(String, Vec<(String, Vec<usize>, Vec<u32>)>)>;
+    let grant = |conn: &mut TcpStream, task: TaskSpec| -> (Pushed, u64) {
+        hub.enqueue(task);
+        request_task(conn);
+        let mut pushed = Vec::new();
+        loop {
+            match read_within(conn, 10_000) {
+                Some(Message::Blocks { index }) => {
+                    assert!(
+                        pushed.is_empty(),
+                        "a grant was preceded by two Blocks frames"
+                    );
+                    assert!(!index.is_empty(), "an empty Blocks frame was pushed");
+                    pushed = index
+                        .iter()
+                        .map(|(key, ckpt)| (key.clone(), weight_bits(ckpt)))
+                        .collect();
+                }
+                Some(Message::TaskGrant { task }) => return (pushed, task.seq),
+                other => panic!(
+                    "expected Blocks or a grant, got {:?}",
+                    other.map(|m| m.name())
+                ),
+            }
         }
     };
-    let index = fetch(&[&k2, "m3r70", &k1]);
-    let keys: Vec<&str> = index.iter().map(|(k, _)| k.as_str()).collect();
-    assert_eq!(keys, [k2.as_str(), k1.as_str()]);
-    assert_eq!(weight_bits(&index[0].1), weight_bits(&second));
-    assert_eq!(weight_bits(&index[1].1), weight_bits(&first));
-    assert!(fetch(&["m3r70"]).is_empty());
-    assert!(fetch(&[]).is_empty());
+    let keys = |pushed: &Pushed| pushed.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>();
+
+    let mut conn = scripted_worker(&hub);
+    // The first grant brings exactly the task's published keys, in part
+    // order; the failed block's key is not among them.
+    let (pushed, seq) = grant(&mut conn, eval_over(1, &[&b1, &failed, &b0]));
+    assert_eq!(seq, 1);
+    assert_eq!(keys(&pushed), [b1.key(), b0.key()]);
+    assert_eq!(pushed[0].1, weight_bits(&second));
+    assert_eq!(pushed[1].1, weight_bits(&first));
+    // A block published later reaches the session with the first grant
+    // that needs it, alone: the session already holds the others.
+    hub.publish_blocks([(&b2.key(), &first)]).unwrap();
+    let (pushed, _) = grant(&mut conn, eval_over(2, &[&b0, &b2, &failed]));
+    assert_eq!(keys(&pushed), [b2.key()]);
+    // Nothing new, or no blocks at all: the grant comes alone.
+    let (pushed, _) = grant(&mut conn, eval_over(3, &[&b2, &failed, &b1]));
+    assert!(pushed.is_empty(), "pushed {:?} again", keys(&pushed));
+    let baseline = TaskSpec {
+        seq: 4,
+        attempt: 1,
+        epoch: 1,
+        task: baseline_eval(),
+        expected_steps: 1,
+    };
+    assert!(grant(&mut conn, baseline).0.is_empty());
+    drop(conn);
+
+    // The same worker id on a new session starts with nothing.
+    let mut conn = scripted_worker(&hub);
+    let (pushed, _) = grant(&mut conn, eval_over(5, &[&failed, &b2, &b0]));
+    assert_eq!(keys(&pushed), [b2.key(), b0.key()]);
 }
 
 #[test]
@@ -925,22 +896,16 @@ fn a_task_done_delivered_twice_is_folded_once() {
         other => panic!("expected a grant, got {:?}", other.map(|m| m.name())),
     }
     assert_eq!(hub.claimed(), 1);
-    let result = TaskResult {
-        seq: 1,
-        attempt: 1,
-        epoch: 1,
-        worker: "w0".to_string(),
-        wall_ms: 3,
-        payload: ResultPayload::Eval(WireEval {
-            config_index: 0,
-            outcome: None,
-            error: Some("boom".to_string()),
-            attempts: 1,
-            backoff: 0.0,
-        }),
-    };
     let done = Message::TaskDone {
-        result: result.clone(),
+        result: TaskResult {
+            seq: 1,
+            attempt: 1,
+            epoch: 1,
+            worker: "w0".to_string(),
+            wall_ms: 3,
+            output: TaskOutput::failed(&task.task, CoreError::Remote("boom".into()), 1),
+            index: 0,
+        },
     };
     done.write_to(&mut conn).unwrap();
     done.write_to(&mut conn).unwrap();
@@ -958,8 +923,12 @@ fn a_task_done_delivered_twice_is_folded_once() {
         read_within(&mut conn, 10_000),
         Some(Message::HeartbeatAck { nonce: 7 })
     ));
-    let delivered: Vec<TaskResult> = hub.take_results().into_iter().map(|(r, _)| r).collect();
-    assert_eq!(delivered, vec![result], "folded once");
+    let delivered: Vec<(u64, u32, u64)> = hub
+        .take_results()
+        .into_iter()
+        .map(|(r, _)| (r.seq, r.attempt, r.epoch))
+        .collect();
+    assert_eq!(delivered, [(1, 1, 1)], "folded once");
     assert_eq!(hub.claimed(), 0);
     assert!(
         hub.take_results().is_empty(),

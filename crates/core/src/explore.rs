@@ -252,6 +252,7 @@ pub fn task_assignment(order: &[usize], workers: usize) -> Result<Vec<Vec<usize>
 /// backoff charged. Produced by [`supervise_eval`] in whichever process
 /// executes the evaluation task; the fields are public because the
 /// distributed runtime (`wootz-cluster`) carries it over the wire.
+#[derive(Debug)]
 pub struct SupervisedEval {
     /// The last attempt's result.
     pub result: std::result::Result<EvalOutcome, CoreError>,

@@ -6,6 +6,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::io::{Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -17,6 +18,7 @@ use wootz_ir::{Metric, ModelIr, Objective, SolverConfig};
 use wootz_nn::{Checkpoint, EvalSet, LrSchedule, TrainConfig, TrainLog};
 use wootz_tensor::sgd::SgdConfig;
 use wootz_tensor::Tensor;
+use wootz_wire::{write_bytes, WireDeserialize, WireError, WireReader, WireResult, WireSerialize};
 
 use crate::blocks::{identify_tuning_blocks, module_level_blocks, BlockSet};
 use crate::compile::{ModeToUse, MultiplexingModel, TuningBlock};
@@ -588,7 +590,28 @@ pub enum Task {
     },
 }
 
+impl Task {
+    /// The task's index: an evaluation's `config_index`, a group's
+    /// `group_index`. It keys the task's faults at `cluster.task`, like
+    /// the in-process sites, and a remote result echoes it.
+    pub fn index(&self) -> usize {
+        match self {
+            Task::Eval { config_index, .. } => *config_index,
+            Task::Pretrain { group_index, .. } => *group_index,
+        }
+    }
+}
+
 /// What executing a [`Task`] produced, in the task's own variant.
+///
+/// Its one byte encoding ([`WireSerialize`]) is what a worker's
+/// `TaskDone` frame carries (`PROTOCOL.md` §4.2): a tag, then an
+/// evaluation's outcome or rendered error, attempts and backoff, or a
+/// group's trained blocks, failed blocks and rendered group error.
+/// Errors cross as their rendering and decode to [`CoreError::Remote`],
+/// which displays verbatim, so a remote output folds exactly like a local
+/// one.
+#[derive(Debug)]
 pub enum TaskOutput {
     /// The supervised evaluation of [`Task::Eval`].
     Eval(SupervisedEval),
@@ -597,6 +620,16 @@ pub enum TaskOutput {
 }
 
 impl TaskOutput {
+    /// Wire tag of [`TaskOutput::Eval`].
+    pub const TAG_EVAL: u8 = 2;
+    /// Wire tag of [`TaskOutput::Pretrain`].
+    pub const TAG_PRETRAIN: u8 = 3;
+    /// Retired wire tags, never reused: the `Eval` (0) and `Pretrain` (1)
+    /// result payloads of the revision whose pre-training results dropped
+    /// the group error. A mixed fleet fails decoding with `InvalidValue`
+    /// in both directions instead of folding a result without it.
+    pub const RETIRED_TAGS: [u8; 2] = [0, 1];
+
     /// The output of a `task` that could not run to completion after
     /// `attempts` tries: an evaluation failed with `error`, or a group
     /// whose every block failed with it.
@@ -619,10 +652,160 @@ impl TaskOutput {
     }
 }
 
+impl WireSerialize for TaskOutput {
+    fn wire_size(&self) -> usize {
+        1 + match self {
+            TaskOutput::Eval(sup) => {
+                let result = match &sup.result {
+                    Ok(outcome) => doc_size(outcome),
+                    Err(error) => error.to_string().wire_size(),
+                };
+                1 + result + 4 + 8
+            }
+            TaskOutput::Pretrain(group) => {
+                group.blocks.wire_size()
+                    + group.failed.wire_size()
+                    + group
+                        .first_error
+                        .as_ref()
+                        .map(ToString::to_string)
+                        .wire_size()
+            }
+        }
+    }
+
+    fn wire_write<W: Write + ?Sized>(&self, w: &mut W) -> WireResult<()> {
+        match self {
+            TaskOutput::Eval(sup) => {
+                w.write_all(&[TaskOutput::TAG_EVAL])?;
+                sup.result.is_ok().wire_write(w)?;
+                match &sup.result {
+                    Ok(outcome) => write_doc(w, "TaskOutput::Eval outcome", outcome)?,
+                    Err(error) => error.to_string().wire_write(w)?,
+                }
+                sup.attempts.wire_write(w)?;
+                sup.backoff.wire_write(w)
+            }
+            TaskOutput::Pretrain(group) => {
+                w.write_all(&[TaskOutput::TAG_PRETRAIN])?;
+                group.blocks.wire_write(w)?;
+                group.failed.wire_write(w)?;
+                group
+                    .first_error
+                    .as_ref()
+                    .map(ToString::to_string)
+                    .wire_write(w)
+            }
+        }
+    }
+}
+
+impl WireDeserialize for TaskOutput {
+    fn wire_read<R: Read>(r: &mut WireReader<R>) -> WireResult<Self> {
+        match r.u8("TaskOutput tag")? {
+            TaskOutput::TAG_EVAL => {
+                let result = if r.bool("TaskOutput::Eval ok")? {
+                    Ok(read_doc(r, "TaskOutput::Eval outcome")?)
+                } else {
+                    Err(CoreError::Remote(r.string("TaskOutput::Eval error")?))
+                };
+                Ok(TaskOutput::Eval(SupervisedEval {
+                    result,
+                    attempts: r.u32("TaskOutput::Eval attempts")?,
+                    backoff: r.f64("TaskOutput::Eval backoff")?,
+                }))
+            }
+            TaskOutput::TAG_PRETRAIN => Ok(TaskOutput::Pretrain(GroupOutcome {
+                blocks: Vec::<PretrainedBlock>::wire_read(r)?,
+                failed: Vec::<(String, String)>::wire_read(r)?,
+                first_error: Option::<String>::wire_read(r)?.map(CoreError::Remote),
+            })),
+            tag if TaskOutput::RETIRED_TAGS.contains(&tag) => Err(WireError::InvalidValue {
+                context: "TaskOutput tag",
+                detail: format!(
+                    "retired variant tag {tag} (a result of an older protocol revision; \
+                     upgrade the sender)"
+                ),
+            }),
+            other => Err(WireError::InvalidValue {
+                context: "TaskOutput tag",
+                detail: format!("unknown variant tag {other}"),
+            }),
+        }
+    }
+}
+
+// --- JSON documents on the wire ----------------------------------------------
+//
+// Configurations, tuning blocks, evaluation outcomes and the run manifest
+// ride inside frames as `doc<T>` (PROTOCOL.md §5): a length-prefixed JSON
+// document, the same JSON the journal holds. A document's declared length
+// is checked against the frame budget before allocation, like any blob.
+
+/// Encoded size of a `doc<T>` field (length prefix + JSON bytes).
+///
+/// Serialization of the plain-derive types documents carry cannot fail;
+/// if it ever did, [`write_doc`] reports it as a structured error and the
+/// size here is only a capacity hint.
+pub fn doc_size<T: Serialize>(value: &T) -> usize {
+    4 + serde_json::to_vec(value).map(|v| v.len()).unwrap_or(0)
+}
+
+/// Writes a value as a `doc<T>` field.
+///
+/// # Errors
+///
+/// [`WireError::InvalidValue`] when the value cannot be serialized, or
+/// the writer's error.
+pub fn write_doc<W: Write + ?Sized, T: Serialize>(
+    w: &mut W,
+    context: &'static str,
+    value: &T,
+) -> WireResult<()> {
+    let bytes = serde_json::to_vec(value).map_err(|e| WireError::InvalidValue {
+        context,
+        detail: format!("cannot serialize document: {e}"),
+    })?;
+    write_bytes(w, context, &bytes)
+}
+
+/// Reads a `doc<T>` field under the reader's budget.
+///
+/// # Errors
+///
+/// The reader's budget and UTF-8 errors, or [`WireError::InvalidValue`]
+/// for JSON that does not parse as `T`.
+pub fn read_doc<R: Read, T: for<'de> Deserialize<'de>>(
+    r: &mut WireReader<R>,
+    context: &'static str,
+) -> WireResult<T> {
+    let bytes = r.bytes(context)?;
+    let text = std::str::from_utf8(&bytes).map_err(|_| WireError::InvalidUtf8 { context })?;
+    serde_json::from_str(text).map_err(|e| WireError::InvalidValue {
+        context,
+        detail: format!("cannot parse document: {e}"),
+    })
+}
+
+/// Reads a wire `u64` into a host `usize`, rejecting values the host
+/// cannot represent.
+///
+/// # Errors
+///
+/// The reader's errors, or [`WireError::InvalidValue`] for a value above
+/// `usize::MAX`.
+pub fn read_usize<R: Read>(r: &mut WireReader<R>, context: &'static str) -> WireResult<usize> {
+    let v = r.u64(context)?;
+    usize::try_from(v).map_err(|_| WireError::InvalidValue {
+        context,
+        detail: format!("{v} does not fit a usize on this host"),
+    })
+}
+
 /// What every [`Task`] of a run executes against: everything fixed for
 /// the run. The phase driver builds it from its own state; a `wootz
 /// worker` process rebuilds the same values from its `Welcome` and the
-/// blocks it fetched by key.
+/// blocks the coordinator pushed with its grants.
 pub struct TaskContext<'a> {
     /// The run inputs (model, solver, objective).
     pub inputs: &'a WootzInputs,
@@ -1218,6 +1401,67 @@ mod tests {
     use crate::prune::sample_subspace;
     use wootz_data::micro_dataset;
     use wootz_models::resnet_mini;
+    use wootz_wire::Limits;
+
+    /// Encodes `output`, checks the declared size, and decodes it back.
+    fn wire_round_trip(output: &TaskOutput) -> TaskOutput {
+        let mut buf = Vec::new();
+        output.wire_write(&mut buf).unwrap();
+        assert_eq!(buf.len(), output.wire_size(), "declared size matches");
+        let mut r = WireReader::new(buf.as_slice(), buf.len() as u64, Limits::DEFAULT);
+        let back = TaskOutput::wire_read(&mut r).unwrap();
+        r.expect_consumed().unwrap();
+        back
+    }
+
+    /// A task output crosses the wire whole: outcomes bit for bit, and
+    /// every error — an evaluation's, a failed block's, the group's — as
+    /// its rendering, which the decoded error displays verbatim.
+    #[test]
+    fn task_outputs_round_trip_with_their_errors_rendered() {
+        let outcome = EvalOutcome {
+            model_size: 10,
+            flops: 20,
+            accuracy: 0.1 + 0.2,
+            cost: 3.25,
+            log: None,
+        };
+        let eval = |result| {
+            TaskOutput::Eval(SupervisedEval {
+                result,
+                attempts: 2,
+                backoff: 1.25,
+            })
+        };
+        let TaskOutput::Eval(sup) = wire_round_trip(&eval(Ok(outcome.clone()))) else {
+            panic!("an evaluation decoded as a group");
+        };
+        assert_eq!((sup.attempts, sup.backoff), (2, 1.25));
+        assert_eq!(sup.result.unwrap(), outcome);
+
+        let error = CoreError::Pipeline("boom".into());
+        let rendered = error.to_string();
+        let TaskOutput::Eval(sup) = wire_round_trip(&eval(Err(error))) else {
+            panic!("an evaluation decoded as a group");
+        };
+        assert_eq!(sup.result.unwrap_err().to_string(), rendered);
+
+        let block = TuningBlock::new(0, vec![(1, 30)]).unwrap();
+        let task = Task::Pretrain {
+            group_index: 1,
+            blocks: vec![(0, block.clone())],
+        };
+        let group_error = CoreError::Pipeline("group boom".into());
+        let rendered = group_error.to_string();
+        let TaskOutput::Pretrain(group) =
+            wire_round_trip(&TaskOutput::failed(&task, group_error, 1))
+        else {
+            panic!("a group decoded as an evaluation");
+        };
+        assert!(group.blocks.is_empty());
+        assert_eq!(group.failed, vec![(block.key(), rendered.clone())]);
+        assert_eq!(group.first_error.unwrap().to_string(), rendered);
+    }
 
     fn tiny_inputs(n_configs: usize) -> WootzInputs {
         let model = resnet_mini(8);

@@ -130,6 +130,7 @@ pub type BlockSink<'s> = dyn FnMut(&PretrainedBlock) -> Result<()> + 's;
 /// What one supervised group produced: trained blocks, blocks that failed
 /// both the group run and the per-block fallback, and the group-level error
 /// (if any) for abort decisions.
+#[derive(Debug)]
 pub struct GroupOutcome {
     /// Freshly trained blocks (journal-ready, the group's first block
     /// carrying the step cost).
