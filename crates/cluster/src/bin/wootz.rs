@@ -554,6 +554,10 @@ fn cmd_prune(mut args: Vec<String>) -> CliResult {
                     "block store: {} hits, {} misses, {} inserts, {} evictions, {} bytes",
                     stats.hits, stats.misses, stats.inserts, stats.evictions, stats.bytes
                 );
+                println!(
+                    "teacher store: {} hits, {} misses, {} inserts",
+                    stats.teacher_hits, stats.teacher_misses, stats.teacher_inserts
+                );
             }
             run
         }

@@ -190,6 +190,7 @@ fn parse_job(
 /// [`Message::JobEvent`] (schema: `SERVING.md` §4).
 fn event_line(event: &RunEvent) -> String {
     match event {
+        RunEvent::TeacherCacheHit => "{\"event\":\"teacher_cache_hit\"}".to_string(),
         RunEvent::FullModelReady { accuracy } => {
             format!("{{\"event\":\"full_model\",\"accuracy\":{accuracy}}}")
         }
@@ -639,6 +640,10 @@ mod tests {
                 accuracy: None
             }),
             "{\"event\":\"eval_done\",\"config_index\":4,\"accuracy\":null}"
+        );
+        assert_eq!(
+            event_line(&RunEvent::TeacherCacheHit),
+            "{\"event\":\"teacher_cache_hit\"}"
         );
         let line = event_line(&RunEvent::FullModelReady { accuracy: 0.5 });
         let parsed: serde_json::Value = serde_json::from_str(&line).unwrap();

@@ -18,8 +18,9 @@
 //! and the `--resume` run re-adopted the orphaned workers, planned worker
 //! crashes were reclaimed once each, a dropped socket reconnected, a
 //! damaged journal was truncated, quarantined or refused untouched, a warm
-//! store served every block. A `--resume` runs at the other end of the
-//! thread range from the run it resumes.
+//! store served every block and the teacher, and journaled that teacher
+//! byte for byte as the reference trained it. A `--resume` runs at the
+//! other end of the thread range from the run it resumes.
 //!
 //! A failing row prints itself, the `wootz` command lines that reproduce
 //! it and its kept scratch directory. Every process a row starts leads a
@@ -54,7 +55,7 @@ use Objective::{MaxAccuracy, MinSize};
 use Plan::{EvalError, WorkerCrash, WorkerHang};
 use Runtime::{Distributed, InProcess, Serve};
 use Signal::{Measured, Stopped};
-use Store::{Cold, Crossover, NoStore, Warm};
+use Store::{Cold, Crossover, NoStore, Restarted, Warm};
 
 /// What runs the job.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,6 +100,11 @@ enum Store {
     /// A store warmed by the same model and subspace under the other
     /// objective: a different job with the same tuning blocks.
     Crossover,
+    /// A serve row's store holding only the teacher, trained by a `--mode
+    /// baseline` job of the same model and solver on a daemon that was
+    /// then stopped: the restarted daemon's job must be byte-equal to the
+    /// reference.
+    Restarted,
 }
 
 /// How the run is disturbed.
@@ -195,6 +201,7 @@ const ROWS: &[Row] = &[
     row(InProcess,      2, Taylor, MaxAccuracy, NoStore,   Kill(JOURNAL_APPEND, 4)),
     row(InProcess,      1, Fixed,  MinSize,     Cold,      Clean),
     row(InProcess,      1, Fixed,  MinSize,     Warm,      Kill(JOURNAL_APPEND, 2)),
+    row(InProcess,      2, Taylor, MinSize,     Warm,      Clean),
     row(InProcess,      4, Fixed,  MaxAccuracy, Crossover, Clean),
     // A coordinator and its workers.
     row(Distributed(2), 1, Fixed,  MinSize,     NoStore,   Clean),
@@ -213,6 +220,7 @@ const ROWS: &[Row] = &[
     row(Serve,          4, Bandit, MaxAccuracy, Cold,      Clean),
     row(Serve,          2, Fixed,  MinSize,     Crossover, Clean),
     row(Serve,          1, Fixed,  MinSize,     Cold,      Kill(JOURNAL_APPEND, 3)),
+    row(Serve,          2, Fixed,  MinSize,     Restarted, Clean),
 ];
 
 #[test]
@@ -558,9 +566,10 @@ impl Ran {
             .ok_or_else(|| format!("unparsable `{line}`"))
     }
 
-    /// `(hits, misses, inserts)` from the `block store:` line.
-    fn store_stats(&self) -> Result<(u64, u64, u64), String> {
-        let line = self.line("block store:")?;
+    /// `(hits, misses, inserts)` from the `block store:` or `teacher
+    /// store:` line.
+    fn store_stats(&self, prefix: &str) -> Result<(u64, u64, u64), String> {
+        let line = self.line(prefix)?;
         let n: Vec<u64> = line
             .split(|c: char| !c.is_ascii_digit())
             .filter_map(|s| s.parse().ok())
@@ -811,11 +820,13 @@ impl<'a> Case<'a> {
             && !matches!(row.cut, Kill(..) | Journal(_))
         {
             // Without an accuracy bound nothing reads a curve: the full
-            // model and each fresh evaluation take one test-set pass.
+            // model, unless the store served it, and each fresh evaluation
+            // take one test-set pass.
+            let trained = u64::from(!matches!(row.store, Warm | Crossover));
             let evals = self.metric("metrics.ndjson", "trainer.evals", "value")?;
             ensure!(
-                evals == Some(1 + last.fresh()?),
-                "trainer.evals = {evals:?} for 1 full model + {} fresh evaluations",
+                evals == Some(trained + last.fresh()?),
+                "trainer.evals = {evals:?} for {trained} full model + {} fresh evaluations",
                 last.fresh()?
             );
         }
@@ -843,15 +854,66 @@ impl<'a> Case<'a> {
     /// The row's store expectations, on the run that finished the job.
     fn check_store(&self, last: &Ran) -> Check {
         let blocks = self.reference.blocks();
-        let (hits, misses, inserts) = match self.row.store {
+        let (blocks, teacher) = match self.row.store {
             NoStore => return Ok(()),
-            Cold => (0, blocks, blocks),
-            Warm | Crossover => (blocks, 0, 0),
+            Cold => ((0, blocks, blocks), (0, 1, 1)),
+            Warm | Crossover => ((blocks, 0, 0), (1, 0, 0)),
+            Restarted => return Err("an in-process row cannot start from Restarted".into()),
         };
+        // A resume that replays the journaled full model looks no teacher up.
+        let teacher = match self.row.cut {
+            Kill(JOURNAL_APPEND, n) if n >= 2 => (0, 0, 0),
+            _ => teacher,
+        };
+        for (prefix, (hits, misses, inserts)) in
+            [("block store:", blocks), ("teacher store:", teacher)]
+        {
+            ensure!(
+                last.store_stats(prefix)? == (hits, misses, inserts),
+                "expected {hits} hits, {misses} misses, {inserts} inserts: {}",
+                last.line(prefix)?
+            );
+        }
+        if matches!(self.row.store, Warm | Crossover) {
+            self.same_full_model("run.journal")?;
+        }
+        Ok(())
+    }
+
+    /// The full model `journal` recorded is the reference's, byte for
+    /// byte, wherever it came from.
+    fn same_full_model(&self, journal: &str) -> Check {
+        let full_model = |bytes: &[u8]| {
+            wootz_wire::scan_records(bytes, &wootz_wire::Limits::ARTIFACT)
+                .records
+                .into_iter()
+                .map(|r| r.frame)
+                .find(|f| f.msg_type == wootz_wire::record_type::JOURNAL_FULL_MODEL)
+        };
+        let ours = full_model(&self.read(journal)?).ok_or("no FullModel record")?;
         ensure!(
-            last.store_stats()? == (hits, misses, inserts),
-            "expected {hits} hits, {misses} misses, {inserts} inserts: {}",
-            last.line("block store:")?
+            Some(ours) == full_model(&self.reference.journal),
+            "the journaled full model differs from the reference's"
+        );
+        Ok(())
+    }
+
+    /// A serve row's store holds exactly the one teacher every job of the
+    /// row shares (the daemon keeps no counters a row could read), and
+    /// never quarantined one.
+    fn one_teacher_in_store(&self) -> Check {
+        let store = self.dir.join("store");
+        let teachers = std::fs::read_dir(&store)
+            .map_err(|e| e.to_string())?
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                name.to_string_lossy().starts_with("tch-")
+            })
+            .count();
+        ensure!(teachers == 1, "the store holds {teachers} teachers");
+        ensure!(
+            !store.join("quarantine").exists(),
+            "a store entry was quarantined"
         );
         Ok(())
     }
@@ -1093,15 +1155,22 @@ impl<'a> Case<'a> {
             .map(|(site, n)| ("WOOTZ_CHAOS_KILL_AT", format!("{site}:{n}")))
             .into_iter()
             .collect();
-        let (daemon, addr) = self.start_daemon(&env)?;
+        let (mut daemon, mut addr) = self.start_daemon(&env)?;
         match row.store {
             Cold => {}
             Crossover => {
-                self.submit(&addr, row.objective.other())?.ok()?;
+                self.submit(&addr, row.objective.other(), &[])?.ok()?;
+            }
+            Restarted => {
+                self.submit(&addr, row.objective, &words("--mode baseline"))?
+                    .ok()?;
+                signal("KILL", &format!("-{}", daemon.0.id()));
+                self.wait(daemon)?;
+                (daemon, addr) = self.start_daemon(&[])?;
             }
             other => return Err(format!("a serve row cannot start from {other:?}")),
         }
-        let mut ran = self.submit(&addr, row.objective)?;
+        let mut ran = self.submit(&addr, row.objective, &[])?;
         if let Some((site, _)) = kill {
             ensure!(
                 !ran.status.success(),
@@ -1110,7 +1179,7 @@ impl<'a> Case<'a> {
             self.wait(daemon)?.killed_at(site)?;
             // The same store and state, the same job: it resumes.
             let (_, addr) = self.start_daemon(&[])?;
-            ran = self.submit(&addr, row.objective)?;
+            ran = self.submit(&addr, row.objective, &[])?;
         }
         let ran = ran.ok()?;
         let result: Value = ran
@@ -1136,16 +1205,26 @@ impl<'a> Case<'a> {
             Fingerprint::of_served(&result)
         );
         let (hits, trained) = (events("block_cache_hit"), events("block_pretrained"));
+        self.one_teacher_in_store()?;
+        // Every job after the one that trained the teacher finds it; a
+        // resubmission after a kill replays it from the journal instead.
+        let teacher_hits = u64::from(matches!(row.store, Crossover | Restarted));
+        ensure!(
+            events("teacher_cache_hit") == teacher_hits,
+            "{} teacher hits, expected {teacher_hits}",
+            events("teacher_cache_hit")
+        );
+        let job = ran.line("result ")?.split(' ').nth(1).unwrap_or_default();
+        let journal = format!("state/jobs/{job}.journal");
         match (row.store, kill) {
-            (Cold, None) => {
+            (Cold | Restarted, None) => {
                 ensure!(
                     result == reference.served(),
                     "result differs from the reference's:\n  row:       {result}\n  reference: {}",
                     reference.served()
                 );
-                let job = ran.line("result ")?.split(' ').nth(1).unwrap_or_default();
                 ensure!(
-                    self.read(&format!("state/jobs/{job}.journal"))? == reference.journal,
+                    self.read(&journal)? == reference.journal,
                     "the daemon's journal differs from the reference's"
                 );
                 ensure!(
@@ -1153,11 +1232,14 @@ impl<'a> Case<'a> {
                     "a cold store: {hits} hits, {trained} blocks trained"
                 );
             }
-            (Crossover, _) => ensure!(
-                (hits, trained) == (reference.blocks(), 0)
-                    && result["pretrain_steps"].as_u64() == Some(0),
-                "not served from the store: {hits} hits, {trained} blocks trained, result {result}"
-            ),
+            (Crossover, _) => {
+                ensure!(
+                    (hits, trained) == (reference.blocks(), 0)
+                        && result["pretrain_steps"].as_u64() == Some(0),
+                    "not served from the store: {hits} hits, {trained} blocks trained, result {result}"
+                );
+                self.same_full_model(&journal)?;
+            }
             _ => {}
         }
         Ok(())
@@ -1190,9 +1272,15 @@ impl<'a> Case<'a> {
         }
     }
 
-    fn submit(&mut self, addr: &str, objective: Objective) -> Result<Ran, String> {
+    fn submit(
+        &mut self,
+        addr: &str,
+        objective: Objective,
+        extra: &[String],
+    ) -> Result<Ran, String> {
         let mut args = words(&format!("submit --connect {addr}"));
         args.extend(input_args(objective, self.row.explorer));
+        args.extend_from_slice(extra);
         self.run_cmd(&args, &[])
     }
 }

@@ -107,7 +107,10 @@ pub struct WootzRun {
 /// pipeline's driver thread, strictly ordered.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunEvent {
-    /// The full model is trained (or was replayed/supplied).
+    /// The full model was served from the cross-run block store — its
+    /// training is skipped entirely. [`RunEvent::FullModelReady`] follows.
+    TeacherCacheHit,
+    /// The full model is trained (or was replayed/supplied/served).
     FullModelReady {
         /// Test accuracy of the full model.
         accuracy: f64,
@@ -150,8 +153,9 @@ pub struct RunOptions<'a> {
     /// When true and the journal file exists, verify its header and replay
     /// its entries instead of redoing the work.
     pub resume: bool,
-    /// Cross-run block store: consulted before pre-training (hits inject
-    /// already-trained blocks at 0 steps, journaled like replayed work)
+    /// Cross-run block store: consulted before training the full model
+    /// and before pre-training (hits inject the already-trained teacher or
+    /// blocks, journaled like the work they replace; blocks at 0 steps)
     /// and published to afterwards. See `SERVING.md` for key derivation.
     pub store: Option<&'a wootz_store::BlockStore>,
     /// Progress callback for pipeline milestones ([`RunEvent`]).
@@ -209,6 +213,57 @@ pub fn store_key(block: &TuningBlock, dataset: &str, solver: u64) -> wootz_store
         structure: block.structure_hash(),
         dataset: dataset.to_string(),
         solver,
+    }
+}
+
+/// Revision of what [`train_full_model`] makes of its inputs, folded into
+/// [`teacher_store_key`]: a change that moves the trained bytes for the
+/// same inputs (a re-pin of the goldens) bumps it, so every stored
+/// teacher misses instead of serving the old bytes.
+pub const TEACHER_REVISION: u64 = 1;
+
+/// The block store's key for the full model [`train_full_model`] trains
+/// from the same arguments, derived from exactly what that function reads:
+/// the model (`structure`: FNV-1a over its prototxt), the dataset (`dataset`:
+/// its id; its seed and shape go into `solver`), the solver's training
+/// fields (`max_iter`, `base_lr`, `weight_decay`, `momentum`, `batch_size`,
+/// `lr_policy`/`lr_step`/`lr_gamma`, `seed`) and [`TEACHER_REVISION`].
+/// Nothing else of the run (objective, subspace, workers, pre-training
+/// fields) moves the key, so every job that would train this teacher
+/// finds it.
+pub fn teacher_store_key(
+    mm: &MultiplexingModel,
+    dataset: &Dataset,
+    solver: &SolverConfig,
+) -> wootz_store::StoreKey {
+    let spec = dataset.spec();
+    let mut bytes = Vec::with_capacity(128 + solver.lr_policy.len());
+    for word in [
+        TEACHER_REVISION,
+        spec.seed,
+        spec.classes as u64,
+        spec.train_size as u64,
+        spec.test_size as u64,
+        spec.image.0 as u64,
+        spec.image.1 as u64,
+        spec.image.2 as u64,
+        u64::from(spec.separation.to_bits()),
+        solver.max_iter as u64,
+        u64::from(solver.base_lr.to_bits()),
+        u64::from(solver.weight_decay.to_bits()),
+        u64::from(solver.momentum.to_bits()),
+        solver.batch_size as u64,
+        solver.lr_step as u64,
+        u64::from(solver.lr_gamma.to_bits()),
+        solver.seed,
+    ] {
+        bytes.extend_from_slice(&word.to_le_bytes());
+    }
+    bytes.extend_from_slice(solver.lr_policy.as_bytes());
+    wootz_store::StoreKey {
+        structure: wootz_fault::fnv1a64(mm.ir().to_prototxt().as_bytes()),
+        dataset: spec.name.clone(),
+        solver: wootz_fault::fnv1a64(&bytes),
     }
 }
 
@@ -1078,6 +1133,16 @@ pub fn run_wootz(
 /// events and the exploration strategy. Runs [`run_phases`] over the
 /// [`LocalExecutor`].
 ///
+/// The full model (the teacher) comes from the first of: `full` as
+/// supplied; the journal's `FullModel` record when `opts.resume` replays
+/// one; `opts.store` under [`teacher_store_key`]; training it with
+/// [`train_full_model`], which then publishes it to `opts.store`. Every
+/// source but the journal appends the same `FullModel` record and fires
+/// the same [`RunEvent::FullModelReady`] (a store hit announces itself
+/// first with [`RunEvent::TeacherCacheHit`]), so `--out` and journals of
+/// a run that found its teacher in the store are byte-equal to a cold
+/// run's.
+///
 /// # Errors
 ///
 /// Propagates every phase's errors; with `opts.resume` set, also journal
@@ -1156,10 +1221,38 @@ pub fn run_phases<E: Executor>(
         ..
     } = replay;
 
+    let progress = |event: RunEvent| {
+        if let Some(progress) = opts.progress {
+            progress(&event);
+        }
+    };
+    // The teacher: supplied, else replayed, else from the store, else
+    // trained. A store hit is journaled exactly like a trained model, so
+    // the journal cannot tell the two apart.
     let (full_ckpt, full_accuracy) = match full.or(journaled_full) {
         Some(full) => full,
         None => {
-            let (c, a, _) = train_full_model(mm, dataset, &inputs.solver)?;
+            let store = opts
+                .store
+                .map(|store| (store, teacher_store_key(mm, dataset, &inputs.solver)));
+            let stored = store
+                .as_ref()
+                .and_then(|(store, key)| store.get_teacher(key));
+            let (c, a) = match stored {
+                Some(teacher) => {
+                    progress(RunEvent::TeacherCacheHit);
+                    (teacher.checkpoint, teacher.accuracy)
+                }
+                None => {
+                    let (c, a, _) = train_full_model(mm, dataset, &inputs.solver)?;
+                    if let Some((store, key)) = &store {
+                        store
+                            .insert_teacher(key, a, &c)
+                            .map_err(|e| CoreError::Pipeline(e.to_string()))?;
+                    }
+                    (c, a)
+                }
+            };
             if let Some(journal) = journal.as_mut() {
                 journal.append(&JournalEntry::FullModel {
                     accuracy: a,
@@ -1167,11 +1260,6 @@ pub fn run_phases<E: Executor>(
                 })?;
             }
             (c, a)
-        }
-    };
-    let progress = |event: RunEvent| {
-        if let Some(progress) = opts.progress {
-            progress(&event);
         }
     };
     progress(RunEvent::FullModelReady {
@@ -1665,6 +1753,11 @@ mod tests {
             "{case}: every block of job A served warm"
         );
         assert!(after.bytes_served > seeded.bytes_served, "{case}");
+        assert_eq!(
+            (after.teacher_hits, after.teacher_misses),
+            (seeded.teacher_hits + 1, seeded.teacher_misses),
+            "{case}: job B found job A's teacher"
+        );
         let warm_events = std::mem::take(&mut *events.lock().unwrap());
         let hits = warm_events
             .iter()
@@ -1718,6 +1811,12 @@ mod tests {
         let cool = run_wootz_with(&other, &ds, RunMode::Composability, None, &opts).unwrap();
         assert!(cool.pretrain_steps > 0, "different solver must retrain");
         assert!(store.stats().misses > misses_before);
+        let stats = store.stats();
+        assert_eq!(
+            (stats.teacher_misses, stats.teacher_inserts),
+            (1, 1),
+            "another seed, another teacher"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1735,6 +1834,157 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("wootz_pipe_cross_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         assert_store_serves_job_b("crossover", &dir, &ds, &job_a, &crossover);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn teacher_key_moves_with_what_training_reads_and_only_that() {
+        let inputs = tiny_inputs(2);
+        let key = |model: &ModelIr, ds: &Dataset, solver: &SolverConfig| {
+            let mm = MultiplexingModel::compile(model.clone()).unwrap();
+            teacher_store_key(&mm, ds, solver)
+        };
+        let ds = micro_dataset("flowers102", 3);
+        let base = key(&inputs.model, &ds, &inputs.solver);
+        assert_eq!(base, key(&inputs.model, &ds, &inputs.solver), "stable");
+
+        assert_ne!(base, key(&resnet_mini(4), &ds, &inputs.solver), "model");
+        for (what, other) in [
+            ("dataset id", micro_dataset("cub200", 3)),
+            ("dataset seed", micro_dataset("flowers102", 4)),
+        ] {
+            assert_ne!(base, key(&inputs.model, &other, &inputs.solver), "{what}");
+        }
+        type Edit = fn(&mut SolverConfig);
+        let read: [(&str, Edit); 9] = [
+            ("max_iter", |s| s.max_iter += 1),
+            ("base_lr", |s| s.base_lr *= 2.0),
+            ("weight_decay", |s| s.weight_decay *= 2.0),
+            ("momentum", |s| s.momentum = 0.5),
+            ("batch_size", |s| s.batch_size += 1),
+            ("lr_policy", |s| s.lr_policy = "step".into()),
+            ("lr_step", |s| s.lr_step += 1),
+            ("lr_gamma", |s| s.lr_gamma *= 0.5),
+            ("seed", |s| s.seed += 1),
+        ];
+        for (field, edit) in read {
+            let mut solver = inputs.solver.clone();
+            edit(&mut solver);
+            assert_ne!(base, key(&inputs.model, &ds, &solver), "{field} is read");
+        }
+        let unread: [(&str, Edit); 6] = [
+            ("num_workers", |s| s.num_workers += 3),
+            ("eval_every", |s| s.eval_every += 1),
+            ("pretrain_lr", |s| s.pretrain_lr *= 2.0),
+            ("pretrain_iter", |s| s.pretrain_iter += 1),
+            ("pretrain_weight_decay", |s| s.pretrain_weight_decay *= 2.0),
+            ("dataset name", |s| s.dataset = "cub200".into()),
+        ];
+        for (field, edit) in unread {
+            let mut solver = inputs.solver.clone();
+            edit(&mut solver);
+            assert_eq!(
+                base,
+                key(&inputs.model, &ds, &solver),
+                "{field} is not read"
+            );
+        }
+        // The objective and the subspace are no input of the key at all:
+        // a job under another objective or subspace finds the same
+        // teacher. The store gets its own file name for it.
+        assert_ne!(base.teacher_file_name(), base.file_name());
+    }
+
+    /// The FullModel record of a journal, as its raw frame.
+    fn full_model_record(journal: &std::path::Path) -> wootz_wire::Frame {
+        let bytes = std::fs::read(journal).unwrap();
+        wootz_wire::scan_records(&bytes, &wootz_wire::Limits::ARTIFACT)
+            .records
+            .into_iter()
+            .map(|r| r.frame)
+            .find(|f| f.msg_type == wootz_wire::record_type::JOURNAL_FULL_MODEL)
+            .expect("the journal holds a FullModel record")
+    }
+
+    /// A job whose teacher is in the store trains none, and journals
+    /// exactly what a cold job does; a damaged stored teacher is
+    /// quarantined and retrained to the same entry bytes.
+    #[test]
+    fn stored_teacher_replaces_training_byte_for_byte() {
+        let ds = micro_dataset("flowers102", 3);
+        let dir = std::env::temp_dir().join(format!("wootz_pipe_teacher_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = wootz_store::BlockStore::open(dir.join("store"), None).unwrap();
+        let inputs = tiny_inputs(2);
+        let run = |tag: &str| {
+            let journal = dir.join(format!("{tag}.journal"));
+            let opts = RunOptions {
+                store: Some(&store),
+                journal: Some(journal.clone()),
+                ..RunOptions::default()
+            };
+            let run = run_wootz_with(&inputs, &ds, RunMode::Baseline, None, &opts).unwrap();
+            (run, full_model_record(&journal))
+        };
+        let mm = MultiplexingModel::compile(inputs.model.clone()).unwrap();
+        let entry = dir
+            .join("store")
+            .join(teacher_store_key(&mm, &ds, &inputs.solver).teacher_file_name());
+
+        let (cold, cold_record) = run("cold");
+        let stats = store.stats();
+        assert_eq!(
+            (
+                stats.teacher_hits,
+                stats.teacher_misses,
+                stats.teacher_inserts
+            ),
+            (0, 1, 1)
+        );
+        let cold_entry = std::fs::read(&entry).unwrap();
+
+        let (warm, warm_record) = run("warm");
+        let stats = store.stats();
+        assert_eq!(
+            (
+                stats.teacher_hits,
+                stats.teacher_misses,
+                stats.teacher_inserts
+            ),
+            (1, 1, 1)
+        );
+        assert_eq!(warm_record, cold_record, "the journal cannot tell");
+        assert_eq!(warm.full_accuracy.to_bits(), cold.full_accuracy.to_bits());
+        assert_eq!(warm.best, cold.best);
+
+        let mut bytes = cold_entry.clone();
+        let n = bytes.len();
+        bytes[n - 5] ^= 0x10;
+        std::fs::write(&entry, &bytes).unwrap();
+        let (retrained, retrained_record) = run("retrained");
+        let stats = store.stats();
+        assert_eq!(
+            (
+                stats.teacher_hits,
+                stats.teacher_misses,
+                stats.teacher_inserts
+            ),
+            (1, 2, 2),
+            "the damaged teacher missed and was published again"
+        );
+        assert!(dir
+            .join("store")
+            .join(wootz_wire::QUARANTINE_DIR)
+            .join(entry.file_name().unwrap())
+            .exists());
+        assert_eq!(std::fs::read(&entry).unwrap(), cold_entry, "same bytes");
+        assert_eq!(retrained_record, cold_record);
+        assert_eq!(retrained.best, cold.best);
+        assert_eq!(
+            (stats.hits, stats.misses, stats.inserts),
+            (0, 0, 0),
+            "a baseline run has no blocks, and teachers are not counted as any"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,4 +1,5 @@
-//! `wootz-store`: a content-addressed cache of pre-trained tuning blocks.
+//! `wootz-store`: a content-addressed cache of pre-trained tuning blocks
+//! and of the trained full models (teachers) they are trained against.
 //!
 //! The paper's central observation is that tuning blocks compose *within*
 //! a run; this crate makes them compose *across* runs and tenants. Every
@@ -14,9 +15,17 @@
 //!   only valid for a bit-identical teacher; folding the teacher's content
 //!   hash into the key makes a stale hit structurally impossible.
 //!
+//! The teacher itself is an entry too ([`BlockStore::get_teacher`]): the
+//! same triple, with the model's structure hash and a hash of what
+//! full-model training reads (`wootz-core`'s `teacher_store_key`). Training
+//! is deterministic, so an evicted teacher retrains to the same bytes and
+//! the blocks keyed by its content hash stay valid. Teacher traffic is
+//! counted apart (`store.teacher_*`): [`StoreStats::hits`], `misses`,
+//! `inserts` and `bytes_served` count blocks only.
+//!
 //! On disk every entry is one `wootz-wire` record
-//! (`record_type::STORE_BLOCK`, see `PROTOCOL.md` §8) written atomically
-//! (unique temp file + `rename(2)`), decoded under
+//! (`record_type::STORE_BLOCK` or `STORE_TEACHER`, see `PROTOCOL.md` §8)
+//! written atomically (unique temp file + `rename(2)`), decoded under
 //! [`wootz_wire::Limits::ARTIFACT`] bounds so a hostile or truncated
 //! entry cannot OOM the reader, and double-checked by the checkpoint's
 //! own FNV content hash behind the envelope CRC. A damaged entry is **quarantined** — moved into
@@ -25,18 +34,20 @@
 //! miss, never as bad weights. A temp file left by an inserter that was
 //! killed before its rename is removed at the next open.
 //!
-//! Capacity is an LRU byte budget: inserts that push the store over
-//! budget evict least-recently-used entries (recency is an in-process
-//! clock, seeded from file mtimes at open). Counters `store.hits`,
-//! `store.misses`, `store.evictions`, `store.inserts` and the
-//! `store.bytes` gauge feed the `wootz-obs` registry (see
-//! `OBSERVABILITY.md`); `SERVING.md` documents the operational story.
+//! Capacity is an LRU byte budget over blocks and teachers alike: inserts
+//! that push the store over budget evict least-recently-used entries
+//! (recency is an in-process clock, seeded from file mtimes at open).
+//! Counters `store.hits`, `store.misses`, `store.evictions`,
+//! `store.inserts` and the `store.bytes` gauge feed the `wootz-obs`
+//! registry (see `OBSERVABILITY.md`); `SERVING.md` documents the
+//! operational story.
 //!
 //! [`block key`]: https://example.com/ignored
 //!
 //! ```text
 //! store-dir/
 //!   blk-<structure>-<keyhash>.blk   one wire record per cached block
+//!   tch-<structure>-<keyhash>.blk   one wire record per cached teacher
 //!   quarantine/                     damaged entries + *.report.json
 //! ```
 
@@ -54,7 +65,8 @@ use std::time::UNIX_EPOCH;
 use wootz_fault::{fnv1a64, pid_alive};
 use wootz_nn::Checkpoint;
 use wootz_wire::{
-    quarantine, read_single_record, record_type, write_frame, RecordDamage, WireSerialize, MAGIC,
+    quarantine, read_single_record, record_type, write_frame, RecordDamage, WireReader, WireResult,
+    WireSerialize, MAGIC,
 };
 
 /// Version tag of the entry payload layout; bumped on incompatible
@@ -109,16 +121,17 @@ impl From<std::io::Error> for StoreError {
 /// Store result alias.
 pub type Result<T> = std::result::Result<T, StoreError>;
 
-/// The content-derived identity of one cached block. See the crate docs
-/// for what each component pins.
+/// The content-derived identity of one cached block or teacher. See the
+/// crate docs for what each component pins.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreKey {
-    /// FNV-1a over the block's key string (`m2r30+m3r50`).
+    /// FNV-1a over the block's key string (`m2r30+m3r50`), or over the
+    /// model's structure for a teacher.
     pub structure: u64,
     /// Dataset id (the solver's `dataset:` field).
     pub dataset: String,
     /// FNV-1a over the pre-training config and the teacher checkpoint's
-    /// content hash.
+    /// content hash, or over what full-model training reads for a teacher.
     pub solver: u64,
 }
 
@@ -134,14 +147,50 @@ impl StoreKey {
         buf
     }
 
-    /// The entry's file name: the structure hash stays readable for
+    /// The block entry's file name: the structure hash stays readable for
     /// operators, the composite hash disambiguates dataset/solver.
     pub fn file_name(&self) -> String {
+        self.entry_name(Kind::Block)
+    }
+
+    /// The teacher entry's file name: [`StoreKey::file_name`] with the
+    /// `tch-` prefix, so a teacher and a block never share a file.
+    pub fn teacher_file_name(&self) -> String {
+        self.entry_name(Kind::Teacher)
+    }
+
+    fn entry_name(&self, kind: Kind) -> String {
         format!(
-            "blk-{:016x}-{:016x}.{ENTRY_EXT}",
+            "{}-{:016x}-{:016x}.{ENTRY_EXT}",
+            kind.prefix(),
             self.structure,
             fnv1a64(&self.canonical_bytes())
         )
+    }
+}
+
+/// What an entry holds. Both kinds share the directory, the LRU budget
+/// and quarantine; each has its own record type, file prefix and
+/// counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Block,
+    Teacher,
+}
+
+impl Kind {
+    fn prefix(self) -> &'static str {
+        match self {
+            Kind::Block => "blk",
+            Kind::Teacher => "tch",
+        }
+    }
+
+    fn record_type(self) -> u16 {
+        match self {
+            Kind::Block => record_type::STORE_BLOCK,
+            Kind::Teacher => record_type::STORE_TEACHER,
+        }
     }
 }
 
@@ -162,25 +211,44 @@ pub struct BlockEntry {
     pub checkpoint: Checkpoint,
 }
 
+/// One cached trained full model: exactly what a run journals for it
+/// (`JournalEntry::FullModel`), so a hit replaces training bit for bit.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TeacherEntry {
+    /// Test accuracy of the trained model.
+    pub accuracy: f64,
+    /// The trained parameters under the `net/` scope.
+    pub checkpoint: Checkpoint,
+}
+
 /// A snapshot of the store's counters (process-local; the same numbers
-/// flow into the `wootz-obs` registry as `store.*`).
+/// flow into the `wootz-obs` registry as `store.*`). `hits`, `misses`,
+/// `inserts` and `bytes_served` count blocks only; teacher traffic has
+/// its own `teacher_*` fields. `evictions`, `bytes` and `entries` cover
+/// both kinds, which share one budget.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Lookups served from cache.
+    /// Block lookups served from cache.
     pub hits: u64,
-    /// Lookups that found nothing (including quarantined entries).
+    /// Block lookups that found nothing (including quarantined entries).
     pub misses: u64,
     /// Entries evicted to respect the byte budget.
     pub evictions: u64,
-    /// Entries written.
+    /// Block entries written.
     pub inserts: u64,
-    /// Cumulative bytes read off disk to serve hits (what the cache
-    /// delivered, not what it holds).
+    /// Cumulative bytes read off disk to serve block hits (what the
+    /// cache delivered, not what it holds).
     pub bytes_served: u64,
     /// Bytes currently on disk across live entries.
     pub bytes: u64,
     /// Live entries.
     pub entries: u64,
+    /// Teacher lookups served from cache.
+    pub teacher_hits: u64,
+    /// Teacher lookups that found nothing (including quarantined entries).
+    pub teacher_misses: u64,
+    /// Teacher entries written.
+    pub teacher_inserts: u64,
 }
 
 /// In-memory recency bookkeeping for one on-disk entry.
@@ -234,9 +302,9 @@ impl Index {
     }
 }
 
-/// A content-addressed, LRU-bounded cache of pre-trained tuning blocks.
-/// All operations are internally synchronized — share one instance
-/// across daemon threads behind an `Arc`.
+/// A content-addressed, LRU-bounded cache of pre-trained tuning blocks
+/// and teachers. All operations are internally synchronized — share one
+/// instance across daemon threads behind an `Arc`.
 #[derive(Debug)]
 pub struct BlockStore {
     dir: PathBuf,
@@ -248,6 +316,9 @@ pub struct BlockStore {
     evictions: AtomicU64,
     inserts: AtomicU64,
     served: AtomicU64,
+    teacher_hits: AtomicU64,
+    teacher_misses: AtomicU64,
+    teacher_inserts: AtomicU64,
 }
 
 /// Locks the index, recovering from poison: the index's invariants hold
@@ -328,6 +399,9 @@ impl BlockStore {
             evictions: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             served: AtomicU64::new(0),
+            teacher_hits: AtomicU64::new(0),
+            teacher_misses: AtomicU64::new(0),
+            teacher_inserts: AtomicU64::new(0),
         };
         {
             let mut inner = lock_index(&store.inner);
@@ -368,6 +442,9 @@ impl BlockStore {
             bytes_served: self.served.load(Ordering::Relaxed),
             bytes: inner.bytes,
             entries: inner.entries.len() as u64,
+            teacher_hits: self.teacher_hits.load(Ordering::Relaxed),
+            teacher_misses: self.teacher_misses.load(Ordering::Relaxed),
+            teacher_inserts: self.teacher_inserts.load(Ordering::Relaxed),
         }
     }
 
@@ -376,40 +453,13 @@ impl BlockStore {
     /// which case the file is quarantined first so it is never served
     /// and never silently deleted.
     pub fn get(&self, key: &StoreKey) -> Option<BlockEntry> {
-        let name = key.file_name();
-        let mut inner = lock_index(&self.inner);
-        if !inner.entries.contains_key(&name) {
-            self.record_miss();
-            return None;
-        }
-        let path = self.dir.join(&name);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => {
-                // Raced an eviction or an external delete: a plain miss.
-                inner.remove(&name);
-                wootz_obs::gauge("store.bytes").set(inner.bytes as f64);
-                self.record_miss();
-                return None;
-            }
-        };
-        match decode_entry(&bytes, key) {
-            Ok(entry) => {
-                inner.touch(&name);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.served.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                wootz_obs::counter("store.hits").incr();
-                wootz_obs::counter("store.served_bytes").add(bytes.len() as u64);
-                Some(entry)
-            }
-            Err(damage) => {
-                self.quarantine(&path, &damage);
-                inner.remove(&name);
-                wootz_obs::gauge("store.bytes").set(inner.bytes as f64);
-                self.record_miss();
-                None
-            }
-        }
+        self.get_entry(Kind::Block, key, decode_block)
+    }
+
+    /// Looks up a teacher, exactly as [`BlockStore::get`] looks up a
+    /// block, but counted as `store.teacher_*`.
+    pub fn get_teacher(&self, key: &StoreKey) -> Option<TeacherEntry> {
+        self.get_entry(Kind::Teacher, key, decode_teacher)
     }
 
     /// Inserts a block under `key`. Returns `true` when this call wrote
@@ -423,14 +473,99 @@ impl BlockStore {
     ///
     /// [`StoreError::Io`] when the entry cannot be written.
     pub fn insert(&self, key: &StoreKey, entry: &BlockEntry) -> Result<bool> {
-        let name = key.file_name();
+        let body = |out: &mut Vec<u8>| {
+            entry.block_key.wire_write(out)?;
+            entry.first_loss.wire_write(out)?;
+            entry.last_loss.wire_write(out)?;
+            entry.trained_steps.wire_write(out)
+        };
+        self.insert_entry(Kind::Block, key, &entry.block_key, body, &entry.checkpoint)
+    }
+
+    /// Inserts a trained full model under `key`, with the semantics of
+    /// [`BlockStore::insert`]; its bytes count toward the same budget.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] when the entry cannot be written.
+    pub fn insert_teacher(
+        &self,
+        key: &StoreKey,
+        accuracy: f64,
+        checkpoint: &Checkpoint,
+    ) -> Result<bool> {
+        let body = |out: &mut Vec<u8>| accuracy.wire_write(out);
+        self.insert_entry(Kind::Teacher, key, "teacher", body, checkpoint)
+    }
+
+    fn get_entry<T>(
+        &self,
+        kind: Kind,
+        key: &StoreKey,
+        decode: fn(&[u8], &StoreKey) -> std::result::Result<T, RecordDamage>,
+    ) -> Option<T> {
+        let name = key.entry_name(kind);
+        let mut inner = lock_index(&self.inner);
+        if !inner.entries.contains_key(&name) {
+            self.record_miss(kind);
+            return None;
+        }
+        let path = self.dir.join(&name);
+        let bytes = match fs::read(&path) {
+            Ok(b) => b,
+            Err(_) => {
+                // Raced an eviction or an external delete: a plain miss.
+                inner.remove(&name);
+                wootz_obs::gauge("store.bytes").set(inner.bytes as f64);
+                self.record_miss(kind);
+                return None;
+            }
+        };
+        match decode(&bytes, key) {
+            Ok(entry) => {
+                inner.touch(&name);
+                self.record_hit(kind, bytes.len() as u64);
+                Some(entry)
+            }
+            Err(damage) => {
+                self.quarantine(&path, &damage);
+                inner.remove(&name);
+                wootz_obs::gauge("store.bytes").set(inner.bytes as f64);
+                self.record_miss(kind);
+                None
+            }
+        }
+    }
+
+    /// Writes one entry: the payload head (format version and key), the
+    /// kind's own fields (`body`), then the checkpoint behind its content
+    /// hash. `label` names the entry in the `store.inserted` event.
+    fn insert_entry(
+        &self,
+        kind: Kind,
+        key: &StoreKey,
+        label: &str,
+        body: impl FnOnce(&mut Vec<u8>) -> WireResult<()>,
+        checkpoint: &Checkpoint,
+    ) -> Result<bool> {
+        let name = key.entry_name(kind);
         let mut inner = lock_index(&self.inner);
         if inner.entries.contains_key(&name) {
             return Ok(false);
         }
-        let payload = encode_entry(key, entry);
+        let mut payload = Vec::new();
+        let out = &mut payload;
+        STORE_FORMAT_VERSION
+            .wire_write(out)
+            .and_then(|()| key.structure.wire_write(out))
+            .and_then(|()| key.dataset.wire_write(out))
+            .and_then(|()| key.solver.wire_write(out))
+            .and_then(|()| body(out))
+            .and_then(|()| checkpoint.content_hash().wire_write(out))
+            .map_err(|e| StoreError::Encode(e.to_string()))?;
+        checkpoint.wire_encode(&mut payload);
         let mut record = Vec::with_capacity(wootz_wire::HEADER_LEN + payload.len());
-        write_frame(&mut record, record_type::STORE_BLOCK, &payload)
+        write_frame(&mut record, kind.record_type(), &payload)
             .map_err(|e| StoreError::Encode(e.to_string()))?;
         let tmp = self.dir.join(format!("{name}.tmp.{}", std::process::id()));
         {
@@ -439,11 +574,10 @@ impl BlockStore {
             file.sync_all()?;
         }
         fs::rename(&tmp, self.dir.join(&name))?;
-        inner.insert(name.clone(), record.len() as u64);
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        wootz_obs::counter("store.inserts").incr();
+        inner.insert(name, record.len() as u64);
+        self.record_insert(kind);
         wootz_obs::event("store.inserted")
-            .field("key", entry.block_key.clone())
+            .field("key", label.to_string())
             .field("bytes", record.len())
             .emit();
         self.evict_over_budget(&mut inner);
@@ -451,9 +585,45 @@ impl BlockStore {
         Ok(true)
     }
 
-    fn record_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        wootz_obs::counter("store.misses").incr();
+    fn record_hit(&self, kind: Kind, bytes: u64) {
+        match kind {
+            Kind::Block => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.served.fetch_add(bytes, Ordering::Relaxed);
+                wootz_obs::counter("store.hits").incr();
+                wootz_obs::counter("store.served_bytes").add(bytes);
+            }
+            Kind::Teacher => {
+                self.teacher_hits.fetch_add(1, Ordering::Relaxed);
+                wootz_obs::counter("store.teacher_hits").incr();
+            }
+        }
+    }
+
+    fn record_miss(&self, kind: Kind) {
+        match kind {
+            Kind::Block => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                wootz_obs::counter("store.misses").incr();
+            }
+            Kind::Teacher => {
+                self.teacher_misses.fetch_add(1, Ordering::Relaxed);
+                wootz_obs::counter("store.teacher_misses").incr();
+            }
+        }
+    }
+
+    fn record_insert(&self, kind: Kind) {
+        match kind {
+            Kind::Block => {
+                self.inserts.fetch_add(1, Ordering::Relaxed);
+                wootz_obs::counter("store.inserts").incr();
+            }
+            Kind::Teacher => {
+                self.teacher_inserts.fetch_add(1, Ordering::Relaxed);
+                wootz_obs::counter("store.teacher_inserts").incr();
+            }
+        }
     }
 
     /// Evicts least-recently-used entries until the byte budget holds.
@@ -491,35 +661,18 @@ impl BlockStore {
     }
 }
 
-/// Encodes the entry payload (everything after the record envelope).
-fn encode_entry(key: &StoreKey, entry: &BlockEntry) -> Vec<u8> {
-    let mut out = Vec::new();
-    // Writing to a Vec cannot fail.
-    STORE_FORMAT_VERSION
-        .wire_write(&mut out)
-        .expect("vec write");
-    key.structure.wire_write(&mut out).expect("vec write");
-    key.dataset.wire_write(&mut out).expect("vec write");
-    key.solver.wire_write(&mut out).expect("vec write");
-    entry.block_key.wire_write(&mut out).expect("vec write");
-    entry.first_loss.wire_write(&mut out).expect("vec write");
-    entry.last_loss.wire_write(&mut out).expect("vec write");
-    entry.trained_steps.wire_write(&mut out).expect("vec write");
-    entry
-        .checkpoint
-        .content_hash()
-        .wire_write(&mut out)
-        .expect("vec write");
-    entry.checkpoint.wire_encode(&mut out);
-    out
-}
-
-/// Decodes and verifies one entry file against the key that addressed
-/// it. Every failure mode is a [`RecordDamage`] so the caller can
-/// quarantine with evidence.
-fn decode_entry(bytes: &[u8], key: &StoreKey) -> std::result::Result<BlockEntry, RecordDamage> {
-    let (stored_key, entry, stored_hash) =
-        read_single_record(bytes, record_type::STORE_BLOCK, |r| {
+/// Decodes one entry file of `kind` — the payload head, the kind's own
+/// fields (`body`), the checkpoint behind its content hash — and verifies
+/// it against the key that addressed it. Every failure mode is a
+/// [`RecordDamage`] so the caller can quarantine with evidence.
+fn decode_entry<T>(
+    bytes: &[u8],
+    kind: Kind,
+    key: &StoreKey,
+    body: impl FnOnce(&mut WireReader<&[u8]>) -> WireResult<T>,
+) -> std::result::Result<(T, Checkpoint), RecordDamage> {
+    let (stored_key, fields, stored_hash, checkpoint) =
+        read_single_record(bytes, kind.record_type(), |r| {
             let version = r.u32("store entry version")?;
             if version != STORE_FORMAT_VERSION {
                 return Err(wootz_wire::WireError::InvalidValue {
@@ -532,23 +685,9 @@ fn decode_entry(bytes: &[u8], key: &StoreKey) -> std::result::Result<BlockEntry,
                 dataset: r.string("store entry dataset")?,
                 solver: r.u64("store entry solver")?,
             };
-            let block_key = r.string("store entry block key")?;
-            let first_loss = r.f32("store entry first loss")?;
-            let last_loss = r.f32("store entry last loss")?;
-            let trained_steps = r.u64("store entry steps")?;
+            let fields = body(r)?;
             let stored_hash = r.u64("store entry content hash")?;
-            let checkpoint = Checkpoint::wire_decode(r)?;
-            Ok((
-                stored_key,
-                BlockEntry {
-                    block_key,
-                    first_loss,
-                    last_loss,
-                    trained_steps,
-                    checkpoint,
-                },
-                stored_hash,
-            ))
+            Ok((stored_key, fields, stored_hash, Checkpoint::wire_decode(r)?))
         })?;
     if stored_key != *key {
         return Err(RecordDamage::at(
@@ -556,7 +695,7 @@ fn decode_entry(bytes: &[u8], key: &StoreKey) -> std::result::Result<BlockEntry,
             "entry key does not match the key that addressed it",
         ));
     }
-    let computed = entry.checkpoint.content_hash();
+    let computed = checkpoint.content_hash();
     if computed != stored_hash {
         return Err(RecordDamage::at(
             0,
@@ -565,7 +704,35 @@ fn decode_entry(bytes: &[u8], key: &StoreKey) -> std::result::Result<BlockEntry,
             ),
         ));
     }
-    Ok(entry)
+    Ok((fields, checkpoint))
+}
+
+fn decode_block(bytes: &[u8], key: &StoreKey) -> std::result::Result<BlockEntry, RecordDamage> {
+    let ((block_key, first_loss, last_loss, trained_steps), checkpoint) =
+        decode_entry(bytes, Kind::Block, key, |r| {
+            Ok((
+                r.string("store entry block key")?,
+                r.f32("store entry first loss")?,
+                r.f32("store entry last loss")?,
+                r.u64("store entry steps")?,
+            ))
+        })?;
+    Ok(BlockEntry {
+        block_key,
+        first_loss,
+        last_loss,
+        trained_steps,
+        checkpoint,
+    })
+}
+
+fn decode_teacher(bytes: &[u8], key: &StoreKey) -> std::result::Result<TeacherEntry, RecordDamage> {
+    let (accuracy, checkpoint) =
+        decode_entry(bytes, Kind::Teacher, key, |r| r.f64("store entry accuracy"))?;
+    Ok(TeacherEntry {
+        accuracy,
+        checkpoint,
+    })
 }
 
 #[cfg(test)]
@@ -627,6 +794,138 @@ mod tests {
         drop(store);
         let reopened = BlockStore::open(&dir, None).unwrap();
         assert_eq!(reopened.get(&k).unwrap(), e);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    fn teacher(values: &[f32]) -> (f64, Checkpoint) {
+        let mut ckpt = Checkpoint::new();
+        ckpt.insert(
+            "net/conv1/weight".to_string(),
+            Tensor::from_vec(values.to_vec(), &[values.len()]).unwrap(),
+        );
+        // An accuracy no decimal rendering would round-trip by accident.
+        (f64::from_bits(0x3fe5_5555_5555_5557), ckpt)
+    }
+
+    #[test]
+    fn teacher_round_trips_exact_accuracy_bits_and_counts_apart_from_blocks() {
+        let dir = tmp_store("teacher");
+        let store = BlockStore::open(&dir, None).unwrap();
+        let k = key(20);
+        let (accuracy, ckpt) = teacher(&[0.5, -1.25, 3.0]);
+        assert!(store.get_teacher(&k).is_none(), "cold store misses");
+        assert!(store.insert_teacher(&k, accuracy, &ckpt).unwrap());
+        assert!(
+            !store.insert_teacher(&k, accuracy, &ckpt).unwrap(),
+            "one wins"
+        );
+        let back = store.get_teacher(&k).unwrap();
+        assert_eq!(back.accuracy.to_bits(), accuracy.to_bits());
+        assert_eq!(back.checkpoint, ckpt);
+        let stats = store.stats();
+        assert_eq!(
+            (
+                stats.teacher_hits,
+                stats.teacher_misses,
+                stats.teacher_inserts
+            ),
+            (1, 1, 1)
+        );
+        assert_eq!(
+            (stats.hits, stats.misses, stats.inserts, stats.bytes_served),
+            (0, 0, 0, 0),
+            "teacher traffic stays out of the block statistics"
+        );
+        assert_eq!(stats.entries, 1);
+        assert!(dir.join(k.teacher_file_name()).exists());
+        assert!(store.get(&k).is_none(), "a teacher is no block");
+
+        drop(store);
+        let reopened = BlockStore::open(&dir, None).unwrap();
+        let back = reopened.get_teacher(&k).unwrap();
+        assert_eq!(back.accuracy.to_bits(), accuracy.to_bits());
+        assert_eq!(back.checkpoint, ckpt);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn damaged_teacher_is_quarantined_missed_and_reinserted_to_the_same_bytes() {
+        let dir = tmp_store("teacher_corrupt");
+        let store = BlockStore::open(&dir, None).unwrap();
+        let k = key(21);
+        let (accuracy, ckpt) = teacher(&[2.0; 8]);
+        store.insert_teacher(&k, accuracy, &ckpt).unwrap();
+        let path = dir.join(k.teacher_file_name());
+        let good = fs::read(&path).unwrap();
+        let mut bytes = good.clone();
+        let n = bytes.len();
+        bytes[n - 3] ^= 0x40;
+        fs::write(&path, &bytes).unwrap();
+
+        assert!(store.get_teacher(&k).is_none(), "damaged teacher is a miss");
+        assert_eq!(store.stats().teacher_misses, 1);
+        assert_eq!(store.stats().misses, 0, "no block missed");
+        assert!(!path.exists(), "damaged file moved aside");
+        let qdir = dir.join(QUARANTINE_DIR);
+        assert!(
+            qdir.join(k.teacher_file_name()).exists(),
+            "entry quarantined"
+        );
+        // Training is deterministic: the retrained teacher is the same
+        // entry, byte for byte.
+        assert!(store.insert_teacher(&k, accuracy, &ckpt).unwrap());
+        assert_eq!(fs::read(&path).unwrap(), good);
+        assert!(store.get_teacher(&k).is_some());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_teacher_addressed_as_a_block_and_the_reverse_are_refused() {
+        let dir = tmp_store("teacher_kinds");
+        let store = BlockStore::open(&dir, None).unwrap();
+        let (t, b) = (key(22), key(23));
+        let (accuracy, ckpt) = teacher(&[1.0; 4]);
+        store.insert_teacher(&t, accuracy, &ckpt).unwrap();
+        store.insert(&b, &entry("m2r50", &[1.0; 4])).unwrap();
+        // Each file under the other kind's name of its own key.
+        fs::rename(dir.join(t.teacher_file_name()), dir.join(t.file_name())).unwrap();
+        fs::rename(dir.join(b.file_name()), dir.join(b.teacher_file_name())).unwrap();
+        drop(store);
+
+        let store = BlockStore::open(&dir, None).unwrap();
+        assert!(store.get(&t).is_none(), "a teacher record is no block");
+        assert!(
+            store.get_teacher(&b).is_none(),
+            "a block record is no teacher"
+        );
+        let qdir = dir.join(QUARANTINE_DIR);
+        for name in [t.file_name(), b.teacher_file_name()] {
+            let report = fs::read_to_string(qdir.join(format!("{name}.report.json"))).unwrap();
+            assert!(report.contains("record type"), "{report}");
+        }
+        assert!(store.is_empty());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn teacher_bytes_count_toward_the_lru_budget() {
+        let dir = tmp_store("teacher_budget");
+        let probe = BlockStore::open(&dir, None).unwrap();
+        let (accuracy, ckpt) = teacher(&[0.0; 64]);
+        probe.insert_teacher(&key(30), accuracy, &ckpt).unwrap();
+        let teacher_bytes = probe.bytes();
+        drop(probe);
+        let _ = fs::remove_dir_all(&dir);
+
+        // Room for the teacher, not for the teacher and a block.
+        let store = BlockStore::open(&dir, Some(teacher_bytes + 8)).unwrap();
+        store.insert_teacher(&key(30), accuracy, &ckpt).unwrap();
+        assert_eq!(store.bytes(), teacher_bytes);
+        store.insert(&key(31), &entry("m1r30", &[1.0; 8])).unwrap();
+        assert_eq!(store.stats().evictions, 1, "the older teacher went");
+        assert!(store.get_teacher(&key(30)).is_none());
+        assert!(store.get(&key(31)).is_some());
+        assert!(store.bytes() <= teacher_bytes + 8);
         fs::remove_dir_all(&dir).ok();
     }
 

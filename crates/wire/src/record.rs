@@ -70,6 +70,23 @@ pub mod record_type {
     /// `(structure hash, dataset id, solver hash)` — the cross-run reuse
     /// unit served by `wootz serve` (`SERVING.md`).
     pub const STORE_BLOCK: u16 = 0x4A05;
+    /// Block-store entry: one cached trained full model (the teacher),
+    /// keyed by `(model structure hash, dataset id, training hash)` so a
+    /// job whose full model is already known skips training it.
+    pub const STORE_TEACHER: u16 = 0x4A07;
+
+    /// Every record-type code with its `PROTOCOL.md` §8 name, in the
+    /// order of that table (a test pins the two against each other).
+    pub const CATALOG: &[(u16, &str)] = &[
+        (JOURNAL_HEADER, "journal-header"),
+        (JOURNAL_FULL_MODEL, "journal-full-model"),
+        (JOURNAL_BLOCK, "journal-block"),
+        (JOURNAL_EVAL, "journal-eval"),
+        (JOURNAL_PROPOSAL, "journal-proposal"),
+        (CHECKPOINT, "checkpoint"),
+        (STORE_BLOCK, "store-block"),
+        (STORE_TEACHER, "store-teacher"),
+    ];
 }
 
 impl Limits {

@@ -167,13 +167,7 @@ fn garbage_prefix_is_corrupt_at_offset_zero() {
 
 #[test]
 fn record_type_codes_do_not_collide() {
-    let codes = [
-        record_type::JOURNAL_HEADER,
-        record_type::JOURNAL_FULL_MODEL,
-        record_type::JOURNAL_BLOCK,
-        record_type::JOURNAL_EVAL,
-        record_type::CHECKPOINT,
-    ];
+    let codes: Vec<u16> = record_type::CATALOG.iter().map(|&(code, _)| code).collect();
     for (i, a) in codes.iter().enumerate() {
         for b in &codes[i + 1..] {
             assert_ne!(a, b);
@@ -185,4 +179,58 @@ fn record_type_codes_do_not_collide() {
         msg_type: record_type::CHECKPOINT,
         payload: Vec::new(),
     };
+}
+
+/// The `(code, name)` rows of `PROTOCOL.md` §8's record-type table, between
+/// its `<!-- records:begin -->` / `<!-- records:end -->` markers. Rows look
+/// like `` | `0x4A01` | `journal-header` | ... | ``; the header and
+/// separator rows have no hex code and are skipped.
+fn spec_records() -> Vec<(u16, String)> {
+    const SPEC: &str = include_str!("../../../PROTOCOL.md");
+    let start = SPEC
+        .find("<!-- records:begin -->")
+        .expect("PROTOCOL.md lost its records:begin marker");
+    let end = SPEC
+        .find("<!-- records:end -->")
+        .expect("PROTOCOL.md lost its records:end marker");
+    assert!(start < end, "records markers out of order");
+    let unquote = |cell: &str| cell.trim().trim_matches('`').to_string();
+    SPEC[start..end]
+        .lines()
+        .filter_map(|line| {
+            let mut cells = line.trim().strip_prefix('|')?.split('|');
+            let code = unquote(cells.next()?);
+            let code = u16::from_str_radix(code.strip_prefix("0x")?, 16).ok()?;
+            Some((code, unquote(cells.next()?)))
+        })
+        .collect()
+}
+
+#[test]
+fn protocol_md_record_table_matches_the_catalog() {
+    let catalog: Vec<(u16, String)> = record_type::CATALOG
+        .iter()
+        .map(|&(code, name)| (code, name.to_string()))
+        .collect();
+    let spec = spec_records();
+    for row in &spec {
+        assert!(
+            catalog.contains(row),
+            "PROTOCOL.md §8 row ({:#06x}, {}) is not in record_type::CATALOG",
+            row.0,
+            row.1
+        );
+    }
+    for entry in &catalog {
+        assert!(
+            spec.contains(entry),
+            "record_type::CATALOG entry ({:#06x}, {}) has no PROTOCOL.md §8 row",
+            entry.0,
+            entry.1
+        );
+    }
+    assert_eq!(
+        spec, catalog,
+        "PROTOCOL.md §8 lists the record types out of order"
+    );
 }

@@ -3,8 +3,10 @@
 # protocol of crates/bench/src/bin/benchmark/README.md, "Comparing two
 # commits", unattended:
 #
-#   1. exports the parent with `git archive` and builds its benchmark and the
-#      working tree's into separate CARGO_TARGET_DIRs;
+#   1. exports the parent with `git archive` and the working tree (its
+#      tracked and unignored files as they are on disk) with `tar`, and
+#      builds each copy's benchmark into its own CARGO_TARGET_DIR, so a
+#      build never touches the checkout;
 #   2. runs N seeded pairs per workload, each run BENCHMARK.json's
 #      run_seconds long, alternating which side runs first;
 #   3. prints, for every end-to-end metric x workload, the parent -> change
@@ -66,14 +68,24 @@ IFS=, read -r -a workload_list <<<"$workloads"
 out=${out:-$(mktemp -d "${TMPDIR:-/tmp}/bench_pair.XXXXXX")}
 mkdir -p "$out/raw" "$out/run-parent" "$out/run-change"
 
-rm -rf "$out/src-parent"
-mkdir -p "$out/src-parent"
+# Cargo rewrites a stale Cargo.lock in the tree it builds, so neither side
+# builds in the checkout: a rewritten lock there would make the next run
+# refuse to compare.
+rm -rf "$out/src-parent" "$out/src-change"
+mkdir -p "$out/src-parent" "$out/src-change"
 git -C "$root" archive "$parent" | tar -x -C "$out/src-parent"
+(
+    cd "$root"
+    git ls-files -z --cached --others --exclude-standard |
+        while IFS= read -r -d '' f; do
+            if [ -e "$f" ]; then printf '%s\0' "$f"; fi # deleted files are not copied
+        done |
+        tar --null -T - -c
+) | tar -x -C "$out/src-change"
 parent_label=$(git -C "$root" rev-parse --short "$parent")
 
 for side in parent change; do
-    src=$out/src-parent
-    [ "$side" = change ] && src=$root
+    src=$out/src-$side
     echo "bench_pair: building the $side side" >&2
     (cd "$src" && CARGO_TARGET_DIR="$out/target-$side" \
         cargo build --release --quiet --offline --manifest-path "$manifest")

@@ -59,6 +59,16 @@ echo "== benchmark package: unit tests + the --smoke integration test =="
 # compiles against the public API of every crate; running its tests here
 # makes an API break against it fail this gate instead of the benchmark
 # pipeline. (~1 min: the --smoke test runs all four workloads tiny.)
-cargo test -q --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
+# Cargo rewrites the package's Cargo.lock when it is stale; the lock is put
+# back afterwards so the gate leaves the checkout as it found it (committing
+# a refreshed lock is a benchmark change of its own).
+lock=crates/bench/src/bin/benchmark/Cargo.lock
+saved=$(mktemp)
+cp "$lock" "$saved"
+status=0
+cargo test -q --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml || status=$?
+cmp -s "$saved" "$lock" || cp "$saved" "$lock"
+rm -f "$saved"
+[ "$status" -eq 0 ] || exit "$status"
 
 echo "verify.sh: all gates passed"
