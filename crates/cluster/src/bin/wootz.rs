@@ -76,13 +76,17 @@
 //! span/event tracing for the run, writes the full `wootz-obs` report to
 //! `<path>` on exit (NDJSON when the extension is `.ndjson`/`.jsonl`,
 //! pretty JSON otherwise) and prints a human-readable summary table to
-//! stderr. See `OBSERVABILITY.md` for the schema and naming scheme.
+//! stderr. `serve`, which runs until it is killed, rewrites the file after
+//! every job instead. See `OBSERVABILITY.md` for the schema and naming
+//! scheme.
 //!
 //! Every command also accepts `--threads <n>`: it sizes the process-global
-//! `wootz-par` kernel pool (default: the `WOOTZ_THREADS` environment
-//! variable, else the machine's available parallelism). Distributed workers
-//! inherit the setting. Results are bit-identical for any thread count —
-//! see `PERFORMANCE.md` for the determinism contract.
+//! `wootz-par` pool (default: the `WOOTZ_THREADS` environment variable,
+//! else the machine's available parallelism), the one set of threads that
+//! runs the kernels *and* a round's evaluations — `--threads 1` runs them
+//! one after another. Distributed workers inherit the setting. Results are
+//! bit-identical for any thread count — see `PERFORMANCE.md` for the
+//! determinism contract.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -123,11 +127,14 @@ fn run() -> Result<ExitCode, Box<dyn std::error::Error>> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     // `--metrics-out` is global: it may appear anywhere on the command line.
     let metrics_out: Option<PathBuf> = take_flag(&mut args, "--metrics-out")?.map(Into::into);
-    if metrics_out.is_some() {
+    if let Some(path) = &metrics_out {
         wootz_obs::enable();
+        // `serve` never returns: it rewrites this file after every job.
+        wootz_obs::set_metrics_out(path.clone());
     }
     // `--threads` is global too: it sizes the process-wide `wootz-par` pool
-    // (default: `WOOTZ_THREADS`, else the machine's available parallelism)
+    // that runs kernels and evaluations alike (default: `WOOTZ_THREADS`,
+    // else the machine's available parallelism)
     // and is inherited by spawned workers via `WOOTZ_THREADS`. Results are
     // bit-identical for any value — see PERFORMANCE.md.
     if let Some(t) = take_flag(&mut args, "--threads")? {
@@ -182,6 +189,7 @@ fn usage() -> &'static str {
      prune:  … [--explorer fixed|taylor|bandit] [--explorer-budget <n>] selects the exploration strategy (DESIGN.md §13)\n\
      prune:  … [--distributed <n> --log-dir <dir> [--listen <addr>] [--lease-ms <ms>] [--orphan-grace-ms <ms>]] runs on n worker processes over TCP (DESIGN.md §9)\n\
      worker: --connect <addr> --worker-id <id> [--orphan-grace-ms <ms>]\n\
+     --threads <n>: the one pool kernels and a round's evaluations share (1 runs the evaluations one after another)\n\
      run `wootz help` for per-command options; SERVING.md documents the daemon"
 }
 

@@ -413,6 +413,11 @@ fn handle_connection(daemon: &Daemon, mut stream: TcpStream, peer: String) {
             detail,
         },
     );
+    // The daemon runs until it is killed, so a `--metrics-out` export is
+    // brought up to date after every job instead of at exit.
+    if let Err(e) = wootz_obs::rewrite_metrics_out() {
+        eprintln!("wootz serve: cannot write metrics: {e}");
+    }
 }
 
 /// Executes the job against the shared store, streaming progress to

@@ -52,7 +52,7 @@ use Cut::{Clean, Fault, Hand, Journal, Kill, NetDrop};
 use Damage::{BitFlip, NotARecord, Torn};
 use Explorer::{Bandit, Fixed, Taylor};
 use Objective::{MaxAccuracy, MinSize};
-use Plan::{EvalError, WorkerCrash, WorkerHang};
+use Plan::{EvalError, EvalPanic, WorkerCrash, WorkerHang};
 use Runtime::{Distributed, InProcess, Serve};
 use Signal::{Measured, Stopped};
 use Store::{Cold, Crossover, NoStore, Restarted, Warm};
@@ -131,6 +131,9 @@ enum Plan {
     /// The first evaluation fails once and is retried; a `--resume` run
     /// then replays every evaluation from the journal.
     EvalError,
+    /// `EvalError`'s plan, with the first evaluation panicking instead:
+    /// the panic unwinds inside a pool task.
+    EvalPanic,
     /// `WorkerCrash` on unit-of-work keys 0 and the first evaluated
     /// configuration: the worker process aborts mid-task.
     WorkerCrash,
@@ -194,6 +197,7 @@ const ROWS: &[Row] = &[
     row(InProcess,      1, Bandit, MinSize,     NoStore,   Clean),
     row(InProcess,      2, Fixed,  MaxAccuracy, NoStore,   Clean),
     row(InProcess,      1, Fixed,  MinSize,     NoStore,   Fault(EvalError)),
+    row(InProcess,      2, Fixed,  MinSize,     NoStore,   Fault(EvalPanic)),
     row(InProcess,      2, Fixed,  MinSize,     NoStore,   Journal(NotARecord)),
     row(InProcess,      4, Fixed,  MinSize,     NoStore,   Journal(BitFlip)),
     row(InProcess,      1, Taylor, MinSize,     NoStore,   Journal(Torn)),
@@ -792,8 +796,10 @@ impl<'a> Case<'a> {
         };
 
         // Nothing resumed, no store hit, no evaluation retried.
-        let same_work = !matches!(row.cut, Kill(..) | Journal(_) | Fault(EvalError))
-            && matches!(row.store, NoStore | Cold);
+        let same_work = !matches!(
+            row.cut,
+            Kill(..) | Journal(_) | Fault(EvalError | EvalPanic)
+        ) && matches!(row.store, NoStore | Cold);
         if same_work {
             ensure!(
                 self.read("run.json")? == reference.out,
@@ -925,7 +931,9 @@ impl<'a> Case<'a> {
                 let readopted = last.cluster_stat("workers re-adopted")?;
                 ensure!(readopted >= 1, "no orphaned worker was re-adopted");
             }
-            Fault(EvalError) => {
+            Fault(EvalError | EvalPanic) => {
+                let retries = self.metric("metrics.ndjson", "explore.retries", "value")?;
+                ensure!(retries == Some(1), "explore.retries = {retries:?}, not 1");
                 // Every evaluation is in the journal: a resume replays
                 // them all and lands on the same result.
                 let mut replay = self.resume();
@@ -1022,6 +1030,7 @@ impl<'a> Case<'a> {
         };
         let triggers = match plan {
             EvalError => vec![trigger("explore.eval", first, "\"EvalError\"")],
+            EvalPanic => vec![trigger("explore.eval", first, "\"EvalPanic\"")],
             WorkerCrash => self
                 .crash_keys()
                 .iter()

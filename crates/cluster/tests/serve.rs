@@ -6,6 +6,7 @@ mod common;
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 use common::tempdir;
 use wootz_cluster::{job_code, Message};
@@ -18,7 +19,7 @@ struct Daemon {
 }
 
 impl Daemon {
-    fn start(dir: &std::path::Path) -> Daemon {
+    fn start(dir: &std::path::Path, extra: &[&str]) -> Daemon {
         let mut child = Command::new(env!("CARGO_BIN_EXE_wootz"))
             .arg("serve")
             .arg("--store")
@@ -26,6 +27,7 @@ impl Daemon {
             .arg("--state")
             .arg(dir.join("state"))
             .args(["--listen", "127.0.0.1:0"])
+            .args(extra)
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()
@@ -57,6 +59,21 @@ impl Daemon {
     }
 }
 
+/// A two-configuration baseline job that takes a fraction of a second.
+fn small_job() -> Message {
+    Message::SubmitJob {
+        model: wootz_models::resnet_mini(8).to_prototxt(),
+        configs: "[[30,30,30,30],[50,50,50,50]]".to_string(),
+        solver: "dataset: \"flowers102\"\nbase_lr: 0.03\nmax_iter: 4\nbatch_size: 4\n\
+                 pretrain_iter: 2\neval_every: 4\nseed: 3\nnum_workers: 2\n"
+            .to_string(),
+        objective: "min ModelSize\nconstraint Accuracy >= 0.0\n".to_string(),
+        mode: "baseline".to_string(),
+        explorer: String::new(),
+        explorer_budget: 0,
+    }
+}
+
 impl Drop for Daemon {
     fn drop(&mut self) {
         let _ = self.child.kill();
@@ -71,18 +88,8 @@ impl Drop for Daemon {
 #[test]
 fn resubmitting_on_job_done_is_never_refused_busy() {
     let dir = tempdir("serve_resubmit");
-    let daemon = Daemon::start(&dir);
-    let job = Message::SubmitJob {
-        model: wootz_models::resnet_mini(8).to_prototxt(),
-        configs: "[[30,30,30,30],[50,50,50,50]]".to_string(),
-        solver: "dataset: \"flowers102\"\nbase_lr: 0.03\nmax_iter: 4\nbatch_size: 4\n\
-                 pretrain_iter: 2\neval_every: 4\nseed: 3\nnum_workers: 2\n"
-            .to_string(),
-        objective: "min ModelSize\nconstraint Accuracy >= 0.0\n".to_string(),
-        mode: "baseline".to_string(),
-        explorer: String::new(),
-        explorer_budget: 0,
-    };
+    let daemon = Daemon::start(&dir, &[]);
+    let job = small_job();
     let (code, first) = daemon.submit(&job);
     assert_eq!(code, job_code::OK, "{first}");
     // Every resubmission replays the journal, so each round trip is a few
@@ -91,5 +98,39 @@ fn resubmitting_on_job_done_is_never_refused_busy() {
     let busy = codes.iter().filter(|&&c| c == job_code::BUSY).count();
     assert_eq!(busy, 0, "busy refusals on prompt resubmission: {codes:?}");
     assert!(codes.iter().all(|&c| c == job_code::OK), "{codes:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `wootz serve --metrics-out` keeps its export current while it runs: a
+/// daemon is only ever stopped by a kill, so the file is rewritten after
+/// each job instead of at exit.
+#[test]
+fn a_running_daemon_exports_its_metrics_after_each_job() {
+    let dir = tempdir("serve_metrics");
+    let metrics = dir.join("metrics.ndjson");
+    let mut daemon = Daemon::start(&dir, &["--metrics-out", metrics.to_str().unwrap()]);
+    let (code, detail) = daemon.submit(&small_job());
+    assert_eq!(code, job_code::OK, "{detail}");
+    // The export follows `JobDone`: give it a moment.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let text = loop {
+        let text = std::fs::read_to_string(&metrics).unwrap_or_default();
+        if text.contains("\"name\":\"serve.job_done\"") || Instant::now() > deadline {
+            break text;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(
+        daemon.child.try_wait().unwrap().is_none(),
+        "the daemon exited"
+    );
+    assert!(
+        text.contains("\"name\":\"serve.job_done\""),
+        "no serve.job_done in the export:\n{text}"
+    );
+    assert!(
+        text.contains("\"kind\":\"counter\",\"name\":\"par."),
+        "no par.* counter in the export:\n{text}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

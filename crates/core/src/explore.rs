@@ -606,8 +606,9 @@ mod tests {
     }
 
     /// The engine over an index-only subspace with each round's
-    /// evaluations on one scoped OS thread apiece, as the local executor
-    /// places them: threaded rounds must fold exactly like sequential ones.
+    /// evaluations as the tasks of one `wootz-par` batch on a private pool
+    /// of `workers` threads, as the local executor places them: threaded
+    /// rounds must fold exactly like sequential ones.
     fn explore_threaded<E>(
         objective: &Objective,
         sizes: &[usize],
@@ -618,19 +619,12 @@ mod tests {
     where
         E: Fn(usize) -> Result<EvalOutcome> + Sync,
     {
+        let pool = wootz_par::Pool::new(workers);
         let run_round = |fresh: &[usize]| {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = fresh
-                    .iter()
-                    .map(|&i| {
-                        let evaluate = &evaluate;
-                        scope.spawn(move || supervise_eval(evaluate, i, &opts.retry, opts.faults))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("supervise_eval catches evaluator panics"))
-                    .collect()
+            wootz_par::with_pool(&pool, || {
+                wootz_par::parallel_map(fresh.len(), |k| {
+                    supervise_eval(&evaluate, fresh[k], &opts.retry, opts.faults)
+                })
             })
         };
         explore_indices(objective, sizes, workers, run_round, opts, None)

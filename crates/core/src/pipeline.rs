@@ -281,6 +281,17 @@ pub fn train_full_model(
     dataset: &Dataset,
     solver: &SolverConfig,
 ) -> Result<(Checkpoint, f64, TrainLog)> {
+    train_full_model_on(mm, dataset, solver, &OnceLock::new())
+}
+
+/// [`train_full_model`] measuring on `eval_set`, the run's one
+/// [`evaluation_set`] (built here if no evaluation has built it yet).
+fn train_full_model_on(
+    mm: &MultiplexingModel,
+    dataset: &Dataset,
+    solver: &SolverConfig,
+    eval_set: &OnceLock<(Tensor, Vec<usize>)>,
+) -> Result<(Checkpoint, f64, TrainLog)> {
     let _span = wootz_obs::span("pipeline.full_model").with("max_iter", solver.max_iter);
     let mut built = mm.build(&ModeToUse::Original, solver.seed)?;
     let cfg = TrainConfig {
@@ -293,7 +304,7 @@ pub fn train_full_model(
         schedule: schedule_of(solver),
         eval_every: 0,
     };
-    let (eval_x, eval_y) = evaluation_set(dataset);
+    let (eval_x, eval_y) = eval_set.get_or_init(|| evaluation_set(dataset));
     let batch_size = solver.batch_size;
     let logits = built
         .logits
@@ -306,7 +317,7 @@ pub fn train_full_model(
         logits,
         &cfg,
         |step| dataset.train_batch(step, batch_size),
-        Some(EvalSet::new(&eval_x, &eval_y)),
+        Some(EvalSet::new(eval_x, eval_y)),
     )?;
     let accuracy = log.final_accuracy.unwrap_or(0.0) as f64;
     Ok((Checkpoint::capture(&built.vars, "net/"), accuracy, log))
@@ -519,8 +530,8 @@ const EVAL_SET_SIZE: usize = 256;
 
 /// The evaluation set of `dataset`: the test samples every fine-tune
 /// measures accuracy on. Deterministic in the dataset, so every process
-/// measures the same samples; a [`TaskContext`] builds it once, for its
-/// first evaluation.
+/// measures the same samples; a run builds it once, for the teacher's
+/// training or its first evaluation ([`TaskContext::eval_set`]).
 pub fn evaluation_set(dataset: &Dataset) -> (Tensor, Vec<usize>) {
     dataset.test_set(EVAL_SET_SIZE)
 }
@@ -867,9 +878,10 @@ pub struct TaskContext<'a> {
     /// The training data.
     pub dataset: &'a Dataset,
     /// The test samples every evaluation measures ([`evaluation_set`]),
-    /// built by the first evaluation: once per run in-process, once per
-    /// environment in a worker, and never by a coordinator, whose
-    /// evaluations run on the workers.
+    /// built once per run by [`run_phases`] for the teacher's training or
+    /// else by the first evaluation, and once per environment in a worker.
+    /// A coordinator builds it only to train the teacher: its evaluations
+    /// run on the workers.
     pub eval_set: &'a OnceLock<(Tensor, Vec<usize>)>,
     /// The compiled multiplexing model.
     pub mm: &'a MultiplexingModel,
@@ -1036,10 +1048,12 @@ pub trait Executor {
 }
 
 /// The in-process [`Executor`] behind [`run_wootz_with`] — the
-/// single-machine analogue of the paper's MPI workers (§6.2): [`execute`]
-/// under `catch_unwind`, pre-training groups as `wootz-par` tasks (each
-/// group's kernels then run inline on its task), any other batch on one
-/// scoped OS thread per task.
+/// single-machine analogue of the paper's MPI workers (§6.2): every batch
+/// is one `wootz-par` batch of [`execute`] under `catch_unwind`, so the
+/// pool's threads are the workers. A batch as wide as the pool runs each
+/// task's kernels inline on its own thread; a narrower one fans them out to
+/// the idle threads (`wootz-par`'s nesting rule). Either way the chunk
+/// boundaries, and so the bits, are the same.
 pub struct LocalExecutor;
 
 impl Executor for LocalExecutor {
@@ -1048,10 +1062,10 @@ impl Executor for LocalExecutor {
             catch_unwind(AssertUnwindSafe(|| execute(task, cx))).unwrap_or_else(|payload| {
                 let what = match task {
                     Task::Eval { config_index, .. } => {
-                        format!("evaluator thread for config {config_index}")
+                        format!("evaluation task for config {config_index}")
                     }
                     Task::Pretrain { group_index, .. } => {
-                        format!("pre-training thread for group {group_index}")
+                        format!("pre-training task for group {group_index}")
                     }
                 };
                 let error = CoreError::Panic {
@@ -1061,19 +1075,7 @@ impl Executor for LocalExecutor {
                 TaskOutput::failed(task, error, 1)
             })
         };
-        if tasks.iter().all(|t| matches!(t, Task::Pretrain { .. })) {
-            return Ok(wootz_par::parallel_map(tasks.len(), |i| caught(&tasks[i])));
-        }
-        Ok(std::thread::scope(|scope| {
-            let handles: Vec<_> = tasks
-                .iter()
-                .map(|task| scope.spawn(|| caught(task)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("panics are caught on the task's thread"))
-                .collect()
-        }))
+        Ok(wootz_par::parallel_map(tasks.len(), |i| caught(&tasks[i])))
     }
 }
 
@@ -1226,6 +1228,9 @@ pub fn run_phases<E: Executor>(
             progress(&event);
         }
     };
+    // The run's one evaluation set: built by the teacher's training when
+    // the teacher is trained here, else by the first evaluation.
+    let eval_set = OnceLock::new();
     // The teacher: supplied, else replayed, else from the store, else
     // trained. A store hit is journaled exactly like a trained model, so
     // the journal cannot tell the two apart.
@@ -1244,7 +1249,7 @@ pub fn run_phases<E: Executor>(
                     (teacher.checkpoint, teacher.accuracy)
                 }
                 None => {
-                    let (c, a, _) = train_full_model(mm, dataset, &inputs.solver)?;
+                    let (c, a, _) = train_full_model_on(mm, dataset, &inputs.solver, &eval_set)?;
                     if let Some((store, key)) = &store {
                         store
                             .insert_teacher(key, a, &c)
@@ -1281,7 +1286,6 @@ pub fn run_phases<E: Executor>(
             None => Ok(()),
         }
     };
-    let eval_set = OnceLock::new();
     let base = TaskContext {
         inputs,
         dataset,
@@ -2167,6 +2171,71 @@ mod tests {
                 && s.fields.get("config") == Some(&wootz_obs::FieldValue::Int(1))),
             "no explore.config span for config 1 on {thread}"
         );
+    }
+
+    /// The local executor runs a round's evaluations on the pool's own
+    /// threads: three evaluations on a pool of two take at most two OS
+    /// threads, and give the bits a pool of one gives.
+    #[test]
+    fn local_evaluations_run_on_the_pool_threads() {
+        wootz_obs::enable();
+        let mut inputs = tiny_inputs(3);
+        inputs.solver.max_iter = 2;
+        let ds = micro_dataset("flowers102", 3);
+        let mm = MultiplexingModel::compile(inputs.model.clone()).unwrap();
+        let full = Checkpoint::capture(&mm.build(&ModeToUse::Original, 1).unwrap().vars, "net/");
+        let eval_set = OnceLock::new();
+        let cx = TaskContext {
+            inputs: &inputs,
+            dataset: &ds,
+            eval_set: &eval_set,
+            mm: &mm,
+            full_ckpt: &full,
+            blocks: &NO_BLOCKS,
+            faults: None,
+            retry: RetryPolicy::default(),
+        };
+        // Seed indices no other test evaluates, so the spans are this
+        // batch's.
+        let indices = 7001..7004;
+        let tasks: Vec<Task> = indices
+            .clone()
+            .zip(&inputs.subspace)
+            .map(|(config_index, config)| Task::Eval {
+                config_index,
+                config: config.clone(),
+                blocks: None,
+            })
+            .collect();
+        let run = |threads: usize| -> Vec<String> {
+            let pool = wootz_par::Pool::new(threads);
+            let outputs = wootz_par::with_pool(&pool, || LocalExecutor.run(&cx, &tasks)).unwrap();
+            outputs
+                .iter()
+                .map(|output| match output {
+                    TaskOutput::Eval(sup) => {
+                        serde_json::to_string(sup.result.as_ref().unwrap()).unwrap()
+                    }
+                    TaskOutput::Pretrain(_) => panic!("an evaluation task yields an evaluation"),
+                })
+                .collect()
+        };
+        let two = run(2);
+        let threads: BTreeSet<String> = wootz_obs::snapshot()
+            .spans
+            .into_iter()
+            .filter(|s| {
+                s.name == "explore.config"
+                    && matches!(s.fields.get("config"),
+                        Some(wootz_obs::FieldValue::Int(c)) if indices.contains(&(*c as usize)))
+            })
+            .map(|s| s.thread)
+            .collect();
+        assert!(
+            (1..=2).contains(&threads.len()),
+            "three evaluations on a pool of two ran on {threads:?}"
+        );
+        assert_eq!(two, run(1));
     }
 
     /// `EvalContext::evaluate(i)` is a lookup over the evaluation an

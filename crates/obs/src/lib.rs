@@ -45,8 +45,9 @@ pub use report::{
 pub use span::{EventBuilder, Span};
 
 use std::collections::BTreeMap;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// A collection of instruments plus the recorded spans and events.
@@ -291,14 +292,52 @@ pub fn snapshot() -> Report {
 
 /// Writes the global registry's snapshot to `path`: NDJSON when the path
 /// ends in `.ndjson` or `.jsonl`, a single pretty JSON document otherwise.
+///
+/// The file is replaced atomically (written beside it, then renamed), and
+/// writers in one process take turns, so a reader never sees a torn
+/// export — even while a long-running process rewrites it
+/// ([`rewrite_metrics_out`]).
 pub fn write_metrics(path: &std::path::Path) -> std::io::Result<()> {
+    static WRITING: Mutex<()> = Mutex::new(());
+    // Snapshot under the turn too, so the last writer leaves the newest.
+    let _turn = WRITING.lock().unwrap_or_else(PoisonError::into_inner);
     let report = snapshot();
     let text = match path.extension().and_then(|e| e.to_str()) {
         Some("ndjson") | Some("jsonl") => report.to_ndjson(),
         _ => serde_json::to_string_pretty(&report)
             .map_err(|e| std::io::Error::other(e.to_string()))?,
     };
-    std::fs::write(path, text)
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    std::fs::write(&tmp, text)?;
+    std::fs::rename(&tmp, path)
+}
+
+/// The export file named by [`set_metrics_out`].
+static METRICS_OUT: Mutex<Option<PathBuf>> = Mutex::new(None);
+
+/// Names the file this process's metrics export goes to (`wootz
+/// --metrics-out`), for [`rewrite_metrics_out`].
+pub fn set_metrics_out(path: PathBuf) {
+    *METRICS_OUT.lock().unwrap_or_else(PoisonError::into_inner) = Some(path);
+}
+
+/// Rewrites the [`set_metrics_out`] file with a fresh snapshot, if one is
+/// named: how a process that runs until it is killed (the serve daemon)
+/// keeps its export current instead of writing it at exit.
+///
+/// # Errors
+///
+/// Those of [`write_metrics`].
+pub fn rewrite_metrics_out() -> std::io::Result<()> {
+    let path = METRICS_OUT
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone();
+    match path {
+        Some(path) => write_metrics(&path),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]

@@ -40,10 +40,17 @@
 //! threads; size 1 means every call runs inline with zero overhead, making
 //! the single-threaded path *literally* the sequential code.
 //!
-//! Nested calls (a parallel region inside a pool task) run inline on the
-//! worker that spawned them — no new tasks are queued, so nesting can never
-//! deadlock and the innermost loops stay sequential exactly like the
-//! pre-parallel kernels.
+//! A parallel region inside a pool task (a nested call) goes where the
+//! outer batch left room. When the outer batch has at least as many tasks
+//! as the pool has threads, every thread already has work, so the nested
+//! call runs inline on the task's own thread: its innermost loops stay
+//! sequential exactly like the pre-parallel kernels. A narrower outer batch
+//! (two evaluations on a pool of four) leaves threads idle, so its tasks
+//! fan their nested calls out to the *same* pool — the one the task runs
+//! on, whether the global pool or a private [`with_pool`] pool. Nesting
+//! never deadlocks: a submitter runs its own batch's unclaimed tasks and
+//! then waits only for tasks already running, and it never starts another
+//! batch's task while it waits.
 //!
 //! Panics inside a task are caught on the worker, the batch is drained, and
 //! the **first** panic payload is re-raised on the submitting thread once
@@ -119,11 +126,16 @@ pub fn configured_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// The effective concurrency of the pool the *current* call site would use:
-/// the [`with_pool`] override if one is active on this thread, else the live
-/// global pool's size, else [`configured_threads`].
+/// The size of the pool the *current* call site would use: inside a pool
+/// task, the pool that runs it; else the [`with_pool`] override if one is
+/// active on this thread; else the live global pool's size, else
+/// [`configured_threads`].
 pub fn current_threads() -> usize {
-    if let Some(p) = OVERRIDE.with(|c| c.get()) {
+    if let Some(task) = TASK.with(Cell::get) {
+        // Safety: the task's pool outlives every task it runs.
+        return unsafe { task.pool.as_ref() }.threads;
+    }
+    if let Some(p) = OVERRIDE.with(Cell::get) {
         // Safety: the override pointer is valid for the whole `with_pool`
         // scope, which encloses this call.
         return unsafe { p.as_ref() }.threads();
@@ -140,10 +152,20 @@ fn global_pool() -> &'static Pool {
     GLOBAL.get_or_init(|| Pool::new(configured_threads()))
 }
 
+/// What a thread running a pool task knows about that task's batch.
+#[derive(Clone, Copy)]
+struct TaskCx {
+    /// The pool the batch runs on: a worker's `Arc` or the submitter's
+    /// borrow keeps it alive while the task runs.
+    pool: NonNull<PoolShared>,
+    /// The batch's task count.
+    total: usize,
+}
+
 thread_local! {
-    /// True while this thread is executing a pool task (worker or
-    /// participating caller): nested parallel calls run inline.
-    static IN_TASK: Cell<bool> = const { Cell::new(false) };
+    /// The batch of the pool task this thread is executing (worker or
+    /// participating caller), which decides where nested calls go.
+    static TASK: Cell<Option<TaskCx>> = const { Cell::new(None) };
     /// Scoped pool override installed by [`with_pool`].
     static OVERRIDE: Cell<Option<NonNull<Pool>>> = const { Cell::new(None) };
 }
@@ -152,9 +174,10 @@ thread_local! {
 /// to `pool` instead of the process-global pool.
 ///
 /// This is how the determinism tests compare 1-thread and N-thread
-/// executions inside one process. The override is thread-local and restored on exit (including
-/// panics); tasks running *on* `pool`'s workers execute nested regions
-/// inline as usual.
+/// executions inside one process. The override is thread-local and
+/// restored on exit (including panics); tasks running *on* `pool`'s
+/// workers place their nested regions on `pool` by the nesting rule (crate
+/// docs), and an override set inside a pool task does not move them.
 ///
 /// ```
 /// let one = wootz_par::Pool::new(1);
@@ -189,6 +212,8 @@ pub fn with_pool<R>(pool: &Pool, f: impl FnOnce() -> R) -> R {
 struct Batch {
     /// Borrowed from the submitting frame; valid until `done == total`.
     f: *const (dyn Fn(usize) + Sync + 'static),
+    /// The pool the batch was submitted to.
+    pool: NonNull<PoolShared>,
     total: usize,
     next: AtomicUsize,
     state: Mutex<BatchState>,
@@ -200,8 +225,9 @@ struct BatchState {
     panic: Option<Box<dyn Any + Send>>,
 }
 
-// Safety: `f` points at a `Sync` closure; all other fields are Sync. The
-// raw pointer is only dereferenced under the batch-lifetime argument above.
+// Safety: `f` points at a `Sync` closure and `pool` at the `Sync` shared
+// state of a pool that outlives the batch's tasks; all other fields are
+// Sync. `f` is only dereferenced under the batch-lifetime argument above.
 unsafe impl Send for Batch {}
 unsafe impl Sync for Batch {}
 
@@ -209,13 +235,17 @@ impl Batch {
     /// Claims and runs tasks until the batch is exhausted. `caller` marks
     /// the submitting thread (for the `par.caller_tasks` counter).
     fn run_tasks(&self, caller: bool) {
-        struct TaskGuard(bool);
+        struct TaskGuard(Option<TaskCx>);
         impl Drop for TaskGuard {
             fn drop(&mut self) {
-                IN_TASK.with(|c| c.set(self.0));
+                TASK.with(|c| c.set(self.0));
             }
         }
-        let prev = IN_TASK.with(|c| c.replace(true));
+        let cx = TaskCx {
+            pool: self.pool,
+            total: self.total,
+        };
+        let prev = TASK.with(|c| c.replace(Some(cx)));
         let _guard = TaskGuard(prev);
         loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
@@ -251,6 +281,8 @@ struct PoolShared {
     queue: Mutex<VecDeque<Arc<Batch>>>,
     cv: Condvar,
     shutdown: AtomicBool,
+    /// Total concurrency: the worker threads plus a submitting thread.
+    threads: usize,
 }
 
 /// A fixed-size thread pool executing index-addressed task batches.
@@ -263,7 +295,6 @@ struct PoolShared {
 pub struct Pool {
     shared: Arc<PoolShared>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    threads: usize,
 }
 
 impl Pool {
@@ -274,6 +305,7 @@ impl Pool {
             queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            threads,
         });
         let workers = (1..threads)
             .map(|i| {
@@ -284,21 +316,25 @@ impl Pool {
                     .expect("spawn wootz-par worker")
             })
             .collect();
-        Pool {
-            shared,
-            workers,
-            threads,
-        }
+        Pool { shared, workers }
     }
 
     /// Total concurrency (worker threads + the submitting thread).
     pub fn threads(&self) -> usize {
-        self.threads
+        self.shared.threads
     }
+}
 
+impl PoolShared {
     /// Runs `total` tasks `f(0..total)` to completion, sharing them with the
     /// worker threads. Re-raises the first task panic after the batch
     /// drains.
+    ///
+    /// The submitting thread runs only this batch's tasks and then sleeps
+    /// until the ones other threads claimed are done; it never starts
+    /// another batch's task here. That is what lets a kernel hold its
+    /// thread's call-level scratch across the call: no task of another
+    /// kernel can run on this thread and borrow it again.
     fn run_batch(&self, total: usize, f: &(dyn Fn(usize) + Sync)) {
         if total == 0 {
             return;
@@ -308,6 +344,7 @@ impl Pool {
         let f: *const (dyn Fn(usize) + Sync + 'static) = unsafe { std::mem::transmute(f) };
         let batch = Arc::new(Batch {
             f,
+            pool: NonNull::from(self),
             total,
             next: AtomicUsize::new(0),
             state: Mutex::new(BatchState {
@@ -318,14 +355,14 @@ impl Pool {
         });
         // One queue entry per worker that could usefully join (the caller
         // participates on its own, so `total - 1` helpers suffice).
-        let copies = self.workers.len().min(total - 1);
+        let copies = (self.threads - 1).min(total - 1);
         if copies > 0 {
-            let mut q = self.shared.queue.lock().unwrap();
+            let mut q = self.queue.lock().unwrap();
             for _ in 0..copies {
                 q.push_back(Arc::clone(&batch));
             }
             drop(q);
-            self.shared.cv.notify_all();
+            self.cv.notify_all();
         }
         batch.run_tasks(true);
         let mut st = batch.state.lock().unwrap();
@@ -408,9 +445,10 @@ impl<T> Copy for SendPtr<T> {}
 /// on.
 ///
 /// Runs inline (sequentially, bit-identically) when `total <= 1`, when the
-/// effective pool size is 1, or when called from inside another pool task
-/// (nesting never deadlocks). Panics in tasks re-raise once on the caller
-/// after the batch drains.
+/// effective pool size is 1, or when called from a pool task whose own
+/// batch fills the pool; a task of a narrower batch fans the call out to
+/// the pool it runs on (crate docs). Panics in tasks re-raise once on the
+/// caller after the batch drains.
 ///
 /// ```
 /// let squares = wootz_par::parallel_map(4, |i| i * i);
@@ -433,19 +471,12 @@ where
     if total == 0 {
         return Vec::new();
     }
-    let ov = OVERRIDE.with(|c| c.get());
-    let threads = match ov {
-        // Safety: override valid for the enclosing `with_pool` scope.
-        Some(p) => unsafe { p.as_ref() }.threads(),
-        None => GLOBAL
-            .get()
-            .map(Pool::threads)
-            .unwrap_or_else(configured_threads),
-    };
-    if below_grain || total == 1 || threads <= 1 || IN_TASK.with(|c| c.get()) {
+    let Some(pool) = (!below_grain && total > 1).then(target_pool).flatten() else {
         metering::inline_batches().incr();
         return (0..total).map(f).collect();
-    }
+    };
+    // Safety: see `target_pool`; the pool outlives this call's batch.
+    let pool = unsafe { pool.as_ref() };
     metering::batches().incr();
     let slots: Vec<UnsafeCell<Option<R>>> = (0..total).map(|_| UnsafeCell::new(None)).collect();
     let slots_ref = Slots(&slots);
@@ -459,14 +490,31 @@ where
         // write is the unique access to slot `i`.
         unsafe { *slots_ref.0[i].get() = Some(r) };
     };
-    match ov {
-        Some(p) => unsafe { p.as_ref() }.run_batch(total, &wrapper),
-        None => global_pool().run_batch(total, &wrapper),
-    }
+    pool.run_batch(total, &wrapper);
     slots
         .into_iter()
         .map(|c| c.into_inner().expect("task wrote its result slot"))
         .collect()
+}
+
+/// The pool a batch submitted here fans out to, or `None` to run it inline:
+/// inside a pool task, that task's pool unless the task's own batch fills
+/// it; elsewhere the [`with_pool`] override or the global pool. A pool of
+/// one thread is never a target.
+fn target_pool() -> Option<NonNull<PoolShared>> {
+    let task = TASK.with(Cell::get);
+    let pool = match (task, OVERRIDE.with(Cell::get)) {
+        (Some(task), _) => task.pool,
+        // Safety: the override is valid for the enclosing `with_pool` scope.
+        (None, Some(p)) => NonNull::from(&*unsafe { p.as_ref() }.shared),
+        (None, None) if current_threads() <= 1 => return None,
+        (None, None) => NonNull::from(&*global_pool().shared),
+    };
+    // Safety: a pool outlives every task it runs and every `with_pool` scope
+    // it is installed in, and the global pool is never dropped.
+    let threads = unsafe { pool.as_ref() }.threads;
+    let full = task.is_some_and(|task| task.total >= threads);
+    (threads > 1 && !full).then_some(pool)
 }
 
 /// Runs `f(0..total)` for side effects, with the same inline/nesting/panic
@@ -672,16 +720,77 @@ mod tests {
 
     #[test]
     fn nested_calls_run_inline_without_deadlock() {
+        // Six tasks fill a pool of three, so every nested region completes
+        // inline on the thread of the task that opened it.
         let pool = Pool::new(3);
         let out = with_pool(&pool, || {
             parallel_map(6, |i| {
-                // Nested region: must complete inline on this worker.
-                let inner = parallel_map(4, move |j| i * 10 + j);
+                let outer = std::thread::current().id();
+                let inner = parallel_map(4, move |j| {
+                    assert_eq!(std::thread::current().id(), outer);
+                    assert_eq!(batch_len(), Some(6));
+                    i * 10 + j
+                });
                 inner.iter().sum::<usize>()
             })
         });
         let expect: Vec<usize> = (0..6).map(|i| (0..4).map(|j| i * 10 + j).sum()).collect();
         assert_eq!(out, expect);
+    }
+
+    /// The task count of the batch whose task is running on this thread.
+    fn batch_len() -> Option<usize> {
+        TASK.with(Cell::get).map(|task| task.total)
+    }
+
+    #[test]
+    fn a_narrower_batch_fans_nested_calls_out_to_the_same_pool() {
+        // Two evaluations on a pool of four: their kernels keep the idle
+        // threads busy, on the private pool (the global one is never
+        // touched: it would report its own size).
+        let pool = Pool::new(4);
+        let seen = with_pool(&pool, || {
+            parallel_map(2, |i| {
+                let mut v = vec![0usize; 64];
+                let inner = parallel_chunks_mut_grained(&mut v, 8, GRAIN_FLOPS, |ci, chunk| {
+                    chunk.fill(i * 100 + ci);
+                    (current_threads(), batch_len())
+                });
+                assert_eq!(v, (0..64).map(|k| i * 100 + k / 8).collect::<Vec<_>>());
+                inner
+            })
+        });
+        for inner in seen {
+            assert_eq!(inner, vec![(4, Some(8)); 8]);
+        }
+    }
+
+    #[test]
+    fn a_nested_panic_resurfaces_once_and_the_pool_survives() {
+        let pool = Pool::new(4);
+        let nested = |fail: bool| {
+            parallel_map(2, move |i| {
+                parallel_map(8, move |j| {
+                    if fail && i == 1 && j == 5 {
+                        panic!("nested boom at {i}/{j}");
+                    }
+                    i * 10 + j
+                })
+            })
+        };
+        let caught = with_pool(&pool, || catch_unwind(AssertUnwindSafe(|| nested(true))));
+        let payload = caught.expect_err("a nested task panic must propagate");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert_eq!(msg, "nested boom at 1/5");
+        assert!(TASK.with(Cell::get).is_none());
+        let after = with_pool(&pool, || nested(false));
+        let expect: Vec<Vec<usize>> = (0..2)
+            .map(|i| (0..8).map(|j| i * 10 + j).collect())
+            .collect();
+        assert_eq!(after, expect);
     }
 
     #[test]
@@ -740,7 +849,7 @@ mod tests {
                 let mut v = vec![0usize; 64];
                 let owners = parallel_chunks_mut_grained(&mut v, 8, flops, |ci, chunk| {
                     chunk.fill(ci);
-                    IN_TASK.with(|c| c.get())
+                    TASK.with(Cell::get).is_some()
                 });
                 assert_eq!(v, (0..64).map(|i| i / 8).collect::<Vec<_>>());
                 owners.iter().any(|&in_task| in_task)
