@@ -5,12 +5,14 @@
 //! global fine-tuning — on the mini model family and synthetic datasets,
 //! providing the empirical grounding for the calibrated simulator.
 
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
-use wootz_core::blocks::module_level_blocks;
+use wootz_core::blocks::{module_level_blocks, BlockSet};
 use wootz_core::compile::MultiplexingModel;
 use wootz_core::finetune::{assemble, global_finetune, InitStrategy};
-use wootz_core::pipeline::train_full_model;
-use wootz_core::pretrain::{pretrain_blocks, PretrainConfig};
+use wootz_core::pipeline::{block_pretrain_config, train_full_model};
+use wootz_core::pretrain::{pretrain_group_supervised, pretrain_groups_with};
 use wootz_core::prune::{sample_subspace, PruneConfig, PAPER_RATES};
 use wootz_data::{micro_dataset, Dataset};
 use wootz_ir::{ModelIr, SolverConfig};
@@ -214,32 +216,47 @@ pub fn prepare_cell(ir: ModelIr, dataset: &str, opts: &MicroOpts) -> PreparedCel
 }
 
 /// Pre-trains the module-level tuning blocks for a set of configurations
-/// in a cell; returns `(block set, checkpoints)`.
+/// in a cell, group by group under the pipeline's supervisor and with its
+/// pre-training configuration; returns the block set and the checkpoints
+/// keyed by block.
 pub fn pretrain_cell(
     cell: &PreparedCell,
     configs: &[PruneConfig],
     opts: &MicroOpts,
-) -> (
-    wootz_core::blocks::BlockSet,
-    wootz_core::pretrain::PretrainOutcome,
-) {
+) -> (BlockSet, BTreeMap<String, Checkpoint>) {
     let set = module_level_blocks(configs);
-    let cfg = PretrainConfig {
-        steps: opts.pretrain_steps,
-        sgd: SgdConfig {
-            learning_rate: cell.solver.pretrain_lr,
-            weight_decay: cell.solver.pretrain_weight_decay,
-            momentum: cell.solver.momentum,
-        },
-        seed: opts.seed ^ 0xb10c,
+    let cfg = block_pretrain_config(&cell.solver);
+    let next_batch = |step| cell.ds.train_batch(step, opts.batch).0;
+    let run_groups = |todo: &[(usize, &[usize])]| {
+        Ok(todo
+            .iter()
+            .map(|&(group_index, group)| {
+                let blocks: Vec<_> = group.iter().map(|&i| (i, set.blocks[i].clone())).collect();
+                pretrain_group_supervised(
+                    &cell.mm,
+                    &blocks,
+                    group_index,
+                    &cell.full,
+                    &cfg,
+                    &next_batch,
+                    None,
+                )
+            })
+            .collect())
     };
-    let batch = opts.batch;
-    let ds = &cell.ds;
-    let outcome = pretrain_blocks(&cell.mm, &set.blocks, &cell.full, &cfg, |step| {
-        ds.train_batch(step, batch).0
-    })
-    .expect("pre-training runs");
-    (set, outcome)
+    let outcome = pretrain_groups_with(&set.blocks, BTreeMap::new(), run_groups, None)
+        .expect("pre-training runs");
+    assert!(
+        outcome.failed.is_empty(),
+        "pre-training failed: {:?}",
+        outcome.failed
+    );
+    let checkpoints = outcome
+        .blocks
+        .into_iter()
+        .map(|block| (block.key, block.checkpoint))
+        .collect();
+    (set, checkpoints)
 }
 
 /// Fine-tunes one configuration in a cell under either scheme, returning
@@ -247,22 +264,18 @@ pub fn pretrain_cell(
 pub fn finetune_config(
     cell: &PreparedCell,
     config: &PruneConfig,
-    blocks: Option<(
-        &wootz_core::blocks::BlockSet,
-        &wootz_core::pretrain::PretrainOutcome,
-        usize,
-    )>,
+    blocks: Option<(&BlockSet, &BTreeMap<String, Checkpoint>, usize)>,
     opts: &MicroOpts,
 ) -> TrainLog {
     let pairs_storage;
     let strategy = match blocks {
-        Some((set, outcome, config_index)) => {
+        Some((set, checkpoints, config_index)) => {
             pairs_storage = set.composites[config_index]
                 .parts
                 .iter()
                 .map(|p| {
                     let block = &set.blocks[p.block_index];
-                    (block, &outcome.checkpoints[&block.key()])
+                    (block, &checkpoints[&block.key()])
                 })
                 .collect::<Vec<_>>();
             InitStrategy::BlockTrained(&pairs_storage)
@@ -323,14 +336,14 @@ pub fn table2_cell(model_name: &str, ir: ModelIr, dataset: &str, opts: &MicroOpt
         opts.configs_per_cell,
         opts.seed ^ 0xc0,
     );
-    let (set, outcome) = pretrain_cell(&cell, &configs, opts);
+    let (set, checkpoints) = pretrain_cell(&cell, &configs, opts);
     let mut init = Vec::new();
     let mut init_plus = Vec::new();
     let mut final_acc = Vec::new();
     let mut final_plus = Vec::new();
     for (ci, config) in configs.iter().enumerate() {
         let d = finetune_config(&cell, config, None, opts);
-        let b = finetune_config(&cell, config, Some((&set, &outcome, ci)), opts);
+        let b = finetune_config(&cell, config, Some((&set, &checkpoints, ci)), opts);
         init.push(d.initial_accuracy.unwrap_or(0.0) as f64);
         final_acc.push(d.final_accuracy.unwrap_or(0.0) as f64);
         init_plus.push(b.initial_accuracy.unwrap_or(0.0) as f64);
@@ -449,9 +462,9 @@ pub fn fig6(opts: &MicroOpts) -> Vec<Fig6Curve> {
         let cell = prepare_cell(ir, "cub200", opts);
         let config = PruneConfig::uniform(n_modules, 70).expect("valid rate");
         let configs = vec![config.clone()];
-        let (set, outcome) = pretrain_cell(&cell, &configs, opts);
+        let (set, checkpoints) = pretrain_cell(&cell, &configs, opts);
         let default_log = finetune_config(&cell, &config, None, opts);
-        let block_log = finetune_config(&cell, &config, Some((&set, &outcome, 0)), opts);
+        let block_log = finetune_config(&cell, &config, Some((&set, &checkpoints, 0)), opts);
         curves.push(Fig6Curve {
             model: model_name.to_string(),
             default_log,

@@ -426,11 +426,9 @@ fn cmd_prune(mut args: Vec<String>) -> CliResult {
         load_configs(&take_flag(&mut args, "--configs")?.ok_or("prune needs --configs")?)?;
     let solver_path = take_flag(&mut args, "--solver")?.ok_or("prune needs --solver")?;
     let objective_path = take_flag(&mut args, "--objective")?.ok_or("prune needs --objective")?;
-    let mode = match take_flag(&mut args, "--mode")?.as_deref() {
-        None | Some("composability") => RunMode::Composability,
-        Some("baseline") => RunMode::Baseline,
-        Some("hierarchical") => RunMode::ComposabilityHierarchical,
-        Some(other) => return Err(format!("unknown --mode `{other}`").into()),
+    let mode = match take_flag(&mut args, "--mode")? {
+        Some(s) => RunMode::parse(&s)?,
+        None => RunMode::Composability,
     };
     let out: Option<PathBuf> = take_flag(&mut args, "--out")?.map(Into::into);
     let journal: Option<PathBuf> = take_flag(&mut args, "--journal")?.map(Into::into);
@@ -468,6 +466,13 @@ fn cmd_prune(mut args: Vec<String>) -> CliResult {
     };
     let (explorer, explorer_budget) = take_explorer_flags(&mut args)?;
     reject_leftovers(&args)?;
+
+    // The adaptive strategies start from an empty universe and read the
+    // subspace only for their rate grid; the fixed one explores nothing
+    // else, so it would train the teacher for nothing.
+    if subspace.is_empty() && !explorer.is_adaptive() {
+        return Err("empty --configs subspace: the fixed explorer has nothing to explore".into());
+    }
 
     if store_budget.is_some() && store_dir.is_none() {
         return Err("--store-budget only applies with --store <dir>".into());

@@ -151,21 +151,22 @@ fn parse_job(
         .map(PruneConfig::new)
         .collect::<std::result::Result<Vec<_>, _>>()
         .map_err(|e| format!("configs: {e}"))?;
-    if subspace.is_empty() {
-        return Err("configs: empty subspace".to_string());
-    }
     let solver = SolverConfig::parse(solver).map_err(|e| format!("solver: {e}"))?;
     let objective = Objective::parse(objective).map_err(|e| format!("objective: {e}"))?;
     let mode = match mode {
-        "" | "composability" => RunMode::Composability,
-        "baseline" => RunMode::Baseline,
-        "hierarchical" => RunMode::ComposabilityHierarchical,
-        other => return Err(format!("mode: unknown mode `{other}`")),
+        "" => RunMode::Composability,
+        other => RunMode::parse(other).map_err(|e| format!("mode: {e}"))?,
     };
     let explorer = match explorer {
         "" => ExplorerKind::Fixed,
         other => ExplorerKind::parse(other).map_err(|e| format!("explorer: {e}"))?,
     };
+    // The adaptive strategies start from an empty universe and read the
+    // subspace only for their rate grid; the fixed one explores nothing
+    // else.
+    if subspace.is_empty() && !explorer.is_adaptive() {
+        return Err("configs: empty subspace (the fixed explorer has nothing to explore)".into());
+    }
     if !explorer.is_adaptive() && explorer_budget != 0 {
         return Err(
             "explorer: explorer_budget requires an adaptive explorer (taylor or bandit)"
@@ -629,6 +630,28 @@ mod tests {
         .unwrap();
         assert_eq!(job.explorer, ExplorerKind::Taylor);
         assert_eq!(job.explorer_budget, 16);
+    }
+
+    #[test]
+    fn an_empty_subspace_is_refused_only_under_fixed() {
+        let model = wootz_models::resnet_mini(4).to_prototxt();
+        let parse = |explorer: &str, budget: u64| {
+            let solver = "dataset: \"flowers102\"";
+            parse_job(&model, "[]", solver, "max Accuracy", "", explorer, budget)
+        };
+        for explorer in ["", "fixed"] {
+            let err = parse(explorer, 0).unwrap_err();
+            assert!(err.starts_with("configs: empty subspace"), "{err}");
+        }
+        // The adaptive strategies start from an empty universe anyway.
+        for (explorer, kind) in [
+            ("taylor", ExplorerKind::Taylor),
+            ("bandit", ExplorerKind::Bandit),
+        ] {
+            let job = parse(explorer, 4).unwrap();
+            assert_eq!(job.explorer, kind);
+            assert!(job.inputs.subspace.is_empty());
+        }
     }
 
     #[test]

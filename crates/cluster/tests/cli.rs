@@ -100,6 +100,51 @@ fn prune_end_to_end_writes_results() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An empty subspace leaves the fixed explorer nothing to explore, so it
+/// is refused before the teacher trains; the adaptive explorers start
+/// from an empty universe anyway and run.
+#[test]
+fn prune_refuses_an_empty_subspace_only_under_fixed() {
+    let dir = tempdir("cli_empty_subspace");
+    let model = write_model(&dir);
+    let configs = dir.join("configs.json");
+    std::fs::write(&configs, "[]").unwrap();
+    std::fs::write(dir.join("solver.prototxt"), SOLVER).unwrap();
+    std::fs::write(
+        dir.join("objective.txt"),
+        "min ModelSize\nconstraint Accuracy >= 0.1\n",
+    )
+    .unwrap();
+    let prune = |explorer: &[&str]| {
+        wootz()
+            .current_dir(&dir)
+            .args(["prune", "--model"])
+            .arg(&model)
+            .args(["--configs"])
+            .arg(&configs)
+            .args([
+                "--solver",
+                "solver.prototxt",
+                "--objective",
+                "objective.txt",
+            ])
+            .args(explorer)
+            .output()
+            .unwrap()
+    };
+    for explorer in [&[][..], &["--explorer", "fixed"][..]] {
+        let out = prune(explorer);
+        assert!(!out.status.success(), "{explorer:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("empty --configs subspace"), "{stderr}");
+        assert!(out.stdout.is_empty(), "{explorer:?} started a run");
+    }
+    let stdout = assert_success(&prune(&["--explorer", "taylor", "--explorer-budget", "1"]));
+    assert!(stdout.contains("(0 configurations"), "{stdout}");
+    assert!(stdout.contains("1 evaluated fresh"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn prune_with_metrics_out_writes_parseable_ndjson() {
     let dir = tempdir("cli_metrics");

@@ -19,7 +19,6 @@
 //! failures deterministically for testing, and an already-journaled set of
 //! records can be replayed so a resumed run re-evaluates nothing.
 
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use serde::{Deserialize, Serialize};
@@ -29,6 +28,8 @@ use wootz_fault::{
 use wootz_ir::{ExplorationOrder, Measurements, Metric, Objective};
 use wootz_nn::TrainLog;
 
+use crate::explorer::{run_explorer, EngineOptions, FixedSubspace, Round};
+use crate::prune::PruneConfig;
 use crate::{CoreError, Result};
 
 /// The measured outcome of evaluating one configuration.
@@ -162,19 +163,6 @@ impl ExplorationResult {
     pub fn fresh_evals(&self) -> usize {
         self.configs_explored - self.resumed
     }
-}
-
-/// Supervision options for an exploration run.
-#[derive(Default)]
-pub struct ExploreOptions<'a> {
-    /// Deterministic fault injection; `None` disables the whole layer.
-    pub faults: Option<&'a FaultPlan>,
-    /// Retry/degrade policy. The default ([`RetryPolicy::abort_fast`])
-    /// reproduces the legacy semantics: one attempt, abort on failure.
-    pub retry: RetryPolicy,
-    /// Already-completed records keyed by config index (from a run
-    /// journal); these are replayed instead of re-evaluated.
-    pub resume: BTreeMap<usize, EvalRecord>,
 }
 
 /// A sink invoked once per freshly produced record (journal append).
@@ -367,7 +355,7 @@ where
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fold_round(
     objective: &Objective,
-    opts: &ExploreOptions<'_>,
+    opts: &EngineOptions<'_>,
     round: &[(usize, usize)],
     mut fresh: std::vec::IntoIter<SupervisedEval>,
     p: usize,
@@ -395,7 +383,7 @@ pub(crate) fn fold_round(
                             satisfies,
                         }
                     }
-                    Err(err) => match opts.retry.on_exhausted {
+                    Err(err) => match opts.on_exhausted {
                         OnExhausted::Abort => {
                             return Err(CoreError::Eval {
                                 config_index,
@@ -447,9 +435,9 @@ pub(crate) fn fold_round(
 /// ordering and for the best-network choice); `evaluate(i)` trains/tests
 /// configuration `i`. This is the thin entry for callers that have sizes
 /// but no [`crate::prune::PruneConfig`]s (the cluster simulator, property
-/// tests): it runs [`crate::explorer::FixedSubspace`] over anonymous
-/// configurations through the one engine, evaluating each round
-/// sequentially on the calling thread.
+/// tests): it runs [`FixedSubspace`] over anonymous configurations through
+/// the one engine, supervising each round's evaluations one after another
+/// on the calling thread under the default (abort-fast) retry policy.
 ///
 /// # Errors
 ///
@@ -464,73 +452,26 @@ pub fn explore<E>(
 where
     E: Fn(usize) -> Result<EvalOutcome>,
 {
-    explore_supervised(
-        objective,
-        sizes,
-        workers,
-        evaluate,
-        &ExploreOptions::default(),
-        None,
-    )
-}
-
-/// [`explore`] under explicit supervision options and an optional journal
-/// sink (invoked once per fresh record, in completion order).
-///
-/// # Errors
-///
-/// Propagates evaluator errors per the retry policy's exhaustion action,
-/// and journal sink errors.
-pub fn explore_supervised<E>(
-    objective: &Objective,
-    sizes: &[usize],
-    workers: usize,
-    evaluate: E,
-    opts: &ExploreOptions<'_>,
-    sink: Option<&mut RecordSink<'_>>,
-) -> Result<ExplorationResult>
-where
-    E: Fn(usize) -> Result<EvalOutcome>,
-{
-    let run_round = |fresh: &[usize]| {
-        fresh
+    let anonymous = vec![PruneConfig::unpruned(0); sizes.len()];
+    let retry = RetryPolicy::default();
+    let mut run_round = |round: &Round<'_>| -> Result<Vec<SupervisedEval>> {
+        Ok(round
+            .fresh
             .iter()
             .map(|&config_index| {
                 let _cfg_span = wootz_obs::span("explore.config").with("config", config_index);
-                supervise_eval(&evaluate, config_index, &opts.retry, opts.faults)
+                supervise_eval(&evaluate, config_index, &retry, None)
             })
-            .collect()
-    };
-    explore_indices(objective, sizes, workers, run_round, opts, sink)
-}
-
-/// [`crate::explorer::FixedSubspace`] over `sizes.len()` anonymous
-/// configurations through the engine, with `run_round` supervising each
-/// round's fresh indices.
-fn explore_indices(
-    objective: &Objective,
-    sizes: &[usize],
-    workers: usize,
-    mut run_round: impl FnMut(&[usize]) -> Vec<SupervisedEval>,
-    opts: &ExploreOptions<'_>,
-    sink: Option<&mut RecordSink<'_>>,
-) -> Result<ExplorationResult> {
-    use crate::explorer::{run_explorer, EngineOptions, FixedSubspace, Round};
-    let anonymous = vec![crate::prune::PruneConfig::unpruned(0); sizes.len()];
-    let mut fixed = FixedSubspace::new(objective, anonymous, sizes);
-    let engine_opts = EngineOptions {
-        explore: opts,
-        budget: 0,
-        replay_proposals: &[],
+            .collect())
     };
     run_explorer(
-        &mut fixed,
+        &mut FixedSubspace::new(objective, anonymous, sizes),
         objective,
         workers,
-        &mut |round: &Round<'_>| Ok(run_round(round.fresh)),
-        &engine_opts,
+        &mut run_round,
+        &EngineOptions::default(),
         None,
-        sink,
+        None,
     )
     .map(|explored| explored.exploration)
 }
@@ -585,6 +526,7 @@ fn pick_best(objective: &Objective, evaluated: &[EvalRecord]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use wootz_fault::Trigger;
 
@@ -605,6 +547,67 @@ mod tests {
         }
     }
 
+    /// The fault plan, retry policy and journaled records a test explores
+    /// under: the phase driver hands the first two to its executor, and
+    /// the records and the policy's exhaustion action to the engine.
+    #[derive(Default)]
+    struct Supervision<'a> {
+        faults: Option<&'a FaultPlan>,
+        retry: RetryPolicy,
+        resume: BTreeMap<usize, EvalRecord>,
+    }
+
+    /// [`FixedSubspace`] over `sizes.len()` anonymous configurations
+    /// through the engine under `sup`, with `run_round` supervising each
+    /// round's fresh indices.
+    fn explore_rounds(
+        objective: &Objective,
+        sizes: &[usize],
+        workers: usize,
+        mut run_round: impl FnMut(&[usize]) -> Vec<SupervisedEval>,
+        sup: &Supervision<'_>,
+        sink: Option<&mut RecordSink<'_>>,
+    ) -> Result<ExplorationResult> {
+        let anonymous = vec![PruneConfig::unpruned(0); sizes.len()];
+        let opts = EngineOptions {
+            resume: sup.resume.clone(),
+            on_exhausted: sup.retry.on_exhausted,
+            ..EngineOptions::default()
+        };
+        run_explorer(
+            &mut FixedSubspace::new(objective, anonymous, sizes),
+            objective,
+            workers,
+            &mut |round: &Round<'_>| Ok(run_round(round.fresh)),
+            &opts,
+            None,
+            sink,
+        )
+        .map(|explored| explored.exploration)
+    }
+
+    /// [`explore`] under `sup` and an optional journal sink (invoked once
+    /// per fresh record, in completion order).
+    fn explore_sequential<E>(
+        objective: &Objective,
+        sizes: &[usize],
+        workers: usize,
+        evaluate: E,
+        sup: &Supervision<'_>,
+        sink: Option<&mut RecordSink<'_>>,
+    ) -> Result<ExplorationResult>
+    where
+        E: Fn(usize) -> Result<EvalOutcome>,
+    {
+        let run_round = |fresh: &[usize]| {
+            fresh
+                .iter()
+                .map(|&i| supervise_eval(&evaluate, i, &sup.retry, sup.faults))
+                .collect()
+        };
+        explore_rounds(objective, sizes, workers, run_round, sup, sink)
+    }
+
     /// The engine over an index-only subspace with each round's
     /// evaluations as the tasks of one `wootz-par` batch on a private pool
     /// of `workers` threads, as the local executor places them: threaded
@@ -614,7 +617,7 @@ mod tests {
         sizes: &[usize],
         workers: usize,
         evaluate: E,
-        opts: &ExploreOptions<'_>,
+        sup: &Supervision<'_>,
     ) -> Result<ExplorationResult>
     where
         E: Fn(usize) -> Result<EvalOutcome> + Sync,
@@ -623,11 +626,11 @@ mod tests {
         let run_round = |fresh: &[usize]| {
             wootz_par::with_pool(&pool, || {
                 wootz_par::parallel_map(fresh.len(), |k| {
-                    supervise_eval(&evaluate, fresh[k], &opts.retry, opts.faults)
+                    supervise_eval(&evaluate, fresh[k], &sup.retry, sup.faults)
                 })
             })
         };
-        explore_indices(objective, sizes, workers, run_round, opts, None)
+        explore_rounds(objective, sizes, workers, run_round, sup, None)
     }
 
     fn eval_trigger(key: u64, kind: FaultKind, times: u32) -> Trigger {
@@ -810,7 +813,7 @@ mod tests {
                 &sizes,
                 workers,
                 toy_eval(&sizes),
-                &ExploreOptions::default(),
+                &Supervision::default(),
             )
             .unwrap();
             assert_eq!(seq, par, "workers={workers}");
@@ -833,7 +836,7 @@ mod tests {
                 })
             }
         };
-        let res = explore_threaded(&min_size(0.9), &sizes, 2, eval, &ExploreOptions::default());
+        let res = explore_threaded(&min_size(0.9), &sizes, 2, eval, &Supervision::default());
         let err = res.unwrap_err();
         assert!(
             matches!(
@@ -868,7 +871,7 @@ mod tests {
                 toy_eval(&[100, 200])(i)
             };
             let err = if parallel {
-                explore_threaded(&min_size(0.9), &sizes, 2, eval, &ExploreOptions::default())
+                explore_threaded(&min_size(0.9), &sizes, 2, eval, &Supervision::default())
                     .unwrap_err()
             } else {
                 explore(&min_size(0.9), &sizes, 2, eval).unwrap_err()
@@ -893,7 +896,7 @@ mod tests {
             calls.fetch_add(1, Ordering::Relaxed);
             toy_eval(&[100, 200, 300])(i)
         };
-        let opts = ExploreOptions {
+        let sup = Supervision {
             faults: Some(&plan),
             retry: RetryPolicy {
                 max_attempts: 3,
@@ -903,7 +906,7 @@ mod tests {
             },
             resume: BTreeMap::new(),
         };
-        let res = explore_supervised(&min_size(0.9), &sizes, 1, eval, &opts, None).unwrap();
+        let res = explore_sequential(&min_size(0.9), &sizes, 1, eval, &sup, None).unwrap();
         assert_eq!(res.failed, 0);
         assert_eq!(res.configs_explored, 3);
         // Config 1's record carries the backoff of one failed attempt.
@@ -924,7 +927,7 @@ mod tests {
             triggers: vec![eval_trigger(0, FaultKind::EvalPanic, u32::MAX)],
             rates: vec![],
         };
-        let opts = ExploreOptions {
+        let sup = Supervision {
             faults: Some(&plan),
             retry: RetryPolicy {
                 max_attempts: 2,
@@ -935,7 +938,7 @@ mod tests {
             resume: BTreeMap::new(),
         };
         let res =
-            explore_supervised(&min_size(0.25), &sizes, 1, toy_eval(&sizes), &opts, None).unwrap();
+            explore_sequential(&min_size(0.25), &sizes, 1, toy_eval(&sizes), &sup, None).unwrap();
         assert_eq!(res.failed, 1);
         let failed = &res.evaluated[0];
         assert!(failed.is_failed());
@@ -967,7 +970,7 @@ mod tests {
             triggers: vec![eval_trigger(0, FaultKind::EvalError, u32::MAX)],
             rates: vec![],
         };
-        let opts = ExploreOptions {
+        let sup = Supervision {
             faults: Some(&plan),
             retry: RetryPolicy {
                 max_attempts: 3,
@@ -977,7 +980,7 @@ mod tests {
             },
             resume: BTreeMap::new(),
         };
-        let err = explore_supervised(&min_size(0.5), &sizes, 1, toy_eval(&sizes), &opts, None)
+        let err = explore_sequential(&min_size(0.5), &sizes, 1, toy_eval(&sizes), &sup, None)
             .unwrap_err();
         assert!(
             matches!(
@@ -1005,18 +1008,18 @@ mod tests {
                 times: Some(u32::MAX),
             }],
         };
-        let opts = ExploreOptions {
+        let sup = Supervision {
             faults: Some(&plan),
             retry: RetryPolicy::skip_after(2),
             resume: BTreeMap::new(),
         };
-        let a = explore_threaded(&min_size(0.9), &sizes, 4, toy_eval(&sizes), &opts).unwrap();
-        let b = explore_threaded(&min_size(0.9), &sizes, 4, toy_eval(&sizes), &opts).unwrap();
+        let a = explore_threaded(&min_size(0.9), &sizes, 4, toy_eval(&sizes), &sup).unwrap();
+        let b = explore_threaded(&min_size(0.9), &sizes, 4, toy_eval(&sizes), &sup).unwrap();
         assert_eq!(a, b);
         assert!(a.failed > 0, "the 40% rate should kill some configs");
         // And the sequential supervisor agrees exactly.
         let c =
-            explore_supervised(&min_size(0.9), &sizes, 4, toy_eval(&sizes), &opts, None).unwrap();
+            explore_sequential(&min_size(0.9), &sizes, 4, toy_eval(&sizes), &sup, None).unwrap();
         assert_eq!(a, c);
     }
 
@@ -1028,13 +1031,13 @@ mod tests {
             triggers: vec![eval_trigger(0, FaultKind::SlowWorker { factor: 3.0 }, 1)],
             rates: vec![],
         };
-        let opts = ExploreOptions {
+        let sup = Supervision {
             faults: Some(&plan),
             retry: RetryPolicy::default(),
             resume: BTreeMap::new(),
         };
         let res =
-            explore_supervised(&min_size(0.9), &sizes, 1, toy_eval(&sizes), &opts, None).unwrap();
+            explore_sequential(&min_size(0.9), &sizes, 1, toy_eval(&sizes), &sup, None).unwrap();
         assert_eq!(res.failed, 0);
         assert_eq!(res.evaluated[0].outcome().unwrap().cost, 3.0);
         assert_eq!(res.total_cost, 4.0);
@@ -1055,12 +1058,12 @@ mod tests {
             calls.fetch_add(1, Ordering::Relaxed);
             toy_eval(&sizes)(i)
         };
-        let opts = ExploreOptions {
+        let sup = Supervision {
             faults: None,
             retry: RetryPolicy::default(),
             resume,
         };
-        let resumed = explore_supervised(&min_size(0.55), &sizes, 3, eval, &opts, None).unwrap();
+        let resumed = explore_sequential(&min_size(0.55), &sizes, 3, eval, &sup, None).unwrap();
         assert_eq!(resumed.resumed, 4);
         assert_eq!(
             calls.load(Ordering::Relaxed),
@@ -1107,12 +1110,12 @@ mod tests {
             .iter()
             .map(|r| (r.config_index(), r.clone()))
             .collect();
-        let opts = ExploreOptions {
+        let sup = Supervision {
             faults: None,
             retry: RetryPolicy::default(),
             resume,
         };
-        let resumed = explore_supervised(&objective, &sizes, p, eval, &opts, None).unwrap();
+        let resumed = explore_sequential(&objective, &sizes, p, eval, &sup, None).unwrap();
         assert_eq!(resumed.wall_cost, expected);
         assert_eq!(resumed.total_cost, full.total_cost);
     }
@@ -1130,17 +1133,17 @@ mod tests {
             seen.push(r.config_index());
             Ok(())
         };
-        let opts = ExploreOptions {
+        let sup = Supervision {
             faults: None,
             retry: RetryPolicy::default(),
             resume,
         };
-        explore_supervised(
+        explore_sequential(
             &min_size(2.0),
             &sizes,
             2,
             toy_eval(&sizes),
-            &opts,
+            &sup,
             Some(&mut sink),
         )
         .unwrap();

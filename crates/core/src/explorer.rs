@@ -37,14 +37,15 @@
 //! entries so `--resume` replays the exact trajectory — and verifies the
 //! live explorer re-proposes it.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use serde::{Deserialize, Serialize};
+use wootz_fault::OnExhausted;
 use wootz_ir::Objective;
 
 use crate::explore::{
-    emit_progress, exploration_order, finish_exploration, fold_round, EvalOutcome,
-    ExplorationResult, ExploreOptions, RecordSink, SupervisedEval,
+    emit_progress, exploration_order, finish_exploration, fold_round, EvalOutcome, EvalRecord,
+    ExplorationResult, RecordSink, SupervisedEval,
 };
 use crate::prune::PruneConfig;
 use crate::{CoreError, Result};
@@ -190,10 +191,20 @@ pub struct Round<'a> {
     pub fresh: &'a [usize],
 }
 
-/// Options for [`run_explorer`] beyond the shared supervision options.
+/// What [`run_explorer`] reads besides the strategy, the objective and the
+/// round runner. Fault injection and retries are the round runner's: the
+/// engine sees only each configuration's final [`SupervisedEval`]. The
+/// default resumes nothing, aborts on an exhausted evaluation and appends
+/// nothing.
+#[derive(Debug, Default)]
 pub struct EngineOptions<'a> {
-    /// Supervision options; `explore.resume` is keyed by universe index.
-    pub explore: &'a ExploreOptions<'a>,
+    /// Already-completed records keyed by universe index (from a run
+    /// journal); these are replayed instead of re-evaluated.
+    pub resume: BTreeMap<usize, EvalRecord>,
+    /// What a configuration whose evaluation exhausted its attempts does:
+    /// it is recorded as an [`EvalRecord::Failed`] and skipped, or it
+    /// aborts the run with a [`CoreError::Eval`].
+    pub on_exhausted: OnExhausted,
     /// Maximum configurations proposals may append to the universe
     /// beyond [`Explorer::initial_universe`] (replayed rounds count).
     /// Seeded configurations are free, so a strategy that appends
@@ -244,7 +255,7 @@ fn check_replay(explorer: &str, seeded: usize, opts: &EngineOptions<'_>) -> Resu
         }
     }
     let introduced: usize = opts.replay_proposals.iter().map(|p| p.configs.len()).sum();
-    match opts.explore.resume.keys().next_back() {
+    match opts.resume.keys().next_back() {
         Some(&index) if index >= seeded + introduced => Err(CoreError::Journal(format!(
             "cannot resume under the `{explorer}` explorer: the journal evaluates \
              configuration {index} without proposal records introducing it (it was \
@@ -267,7 +278,7 @@ fn check_replay(explorer: &str, seeded: usize, opts: &EngineOptions<'_>) -> Resu
 /// `run_round` must return exactly one [`SupervisedEval`] per entry of
 /// [`Round::fresh`], in the same order — results re-associate
 /// positionally, so thread-pool, process and transport scheduling cannot
-/// change the fold. Entries present in `opts.explore.resume` (keyed by
+/// change the fold. Entries present in `opts.resume` (keyed by
 /// universe index) are replayed, not re-evaluated, and their outcomes
 /// still feed [`Explorer::observe`] so a resumed strategy replays its
 /// exact trajectory. A [`ProposalRecord`] is handed to `proposal_sink`
@@ -396,7 +407,7 @@ pub fn run_explorer(
         position += take;
         let fresh_indices: Vec<usize> = round
             .iter()
-            .filter(|(_, c)| !opts.explore.resume.contains_key(c))
+            .filter(|(_, c)| !opts.resume.contains_key(c))
             .map(|&(_, c)| c)
             .collect();
         let _round_span = wootz_obs::span("explore.round")
@@ -413,7 +424,7 @@ pub fn run_explorer(
         );
         let found = fold_round(
             objective,
-            opts.explore,
+            opts,
             &round,
             fresh.into_iter(),
             p,
@@ -730,9 +741,7 @@ impl Explorer for BanditExplorer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{explore, EvalRecord};
-    use std::collections::BTreeMap;
-    use wootz_fault::RetryPolicy;
+    use crate::explore::explore;
 
     fn min_size(thr: f64) -> Objective {
         Objective::min_size_with_accuracy(thr)
@@ -769,15 +778,11 @@ mod tests {
         resume: BTreeMap<usize, EvalRecord>,
         replay: &[ProposalRecord],
     ) -> (Explored, Vec<ProposalRecord>, Vec<usize>) {
-        let explore_opts = ExploreOptions {
-            faults: None,
-            retry: RetryPolicy::default(),
-            resume,
-        };
         let opts = EngineOptions {
-            explore: &explore_opts,
+            resume,
             budget,
             replay_proposals: replay,
+            ..EngineOptions::default()
         };
         let mut proposals: Vec<ProposalRecord> = Vec::new();
         let mut proposal_sink = |p: &ProposalRecord| {
@@ -931,18 +936,12 @@ mod tests {
         assert_eq!((proposals[0].round, proposals[0].base_index), (0, 2));
         assert_eq!(proposals[0].configs, vec![cfg(70)]);
         // An index outside the universe is a strategy bug, not a panic.
-        let explore_opts = ExploreOptions::default();
-        let opts = EngineOptions {
-            explore: &explore_opts,
-            budget: 0,
-            replay_proposals: &[],
-        };
         let err = run_explorer(
             &mut Mixed(2),
             &objective,
             2,
             &mut toy_round,
-            &opts,
+            &EngineOptions::default(),
             None,
             None,
         )
@@ -954,8 +953,8 @@ mod tests {
     #[test]
     fn journals_of_another_strategy_are_refused() {
         let objective = min_size(2.0);
-        let explore_opts = ExploreOptions {
-            resume: BTreeMap::from([(
+        let resume = || {
+            BTreeMap::from([(
                 1,
                 EvalRecord::Failed {
                     config_index: 1,
@@ -963,15 +962,14 @@ mod tests {
                     attempts: 1,
                     cost: 0.0,
                 },
-            )]),
-            ..ExploreOptions::default()
+            )])
         };
         // Evaluations nothing introduced: a proposal-free journal under a
         // strategy that starts with an empty universe.
         let opts = EngineOptions {
-            explore: &explore_opts,
+            resume: resume(),
             budget: 4,
-            replay_proposals: &[],
+            ..EngineOptions::default()
         };
         let mut taylor = TaylorSaliency::new(&[0.1, 0.2], vec![30]);
         let err = run_explorer(
@@ -995,9 +993,9 @@ mod tests {
             configs: vec![PruneConfig::new(vec![30, 30]).unwrap()],
         }];
         let opts = EngineOptions {
-            explore: &explore_opts,
-            budget: 0,
+            resume: resume(),
             replay_proposals: &foreign,
+            ..EngineOptions::default()
         };
         let configs = vec![PruneConfig::new(vec![30, 30]).unwrap(); 2];
         let mut fixed = FixedSubspace::new(&objective, configs, &[140, 140]);
@@ -1154,11 +1152,10 @@ mod tests {
             base_index: 0,
             configs: vec![PruneConfig::new(vec![30, 30, 30, 30]).unwrap()],
         }];
-        let explore_opts = ExploreOptions::default();
         let opts = EngineOptions {
-            explore: &explore_opts,
             budget: 8,
             replay_proposals: &bogus,
+            ..EngineOptions::default()
         };
         let err = run_explorer(
             &mut bandit,

@@ -975,7 +975,7 @@ mod tests {
     /// `resume` and `read_journal` alike: it is neither replayed nor
     /// continued in binary, and stays as it was.
     #[test]
-    fn legacy_ndjson_journal_resumes_and_continues_in_binary() {
+    fn legacy_ndjson_journal_is_refused_untouched() {
         let ndjson = format!(
             "{}\n{}\n",
             ndjson_line("Header", serde_json::to_string(&header()).unwrap()),
@@ -987,7 +987,7 @@ mod tests {
     /// A corrupt line in an NDJSON journal no longer quarantines the
     /// file: the whole journal is refused before any entry is read.
     #[test]
-    fn corrupt_legacy_line_quarantines_too() {
+    fn ndjson_journal_with_a_corrupt_line_is_refused_untouched() {
         let ndjson = format!(
             "{}\n{{\"Eval\": garbage}}\n{}\n",
             ndjson_line("Header", serde_json::to_string(&header()).unwrap()),

@@ -22,9 +22,7 @@ use wootz_wire::{write_bytes, WireDeserialize, WireError, WireReader, WireResult
 
 use crate::blocks::{identify_tuning_blocks, module_level_blocks, BlockSet};
 use crate::compile::{ModeToUse, MultiplexingModel, TuningBlock};
-use crate::explore::{
-    supervise_eval, EvalOutcome, EvalRecord, ExplorationResult, ExploreOptions, SupervisedEval,
-};
+use crate::explore::{supervise_eval, EvalOutcome, EvalRecord, ExplorationResult, SupervisedEval};
 use crate::explorer::{
     run_explorer, BanditExplorer, EngineOptions, Explorer, ExplorerKind, FixedSubspace,
     ProposalRecord, Round, TaylorSaliency,
@@ -51,6 +49,24 @@ pub enum RunMode {
     /// Composability-based pruning with blocks chosen by the hierarchical
     /// identifier (§5).
     ComposabilityHierarchical,
+}
+
+impl RunMode {
+    /// Parses a `--mode` flag value.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CoreError::Config`] naming the accepted values.
+    pub fn parse(s: &str) -> Result<Self> {
+        match s {
+            "baseline" => Ok(RunMode::Baseline),
+            "composability" => Ok(RunMode::Composability),
+            "hierarchical" => Ok(RunMode::ComposabilityHierarchical),
+            other => Err(CoreError::Config(format!(
+                "unknown mode `{other}` (expected baseline, composability, or hierarchical)"
+            ))),
+        }
+    }
 }
 
 /// All inputs of a Wootz run (the four inputs of Figure 2).
@@ -1390,13 +1406,18 @@ pub fn run_phases<E: Executor>(
                 };
                 let outcome = pretrain_groups_with(
                     &batch,
-                    &batch_completed,
+                    batch_completed,
                     |todo| run_groups(&mut executor, &cx, &batch, todo),
                     Some(&mut block_sink),
                 )?;
-                pretrain_steps += outcome.total_steps;
+                pretrain_steps += outcome.total_steps();
                 blocks_failed += outcome.failed.len();
-                checkpoints.extend(outcome.checkpoints);
+                checkpoints.extend(
+                    outcome
+                        .blocks
+                        .into_iter()
+                        .map(|block| (block.key, block.checkpoint)),
+                );
             }
             universe = Some((round.universe.len(), block_set));
         }
@@ -1442,13 +1463,9 @@ pub fn run_phases<E: Executor>(
         });
         Ok(())
     };
-    let explore_opts = ExploreOptions {
-        faults: opts.faults,
-        retry: opts.retry,
-        resume: journaled_evals,
-    };
     let engine_opts = EngineOptions {
-        explore: &explore_opts,
+        resume: journaled_evals,
+        on_exhausted: opts.retry.on_exhausted,
         budget: opts.explorer_budget,
         replay_proposals: &journaled_proposals,
     };
@@ -1504,6 +1521,23 @@ mod tests {
         let back = TaskOutput::wire_read(&mut r).unwrap();
         r.expect_consumed().unwrap();
         back
+    }
+
+    #[test]
+    fn run_mode_parses_every_spelling() {
+        for (s, mode) in [
+            ("baseline", RunMode::Baseline),
+            ("composability", RunMode::Composability),
+            ("hierarchical", RunMode::ComposabilityHierarchical),
+        ] {
+            assert_eq!(RunMode::parse(s).unwrap(), mode);
+        }
+        let err = RunMode::parse("warp").unwrap_err().to_string();
+        assert!(err.contains("unknown mode `warp`"), "{err}");
+        assert!(
+            err.contains("baseline, composability, or hierarchical"),
+            "{err}"
+        );
     }
 
     /// A task output crosses the wire whole: outcomes bit for bit, and

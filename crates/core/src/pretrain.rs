@@ -54,25 +54,25 @@ impl Default for PretrainConfig {
     }
 }
 
-/// The result of pre-training a set of tuning blocks.
+/// The result of pre-training a batch of tuning blocks: the paper's "bag
+/// of pre-trained pruned tuning blocks".
 #[derive(Debug, Clone, Default)]
 pub struct PretrainOutcome {
-    /// One checkpoint per block, keyed by [`TuningBlock::key`]. This is the
-    /// paper's "bag of pre-trained pruned tuning blocks".
-    pub checkpoints: BTreeMap<String, Checkpoint>,
-    /// Reconstruction losses per block: `(key, first-step loss, last-step
-    /// loss)` — pre-training should drive these down.
-    pub losses: Vec<(String, f32, f32)>,
-    /// The non-overlapping groups that were trained together (indices into
-    /// the input block list).
-    pub groups: Vec<Vec<usize>>,
-    /// Total SGD steps executed across groups (the pre-training overhead
-    /// the evaluation charges to the composability-based method).
-    pub total_steps: usize,
+    /// Every pre-trained block, in group order, each group's blocks in
+    /// batch order.
+    pub blocks: Vec<PretrainedBlock>,
     /// Blocks that could not be pre-trained even after the per-block
     /// fallback: `(key, error message)`. The assembly stage initializes
     /// these from inherited full-model weights instead.
     pub failed: Vec<(String, String)>,
+}
+
+impl PretrainOutcome {
+    /// Total SGD steps executed across groups (the pre-training overhead
+    /// the evaluation charges to the composability-based method).
+    pub fn total_steps(&self) -> usize {
+        self.blocks.iter().map(|block| block.steps).sum()
+    }
 }
 
 /// One pre-trained tuning block, as produced by the supervisor and stored
@@ -141,42 +141,6 @@ pub struct GroupOutcome {
     pub first_error: Option<CoreError>,
 }
 
-/// Pre-trains every tuning block against the given full model.
-///
-/// `full` is the trained full-model checkpoint under scope `net/` (as
-/// captured after adapting the model to the dataset). `next_batch` supplies
-/// unlabeled training images — the Teacher–Student scheme needs no labels,
-/// the teacher provides the ground truth "on the fly" (§6.1).
-///
-/// # Errors
-///
-/// Returns [`crate::CoreError`] on model/block mismatches or execution
-/// failures.
-pub fn pretrain_blocks(
-    mm: &MultiplexingModel,
-    blocks: &[TuningBlock],
-    full: &Checkpoint,
-    cfg: &PretrainConfig,
-    next_batch: impl Fn(usize) -> Tensor + Sync,
-) -> Result<PretrainOutcome> {
-    let groups = partition_into_groups(blocks);
-    let _run = wootz_obs::span("pretrain.run")
-        .with("blocks", blocks.len())
-        .with("groups", groups.len());
-    let mut outcome = PretrainOutcome {
-        groups: groups.clone(),
-        ..PretrainOutcome::default()
-    };
-    for (gi, group) in groups.iter().enumerate() {
-        let group_blocks: Vec<TuningBlock> = group.iter().map(|&i| blocks[i].clone()).collect();
-        let partial = pretrain_one_group(mm, &group_blocks, gi, full, cfg, &next_batch)?;
-        outcome.total_steps += partial.total_steps;
-        outcome.checkpoints.extend(partial.checkpoints);
-        outcome.losses.extend(partial.losses);
-    }
-    Ok(outcome)
-}
-
 /// The journal-aware shell of supervised pre-training, over a pluggable
 /// group runner: partitions `blocks` into non-overlapping groups, hands
 /// `run_groups` the `(group index, block indices)` of every group *not*
@@ -185,9 +149,10 @@ pub fn pretrain_blocks(
 /// copies, in group order. The phase driver hands the groups to its
 /// executor as [`crate::pipeline::Task::Pretrain`] tasks, so every
 /// runtime replays, prefers journaled copies, charges steps and reports
-/// fresh blocks to `sink` identically. Without faults and without panics
-/// the outcome is bit-identical to [`pretrain_blocks`]: each group's batch
-/// stream is keyed by its group index.
+/// fresh blocks to `sink` identically. Each group's batch stream is keyed
+/// by its group index, so without faults and without panics the outcome
+/// does not depend on where, in which order or how many at a time the
+/// groups run.
 ///
 /// # Errors
 ///
@@ -195,7 +160,7 @@ pub fn pretrain_blocks(
 /// group's error only if *no* block was produced at all.
 pub fn pretrain_groups_with(
     blocks: &[TuningBlock],
-    completed: &BTreeMap<String, PretrainedBlock>,
+    mut completed: BTreeMap<String, PretrainedBlock>,
     run_groups: impl FnOnce(&[(usize, &[usize])]) -> Result<Vec<GroupOutcome>>,
     mut sink: Option<&mut BlockSink<'_>>,
 ) -> Result<PretrainOutcome> {
@@ -223,41 +188,31 @@ pub fn pretrain_groups_with(
         todo.iter().map(|&(gi, _)| gi).zip(outcomes).collect();
     let mut outcome = PretrainOutcome::default();
     let mut first_error: Option<CoreError> = None;
-    let merge = |outcome: &mut PretrainOutcome, block: &PretrainedBlock| {
-        outcome.total_steps += block.steps;
-        outcome
-            .checkpoints
-            .insert(block.key.clone(), block.checkpoint.clone());
-        outcome
-            .losses
-            .push((block.key.clone(), block.first_loss, block.last_loss));
-    };
     for (gi, group) in groups.iter().enumerate() {
         let Some(res) = trained.remove(&gi) else {
             // Fully journaled group: replay in block order.
             for &bi in group {
-                merge(&mut outcome, &completed[&blocks[bi].key()]);
+                outcome.blocks.extend(completed.remove(&blocks[bi].key()));
             }
             continue;
         };
-        for block in &res.blocks {
+        for block in res.blocks {
             // Prefer the journaled copy when a partially completed group
             // was retrained, so resumes replay byte-identically.
-            match completed.get(&block.key) {
-                Some(journaled) => merge(&mut outcome, journaled),
+            match completed.remove(&block.key) {
+                Some(journaled) => outcome.blocks.push(journaled),
                 None => {
-                    merge(&mut outcome, block);
                     if let Some(sink) = sink.as_deref_mut() {
-                        sink(block)?;
+                        sink(&block)?;
                     }
+                    outcome.blocks.push(block);
                 }
             }
         }
         outcome.failed.extend(res.failed);
         first_error = first_error.or(res.first_error);
     }
-    outcome.groups = groups;
-    if outcome.checkpoints.is_empty() {
+    if outcome.blocks.is_empty() {
         if let Some(e) = first_error {
             return Err(e);
         }
@@ -305,7 +260,7 @@ pub fn pretrain_group_supervised(
     faults: Option<&FaultPlan>,
 ) -> GroupOutcome {
     let group: Vec<TuningBlock> = blocks.iter().map(|(_, block)| block.clone()).collect();
-    let group_attempt = || -> Result<PretrainOutcome> {
+    let group_attempt = || -> Result<Vec<PretrainedBlock>> {
         if let Some(kind) = FaultPlan::fire_opt(faults, site::PRETRAIN_GROUP, group_index as u64, 1)
         {
             if let wootz_fault::FaultKind::EvalPanic = kind {
@@ -324,8 +279,8 @@ pub fn pretrain_group_supervised(
         )
     };
     match group_attempt() {
-        Ok(partial) => GroupOutcome {
-            blocks: as_pretrained_blocks(partial, &group, cfg.steps),
+        Ok(trained) => GroupOutcome {
+            blocks: trained,
             failed: Vec::new(),
             first_error: None,
         },
@@ -343,7 +298,7 @@ pub fn pretrain_group_supervised(
             };
             for (bi, block) in blocks {
                 let key = block.key();
-                let block_attempt = || -> Result<PretrainOutcome> {
+                let block_attempt = || -> Result<Vec<PretrainedBlock>> {
                     if let Some(kind) =
                         FaultPlan::fire_opt(faults, site::PRETRAIN_BLOCK, *bi as u64, 1)
                     {
@@ -358,14 +313,8 @@ pub fn pretrain_group_supervised(
                     )
                 };
                 match block_attempt() {
-                    Ok(partial) => {
-                        // A solo fallback run costs the full step budget.
-                        out.blocks.extend(as_pretrained_blocks(
-                            partial,
-                            std::slice::from_ref(block),
-                            cfg.steps,
-                        ));
-                    }
+                    // A solo fallback run costs the full step budget.
+                    Ok(trained) => out.blocks.extend(trained),
                     Err(e) => {
                         wootz_obs::counter("pretrain.block_failures").incr();
                         wootz_obs::event("pretrain.block_failed")
@@ -382,35 +331,10 @@ pub fn pretrain_group_supervised(
     }
 }
 
-/// Converts a per-group [`PretrainOutcome`] into journalable blocks; the
-/// group's first block carries the whole step cost.
-fn as_pretrained_blocks(
-    partial: PretrainOutcome,
-    group: &[TuningBlock],
-    steps: usize,
-) -> Vec<PretrainedBlock> {
-    let mut out = Vec::with_capacity(group.len());
-    for (i, block) in group.iter().enumerate() {
-        let key = block.key();
-        let (first, last) = partial
-            .losses
-            .iter()
-            .find(|(k, _, _)| *k == key)
-            .map(|(_, f, l)| (*f, *l))
-            .unwrap_or((f32::NAN, f32::NAN));
-        out.push(PretrainedBlock {
-            checkpoint: partial.checkpoints.get(&key).cloned().unwrap_or_default(),
-            key,
-            first_loss: first,
-            last_loss: last,
-            steps: if i == 0 { steps } else { 0 },
-        });
-    }
-    out
-}
-
 /// Trains the non-overlapping blocks `group_blocks` jointly; `group_index`
-/// keys the group's deterministic batch stream.
+/// keys the group's deterministic batch stream. Returns one block per
+/// entry of `group_blocks`, in order; the first carries the group's whole
+/// step cost.
 fn pretrain_one_group(
     mm: &MultiplexingModel,
     group_blocks: &[TuningBlock],
@@ -418,7 +342,7 @@ fn pretrain_one_group(
     full: &Checkpoint,
     cfg: &PretrainConfig,
     next_batch: &(impl Fn(usize) -> Tensor + Sync),
-) -> Result<PretrainOutcome> {
+) -> Result<Vec<PretrainedBlock>> {
     // The executor runs groups on pool or worker threads, so this span
     // lands on its own thread-local stack; `pretrain.run` still brackets
     // the whole wall-clock interval on the driver thread.
@@ -426,96 +350,89 @@ fn pretrain_one_group(
         .with("group", group_index)
         .with("blocks", group_blocks.len())
         .with("steps", cfg.steps);
-    let mut outcome = PretrainOutcome::default();
-    {
-        // Hoisted block identities: key, scope, and structure hash are pure
-        // functions of the block's parts, so compute each exactly once here
-        // instead of re-deriving them inside the joint loop and the
-        // checkpoint-capture loop below. Checkpoint names and store keys
-        // both descend from these strings, which is what keeps cache
-        // identity and checkpoint identity provably in agreement
-        // (`TuningBlock::structure_hash`).
-        let block_keys: Vec<String> = group_blocks.iter().map(TuningBlock::key).collect();
-        let block_scopes: Vec<String> = group_blocks.iter().map(TuningBlock::scope).collect();
-        let block_hashes: Vec<u64> = group_blocks
-            .iter()
-            .map(TuningBlock::structure_hash)
-            .collect();
-        let mut built = build_group(mm, group_blocks, &block_scopes, full, cfg.seed)?;
+    // Hoisted block identities: key, scope, and structure hash are pure
+    // functions of the block's parts, so compute each exactly once here
+    // instead of re-deriving them inside the joint loop and the
+    // checkpoint-capture loop below. Checkpoint names and store keys
+    // both descend from these strings, which is what keeps cache
+    // identity and checkpoint identity provably in agreement
+    // (`TuningBlock::structure_hash`).
+    let block_keys: Vec<String> = group_blocks.iter().map(TuningBlock::key).collect();
+    let block_scopes: Vec<String> = group_blocks.iter().map(TuningBlock::scope).collect();
+    let block_hashes: Vec<u64> = group_blocks
+        .iter()
+        .map(TuningBlock::structure_hash)
+        .collect();
+    let mut built = build_group(mm, group_blocks, &block_scopes, full, cfg.seed)?;
 
-        // Joint training: one forward pass serves every block in the group.
-        // The graph is compiled once per group — the Teacher–Student loss
-        // ports are the plan's kept set — and the arena plus per-block seed
-        // buffers are reused across every step, so steady-state steps
-        // allocate no tensors.
-        let outs: Vec<NodeId> = built
+    // Joint training: one forward pass serves every block in the group.
+    // The graph is compiled once per group — the Teacher–Student loss
+    // ports are the plan's kept set — and the arena plus per-block seed
+    // buffers are reused across every step, so steady-state steps
+    // allocate no tensors.
+    let outs: Vec<NodeId> = built
+        .block_ports
+        .iter()
+        .flat_map(|p| [p.student_output, p.teacher_output])
+        .collect();
+    let mut net = CompiledNet::new(&built.graph, &outs)?;
+    let mut seed_bufs: Vec<Tensor> = Vec::new();
+    let mut first_losses: Vec<Option<f32>> = vec![None; group_blocks.len()];
+    let mut last_losses: Vec<f32> = vec![0.0; group_blocks.len()];
+    for step in 0..cfg.steps {
+        let images = next_batch(group_index * cfg.steps + step);
+        net.forward(
+            &mut built.vars,
+            &[(built.input_name.as_str(), &images)],
+            Mode::Train,
+        )?;
+        if seed_bufs.len() != built.block_ports.len() {
+            seed_bufs.clear();
+            for ports in &built.block_ports {
+                seed_bufs.push(Tensor::zeros(net.activation(ports.student_output)?.shape()));
+            }
+        }
+        for (bi, ports) in built.block_ports.iter().enumerate() {
+            let student = net.activation(ports.student_output)?;
+            let teacher = net.activation(ports.teacher_output)?;
+            let loss = mse_loss(student, teacher);
+            first_losses[bi].get_or_insert(loss);
+            last_losses[bi] = loss;
+            mse_loss_backward_into(student, teacher, &mut seed_bufs[bi]);
+        }
+        built.vars.zero_grads();
+        let seeds: Vec<(NodeId, &Tensor)> = built
             .block_ports
             .iter()
-            .flat_map(|p| [p.student_output, p.teacher_output])
+            .zip(seed_bufs.iter())
+            .map(|(p, t)| (p.student_output, t))
             .collect();
-        let mut net = CompiledNet::new(&built.graph, &outs)?;
-        let mut seed_bufs: Vec<Tensor> = Vec::new();
-        let mut first_losses: Vec<Option<f32>> = vec![None; group_blocks.len()];
-        let mut last_losses: Vec<f32> = vec![0.0; group_blocks.len()];
-        for step in 0..cfg.steps {
-            let images = next_batch(group_index * cfg.steps + step);
-            net.forward(
-                &mut built.vars,
-                &[(built.input_name.as_str(), &images)],
-                Mode::Train,
-            )?;
-            if seed_bufs.len() != built.block_ports.len() {
-                seed_bufs.clear();
-                for ports in &built.block_ports {
-                    seed_bufs.push(Tensor::zeros(net.activation(ports.student_output)?.shape()));
-                }
-            }
-            for (bi, ports) in built.block_ports.iter().enumerate() {
-                let student = net.activation(ports.student_output)?;
-                let teacher = net.activation(ports.teacher_output)?;
-                let loss = mse_loss(student, teacher);
-                first_losses[bi].get_or_insert(loss);
-                last_losses[bi] = loss;
-                mse_loss_backward_into(student, teacher, &mut seed_bufs[bi]);
-            }
-            built.vars.zero_grads();
-            let seeds: Vec<(NodeId, &Tensor)> = built
-                .block_ports
-                .iter()
-                .zip(seed_bufs.iter())
-                .map(|(p, t)| (p.student_output, t))
-                .collect();
-            net.backward(&mut built.vars, &seeds)?;
-            built.vars.sgd_step(&cfg.sgd);
-        }
-        outcome.total_steps += cfg.steps;
-
-        for bi in 0..group_blocks.len() {
-            let _block_span = wootz_obs::span("pretrain.block")
-                .with("key", block_keys[bi].clone())
-                .with("group", group_index);
-            wootz_obs::event("pretrain.block_done")
-                .field("key", block_keys[bi].clone())
-                .field("structure_hash", format!("{:016x}", block_hashes[bi]))
-                .field(
-                    "first_loss",
-                    f64::from(first_losses[bi].unwrap_or(f32::NAN)),
-                )
-                .field("last_loss", f64::from(last_losses[bi]))
-                .emit();
-            let prefix = format!("{}/", block_scopes[bi]);
-            outcome.checkpoints.insert(
-                block_keys[bi].clone(),
-                Checkpoint::capture(&built.vars, &prefix),
-            );
-            outcome.losses.push((
-                block_keys[bi].clone(),
-                first_losses[bi].unwrap_or(f32::NAN),
-                last_losses[bi],
-            ));
-        }
+        net.backward(&mut built.vars, &seeds)?;
+        built.vars.sgd_step(&cfg.sgd);
     }
-    Ok(outcome)
+
+    let mut trained = Vec::with_capacity(group_blocks.len());
+    for (bi, key) in block_keys.into_iter().enumerate() {
+        let _block_span = wootz_obs::span("pretrain.block")
+            .with("key", key.clone())
+            .with("group", group_index);
+        let first_loss = first_losses[bi].unwrap_or(f32::NAN);
+        wootz_obs::event("pretrain.block_done")
+            .field("key", key.clone())
+            .field("structure_hash", format!("{:016x}", block_hashes[bi]))
+            .field("first_loss", f64::from(first_loss))
+            .field("last_loss", f64::from(last_losses[bi]))
+            .emit();
+        let prefix = format!("{}/", block_scopes[bi]);
+        trained.push(PretrainedBlock {
+            key,
+            checkpoint: Checkpoint::capture(&built.vars, &prefix),
+            first_loss,
+            last_loss: last_losses[bi],
+            steps: if bi == 0 { cfg.steps } else { 0 },
+        });
+    }
+    Ok(trained)
 }
 
 /// Builds the pre-training structure of `blocks` (one group): the teacher
@@ -590,12 +507,6 @@ mod tests {
         (mm, Checkpoint::capture(&built.vars, "net/"))
     }
 
-    fn batches(step: usize) -> Tensor {
-        Tensor::from_fn(&[4, 3, 16, 16], |i| {
-            ((i + step * 31) % 17) as f32 / 17.0 - 0.5
-        })
-    }
-
     /// Run inputs whose solver pre-trains blocks for `steps` steps on
     /// batches of four micro `flowers102` images (16×16, like
     /// `resnet_mini`'s input), and that dataset.
@@ -649,7 +560,7 @@ mod tests {
     /// journal-aware shell over the local executor.
     fn pretrain_local(
         p: &Pretraining<'_>,
-        completed: &BTreeMap<String, PretrainedBlock>,
+        completed: BTreeMap<String, PretrainedBlock>,
         sink: Option<&mut BlockSink<'_>>,
     ) -> Result<PretrainOutcome> {
         pretrain_groups_with(
@@ -660,6 +571,28 @@ mod tests {
         )
     }
 
+    /// [`pretrain_local`] of `blocks` from scratch, on solver inputs that
+    /// pre-train for `steps` steps.
+    fn pretrain_fresh(
+        mm: &MultiplexingModel,
+        full: &Checkpoint,
+        blocks: &[TuningBlock],
+        steps: usize,
+    ) -> PretrainOutcome {
+        let (inputs, ds) = solver_inputs(steps);
+        let cx = context(&inputs, &ds, mm, full, blocks, None);
+        pretrain_local(&cx, BTreeMap::new(), None).unwrap()
+    }
+
+    /// The checkpoint `outcome` holds for `block`.
+    fn checkpoint_of<'o>(outcome: &'o PretrainOutcome, block: &TuningBlock) -> &'o Checkpoint {
+        let key = block.key();
+        let trained = outcome.blocks.iter().find(|b| b.key == key);
+        &trained
+            .unwrap_or_else(|| panic!("no block {key}"))
+            .checkpoint
+    }
+
     #[test]
     fn pretraining_reduces_reconstruction_error() {
         let (mm, full) = trained_full();
@@ -667,47 +600,50 @@ mod tests {
             TuningBlock::new(0, vec![(1, 70)]).unwrap(),
             TuningBlock::new(1, vec![(3, 70)]).unwrap(),
         ];
-        let cfg = PretrainConfig {
-            steps: 40,
-            sgd: SgdConfig {
-                learning_rate: 0.05,
-                weight_decay: 0.0,
-                momentum: 0.9,
-            },
-            seed: 2,
-        };
-        let outcome = pretrain_blocks(&mm, &blocks, &full, &cfg, batches).unwrap();
-        assert_eq!(outcome.checkpoints.len(), 2);
+        let outcome = pretrain_fresh(&mm, &full, &blocks, 40);
+        assert_eq!(outcome.blocks.len(), 2);
         assert_eq!(
-            outcome.total_steps, 40,
+            outcome.total_steps(),
+            40,
             "disjoint blocks train in one group"
         );
-        for (key, first, last) in &outcome.losses {
+        for block in &outcome.blocks {
             assert!(
-                last < first,
-                "block {key}: reconstruction loss did not drop ({first} -> {last})"
+                block.last_loss < block.first_loss,
+                "block {}: reconstruction loss did not drop ({} -> {})",
+                block.key,
+                block.first_loss,
+                block.last_loss
             );
         }
     }
 
     #[test]
     fn parallel_pretraining_matches_sequential() {
+        // The same batch on a one-thread pool (groups one after another)
+        // and on a two-thread pool (both groups at once) lands on the same
+        // blocks, bit for bit, in the same order.
         let (mm, full) = trained_full();
         let blocks = vec![
             TuningBlock::new(0, vec![(0, 50), (1, 50)]).unwrap(),
             TuningBlock::new(1, vec![(1, 70)]).unwrap(),
             TuningBlock::new(2, vec![(3, 30)]).unwrap(),
         ];
-        let (inputs, ds) = solver_inputs(6);
-        let cfg = block_pretrain_config(&inputs.solver);
-        let seq =
-            pretrain_blocks(&mm, &blocks, &full, &cfg, |step| ds.train_batch(step, 4).0).unwrap();
-        let cx = context(&inputs, &ds, &mm, &full, &blocks, None);
-        let par = pretrain_local(&cx, &BTreeMap::new(), None).unwrap();
-        assert_eq!(par.groups.len(), 2, "the overlapping blocks split");
-        assert_eq!(seq.total_steps, par.total_steps);
-        assert_eq!(seq.groups, par.groups);
-        assert_eq!(seq.checkpoints, par.checkpoints);
+        assert_eq!(
+            partition_into_groups(&blocks).len(),
+            2,
+            "the overlapping blocks split"
+        );
+        let on_pool = |threads: usize| {
+            let pool = wootz_par::Pool::new(threads);
+            wootz_par::with_pool(&pool, || pretrain_fresh(&mm, &full, &blocks, 6))
+        };
+        let seq = on_pool(1);
+        let par = on_pool(2);
+        assert_eq!(seq.blocks.len(), 3);
+        assert_eq!(seq.total_steps(), 12);
+        assert_eq!(seq.blocks, par.blocks);
+        assert!(seq.failed.is_empty() && par.failed.is_empty());
     }
 
     #[test]
@@ -717,26 +653,18 @@ mod tests {
             TuningBlock::new(0, vec![(1, 50), (2, 50)]).unwrap(),
             TuningBlock::new(1, vec![(2, 70)]).unwrap(),
         ];
-        let cfg = PretrainConfig {
-            steps: 2,
-            ..PretrainConfig::default()
-        };
-        let outcome = pretrain_blocks(&mm, &blocks, &full, &cfg, batches).unwrap();
-        assert_eq!(outcome.groups.len(), 2);
-        assert_eq!(outcome.total_steps, 4);
-        assert_eq!(outcome.checkpoints.len(), 2);
+        assert_eq!(partition_into_groups(&blocks).len(), 2);
+        let outcome = pretrain_fresh(&mm, &full, &blocks, 2);
+        assert_eq!(outcome.total_steps(), 4);
+        assert_eq!(outcome.blocks.len(), 2);
     }
 
     #[test]
     fn checkpoints_cover_block_parameters_only() {
         let (mm, full) = trained_full();
         let blocks = vec![TuningBlock::new(0, vec![(2, 50)]).unwrap()];
-        let cfg = PretrainConfig {
-            steps: 1,
-            ..PretrainConfig::default()
-        };
-        let outcome = pretrain_blocks(&mm, &blocks, &full, &cfg, batches).unwrap();
-        let ckpt = &outcome.checkpoints[&blocks[0].key()];
+        let outcome = pretrain_fresh(&mm, &full, &blocks, 1);
+        let ckpt = checkpoint_of(&outcome, &blocks[0]);
         assert!(!ckpt.is_empty());
         for (name, _) in ckpt.iter() {
             assert!(name.starts_with("student/m2r50/"), "{name}");
@@ -758,11 +686,7 @@ mod tests {
             TuningBlock::new(0, vec![(1, 30)]).unwrap(),
             TuningBlock::new(1, vec![(2, 50), (3, 70)]).unwrap(),
         ];
-        let cfg = PretrainConfig {
-            steps: 1,
-            ..PretrainConfig::default()
-        };
-        let outcome = pretrain_blocks(&mm, &blocks, &full, &cfg, batches).unwrap();
+        let outcome = pretrain_fresh(&mm, &full, &blocks, 1);
         for block in &blocks {
             assert_eq!(
                 wootz_fault::fnv1a64(block.key().as_bytes()),
@@ -774,7 +698,7 @@ mod tests {
             let key = crate::pipeline::store_key(block, "flowers102", 7);
             assert_eq!(key.structure, block.structure_hash());
             assert_eq!((key.dataset.as_str(), key.solver), ("flowers102", 7));
-            let ckpt = &outcome.checkpoints[&block.key()];
+            let ckpt = checkpoint_of(&outcome, block);
             let prefix = format!("{}/", block.scope());
             for (name, _) in ckpt.iter() {
                 assert!(name.starts_with(&prefix), "{name} outside {prefix}");
@@ -805,11 +729,12 @@ mod tests {
             rates: vec![],
         };
         let cx = context(&inputs, &ds, &mm, &full, &blocks, Some(&plan));
-        let out = pretrain_local(&cx, &BTreeMap::new(), None).unwrap();
-        assert_eq!(out.checkpoints.len(), 2, "fallback still trains each block");
+        let out = pretrain_local(&cx, BTreeMap::new(), None).unwrap();
+        assert_eq!(out.blocks.len(), 2, "fallback still trains each block");
         assert!(out.failed.is_empty());
         assert_eq!(
-            out.total_steps, 8,
+            out.total_steps(),
+            8,
             "two solo fallback runs cost 2x the group budget"
         );
     }
@@ -841,8 +766,9 @@ mod tests {
             rates: vec![],
         };
         let cx = context(&inputs, &ds, &mm, &full, &blocks, Some(&plan));
-        let out = pretrain_local(&cx, &BTreeMap::new(), None).unwrap();
-        assert_eq!(out.checkpoints.len(), 1, "block 0 recovered via fallback");
+        let out = pretrain_local(&cx, BTreeMap::new(), None).unwrap();
+        assert_eq!(out.blocks.len(), 1, "block 0 recovered via fallback");
+        assert_eq!(out.blocks[0].key, blocks[0].key());
         assert_eq!(out.failed.len(), 1);
         assert_eq!(out.failed[0].0, blocks[1].key());
         assert!(out.failed[0].1.contains("pretrain.block"));
@@ -863,10 +789,10 @@ mod tests {
                 journaled.push(b.clone());
                 Ok(())
             };
-            pretrain_local(&cx, &BTreeMap::new(), Some(&mut sink)).unwrap();
+            pretrain_local(&cx, BTreeMap::new(), Some(&mut sink)).unwrap();
         }
         assert_eq!(journaled.len(), 2, "sink sees every fresh block");
-        let first = pretrain_local(&cx, &BTreeMap::new(), None).unwrap();
+        let first = pretrain_local(&cx, BTreeMap::new(), None).unwrap();
         let completed: BTreeMap<String, PretrainedBlock> =
             journaled.into_iter().map(|b| (b.key.clone(), b)).collect();
         let mut fresh = 0usize;
@@ -878,7 +804,7 @@ mod tests {
         // nothing retrains.
         let resumed = pretrain_groups_with(
             &blocks,
-            &completed,
+            completed,
             |todo| {
                 assert!(todo.is_empty(), "resume retrained groups {todo:?}");
                 run_groups(&mut LocalExecutor, &cx.cx, cx.batch, todo)
@@ -887,9 +813,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(fresh, 0, "nothing retrained on resume");
-        assert_eq!(resumed.checkpoints, first.checkpoints);
-        assert_eq!(resumed.total_steps, first.total_steps);
-        assert_eq!(resumed.losses, first.losses);
+        assert_eq!(resumed.blocks, first.blocks);
+        assert_eq!(resumed.total_steps(), first.total_steps());
     }
 
     #[test]
@@ -931,7 +856,7 @@ mod tests {
         assert_eq!(built.vars.value("teacher/conv1/weight").unwrap(), &before);
 
         let cx = context(&inputs, &ds, &mm, &full, &blocks, None);
-        let planned = pretrain_local(&cx, &BTreeMap::new(), None).unwrap();
+        let planned = pretrain_local(&cx, BTreeMap::new(), None).unwrap();
         let bits = |c: &Checkpoint| -> Vec<(String, Vec<u32>)> {
             c.iter()
                 .map(|(name, t)| {
@@ -942,9 +867,6 @@ mod tests {
         };
         let reference = Checkpoint::capture(&built.vars, &format!("{}/", scopes[0]));
         assert!(!reference.is_empty());
-        assert_eq!(
-            bits(&planned.checkpoints[&blocks[0].key()]),
-            bits(&reference)
-        );
+        assert_eq!(bits(checkpoint_of(&planned, &blocks[0])), bits(&reference));
     }
 }

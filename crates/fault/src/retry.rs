@@ -3,11 +3,13 @@
 use serde::{Deserialize, Serialize};
 
 /// What a supervisor does when a unit of work exhausts its attempts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum OnExhausted {
     /// Record the failure, skip the unit, keep the run alive.
     Skip,
-    /// Abort the whole run with a structured error.
+    /// Abort the whole run with a structured error (the default, as in
+    /// [`RetryPolicy::default`]).
+    #[default]
     Abort,
 }
 

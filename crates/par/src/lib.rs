@@ -517,24 +517,6 @@ fn target_pool() -> Option<NonNull<PoolShared>> {
     (threads > 1 && !full).then_some(pool)
 }
 
-/// Runs `f(0..total)` for side effects, with the same inline/nesting/panic
-/// semantics as [`parallel_map`].
-///
-/// ```
-/// use std::sync::atomic::{AtomicUsize, Ordering};
-/// let hits = AtomicUsize::new(0);
-/// wootz_par::parallel_for(5, |_i| {
-///     hits.fetch_add(1, Ordering::Relaxed);
-/// });
-/// assert_eq!(hits.load(Ordering::Relaxed), 5);
-/// ```
-pub fn parallel_for<F>(total: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    parallel_map(total, f);
-}
-
 /// Splits `items` into consecutive chunks of `chunk_len` (the last may be
 /// shorter) and maps `f(chunk_index, chunk)` over them in parallel,
 /// returning results **in chunk order**.

@@ -2,10 +2,14 @@
 //! block reuse across networks, checkpoint identity, and the Teacher–
 //! Student structure's invariants.
 
+use std::collections::BTreeMap;
+
 use wootz_core::blocks::module_level_blocks;
-use wootz_core::compile::{ModeToUse, MultiplexingModel};
+use wootz_core::compile::{ModeToUse, MultiplexingModel, TuningBlock};
 use wootz_core::finetune::{assemble, InitStrategy};
-use wootz_core::pretrain::{pretrain_blocks, PretrainConfig};
+use wootz_core::pretrain::{
+    pretrain_group_supervised, pretrain_groups_with, PretrainConfig, PretrainedBlock,
+};
 use wootz_core::prune::PruneConfig;
 use wootz_data::micro_dataset;
 use wootz_nn::Checkpoint;
@@ -19,6 +23,33 @@ fn setup() -> (MultiplexingModel, Checkpoint, wootz_data::Dataset) {
     // An untrained "full model" suffices for structural tests.
     let full = Checkpoint::capture(&built.vars, "net/");
     (mm, full, ds)
+}
+
+/// Pre-trains `blocks` group by group under the pipeline's supervisor, one
+/// group after another, and returns the trained blocks by key.
+fn pretrain(
+    mm: &MultiplexingModel,
+    blocks: &[TuningBlock],
+    full: &Checkpoint,
+    cfg: &PretrainConfig,
+    next_batch: impl Fn(usize) -> Tensor + Sync,
+) -> BTreeMap<String, PretrainedBlock> {
+    let run_groups = |todo: &[(usize, &[usize])]| {
+        Ok(todo
+            .iter()
+            .map(|&(group_index, group)| {
+                let group: Vec<_> = group.iter().map(|&i| (i, blocks[i].clone())).collect();
+                pretrain_group_supervised(mm, &group, group_index, full, cfg, &next_batch, None)
+            })
+            .collect())
+    };
+    let outcome = pretrain_groups_with(blocks, BTreeMap::new(), run_groups, None).unwrap();
+    assert!(outcome.failed.is_empty(), "{:?}", outcome.failed);
+    outcome
+        .blocks
+        .into_iter()
+        .map(|block| (block.key.clone(), block))
+        .collect()
 }
 
 /// The headline reuse property: ONE pre-trained block checkpoint
@@ -43,10 +74,9 @@ fn one_block_checkpoint_serves_many_networks() {
         },
         seed: 2,
     };
-    let outcome = pretrain_blocks(&mm, &set.blocks, &full, &cfg, |_| {
+    let trained = pretrain(&mm, &set.blocks, &full, &cfg, |_| {
         Tensor::ones(&[2, 3, 16, 16])
-    })
-    .unwrap();
+    });
 
     // Both networks' composites reference the same (module 1, rate 50)
     // block...
@@ -69,7 +99,7 @@ fn one_block_checkpoint_serves_many_networks() {
             .iter()
             .map(|p| {
                 let b = &set.blocks[p.block_index];
-                (b, &outcome.checkpoints[&b.key()])
+                (b, &trained[&b.key()].checkpoint)
             })
             .collect();
         assemble(&mm, config, &full, InitStrategy::BlockTrained(&pairs), 1).unwrap()
@@ -121,18 +151,19 @@ fn pretraining_invariants() {
         },
         seed: 3,
     };
-    let outcome =
-        pretrain_blocks(&mm, &set.blocks, &full, &cfg, |s| ds.train_batch(s, 8).0).unwrap();
-    assert_eq!(outcome.checkpoints.len(), set.blocks.len());
-    let improved = outcome
-        .losses
+    let trained = pretrain(&mm, &set.blocks, &full, &cfg, |s| ds.train_batch(s, 8).0);
+    assert_eq!(trained.len(), set.blocks.len());
+    let losses: Vec<(&str, f32, f32)> = trained
+        .values()
+        .map(|b| (b.key.as_str(), b.first_loss, b.last_loss))
+        .collect();
+    let improved = losses
         .iter()
         .filter(|(_, first, last)| last < first)
         .count();
     assert!(
-        improved * 2 > outcome.losses.len(),
-        "most blocks should reduce reconstruction error: {:?}",
-        outcome.losses
+        improved * 2 > losses.len(),
+        "most blocks should reduce reconstruction error: {losses:?}"
     );
 }
 
@@ -151,14 +182,13 @@ fn mismatched_block_rates_fall_back_to_inherited_weights() {
         sgd: SgdConfig::default(),
         seed: 0,
     };
-    let outcome = pretrain_blocks(&mm, &set.blocks, &full, &cfg, |_| {
+    let trained = pretrain(&mm, &set.blocks, &full, &cfg, |_| {
         Tensor::ones(&[1, 3, 16, 16])
-    })
-    .unwrap();
+    });
     // Try to use the (module 1, 70%) block in a network pruned at 30%.
     let wrong = PruneConfig::new(vec![0, 30, 0, 0]).unwrap();
     let block = &set.blocks[0];
-    let pairs = vec![(block, &outcome.checkpoints[&block.key()])];
+    let pairs = vec![(block, &trained[&block.key()].checkpoint)];
     let degraded = assemble(&mm, &wrong, &full, InitStrategy::BlockTrained(&pairs), 0)
         .expect("shape mismatch degrades to inherited weights, not an error");
     let inherited = assemble(&mm, &wrong, &full, InitStrategy::Default, 0).unwrap();
