@@ -208,6 +208,20 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, Strin
     Ok(Some(value))
 }
 
+/// Pulls the value following `--flag` out of `args` and parses it; a
+/// value that does not parse is `bad <flag>: <error>`.
+fn take_parsed<T: std::str::FromStr>(
+    args: &mut Vec<String>,
+    flag: &str,
+) -> Result<Option<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
+    take_flag(args, flag)?
+        .map(|s| s.parse().map_err(|e| format!("bad {flag}: {e}")))
+        .transpose()
+}
+
 /// Pulls a boolean `--flag`.
 fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
     if let Some(i) = args.iter().position(|a| a == flag) {
@@ -233,13 +247,7 @@ fn take_explorer_flags(
         Some(s) => ExplorerKind::parse(&s)?,
         None => ExplorerKind::Fixed,
     };
-    let budget_flag: Option<usize> = match take_flag(args, "--explorer-budget")? {
-        Some(s) => Some(
-            s.parse()
-                .map_err(|e| format!("bad --explorer-budget: {e}"))?,
-        ),
-        None => None,
-    };
+    let budget_flag: Option<usize> = take_parsed(args, "--explorer-budget")?;
     if budget_flag.is_some() && !explorer.is_adaptive() {
         return Err(
             "--explorer-budget requires an adaptive explorer (--explorer taylor|bandit)".into(),
@@ -310,21 +318,10 @@ fn cmd_compile(mut args: Vec<String>) -> CliResult {
 }
 
 fn cmd_sample(mut args: Vec<String>) -> CliResult {
-    let modules: usize = take_flag(&mut args, "--modules")?
-        .ok_or("sample needs --modules N")?
-        .parse()
-        .map_err(|e| format!("bad --modules: {e}"))?;
-    let count: usize = take_flag(&mut args, "--count")?
-        .ok_or("sample needs --count K")?
-        .parse()
-        .map_err(|e| format!("bad --count: {e}"))?;
-    let seed: u64 = take_flag(&mut args, "--seed")?
-        .map_or(Ok(7), |s| s.parse())
-        .map_err(|e| format!("bad --seed: {e}"))?;
-    let segments: Option<usize> = match take_flag(&mut args, "--segments")? {
-        Some(s) => Some(s.parse().map_err(|e| format!("bad --segments: {e}"))?),
-        None => None,
-    };
+    let modules: usize = take_parsed(&mut args, "--modules")?.ok_or("sample needs --modules N")?;
+    let count: usize = take_parsed(&mut args, "--count")?.ok_or("sample needs --count K")?;
+    let seed: u64 = take_parsed(&mut args, "--seed")?.unwrap_or(7);
+    let segments: Option<usize> = take_parsed(&mut args, "--segments")?;
     let out = take_flag(&mut args, "--out")?;
     reject_leftovers(&args)?;
 
@@ -388,9 +385,7 @@ fn cmd_identify(mut args: Vec<String>) -> CliResult {
 }
 
 fn cmd_genmodel(mut args: Vec<String>) -> CliResult {
-    let classes: usize = take_flag(&mut args, "--classes")?
-        .map_or(Ok(8), |s| s.parse())
-        .map_err(|e| format!("bad --classes: {e}"))?;
+    let classes: usize = take_parsed(&mut args, "--classes")?.unwrap_or(8);
     let deep = take_switch(&mut args, "--deep");
     let family = take_flag(&mut args, "--family")?.unwrap_or_else(|| "resnet".into());
     let out = take_flag(&mut args, "--out")?;
@@ -434,36 +429,15 @@ fn cmd_prune(mut args: Vec<String>) -> CliResult {
     let journal: Option<PathBuf> = take_flag(&mut args, "--journal")?.map(Into::into);
     let resume = take_switch(&mut args, "--resume");
     let fault_path = take_flag(&mut args, "--inject-faults")?;
-    let retry_attempts: Option<u32> = match take_flag(&mut args, "--retry-attempts")? {
-        Some(s) => Some(
-            s.parse()
-                .map_err(|e| format!("bad --retry-attempts: {e}"))?,
-        ),
-        None => None,
-    };
+    let retry_attempts: Option<u32> = take_parsed(&mut args, "--retry-attempts")?;
     let on_fail = take_flag(&mut args, "--on-fail")?;
-    let distributed: Option<usize> = match take_flag(&mut args, "--distributed")? {
-        Some(s) => Some(s.parse().map_err(|e| format!("bad --distributed: {e}"))?),
-        None => None,
-    };
+    let distributed: Option<usize> = take_parsed(&mut args, "--distributed")?;
     let log_dir: Option<PathBuf> = take_flag(&mut args, "--log-dir")?.map(Into::into);
-    let lease_ms: Option<u64> = match take_flag(&mut args, "--lease-ms")? {
-        Some(s) => Some(s.parse().map_err(|e| format!("bad --lease-ms: {e}"))?),
-        None => None,
-    };
+    let lease_ms: Option<u64> = take_parsed(&mut args, "--lease-ms")?;
     let listen = take_flag(&mut args, "--listen")?;
-    let orphan_grace_ms: Option<u64> = match take_flag(&mut args, "--orphan-grace-ms")? {
-        Some(s) => Some(
-            s.parse()
-                .map_err(|e| format!("bad --orphan-grace-ms: {e}"))?,
-        ),
-        None => None,
-    };
+    let orphan_grace_ms: Option<u64> = take_parsed(&mut args, "--orphan-grace-ms")?;
     let store_dir: Option<PathBuf> = take_flag(&mut args, "--store")?.map(Into::into);
-    let store_budget: Option<u64> = match take_flag(&mut args, "--store-budget")? {
-        Some(s) => Some(s.parse().map_err(|e| format!("bad --store-budget: {e}"))?),
-        None => None,
-    };
+    let store_budget: Option<u64> = take_parsed(&mut args, "--store-budget")?;
     let (explorer, explorer_budget) = take_explorer_flags(&mut args)?;
     reject_leftovers(&args)?;
 
@@ -496,12 +470,11 @@ fn cmd_prune(mut args: Vec<String>) -> CliResult {
     if resume && journal.is_none() {
         return Err("--resume requires --journal <path>".into());
     }
-    let faults: Option<FaultPlan> = match &fault_path {
-        Some(path) => Some(
-            FaultPlan::load(path).map_err(|e| format!("cannot load fault plan `{path}`: {e}"))?,
-        ),
-        None => None,
-    };
+    let faults: Option<FaultPlan> = fault_path
+        .map(|path| {
+            FaultPlan::load(&path).map_err(|e| format!("cannot load fault plan `{path}`: {e}"))
+        })
+        .transpose()?;
     // Without faults the default policy preserves the legacy semantics
     // exactly (one attempt, abort); with a fault plan the supervisor
     // defaults to three attempts and skipping exhausted configurations.
@@ -543,13 +516,10 @@ fn cmd_prune(mut args: Vec<String>) -> CliResult {
     };
     let run: WootzRun = match distributed {
         None => {
-            let store = match &store_dir {
-                Some(dir) => Some(
-                    wootz_store::BlockStore::open(dir, store_budget)
-                        .map_err(|e| format!("cannot open block store: {e}"))?,
-                ),
-                None => None,
-            };
+            let store = store_dir
+                .map(|dir| wootz_store::BlockStore::open(dir, store_budget))
+                .transpose()
+                .map_err(|e| format!("cannot open block store: {e}"))?;
             let opts = RunOptions {
                 faults: faults.as_ref(),
                 retry,
@@ -635,10 +605,7 @@ fn cmd_serve(mut args: Vec<String>) -> CliResult {
     let store_dir: PathBuf = take_flag(&mut args, "--store")?
         .ok_or("serve needs --store <dir> (the block-cache directory)")?
         .into();
-    let store_budget: Option<u64> = match take_flag(&mut args, "--store-budget")? {
-        Some(s) => Some(s.parse().map_err(|e| format!("bad --store-budget: {e}"))?),
-        None => None,
-    };
+    let store_budget: Option<u64> = take_parsed(&mut args, "--store-budget")?;
     let state_dir: PathBuf = take_flag(&mut args, "--state")?
         .map(Into::into)
         .unwrap_or_else(|| store_dir.join("state"));
@@ -687,13 +654,7 @@ fn cmd_submit(mut args: Vec<String>) -> CliResult {
 fn cmd_worker(mut args: Vec<String>) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let addr = take_flag(&mut args, "--connect")?.ok_or("worker needs --connect <addr>")?;
     let worker_id = take_flag(&mut args, "--worker-id")?.ok_or("worker needs --worker-id <id>")?;
-    let orphan_grace_ms: Option<u64> = match take_flag(&mut args, "--orphan-grace-ms")? {
-        Some(s) => Some(
-            s.parse()
-                .map_err(|e| format!("bad --orphan-grace-ms: {e}"))?,
-        ),
-        None => None,
-    };
+    let orphan_grace_ms: Option<u64> = take_parsed(&mut args, "--orphan-grace-ms")?;
     reject_leftovers(&args)?;
     match worker_net_main(&addr, &worker_id, orphan_grace_ms)? {
         WorkerExit::Shutdown => Ok(ExitCode::SUCCESS),

@@ -17,13 +17,13 @@
 //! unit of work is counted.
 //!
 //! Workers are reached one way: the coordinator binds a [`NetHub`] (on
-//! loopback unless `listen` names a deployment address), spawns its pool
-//! as `worker --connect <addr>`, and enqueues into the hub's in-memory
-//! queue, from which the hub grants tasks and into which it delivers
-//! results on the workers' behalf. The drive loop never sleeps on a
-//! timer of its own: it waits on the hub's event signal, bounded by
-//! a 20 ms tick so the lease, speculation, respawn and stall clocks still
-//! get serviced.
+//! loopback unless `listen` names a deployment address) and spawns its
+//! pool as `worker --connect <addr>`. The hub's in-memory queue is the one
+//! table of a task's attempts — grant time, last heartbeat, speculative
+//! or not — and the drive loop keeps no copy of it: it only counts each
+//! unit's attempts and asks the table. It never sleeps on a timer of its
+//! own either: it waits on the hub's event signal, bounded by a 20 ms tick
+//! so the lease, speculation, respawn and stall clocks get serviced.
 //!
 //! Failure handling, in one paragraph: every granted task carries a lease
 //! that the worker's heartbeat frames keep fresh; a grant without a
@@ -31,10 +31,11 @@
 //! result will be rejected) and a fresh attempt is enqueued, up to
 //! `max_task_attempts`, after which the unit of work is *abandoned* and
 //! surfaces as a structured [`CoreError::Remote`] failure that flows
-//! through the normal retry / skip / abort policy. When the queue has drained but results are still
-//! outstanding, the slowest claimed task (deterministically the lowest
-//! sequence number among the over-deadline ones) is *speculated*: a
-//! duplicate attempt races the straggler and the first publication wins.
+//! through the normal retry / skip / abort policy. When the queue has
+//! drained but results are still outstanding, the lowest sequence number
+//! whose lone attempt has run past its deadline since its grant is
+//! *speculated*: a duplicate attempt races the straggler and the first
+//! result wins; the win takes the unit's other attempts out of the table.
 //! Dead worker processes are respawned while work is outstanding. All
 //! coordinator state that matters across a crash rides on the record
 //! journal, so killing the coordinator and re-running with `--resume`
@@ -62,7 +63,7 @@ use wootz_data::Dataset;
 use wootz_fault::{FaultPlan, RetryPolicy};
 use wootz_nn::Checkpoint;
 
-use crate::net::NetHub;
+use crate::net::{Delivery, NetHub};
 use crate::protocol::{cluster_err, Manifest, TaskResult, TaskSpec};
 
 /// Options of a distributed run.
@@ -398,22 +399,6 @@ fn worker_id(index: usize, gen: u32) -> String {
     }
 }
 
-/// One live (un-fenced) execution attempt of a unit of work.
-struct Attempt {
-    task: TaskSpec,
-    claim_seen: Option<Instant>,
-    /// Last liveness signal the hub recorded: the grant, then every
-    /// heartbeat frame. The lease clock runs against this.
-    last_signal: Option<Instant>,
-    speculative: bool,
-}
-
-/// One unit of work (a queue sequence number) with its live attempts.
-struct Unit {
-    attempts_launched: u32,
-    live: Vec<Attempt>,
-}
-
 /// The outcome of driving one unit of work to completion: the accepted
 /// result, or `None` when every attempt was exhausted (abandoned).
 struct TaskOutcome {
@@ -466,24 +451,14 @@ impl Coordinator<'_> {
     /// Returns one outcome per task, in task order.
     fn drive(&mut self, tasks: Vec<TaskSpec>) -> Result<Vec<TaskOutcome>> {
         let seqs: Vec<u64> = tasks.iter().map(|t| t.seq).collect();
-        let mut units: BTreeMap<u64, Unit> = BTreeMap::new();
+        let mut launched: BTreeMap<u64, u32> = seqs.iter().map(|&seq| (seq, 1)).collect();
         for task in tasks {
-            self.hub.enqueue(task.clone());
-            units.insert(
-                task.seq,
-                Unit {
-                    attempts_launched: 1,
-                    live: vec![Attempt {
-                        task,
-                        claim_seen: None,
-                        last_signal: None,
-                        speculative: false,
-                    }],
-                },
-            );
+            self.hub.enqueue(task);
         }
-        let total = units.len();
-        let mut done: BTreeMap<u64, TaskOutcome> = BTreeMap::new();
+        let total = launched.len();
+        let max_attempts = self.opts.max_task_attempts;
+        // The accepted result of each finished unit, `None` if abandoned.
+        let mut done: BTreeMap<u64, Option<TaskResult>> = BTreeMap::new();
         let mut last_progress = Instant::now();
         while done.len() < total {
             let mut progressed = false;
@@ -492,62 +467,24 @@ impl Coordinator<'_> {
             let seen = self.hub.events_seen();
 
             // 1. Reap the results that arrived, applying fencing.
-            for (result, arrived) in self.hub.take_results() {
-                // Chaos: die with the result received but not yet folded
-                // into run state — the reap window. The restarted epoch
-                // re-runs the unit from the journal; bit-identity must
-                // survive.
+            for delivery in self.hub.take_results() {
+                // Chaos: die with the result received — its unit already
+                // won in the hub's table — but not yet folded into run
+                // state: the reap window. The restarted epoch re-runs the
+                // unit from the journal; bit-identity must survive.
                 if wootz_fault::chaos::kill_point(wootz_fault::chaos::kill_site::COORD_REAP) {
                     wootz_fault::chaos::die(wootz_fault::chaos::kill_site::COORD_REAP);
                 }
-                progressed |= self.accept_or_fence(result, &mut units, &mut done);
+                let arrived = delivery.arrived;
+                progressed |= self.accept_or_fence(delivery, &launched, &mut done);
                 wootz_obs::histogram("cluster.reap_latency_us")
                     .record(arrived.elapsed().as_micros() as u64);
             }
 
-            // 2. Fold in the hub's liveness signals. The grant starts an
-            // attempt's lease clock even before the first heartbeat lands
-            // — which is exactly how a hung worker that never heartbeats
-            // is caught — and every heartbeat frame refreshes it.
-            let now = Instant::now();
-            let signals = self.hub.take_signals();
-            if !signals.is_empty() {
-                for unit in units.values_mut() {
-                    for att in &mut unit.live {
-                        if let Some(&t) = signals.get(&(att.task.seq, att.task.attempt)) {
-                            att.claim_seen.get_or_insert(t);
-                            att.last_signal = Some(att.last_signal.map_or(t, |s| s.max(t)));
-                        }
-                    }
-                }
-            }
-
-            // 3. Reclaim expired leases: granted attempts whose last
-            // signal is older than the lease period.
-            let mut reclaims: Vec<(u64, u32)> = Vec::new();
-            for (&seq, unit) in &units {
-                if done.contains_key(&seq) {
-                    continue;
-                }
-                for att in &unit.live {
-                    let Some(signal) = att.last_signal else {
-                        continue;
-                    };
-                    let age = now.saturating_duration_since(signal);
-                    if age.as_millis() as u64 > self.opts.lease_ms {
-                        reclaims.push((seq, att.task.attempt));
-                    }
-                }
-            }
-            for (seq, attempt) in reclaims {
-                if done.contains_key(&seq) {
-                    continue;
-                }
-                let unit = units.get_mut(&seq).expect("reclaim of a known unit");
-                let Some(pos) = unit.live.iter().position(|a| a.task.attempt == attempt) else {
-                    continue;
-                };
-                let old = unit.live.remove(pos);
+            // 2. Reclaim expired leases (a grant that no heartbeat ever
+            // followed is how a hung worker is caught).
+            for old in self.hub.take_expired() {
+                let (seq, attempt) = (old.task.seq, old.task.attempt);
                 self.stats.leases_reclaimed += 1;
                 wootz_obs::counter("cluster.leases_reclaimed").incr();
                 wootz_obs::event("cluster.lease_reclaimed")
@@ -555,82 +492,45 @@ impl Coordinator<'_> {
                     .field("attempt", attempt as usize)
                     .emit();
                 progressed = true;
-                if unit.attempts_launched < self.opts.max_task_attempts {
-                    unit.attempts_launched += 1;
-                    let task = TaskSpec {
-                        attempt: unit.attempts_launched,
-                        ..old.task.clone()
-                    };
-                    self.hub.enqueue(task.clone());
-                    unit.live.push(Attempt {
-                        task,
-                        claim_seen: None,
-                        last_signal: None,
-                        speculative: false,
-                    });
-                } else if unit.live.is_empty() {
+                if launched[&seq] < max_attempts {
+                    self.hub.enqueue(next_attempt(&mut launched, old.task));
+                } else if !self.hub.is_live(seq) && !done.contains_key(&seq) {
                     self.stats.tasks_abandoned += 1;
                     wootz_obs::counter("cluster.tasks_abandoned").incr();
                     wootz_obs::event("cluster.task_abandoned")
                         .field("seq", seq as usize)
-                        .field("attempts", unit.attempts_launched as usize)
+                        .field("attempts", launched[&seq] as usize)
                         .emit();
-                    done.insert(
-                        seq,
-                        TaskOutcome {
-                            result: None,
-                            attempts: unit.attempts_launched,
-                        },
-                    );
+                    done.insert(seq, None);
                 }
             }
 
-            // 4. Speculative re-execution: queue drained, at least one
-            // completed task to calibrate against, and a claimed straggler
-            // past its deadline — duplicate the lowest such sequence
-            // number (deterministic tie-break). First publication wins.
+            // 3. Speculative re-execution: queue drained, at least one
+            // completed task to calibrate against, and a lone granted
+            // attempt running past its deadline since its grant —
+            // duplicate the lowest such sequence number (deterministic
+            // tie-break). First publication wins.
             if !self.rate_samples.is_empty() && self.hub.pending() == 0 {
-                let candidate = units
-                    .iter()
-                    .filter(|(seq, u)| {
-                        !done.contains_key(*seq)
-                            && u.live.len() == 1
-                            && u.attempts_launched < self.opts.max_task_attempts
-                    })
-                    .filter_map(|(&seq, u)| {
-                        let att = &u.live[0];
-                        let seen = att.claim_seen?;
-                        let running = now.saturating_duration_since(seen).as_millis() as u64;
-                        (running > self.deadline_ms(att.task.expected_steps)).then_some(seq)
-                    })
-                    .min();
-                if let Some(seq) = candidate {
-                    let unit = units.get_mut(&seq).expect("speculation on a known unit");
-                    unit.attempts_launched += 1;
-                    let task = TaskSpec {
-                        attempt: unit.attempts_launched,
-                        ..unit.live[0].task.clone()
-                    };
-                    self.hub.enqueue(task.clone());
+                let straggler = self.hub.straggler(|task, running| {
+                    launched[&task.seq] < max_attempts
+                        && running.as_millis() as u64 > self.deadline_ms(task.expected_steps)
+                });
+                if let Some(task) = straggler {
+                    let task = next_attempt(&mut launched, task);
                     self.stats.speculative_launched += 1;
                     wootz_obs::counter("cluster.speculative_launched").incr();
                     wootz_obs::event("cluster.speculative_launch")
-                        .field("seq", seq as usize)
+                        .field("seq", task.seq as usize)
                         .field("attempt", task.attempt as usize)
                         .emit();
-                    unit.live.push(Attempt {
-                        task,
-                        claim_seen: None,
-                        last_signal: None,
-                        speculative: true,
-                    });
+                    self.hub.speculate(task);
                 }
             }
 
-            // 5. Keep the physical pool at strength.
+            // 4. Keep the physical pool at strength.
             self.pool.respawn_dead(&mut self.stats, &self.hub)?;
 
-            // 6. Stall watchdog.
+            // 5. Stall watchdog.
             if progressed {
                 last_progress = Instant::now();
             } else if last_progress.elapsed() > STALL_TIMEOUT {
@@ -652,59 +552,48 @@ impl Coordinator<'_> {
         }
         Ok(seqs
             .iter()
-            .map(|seq| done.remove(seq).expect("one outcome per driven task"))
+            .map(|seq| TaskOutcome {
+                result: done.remove(seq).expect("one outcome per driven task"),
+                attempts: launched[seq],
+            })
             .collect())
     }
 
-    /// Applies the fencing rule to one published result. A result is
+    /// Applies the fencing rule to one delivered result. A result is
     /// accepted iff its epoch matches, its unit of work is not yet
-    /// completed, and its attempt is still live (not reclaimed); accepting
-    /// it fences every other attempt of the unit. Everything else is a
+    /// completed, and its attempt was still live in the hub's table when
+    /// it arrived; accepting it retires every other attempt of the unit
+    /// from the table, a queued duplicate included. Everything else is a
     /// zombie and is rejected, never double-counted.
     fn accept_or_fence(
         &mut self,
-        result: TaskResult,
-        units: &mut BTreeMap<u64, Unit>,
-        done: &mut BTreeMap<u64, TaskOutcome>,
+        delivery: Delivery,
+        launched: &BTreeMap<u64, u32>,
+        done: &mut BTreeMap<u64, Option<TaskResult>>,
     ) -> bool {
-        let reject = |stats: &mut ClusterStats, reason: &str, result: &TaskResult| {
-            stats.zombie_results_rejected += 1;
-            wootz_obs::counter("cluster.zombie_results_rejected").incr();
-            wootz_obs::event("cluster.zombie_result_rejected")
-                .field("seq", result.seq as usize)
-                .field("attempt", result.attempt as usize)
-                .field("worker", result.worker.clone())
-                .field("reason", reason)
-                .emit();
+        let Delivery {
+            result, attempt, ..
+        } = delivery;
+        let attempt = match attempt {
+            _ if result.epoch != self.epoch => Err("stale epoch"),
+            _ if !launched.contains_key(&result.seq) => Err("unknown unit"),
+            _ if done.contains_key(&result.seq) => Err("already completed"),
+            None => Err("fenced attempt"),
+            Some(attempt) => Ok(attempt),
         };
-        if result.epoch != self.epoch {
-            reject(&mut self.stats, "stale epoch", &result);
-            return false;
-        }
-        let Some(unit) = units.get_mut(&result.seq) else {
-            reject(&mut self.stats, "unknown unit", &result);
-            return false;
+        let attempt = match attempt {
+            Ok(attempt) => attempt,
+            Err(reason) => {
+                self.reject(&result, reason);
+                return false;
+            }
         };
-        if done.contains_key(&result.seq) {
-            reject(&mut self.stats, "already completed", &result);
-            return false;
-        }
-        let Some(pos) = unit
-            .live
-            .iter()
-            .position(|a| a.task.attempt == result.attempt)
-        else {
-            reject(&mut self.stats, "fenced attempt", &result);
-            return false;
-        };
-        let speculative = unit.live[pos].speculative;
-        let expected_steps = unit.live[pos].task.expected_steps.max(1);
         // Accepted: this attempt wins; every other attempt of the unit is
         // fenced from now on.
-        unit.live.clear();
+        self.hub.retire(result.seq);
         self.rate_samples
-            .push(result.wall_ms as f64 / expected_steps as f64);
-        if speculative {
+            .push(result.wall_ms as f64 / attempt.task.expected_steps.max(1) as f64);
+        if attempt.speculative {
             self.stats.speculative_wins += 1;
             wootz_obs::counter("cluster.speculative_wins").incr();
         }
@@ -716,14 +605,20 @@ impl Coordinator<'_> {
             .or_default() += 1;
         wootz_obs::counter("cluster.tasks_completed").incr();
         wootz_obs::histogram("cluster.task_wall_ms").record(result.wall_ms);
-        done.insert(
-            result.seq,
-            TaskOutcome {
-                result: Some(result),
-                attempts: unit.attempts_launched,
-            },
-        );
+        done.insert(result.seq, Some(result));
         true
+    }
+
+    /// Counts `result` as a fenced zombie, for `reason`.
+    fn reject(&mut self, result: &TaskResult, reason: &str) {
+        self.stats.zombie_results_rejected += 1;
+        wootz_obs::counter("cluster.zombie_results_rejected").incr();
+        wootz_obs::event("cluster.zombie_result_rejected")
+            .field("seq", result.seq as usize)
+            .field("attempt", result.attempt as usize)
+            .field("worker", result.worker.clone())
+            .field("reason", reason)
+            .emit();
     }
 
     /// Hands the blocks of the driver's bag the hub does not have yet to
@@ -800,15 +695,8 @@ impl Coordinator<'_> {
     /// late). Counting them here makes the fencing guarantee observable
     /// even when the zombie outlives the phase that fenced it.
     fn reap_late_results(&mut self) {
-        for (result, _) in self.hub.take_results() {
-            self.stats.zombie_results_rejected += 1;
-            wootz_obs::counter("cluster.zombie_results_rejected").incr();
-            wootz_obs::event("cluster.zombie_result_rejected")
-                .field("seq", result.seq as usize)
-                .field("attempt", result.attempt as usize)
-                .field("worker", result.worker)
-                .field("reason", "run complete")
-                .emit();
+        for Delivery { result, .. } in self.hub.take_results() {
+            self.reject(&result, "run complete");
         }
     }
 }
@@ -860,6 +748,18 @@ impl Executor for Coordinator<'_> {
                 }
             })
             .collect()
+    }
+}
+
+/// `task` at the next attempt number of its unit, counted in `launched`.
+fn next_attempt(launched: &mut BTreeMap<u64, u32>, task: TaskSpec) -> TaskSpec {
+    let attempts = launched
+        .get_mut(&task.seq)
+        .expect("an attempt of a driven unit");
+    *attempts += 1;
+    TaskSpec {
+        attempt: *attempts,
+        ..task
     }
 }
 
@@ -1104,6 +1004,112 @@ mod tests {
             first_error: Some(CoreError::Remote("group boom".to_string())),
         };
         result(group_index, TaskOutput::Pretrain(outcome))
+    }
+
+    /// A speculative duplicate still queued when its original wins goes
+    /// with the win: the next `TaskRequest` is granted the next batch's
+    /// task, not the won unit's duplicate.
+    #[test]
+    fn a_won_units_queued_duplicate_is_never_granted() {
+        use crate::messages::Message;
+        use std::net::TcpStream;
+        use wootz_wire::Limits;
+
+        let mut opts = ClusterOptions::new(std::env::temp_dir(), 0, (PathBuf::new(), Vec::new()));
+        opts.lease_ms = 60_000;
+        opts.speculate_after_ms = Some(0);
+        let manifest = Manifest {
+            epoch: 1,
+            model: wootz_models::resnet_mini(8),
+            solver: wootz_ir::SolverConfig::parse("dataset: \"flowers102\"\n").unwrap(),
+            objective: wootz_ir::Objective::parse("min ModelSize\n").unwrap(),
+            faults: None,
+            retry: RetryPolicy::abort_fast(),
+            lease_ms: opts.lease_ms,
+        };
+        let mut coord = Coordinator {
+            epoch: 1,
+            opts: &opts,
+            pool: WorkerPool {
+                logs: PathBuf::new(),
+                exe: PathBuf::new(),
+                prefix: Vec::new(),
+                orphan_grace_ms: None,
+                env: Vec::new(),
+                slots: Vec::new(),
+            },
+            hub: NetHub::bind("127.0.0.1:0", manifest, Checkpoint::new()).unwrap(),
+            stats: ClusterStats::default(),
+            next_seq: 0,
+            // Calibrated, so a lone grant past 0 ms is a straggler.
+            rate_samples: vec![1.0],
+        };
+        let addr = coord.hub.local_addr().to_string();
+        let eval = |config_index| Task::Eval {
+            config_index,
+            config: PruneConfig::unpruned(4),
+            blocks: None,
+        };
+        std::thread::scope(|scope| {
+            // One scripted worker: it runs the first batch's task slowly
+            // enough to be speculated on, then takes whatever it is
+            // granted until it holds the second batch's task.
+            let worker = scope.spawn(move || {
+                let mut conn = TcpStream::connect(&addr).unwrap();
+                conn.set_read_timeout(Some(Duration::from_secs(30)))
+                    .unwrap();
+                let recv =
+                    |conn: &mut TcpStream| Message::read_from(conn, &Limits::DEFAULT).unwrap().0;
+                let hello = Message::Hello {
+                    worker: "w0".to_string(),
+                    epoch: 0,
+                };
+                hello.write_to(&mut conn).unwrap();
+                assert!(matches!(recv(&mut conn), Message::Welcome { .. }));
+                let mut granted = Vec::new();
+                loop {
+                    let request = Message::TaskRequest {
+                        worker: "w0".to_string(),
+                    };
+                    request.write_to(&mut conn).unwrap();
+                    let Message::TaskGrant { task } = recv(&mut conn) else {
+                        panic!("expected a grant");
+                    };
+                    if granted.is_empty() {
+                        // Hold the result until the drive loop has
+                        // speculated on this lone grant: the duplicate is
+                        // queued. No other test in this binary speculates.
+                        let launched = wootz_obs::counter("cluster.speculative_launched");
+                        let deadline = Instant::now() + Duration::from_secs(30);
+                        while launched.get() == 0 && Instant::now() < deadline {
+                            std::thread::sleep(Duration::from_millis(2));
+                        }
+                    }
+                    granted.push((task.seq, task.attempt));
+                    let result = TaskResult {
+                        seq: task.seq,
+                        attempt: task.attempt,
+                        epoch: task.epoch,
+                        worker: "w0".to_string(),
+                        wall_ms: 1,
+                        output: TaskOutput::failed(&task.task, CoreError::Remote("boom".into()), 1),
+                        index: task.seq as usize - 1,
+                    };
+                    Message::TaskDone { result }.write_to(&mut conn).unwrap();
+                    if task.seq == 2 {
+                        return granted;
+                    }
+                }
+            });
+            let first = coord.task(eval(0), 1);
+            coord.drive(vec![first]).unwrap();
+            assert_eq!(coord.stats.speculative_launched, 1, "no duplicate queued");
+            let second = coord.task(eval(1), 1);
+            coord.drive(vec![second]).unwrap();
+            assert_eq!(worker.join().unwrap(), [(1, 1), (2, 1)]);
+        });
+        assert_eq!(coord.stats.tasks_completed, 2);
+        assert_eq!(coord.stats.zombie_results_rejected, 0);
     }
 
     #[test]

@@ -2,12 +2,15 @@
 //! [`NetClient`], speaking the `wootz-wire` framed protocol of
 //! [`crate::messages`] (specified byte-by-byte in `PROTOCOL.md`).
 //!
-//! # The hub owns the task queue
+//! # The hub owns the attempt table
 //!
-//! The coordinator's queue lives in memory, inside the hub: the drive
-//! loop enqueues, a handler answering a `TaskRequest` claims the lowest
-//! pending `(seq, attempt)`, and a handler receiving a `TaskDone` hands
-//! the result, with its arrival time, to the drive loop. Workers never
+//! The coordinator's queue lives in memory, inside the hub, and is the one
+//! table of live attempts: per `(seq, attempt)` its task, grant time, last
+//! signal and whether it is speculative. The drive loop enqueues; a
+//! handler answering a `TaskRequest` grants the lowest pending entry, a
+//! `Heartbeat` renews the entry it names if it is still there, and a
+//! `TaskDone` marks its entry delivered and hands the result to the drive
+//! loop, which only asks the table what expired or straggles. Workers never
 //! touch shared storage — everything they need (manifest, full
 //! checkpoint, block checkpoints, tasks) arrives in frames, and
 //! everything they produce leaves in frames. What survives a coordinator
@@ -49,7 +52,7 @@
 //! chaos hook `WOOTZ_CHAOS_NET_DROP` (see [`crate::worker`]) exercises
 //! the mid-frame path in tests.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::Write;
 use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -215,20 +218,66 @@ impl Session {
     }
 }
 
+/// One live attempt of a unit of work: the hub's only record of it.
+#[derive(Debug, Clone)]
+pub struct Attempt {
+    /// What the attempt runs.
+    pub task: TaskSpec,
+    /// Launched against a straggler ([`NetHub::speculate`]).
+    pub speculative: bool,
+    stage: Stage,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Stage {
+    Pending,
+    /// `granted` starts the speculation clock; `last_signal`, the grant
+    /// and then every heartbeat, is the lease clock.
+    Granted {
+        granted: Instant,
+        last_signal: Instant,
+    },
+    /// The result arrived and waits for the drive loop.
+    Delivered,
+}
+
+/// A received result for the drive loop. Its attempt was not live if it
+/// was reclaimed, outrun by another attempt of its unit, or of another
+/// epoch.
+#[derive(Debug)]
+pub struct Delivery {
+    /// The worker's result.
+    pub result: TaskResult,
+    /// When its `TaskDone` arrived.
+    pub arrived: Instant,
+    /// The attempt's entry, if it was live.
+    pub attempt: Option<Attempt>,
+}
+
 /// The coordinator's task queue. The drive loop enqueues and takes
-/// results; the connection handlers claim and deliver.
+/// results; the connection handlers claim, renew and deliver.
 #[derive(Default)]
 struct Queue {
-    /// Tasks not granted yet, claimed lowest `(seq, attempt)` first.
-    pending: BTreeMap<(u64, u32), TaskSpec>,
-    /// Granted `(seq, attempt)`s whose result has not arrived.
-    claimed: BTreeSet<(u64, u32)>,
+    /// Every live attempt; the pending ones are granted lowest first.
+    attempts: BTreeMap<(u64, u32), Attempt>,
     /// Every `(epoch, seq, attempt)` a result arrived for: a worker
     /// resending a `TaskDone` it could not confirm is heard once.
     delivered: HashSet<(u64, u64, u32)>,
-    /// Received results with their arrival times, until the drive loop
-    /// takes them (`cluster.reap_latency_us`).
-    results: Vec<(TaskResult, Instant)>,
+    /// Received results, until the drive loop takes them.
+    results: Vec<Delivery>,
+}
+
+impl Queue {
+    /// The live attempts of unit `seq`.
+    fn unit(&self, seq: u64) -> impl Iterator<Item = &Attempt> {
+        self.attempts
+            .range((seq, 0)..=(seq, u32::MAX))
+            .map(|(_, a)| a)
+    }
+
+    fn count(&self, stage: impl Fn(Stage) -> bool) -> usize {
+        self.attempts.values().filter(|a| stage(a.stage)).count()
+    }
 }
 
 /// Shared state of the coordinator's network hub.
@@ -243,9 +292,6 @@ struct HubState {
     /// Handlers → coordinator: a result arrived, or a session closed.
     events: Signal,
     queue: Mutex<Queue>,
-    /// Last signal (grant or heartbeat) per live `(seq, attempt)` — the
-    /// coordinator's in-memory lease bookkeeping source.
-    signals: Mutex<HashMap<(u64, u32), Instant>>,
     /// Spawn times of pool workers that have not asked for work yet
     /// (`cluster.worker_ready_ms`).
     spawned: Mutex<HashMap<String, Instant>>,
@@ -280,31 +326,66 @@ impl HubState {
         lock_recover(&self.sessions).values().cloned().collect()
     }
 
-    fn record_signal(&self, seq: u64, attempt: u32) {
-        lock_recover(&self.signals).insert((seq, attempt), Instant::now());
-    }
-
-    /// Moves the lowest pending `(seq, attempt)` into the claimed set.
+    /// Grants the lowest pending `(seq, attempt)`.
     fn claim(&self) -> Option<TaskSpec> {
         let mut queue = lock_recover(&self.queue);
-        let (key, task) = queue.pending.pop_first()?;
-        queue.claimed.insert(key);
-        Some(task)
+        let attempt = queue
+            .attempts
+            .values_mut()
+            .find(|a| a.stage == Stage::Pending)?;
+        let now = Instant::now();
+        attempt.stage = Stage::Granted {
+            granted: now,
+            last_signal: now,
+        };
+        Some(attempt.task.clone())
+    }
+
+    /// A heartbeat renews `(seq, attempt)` only while the table holds it
+    /// granted: a zombie's heartbeat revives nothing.
+    fn renew(&self, seq: u64, attempt: u32) {
+        let mut queue = lock_recover(&self.queue);
+        if let Some(Stage::Granted { last_signal, .. }) = queue
+            .attempts
+            .get_mut(&(seq, attempt))
+            .map(|a| &mut a.stage)
+        {
+            *last_signal = Instant::now();
+        }
     }
 
     /// Hands a received result to the drive loop, unless a copy of it
-    /// already arrived, and wakes the loop.
-    fn deliver(&self, result: TaskResult, received: Instant) {
+    /// already arrived, and wakes the loop. A live result (this epoch's,
+    /// its attempt still in the table) wins its unit at once: its entry
+    /// waits, delivered, for the drive loop, and every other attempt of
+    /// the unit leaves the table, so a queued duplicate is not granted to
+    /// the `TaskRequest` that follows this `TaskDone`.
+    fn deliver(&self, result: TaskResult, arrived: Instant) {
         let mut queue = lock_recover(&self.queue);
-        queue.claimed.remove(&(result.seq, result.attempt));
-        if queue
+        if !queue
             .delivered
             .insert((result.epoch, result.seq, result.attempt))
         {
-            queue.results.push((result, received));
-            drop(queue);
-            self.events.raise();
+            return;
         }
+        let (seq, n) = (result.seq, result.attempt);
+        let attempt = match queue.attempts.get_mut(&(seq, n)) {
+            Some(attempt) if result.epoch == self.epoch => {
+                attempt.stage = Stage::Delivered;
+                Some(attempt.clone())
+            }
+            _ => None,
+        };
+        if attempt.is_some() {
+            queue.attempts.retain(|&key, _| key.0 != seq || key.1 == n);
+        }
+        queue.results.push(Delivery {
+            result,
+            arrived,
+            attempt,
+        });
+        drop(queue);
+        self.events.raise();
     }
 
     /// Sends `session` the blocks `task` needs that are published and
@@ -381,7 +462,6 @@ impl HubState {
                 return Ok(None);
             }
             if let Some(task) = self.claim() {
-                self.record_signal(task.seq, task.attempt);
                 self.push_blocks(session, sent, &task.task)?;
                 let grant = Message::TaskGrant { task };
                 // Chaos: the task is claimed but the grant frame reaches
@@ -455,7 +535,6 @@ impl NetHub {
             work: Signal::new(),
             events: Signal::new(),
             queue: Mutex::new(Queue::default()),
-            signals: Mutex::new(HashMap::new()),
             spawned: Mutex::new(HashMap::new()),
             known_workers: Mutex::new(HashMap::new()),
             reconnects: AtomicUsize::new(0),
@@ -513,28 +592,91 @@ impl NetHub {
     }
 
     /// Queues `task` for the next `TaskRequest` and wakes the parked
-    /// ones — the one enqueue path of first attempts, lease re-enqueues
-    /// and speculative duplicates.
+    /// ones — first attempts and lease re-enqueues.
     pub fn enqueue(&self, task: TaskSpec) {
+        self.insert(task, false);
+    }
+
+    /// Queues `task` as a speculative duplicate of a straggler.
+    pub fn speculate(&self, task: TaskSpec) {
+        self.insert(task, true);
+    }
+
+    fn insert(&self, task: TaskSpec, speculative: bool) {
+        let key = (task.seq, task.attempt);
+        let stage = Stage::Pending;
+        let attempt = Attempt {
+            task,
+            speculative,
+            stage,
+        };
         lock_recover(&self.state.queue)
-            .pending
-            .insert((task.seq, task.attempt), task);
+            .attempts
+            .insert(key, attempt);
         self.state.work.raise();
     }
 
     /// Number of tasks not granted yet.
     pub fn pending(&self) -> usize {
-        lock_recover(&self.state.queue).pending.len()
+        lock_recover(&self.state.queue).count(|stage| stage == Stage::Pending)
     }
 
     /// Number of granted tasks whose result has not arrived.
     pub fn claimed(&self) -> usize {
-        lock_recover(&self.state.queue).claimed.len()
+        lock_recover(&self.state.queue).count(|stage| matches!(stage, Stage::Granted { .. }))
     }
 
-    /// Takes the results received since the last call, each with the
-    /// time its `TaskDone` arrived, in arrival order.
-    pub fn take_results(&self) -> Vec<(TaskResult, Instant)> {
+    /// Whether the table holds an attempt of unit `seq`.
+    pub fn is_live(&self, seq: u64) -> bool {
+        lock_recover(&self.state.queue).unit(seq).next().is_some()
+    }
+
+    /// Takes out every granted attempt without a signal for longer than
+    /// the lease: each is fenced from now on.
+    pub fn take_expired(&self) -> Vec<Attempt> {
+        let lease_ms = self.state.manifest.lease_ms;
+        let now = Instant::now();
+        let expired = |a: &mut Attempt| match a.stage {
+            Stage::Granted { last_signal, .. } => {
+                now.saturating_duration_since(last_signal).as_millis() as u64 > lease_ms
+            }
+            Stage::Pending | Stage::Delivered => false,
+        };
+        lock_recover(&self.state.queue)
+            .attempts
+            .extract_if(.., |_, a| expired(a))
+            .map(|(_, attempt)| attempt)
+            .collect()
+    }
+
+    /// The straggler to speculate on: of the units whose one live
+    /// attempt is granted, the lowest `seq` for which `past_deadline`
+    /// holds, given the task and how long ago it was granted.
+    pub fn straggler(
+        &self,
+        past_deadline: impl Fn(&TaskSpec, Duration) -> bool,
+    ) -> Option<TaskSpec> {
+        let now = Instant::now();
+        let queue = lock_recover(&self.state.queue);
+        queue.attempts.values().find_map(|attempt| {
+            let Stage::Granted { granted, .. } = attempt.stage else {
+                return None;
+            };
+            let lone = queue.unit(attempt.task.seq).count() == 1;
+            let running = now.saturating_duration_since(granted);
+            (lone && past_deadline(&attempt.task, running)).then(|| attempt.task.clone())
+        })
+    }
+
+    /// Takes every attempt of unit `seq` out of the table.
+    pub fn retire(&self, seq: u64) {
+        lock_recover(&self.state.queue)
+            .attempts
+            .retain(|&(unit, _), _| unit != seq);
+    }
+
+    /// Takes the results received since the last call, in arrival order.
+    pub fn take_results(&self) -> Vec<Delivery> {
         std::mem::take(&mut lock_recover(&self.state.queue).results)
     }
 
@@ -559,12 +701,6 @@ impl NetHub {
     /// `TaskRequest` records `cluster.worker_ready_ms`.
     pub fn note_spawned(&self, worker: &str) {
         lock_recover(&self.state.spawned).insert(worker.to_string(), Instant::now());
-    }
-
-    /// Drains and clears the heartbeat/grant signal map: the
-    /// coordinator's per-tick refresh of its in-memory lease bookkeeping.
-    pub fn take_signals(&self) -> HashMap<(u64, u32), Instant> {
-        std::mem::take(&mut *lock_recover(&self.state.signals))
     }
 
     /// Worker sessions re-opened after a previous Hello (or claiming a
@@ -767,7 +903,7 @@ fn handle_connection(state: Arc<HubState>, id: u64, stream: TcpStream) {
                 nonce,
                 ..
             } => {
-                state.record_signal(seq, attempt);
+                state.renew(seq, attempt);
                 Some(Message::HeartbeatAck { nonce })
             }
             Message::TaskDone { result } => {
@@ -988,8 +1124,11 @@ mod tests {
     }
 
     /// `(seq, attempt)` of each result.
-    fn ids(results: &[(TaskResult, Instant)]) -> Vec<(u64, u32)> {
-        results.iter().map(|(r, _)| (r.seq, r.attempt)).collect()
+    fn ids(results: &[Delivery]) -> Vec<(u64, u32)> {
+        results
+            .iter()
+            .map(|d| (d.result.seq, d.result.attempt))
+            .collect()
     }
 
     #[test]
@@ -1010,10 +1149,76 @@ mod tests {
         assert_eq!(hub.claimed(), 1);
         let results = hub.take_results();
         assert_eq!(ids(&results), [(1, 1)]);
-        assert_eq!(results[0].1, arrived);
+        assert_eq!(results[0].arrived, arrived);
+        assert!(results[0].attempt.is_some(), "a live attempt was fenced");
         // A resent copy of a delivered result is dropped.
         hub.state.deliver(result(&first), Instant::now());
         assert!(hub.take_results().is_empty());
+        // A result of another epoch leaves the live attempt of the same
+        // `(seq, attempt)` in the table, and arrives fenced.
+        hub.state.deliver(
+            TaskResult {
+                epoch: 9,
+                ..result(&second)
+            },
+            Instant::now(),
+        );
+        assert_eq!(hub.claimed(), 1);
+        assert!(hub.take_results()[0].attempt.is_none());
+    }
+
+    /// The `(seq, attempt)`s the table holds.
+    fn table(hub: &NetHub) -> Vec<(u64, u32)> {
+        let queue = lock_recover(&hub.state.queue);
+        queue.attempts.keys().copied().collect()
+    }
+
+    #[test]
+    fn a_heartbeat_renews_only_a_granted_attempt_in_the_table() {
+        let hub = idle_hub();
+        // A heartbeat for an attempt the table does not hold creates no
+        // entry.
+        hub.state.renew(7, 1);
+        assert!(table(&hub).is_empty());
+        // Nor does it grant a pending one.
+        hub.enqueue(spec(1, 1));
+        hub.state.renew(1, 1);
+        assert_eq!((hub.pending(), hub.claimed()), (1, 0));
+        // An attempt whose result is in stays delivered, and once its unit
+        // is retired its heartbeat brings nothing back.
+        let task = hub.state.claim().unwrap();
+        hub.state.deliver(result(&task), Instant::now());
+        hub.state.renew(1, 1);
+        assert_eq!((hub.pending(), hub.claimed()), (0, 0));
+        assert_eq!(table(&hub), [(1, 1)]);
+        hub.retire(1);
+        hub.state.renew(1, 1);
+        assert!(table(&hub).is_empty());
+    }
+
+    #[test]
+    fn a_live_delivery_takes_its_unit_out_of_the_queue() {
+        let hub = idle_hub();
+        hub.enqueue(spec(1, 1));
+        let original = hub.state.claim().unwrap();
+        hub.speculate(spec(1, 2));
+        hub.enqueue(spec(2, 1));
+        hub.state.deliver(result(&original), Instant::now());
+        // The won unit's queued duplicate is gone before the drive loop
+        // looks: the next claim is the next unit's task.
+        let next = hub.state.claim().unwrap();
+        assert_eq!((next.seq, next.attempt), (2, 1));
+        // The winner waits, delivered, for the drive loop; the unit is
+        // still live, so a lease expiring meanwhile cannot abandon it.
+        assert_eq!(table(&hub), [(1, 1), (2, 1)]);
+        assert!(hub.is_live(1));
+        let won = hub.take_results().pop().unwrap();
+        assert!(!won.attempt.unwrap().speculative);
+        hub.retire(1);
+        assert!(!hub.is_live(1));
+        // The duplicate's result, had it been granted, arrives fenced.
+        hub.state.deliver(result(&spec(1, 2)), Instant::now());
+        assert!(hub.take_results()[0].attempt.is_none());
     }
 
     #[test]

@@ -448,3 +448,59 @@ fn bad_inputs_fail_with_messages() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--connect"));
 }
+
+/// Every numeric flag refuses a value that is not a number, by name and
+/// before any work starts.
+#[test]
+fn non_numeric_flag_values_are_refused_by_name() {
+    let dir = tempdir("cli_numeric");
+    let model = write_model(&dir);
+    let configs = dir.join("configs.json");
+    std::fs::write(&configs, "[[30,30,30,30]]").unwrap();
+    let (model, configs) = (model.to_str().unwrap(), configs.to_str().unwrap());
+    let prune = [
+        "prune",
+        "--model",
+        model,
+        "--configs",
+        configs,
+        "--solver",
+        "solver.prototxt",
+        "--objective",
+        "objective.txt",
+    ];
+    let sample = ["sample", "--modules", "4", "--count", "2"];
+    let rows: [(&[&str], &str); 13] = [
+        (&["sample"], "--modules"),
+        (&sample[..3], "--count"),
+        (&sample, "--seed"),
+        (&sample, "--segments"),
+        (&["genmodel"], "--classes"),
+        (&prune, "--retry-attempts"),
+        (&prune, "--distributed"),
+        (&prune, "--lease-ms"),
+        (&prune, "--orphan-grace-ms"),
+        (&prune, "--store-budget"),
+        (&prune, "--explorer-budget"),
+        (&["serve", "--store", "store"], "--store-budget"),
+        (
+            &["worker", "--connect", "127.0.0.1:9", "--worker-id", "w"],
+            "--orphan-grace-ms",
+        ),
+    ];
+    for (command, flag) in rows {
+        let out = wootz()
+            .current_dir(&dir)
+            .args(command)
+            .args([flag, "x1"])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{command:?} {flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("bad {flag}: ")),
+            "{command:?} {flag}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -926,7 +926,7 @@ fn a_task_done_delivered_twice_is_folded_once() {
     let delivered: Vec<(u64, u32, u64)> = hub
         .take_results()
         .into_iter()
-        .map(|(r, _)| (r.seq, r.attempt, r.epoch))
+        .map(|d| (d.result.seq, d.result.attempt, d.result.epoch))
         .collect();
     assert_eq!(delivered, [(1, 1, 1)], "folded once");
     assert_eq!(hub.claimed(), 0);
