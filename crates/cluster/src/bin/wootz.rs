@@ -300,7 +300,7 @@ fn cmd_compile(mut args: Vec<String>) -> CliResult {
         model.conv_module_ids().len(),
         model.prunable_convs().len()
     );
-    let stats = model_stats(&model);
+    let stats = model_stats(&model, &Default::default());
     if summary {
         println!("\n{}", stats.render());
     } else {

@@ -21,7 +21,7 @@ use wootz_ir::{LayerKind, ModelIr, PoolMethod};
 use wootz_nn::{Graph, GraphBuilder, NodeId, VarStore};
 
 use crate::analysis::block_interface;
-use crate::prune::{kept_count, PruneConfig};
+use crate::prune::{pruned_widths, PruneConfig};
 use crate::{CoreError, Result};
 
 /// A tuning block: a sequence of *consecutive* convolution modules, each
@@ -120,8 +120,9 @@ pub enum ModeToUse<'a> {
     PreTrain(&'a [TuningBlock]),
 }
 
-/// Connection points of one pruned block inside a pre-training graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Connection points of one pruned block inside a pre-training graph,
+/// with the derivation its student was built from.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockPorts {
     /// Index into the block list passed to the builder.
     pub block_index: usize,
@@ -130,6 +131,11 @@ pub struct BlockPorts {
     /// The unpruned counterpart's output node (teacher side) — the
     /// "ground truth" activation map.
     pub teacher_output: NodeId,
+    /// The block's conv widths ([`pruned_widths`] of its parts).
+    pub widths: BTreeMap<String, usize>,
+    /// The block's layers, in definition order
+    /// ([`crate::analysis::BlockInterface::layers`]).
+    pub layers: Vec<String>,
 }
 
 /// A materialized network.
@@ -146,6 +152,10 @@ pub struct BuiltModel {
     pub logits: Option<NodeId>,
     /// Per-block ports (pre-training mode only).
     pub block_ports: Vec<BlockPorts>,
+    /// The conv widths the `net/` network was built with
+    /// ([`pruned_widths`] of the fine-tuning configuration; empty for the
+    /// original network and in pre-training mode).
+    pub widths: BTreeMap<String, usize>,
 }
 
 /// The multiplexing model: a compiled form of one Prototxt model that can
@@ -186,27 +196,21 @@ impl MultiplexingModel {
     /// or graph-construction failures.
     pub fn build(&self, mode: &ModeToUse<'_>, seed: u64) -> Result<BuiltModel> {
         match mode {
-            ModeToUse::Original => self.build_single("net", &BTreeMap::new(), seed),
+            ModeToUse::Original => self.build_single(BTreeMap::new(), seed),
             ModeToUse::FineTune(config) => {
-                let widths = crate::prune::pruned_widths(&self.ir, config)?;
-                self.build_single("net", &widths, seed)
+                self.build_single(pruned_widths(&self.ir, config.parts(&self.ir)?)?, seed)
             }
             ModeToUse::PreTrain(blocks) => self.build_pretrain(blocks, seed),
         }
     }
 
-    fn build_single(
-        &self,
-        scope: &str,
-        widths: &BTreeMap<String, usize>,
-        seed: u64,
-    ) -> Result<BuiltModel> {
+    fn build_single(&self, widths: BTreeMap<String, usize>, seed: u64) -> Result<BuiltModel> {
         let mut b = GraphBuilder::new(seed);
         let input = self.ir.input();
         let input_node = b.input(&input.name, (input.channels, input.height, input.width));
         let mut blobs: BTreeMap<&str, NodeId> = BTreeMap::new();
         blobs.insert(input.name.as_str(), input_node);
-        let logits = emit_layers(&mut b, &self.ir, scope, widths, &mut blobs, None)?;
+        let logits = emit_layers(&mut b, &self.ir, "net", &widths, &mut blobs, None)?;
         let (graph, vars) = b.finish();
         Ok(BuiltModel {
             graph,
@@ -214,6 +218,7 @@ impl MultiplexingModel {
             input_name: input.name.clone(),
             logits: Some(logits),
             block_ports: Vec::new(),
+            widths,
         })
     }
 
@@ -246,28 +251,13 @@ impl MultiplexingModel {
         let module_ids = self.ir.conv_module_ids();
         let mut block_ports = Vec::with_capacity(blocks.len());
         for (bi, block) in blocks.iter().enumerate() {
-            // Translate module positions to module IDs and collect widths.
-            let mut widths = BTreeMap::new();
-            let mut ids = Vec::new();
-            for &(pos, rate) in &block.parts {
-                let Some(&module) = module_ids.get(pos) else {
-                    return Err(CoreError::Block(format!(
-                        "block {} references module position {pos}, model has {}",
-                        block.key(),
-                        module_ids.len()
-                    )));
-                };
-                ids.push(module);
-                if rate > 0 {
-                    for name in self.ir.prunable_convs_of_module(module) {
-                        if let Some(layer) = self.ir.layer(name) {
-                            if let LayerKind::Convolution { num_output, .. } = layer.kind {
-                                widths.insert(name.to_string(), kept_count(num_output, rate));
-                            }
-                        }
-                    }
-                }
-            }
+            let widths = pruned_widths(&self.ir, block.parts.iter().copied())?;
+            // `pruned_widths` refused positions outside the model.
+            let ids: Vec<usize> = block
+                .parts
+                .iter()
+                .map(|&(pos, _)| module_ids[pos])
+                .collect();
             let iface = block_interface(&self.ir, &ids)?;
             let scope = block.scope();
             let teacher_in = *teacher_blobs
@@ -303,6 +293,8 @@ impl MultiplexingModel {
                 block_index: bi,
                 student_output,
                 teacher_output,
+                widths,
+                layers: iface.layers,
             });
         }
         let (graph, mut vars) = b.finish();
@@ -315,6 +307,7 @@ impl MultiplexingModel {
             input_name: input.name.clone(),
             logits: None,
             block_ports,
+            widths: BTreeMap::new(),
         })
     }
 }
@@ -479,19 +472,59 @@ mod tests {
 
     #[test]
     fn analytic_and_materialized_sizes_agree() {
-        // param_count (analytic) must equal the materialized var count.
-        let m = mm();
-        let n = m.ir().conv_module_ids().len();
-        for config in [
-            PruneConfig::unpruned(n),
-            PruneConfig::uniform(n, 50).unwrap(),
-        ] {
+        // ModelSize (analytic) must equal the learnable scalars the
+        // compiler materializes; batch-norm running statistics are state,
+        // not parameters.
+        let learnable = |built: &BuiltModel| -> usize {
+            built
+                .vars
+                .iter()
+                .filter(|(name, p)| name.starts_with("net/") && p.trainable)
+                .map(|(_, p)| p.value.len())
+                .sum()
+        };
+        // The classifier reads a max-pooled 4x4x4 map, not a global pool:
+        // it flattens 64 features.
+        let pooled = ModelIr::parse(
+            r#"
+name: "pooled"
+input: "data"
+input_dim: 1 input_dim: 3 input_dim: 8 input_dim: 8
+layer { name: "a" type: "Convolution" bottom: "data" top: "a" module: 0
+  convolution_param { num_output: 8 kernel_size: 3 pad: 1 } }
+layer { name: "a_relu" type: "ReLU" bottom: "a" top: "a_relu" module: 0 }
+layer { name: "b" type: "Convolution" bottom: "a_relu" top: "b" module: 0
+  convolution_param { num_output: 4 kernel_size: 3 pad: 1 } }
+layer { name: "pool" type: "Pooling" bottom: "b" top: "pool"
+  pooling_param { pool: MAX kernel_size: 2 stride: 2 } }
+layer { name: "fc" type: "InnerProduct" bottom: "pool" top: "fc"
+  inner_product_param { num_output: 5 } }
+"#,
+        )
+        .unwrap();
+        let pooled = MultiplexingModel::compile(pooled).unwrap();
+        let inception = MultiplexingModel::compile(inception_mini(10)).unwrap();
+        let mixed: Vec<u8> = (0..inception.ir().conv_module_ids().len())
+            .map(|i| [0, 30, 50, 70][i % 4])
+            .collect();
+        let n = mm().ir().conv_module_ids().len();
+        let cases = [
+            (mm(), PruneConfig::unpruned(n)),
+            (mm(), PruneConfig::uniform(n, 50).unwrap()),
+            (pooled.clone(), PruneConfig::unpruned(1)),
+            (pooled, PruneConfig::new(vec![50]).unwrap()),
+            (inception, PruneConfig::new(mixed).unwrap()),
+        ];
+        for (m, config) in cases {
             let built = m.build(&ModeToUse::FineTune(&config), 0).unwrap();
-            // Materialized count includes BN running stats; resnet_mini has
-            // no BN so the counts are directly comparable.
-            let materialized = built.vars.num_scalars_with_prefix("net/");
             let analytic = crate::prune::config_param_count(m.ir(), &config).unwrap();
-            assert_eq!(materialized, analytic, "config {:?}", config.rates());
+            assert_eq!(
+                learnable(&built),
+                analytic,
+                "{} at {:?}",
+                m.ir().name(),
+                config.rates()
+            );
         }
     }
 

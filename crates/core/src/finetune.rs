@@ -17,7 +17,7 @@ use wootz_tensor::Tensor;
 
 use crate::analysis::{channel_origins, conv_widths, kept_input_indices};
 use crate::compile::{BuiltModel, ModeToUse, MultiplexingModel, TuningBlock};
-use crate::prune::{kept_filter_indices, pruned_widths, PruneConfig};
+use crate::prune::{kept_filter_indices, PruneConfig};
 use crate::{CoreError, Result};
 
 /// Initializes the parameters of a pruned network (or a pruned block) under
@@ -185,8 +185,8 @@ pub fn assemble_supervised(
     config_index: u64,
 ) -> Result<(BuiltModel, usize)> {
     let mut built = mm.build(&ModeToUse::FineTune(config), seed)?;
-    let widths = pruned_widths(mm.ir(), config)?;
-    init_from_full(mm.ir(), full, "net", &mut built.vars, "net", &widths, None)?;
+    let BuiltModel { vars, widths, .. } = &mut built;
+    init_from_full(mm.ir(), full, "net", vars, "net", widths, None)?;
     let mut fallbacks = 0usize;
     if let InitStrategy::BlockTrained(blocks) = init {
         for (pos, (block, ckpt)) in blocks.iter().enumerate() {

@@ -3,7 +3,7 @@
 //!
 //! A journal is a sequence of `wootz-wire` records (`PROTOCOL.md` §8):
 //! the first is always a [`JournalHeader`] record pinning the run's
-//! identity (subspace hash, objective, seed, mode); every later record
+//! identity (subspace, model and solver, objective, seed, mode); every later record
 //! is a [`JournalEntry`] for a completed unit of work — the trained full
 //! model, one pre-trained tuning block, or one configuration evaluation.
 //! Every record carries the envelope CRC, so each entry verifies
@@ -39,6 +39,7 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 use wootz_fault::chaos::{self, kill_site};
 use wootz_fault::{fnv1a64, pid_alive};
+use wootz_ir::{ModelIr, SolverConfig};
 use wootz_nn::Checkpoint;
 use wootz_wire::{
     is_record_artifact, record_type, scan_records, write_frame, Frame, Limits, RecordDamage,
@@ -55,7 +56,7 @@ use crate::{CoreError, Result};
 /// Current journal format version, pinned in the header record. The
 /// record envelope carries its own version (`PROTOCOL.md` §8); this one
 /// changes only when the journal's entry payloads do.
-pub const JOURNAL_VERSION: u32 = 1;
+pub const JOURNAL_VERSION: u32 = 2;
 
 /// The identity of a run. A journal may only resume a run whose header
 /// matches field-for-field; anything else means the journal belongs to a
@@ -67,6 +68,8 @@ pub struct JournalHeader {
     /// FNV-1a hash over the promising subspace's rates (see
     /// [`subspace_hash`]).
     pub subspace_hash: u64,
+    /// FNV-1a hash over the model and the solver (see [`inputs_hash`]).
+    pub inputs_hash: u64,
     /// The pruning objective, serialized as canonical JSON.
     pub objective: String,
     /// The solver seed.
@@ -108,6 +111,21 @@ pub fn subspace_hash(subspace: &[PruneConfig]) -> u64 {
         bytes.extend_from_slice(config.rates());
         bytes.push(0xff);
     }
+    fnv1a64(&bytes)
+}
+
+/// Deterministic identity hash of what a run trains with: FNV-1a over the
+/// model's prototxt and the solver's canonical JSON with `num_workers`
+/// zeroed (it only sets how many configurations a round proposes). A
+/// journal recorded under another model, step count, learning rate or
+/// dataset hashes differently, so its records never mix into this run.
+pub fn inputs_hash(model: &ModelIr, solver: &SolverConfig) -> u64 {
+    let solver = SolverConfig {
+        num_workers: 0,
+        ..solver.clone()
+    };
+    let mut bytes = model.to_prototxt().into_bytes();
+    bytes.extend(serde_json::to_vec(&solver).expect("a solver serializes"));
     fnv1a64(&bytes)
 }
 
@@ -414,6 +432,15 @@ fn check_header(path: &Path, found: &JournalHeader, expect: &JournalHeader) -> R
             ),
         ));
     }
+    if found.inputs_hash != expect.inputs_hash {
+        return Err(journal_err(
+            path,
+            format!(
+                "model or solver mismatch: journal was recorded for model and solver {:#018x}, this run trains with {:#018x}",
+                found.inputs_hash, expect.inputs_hash
+            ),
+        ));
+    }
     if found.objective != expect.objective {
         return Err(journal_err(
             path,
@@ -466,6 +493,7 @@ fn encode_entry_record(path: &Path, entry: &JournalEntry) -> Result<Vec<u8>> {
             let mut p = Vec::new();
             h.version.wire_write(&mut p).map_err(encode_err)?;
             h.subspace_hash.wire_write(&mut p).map_err(encode_err)?;
+            h.inputs_hash.wire_write(&mut p).map_err(encode_err)?;
             h.seed.wire_write(&mut p).map_err(encode_err)?;
             h.objective.wire_write(&mut p).map_err(encode_err)?;
             h.mode.wire_write(&mut p).map_err(encode_err)?;
@@ -519,13 +547,24 @@ fn decode_entry_record(frame: &Frame) -> std::result::Result<JournalEntry, Strin
     }
     let mut r = WireReader::new(&payload[..], payload.len() as u64, Limits::ARTIFACT);
     let entry = match frame.msg_type {
-        record_type::JOURNAL_HEADER => JournalEntry::Header(JournalHeader {
-            version: r.u32("journal version").map_err(|e| e.to_string())?,
-            subspace_hash: r.u64("subspace hash").map_err(|e| e.to_string())?,
-            seed: r.u64("seed").map_err(|e| e.to_string())?,
-            objective: r.string("objective").map_err(|e| e.to_string())?,
-            mode: r.string("mode").map_err(|e| e.to_string())?,
-        }),
+        record_type::JOURNAL_HEADER => {
+            let version = r.u32("journal version").map_err(|e| e.to_string())?;
+            let subspace_hash = r.u64("subspace hash").map_err(|e| e.to_string())?;
+            // A version-1 header has no inputs hash; it still decodes, so
+            // `check_header` refuses it by version instead of as damage.
+            let inputs_hash = match version {
+                1 => 0,
+                _ => r.u64("inputs hash").map_err(|e| e.to_string())?,
+            };
+            JournalEntry::Header(JournalHeader {
+                version,
+                subspace_hash,
+                inputs_hash,
+                seed: r.u64("seed").map_err(|e| e.to_string())?,
+                objective: r.string("objective").map_err(|e| e.to_string())?,
+                mode: r.string("mode").map_err(|e| e.to_string())?,
+            })
+        }
         record_type::JOURNAL_FULL_MODEL => JournalEntry::FullModel {
             accuracy: r.f64("accuracy").map_err(|e| e.to_string())?,
             checkpoint: Checkpoint::wire_decode(&mut r).map_err(|e| e.to_string())?,
@@ -665,6 +704,7 @@ mod tests {
         JournalHeader {
             version: JOURNAL_VERSION,
             subspace_hash: 0xabcd,
+            inputs_hash: 0x5eed,
             objective: "{\"o\":1}".to_string(),
             seed: 7,
             mode: "Composability".to_string(),
@@ -923,6 +963,10 @@ mod tests {
         let err = Journal::resume(&path, &other).unwrap_err().to_string();
         assert!(err.contains("subspace mismatch"), "{err}");
         let mut other = header();
+        other.inputs_hash = 0x5eee;
+        let err = Journal::resume(&path, &other).unwrap_err().to_string();
+        assert!(err.contains("solver mismatch"), "{err}");
+        let mut other = header();
         other.seed = 8;
         let err = Journal::resume(&path, &other).unwrap_err().to_string();
         assert!(err.contains("seed mismatch"), "{err}");
@@ -930,6 +974,19 @@ mod tests {
         other.mode = "Baseline".to_string();
         let err = Journal::resume(&path, &other).unwrap_err().to_string();
         assert!(err.contains("mode mismatch"), "{err}");
+        // A version-1 header (no inputs hash) is refused by its version.
+        let h = header();
+        let mut v1 = Vec::new();
+        1u32.wire_write(&mut v1).unwrap();
+        h.subspace_hash.wire_write(&mut v1).unwrap();
+        h.seed.wire_write(&mut v1).unwrap();
+        h.objective.wire_write(&mut v1).unwrap();
+        h.mode.wire_write(&mut v1).unwrap();
+        let mut record = Vec::new();
+        write_frame(&mut record, record_type::JOURNAL_HEADER, &v1).unwrap();
+        std::fs::write(&path, record).unwrap();
+        let err = Journal::resume(&path, &h).unwrap_err().to_string();
+        assert!(err.contains("version mismatch: journal has 1"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -29,12 +29,13 @@ use crate::explorer::{
 };
 use crate::finetune::{assemble_supervised, global_finetune, InitStrategy};
 use crate::journal::{
-    subspace_hash, Journal, JournalEntry, JournalHeader, Replay, JOURNAL_VERSION,
+    inputs_hash, subspace_hash, Journal, JournalEntry, JournalHeader, Replay, JOURNAL_VERSION,
 };
 use crate::pretrain::{
     pretrain_group_supervised, pretrain_groups_with, GroupOutcome, PretrainConfig, PretrainedBlock,
 };
-use crate::prune::{config_param_count, filter_importance, PruneConfig, PAPER_RATES};
+use crate::prune::{filter_importance, PruneConfig, PAPER_RATES};
+use crate::stats::{config_stats, ModelStats};
 use crate::{CoreError, Result};
 
 /// Which pruning scheme a run uses.
@@ -457,6 +458,7 @@ pub fn journal_header(inputs: &WootzInputs, mode: RunMode) -> Result<JournalHead
     Ok(JournalHeader {
         version: JOURNAL_VERSION,
         subspace_hash: subspace_hash(&inputs.subspace),
+        inputs_hash: inputs_hash(&inputs.model, &inputs.solver),
         objective: serde_json::to_string(&inputs.objective)
             .map_err(|e| CoreError::Journal(format!("cannot serialize objective: {e}")))?,
         seed: inputs.solver.seed,
@@ -507,17 +509,15 @@ fn blocks_of(universe: &[PruneConfig], mode: RunMode) -> Result<Option<BlockSet>
 ///
 /// Propagates configuration/shape errors from the analytic counters.
 pub fn subspace_stats(inputs: &WootzInputs) -> Result<(Vec<usize>, Vec<u64>)> {
-    let sizes: Vec<usize> = inputs
+    let stats: Vec<ModelStats> = inputs
         .subspace
         .iter()
-        .map(|c| config_param_count(&inputs.model, c))
+        .map(|config| config_stats(&inputs.model, config))
         .collect::<Result<_>>()?;
-    let flops: Vec<u64> = inputs
-        .subspace
+    Ok(stats
         .iter()
-        .map(|c| crate::stats::config_flop_count(&inputs.model, c))
-        .collect::<Result<_>>()?;
-    Ok((sizes, flops))
+        .map(|s| (s.total_params, s.total_flops))
+        .unzip())
 }
 
 /// Maps an exploration result back onto the best network summary.
@@ -1019,11 +1019,9 @@ pub fn execute(task: &Task, cx: &TaskContext<'_>) -> TaskOutput {
             let _span = wootz_obs::span("explore.config").with("config", *config_index);
             let model = &cx.inputs.model;
             let evaluate = |i: usize| {
-                let stats = (
-                    config_param_count(model, config)?,
-                    crate::stats::config_flop_count(model, config)?,
-                );
-                cx.evaluate(i, config, blocks.as_deref(), stats)
+                let stats = config_stats(model, config)?;
+                let sizes = (stats.total_params, stats.total_flops);
+                cx.evaluate(i, config, blocks.as_deref(), sizes)
             };
             TaskOutput::Eval(supervise_eval(
                 &evaluate,
@@ -1630,6 +1628,37 @@ mod tests {
         assert!(run.pretrain_steps > 0);
     }
 
+    /// A pre-training group whose reconstruction loss blows up (a huge
+    /// `pretrain_lr`) publishes nothing: no block reaches the journal or
+    /// the store, every block is reported failed and assembles from
+    /// inherited weights, and the run still completes.
+    #[test]
+    fn diverged_pretraining_journals_and_stores_no_block() {
+        let ds = micro_dataset("flowers102", 3);
+        let dir = std::env::temp_dir().join(format!("wootz_pipe_diverged_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = wootz_store::BlockStore::open(dir.join("store"), None).unwrap();
+        let mut inputs = tiny_inputs(3);
+        inputs.solver.pretrain_lr = 1e30;
+        let journal = dir.join("run.journal");
+        let opts = RunOptions {
+            store: Some(&store),
+            journal: Some(journal.clone()),
+            ..RunOptions::default()
+        };
+        let run = run_wootz_with(&inputs, &ds, RunMode::Composability, None, &opts).unwrap();
+        // Every block of the set failed, and no step was charged for one.
+        assert!(run.blocks_pretrained > 0);
+        assert_eq!(run.blocks_failed, Some(run.blocks_pretrained), "{run:?}");
+        assert_eq!(run.pretrain_steps, 0);
+        assert_eq!(run.exploration.failed, 0, "{run:?}");
+        assert!(run.best.is_some());
+        assert_eq!(store.stats().inserts, 0);
+        let (_, replay) = crate::journal::read_journal(&journal).unwrap();
+        assert!(replay.blocks.is_empty(), "{:?}", replay.blocks.keys());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// The issue's acceptance scenario: one evaluator panic, one group
     /// error and one corrupt block checkpoint injected into a single run.
     /// The run must complete (retrying/degrading only the affected work),
@@ -2159,6 +2188,47 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("proposal records"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A journal pins the model and the solver it was recorded under: a
+    /// resume after editing `max_iter` is refused, naming the solver,
+    /// while `num_workers` (only a round's width) is not part of the
+    /// identity.
+    #[test]
+    fn resuming_under_another_solver_is_refused() {
+        let inputs = tiny_inputs(2);
+        let ds = micro_dataset("flowers102", 3);
+        let dir = std::env::temp_dir().join(format!("wootz_pipe_solver_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let opts = RunOptions {
+            journal: Some(dir.join("run.journal")),
+            ..RunOptions::default()
+        };
+        run_wootz_with(&inputs, &ds, RunMode::Baseline, None, &opts).unwrap();
+        let resume = RunOptions {
+            resume: true,
+            ..opts
+        };
+        let mut edited = inputs.clone();
+        edited.solver.max_iter += 1;
+        let err = run_wootz_with(&edited, &ds, RunMode::Baseline, None, &resume)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("solver mismatch"), "{err}");
+        let mut wider = inputs.clone();
+        wider.solver.num_workers += 3;
+        assert_eq!(
+            journal_header(&wider, RunMode::Baseline).unwrap(),
+            journal_header(&inputs, RunMode::Baseline).unwrap()
+        );
+        let mut remodeled = inputs.clone();
+        remodeled.model = resnet_mini(9);
+        assert_ne!(
+            journal_header(&remodeled, RunMode::Baseline).unwrap(),
+            journal_header(&inputs, RunMode::Baseline).unwrap()
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -14,7 +14,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use serde::{Deserialize, Serialize};
 use wootz_fault::{panic_message, site, FaultError, FaultPlan};
-use wootz_nn::{Checkpoint, CompiledNet, Mode, NodeId};
+use wootz_nn::{Checkpoint, CompiledNet, Mode, NnError, NodeId};
 use wootz_tensor::ops::{mse_loss, mse_loss_backward_into};
 use wootz_tensor::sgd::SgdConfig;
 use wootz_tensor::Tensor;
@@ -24,7 +24,6 @@ use crate::blocks::partition_into_groups;
 use crate::compile::{BuiltModel, ModeToUse, MultiplexingModel, TuningBlock};
 use crate::error::CoreError;
 use crate::finetune::init_from_full;
-use crate::prune::kept_count;
 use crate::Result;
 
 /// Hyper-parameters of tuning-block pre-training, mirroring the paper's
@@ -137,7 +136,9 @@ pub struct GroupOutcome {
     pub blocks: Vec<PretrainedBlock>,
     /// Blocks that could not be trained, as `(key, rendered error)`.
     pub failed: Vec<(String, String)>,
-    /// The group-level error, when the joint group run failed.
+    /// The group-level error, when the joint group run failed for a
+    /// reason other than divergence (the batch aborts with it when no
+    /// block trained at all).
     pub first_error: Option<CoreError>,
 }
 
@@ -291,10 +292,14 @@ pub fn pretrain_group_supervised(
                 .field("blocks", group.len())
                 .field("error", err.to_string())
                 .emit();
+            // A diverged group is a numerical outcome of the solver, not a
+            // fault: its blocks assemble from inherited weights even when
+            // no block of the batch trains, so it never aborts the run.
+            let diverged = matches!(err, CoreError::Nn(NnError::Diverged { .. }));
             let mut out = GroupOutcome {
                 blocks: Vec::new(),
                 failed: Vec::new(),
-                first_error: Some(err),
+                first_error: (!diverged).then_some(err),
             };
             for (bi, block) in blocks {
                 let key = block.key();
@@ -396,6 +401,13 @@ fn pretrain_one_group(
             let student = net.activation(ports.student_output)?;
             let teacher = net.activation(ports.teacher_output)?;
             let loss = mse_loss(student, teacher);
+            // A non-finite reconstruction loss means the group diverged
+            // (an exploding `pretrain_lr`): fail it before the gradients
+            // reach the weights, so the supervisor falls back per block
+            // and nothing non-finite is journaled, stored or served.
+            if !loss.is_finite() {
+                return Err(diverged(step, loss, None));
+            }
             first_losses[bi].get_or_insert(loss);
             last_losses[bi] = loss;
             mse_loss_backward_into(student, teacher, &mut seed_bufs[bi]);
@@ -416,6 +428,16 @@ fn pretrain_one_group(
         let _block_span = wootz_obs::span("pretrain.block")
             .with("key", key.clone())
             .with("group", group_index);
+        let prefix = format!("{}/", block_scopes[bi]);
+        let checkpoint = Checkpoint::capture(&built.vars, &prefix);
+        // The last update itself can overflow a finite loss's weights.
+        if let Some((name, _)) = checkpoint
+            .iter()
+            .find(|(_, t)| t.data().iter().any(|v| !v.is_finite()))
+        {
+            let last = cfg.steps.saturating_sub(1);
+            return Err(diverged(last, last_losses[bi], Some(name.to_string())));
+        }
         let first_loss = first_losses[bi].unwrap_or(f32::NAN);
         wootz_obs::event("pretrain.block_done")
             .field("key", key.clone())
@@ -423,10 +445,9 @@ fn pretrain_one_group(
             .field("first_loss", f64::from(first_loss))
             .field("last_loss", f64::from(last_losses[bi]))
             .emit();
-        let prefix = format!("{}/", block_scopes[bi]);
         trained.push(PretrainedBlock {
             key,
-            checkpoint: Checkpoint::capture(&built.vars, &prefix),
+            checkpoint,
             first_loss,
             last_loss: last_losses[bi],
             steps: if bi == 0 { cfg.steps } else { 0 },
@@ -435,9 +456,15 @@ fn pretrain_one_group(
     Ok(trained)
 }
 
+/// The error of a group whose loss or captured weights went non-finite.
+fn diverged(step: usize, loss: f32, var: Option<String>) -> CoreError {
+    CoreError::Nn(NnError::Diverged { step, loss, var })
+}
+
 /// Builds the pre-training structure of `blocks` (one group): the teacher
 /// restored from the full model, and each block's student (scope `scopes[i]`)
-/// initialized from the teacher's weights, sliced to the block's widths.
+/// initialized from the teacher's weights, sliced to the widths its ports
+/// were built with.
 fn build_group(
     mm: &MultiplexingModel,
     blocks: &[TuningBlock],
@@ -445,7 +472,6 @@ fn build_group(
     full: &Checkpoint,
     seed: u64,
 ) -> Result<BuiltModel> {
-    let module_ids = mm.ir().conv_module_ids();
     let mut built = mm.build(&ModeToUse::PreTrain(blocks), seed)?;
 
     // Teacher gets the full model's weights.
@@ -455,34 +481,15 @@ fn build_group(
             .unwrap_or_else(|| name.to_string())
     })?;
     // Students start from the inherited (sliced) teacher weights.
-    for (block, scope) in blocks.iter().zip(scopes) {
-        let mut widths = BTreeMap::new();
-        let mut layer_names: Vec<String> = Vec::new();
-        for &(pos, rate) in &block.parts {
-            let module = module_ids[pos];
-            for layer in mm.ir().layers() {
-                if layer.module == Some(module) {
-                    layer_names.push(layer.name.clone());
-                }
-            }
-            if rate > 0 {
-                for name in mm.ir().prunable_convs_of_module(module) {
-                    if let Some(layer) = mm.ir().layer(name) {
-                        if let wootz_ir::LayerKind::Convolution { num_output, .. } = layer.kind {
-                            widths.insert(name.to_string(), kept_count(num_output, rate));
-                        }
-                    }
-                }
-            }
-        }
+    for (ports, scope) in built.block_ports.iter().zip(scopes) {
         init_from_full(
             mm.ir(),
             full,
             "net",
             &mut built.vars,
             scope,
-            &widths,
-            Some(&layer_names),
+            &ports.widths,
+            Some(&ports.layers),
         )?;
     }
     Ok(built)
@@ -838,7 +845,7 @@ mod tests {
                 Mode::Train,
             )
             .unwrap();
-            let ports = built.block_ports[0];
+            let ports = &built.block_ports[0];
             let seed_grad = mse_loss_backward(
                 pass.activation(ports.student_output),
                 pass.activation(ports.teacher_output),

@@ -93,6 +93,25 @@ impl PruneConfig {
         self.rates[i]
     }
 
+    /// The configuration as `(module position, rate)` parts over `ir`'s
+    /// conv modules — what [`pruned_widths`] reads.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Config`] when the configuration does not cover
+    /// exactly the model's conv modules.
+    pub fn parts(&self, ir: &ModelIr) -> Result<impl Iterator<Item = (usize, u8)> + '_> {
+        let modules = ir.conv_module_ids().len();
+        if self.len() != modules {
+            return Err(CoreError::Config(format!(
+                "configuration covers {} modules, model `{}` has {modules}",
+                self.len(),
+                ir.name()
+            )));
+        }
+        Ok(self.rates.iter().copied().enumerate())
+    }
+
     /// Encodes the configuration as Sequitur terminals, one per module:
     /// `module_index * 1000 + rate` (the `N_(d)` notation of Figure 4).
     pub fn terminals(&self) -> Vec<u64> {
@@ -257,144 +276,58 @@ pub fn kept_filter_indices(weight: &Tensor, keep: usize) -> Vec<usize> {
     kept
 }
 
-/// Derives the pruned model IR for a configuration: every *prunable* conv
-/// (see [`wootz_ir::ModelIr::prunable_convs`]) of module `m` keeps
-/// [`kept_count`] filters at the module's rate; all other layers are
-/// unchanged.
+/// The kept-filter count of every prunable conv
+/// ([`ModelIr::prunable_convs`]) that `parts` prune: a `(module position,
+/// rate)` part keeps [`kept_count`] filters of each prunable conv of the
+/// module at that position. Configurations ([`PruneConfig::parts`]) and
+/// tuning blocks both derive their shape here, and the compiler builds
+/// and [`crate::stats::model_stats`] counts what it returns.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Config`] when the configuration length does not
-/// match the model's conv-module count.
-pub fn pruned_model(ir: &ModelIr, config: &PruneConfig) -> Result<ModelIr> {
+/// [`CoreError::Config`] for a rate ≥ 100 or a position outside the model
+/// (decoded configurations and blocks skip their constructors).
+pub fn pruned_widths(
+    ir: &ModelIr,
+    parts: impl IntoIterator<Item = (usize, u8)>,
+) -> Result<BTreeMap<String, usize>> {
     let module_ids = ir.conv_module_ids();
-    if config.len() != module_ids.len() {
-        return Err(CoreError::Config(format!(
-            "configuration covers {} modules, model `{}` has {}",
-            config.len(),
-            ir.name(),
-            module_ids.len()
-        )));
-    }
-    let widths = pruned_widths(ir, config)?;
-    let mut layers = Vec::with_capacity(ir.layers().len());
-    for layer in ir.layers() {
-        let mut layer = layer.clone();
-        if let LayerKind::Convolution {
-            num_output,
-            kernel_size,
-            stride,
-            pad,
-        } = layer.kind
-        {
-            if let Some(&w) = widths.get(layer.name.as_str()) {
-                layer.kind = LayerKind::Convolution {
-                    num_output: w,
-                    kernel_size,
-                    stride,
-                    pad,
-                };
-                let _ = num_output;
-            }
-        }
-        layers.push(layer);
-    }
-    Ok(ModelIr::from_parts(
-        format!("{}_pruned", ir.name()),
-        ir.input().clone(),
-        layers,
-    )?)
-}
-
-/// The post-pruning filter count of every *pruned* conv layer (layers not
-/// in the map are unpruned).
-///
-/// # Errors
-///
-/// Returns [`CoreError::Config`] on a module-count mismatch.
-pub fn pruned_widths(ir: &ModelIr, config: &PruneConfig) -> Result<BTreeMap<String, usize>> {
-    let module_ids = ir.conv_module_ids();
-    if config.len() != module_ids.len() {
-        return Err(CoreError::Config(format!(
-            "configuration covers {} modules, model has {}",
-            config.len(),
-            module_ids.len()
-        )));
-    }
     let mut widths = BTreeMap::new();
-    for (pos, &module) in module_ids.iter().enumerate() {
-        let rate = config.rate(pos);
+    for (pos, rate) in parts {
+        let Some(&module) = module_ids.get(pos) else {
+            return Err(CoreError::Config(format!(
+                "module position {pos} is outside model `{}` ({} conv modules)",
+                ir.name(),
+                module_ids.len()
+            )));
+        };
+        if rate >= 100 {
+            return Err(CoreError::Config(format!(
+                "pruning rate {rate}% must be < 100%"
+            )));
+        }
         if rate == 0 {
             continue;
         }
         for name in ir.prunable_convs_of_module(module) {
-            let Some(layer) = ir.layer(name) else {
-                continue;
-            };
-            if let LayerKind::Convolution { num_output, .. } = layer.kind {
-                widths.insert(name.to_string(), kept_count(num_output, rate));
+            if let Some(LayerKind::Convolution { num_output, .. }) = ir.layer(name).map(|l| &l.kind)
+            {
+                widths.insert(name.to_string(), kept_count(*num_output, rate));
             }
         }
     }
     Ok(widths)
 }
 
-/// Analytic parameter count of a model: convolution and inner-product
-/// weights and biases plus batch-norm affines, computed by propagating
-/// channel counts through the blob graph (no tensors are allocated).
-///
-/// # Panics
-///
-/// Panics when the IR is internally inconsistent (validated IRs never are).
-pub fn param_count(ir: &ModelIr) -> usize {
-    let mut channels: BTreeMap<&str, usize> = BTreeMap::new();
-    channels.insert(ir.input().name.as_str(), ir.input().channels);
-    let mut total = 0usize;
-    for layer in ir.layers() {
-        let in_c = |b: &str| {
-            *channels.get(b).unwrap_or_else(|| {
-                panic!("blob `{b}` has no channel info (layer `{}`)", layer.name)
-            })
-        };
-        let out_c = match &layer.kind {
-            LayerKind::Convolution {
-                num_output,
-                kernel_size,
-                ..
-            } => {
-                let c = in_c(&layer.bottoms[0]);
-                total += num_output * c * kernel_size * kernel_size + num_output;
-                *num_output
-            }
-            LayerKind::BatchNorm => {
-                let c = in_c(&layer.bottoms[0]);
-                total += 2 * c; // gamma + beta (running stats are not learnable)
-                c
-            }
-            LayerKind::InnerProduct { num_output } => {
-                let c = in_c(&layer.bottoms[0]);
-                total += num_output * c + num_output;
-                *num_output
-            }
-            LayerKind::ReLU | LayerKind::Softmax | LayerKind::Pooling { .. } => {
-                in_c(&layer.bottoms[0])
-            }
-            LayerKind::Eltwise => in_c(&layer.bottoms[0]),
-            LayerKind::Concat => layer.bottoms.iter().map(|b| in_c(b)).sum(),
-        };
-        channels.insert(layer.top.as_str(), out_c);
-    }
-    total
-}
-
 /// Parameter count of the pruned network for `config` — the paper's
-/// ModelSize metric for a configuration.
+/// ModelSize: the [`crate::stats::config_stats`] total, equal to the
+/// learnable scalars the compiler materializes for it.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Config`] on a module-count mismatch.
+/// [`CoreError::Config`] on a module-count mismatch or a bad rate.
 pub fn config_param_count(ir: &ModelIr, config: &PruneConfig) -> Result<usize> {
-    Ok(param_count(&pruned_model(ir, config)?))
+    Ok(crate::stats::config_stats(ir, config)?.total_params)
 }
 
 #[cfg(test)]
@@ -489,29 +422,52 @@ mod tests {
         let ir = resnet_mini(10);
         let n = ir.conv_module_ids().len();
         let config = PruneConfig::uniform(n, 50).unwrap();
-        let pruned = pruned_model(&ir, &config).unwrap();
-        // Inner convs halve; module tops unchanged.
-        let width = |m: &ModelIr, name: &str| match m.layer(name).unwrap().kind {
+        let widths = pruned_widths(&ir, config.parts(&ir).unwrap()).unwrap();
+        // Inner convs halve; module tops are not in the map.
+        let width = |name: &str| match ir.layer(name).unwrap().kind {
             LayerKind::Convolution { num_output, .. } => num_output,
             _ => panic!(),
         };
+        assert_eq!(widths["res2_0_branch2a"], width("res2_0_branch2a") / 2);
+        assert!(!widths.contains_key("res2_0_branch2c"));
+        let mut prunable = ir.prunable_convs();
+        prunable.sort_unstable();
         assert_eq!(
-            width(&pruned, "res2_0_branch2a"),
-            width(&ir, "res2_0_branch2a") / 2
+            widths.keys().map(String::as_str).collect::<Vec<_>>(),
+            prunable
         );
-        assert_eq!(
-            width(&pruned, "res2_0_branch2c"),
-            width(&ir, "res2_0_branch2c")
-        );
-        assert!(param_count(&pruned) < param_count(&ir));
+        let full = crate::stats::model_stats(&ir, &BTreeMap::new()).total_params;
+        assert!(config_param_count(&ir, &config).unwrap() < full);
     }
 
     #[test]
     fn config_length_mismatch_is_an_error() {
         let ir = resnet_mini(10);
         let config = PruneConfig::uniform(99, 30).unwrap();
-        assert!(pruned_model(&ir, &config).is_err());
-        assert!(pruned_widths(&ir, &config).is_err());
+        assert!(config.parts(&ir).is_err());
+        assert!(config_param_count(&ir, &config).is_err());
+    }
+
+    #[test]
+    fn decoded_parts_with_bad_rates_or_positions_are_errors() {
+        // Serde-decoded configurations and blocks skip their constructors,
+        // so the width derivation itself refuses what `kept_count` cannot
+        // take and positions the model does not have.
+        let ir = resnet_mini(10);
+        let n = ir.conv_module_ids().len();
+        let decoded: PruneConfig =
+            serde_json::from_str(&format!("{{\"rates\":{:?}}}", vec![200u8; n])).unwrap();
+        assert!(matches!(
+            config_param_count(&ir, &decoded),
+            Err(CoreError::Config(_))
+        ));
+        for parts in [vec![(0, 100)], vec![(n, 30)], vec![(0, 30), (n + 5, 0)]] {
+            assert!(
+                matches!(pruned_widths(&ir, parts.clone()), Err(CoreError::Config(_))),
+                "{parts:?}"
+            );
+        }
+        assert!(pruned_widths(&ir, [(n - 1, 99)]).is_ok());
     }
 
     #[test]
@@ -520,7 +476,7 @@ mod tests {
         // million." Our generator should land close (BN affines and the
         // 1000-way classifier included).
         let ir = resnet50(1000);
-        let params = param_count(&ir);
+        let params = crate::stats::model_stats(&ir, &BTreeMap::new()).total_params;
         let millions = params as f64 / 1e6;
         assert!(
             (24.0..27.5).contains(&millions),
@@ -536,6 +492,9 @@ mod tests {
         let p30 = config_param_count(&ir, &PruneConfig::uniform(n, 30).unwrap()).unwrap();
         let p70 = config_param_count(&ir, &PruneConfig::uniform(n, 70).unwrap()).unwrap();
         assert!(p0 > p30 && p30 > p70, "{p0} {p30} {p70}");
-        assert_eq!(p0, param_count(&ir));
+        assert_eq!(
+            p0,
+            crate::stats::model_stats(&ir, &BTreeMap::new()).total_params
+        );
     }
 }

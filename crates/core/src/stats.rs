@@ -6,8 +6,13 @@
 //! inference speed, or minimizing the amount of computations", §2): FLOPs
 //! are counted as two operations per multiply-accumulate.
 
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
 use wootz_ir::{LayerKind, ModelIr};
+
+use crate::prune::{pruned_widths, PruneConfig};
+use crate::Result;
 
 /// Statistics of one layer.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -66,13 +71,18 @@ fn pooled_dim(input: usize, kernel: usize, stride: usize, pad: usize) -> usize {
     (input + 2 * pad).saturating_sub(kernel) / stride.max(1) + 1
 }
 
-/// Computes per-layer and total statistics by propagating shapes through
-/// the blob graph.
+/// Computes per-layer and total statistics of the network `ir` builds
+/// with the conv widths `widths` ([`pruned_widths`]; an
+/// empty map is the full model) by propagating shapes through the blob
+/// graph. `total_params` is the number of learnable scalars the compiler
+/// materializes for those widths — an inner product charges every
+/// feature of the map it flattens — and is the paper's ModelSize.
 ///
 /// ```
+/// use std::collections::BTreeMap;
 /// use wootz_core::stats::model_stats;
 ///
-/// let stats = model_stats(&wootz_models::resnet_mini(10));
+/// let stats = model_stats(&wootz_models::resnet_mini(10), &BTreeMap::new());
 /// assert!(stats.total_params > 0);
 /// assert!(stats.total_flops > stats.total_params as u64);
 /// ```
@@ -81,8 +91,7 @@ fn pooled_dim(input: usize, kernel: usize, stride: usize, pad: usize) -> usize {
 ///
 /// Panics when the IR is internally inconsistent (validated IRs never
 /// are — every bottom is produced before use).
-pub fn model_stats(ir: &ModelIr) -> ModelStats {
-    use std::collections::BTreeMap;
+pub fn model_stats(ir: &ModelIr, widths: &BTreeMap<String, usize>) -> ModelStats {
     let mut shapes: BTreeMap<&str, (usize, usize, usize)> = BTreeMap::new();
     shapes.insert(
         ir.input().name.as_str(),
@@ -104,15 +113,16 @@ pub fn model_stats(ir: &ModelIr) -> ModelStats {
                 stride,
                 pad,
             } => {
+                let filters = widths.get(&layer.name).copied().unwrap_or(*num_output);
                 let (c, h, w) = inp(&layer.bottoms[0]);
                 let ho = pooled_dim(h, *kernel_size, *stride, *pad);
                 let wo = pooled_dim(w, *kernel_size, *stride, *pad);
-                let params = num_output * c * kernel_size * kernel_size + num_output;
-                let macs = (num_output * c * kernel_size * kernel_size * ho * wo) as u64;
+                let params = filters * c * kernel_size * kernel_size + filters;
+                let macs = (filters * c * kernel_size * kernel_size * ho * wo) as u64;
                 (
-                    (*num_output, ho, wo),
+                    (filters, ho, wo),
                     params,
-                    2 * macs + (num_output * ho * wo) as u64,
+                    2 * macs + (filters * ho * wo) as u64,
                 )
             }
             LayerKind::BatchNorm => {
@@ -188,35 +198,69 @@ pub fn model_stats(ir: &ModelIr) -> ModelStats {
     }
 }
 
+/// [`model_stats`] of the pruned network for `config`: one walk over its
+/// [`pruned_widths`], whose totals are ModelSize
+/// ([`crate::prune::config_param_count`]) and [`config_flop_count`].
+///
+/// # Errors
+///
+/// [`crate::CoreError::Config`] on a module-count mismatch or a bad rate.
+pub fn config_stats(ir: &ModelIr, config: &PruneConfig) -> Result<ModelStats> {
+    Ok(model_stats(ir, &pruned_widths(ir, config.parts(ir)?)?))
+}
+
 /// Total forward FLOPs of the pruned network for a configuration — the
 /// computational-cost metric.
 ///
 /// # Errors
 ///
-/// Returns [`crate::CoreError::Config`] on a module-count mismatch.
-pub fn config_flop_count(ir: &ModelIr, config: &crate::prune::PruneConfig) -> crate::Result<u64> {
-    Ok(model_stats(&crate::prune::pruned_model(ir, config)?).total_flops)
+/// Same as [`config_stats`].
+pub fn config_flop_count(ir: &ModelIr, config: &PruneConfig) -> Result<u64> {
+    Ok(config_stats(ir, config)?.total_flops)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prune::{param_count, PruneConfig};
-    use wootz_models::{inception_mini, resnet50, resnet_mini};
+    use wootz_models::{resnet50, resnet_mini};
 
     #[test]
-    fn stats_params_agree_with_param_count() {
-        for ir in [resnet_mini(10), inception_mini(10), resnet50(1000)] {
-            let stats = model_stats(&ir);
-            assert_eq!(stats.total_params, param_count(&ir), "{}", ir.name());
-        }
+    fn a_pruned_configuration_has_its_hand_counted_size() {
+        // One module: `a` (prunable, 8 -> 4 filters at 50%) feeds `b`
+        // through a batch norm and a ReLU; `b` leaves the module, so it
+        // keeps its 6 filters. The classifier flattens a 6x4x4 map.
+        let text = r#"
+name: "counted"
+input: "data"
+input_dim: 1 input_dim: 3 input_dim: 8 input_dim: 8
+layer { name: "a" type: "Convolution" bottom: "data" top: "a" module: 0
+  convolution_param { num_output: 8 kernel_size: 3 pad: 1 } }
+layer { name: "a_bn" type: "BatchNorm" bottom: "a" top: "a_bn" module: 0 }
+layer { name: "a_relu" type: "ReLU" bottom: "a_bn" top: "a_relu" module: 0 }
+layer { name: "b" type: "Convolution" bottom: "a_relu" top: "b" module: 0
+  convolution_param { num_output: 6 kernel_size: 1 } }
+layer { name: "pool" type: "Pooling" bottom: "b" top: "pool"
+  pooling_param { pool: MAX kernel_size: 2 stride: 2 } }
+layer { name: "fc" type: "InnerProduct" bottom: "pool" top: "fc"
+  inner_product_param { num_output: 5 } }
+"#;
+        let ir = wootz_ir::ModelIr::parse(text).unwrap();
+        let config = PruneConfig::new(vec![50]).unwrap();
+        let a = 4 * 3 * 3 * 3 + 4;
+        let a_bn = 2 * 4;
+        let b = 6 * 4 + 6;
+        let fc = 5 * (6 * 4 * 4) + 5;
+        let stats = config_stats(&ir, &config).unwrap();
+        assert_eq!(stats.total_params, a + a_bn + b + fc);
+        assert_eq!(crate::prune::config_param_count(&ir, &config).unwrap(), 635);
+        assert_eq!(config_flop_count(&ir, &config).unwrap(), stats.total_flops);
     }
 
     #[test]
     fn resnet50_flops_are_in_the_right_ballpark() {
         // Real ResNet-50 is ~3.8 GFLOPs (2/MAC convention gives ~7.7
         // GMACs x2) on 224x224; our generator should land within 3x.
-        let stats = model_stats(&resnet50(1000));
+        let stats = model_stats(&resnet50(1000), &BTreeMap::new());
         let gflops = stats.total_flops as f64 / 1e9;
         assert!((2.0..20.0).contains(&gflops), "{gflops} GFLOPs");
     }
@@ -229,7 +273,7 @@ mod tests {
         let f30 = config_flop_count(&ir, &PruneConfig::uniform(n, 30).unwrap()).unwrap();
         let f70 = config_flop_count(&ir, &PruneConfig::uniform(n, 70).unwrap()).unwrap();
         assert!(f0 > f30 && f30 > f70, "{f0} {f30} {f70}");
-        assert_eq!(f0, model_stats(&ir).total_flops);
+        assert_eq!(f0, model_stats(&ir, &BTreeMap::new()).total_flops);
     }
 
     #[test]
@@ -243,7 +287,7 @@ layer { name: "c" type: "Convolution" bottom: "data" top: "c" module: 0
   convolution_param { num_output: 4 kernel_size: 3 pad: 1 } }
 "#;
         let ir = wootz_ir::ModelIr::parse(text).unwrap();
-        let stats = model_stats(&ir);
+        let stats = model_stats(&ir, &BTreeMap::new());
         let macs = 4 * 3 * 3 * 3 * 8 * 8;
         assert_eq!(stats.layers[0].flops, (2 * macs + 4 * 8 * 8) as u64);
         assert_eq!(stats.layers[0].output, (4, 8, 8));
@@ -252,7 +296,7 @@ layer { name: "c" type: "Convolution" bottom: "data" top: "c" module: 0
 
     #[test]
     fn render_contains_totals() {
-        let text = model_stats(&resnet_mini(10)).render();
+        let text = model_stats(&resnet_mini(10), &BTreeMap::new()).render();
         assert!(text.contains("total:"), "{text}");
         assert!(text.contains("conv1"));
     }

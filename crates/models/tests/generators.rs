@@ -8,6 +8,11 @@ use wootz_models::{
     StageSpec,
 };
 
+/// The full model's analytic parameter count (ModelSize).
+fn param_count(model: &ModelIr) -> usize {
+    wootz_core::stats::model_stats(model, &Default::default()).total_params
+}
+
 fn family() -> Vec<ModelIr> {
     vec![
         resnet50(100),
@@ -90,8 +95,8 @@ fn resnet_widths_scale_param_counts() {
         num_classes: 10,
         with_bn: false,
     };
-    let small = wootz_core::prune::param_count(&resnet(&spec(4)));
-    let large = wootz_core::prune::param_count(&resnet(&spec(16)));
+    let small = param_count(&resnet(&spec(4)));
+    let large = param_count(&resnet(&spec(16)));
     assert!(large > small * 4, "{small} vs {large}");
 }
 
@@ -151,11 +156,11 @@ fn minis_execute_forward_in_the_engine() {
 fn full_scale_models_have_plausible_sizes() {
     // Parameter-count sanity for the analytic accounting the simulator
     // relies on (ResNet-101 ~44.5M, Inception-V3 ~24M at 1000 classes).
-    let p101 = wootz_core::prune::param_count(&resnet101(1000));
+    let p101 = param_count(&resnet101(1000));
     assert!((35e6..60e6).contains(&(p101 as f64)), "resnet101: {p101}");
-    let p50 = wootz_core::prune::param_count(&resnet50(1000));
+    let p50 = param_count(&resnet50(1000));
     assert!(p101 > p50, "deeper network must be larger");
-    let pv3 = wootz_core::prune::param_count(&inception_v3(1000));
-    let pv2 = wootz_core::prune::param_count(&inception_v2(1000));
+    let pv3 = param_count(&inception_v3(1000));
+    let pv2 = param_count(&inception_v2(1000));
     assert!(pv3 > pv2, "V3 must be larger than V2");
 }

@@ -9,9 +9,9 @@ use wootz_core::blocks::{
 };
 use wootz_core::explore::{explore, EvalOutcome};
 use wootz_core::prune::{
-    config_param_count, param_count, sample_segment_subspace, sample_subspace, PruneConfig,
-    PAPER_RATES,
+    config_param_count, sample_segment_subspace, sample_subspace, PruneConfig, PAPER_RATES,
 };
+use wootz_core::stats::model_stats;
 use wootz_ir::Objective;
 
 use crate::curves::AccuracyModel;
@@ -134,7 +134,7 @@ pub fn simulate_pruning(exp: &SimExperiment) -> SimResult {
         other => panic!("unknown dataset `{other}`"),
     };
     let ir = profile.build_ir(classes);
-    let full_params = param_count(&ir);
+    let full_params = model_stats(&ir, &Default::default()).total_params;
 
     let configs: Vec<PruneConfig> = match exp.subspace {
         SubspaceKind::Random => sample_subspace(

@@ -189,14 +189,15 @@ pub struct Fig7Panel {
 pub fn fig7(seed: u64) -> Vec<Fig7Panel> {
     use crate::curves::AccuracyModel;
     use crate::profiles::{dataset_profile, model_profile};
-    use wootz_core::prune::{config_param_count, param_count, sample_subspace, PAPER_RATES};
+    use wootz_core::prune::{config_param_count, sample_subspace, PAPER_RATES};
+    use wootz_core::stats::model_stats;
 
     let mut panels = Vec::new();
     for (dataset, classes) in [("flowers102", 102usize), ("cars", 196)] {
         let profile = model_profile("resnet50");
         let cal = dataset_profile(dataset).calibration("resnet50");
         let ir = profile.build_ir(classes);
-        let full = param_count(&ir);
+        let full = model_stats(&ir, &Default::default()).total_params;
         let configs = sample_subspace(profile.num_modules, &PAPER_RATES, 500, seed);
         let sizes: Vec<usize> = configs
             .iter()

@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = wootz_models::resnet_mini(dataset.spec().classes);
     let n = model.conv_module_ids().len();
 
-    let stats = model_stats(&model);
+    let stats = model_stats(&model, &Default::default());
     println!(
         "full `{}`: {} params, {} FLOPs/sample\n",
         model.name(),
